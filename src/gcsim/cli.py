@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import engine, scenario as scen
-from .errors import RunAborted, ScenarioParseError, ScenarioValidationError
+from .errors import GcsSimError, RunAborted, ScenarioParseError, ScenarioValidationError
 from .trace import write_summary_json, write_trace_csv, write_violations_json
 
 logger = logging.getLogger(__name__)
@@ -109,7 +109,7 @@ def _apply_overrides(doc: dict, overrides: dict) -> dict:
                 raise ScenarioValidationError(
                     ["sweep over n requires a template-based graph section"]
                 )
-            graph["template"]["n"] = int(val)
+            graph["template"]["n"] = val
         else:
             raise ScenarioValidationError([f"unsupported sweep parameter {key!r}"])
     return doc
@@ -120,7 +120,7 @@ def _sweep_row(doc: dict, overrides: dict, seed: int) -> dict:
     try:
         sc = scen.build_scenario(_apply_overrides(doc, overrides), seed_override=seed)
         result = engine.run(sc)
-    except (ScenarioValidationError, ScenarioParseError, RunAborted) as exc:
+    except GcsSimError as exc:
         row["status"] = f"error: {exc}"
         return row
     report = result.summary.bound_report

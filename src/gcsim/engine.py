@@ -11,7 +11,7 @@ import hashlib
 import heapq
 import logging
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import gcs, metrics
 from .clocks import FAST, OWN_RATE, HardwareClock, LogicalClock, make_schedule
 from .errors import ConfigError, InternalError, RunAborted
 from .gcs import GcsParams, NodeState
-from .topology import NetworkGraph, kappa_distance_matrix, kappa_weights
+from .topology import NetworkGraph
 from .trace import MeasurementTruth, RunSummary, Trace, Violation
 from .twoway import (
     MeasurementRecord,
@@ -27,7 +27,6 @@ from .twoway import (
     compute_estimates,
     estimate_value,
     handle_request,
-    timeout_window,
 )
 
 logger = logging.getLogger(__name__)
@@ -99,25 +98,15 @@ class Scenario:
     p_max: float
     sample_dt: float
     master_seed: int
+    kappa: dict
+    dist: np.ndarray  # all-pairs kappa-weighted distances
+    timeout: float  # round-trip budget in local time, see twoway.timeout_window
     horizon_cycles: int | None = None
     horizon_time: float | None = None
     correction_semantics: str = "multiplicative"
     gcs_enabled: bool = True
     metrics_mode: str = "full"
     scenario_hash: str = ""
-    kappa: dict = field(default_factory=dict)
-    dist: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not self.kappa:
-            self.kappa = kappa_weights(self.graph, self.params.theta)
-        if self.dist is None:
-            self.dist = kappa_distance_matrix(self.graph, self.kappa)
-
-    @property
-    def timeout(self) -> float:
-        eps_m = max(p.eps_m for _, _, p in self.graph.edges)
-        return timeout_window(self.graph.d_max, self.p_max, eps_m, self.params.theta)
 
     @property
     def sigma(self) -> float:

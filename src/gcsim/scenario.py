@@ -11,6 +11,9 @@ import copy
 import hashlib
 import json
 import logging
+import math
+import sys
+from dataclasses import replace
 from importlib import resources
 
 from .engine import Scenario, seeded_stream
@@ -34,7 +37,10 @@ __all__ = [
 
 _TOP_KEYS = {"graph", "clocks", "gcs", "sim"}
 _GRAPH_KEYS = {"nodes", "edges", "d_max", "template"}
-_EDGE_KEYS = {"u", "v", "fwd_delay", "bwd_delay", "jitter", "eps_d", "eps_m", "length"}
+# numeric edge fields and their defaults; fwd_delay/bwd_delay are required
+_EDGE_NUMS = {"fwd_delay": 0.0, "bwd_delay": 0.0, "jitter": 0.0, "eps_d": 0.0, "eps_m": 0.0,
+              "length": 1.0}
+_EDGE_KEYS = {"u", "v", *_EDGE_NUMS}
 _EDGE_REQUIRED = {"u", "v", "fwd_delay", "bwd_delay"}
 _TEMPLATE_KEYS = {"kind", "n", "rows", "cols", "extra_edges", "seed", "edge"}
 _CLOCK_KEYS = {"theta", "mu", "default", "overrides", "nodes"}
@@ -47,6 +53,7 @@ _GEN_KEYS = {
     "scripted": {"segments"},
 }
 _NODE_COMMON_KEYS = {"generator", "initial_value"}
+_INT_KINDS = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
 
 
 def bundled_names() -> list[str]:
@@ -85,19 +92,55 @@ def load_document(source) -> dict:
     return doc
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number; booleans are not numbers."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+
+
+def _num(section: dict, key: str, problems: list[str], where: str, required=False, default=None):
+    if key not in section:
+        if required:
+            problems.append(f"{where}.{key}: missing")
+        return default
+    v = section[key]
+    if not _is_number(v):
+        problems.append(f"{where}.{key}: must be a number")
+        return default
+    return float(v)
+
+
+def _int(section: dict, key: str, problems: list[str], where: str, required=False, default=None,
+         low: int | None = None):
+    """An integer field (booleans excluded) of at least ``low``."""
+    if key not in section and not required:
+        return default
+    v = section.get(key)
+    if isinstance(v, bool) or not isinstance(v, int) or (low is not None and v < low):
+        problems.append(f"{where}.{key}: must be {_INT_KINDS[low]}")
+        return default
+    return v
+
+
 def _expand_graph_template(tpl: dict, problems: list[str]) -> tuple[int, list[dict]]:
     kind = tpl.get("kind")
     edge = tpl.get("edge", {})
+    before = len(problems)
+    where = "graph.template"
+    n = _int(tpl, "n", problems, where, default=3 if kind == "ring" else 2)
+    rows = _int(tpl, "rows", problems, where, default=2)
+    cols = _int(tpl, "cols", problems, where, default=2)
+    extra = _int(tpl, "extra_edges", problems, where, default=0)
+    seed = _int(tpl, "seed", problems, where, default=0)
+    if not isinstance(edge, dict):
+        problems.append(f"{where}.edge: must be an object")
+    if len(problems) > before:
+        return 0, []
     edges: list[tuple[int, int]] = []
-    n = 0
     if kind == "line":
-        n = int(tpl.get("n", 2))
         edges = [(i, i + 1) for i in range(n - 1)]
     elif kind == "ring":
-        n = int(tpl.get("n", 3))
         edges = [(i, (i + 1) % n) for i in range(n)]
     elif kind == "grid":
-        rows, cols = int(tpl.get("rows", 2)), int(tpl.get("cols", 2))
         n = rows * cols
         for r in range(rows):
             for c in range(cols):
@@ -106,14 +149,11 @@ def _expand_graph_template(tpl: dict, problems: list[str]) -> tuple[int, list[di
                 if r + 1 < rows:
                     edges.append((r * cols + c, (r + 1) * cols + c))
     elif kind == "star":
-        n = int(tpl.get("n", 2))
         edges = [(0, i) for i in range(1, n)]
     elif kind == "random":
-        n = int(tpl.get("n", 2))
-        rng = seeded_stream(int(tpl.get("seed", 0)), "topology")
+        rng = seeded_stream(seed, "topology")
         for i in range(1, n):
             edges.append((int(rng.integers(0, i)), i))
-        extra = int(tpl.get("extra_edges", 0))
         have = set(edges)
         attempts = 0
         while extra > 0 and attempts < 100 * n:
@@ -153,11 +193,13 @@ def expand_document(doc: dict) -> tuple[dict, list[str]]:
             graph["edges"] = edges
     clocks = doc.get("clocks")
     if isinstance(clocks, dict) and "nodes" not in clocks:
-        graph = doc.get("graph") or {}
-        n = graph.get("nodes")
+        n = graph.get("nodes") if isinstance(graph, dict) else None
         default = clocks.pop("default", {"generator": "constant", "rate": 1.0})
         overrides = clocks.pop("overrides", {})
-        if isinstance(n, int) and isinstance(default, dict) and isinstance(overrides, dict):
+        if not (isinstance(default, dict) and isinstance(overrides, dict)
+                and all(isinstance(o, dict) for o in overrides.values())):
+            problems.append("clocks: default and every override must be objects")
+        elif isinstance(n, int):
             clocks["nodes"] = [
                 {**default, **overrides.get(str(i), {})} for i in range(n)
             ]
@@ -166,20 +208,71 @@ def expand_document(doc: dict) -> tuple[dict, list[str]]:
     return doc, problems
 
 
-def _num(section: dict, key: str, problems: list[str], where: str, required=False, default=None):
-    if key not in section:
-        if required:
-            problems.append(f"{where}.{key}: missing")
-        return default
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        problems.append(f"{where}.{key}: must be a number")
-        return default
-    return float(v)
+def _check_rate(spec: dict, key: str, problems: list[str], where: str, theta: float) -> None:
+    r = _num(spec, key, problems, where)
+    if r is not None and not (1.0 <= r <= theta + 1e-15):
+        problems.append(f"{where}.{key}: must lie in [1, theta]")
 
 
-def validate_document(doc: dict) -> list[str]:
-    """Structural and semantic validation; returns all problems found."""
+def _check_clock_spec(spec, theta: float, problems: list[str], where: str) -> float:
+    """Check one per-node clock spec; returns its initial value."""
+    if not isinstance(spec, dict):
+        problems.append(f"{where}: must be an object")
+        return 0.0
+    gen = spec.get("generator", "constant")
+    if not isinstance(gen, str) or gen not in _GEN_KEYS:
+        problems.append(f"{where}.generator: unknown generator {gen!r}")
+        return 0.0
+    unknown = set(spec) - _GEN_KEYS[gen] - _NODE_COMMON_KEYS
+    if unknown:
+        problems.append(f"{where}: unknown keys {sorted(unknown)} for generator {gen!r}")
+    iv = spec.get("initial_value", 0.0)
+    if not _is_number(iv) or iv < 0:
+        problems.append(f"{where}.initial_value: must be a non-negative number")
+        iv = 0.0
+    if gen == "constant":
+        _check_rate(spec, "rate", problems, where, theta)
+    elif gen == "alternating":
+        if _num(spec, "dwell", problems, where, required=True, default=0.0) <= 0:
+            problems.append(f"{where}.dwell: must be positive")
+        if not isinstance(spec.get("start_high", False), bool):
+            problems.append(f"{where}.start_high: must be a boolean")
+        for key in ("low", "high"):
+            _check_rate(spec, key, problems, where, theta)
+    elif gen == "random_walk":
+        if _num(spec, "dwell", problems, where, required=True, default=0.0) <= 0:
+            problems.append(f"{where}.dwell: must be positive")
+        _num(spec, "step", problems, where)
+        _num(spec, "start_rate", problems, where)
+        _int(spec, "seed", problems, where)
+    elif gen == "scripted":
+        segs = spec.get("segments")
+        if not isinstance(segs, list) or not segs:
+            problems.append(f"{where}.segments: must be a non-empty list")
+            segs = []
+        last = -1.0
+        for j, seg in enumerate(segs):
+            if not (isinstance(seg, list) and len(seg) == 2 and all(map(_is_number, seg))):
+                problems.append(f"{where}.segments[{j}]: must be [start, rate]")
+                continue
+            t0, r = float(seg[0]), float(seg[1])
+            if j == 0 and t0 != 0.0:
+                problems.append(f"{where}.segments: first segment must start at 0")
+            if t0 <= last and j > 0:
+                problems.append(f"{where}.segments: start times must increase")
+            if not (1.0 <= r <= theta + 1e-15):
+                problems.append(f"{where}.segments[{j}]: rate outside [1, theta]")
+            last = t0
+    return float(iv)
+
+
+def validate_document(doc: dict) -> tuple[dict, list[str]]:
+    """Check and convert an expanded document in one pass.
+
+    Returns the keyword arguments of :class:`~gcsim.engine.Scenario` other
+    than the hash, built from the checked values, and every problem found.
+    The arguments are complete only when the problem list is empty.
+    """
     problems: list[str] = []
     unknown = set(doc) - _TOP_KEYS
     if unknown:
@@ -188,21 +281,20 @@ def validate_document(doc: dict) -> list[str]:
         if key not in doc or not isinstance(doc[key], dict):
             problems.append(f"section {key!r} missing or not an object")
     if problems:
-        return problems
+        return {}, problems
 
     graph_sec = doc["graph"]
     unknown = set(graph_sec) - _GRAPH_KEYS
     if unknown:
         problems.append(f"graph: unknown keys {sorted(unknown)}")
-    n = graph_sec.get("nodes")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        problems.append("graph.nodes: must be a positive integer")
-        return problems
+    n = _int(graph_sec, "nodes", problems, "graph", required=True, low=1)
+    if n is None:
+        return {}, problems
     d_max = _num(graph_sec, "d_max", problems, "graph", required=True)
     edges_raw = graph_sec.get("edges")
     if not isinstance(edges_raw, list) or not edges_raw:
         problems.append("graph.edges: must be a non-empty list")
-        return problems
+        return {}, problems
     edges = []
     for i, rec in enumerate(edges_raw):
         where = f"graph.edges[{i}]"
@@ -216,30 +308,18 @@ def validate_document(doc: dict) -> list[str]:
         if missing:
             problems.append(f"{where}: missing keys {sorted(missing)}")
             continue
-        try:
-            edges.append(
-                (
-                    int(rec["u"]),
-                    int(rec["v"]),
-                    EdgeParams(
-                        fwd_delay=float(rec["fwd_delay"]),
-                        bwd_delay=float(rec["bwd_delay"]),
-                        jitter=float(rec.get("jitter", 0.0)),
-                        eps_d=float(rec.get("eps_d", 0.0)),
-                        eps_m=float(rec.get("eps_m", 0.0)),
-                        length=float(rec.get("length", 1.0)),
-                    ),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            problems.append(f"{where}: {exc}")
+        u, v = rec["u"], rec["v"]
+        if not all(isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n for x in (u, v)):
+            problems.append(f"{where}: u and v must be node ids in 0..{n - 1}")
+            continue
+        if u == v:
+            problems.append(f"{where}: self-loop at node {u}")
+            continue
+        nums = {key: _num(rec, key, problems, where, default=d) for key, d in _EDGE_NUMS.items()}
+        edges.append((u, v, EdgeParams(**nums)))
     if problems:
-        return problems
-    try:
-        g = NetworkGraph.build(n, edges, float(d_max))
-    except Exception as exc:
-        problems.append(f"graph: {exc}")
-        return problems
+        return {}, problems
+    g = NetworkGraph.build(n, edges, d_max)
     problems.extend(validate_graph(g))
 
     clocks_sec = doc["clocks"]
@@ -252,75 +332,57 @@ def validate_document(doc: dict) -> list[str]:
     if not isinstance(node_specs, list) or len(node_specs) != n:
         problems.append(f"clocks.nodes: must list exactly {n} per-node entries")
         node_specs = []
-    for i, spec in enumerate(node_specs):
-        where = f"clocks.nodes[{i}]"
-        if not isinstance(spec, dict):
-            problems.append(f"{where}: must be an object")
-            continue
-        gen = spec.get("generator", "constant")
-        if gen not in _GEN_KEYS:
-            problems.append(f"{where}.generator: unknown generator {gen!r}")
-            continue
-        allowed = _GEN_KEYS[gen] | _NODE_COMMON_KEYS
-        unknown = set(spec) - allowed
-        if unknown:
-            problems.append(f"{where}: unknown keys {sorted(unknown)} for generator {gen!r}")
-        iv = spec.get("initial_value", 0.0)
-        if isinstance(iv, bool) or not isinstance(iv, (int, float)) or iv < 0:
-            problems.append(f"{where}.initial_value: must be a non-negative number")
-        if gen == "constant":
-            r = spec.get("rate", 1.0)
-            if not isinstance(r, (int, float)) or not (1.0 <= float(r) <= theta + 1e-15):
-                problems.append(f"{where}.rate: must lie in [1, theta]")
-        elif gen == "alternating":
-            if _num(spec, "dwell", problems, where, required=True, default=0.0) <= 0:
-                problems.append(f"{where}.dwell: must be positive")
-            for key in ("low", "high"):
-                if key in spec and not (1.0 <= float(spec[key]) <= theta + 1e-15):
-                    problems.append(f"{where}.{key}: must lie in [1, theta]")
-        elif gen == "random_walk":
-            if _num(spec, "dwell", problems, where, required=True, default=0.0) <= 0:
-                problems.append(f"{where}.dwell: must be positive")
-        elif gen == "scripted":
-            segs = spec.get("segments")
-            if not isinstance(segs, list) or not segs:
-                problems.append(f"{where}.segments: must be a non-empty list")
-            else:
-                last = -1.0
-                for j, seg in enumerate(segs):
-                    ok = isinstance(seg, list) and len(seg) == 2
-                    if not ok:
-                        problems.append(f"{where}.segments[{j}]: must be [start, rate]")
-                        continue
-                    t0, r = float(seg[0]), float(seg[1])
-                    if j == 0 and t0 != 0.0:
-                        problems.append(f"{where}.segments: first segment must start at 0")
-                    if t0 <= last and j > 0:
-                        problems.append(f"{where}.segments: start times must increase")
-                    if not (1.0 <= r <= theta + 1e-15):
-                        problems.append(f"{where}.segments[{j}]: rate outside [1, theta]")
-                    last = t0
+    init = [_check_clock_spec(spec, theta, problems, f"clocks.nodes[{i}]")
+            for i, spec in enumerate(node_specs)]
 
     gcs_sec = doc["gcs"]
     unknown = set(gcs_sec) - _GCS_KEYS
     if unknown:
         problems.append(f"gcs: unknown keys {sorted(unknown)}")
-    T = _num(gcs_sec, "T", problems, "gcs", required=True, default=0.0)
-    t_stab = _num(gcs_sec, "T_stab", problems, "gcs", required=True, default=0.0)
     p_max = _num(gcs_sec, "p_max", problems, "gcs", default=0.0)
-    hysteresis = _num(gcs_sec, "hysteresis", problems, "gcs", default=0.0)
+    if p_max < 0:
+        problems.append("gcs.p_max: must be non-negative")
     semantics = gcs_sec.get("correction_semantics", "multiplicative")
     if semantics not in ("multiplicative", "additive"):
         problems.append(f"gcs.correction_semantics: unknown value {semantics!r}")
-    if "enabled" in gcs_sec and not isinstance(gcs_sec["enabled"], bool):
+    enabled = gcs_sec.get("enabled", True)
+    if not isinstance(enabled, bool):
         problems.append("gcs.enabled: must be a boolean")
-    s_max = gcs_sec.get("s_max")
-    if s_max is not None and (not isinstance(s_max, int) or isinstance(s_max, bool) or s_max < 1):
-        problems.append("gcs.s_max: must be a positive integer")
+    s_max = _int(gcs_sec, "s_max", problems, "gcs")
+    # a derived s_max replaces the placeholder 1 once the distances exist
+    params = GcsParams(
+        theta=theta,
+        mu=mu,
+        T=_num(gcs_sec, "T", problems, "gcs", required=True, default=0.0),
+        T_stab=_num(gcs_sec, "T_stab", problems, "gcs", required=True, default=0.0),
+        s_max=1 if s_max is None else s_max,
+        hysteresis=_num(gcs_sec, "hysteresis", problems, "gcs", default=0.0),
+    )
+    problems.extend(params.validate())
 
+    sim_sec = doc["sim"]
+    unknown = set(sim_sec) - _SIM_KEYS
+    if unknown:
+        problems.append(f"sim: unknown keys {sorted(unknown)}")
+    if ("horizon_cycles" in sim_sec) == ("horizon_time" in sim_sec):
+        problems.append("sim: exactly one of horizon_cycles / horizon_time is required")
+    horizon_cycles = _int(sim_sec, "horizon_cycles", problems, "sim", low=1)
+    horizon_time = _num(sim_sec, "horizon_time", problems, "sim")
+    if horizon_time is not None and horizon_time <= 0:
+        problems.append("sim.horizon_time: must be positive")
+    sample_dt = _num(sim_sec, "sample_dt", problems, "sim", required=True, default=0.0)
+    if sample_dt <= 0:
+        problems.append("sim.sample_dt: must be positive")
+    master_seed = _int(sim_sec, "master_seed", problems, "sim", required=True, low=0)
+    metrics_mode = sim_sec.get("metrics", "full")
+    if metrics_mode not in ("full", "skew_only"):
+        problems.append("sim.metrics: must be 'full' or 'skew_only'")
     if problems:
-        return problems
+        return {}, problems
 
+    if mu <= theta:
+        logger.warning("mu=%r does not exceed theta=%r; proceeding (sigma=%r)",
+                       mu, theta, params.sigma)
     kappa = kappa_weights(g, theta)
     for (u, v), k_e in kappa.items():
         if k_e <= 0:
@@ -328,128 +390,62 @@ def validate_document(doc: dict) -> list[str]:
                 f"edge ({u},{v}): kappa weight is zero; needs drift, asymmetry or "
                 f"measurement uncertainty"
             )
-    if mu <= theta - 1.0:
-        problems.append(f"gcs: mu {mu!r} must exceed theta-1 {theta - 1.0!r} (sigma > 1)")
-    elif mu <= theta:
-        logger.warning("mu=%r does not exceed theta=%r; proceeding (sigma=%r)",
-                       mu, theta, mu / (theta - 1.0) if theta > 1 else float("inf"))
+        elif math.isinf(k_e):
+            problems.append(f"edge ({u},{v}): kappa weight overflows")
     if s_max is None and theta <= 1.0:
         problems.append("gcs.s_max: required when theta == 1 (level count is undefined)")
-    eps_m_max = max(p.eps_m for _, _, p in g.edges)
-    try:
-        window = timeout_window(float(d_max), p_max, eps_m_max, theta)
-        if T < window:
-            problems.append(
-                f"gcs.T: measurement window {T!r} is below the timeout window {window!r}"
-            )
-    except Exception as exc:
-        problems.append(f"gcs: {exc}")
-    if t_stab <= 0:
-        problems.append("gcs.T_stab: must be positive")
+    timeout = timeout_window(d_max, p_max, max(p.eps_m for _, _, p in g.edges), theta)
+    if params.T < timeout:
+        problems.append(
+            f"gcs.T: measurement window {params.T!r} is below the timeout window {timeout!r}"
+        )
+    if problems:
+        return {}, problems
 
+    dist = kappa_distance_matrix(g, kappa)
     # boot-up gate: neighbouring clocks must start within the path error budget
-    if not problems:
-        dist = kappa_distance_matrix(g, kappa)
-        init = [float(spec.get("initial_value", 0.0)) for spec in node_specs]
-        for v in range(n):
-            for w in range(v + 1, n):
-                if abs(init[v] - init[w]) > dist[v, w] + 1e-12:
-                    problems.append(
-                        f"initial synchronisation violated for pair ({v},{w}): "
-                        f"|{init[v]!r} - {init[w]!r}| > {dist[v, w]!r}"
-                    )
-
-    sim_sec = doc["sim"]
-    unknown = set(sim_sec) - _SIM_KEYS
-    if unknown:
-        problems.append(f"sim: unknown keys {sorted(unknown)}")
-    has_cycles = "horizon_cycles" in sim_sec
-    has_time = "horizon_time" in sim_sec
-    if has_cycles == has_time:
-        problems.append("sim: exactly one of horizon_cycles / horizon_time is required")
-    if has_cycles:
-        hc = sim_sec["horizon_cycles"]
-        if not isinstance(hc, int) or isinstance(hc, bool) or hc < 1:
-            problems.append("sim.horizon_cycles: must be a positive integer")
-    if has_time and _num(sim_sec, "horizon_time", problems, "sim", default=0.0) <= 0:
-        problems.append("sim.horizon_time: must be positive")
-    if _num(sim_sec, "sample_dt", problems, "sim", required=True, default=0.0) <= 0:
-        problems.append("sim.sample_dt: must be positive")
-    seed = sim_sec.get("master_seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        problems.append("sim.master_seed: must be a non-negative integer")
-    if sim_sec.get("metrics", "full") not in ("full", "skew_only"):
-        problems.append("sim.metrics: must be 'full' or 'skew_only'")
-    return problems
-
-
-def _default_s_max(theta, mu, g, kappa) -> int:
-    sigma = float("inf") if theta <= 1.0 else mu / (theta - 1.0)
-    g_bound = theorem3_bound(g, kappa, sigma)
-    levels = theorem2_levels(min(kappa.values()), g_bound, sigma)
-    return max(1, levels) + 1
+    for v in range(n):
+        for w in range(v + 1, n):
+            if abs(init[v] - init[w]) > dist[v, w] + 1e-12:
+                problems.append(
+                    f"initial synchronisation violated for pair ({v},{w}): "
+                    f"|{init[v]!r} - {init[w]!r}| > {float(dist[v, w])!r}"
+                )
+    if s_max is None:
+        g_bound = theorem3_bound(g, kappa, params.sigma, dist=dist)
+        levels = theorem2_levels(min(kappa.values()), g_bound, params.sigma)
+        params = replace(params, s_max=max(1, levels) + 1)
+    return dict(
+        graph=g,
+        params=params,
+        clock_specs=node_specs,
+        p_max=p_max,
+        sample_dt=sample_dt,
+        master_seed=master_seed,
+        kappa=kappa,
+        dist=dist,
+        timeout=timeout,
+        horizon_cycles=horizon_cycles,
+        horizon_time=horizon_time,
+        correction_semantics=semantics,
+        gcs_enabled=enabled,
+        metrics_mode=metrics_mode,
+    ), problems
 
 
 def build_scenario(doc: dict, seed_override: int | None = None) -> Scenario:
-    """Expand, validate, and assemble the runtime scenario."""
+    """Expand and validate a document, then assemble the runtime scenario."""
     doc, problems = expand_document(doc)
-    problems += validate_document(doc) if not problems else []
+    fields: dict = {}
+    if not problems:
+        fields, problems = validate_document(doc)
     if problems:
         raise ScenarioValidationError(problems)
     if seed_override is not None:
-        doc["sim"]["master_seed"] = int(seed_override)
+        doc["sim"]["master_seed"] = fields["master_seed"] = int(seed_override)
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    gsec, csec, gcssec, simsec = doc["graph"], doc["clocks"], doc["gcs"], doc["sim"]
-    edges = [
-        (
-            rec["u"],
-            rec["v"],
-            EdgeParams(
-                fwd_delay=float(rec["fwd_delay"]),
-                bwd_delay=float(rec["bwd_delay"]),
-                jitter=float(rec.get("jitter", 0.0)),
-                eps_d=float(rec.get("eps_d", 0.0)),
-                eps_m=float(rec.get("eps_m", 0.0)),
-                length=float(rec.get("length", 1.0)),
-            ),
-        )
-        for rec in gsec["edges"]
-    ]
-    g = NetworkGraph.build(gsec["nodes"], edges, float(gsec["d_max"]))
-    theta = float(csec["theta"])
-    mu = float(csec["mu"])
-    kappa = kappa_weights(g, theta)
-    s_max = gcssec.get("s_max")
-    if s_max is None:
-        s_max = _default_s_max(theta, mu, g, kappa)
-    params = GcsParams(
-        theta=theta,
-        mu=mu,
-        T=float(gcssec["T"]),
-        T_stab=float(gcssec["T_stab"]),
-        s_max=int(s_max),
-        hysteresis=float(gcssec.get("hysteresis", 0.0)),
-    )
-    bad = params.validate()
-    if bad:
-        raise ScenarioValidationError(bad)
-    return Scenario(
-        graph=g,
-        params=params,
-        clock_specs=csec["nodes"],
-        p_max=float(gcssec.get("p_max", 0.0)),
-        sample_dt=float(simsec["sample_dt"]),
-        master_seed=int(simsec["master_seed"]),
-        horizon_cycles=simsec.get("horizon_cycles"),
-        horizon_time=simsec.get("horizon_time"),
-        correction_semantics=gcssec.get("correction_semantics", "multiplicative"),
-        gcs_enabled=bool(gcssec.get("enabled", True)),
-        metrics_mode=simsec.get("metrics", "full"),
-        scenario_hash=digest,
-        kappa=kappa,
-    )
+    return Scenario(**fields, scenario_hash=digest)
 
 
 def load_scenario(source, seed_override: int | None = None) -> Scenario:

@@ -1,8 +1,11 @@
 """Run outputs: sampled trace, violations, summary, and their file formats.
 
-The trace samples every event time plus a fixed real-time grid.  Clocks
-are piecewise linear between events, so pairwise differences attain their
-extrema at sampled points and the recorded maxima are exact.
+The trace samples every event time plus a fixed real-time grid.  The
+recorded maxima are exact only when no hardware rate breakpoint falls
+between two samples: then every clock is linear between samples and
+pairwise differences attain their extrema at sampled points.  A rate
+switch between samples is not sampled, so an extremum there is missed
+(ROADMAP open item 2).
 """
 from __future__ import annotations
 

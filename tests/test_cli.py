@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -29,6 +30,55 @@ def sweepable_line_doc(n=4):
     }
 
 
+def random16_mutant(mutate):
+    doc = scen.load_document("random16")
+    mutate(doc)
+    return doc
+
+
+def explicit_mutant(mutate, n=16):
+    doc = scen.load_document("random16")
+    doc["graph"]["template"]["n"] = n
+    doc["clocks"].pop("overrides")
+    doc, _ = scen.expand_document(doc)
+    mutate(doc)
+    return doc
+
+
+def own_clock(spec):
+    def mutate(doc):
+        doc["clocks"]["default"] = spec
+        doc["clocks"].pop("overrides")
+    return mutate
+
+
+# each mutation of bundled random16, and the field its validation line names
+MALFORMED = {
+    "alternating high not a number": (
+        random16_mutant(lambda d: d["clocks"]["default"].update(high="x")),
+        "clocks.nodes[0].high"),
+    "theta below one": (
+        random16_mutant(lambda d: d["clocks"].update(theta=0.5)), "theta must be >= 1"),
+    "template n not a number": (
+        random16_mutant(lambda d: d["graph"]["template"].update(n="x")), "graph.template.n"),
+    "template n fractional": (
+        random16_mutant(lambda d: d["graph"]["template"].update(n=3.5)), "graph.template.n"),
+    "template edge not an object": (
+        random16_mutant(lambda d: d["graph"]["template"].update(edge=[1])),
+        "graph.template.edge"),
+    "edge endpoint fractional": (
+        explicit_mutant(lambda d: d["graph"]["edges"][0].update(u=0.5)), "graph.edges[0]"),
+    "edge endpoint outside the graph": (
+        explicit_mutant(lambda d: d["graph"]["edges"][0].update(v=5), n=2), "graph.edges[0]"),
+    "scripted segment not a number": (
+        random16_mutant(own_clock({"generator": "scripted", "segments": [[0, "x"]]})),
+        "clocks.nodes[0].segments[0]"),
+    "random walk step not a number": (
+        random16_mutant(own_clock({"generator": "random_walk", "dwell": 10.0, "step": "x"})),
+        "clocks.nodes[0].step"),
+}
+
+
 class TestCheck:
     def test_line8_static_values(self, capsys):
         rc = cli.main(["check", "--scenario", "line8"])
@@ -54,6 +104,15 @@ class TestCheck:
         assert repr(report["global_bound"]) in out
         assert repr(report["local_bound"]) in out
         assert repr(report["timeout_window"]) in out
+
+    @pytest.mark.parametrize("label", sorted(MALFORMED))
+    def test_malformed_scenario_is_a_validation_failure(self, label, tmp_path, capsys):
+        doc, field = MALFORMED[label]
+        rc = cli.main(["check", "--scenario", write_doc(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert any(line.startswith("validation: ") and field in line
+                   for line in err.splitlines())
 
 
 class TestRun:
@@ -157,6 +216,20 @@ class TestSweep:
                         "--seeds", "1", "--out", str(out)]) == 0
         rows = (out / "sweep.csv").read_text().splitlines()
         assert "error" in rows[1]
+
+    def test_bad_row_does_not_sink_the_sweep(self, tmp_path):
+        doc = scen.load_document("random16")
+        doc["sim"]["horizon_cycles"] = 20
+        path = write_doc(tmp_path, doc)
+        grid = write_doc(tmp_path, {"theta": [0.5, 1.001]}, name="grid.json")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--scenario", path, "--grid", grid,
+                        "--seeds", "1", "--out", str(out)]) == cli.EXIT_OK
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        assert rows[0]["theta"] == "0.5" and rows[0]["status"].startswith("error: ")
+        assert rows[1]["theta"] == "1.001" and rows[1]["status"] == "ok"
 
     def test_unsupported_parameter_rejected(self, tmp_path, capsys):
         path = write_doc(tmp_path, sweepable_line_doc())
