@@ -34,16 +34,27 @@ def _setup_logging() -> None:
     logging.basicConfig(level=levels.get(level, logging.ERROR), format="%(levelname)s %(name)s: %(message)s")
 
 
-def cmd_run(args) -> int:
-    try:
-        sc = scen.load_scenario(args.scenario, seed_override=args.seed)
-    except ScenarioParseError as exc:
+def _fail(exc: GcsSimError) -> int:
+    """Report an error on stderr and return its exit code."""
+    if isinstance(exc, ScenarioParseError):
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ScenarioValidationError as exc:
+    if isinstance(exc, ScenarioValidationError):
         for p in exc.problems:
             print(f"validation: {p}", file=sys.stderr)
         return EXIT_VALIDATION
+    print(f"run aborted: {exc}", file=sys.stderr)
+    return EXIT_RUNTIME
+
+
+_INPUT_ERRORS = (ScenarioParseError, ScenarioValidationError)
+
+
+def cmd_run(args) -> int:
+    try:
+        sc = scen.load_scenario(args.scenario, seed_override=args.seed)
+    except _INPUT_ERRORS as exc:
+        return _fail(exc)
     os.makedirs(args.out, exist_ok=True)
     try:
         result = engine.run(sc)
@@ -53,8 +64,7 @@ def cmd_run(args) -> int:
         with open(os.path.join(args.out, "violations.json"), "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"run aborted: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _fail(exc)
     write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
     write_summary_json(result.summary, os.path.join(args.out, "summary.json"))
     write_violations_json(result.violations, os.path.join(args.out, "violations.json"))
@@ -70,13 +80,8 @@ def cmd_check(args) -> int:
     try:
         sc = scen.load_scenario(args.scenario)
         report = scen.static_report(sc)
-    except ScenarioParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ScenarioValidationError as exc:
-        for p in exc.problems:
-            print(f"validation: {p}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except _INPUT_ERRORS as exc:
+        return _fail(exc)
     print(f"sigma              {report['sigma']!r}")
     print(f"s_max              {report['s_max']}")
     print(f"timeout_window     {report['timeout_window']!r}")
@@ -89,29 +94,41 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _grid_points(doc: dict, grid: dict) -> tuple[list[str], list[dict]]:
+    """Sorted grid axes and every grid point, once the grid and the base
+    document's sections are known to be well formed."""
+    problems = scen.section_problems(doc)
+    bad = [k for k in grid if k not in _SWEEP_PARAMS]
+    if bad:
+        problems.append(f"unsupported sweep parameters {bad}")
+    problems += [f"grid.{k}: must be a non-empty list of values"
+                 for k, vals in grid.items() if not (isinstance(vals, list) and vals)]
+    if problems:
+        raise ScenarioValidationError(problems)
+    keys = sorted(grid)
+    return keys, [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+
+
 def _apply_overrides(doc: dict, overrides: dict) -> dict:
+    """A copy of ``doc`` with one grid point applied; a field the point
+    cannot reach is left for validation to report."""
     doc = json.loads(json.dumps(doc))
+    graph = doc["graph"]
+    tpl = graph.get("template")
     for key, val in overrides.items():
-        if key == "theta":
-            doc["clocks"]["theta"] = val
-        elif key == "mu":
-            doc["clocks"]["mu"] = val
-        elif key in ("eps_d", "eps_m", "jitter"):
-            graph = doc["graph"]
-            if "template" in graph:
-                graph["template"].setdefault("edge", {})[key] = val
-            else:
-                for rec in graph["edges"]:
-                    rec[key] = val
+        if key in ("theta", "mu"):
+            doc["clocks"][key] = val
         elif key == "n":
-            graph = doc["graph"]
-            if "template" not in graph:
+            if not isinstance(tpl, dict):
                 raise ScenarioValidationError(
                     ["sweep over n requires a template-based graph section"]
                 )
-            graph["template"]["n"] = val
-        else:
-            raise ScenarioValidationError([f"unsupported sweep parameter {key!r}"])
+            tpl["n"] = val
+        else:  # eps_d, eps_m, jitter
+            recs = [tpl.setdefault("edge", {})] if isinstance(tpl, dict) else graph.get("edges")
+            for rec in recs if isinstance(recs, list) else []:
+                if isinstance(rec, dict):
+                    rec[key] = val
     return doc
 
 
@@ -145,16 +162,9 @@ def _sweep_row(doc: dict, overrides: dict, seed: int) -> dict:
 def cmd_sweep(args) -> int:
     try:
         doc = scen.load_document(args.scenario)
-        grid_doc = scen.load_document(args.grid)
-    except ScenarioParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    bad = [k for k in grid_doc if k not in _SWEEP_PARAMS]
-    if bad:
-        print(f"validation: unsupported sweep parameters {bad}", file=sys.stderr)
-        return EXIT_VALIDATION
-    keys = sorted(grid_doc)
-    points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid_doc[k] for k in keys))]
+        keys, points = _grid_points(doc, scen.load_document(args.grid))
+    except _INPUT_ERRORS as exc:
+        return _fail(exc)
     seeds = list(range(args.seeds))
     jobs = [(pt, seed) for pt in points for seed in seeds]
 

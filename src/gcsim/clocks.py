@@ -20,9 +20,7 @@ __all__ = [
     "FAST",
     "RateSchedule",
     "HardwareClock",
-    "CorrectionLog",
     "LogicalClock",
-    "check_lipschitz",
     "make_schedule",
 ]
 
@@ -48,16 +46,6 @@ class RateSchedule:
         if any(b <= a for a, b in zip(self.starts, self.starts[1:])):
             raise ParameterError("segment start times must be strictly increasing")
 
-    def validate_rates(self, theta: float) -> list[str]:
-        problems = []
-        for t, r in zip(self.starts, self.rates):
-            if not (1.0 <= r <= theta + 1e-15):
-                problems.append(f"rate {r!r} at t={t!r} outside [1, {theta!r}]")
-        return problems
-
-    def rate_at(self, t: float) -> float:
-        return self.rates[bisect_right(self.starts, t) - 1]
-
 
 class HardwareClock:
     """Free-running local time source; strictly increasing in real time."""
@@ -82,9 +70,6 @@ class HardwareClock:
         i = bisect_right(self._starts, t) - 1
         return self._cum[i] + self._rates[i] * (t - self._starts[i])
 
-    def rate(self, t: float) -> float:
-        return self._rates[bisect_right(self._starts, t) - 1]
-
     def inverse(self, target: float) -> float:
         """Real time at which the clock reads ``target`` (exact, rates > 0)."""
         if target < self.initial_value - _EQ_TOL:
@@ -94,14 +79,6 @@ class HardwareClock:
         i = bisect_right(self._cum, target) - 1
         i = max(i, 0)
         return self._starts[i] + (target - self._cum[i]) / self._rates[i]
-
-
-@dataclass(frozen=True)
-class CorrectionLog:
-    """Mode history of a logical clock: (start_real_time, mode) segments."""
-
-    segments: tuple[tuple[float, int], ...]
-    mu: float
 
 
 class LogicalClock:
@@ -125,17 +102,6 @@ class LogicalClock:
         self._values = [hardware.initial_value]
         self._hw_at = [hardware.initial_value]
         self._modes = [OWN_RATE]
-
-    @property
-    def correction_log(self) -> CorrectionLog:
-        return CorrectionLog(
-            segments=tuple(zip(self._times, self._modes)),
-            mu=self.mu,
-        )
-
-    @property
-    def mode(self) -> int:
-        return self._modes[-1]
 
     def _segment(self, t: float) -> int:
         return bisect_right(self._times, t) - 1
@@ -161,15 +127,6 @@ class LogicalClock:
         if self.semantics == "multiplicative":
             return self._values[i] + (1.0 + self.mu) * dh, h
         return self._values[i] + dh + self.mu * (t - self._times[i]), h
-
-    def rate(self, t: float) -> float:
-        i = self._segment(t)
-        r = self.hardware.rate(t)
-        if self._modes[i] == OWN_RATE:
-            return r
-        if self.semantics == "multiplicative":
-            return (1.0 + self.mu) * r
-        return r + self.mu
 
     def set_mode(self, t: float, mode: int) -> None:
         """Switch correction mode at time t; past values stay unchanged."""
@@ -225,15 +182,6 @@ class LogicalClock:
                 return t_lo + (target - v_lo) / slope
             t_lo, v_lo = seg_end, v_hi
             j += 1
-
-
-def check_lipschitz(c: HardwareClock, t1: float, t2: float, theta: float, tol: float = 1e-9) -> bool:
-    """True iff the clock advanced within [dt, theta*dt] over (t1, t2]."""
-    if t2 <= t1 or t1 < 0:
-        raise ParameterError("need t2 > t1 >= 0")
-    dt = t2 - t1
-    dh = c.value(t2) - c.value(t1)
-    return dt - tol <= dh <= theta * dt + tol
 
 
 def make_schedule(

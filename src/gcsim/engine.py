@@ -41,6 +41,9 @@ K_EMIT = 3
 K_TICK = 4
 
 _TOL = 1e-9
+# Sampled clock values per chunk: samples are buffered as rows and reduced
+# with numpy once a chunk holds this many values (32 rows at n = 256).
+_CHUNK_VALUES = 8192
 
 
 def _label_entropy(label: str) -> list[int]:
@@ -114,7 +117,7 @@ class Scenario:
 
     @property
     def global_bound(self) -> float:
-        return metrics.theorem3_bound(self.graph, self.kappa, self.sigma, dist=self.dist)
+        return metrics.theorem3_bound(self.dist, self.sigma)
 
     @property
     def local_bound(self) -> float:
@@ -193,12 +196,16 @@ class _Simulation:
         }
 
         self.full = sc.metrics_mode == "full"
+        self.edges = tuple((u, v) for u, v, _ in g.edges)
+        self._eu = np.array([u for u, _ in self.edges])
+        self._ev = np.array([v for _, v in self.edges])
+        self._chunk_rows = max(1, _CHUNK_VALUES // n)
         self.buf_t: list[float] = []
         self.buf_L: list[list[float]] = []
         self.buf_H: list[list[float]] = []
-        self.max_local = 0.0
+        self.chunks: list[tuple] = []  # full mode: (times, L, H, local, global) per chunk
+        self.edge_max = np.zeros(len(self.edges))
         self.max_global = 0.0
-        self.per_edge_max = {(u, v): 0.0 for u, v, _ in g.edges}
         self.first_exceed: float | None = None
         self._global_bound = sc.global_bound
 
@@ -332,8 +339,9 @@ class _Simulation:
         self.counters["st_instances"] += len(st)
         self.counters["ft_instances"] += len(ft)
 
-        vals = [nd.logical.value(t) for nd in self.nodes]
-        l_v = vals[v]
+        # the conditions read only v and its neighbours
+        vals = {w: self.nodes[w].logical.value(t) for w in nbrs}
+        l_v = vals[v] = node.logical.value(t)
         for w in nbrs:
             self._check_sandwich(t, v, w, estimate_value(node.views[w], l_v, cycle=k))
 
@@ -385,23 +393,29 @@ class _Simulation:
             l, h = nd.logical.value_pair(t)
             vals.append(l)
             hws.append(h)
+        self.buf_t.append(t)
+        self.buf_L.append(vals)
+        self.buf_H.append(hws)
+        if len(self.buf_t) == self._chunk_rows:
+            self._reduce_chunk()
+
+    def _reduce_chunk(self) -> None:
+        """Fold the buffered samples into the skew maxima; full mode keeps them."""
+        times = np.asarray(self.buf_t)
+        L = np.asarray(self.buf_L)
+        H = np.asarray(self.buf_H)
+        self.buf_t, self.buf_L, self.buf_H = [], [], []
+        edge_gaps = np.abs(L[:, self._eu] - L[:, self._ev])
+        local = edge_gaps.max(axis=1)
+        glob = L.max(axis=1) - L.min(axis=1)
+        np.maximum(self.edge_max, edge_gaps.max(axis=0), out=self.edge_max)
+        self.max_global = max(self.max_global, float(glob.max()))
+        if self.first_exceed is None:
+            exceed = np.nonzero(glob > self._global_bound + _TOL)[0]
+            if len(exceed):
+                self.first_exceed = float(times[exceed[0]])
         if self.full:
-            self.buf_t.append(t)
-            self.buf_L.append(vals)
-            self.buf_H.append(hws)
-            return
-        lo = min(vals)
-        hi = max(vals)
-        if hi - lo > self.max_global:
-            self.max_global = hi - lo
-            if self.max_global > self._global_bound + _TOL and self.first_exceed is None:
-                self.first_exceed = t
-        for (u, w) in self.per_edge_max:
-            gap = abs(vals[u] - vals[w])
-            if gap > self.per_edge_max[(u, w)]:
-                self.per_edge_max[(u, w)] = gap
-                if gap > self.max_local:
-                    self.max_local = gap
+            self.chunks.append((times, L, H, local, glob))
 
     # -- main loop
 
@@ -454,25 +468,14 @@ class _Simulation:
 
     def _finish(self) -> RunResult:
         sc = self.sc
-        g = sc.graph
-        n = g.n
-        edges = tuple((u, v) for u, v, _ in g.edges)
+        n = sc.graph.n
+        edges = self.edges
+        if self.buf_t:
+            self._reduce_chunk()
         if self.full:
-            times = np.asarray(self.buf_t)
-            L = np.asarray(self.buf_L)
-            H = np.asarray(self.buf_H)
+            times, L, H, local, glob = (np.concatenate(parts) for parts in zip(*self.chunks))
+            self.chunks = []
             self._check_lipschitz_trace(times, H)
-            eu = np.array([u for u, _ in edges])
-            ev = np.array([v for _, v in edges])
-            edge_gaps = np.abs(L[:, eu] - L[:, ev]) if len(edges) else np.zeros((len(times), 0))
-            local = edge_gaps.max(axis=1) if len(edges) else np.zeros(len(times))
-            glob = L.max(axis=1) - L.min(axis=1)
-            for i, (u, v) in enumerate(edges):
-                self.per_edge_max[(u, v)] = float(edge_gaps[:, i].max()) if len(times) else 0.0
-            self.max_local = float(local.max()) if len(times) else 0.0
-            self.max_global = float(glob.max()) if len(times) else 0.0
-            exceed = np.nonzero(glob > self._global_bound + _TOL)[0]
-            self.first_exceed = float(times[exceed[0]]) if len(exceed) else None
 
             kappa_adj = np.full((n, n), np.inf)
             for (u, v), k_e in sc.kappa.items():
@@ -525,13 +528,12 @@ class _Simulation:
             )
 
         report = metrics.build_bound_report(
-            g,
             sc.kappa,
             sc.sigma,
             sc.dist,
-            self.max_local,
+            float(self.edge_max.max()),
             self.max_global,
-            per_edge_max={k: float(v) for k, v in self.per_edge_max.items()},
+            per_edge_max={e: float(m) for e, m in zip(edges, self.edge_max)},
         )
         if not report.local_satisfied:
             self.violations.append(

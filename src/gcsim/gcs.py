@@ -1,4 +1,4 @@
-"""Per-node synchronisation state machine: triggers and the mode decision.
+"""Per-node synchronisation state machine: parameters, node state, triggers.
 
 Each cycle a node measures all neighbours, then evaluates two families of
 estimate-based predicates over discrete skew levels.  The slow trigger
@@ -13,24 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .clocks import LogicalClock
-from .errors import InternalError, ParameterError
+from .errors import InternalError
 from .twoway import NeighborEstimate, estimate_value
 
-__all__ = [
-    "GcsParams",
-    "NodeState",
-    "slow_trigger",
-    "fast_trigger",
-    "trigger_levels",
-    "evaluate_mode",
-]
+__all__ = ["GcsParams", "NodeState", "trigger_levels"]
 
 MEASURING = "measuring"
 STABILISING = "stabilising"
-
-DECISION_OWN = "own_rate"
-DECISION_FAST = "fast"
-DECISION_DEFAULT = "default_own_rate"
 
 
 @dataclass(frozen=True)
@@ -98,42 +87,6 @@ def _estimate_gaps(node: NodeState, neighbors, t: float) -> tuple[float, dict[in
     return l_v, vals
 
 
-def slow_trigger(
-    node: NodeState,
-    kappa: dict[int, float],
-    delta: dict[int, float],
-    s: int,
-    t: float,
-    hysteresis: float = 0.0,
-) -> bool:
-    """Some neighbour trails by >= (2s-1)*kappa and none leads by more."""
-    if s < 1:
-        raise ParameterError(f"skew level must be positive, got {s!r}")
-    l_v, est = _estimate_gaps(node, kappa.keys(), t)
-    c = 2 * s - 1
-    st1 = any(l_v - est[x] >= c * kappa[x] + hysteresis for x in kappa)
-    st2 = all(est[y] - l_v <= c * kappa[y] for y in kappa)
-    return st1 and st2
-
-
-def fast_trigger(
-    node: NodeState,
-    kappa: dict[int, float],
-    delta: dict[int, float],
-    s: int,
-    t: float,
-    hysteresis: float = 0.0,
-) -> bool:
-    """Some neighbour leads by more than 2s*kappa - delta and none trails past 2s*kappa + delta."""
-    if s < 1:
-        raise ParameterError(f"skew level must be positive, got {s!r}")
-    l_v, est = _estimate_gaps(node, kappa.keys(), t)
-    c = 2 * s
-    ft1 = any(est[x] - l_v > c * kappa[x] - delta[x] + hysteresis for x in kappa)
-    ft2 = all(l_v - est[y] < c * kappa[y] + delta[y] for y in kappa)
-    return ft1 and ft2
-
-
 def trigger_levels(
     node: NodeState,
     kappa: dict[int, float],
@@ -142,7 +95,13 @@ def trigger_levels(
     s_max: int,
     hysteresis: float = 0.0,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Levels at which the slow / fast trigger fire, evaluated once."""
+    """Levels at which the slow / fast trigger fire, evaluated once.
+
+    Slow at level s: some neighbour trails by >= (2s-1)*kappa (plus the
+    hysteresis) and none leads by more than (2s-1)*kappa.  Fast at level
+    s: some neighbour leads by more than 2s*kappa - delta (plus the
+    hysteresis) and none trails by 2s*kappa + delta or more.
+    """
     l_v, est = _estimate_gaps(node, kappa.keys(), t)
     lead = {w: est[w] - l_v for w in est}  # positive: neighbour estimated ahead
     st, ft = [], []
@@ -159,23 +118,3 @@ def trigger_levels(
             ft.append(s)
     return tuple(st), tuple(ft)
 
-
-def evaluate_mode(
-    node: NodeState,
-    kappa: dict[int, float],
-    delta: dict[int, float],
-    t: float,
-    s_max: int,
-    hysteresis: float = 0.0,
-) -> str:
-    """Mode decision for the stabilising phase.
-
-    Slow wins over fast; with neither trigger at any level the node keeps
-    its own rate by default.
-    """
-    st, ft = trigger_levels(node, kappa, delta, t, s_max, hysteresis)
-    if st:
-        return DECISION_OWN
-    if ft:
-        return DECISION_FAST
-    return DECISION_DEFAULT

@@ -18,14 +18,8 @@ from .trace import Trace, Violation
 
 __all__ = [
     "BoundReport",
-    "local_skew",
-    "global_skew",
-    "potential",
-    "level_potential",
-    "leading_pair",
     "slow_condition",
     "fast_condition",
-    "trailing_node",
     "theorem2_bound",
     "theorem2_levels",
     "theorem3_bound",
@@ -41,54 +35,6 @@ _CHECK_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # Instant-level operations
-
-
-def local_skew(values, edges) -> float:
-    """Largest absolute logical gap across any single edge."""
-    return max((abs(values[u] - values[v]) for u, v in edges), default=0.0)
-
-
-def global_skew(values) -> float:
-    """Largest logical gap across the whole network."""
-    return max(values) - min(values)
-
-
-def potential(values, dist: np.ndarray, v: int, s: int) -> float:
-    """Maximum lead any node holds over v, discounted by (2s-1) x distance.
-
-    The v term itself contributes zero, so the result is never negative.
-    """
-    if s < 1:
-        raise ParameterError(f"skew level must be positive, got {s!r}")
-    c = 2 * s - 1
-    return max(values[w] - values[v] - c * dist[v, w] for w in range(len(values)))
-
-
-def level_potential(values, dist: np.ndarray, s: int) -> tuple[float, int]:
-    """Network-wide potential at level s and its argmax node (lowest id on ties)."""
-    best_val, best_node = None, None
-    for v in range(len(values)):
-        p = potential(values, dist, v, s)
-        if best_val is None or p > best_val + _TIE_TOL:
-            best_val, best_node = p, v
-    return best_val, best_node
-
-
-def leading_pair(values, dist: np.ndarray, s: int) -> tuple[float, int, int]:
-    """(potential, base node, leading node) of the maximizing pair.
-
-    The leading node is the one holding the discounted lead over the base
-    node; when the potential is positive it is strictly ahead.
-    """
-    c = 2 * s - 1
-    n = len(values)
-    best = (-math.inf, -1, -1)
-    for v in range(n):
-        for w in range(n):
-            p = values[w] - values[v] - c * dist[v, w]
-            if p > best[0] + _TIE_TOL:
-                best = (p, v, w)
-    return best
 
 
 def slow_condition(values, g: NetworkGraph, kappa, v: int, s: int) -> bool:
@@ -114,19 +60,6 @@ def fast_condition(values, g: NetworkGraph, kappa, v: int, s: int) -> bool:
     fc1 = any(values[x] - values[v] >= c * k(x) for x in nbrs)
     fc2 = all(values[v] - values[y] <= c * k(y) for y in nbrs)
     return fc1 and fc2
-
-
-def trailing_node(values, dist: np.ndarray, w: int, s_max: int) -> bool:
-    """w realizes some node's maximal discounted deficit at some level."""
-    n = len(values)
-    for s in range(1, s_max + 1):
-        c = 2 * s
-        for v in range(n):
-            row = [values[v] - values[x] - c * dist[v, x] for x in range(n)]
-            mx = max(row)
-            if mx > 0 and row[w] >= mx - _TIE_TOL:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +96,13 @@ def theorem2_is_degenerate(kappa_e: float, g_bound: float, sigma: float) -> bool
     return theorem2_levels(kappa_e, g_bound, sigma) < 1
 
 
-def theorem3_bound(g: NetworkGraph, kappa, sigma: float, dist: np.ndarray | None = None) -> float:
-    """Global skew bound (1 + 1/(sigma-1)) x kappa-weighted diameter."""
+def theorem3_bound(dist: np.ndarray, sigma: float) -> float:
+    """Global skew bound (1 + 1/(sigma-1)) x kappa-weighted diameter.
+
+    ``dist`` is the all-pairs kappa-distance matrix.
+    """
     if sigma <= 1.0:
         raise ParameterError(f"sigma must exceed 1, got {sigma!r}")
-    if dist is None:
-        from .topology import kappa_distance_matrix
-
-        dist = kappa_distance_matrix(g, kappa)
     factor = 1.0 if math.isinf(sigma) else 1.0 + 1.0 / (sigma - 1.0)
     return factor * float(dist.max())
 
@@ -338,7 +270,6 @@ class BoundReport:
 
 
 def build_bound_report(
-    g: NetworkGraph,
     kappa,
     sigma: float,
     dist: np.ndarray,
@@ -347,7 +278,7 @@ def build_bound_report(
     per_edge_max: dict | None = None,
     tol: float = _CHECK_TOL,
 ) -> BoundReport:
-    g_bound = theorem3_bound(g, kappa, sigma, dist=dist)
+    g_bound = theorem3_bound(dist, sigma)
     kappa_max = max(kappa.values())
     l_bound = theorem2_bound(kappa_max, g_bound, sigma)
     per_edge = []

@@ -10,7 +10,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import logging
 import math
 import sys
 from dataclasses import replace
@@ -23,11 +22,10 @@ from .metrics import theorem2_levels, theorem3_bound
 from .topology import EdgeParams, NetworkGraph, kappa_distance_matrix, kappa_weights, validate_graph
 from .twoway import timeout_window
 
-logger = logging.getLogger(__name__)
-
 __all__ = [
     "load_document",
     "expand_document",
+    "section_problems",
     "validate_document",
     "build_scenario",
     "load_scenario",
@@ -266,6 +264,18 @@ def _check_clock_spec(spec, theta: float, problems: list[str], where: str) -> fl
     return float(iv)
 
 
+def section_problems(doc: dict) -> list[str]:
+    """Unknown top-level sections, and required ones missing or not objects."""
+    problems: list[str] = []
+    unknown = set(doc) - _TOP_KEYS
+    if unknown:
+        problems.append(f"unknown top-level sections {sorted(unknown)}")
+    for key in sorted(_TOP_KEYS):
+        if key not in doc or not isinstance(doc[key], dict):
+            problems.append(f"section {key!r} missing or not an object")
+    return problems
+
+
 def validate_document(doc: dict) -> tuple[dict, list[str]]:
     """Check and convert an expanded document in one pass.
 
@@ -273,13 +283,7 @@ def validate_document(doc: dict) -> tuple[dict, list[str]]:
     than the hash, built from the checked values, and every problem found.
     The arguments are complete only when the problem list is empty.
     """
-    problems: list[str] = []
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        problems.append(f"unknown top-level sections {sorted(unknown)}")
-    for key in _TOP_KEYS:
-        if key not in doc or not isinstance(doc[key], dict):
-            problems.append(f"section {key!r} missing or not an object")
+    problems = section_problems(doc)
     if problems:
         return {}, problems
 
@@ -380,9 +384,6 @@ def validate_document(doc: dict) -> tuple[dict, list[str]]:
     if problems:
         return {}, problems
 
-    if mu <= theta:
-        logger.warning("mu=%r does not exceed theta=%r; proceeding (sigma=%r)",
-                       mu, theta, params.sigma)
     kappa = kappa_weights(g, theta)
     for (u, v), k_e in kappa.items():
         if k_e <= 0:
@@ -412,7 +413,7 @@ def validate_document(doc: dict) -> tuple[dict, list[str]]:
                     f"|{init[v]!r} - {init[w]!r}| > {float(dist[v, w])!r}"
                 )
     if s_max is None:
-        g_bound = theorem3_bound(g, kappa, params.sigma, dist=dist)
+        g_bound = theorem3_bound(dist, params.sigma)
         levels = theorem2_levels(min(kappa.values()), g_bound, params.sigma)
         params = replace(params, s_max=max(1, levels) + 1)
     return dict(

@@ -23,11 +23,8 @@ __all__ = [
     "EdgeParams",
     "NetworkGraph",
     "validate_graph",
-    "hop_distance",
-    "hop_diameter",
     "edge_kappa",
     "kappa_weights",
-    "weighted_distance",
     "kappa_distance_matrix",
 ]
 
@@ -110,9 +107,6 @@ class NetworkGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_map
-
     def edge(self, u: int, v: int) -> EdgeParams:
         try:
             return self._edge_map[(min(u, v), max(u, v))]
@@ -184,42 +178,6 @@ def _connected(g: NetworkGraph) -> bool:
     return len(seen) == g.n
 
 
-def _bfs_levels(g: NetworkGraph, src: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
-def hop_distance(g: NetworkGraph, v: int, w: int) -> int:
-    """Number of edges on a shortest unweighted path from v to w."""
-    if not (0 <= v < g.n and 0 <= w < g.n):
-        raise ParameterError(f"node out of range: {v}, {w}")
-    if v == w:
-        return 0
-    d = _bfs_levels(g, v)[w]
-    if d < 0:
-        raise ParameterError(f"nodes {v} and {w} are not connected")
-    return d
-
-
-def hop_diameter(g: NetworkGraph) -> int:
-    """Maximum hop distance over all node pairs."""
-    best = 0
-    for src in range(g.n):
-        levels = _bfs_levels(g, src)
-        if min(levels) < 0:
-            raise ParameterError("graph not connected")
-        best = max(best, max(levels))
-    return best
-
-
 def edge_kappa(e: EdgeParams, theta: float) -> float:
     """Static error weight of one edge.
 
@@ -254,24 +212,6 @@ def _dijkstra(g: NetworkGraph, kappa: dict[tuple[int, int], float], src: int) ->
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
     return dist
-
-
-def weighted_distance(
-    g: NetworkGraph,
-    kappa: dict[tuple[int, int], float],
-    v: int,
-    w: int,
-    multiplier: int = 1,
-) -> float:
-    """``multiplier`` times the minimum kappa-sum over paths from v to w."""
-    if multiplier < 1:
-        raise ParameterError(f"multiplier must be a positive integer, got {multiplier!r}")
-    for k in kappa.values():
-        if k <= 0:
-            raise ParameterError("kappa weights must be strictly positive")
-    if not (0 <= v < g.n and 0 <= w < g.n):
-        raise ParameterError(f"node out of range: {v}, {w}")
-    return multiplier * _dijkstra(g, kappa, v)[w]
 
 
 def kappa_distance_matrix(g: NetworkGraph, kappa: dict[tuple[int, int], float]) -> np.ndarray:

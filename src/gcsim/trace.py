@@ -19,7 +19,6 @@ from .twoway import MeasurementRecord, NeighborEstimate
 __all__ = [
     "Violation",
     "MeasurementTruth",
-    "SkewSample",
     "Trace",
     "RunSummary",
     "write_trace_csv",
@@ -52,18 +51,6 @@ class MeasurementTruth:
     processing_real: float
     sent_real: float
     true_offset_mid: float
-
-
-@dataclass(frozen=True)
-class SkewSample:
-    """One sampled instant of the ground-truth metrics."""
-
-    t_real: float
-    local_skew: float
-    global_skew: float
-    psi: dict[int, float]
-    leading_node: int
-    edge_offsets: dict[tuple[int, int], float]
 
 
 class Trace:
@@ -114,18 +101,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def sample(self, i: int) -> SkewSample:
-        vals = self.logical[i]
-        return SkewSample(
-            t_real=float(self.times[i]),
-            local_skew=float(self.local_skew[i]),
-            global_skew=float(self.global_skew[i]),
-            psi={s + 1: float(self.psi_levels[i, s]) for s in range(self.s_max)},
-            leading_node=int(self.leading_nodes[i]),
-            edge_offsets={(u, v): float(vals[u] - vals[v]) for u, v in self.edges},
-        )
-
 
 @dataclass
 class RunSummary:

@@ -9,11 +9,9 @@ the neighbour's true logical value.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import InternalError, ParameterError, StaleEstimateError
-from .topology import EdgeParams
 
 __all__ = [
     "RequestMsg",
@@ -24,8 +22,6 @@ __all__ = [
     "handle_request",
     "compute_estimates",
     "estimate_value",
-    "estimation_error",
-    "averaged_uncertainty",
 ]
 
 _NEG_TOL = 1e-12
@@ -135,20 +131,3 @@ def estimate_value(est: NeighborEstimate, l_v_now: float, cycle: int | None = No
         )
     return l_v_now + est.offset - est.estimate_deduction
 
-
-def estimation_error(e: EdgeParams, observed_u: float, theta: float) -> float:
-    """Time-varying estimate error: twice uncertainty plus drift distortion."""
-    if observed_u < 0:
-        raise ParameterError("observed uncertainty must be non-negative")
-    if theta < 1.0:
-        raise ParameterError(f"theta must be >= 1, got {theta!r}")
-    return 2.0 * (observed_u + e.max_delay_bound * (theta - 1.0))
-
-
-def averaged_uncertainty(eps_m: float, T: float, n_measurements: int) -> float:
-    """Frequency-estimate uncertainty after averaging n measurements of length T."""
-    if T <= 0:
-        raise ParameterError(f"measurement interval must be positive, got {T!r}")
-    if n_measurements < 1:
-        raise ParameterError("need at least one measurement")
-    return eps_m / (math.sqrt(n_measurements) * T)

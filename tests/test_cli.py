@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 
 import pytest
 
@@ -231,6 +232,44 @@ class TestSweep:
         assert rows[0]["theta"] == "0.5" and rows[0]["status"].startswith("error: ")
         assert rows[1]["theta"] == "1.001" and rows[1]["status"] == "ok"
 
+    @pytest.mark.parametrize("graph, grid", [
+        ({"template": {"kind": "line", "n": 16, "edge": [1]}, "d_max": 1.5}, {"eps_m": [0.1]}),
+        ({"nodes": 16, "d_max": 1.5, "edges": 5}, {"jitter": [0.0]}),
+        ({"template": 5, "d_max": 1.5}, {"n": [4]}),
+    ])
+    def test_malformed_base_graph_gives_an_error_row(self, graph, grid, tmp_path):
+        doc = scen.load_document("random16")
+        doc["graph"] = graph
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--scenario", path, "--grid",
+                         write_doc(tmp_path, grid, name="grid.json"),
+                         "--seeds", "1", "--out", str(out)]) == cli.EXIT_OK
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and rows[0]["status"].startswith("error: ")
+
+    def test_grid_value_not_a_list_is_a_validation_failure(self, tmp_path, capsys):
+        path = write_doc(tmp_path, scen.load_document("random16"))
+        grid = write_doc(tmp_path, {"theta": 1.01}, name="grid.json")
+        rc = cli.main(["sweep", "--scenario", path, "--grid", grid,
+                       "--seeds", "1", "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert any(line.startswith("validation: ") and "grid.theta" in line
+                   for line in err.splitlines())
+
+    def test_base_without_clocks_is_a_validation_failure(self, tmp_path, capsys):
+        doc = scen.load_document("random16")
+        del doc["clocks"]
+        path = write_doc(tmp_path, doc)
+        grid = write_doc(tmp_path, {"theta": [0.5]}, name="grid.json")
+        rc = cli.main(["sweep", "--scenario", path, "--grid", grid,
+                       "--seeds", "1", "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert "validation: section 'clocks' missing or not an object" in err.splitlines()
+
     def test_unsupported_parameter_rejected(self, tmp_path, capsys):
         path = write_doc(tmp_path, sweepable_line_doc())
         grid = write_doc(tmp_path, {"frobnicate": [1]}, name="grid.json")
@@ -244,6 +283,12 @@ class TestBundled:
         for name in scen.bundled_names():
             sc = scen.load_scenario(name)
             assert sc.scenario_hash
+
+    def test_bundled_scenarios_build_without_warnings(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            for name in scen.bundled_names():
+                scen.load_scenario(name)
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
     def test_bundled_names_include_corpus(self):
         names = scen.bundled_names()

@@ -143,6 +143,47 @@ class TestRunBasics:
         res = engine.run(scen.build_scenario(doc))
         assert len(res.trace) == 0
         assert res.summary.bound_report["max_observed_global"] > 1.0
+        doc["sim"]["metrics"] = "full"
+        full = engine.run(scen.build_scenario(doc))
+        assert res.summary.bound_report == full.summary.bound_report
+
+
+def run_both_modes(doc) -> dict:
+    out = {}
+    for mode in ("full", "skew_only"):
+        doc["sim"]["metrics"] = mode
+        out[mode] = engine.run(scen.build_scenario(doc))
+    return out
+
+
+def assert_modes_agree(res: dict) -> None:
+    full, skew = res["full"].summary, res["skew_only"].summary
+    assert full.bound_report == skew.bound_report
+    assert full.counters == skew.counters
+    assert full.first_global_bound_exceed_time == skew.first_global_bound_exceed_time
+
+
+class TestMetricsModes:
+    """Both modes reduce the same sampled rows, chunk by chunk."""
+
+    @pytest.mark.parametrize("name", scen.bundled_names())
+    def test_bundled_scenario(self, name):
+        doc = scen.load_document(name)
+        doc["sim"].pop("horizon_time", None)
+        doc["sim"]["horizon_cycles"] = 60
+        res = run_both_modes(doc)
+        trace = res["full"].trace
+        assert len(trace) > engine._CHUNK_VALUES // trace.n  # more than one chunk
+        assert_modes_agree(res)
+
+    def test_bound_first_crossed_after_the_first_chunk(self):
+        doc = antiphase_line_doc(n_nodes=3, horizon_time=4444.0, enabled=False)
+        res = run_both_modes(doc)
+        trace = res["full"].trace
+        t_cross = res["full"].summary.first_global_bound_exceed_time
+        assert t_cross is not None
+        assert np.searchsorted(trace.times, t_cross) >= engine._CHUNK_VALUES // trace.n
+        assert_modes_agree(res)
 
 
 class TestValidationGate:

@@ -3,17 +3,7 @@ import pytest
 
 from gcsim.clocks import HardwareClock, LogicalClock, RateSchedule
 from gcsim.errors import InternalError
-from gcsim.gcs import (
-    DECISION_DEFAULT,
-    DECISION_FAST,
-    DECISION_OWN,
-    GcsParams,
-    NodeState,
-    evaluate_mode,
-    fast_trigger,
-    slow_trigger,
-    trigger_levels,
-)
+from gcsim.gcs import GcsParams, NodeState, trigger_levels
 from gcsim.twoway import NeighborEstimate
 
 
@@ -28,50 +18,60 @@ def node_with_gaps(gaps: dict[int, float]) -> NodeState:
     return NodeState(id=99, logical=clock, views=views)
 
 
+def slow_levels(node, kappa, delta, t, s_max=1, hysteresis=0.0):
+    return trigger_levels(node, kappa, delta, t, s_max, hysteresis)[0]
+
+
+def fast_levels(node, kappa, delta, t, s_max=1, hysteresis=0.0):
+    return trigger_levels(node, kappa, delta, t, s_max, hysteresis)[1]
+
+
 class TestSlowTrigger:
     def test_fires_when_neighbour_trails(self):
         node = node_with_gaps({1: -1.5})
-        assert slow_trigger(node, {1: 1.0}, {1: 1.0}, 1, t=10.0)
+        assert 1 in slow_levels(node, {1: 1.0}, {1: 1.0}, t=10.0)
 
     def test_no_gap_no_trigger(self):
         node = node_with_gaps({1: 0.0, 2: 0.0})
         kappa = {1: 1.0, 2: 1.0}
-        for s in (1, 2, 3):
-            assert not slow_trigger(node, kappa, kappa, s, t=5.0)
+        assert slow_levels(node, kappa, kappa, t=5.0, s_max=3) == ()
 
     def test_missing_view_is_internal_error(self):
         node = node_with_gaps({1: 0.0})
         with pytest.raises(InternalError):
-            slow_trigger(node, {1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0}, 1, t=5.0)
+            trigger_levels(node, {1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0}, t=5.0, s_max=1)
 
 
 class TestFastTrigger:
     def test_fires_past_relaxed_threshold(self):
         node = node_with_gaps({1: 1.9})
-        assert fast_trigger(node, {1: 1.0}, {1: 0.2}, 1, t=0.0)
+        assert 1 in fast_levels(node, {1: 1.0}, {1: 0.2}, t=0.0)
 
     def test_boundary_is_strict(self):
         node = node_with_gaps({1: 1.8})
-        assert not fast_trigger(node, {1: 1.0}, {1: 0.2}, 1, t=0.0)
+        assert 1 not in fast_levels(node, {1: 1.0}, {1: 0.2}, t=0.0)
 
     def test_blocked_by_far_trailing_neighbour(self):
         node = node_with_gaps({1: 1.9, 2: -2.3})
-        assert not fast_trigger(node, {1: 1.0, 2: 1.0}, {1: 0.2, 2: 0.2}, 1, t=0.0)
+        assert 1 not in fast_levels(node, {1: 1.0, 2: 1.0}, {1: 0.2, 2: 0.2}, t=0.0)
 
 
 class TestEvaluateMode:
+    """The engine runs fast exactly when some fast level fires and no slow
+    level does; otherwise the node keeps its own rate."""
+
     def test_all_zero_offsets_default(self):
         node = node_with_gaps({1: 0.0, 2: 0.0})
         kappa = {1: 1.0, 2: 1.0}
-        assert evaluate_mode(node, kappa, kappa, t=0.0, s_max=3) == DECISION_DEFAULT
+        assert trigger_levels(node, kappa, kappa, t=0.0, s_max=3) == ((), ())
 
     def test_behind_only_neighbour_fast(self):
         node = node_with_gaps({1: 1.9})
-        assert evaluate_mode(node, {1: 1.0}, {1: 0.2}, t=0.0, s_max=2) == DECISION_FAST
+        assert trigger_levels(node, {1: 1.0}, {1: 0.2}, t=0.0, s_max=2) == ((), (1,))
 
     def test_ahead_own_rate(self):
         node = node_with_gaps({1: -1.5})
-        assert evaluate_mode(node, {1: 1.0}, {1: 1.0}, t=0.0, s_max=2) == DECISION_OWN
+        assert trigger_levels(node, {1: 1.0}, {1: 1.0}, t=0.0, s_max=2) == ((1,), ())
 
 
 def brute_force_levels(gaps, kappa, delta, s_max, hysteresis=0.0):
@@ -117,11 +117,11 @@ class TestAgainstBruteForce:
     def test_hysteresis_raises_both_existential_thresholds(self):
         gaps = {1: 1.9}
         node = node_with_gaps(gaps)
-        assert fast_trigger(node, {1: 1.0}, {1: 0.2}, 1, t=0.0, hysteresis=0.0)
-        assert not fast_trigger(node, {1: 1.0}, {1: 0.2}, 1, t=0.0, hysteresis=0.2)
+        assert 1 in fast_levels(node, {1: 1.0}, {1: 0.2}, t=0.0, hysteresis=0.0)
+        assert 1 not in fast_levels(node, {1: 1.0}, {1: 0.2}, t=0.0, hysteresis=0.2)
         node = node_with_gaps({1: -1.5})
-        assert slow_trigger(node, {1: 1.0}, {1: 1.0}, 1, t=0.0, hysteresis=0.4)
-        assert not slow_trigger(node, {1: 1.0}, {1: 1.0}, 1, t=0.0, hysteresis=0.6)
+        assert 1 in slow_levels(node, {1: 1.0}, {1: 1.0}, t=0.0, hysteresis=0.4)
+        assert 1 not in slow_levels(node, {1: 1.0}, {1: 1.0}, t=0.0, hysteresis=0.6)
 
 
 class TestGcsParams:

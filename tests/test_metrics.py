@@ -8,6 +8,7 @@ from gcsim import scenario as scen
 from gcsim.errors import ParameterError
 from gcsim.topology import EdgeParams, NetworkGraph, kappa_distance_matrix, kappa_weights
 
+from reference import global_skew, level_potential, local_skew, potential, trailing_node
 from scenario_gen import zero_drift_doc
 
 
@@ -26,24 +27,24 @@ def unit_kappa_graph(pairs, n, kappas=None):
 class TestSkews:
     def test_identical_clocks(self):
         g, _, _ = unit_kappa_graph([(0, 1)], 2)
-        assert metrics.local_skew([5.0, 5.0], [(0, 1)]) == 0.0
-        assert metrics.global_skew([5.0, 5.0]) == 0.0
+        assert local_skew([5.0, 5.0], [(0, 1)]) == 0.0
+        assert global_skew([5.0, 5.0]) == 0.0
 
     def test_two_nodes(self):
-        assert metrics.local_skew([10.0, 12.5], [(0, 1)]) == 2.5
+        assert local_skew([10.0, 12.5], [(0, 1)]) == 2.5
 
     def test_line_of_five(self):
         values = [0.0, 1.0, 2.0, 3.0, 4.0]
         edges = [(i, i + 1) for i in range(4)]
-        assert metrics.local_skew(values, edges) == 1.0
-        assert metrics.global_skew(values) == 4.0
+        assert local_skew(values, edges) == 1.0
+        assert global_skew(values) == 4.0
 
     def test_global_matches_pairwise_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             values = list(rng.uniform(-10, 10, size=6))
             expect = max(abs(a - b) for a, b in itertools.combinations(values, 2))
-            assert metrics.global_skew(values) == pytest.approx(expect, abs=1e-12)
+            assert global_skew(values) == pytest.approx(expect, abs=1e-12)
 
 
 class TestPotential:
@@ -51,17 +52,17 @@ class TestPotential:
         _, _, dist = unit_kappa_graph([(0, 1), (1, 2)], 3)
         for v in range(3):
             for s in (1, 2):
-                assert metrics.potential([3.0, 3.0, 3.0], dist, v, s) == 0.0
+                assert potential([3.0, 3.0, 3.0], dist, v, s) == 0.0
 
     def test_two_nodes(self):
         _, _, dist = unit_kappa_graph([(0, 1)], 2)
-        assert metrics.potential([0.0, 5.0], dist, 0, 1) == pytest.approx(4.0)
-        val, node = metrics.level_potential([0.0, 5.0], dist, 1)
+        assert potential([0.0, 5.0], dist, 0, 1) == pytest.approx(4.0)
+        val, node = level_potential([0.0, 5.0], dist, 1)
         assert (val, node) == (pytest.approx(4.0), 0)
 
     def test_tie_breaks_to_lowest_id(self):
         _, _, dist = unit_kappa_graph([(0, 1)], 2)
-        assert metrics.level_potential([1.0, 1.0], dist, 1) == (0.0, 0)
+        assert level_potential([1.0, 1.0], dist, 1) == (0.0, 0)
 
     def test_line_matches_exhaustive(self):
         pairs = [(0, 1), (1, 2), (2, 3)]
@@ -74,15 +75,20 @@ class TestPotential:
                 c = 2 * s - 1
                 for v in range(4):
                     expect = max(values[w] - values[v] - c * dist[v, w] for w in range(4))
-                    assert metrics.potential(values, dist, v, s) == pytest.approx(
+                    assert potential(values, dist, v, s) == pytest.approx(
                         expect, abs=1e-12
                     )
 
     def test_leading_pair_identifies_ahead_node(self):
-        _, _, dist = unit_kappa_graph([(0, 1)], 2)
-        val, base, lead = metrics.leading_pair([0.0, 5.0], dist, 1)
-        assert (base, lead) == (0, 1)
-        assert val == pytest.approx(4.0)
+        _, kappa, dist = unit_kappa_graph([(0, 1)], 2)
+        kappa_adj = np.full((2, 2), np.inf)
+        kappa_adj[0, 1] = kappa_adj[1, 0] = kappa[(0, 1)]
+        psi_nodes, psi_levels, leading, _ = metrics.trace_oracles(
+            np.zeros(1), np.array([[0.0, 5.0]]), dist, kappa_adj, 1
+        )
+        base = int(psi_nodes[0, :, 0].argmax())
+        assert (base, int(leading[0])) == (0, 1)
+        assert psi_levels[0, 0] == pytest.approx(4.0)
 
 
 class TestConditions:
@@ -121,12 +127,12 @@ class TestTrailing:
     def test_all_equal_nobody_trails(self):
         _, _, dist = unit_kappa_graph([(0, 1), (1, 2)], 3)
         for w in range(3):
-            assert not metrics.trailing_node([1.0, 1.0, 1.0], dist, w, 2)
+            assert not trailing_node([1.0, 1.0, 1.0], dist, w, 2)
 
     def test_two_nodes_behind(self):
         _, _, dist = unit_kappa_graph([(0, 1)], 2)
-        assert metrics.trailing_node([0.0, 5.0], dist, 0, 1)
-        assert not metrics.trailing_node([0.0, 5.0], dist, 1, 1)
+        assert trailing_node([0.0, 5.0], dist, 0, 1)
+        assert not trailing_node([0.0, 5.0], dist, 1, 1)
 
     def test_matches_brute_force(self):
         pairs = [(0, 1), (1, 2), (0, 2), (2, 3)]
@@ -141,7 +147,7 @@ class TestTrailing:
                         row = [values[v] - values[x] - 2 * s * dist[v, x] for x in range(4)]
                         if max(row) > 0 and row[w] >= max(row) - 1e-12:
                             expect = True
-                assert metrics.trailing_node(values, dist, w, 2) == expect
+                assert trailing_node(values, dist, w, 2) == expect
 
 
 class TestTheoremBounds:
@@ -163,19 +169,19 @@ class TestTheoremBounds:
 
     def test_theorem3_line(self):
         pairs = [(i, i + 1) for i in range(8)]
-        g, kappa, dist = unit_kappa_graph(pairs, 9)
-        got = metrics.theorem3_bound(g, kappa, 10.0, dist=dist)
+        _, _, dist = unit_kappa_graph(pairs, 9)
+        got = metrics.theorem3_bound(dist, 10.0)
         assert got == pytest.approx(80.0 / 9.0, rel=1e-12)
 
     def test_theorem3_sigma_infinity_limit(self):
         pairs = [(i, i + 1) for i in range(8)]
-        g, kappa, dist = unit_kappa_graph(pairs, 9)
-        assert metrics.theorem3_bound(g, kappa, float("inf"), dist=dist) == pytest.approx(8.0)
+        _, _, dist = unit_kappa_graph(pairs, 9)
+        assert metrics.theorem3_bound(dist, float("inf")) == pytest.approx(8.0)
 
     def test_theorem3_matches_floyd_warshall(self):
         pairs = [(i, (i + 1) % 6) for i in range(6)]
         kappas = {p: k for p, k in zip(sorted(pairs), (0.2, 0.9, 0.4, 0.7, 0.3, 0.6))}
-        g, kappa, _ = unit_kappa_graph(sorted(pairs), 6, kappas)
+        _, kappa, dist = unit_kappa_graph(sorted(pairs), 6, kappas)
         n = 6
         fw = np.full((n, n), np.inf)
         np.fill_diagonal(fw, 0.0)
@@ -187,7 +193,7 @@ class TestTheoremBounds:
                     fw[a, b] = min(fw[a, b], fw[a, m] + fw[m, b])
         sigma = 5.0
         expect = (1 + 1 / (sigma - 1)) * fw.max()
-        assert metrics.theorem3_bound(g, kappa, sigma) == pytest.approx(expect, rel=1e-12)
+        assert metrics.theorem3_bound(dist, sigma) == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -226,9 +232,9 @@ class TestTraceOracleConsistency:
             for s in range(1, trace.s_max + 1):
                 for v in range(trace.n):
                     assert trace.psi_nodes[int(i), v, s - 1] == pytest.approx(
-                        metrics.potential(values, dist, v, s), abs=1e-9
+                        potential(values, dist, v, s), abs=1e-9
                     )
             assert trace.local_skew[int(i)] == pytest.approx(
-                metrics.local_skew(values, trace.edges), abs=1e-12
+                local_skew(values, trace.edges), abs=1e-12
             )
             assert trace.local_skew[int(i)] <= trace.global_skew[int(i)] + 1e-12

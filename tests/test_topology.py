@@ -10,12 +10,9 @@ from gcsim.topology import (
     EdgeParams,
     NetworkGraph,
     edge_kappa,
-    hop_diameter,
-    hop_distance,
     kappa_distance_matrix,
     kappa_weights,
     validate_graph,
-    weighted_distance,
 )
 
 
@@ -28,6 +25,11 @@ def simple_edge(**kw):
 def graph_from_pairs(n, pairs, d_max=10.0, edge=None):
     edge = edge or simple_edge()
     return NetworkGraph.build(n, [(u, v, edge) for u, v in pairs], d_max)
+
+
+def hop_matrix(g):
+    """Unit-weight distances: the hop count between every pair."""
+    return kappa_distance_matrix(g, {(u, v): 1.0 for u, v, _ in g.edges})
 
 
 def bfs_oracle(n, pairs, src):
@@ -75,11 +77,11 @@ class TestValidateGraph:
 class TestHopDistance:
     def test_same_node(self):
         g = graph_from_pairs(3, [(0, 1), (1, 2)])
-        assert hop_distance(g, 1, 1) == 0
+        assert hop_matrix(g)[1, 1] == 0
 
     def test_line(self):
         g = graph_from_pairs(3, [(0, 1), (1, 2)])
-        assert hop_distance(g, 0, 2) == 2
+        assert hop_matrix(g)[0, 2] == 2
 
     def test_grid_corners(self):
         pairs = []
@@ -90,21 +92,16 @@ class TestHopDistance:
                 if r + 1 < 4:
                     pairs.append((r * 4 + c, (r + 1) * 4 + c))
         g = graph_from_pairs(16, pairs)
-        assert hop_distance(g, 0, 15) == bfs_oracle(16, pairs, 0)[15] == 6
-
-    def test_out_of_range(self):
-        g = graph_from_pairs(2, [(0, 1)])
-        with pytest.raises(ParameterError):
-            hop_distance(g, 0, 5)
+        assert hop_matrix(g)[0, 15] == bfs_oracle(16, pairs, 0)[15] == 6
 
 
 class TestHopDiameter:
     def test_single_edge(self):
-        assert hop_diameter(graph_from_pairs(2, [(0, 1)])) == 1
+        assert hop_matrix(graph_from_pairs(2, [(0, 1)])).max() == 1
 
     def test_ring8(self):
         pairs = [(i, (i + 1) % 8) for i in range(8)]
-        assert hop_diameter(graph_from_pairs(8, pairs)) == 4
+        assert hop_matrix(graph_from_pairs(8, pairs)).max() == 4
 
     def test_random_graph_matches_all_pairs_bfs(self):
         rng = np.random.default_rng(42)
@@ -115,7 +112,7 @@ class TestHopDiameter:
         expect = max(
             d for src in range(16) for d in bfs_oracle(16, pairs, src).values()
         )
-        assert hop_diameter(g) == expect
+        assert hop_matrix(g).max() == expect
 
 
 class TestEdgeKappa:
@@ -166,8 +163,7 @@ class TestWeightedDistance:
         kappa = kappa_weights(g, 1.0)
         assert kappa[(0, 1)] == pytest.approx(0.3)
         assert kappa[(1, 2)] == pytest.approx(0.5)
-        assert weighted_distance(g, kappa, 0, 2) == pytest.approx(0.8, abs=1e-12)
-        assert weighted_distance(g, kappa, 0, 2, multiplier=3) == pytest.approx(2.4, abs=1e-12)
+        assert kappa_distance_matrix(g, kappa)[0, 2] == pytest.approx(0.8, abs=1e-12)
 
     def test_triangle_two_hops_beat_direct(self):
         edges = [
@@ -177,7 +173,7 @@ class TestWeightedDistance:
         ]
         g = NetworkGraph.build(3, edges, d_max=10.0)
         kappa = kappa_weights(g, 1.0)
-        assert weighted_distance(g, kappa, 0, 2) == pytest.approx(0.4, abs=1e-12)
+        assert kappa_distance_matrix(g, kappa)[0, 2] == pytest.approx(0.4, abs=1e-12)
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(7)
@@ -190,15 +186,10 @@ class TestWeightedDistance:
             edges = [(u, v, simple_edge(eps_m=float(rng.uniform(0.05, 1.0)))) for u, v in pairs]
             g = NetworkGraph.build(n, edges, d_max=10.0)
             kappa = kappa_weights(g, 1.0)
+            dist = kappa_distance_matrix(g, kappa)
             for v, w in itertools.combinations(range(n), 2):
                 expect = enumerate_paths_oracle(n, pairs, kappa, v, w)
-                assert weighted_distance(g, kappa, v, w) == pytest.approx(expect, abs=1e-12)
-
-    def test_zero_kappa_rejected(self):
-        g = graph_from_pairs(2, [(0, 1)], edge=simple_edge(eps_m=0.0))
-        kappa = kappa_weights(g, 1.0)
-        with pytest.raises(ParameterError):
-            weighted_distance(g, kappa, 0, 1)
+                assert dist[v, w] == pytest.approx(expect, abs=1e-12)
 
 
 class TestMetricProperties:
@@ -232,7 +223,7 @@ class TestMetricProperties:
 
     def test_hop_distance_bounded_by_diameter(self):
         pairs = [(i, (i + 1) % 8) for i in range(8)]
-        g = graph_from_pairs(8, pairs)
-        diam = hop_diameter(g)
+        hops = hop_matrix(graph_from_pairs(8, pairs))
+        diam = hops.max()
         for v, w in itertools.combinations(range(8), 2):
-            assert hop_distance(g, v, w) <= diam
+            assert hops[v, w] == bfs_oracle(8, pairs, v)[w] <= diam

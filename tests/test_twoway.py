@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from gcsim.errors import ParameterError, StaleEstimateError
-from gcsim.topology import EdgeParams
 from gcsim.twoway import (
     MeasurementRecord,
     NeighborEstimate,
     RequestMsg,
-    averaged_uncertainty,
     compute_estimates,
     estimate_value,
-    estimation_error,
     handle_request,
     timeout_window,
 )
@@ -90,43 +87,6 @@ class TestEstimateValue:
         est = NeighborEstimate(1, 12.0, 3.0, 0.31, valid_cycle=4)
         with pytest.raises(StaleEstimateError):
             estimate_value(est, 200.0, cycle=5)
-
-
-class TestEstimationError:
-    def test_zero(self):
-        e = EdgeParams(1.0, 1.0)
-        assert estimation_error(e, 0.0, 1.0) == 0.0
-
-    def test_arithmetic(self):
-        e = EdgeParams(10.0, 14.0)
-        assert estimation_error(e, 0.14, 1.001) == pytest.approx(0.308, abs=1e-12)
-
-    def test_bounded_by_edge_kappa(self):
-        from gcsim.topology import edge_kappa
-
-        rng = np.random.default_rng(0)
-        e = EdgeParams(10.0, 14.0, jitter=0.0, eps_d=0.02, eps_m=0.05)
-        cap = edge_kappa(e, 1.001)
-        for _ in range(200):
-            # any uncertainty below its strict bound stays below kappa
-            u = float(rng.uniform(0.0, e.max_delay_bound * e.eps_d + e.eps_m - 1e-9))
-            assert estimation_error(e, u, 1.001) < cap
-
-
-class TestAveragedUncertainty:
-    def test_single_measurement(self):
-        assert averaged_uncertainty(0.1, 10.0, 1) == pytest.approx(0.01, abs=1e-15)
-
-    def test_arithmetic(self):
-        assert averaged_uncertainty(0.1, 10.0, 4) == pytest.approx(0.005, abs=1e-15)
-
-    def test_sqrt_scaling(self):
-        one = averaged_uncertainty(0.1, 10.0, 1)
-        assert averaged_uncertainty(0.1, 10.0, 100) == pytest.approx(one / 10.0, abs=1e-15)
-
-    def test_bad_interval(self):
-        with pytest.raises(ParameterError):
-            averaged_uncertainty(0.1, 0.0, 1)
 
 
 class TestExchangeAlgebra:
