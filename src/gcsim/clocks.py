@@ -22,6 +22,7 @@ __all__ = [
     "HardwareClock",
     "LogicalClock",
     "make_schedule",
+    "sample_clocks",
 ]
 
 OWN_RATE = 0
@@ -117,16 +118,32 @@ class LogicalClock:
             return self._values[i] + (1.0 + self.mu) * dh
         return self._values[i] + dh + self.mu * (t - self._times[i])
 
-    def value_pair(self, t: float) -> tuple[float, float]:
-        """(logical, hardware) at t, evaluating the hardware clock once."""
-        h = self.hardware.value(t)
-        i = self._segment(t)
-        dh = h - self._hw_at[i]
-        if self._modes[i] == OWN_RATE:
-            return self._values[i] + dh, h
+    def value_pair(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(logical, hardware) at each of the sorted instants ``times``.
+
+        The array form of :meth:`value`, with the same operations in the
+        same order, so every entry equals the scalar result bit for bit.
+        """
+        t0, t1 = float(times[0]), float(times[-1])
+        if t0 < 0:
+            raise ParameterError(f"time must be non-negative, got {t0!r}")
+        # only the segments and anchors that [t0, t1] can select
+        hw = self.hardware
+        a, b = bisect_right(hw._starts, t0) - 1, bisect_right(hw._starts, t1)
+        starts = np.asarray(hw._starts[a:b])
+        j = np.searchsorted(starts, times, side="right") - 1
+        h = np.asarray(hw._cum[a:b])[j] + np.asarray(hw._rates[a:b])[j] * (times - starts[j])
+        a, b = self._segment(t0), bisect_right(self._times, t1)
+        anchors = np.asarray(self._times[a:b])
+        i = np.searchsorted(anchors, times, side="right") - 1
+        values = np.asarray(self._values[a:b])[i]
+        dh = h - np.asarray(self._hw_at[a:b])[i]
+        fast = np.asarray(self._modes[a:b])[i] == FAST
         if self.semantics == "multiplicative":
-            return self._values[i] + (1.0 + self.mu) * dh, h
-        return self._values[i] + dh + self.mu * (t - self._times[i]), h
+            boosted = values + (1.0 + self.mu) * dh
+        else:
+            boosted = values + dh + self.mu * (times - anchors[i])
+        return np.where(fast, boosted, values + dh), h
 
     def set_mode(self, t: float, mode: int) -> None:
         """Switch correction mode at time t; past values stay unchanged."""
@@ -182,6 +199,51 @@ class LogicalClock:
                 return t_lo + (target - v_lo) / slope
             t_lo, v_lo = seg_end, v_hi
             j += 1
+
+
+def sample_clocks(clocks, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logical and hardware values, each (R, n), of every clock at each of
+    the R sorted instants ``times``.
+
+    A clock that keeps one hardware segment and one logical anchor from the
+    first instant to the last is linear over all of them; all such clocks
+    are evaluated together in one broadcast.  The rest, and additive clocks
+    in fast mode, go through :meth:`LogicalClock.value_pair`.  Both paths
+    repeat the scalar formula of :meth:`LogicalClock.value` operation for
+    operation, so every entry equals it bit for bit.
+    """
+    t0, t1 = float(times[0]), float(times[-1])
+    if t0 < 0:
+        raise ParameterError(f"time must be non-negative, got {t0!r}")
+    L = np.empty((len(times), len(clocks)))
+    H = np.empty_like(L)
+    cols, cum, rate, start, value, hw_at, factor = [], [], [], [], [], [], []
+    for k, c in enumerate(clocks):
+        hw = c.hardware
+        starts, anchors = hw._starts, c._times
+        j = bisect_right(starts, t0) - 1
+        i = bisect_right(anchors, t0) - 1
+        fast = c._modes[i] == FAST
+        if (
+            bisect_right(starts, t1) - 1 != j
+            or bisect_right(anchors, t1) - 1 != i
+            or (fast and c.semantics == "additive")
+        ):
+            L[:, k], H[:, k] = c.value_pair(times)
+            continue
+        cols.append(k)
+        cum.append(hw._cum[j])
+        rate.append(hw._rates[j])
+        start.append(starts[j])
+        value.append(c._values[i])
+        hw_at.append(c._hw_at[i])
+        # x * 1.0 == x exactly, so own-rate clocks share the fast formula
+        factor.append(1.0 + c.mu if fast else 1.0)
+    if cols:
+        h = np.array(cum) + np.array(rate) * (times[:, None] - np.array(start))
+        L[:, cols] = np.array(value) + np.array(factor) * (h - np.array(hw_at))
+        H[:, cols] = h
+    return L, H
 
 
 def make_schedule(

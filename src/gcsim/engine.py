@@ -11,12 +11,12 @@ import hashlib
 import heapq
 import logging
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gcs, metrics
-from .clocks import FAST, OWN_RATE, HardwareClock, LogicalClock, make_schedule
+from .clocks import FAST, OWN_RATE, HardwareClock, LogicalClock, make_schedule, sample_clocks
 from .errors import ConfigError, InternalError, RunAborted
 from .gcs import GcsParams, NodeState
 from .topology import NetworkGraph
@@ -39,10 +39,12 @@ K_EVALUATE = 1
 K_ARRIVAL = 2
 K_EMIT = 3
 K_TICK = 4
+K_RATE = 5  # a hardware rate breakpoint: no handler, it only forces a sample
 
 _TOL = 1e-9
-# Sampled clock values per chunk: samples are buffered as rows and reduced
-# with numpy once a chunk holds this many values (32 rows at n = 256).
+# Sampled clock values per chunk: sample instants are buffered and the
+# clocks evaluated and reduced with numpy once a chunk holds this many
+# values (32 rows at n = 256).
 _CHUNK_VALUES = 8192
 
 
@@ -200,9 +202,8 @@ class _Simulation:
         self._eu = np.array([u for u, _ in self.edges])
         self._ev = np.array([v for _, v in self.edges])
         self._chunk_rows = max(1, _CHUNK_VALUES // n)
+        self.clocks = [nd.logical for nd in self.nodes]
         self.buf_t: list[float] = []
-        self.buf_L: list[list[float]] = []
-        self.buf_H: list[list[float]] = []
         self.chunks: list[tuple] = []  # full mode: (times, L, H, local, global) per chunk
         self.edge_max = np.zeros(len(self.edges))
         self.max_global = 0.0
@@ -279,10 +280,7 @@ class _Simulation:
             )
         rec = MeasurementRecord(w, t1, reply.l_w_t2, reply.l_w_t3, t4, t)
         edge = sc.graph.edge(v, w)
-        est = replace(
-            compute_estimates(rec, edge.eps_d, edge.eps_m, sc.params.theta),
-            valid_cycle=node.cycle_index,
-        )
+        est = compute_estimates(rec, edge.eps_d, edge.eps_m, sc.params.theta, node.cycle_index)
         node.views[w] = est
         self.counters["measurements"] += 1
         self._check_sandwich(t, v, w, estimate_value(est, t4, cycle=node.cycle_index))
@@ -386,25 +384,23 @@ class _Simulation:
 
     # -- sampling
 
+    # Sampling records only the instant; the clocks are read when the chunk is
+    # reduced.  That deferred read is exact.  A sample at `current` is flushed
+    # only after every event at `current`; no handler schedules an event before
+    # its own time; and set_mode only appends anchors, at the time of the event
+    # that calls it.  So any anchor added later lies strictly after every
+    # buffered instant, and bisect_right never selects it for one of them.
+
     def _flush_sample(self, t: float) -> None:
-        vals = []
-        hws = []
-        for nd in self.nodes:
-            l, h = nd.logical.value_pair(t)
-            vals.append(l)
-            hws.append(h)
         self.buf_t.append(t)
-        self.buf_L.append(vals)
-        self.buf_H.append(hws)
         if len(self.buf_t) == self._chunk_rows:
             self._reduce_chunk()
 
     def _reduce_chunk(self) -> None:
         """Fold the buffered samples into the skew maxima; full mode keeps them."""
         times = np.asarray(self.buf_t)
-        L = np.asarray(self.buf_L)
-        H = np.asarray(self.buf_H)
-        self.buf_t, self.buf_L, self.buf_H = [], [], []
+        self.buf_t = []
+        L, H = sample_clocks(self.clocks, times)
         edge_gaps = np.abs(L[:, self._eu] - L[:, self._ev])
         local = edge_gaps.max(axis=1)
         glob = L.max(axis=1) - L.min(axis=1)
@@ -426,6 +422,10 @@ class _Simulation:
             self.push(self.nodes[v].logical.invert(self.nodes[v].logical.hardware.initial_value), K_WAKEUP, (v, 0))
         if sc.sample_dt > 0:
             self.push(sc.sample_dt, K_TICK, None)
+        # every clock is linear between its rate breakpoints and mode changes;
+        # sampling both makes the recorded extrema of any clock difference exact
+        for b in sorted({b for c in self.clocks for b in c.hardware.schedule.starts[1:]}):
+            self.push(b, K_RATE, None)
 
         while self.heap:
             t = self.heap[0][0]

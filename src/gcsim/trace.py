@@ -1,11 +1,10 @@
 """Run outputs: sampled trace, violations, summary, and their file formats.
 
-The trace samples every event time plus a fixed real-time grid.  The
-recorded maxima are exact only when no hardware rate breakpoint falls
-between two samples: then every clock is linear between samples and
-pairwise differences attain their extrema at sampled points.  A rate
-switch between samples is not sampled, so an extremum there is missed
-(ROADMAP open item 2).
+The trace samples every event time, every hardware rate breakpoint and a
+fixed real-time grid.  A logical clock changes slope only at a rate
+breakpoint or at a mode change, which happens at an event, so every clock
+is linear between two samples and every pairwise difference attains its
+extrema at sampled points: the recorded extrema are exact.
 """
 from __future__ import annotations
 
@@ -130,11 +129,13 @@ class RunSummary:
         }
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# Rows formatted at once by write_trace_csv; bounds the strings held in memory.
+_CSV_BLOCK_ROWS = 2048
 
 
 def write_trace_csv(trace: Trace, path) -> None:
+    """Write the trace block by block; within a block, each column is
+    formatted with one ``repr`` pass over its ``tolist()``."""
     n = trace.n
     s_max = trace.s_max
     cols = ["t_real"]
@@ -143,22 +144,18 @@ def write_trace_csv(trace: Trace, path) -> None:
     cols += ["local_skew", "global_skew"]
     cols += [f"psi_s{s}" for s in range(1, s_max + 1)]
     cols += ["bound_local", "bound_global"]
-    bl = _fmt(trace.bound_local)
-    bg = _fmt(trace.bound_global)
+    tail = f",{float(trace.bound_local)!r},{float(trace.bound_global)!r}\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(len(trace)):
-            row = [_fmt(trace.times[i])]
+        for start in range(0, len(trace), _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            block = [trace.times[rows]]
             for j in range(n):
-                row += [
-                    _fmt(trace.logical[i, j]),
-                    _fmt(trace.hardware[i, j]),
-                    str(int(trace.modes[i, j])),
-                ]
-            row += [_fmt(trace.local_skew[i]), _fmt(trace.global_skew[i])]
-            row += [_fmt(trace.psi_levels[i, s]) for s in range(s_max)]
-            row += [bl, bg]
-            fh.write(",".join(row) + "\n")
+                block += [trace.logical[rows, j], trace.hardware[rows, j], trace.modes[rows, j]]
+            block += [trace.local_skew[rows], trace.global_skew[rows]]
+            block += [trace.psi_levels[rows, s] for s in range(s_max)]
+            text = zip(*(map(repr, col.tolist()) for col in block))
+            fh.write("".join(",".join(row) + tail for row in text))
 
 
 def write_summary_json(summary: RunSummary, path) -> None:

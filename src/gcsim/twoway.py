@@ -96,9 +96,10 @@ def handle_request(
 
 
 def compute_estimates(
-    rec: MeasurementRecord, eps_d: float, eps_m: float, theta: float
+    rec: MeasurementRecord, eps_d: float, eps_m: float, theta: float, valid_cycle: int = -1
 ) -> NeighborEstimate:
-    """Turn a completed record into a delay/offset estimate.
+    """Turn a completed record into a delay/offset estimate for ``valid_cycle``
+    (-1: not tied to a cycle).
 
     The mean delay is half of (local round trip minus remote processing
     time).  The offset averages the request-leg and reply-leg offsets,
@@ -118,7 +119,7 @@ def compute_estimates(
         d_avg=d_avg,
         offset=offset,
         estimate_deduction=deduction,
-        valid_cycle=-1,
+        valid_cycle=valid_cycle,
     )
 
 

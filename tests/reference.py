@@ -1,16 +1,17 @@
 """Scalar reference forms of the ground-truth metrics.
 
 Plain-Python, one-instant versions of what the engine computes vectorized
-(skews, potentials, the trailing-node test) or over whole traces (the
-hardware drift envelope).  Tests check the engine against them; the
-package itself does not use them.
+(clock samples, skews, potentials, the trailing-node test) or over whole
+traces (the hardware drift envelope), and the row-by-row trace writer.
+Tests check the engine against them; the package itself does not use them.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from gcsim.clocks import HardwareClock
+from gcsim.clocks import OWN_RATE, HardwareClock, LogicalClock
 from gcsim.errors import ParameterError
+from gcsim.trace import Trace
 
 _TIE_TOL = 1e-12
 
@@ -66,3 +67,47 @@ def check_lipschitz(c: HardwareClock, t1: float, t2: float, theta: float, tol: f
     dt = t2 - t1
     dh = c.value(t2) - c.value(t1)
     return dt - tol <= dh <= theta * dt + tol
+
+
+def value_pair(c: LogicalClock, t: float) -> tuple[float, float]:
+    """(logical, hardware) of ``c`` at one instant, evaluating the hardware clock once."""
+    h = c.hardware.value(t)
+    i = c._segment(t)
+    dh = h - c._hw_at[i]
+    if c._modes[i] == OWN_RATE:
+        return c._values[i] + dh, h
+    if c.semantics == "multiplicative":
+        return c._values[i] + (1.0 + c.mu) * dh, h
+    return c._values[i] + dh + c.mu * (t - c._times[i]), h
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def write_trace_csv(trace: Trace, path) -> None:
+    """trace.csv written one row, and one formatted value, at a time."""
+    n = trace.n
+    s_max = trace.s_max
+    cols = ["t_real"]
+    for i in range(n):
+        cols += [f"node_{i}_L", f"node_{i}_H", f"node_{i}_mode"]
+    cols += ["local_skew", "global_skew"]
+    cols += [f"psi_s{s}" for s in range(1, s_max + 1)]
+    cols += ["bound_local", "bound_global"]
+    bl = _fmt(trace.bound_local)
+    bg = _fmt(trace.bound_global)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(cols) + "\n")
+        for i in range(len(trace)):
+            row = [_fmt(trace.times[i])]
+            for j in range(n):
+                row += [
+                    _fmt(trace.logical[i, j]),
+                    _fmt(trace.hardware[i, j]),
+                    str(int(trace.modes[i, j])),
+                ]
+            row += [_fmt(trace.local_skew[i]), _fmt(trace.global_skew[i])]
+            row += [_fmt(trace.psi_levels[i, s]) for s in range(s_max)]
+            row += [bl, bg]
+            fh.write(",".join(row) + "\n")

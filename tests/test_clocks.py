@@ -10,10 +10,11 @@ from gcsim.clocks import (
     LogicalClock,
     RateSchedule,
     make_schedule,
+    sample_clocks,
 )
 from gcsim.errors import InternalError, ParameterError
 
-from reference import check_lipschitz
+from reference import check_lipschitz, value_pair
 
 THETA = 1.02
 
@@ -166,6 +167,77 @@ class TestProperties:
         c.set_mode(t_switch, FAST)
         for t in (t_switch + 0.5, t_switch + 10.0):
             assert c.value(t) >= c.hardware.value(t) - 1e-12
+
+
+def reference_samples(clocks, times):
+    """(L, H) from the scalar reference, one clock and one instant at a time."""
+    pairs = [[value_pair(c, float(t)) for c in clocks] for t in times]
+    return np.array([[p[0] for p in row] for row in pairs]), np.array([[p[1] for p in row] for row in pairs])
+
+
+def assert_matches_reference(clocks, times):
+    times = np.asarray(times, dtype=float)
+    L, H = sample_clocks(clocks, times)
+    ref_L, ref_H = reference_samples(clocks, times)
+    assert np.array_equal(L, ref_L)
+    assert np.array_equal(H, ref_H)
+
+
+def mixed_clocks():
+    """Clocks that, between t = 2 and t = 6, cover each evaluation path."""
+    steady = LogicalClock(hw(0.3, ((0.0, 1.013),)), mu=0.1)
+    fast = LogicalClock(hw(0.1, ((0.0, 1.007),)), mu=0.1)
+    fast.set_mode(1.0, FAST)
+    hw_break = LogicalClock(hw(0.2, ((0.0, 1.0), (4.0, 1.02))), mu=0.1)
+    switching = LogicalClock(hw(0.0, ((0.0, 1.011), (3.0, 1.004))), mu=0.1)
+    switching.set_mode(2.5, FAST)
+    switching.set_mode(5.0, OWN_RATE)
+    additive = LogicalClock(hw(0.4, ((0.0, 1.019),)), mu=0.05, semantics="additive")
+    additive.set_mode(1.5, FAST)
+    additive_switching = LogicalClock(hw(0.0, ((0.0, 1.0), (4.5, 1.02))), mu=0.05,
+                                      semantics="additive")
+    additive_switching.set_mode(3.3, FAST)
+    return [steady, fast, hw_break, switching, additive, additive_switching]
+
+
+class TestSampleClocks:
+    """The chunk evaluator equals the scalar formula bit for bit."""
+
+    @pytest.mark.parametrize("times", [
+        [3.7],  # one row
+        [4.0],  # one row on a hardware breakpoint
+        [2.5, 2.6],  # starting on a mode change
+        [2.0, 2.25, 2.5, 3.0, 4.0, 4.5, 5.0, 5.5, 6.0],  # every breakpoint inside
+        [0.0, 0.5, 1.0],  # from t = 0 up to an anchor
+        [5.0, 5.0000001, 7.0],
+        [6.5, 7.25, 100.0],  # no breakpoint inside: one broadcast
+    ])
+    def test_matches_scalar_reference(self, times):
+        assert_matches_reference(mixed_clocks(), times)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ParameterError):
+            sample_clocks(mixed_clocks(), np.array([-1.0, 2.0]))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_clocks_match_scalar_reference(self, data):
+        clocks, kinks = [], [0.0]
+        for _ in range(data.draw(st.integers(1, 5))):
+            sched = data.draw(schedule_strategy)
+            c = LogicalClock(
+                HardwareClock(data.draw(st.floats(0.0, 5.0)), sched),
+                mu=data.draw(st.floats(0.01, 0.5)),
+                semantics=data.draw(st.sampled_from(["multiplicative", "additive"])),
+            )
+            switches = sorted(set(data.draw(st.lists(st.floats(0.0, 30.0), max_size=5))))
+            for k, t in enumerate(switches):
+                c.set_mode(t, FAST if k % 2 == 0 else OWN_RATE)
+            clocks.append(c)
+            kinks += list(sched.starts) + switches
+        instants = st.one_of(st.floats(0.0, 40.0), st.sampled_from(kinks))
+        times = sorted(set(data.draw(st.lists(instants, min_size=1, max_size=12))))
+        assert_matches_reference(clocks, times)
 
 
 class TestGenerators:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,71 @@ class TestMetricsModes:
         assert t_cross is not None
         assert np.searchsorted(trace.times, t_cross) >= engine._CHUNK_VALUES // trace.n
         assert_modes_agree(res)
+
+
+TRACE_ARRAYS = ("times", "logical", "hardware", "modes", "local_skew", "global_skew",
+                "psi_nodes", "psi_levels", "leading_nodes")
+
+
+def flipping_antiphase_doc(semantics: str) -> dict:
+    """Antiphase clocks whose rates swap once, off the sampling grid, after
+    the skew has grown enough for the nodes to change mode."""
+    doc = random_suite_doc(12)
+    cycle = doc["gcs"]["T"] + doc["gcs"]["T_stab"]
+    doc["clocks"]["default"] = {"generator": "alternating", "dwell": 75.3 * cycle,
+                                "start_high": False, "initial_value": 0.0}
+    for spec in doc["clocks"]["overrides"].values():
+        del spec["rate"]
+        spec["start_high"] = True
+    doc["gcs"]["correction_semantics"] = semantics
+    return doc
+
+
+class TestChunking:
+    """Clocks are read chunk by chunk; where the chunks end changes nothing."""
+
+    @pytest.mark.parametrize("semantics", ["multiplicative", "additive"])
+    @pytest.mark.parametrize("chunk_values", [1, 50])
+    def test_chunk_size_does_not_change_the_run(self, monkeypatch, semantics, chunk_values):
+        doc = flipping_antiphase_doc(semantics)
+        ref = engine.run(scen.build_scenario(doc))
+        monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
+        res = engine.run(scen.build_scenario(doc))
+        assert any(len(tl) > 1 for tl in res.summary.mode_timelines.values())
+        assert json.dumps(res.summary.to_dict()) == json.dumps(ref.summary.to_dict())
+        assert res.violations == ref.violations
+        for name in TRACE_ARRAYS:
+            assert np.array_equal(getattr(res.trace, name), getattr(ref.trace, name)), name
+
+
+def swapped_rates_doc() -> dict:
+    """Two clocks whose rates 1 and 1.01 swap at t = 7.37, between grid
+    points and with no event near: their gap peaks at 0.0737 there."""
+    edge = {"fwd_delay": 0.5, "bwd_delay": 0.5, "jitter": 0.0, "eps_d": 0.498,
+            "eps_m": 0.001, "length": 1.0}
+    return {
+        "graph": {"nodes": 2, "d_max": 1.5, "edges": [{"u": 0, "v": 1, **edge}]},
+        "clocks": {"theta": 1.01, "mu": 0.1, "nodes": [
+            {"generator": "scripted", "segments": [[0.0, 1.0], [7.37, 1.01]]},
+            {"generator": "scripted", "segments": [[0.0, 1.01], [7.37, 1.0]]},
+        ]},
+        "gcs": {"T": 3.5, "T_stab": 1.5, "p_max": 0.2, "enabled": False},
+        "sim": {"horizon_time": 20.0, "sample_dt": 1.0, "master_seed": 1, "metrics": "full"},
+    }
+
+
+class TestRateBreakpoints:
+    def test_extremum_at_an_off_grid_rate_switch_is_recorded(self):
+        res = engine.run(scen.build_scenario(swapped_rates_doc()))
+        assert 7.37 in res.trace.times
+        assert res.summary.bound_report["max_observed_local"] == pytest.approx(0.0737, abs=1e-12)
+        assert float(res.trace.local_skew.max()) == pytest.approx(0.0737, abs=1e-12)
+
+    def test_skew_only_records_it_too(self):
+        doc = swapped_rates_doc()
+        doc["sim"]["metrics"] = "skew_only"
+        res = engine.run(scen.build_scenario(doc))
+        assert res.summary.bound_report["max_observed_local"] == pytest.approx(0.0737, abs=1e-12)
 
 
 class TestValidationGate:

@@ -73,6 +73,15 @@ class TestComputeEstimates:
         est = compute_estimates(record(0.0, 10.0, 10.0, 20.0), 0.01, 0.001, 1.001)
         assert est.estimate_deduction == pytest.approx(10.0 * 0.011 + 0.001, abs=1e-15)
 
+    def test_valid_cycle(self):
+        rec = record(100.0, 110.0, 112.0, 122.0)
+        assert compute_estimates(rec, 0.0, 0.0, 1.0).valid_cycle == -1
+        est = compute_estimates(rec, 0.0, 0.0, 1.0, valid_cycle=4)
+        assert est.valid_cycle == 4
+        assert estimate_value(est, 130.0, cycle=4) == 130.0
+        with pytest.raises(StaleEstimateError):
+            estimate_value(est, 130.0, cycle=5)
+
 
 class TestEstimateValue:
     def test_perfect_knowledge(self):
