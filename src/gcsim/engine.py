@@ -40,6 +40,10 @@ K_ARRIVAL = 2
 K_EMIT = 3
 K_TICK = 4
 K_RATE = 5  # a hardware rate breakpoint: no handler, it only forces a sample
+# A clock's slope changes only at a mode decision or a rate breakpoint;
+# requests and replies only carry readings.  So only instants with one of
+# these kinds, or a grid tick, become samples.
+_SLOPE_KINDS = frozenset((K_WAKEUP, K_EVALUATE, K_TICK, K_RATE))
 
 _TOL = 1e-9
 # Sampled clock values per chunk: sample instants are buffered and the
@@ -208,6 +212,7 @@ class _Simulation:
         self.edge_max = np.zeros(len(self.edges))
         self.max_global = 0.0
         self.first_exceed: float | None = None
+        self.last_row: tuple | None = None  # (t, L) of the last reduced sample
         self._global_bound = sc.global_bound
 
     # -- scheduling helpers
@@ -409,7 +414,15 @@ class _Simulation:
         if self.first_exceed is None:
             exceed = np.nonzero(glob > self._global_bound + _TOL)[0]
             if len(exceed):
-                self.first_exceed = float(times[exceed[0]])
+                k = exceed[0]
+                if k:
+                    left = times[k - 1], L[k - 1]
+                else:  # the piece starts at the previous chunk's last row
+                    left = self.last_row or (times[0], L[0])
+                self.first_exceed = metrics.global_bound_crossing(
+                    *left, times[k], L[k], self._global_bound
+                )
+        self.last_row = (times[-1], L[-1])
         if self.full:
             self.chunks.append((times, L, H, local, glob))
 
@@ -427,6 +440,7 @@ class _Simulation:
         for b in sorted({b for c in self.clocks for b in c.hardware.schedule.starts[1:]}):
             self.push(b, K_RATE, None)
 
+        need = False  # an event at `current` can change a slope
         while self.heap:
             t = self.heap[0][0]
             if self.stop_time is not None and t > self.stop_time:
@@ -439,9 +453,11 @@ class _Simulation:
                     raise RunAborted(
                         f"event time regressed: {t!r} after {self.current!r}", self.violations
                     )
-                if t > self.current:
+                if t > self.current and need:
                     self._flush_sample(self.current)
+                    need = False
             self.current = t
+            need = need or kind in _SLOPE_KINDS
             if kind == K_WAKEUP:
                 self._on_wakeup(t, *payload)
             elif kind == K_EVALUATE:
@@ -456,9 +472,9 @@ class _Simulation:
             elif kind == K_TICK:
                 self.push(t + sc.sample_dt, K_TICK, None)
 
-        if self.current is not None:
-            self._flush_sample(self.current)
         end = self.stop_time if self.stop_time is not None else sc.horizon_time
+        if self.current is not None and (need or self.current == end):
+            self._flush_sample(self.current)
         if end is not None and (self.current is None or end > self.current):
             self._flush_sample(end)
 
@@ -482,7 +498,7 @@ class _Simulation:
                 kappa_adj[u, v] = k_e
                 kappa_adj[v, u] = k_e
             psi_nodes, psi_levels, leading, oracle_viol = metrics.trace_oracles(
-                times, L, sc.dist, kappa_adj, sc.params.s_max
+                times, L, sc.dist, kappa_adj, sc.params.s_max, sc.params.theta
             )
             self.violations.extend(oracle_viol)
 
@@ -507,8 +523,8 @@ class _Simulation:
                 measurements=self.measurements,
                 bound_local=sc.local_bound,
                 bound_global=sc.global_bound,
+                dist=sc.dist,
             )
-            self.violations.extend(metrics.corollary1_check_all(trace, sc.params.theta))
         else:
             empty = np.zeros((0,))
             trace = Trace(
@@ -525,6 +541,7 @@ class _Simulation:
                 measurements=[],
                 bound_local=sc.local_bound,
                 bound_global=sc.global_bound,
+                dist=sc.dist,
             )
 
         report = metrics.build_bound_report(

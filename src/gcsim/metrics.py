@@ -23,6 +23,7 @@ __all__ = [
     "theorem2_bound",
     "theorem2_levels",
     "theorem3_bound",
+    "global_bound_crossing",
     "corollary1_check",
     "corollary1_check_all",
     "trace_oracles",
@@ -111,37 +112,77 @@ def theorem3_bound(dist: np.ndarray, sigma: float) -> float:
 # Trace-wide checks
 
 
-def corollary1_check(
-    trace: Trace, s: int, theta: float, tol: float = _CHECK_TOL
-) -> list[Violation]:
-    """Growth check on each node's potential at level s.
+def global_bound_crossing(t0: float, L0: np.ndarray, t1: float, L1: np.ndarray, bound: float) -> float:
+    """Earliest instant of [t0, t1] at which the global skew reaches ``bound``.
 
-    For every sampled pair t0 < t1 the potential may rise by at most
-    (theta - 1)(t1 - t0).  Subtracting the drift line reduces the all-pairs
-    comparison to a running-minimum scan, so the check is exact over all
-    pairs yet linear in the number of samples.
+    ``L0`` and ``L1`` are every logical clock at t0 and at t1, which end
+    the first piece whose right end exceeds the bound.  Every clock is
+    linear on the piece, so every gap L_b - L_a is too, and the global
+    skew, their maximum, first reaches the bound where the earliest of the
+    gaps that end above it does.  O(n^2).
+    """
+    f0 = L0[None, :] - L0[:, None]
+    if f0.max() >= bound:
+        return float(t0)
+    f1 = L1[None, :] - L1[:, None]
+    up = f1 > bound
+    frac = (bound - f0[up]) / (f1[up] - f0[up])
+    return float(t0 + (t1 - t0) * frac.min())
+
+
+def _growth_violations(times: np.ndarray, F: np.ndarray, s: int, theta: float, tol: float) -> list[Violation]:
+    """Corollary 1 at level s on the pieces between consecutive rows.
+
+    ``F[r, a, b] = L_b - L_a - (2s-1) d(a, b)`` at ``times[r]``, so
+    ``F[r, a].max()`` is psi_s(a).  Each f_ab is linear on a piece; psi_s(a)
+    is their maximum, convex there, and rises fastest at the right end,
+    with the largest slope among the b that attain it.  A piece is flagged
+    when one of those b rose by more than (theta - 1) dt + tol over it.
+    """
+    if len(times) < 2:
+        return []
+    right = F[1:]
+    rise = right - F[:-1]
+    rise[right < right.max(axis=2, keepdims=True) - _TIE_TOL] = -np.inf  # b does not attain
+    leader = rise.argmax(axis=2)
+    excess = rise.max(axis=2) - (theta - 1.0) * np.diff(times)[:, None]
+    return [
+        Violation(
+            time=float(times[r + 1]),
+            kind="corollary1",
+            detail=(
+                f"node {a} level {s}, leader {leader[r, a]}: potential rose faster than "
+                f"the drift envelope on [{float(times[r])!r}, {float(times[r + 1])!r}] "
+                f"(excess {float(excess[r, a]):.3e})"
+            ),
+        )
+        for r, a in zip(*np.nonzero(excess > tol))
+    ]
+
+
+def corollary1_check(
+    trace: Trace, s: int, theta: float, tol: float = _CHECK_TOL, chunk: int = 4096
+) -> list[Violation]:
+    """Corollary 1 at level s: no node's potential psi_s(v) rises faster
+    than theta - 1.
+
+    Exact between samples: every clock is linear between two samples, so
+    psi_s(v) = max_w (L_w - L_v - (2s-1) d(v, w)) is convex on each piece
+    and its steepest rise is its left slope at the piece's right end.  That
+    slope is checked against theta - 1 for every node and piece, which
+    bounds psi_s(v)(t1) - psi_s(v)(t0) by (theta - 1)(t1 - t0) for every
+    pair of real instants t0 < t1, sampled or not.  ``trace_oracles``
+    makes the same check while it builds the potentials; this form reads
+    a stored trace.
     """
     if not (1 <= s <= trace.s_max):
         raise ParameterError(f"level {s} outside recorded range 1..{trace.s_max}")
     out: list[Violation] = []
-    drift_line = (theta - 1.0) * trace.times
-    for v in range(trace.n):
-        r = trace.psi_nodes[:, v, s - 1] - drift_line
-        if len(r) < 2:
-            continue
-        prefix_min = np.minimum.accumulate(r)
-        bad = np.nonzero(r[1:] > prefix_min[:-1] + tol)[0]
-        for i in bad:
-            out.append(
-                Violation(
-                    time=float(trace.times[i + 1]),
-                    kind="corollary1",
-                    detail=(
-                        f"node {v} level {s}: potential rose faster than the drift "
-                        f"envelope (excess {float(r[i + 1] - prefix_min[i]):.3e})"
-                    ),
-                )
-            )
+    for lo in range(0, len(trace), chunk):
+        rows = slice(max(lo - 1, 0), lo + chunk)  # with the left end of the chunk's first piece
+        L = trace.logical[rows]
+        F = L[:, None, :] - L[:, :, None] - (2 * s - 1) * trace.dist
+        out.extend(_growth_violations(trace.times[rows], F, s, theta, tol))
     return out
 
 
@@ -158,18 +199,34 @@ def trace_oracles(
     dist: np.ndarray,
     kappa_adj: np.ndarray,
     s_max: int,
+    theta: float,
     tol: float = _CHECK_TOL,
     chunk: int = 4096,
 ):
-    """Vectorized per-sample potentials plus the leading/trailing oracles.
+    """Vectorized per-sample potentials, the leading/trailing oracles and
+    the Corollary 1 growth check.
 
     ``kappa_adj`` is the per-edge weight matrix with +inf on non-edges.
-    Returns (psi_nodes, psi_levels, leading_nodes, violations): the
-    leading-node oracle demands the ahead node of every positive maximizing
-    pair satisfy the slow condition at that level; the trailing oracle
-    demands every node realizing a positive discounted deficit satisfy the
-    fast condition.  Both are theorems over the sampled values, so any hit
-    is an implementation bug.
+    Returns (psi_nodes, psi_levels, leading_nodes, violations).
+
+    The leading-node oracle demands that the ahead node b of every
+    positive maximizing pair (a, b) satisfy the slow condition at that
+    level; the trailing oracle demands that every node realizing a
+    positive discounted deficit satisfy the fast condition.  Both are
+    identities of the kappa-metric at any single instant, whatever the
+    clock values.  For the leading node: the node x before b on a shortest
+    path from a has d(a, x) = d(a, b) - kappa(x, b), and f_ax <= f_ab gives
+    sc1 on the edge (b, x); a neighbour y leading b by more than
+    (2s-1) kappa(b, y) would give f_ay > f_ab by the triangle inequality
+    d(a, y) <= d(a, b) + kappa(b, y), so sc2 holds.  The trailing node is
+    the mirror image (fc1, fc2).  So a hit is an implementation bug (a
+    distance matrix that is not the shortest-path metric of kappa, or a
+    wrong maximizer), and checking them only at the sample instants, which
+    need not include every message event, loses nothing.
+
+    The Corollary 1 check is the one :func:`corollary1_check` describes,
+    made on the per-level matrices built here; the first piece of each
+    chunk starts at the previous chunk's last row.
     """
     S, n = logical.shape
     psi_nodes = np.zeros((S, n, s_max))
@@ -179,13 +236,18 @@ def trace_oracles(
 
     for lo in range(0, S, chunk):
         hi = min(lo + chunk, S)
-        L = logical[lo:hi]
         B = hi - lo
+        # rows from `first` on; row `first` < lo only starts the first piece
+        first = max(lo - 1, 0)
+        own = slice(lo - first, None)
         # diff[t, a, b] = L[t, b] - L[t, a]
-        diff = L[:, None, :] - L[:, :, None]
+        diff_x = logical[first:hi, None, :] - logical[first:hi, :, None]
+        L, diff = logical[lo:hi], diff_x[own]
         for s in range(1, s_max + 1):
             c_odd = 2 * s - 1
-            M = diff - c_odd * dist[None, :, :]
+            M_x = diff_x - c_odd * dist[None, :, :]
+            violations.extend(_growth_violations(times[first:hi], M_x, s, theta, tol))
+            M = M_x[own]
             pn = M.max(axis=2)
             psi_nodes[lo:hi, :, s - 1] = pn
             lvl = pn.max(axis=1)

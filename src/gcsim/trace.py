@@ -1,10 +1,12 @@
 """Run outputs: sampled trace, violations, summary, and their file formats.
 
-The trace samples every event time, every hardware rate breakpoint and a
-fixed real-time grid.  A logical clock changes slope only at a rate
-breakpoint or at a mode change, which happens at an event, so every clock
-is linear between two samples and every pairwise difference attains its
-extrema at sampled points: the recorded extrema are exact.
+The trace samples every wakeup and evaluation, every hardware rate
+breakpoint, a fixed real-time grid and the end of the run; message
+arrivals and emits only carry readings and are not sampled.  A logical
+clock changes slope only at a rate breakpoint or at a mode change, which
+happens at a wakeup or an evaluation, so every clock is linear between two
+samples and every pairwise difference attains its extrema at sampled
+points: the recorded extrema are exact.
 """
 from __future__ import annotations
 
@@ -58,6 +60,7 @@ class Trace:
     Arrays are row-per-sample: ``logical``/``hardware`` are (S, n),
     ``modes`` (S, n) of 0/1, ``psi_nodes`` (S, n, s_max) per-node
     potentials (empty in skew-only runs), ``psi_levels`` (S, s_max).
+    ``dist`` is the (n, n) kappa-distance matrix the potentials use.
     """
 
     def __init__(
@@ -75,6 +78,7 @@ class Trace:
         measurements: list[MeasurementTruth],
         bound_local: float,
         bound_global: float,
+        dist: np.ndarray,
     ):
         self.times = times
         self.logical = logical
@@ -89,6 +93,7 @@ class Trace:
         self.measurements = measurements
         self.bound_local = bound_local
         self.bound_global = bound_global
+        self.dist = dist
 
     @property
     def n(self) -> int:

@@ -149,3 +149,31 @@ def random_suite_doc(seed: int) -> dict:
         "sim": {"horizon_cycles": 110, "sample_dt": (T + T_stab) / 3.0,
                 "master_seed": seed, "metrics": "full"},
     }
+
+
+# Nodes whose alternating clock starts at rate theta in corollary1_doc.
+_COROLLARY1_FAST_START = {0, 1, 2, 3, 6, 10, 12, 13, 14, 16, 17, 19, 20, 22, 26, 27, 30,
+                          35, 38, 39, 40, 42, 45, 46, 50, 56, 59, 60, 61, 63}
+
+
+def corollary1_doc() -> dict:
+    """A valid random-template run (n = 64, eps_d 0.1, zero offsets) on
+    which a node's potential psi_1 rises faster than theta - 1: node 23's
+    neighbour 15 runs fast on [48.36, 49.73] while node 23 runs at rate 1.
+    The document is the n = 64 row of the benchmark's sweep generator at
+    seed 43 with eps_d 0.1 and master seed 0."""
+    edge = {"fwd_delay": 1.0, "bwd_delay": 1.0, "jitter": 0.05, "eps_d": 0.1,
+            "eps_m": 0.001, "length": 1.0}
+    return {
+        "graph": {"d_max": 1.5, "template": {"kind": "random", "n": 64, "extra_edges": 16,
+                                             "seed": 127143873, "edge": edge}},
+        "clocks": {
+            "theta": 1.01,
+            "mu": 0.1,
+            "default": {"generator": "alternating", "dwell": 1000.0, "start_high": False},
+            "overrides": {str(i): {"start_high": i in _COROLLARY1_FAST_START, "initial_value": 0.0}
+                          for i in range(64)},
+        },
+        "gcs": {"T": 3.5, "T_stab": 1.5, "p_max": 0.2, "s_max": 3},
+        "sim": {"horizon_cycles": 12, "sample_dt": 1.0, "master_seed": 0, "metrics": "full"},
+    }

@@ -140,14 +140,14 @@ def test_criterion_06_potential_growth(pinned_runs):
         trace = run["res"].trace
         assert _kinds(run["res"].violations).get("corollary1", 0) == 0
         assert metrics.corollary1_check_all(trace, run["sc"].params.theta) == []
-    # negative control: an artificial potential jump must be caught
+    # negative control: an artificial clock jump must be caught
     trace = pinned_runs["line8"]["res"].trace
     corrupted = metrics.corollary1_check  # same checker, corrupted copy
-    saved = trace.psi_nodes
-    trace.psi_nodes = saved.copy()
-    trace.psi_nodes[len(trace) // 2, 0, 0] += 0.5
+    saved = trace.logical
+    trace.logical = saved.copy()
+    trace.logical[len(trace) // 2, 0] += 0.5
     flagged = corrupted(trace, 1, theta=1.001)
-    trace.psi_nodes = saved
+    trace.logical = saved
     assert flagged, "corrupted fixture must be flagged"
     _report(6, "potential growth envelope")
 

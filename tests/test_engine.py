@@ -5,7 +5,7 @@ import pytest
 
 from gcsim import engine
 from gcsim import scenario as scen
-from gcsim.clocks import FAST
+from gcsim.clocks import FAST, sample_clocks
 from gcsim.engine import DelaySampler, StreamRegistry, seeded_stream
 from gcsim.errors import ConfigError, ScenarioValidationError
 from gcsim.topology import EdgeParams, NetworkGraph
@@ -61,7 +61,9 @@ class TestDeterminism:
         doc = zero_drift_doc(symmetric=False)
         a = engine.run(scen.build_scenario(doc, seed_override=1))
         b = engine.run(scen.build_scenario(doc, seed_override=2))
-        assert not np.array_equal(a.trace.logical, b.trace.logical)
+        # zero drift: the seed moves only message times, which are not samples
+        records = lambda res: [m.record for m in res.trace.measurements]
+        assert records(a) != records(b)
 
 
 class TestRunBasics:
@@ -168,6 +170,11 @@ def assert_modes_agree(res: dict) -> None:
 class TestMetricsModes:
     """Both modes reduce the same sampled rows, chunk by chunk."""
 
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # a few rows per chunk, so that every run below spans many chunks
+        monkeypatch.setattr(engine, "_CHUNK_VALUES", 160)
+
     @pytest.mark.parametrize("name", scen.bundled_names())
     def test_bundled_scenario(self, name):
         doc = scen.load_document(name)
@@ -251,6 +258,89 @@ class TestRateBreakpoints:
         doc["sim"]["metrics"] = "skew_only"
         res = engine.run(scen.build_scenario(doc))
         assert res.summary.bound_report["max_observed_local"] == pytest.approx(0.0737, abs=1e-12)
+
+
+class TestGlobalBoundCrossing:
+    @pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 3])
+    def test_crossing_is_exact_between_samples(self, monkeypatch, chunk_values):
+        # GCS off: nodes 0 and 2 run at rate 1, node 1 at 1.001, so the
+        # global skew is (1.001 - 1) t and reaches the bound at bound / 0.001,
+        # strictly inside the piece between two samples (and two ticks).
+        # With one row per chunk the piece starts in the previous chunk.
+        monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
+        doc = antiphase_line_doc(n_nodes=3, horizon_time=3000.0, enabled=False)
+        res = run_both_modes(doc)
+        assert_modes_agree(res)
+        sc = scen.build_scenario(doc)
+        exact = sc.global_bound / (1.001 - 1.0)
+        t_cross = res["full"].summary.first_global_bound_exceed_time
+        assert t_cross == pytest.approx(exact, abs=1e-9)
+        times = res["full"].trace.times
+        i = int(np.searchsorted(times, t_cross))
+        assert times[i - 1] < t_cross < times[i]
+        dt = sc.sample_dt
+        assert (exact // dt) * dt < exact < (exact // dt + 1) * dt
+
+
+def run_recording_mode_decisions(doc):
+    """Run ``doc`` and record the real time of every wakeup and evaluation."""
+    sc = scen.build_scenario(doc)
+    sim = engine._Simulation(sc)
+    seen = []
+    for name in ("_on_wakeup", "_on_evaluate"):
+        handler = getattr(sim, name)
+        setattr(sim, name, lambda t, *args, _h=handler: (seen.append(t), _h(t, *args)))
+    return sc, sim, sim.run(), seen
+
+
+SPARSE_DOCS = {
+    "flipping": lambda: flipping_antiphase_doc("multiplicative"),
+    "additive": lambda: flipping_antiphase_doc("additive"),
+    "random_walk": lambda: random_suite_doc(2),
+    "swapped_rates": swapped_rates_doc,
+}
+
+
+class TestSparseSampling:
+    """Samples are taken only where a slope can change, and nothing is lost."""
+
+    @pytest.mark.parametrize("name", sorted(SPARSE_DOCS))
+    def test_every_sample_can_change_a_slope(self, name):
+        sc, sim, res, decisions = run_recording_mode_decisions(SPARSE_DOCS[name]())
+        times = res.trace.times
+        ticks, t = set(), sc.sample_dt
+        while t <= times[-1]:
+            ticks.add(t)
+            t += sc.sample_dt
+        breakpoints = {b for c in sim.clocks for b in c.hardware.schedule.starts[1:]}
+        allowed = set(decisions) | ticks | breakpoints | {sc.horizon_time}
+        assert set(times.tolist()) <= allowed
+        arrivals = {m.record.completed_at_real for m in res.trace.measurements}
+        assert arrivals - allowed  # some message instants are not samples
+
+    def test_end_is_sampled_when_only_a_reply_arrives_there(self):
+        # requests leave at 0, replies arrive at exactly 2.0, the horizon
+        doc = zero_drift_doc(symmetric=True)
+        doc["gcs"]["p_max"] = 0.0
+        doc["sim"].pop("horizon_cycles")
+        doc["sim"].update(horizon_time=2.0, sample_dt=5.0)
+        res = engine.run(scen.build_scenario(doc))
+        assert {m.record.completed_at_real for m in res.trace.measurements} == {2.0}
+        assert res.trace.times.tolist() == [0.0, 2.0]
+
+    @pytest.mark.parametrize("name", sorted(SPARSE_DOCS))
+    def test_dropped_instants_exceed_no_recorded_maximum(self, name):
+        _, sim, res, _ = run_recording_mode_decisions(SPARSE_DOCS[name]())
+        report = res.summary.bound_report
+        dropped = sorted(
+            {m.sent_real for m in res.trace.measurements}
+            | {m.record.completed_at_real for m in res.trace.measurements}
+        )
+        L, _ = sample_clocks(sim.clocks, np.array(dropped))
+        assert float((L.max(axis=1) - L.min(axis=1)).max()) <= report["max_observed_global"] + 1e-12
+        for rec in report["per_edge"]:
+            gap = float(np.abs(L[:, rec["u"]] - L[:, rec["v"]]).max())
+            assert gap <= rec["max_observed"] + 1e-12, (rec["u"], rec["v"])
 
 
 class TestValidationGate:

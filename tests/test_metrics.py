@@ -2,14 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcsim import engine, metrics
 from gcsim import scenario as scen
 from gcsim.errors import ParameterError
 from gcsim.topology import EdgeParams, NetworkGraph, kappa_distance_matrix, kappa_weights
+from gcsim.trace import Trace
 
 from reference import global_skew, level_potential, local_skew, potential, trailing_node
-from scenario_gen import zero_drift_doc
+from scenario_gen import corollary1_doc, zero_drift_doc
 
 
 def unit_kappa_graph(pairs, n, kappas=None):
@@ -84,7 +87,7 @@ class TestPotential:
         kappa_adj = np.full((2, 2), np.inf)
         kappa_adj[0, 1] = kappa_adj[1, 0] = kappa[(0, 1)]
         psi_nodes, psi_levels, leading, _ = metrics.trace_oracles(
-            np.zeros(1), np.array([[0.0, 5.0]]), dist, kappa_adj, 1
+            np.zeros(1), np.array([[0.0, 5.0]]), dist, kappa_adj, 1, theta=1.0
         )
         base = int(psi_nodes[0, :, 0].argmax())
         assert (base, int(leading[0])) == (0, 1)
@@ -210,14 +213,96 @@ class TestCorollary1:
 
     def test_corrupted_trace_is_flagged(self, short_run):
         trace = short_run.trace
-        trace.psi_nodes = trace.psi_nodes.copy()
-        trace.psi_nodes[len(trace) // 2, 0, 0] += 1.0
+        trace.logical = trace.logical.copy()
+        trace.logical[len(trace) // 2, 0] += 1.0
         bad = metrics.corollary1_check(trace, 1, theta=1.0)
         assert bad and all(v.kind == "corollary1" for v in bad)
 
     def test_level_out_of_range(self, short_run):
         with pytest.raises(ParameterError):
             metrics.corollary1_check(short_run.trace, 99, theta=1.0)
+
+    def test_fast_neighbour_is_flagged_on_its_piece(self):
+        sc = scen.build_scenario(corollary1_doc())
+        res = engine.run(sc)
+        hits = [v for v in res.violations if v.kind == "corollary1"]
+        assert hits
+        first = hits[0]
+        assert first.time == pytest.approx(49.727, abs=1e-3)
+        assert first.detail.startswith("node 23 level 1, leader 15:")
+        assert metrics.corollary1_check_all(res.trace, sc.params.theta) == hits
+        # chunks of two rows: every other piece starts in the previous chunk
+        trace, theta = res.trace, sc.params.theta
+        assert metrics.corollary1_check(trace, 1, theta, chunk=2) == hits
+        kappa_adj = kappa_adjacency(trace.n, sc.kappa)
+        *_, viol = metrics.trace_oracles(trace.times, trace.logical, sc.dist, kappa_adj,
+                                         sc.params.s_max, theta, chunk=2)
+        assert viol == hits
+
+    def test_check_covers_instants_between_samples(self):
+        # star around node 0 with unit distances.  psi_1(0) is 1 at both
+        # samples, but on the piece its maximiser switches from node 1 (gap
+        # falling) to node 2 (gap rising at slope 1): between the midpoint
+        # and the right end it rises by 0.5 in 0.5 s
+        trace = Trace(
+            times=np.array([0.0, 1.0]), logical=np.array([[0.0, 2.0, 1.0], [1.0, 2.0, 3.0]]),
+            hardware=np.zeros((2, 3)), modes=np.zeros((2, 3), dtype=np.int8),
+            edges=((0, 1), (0, 2)), local_skew=np.zeros(2), global_skew=np.zeros(2),
+            psi_nodes=np.zeros((2, 3, 1)), psi_levels=np.zeros((2, 1)),
+            leading_nodes=np.zeros(2, dtype=np.int64), measurements=[], bound_local=2.0,
+            bound_global=2.0, dist=np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]),
+        )
+        assert metrics.corollary1_check(trace, 1, theta=2.5) == []
+        bad = metrics.corollary1_check(trace, 1, theta=1.01)
+        assert [(v.time, v.detail.split(":")[0]) for v in bad] == [(1.0, "node 0 level 1, leader 2")]
+
+
+def kappa_adjacency(n, kappa):
+    adj = np.full((n, n), np.inf)
+    for (u, v), k_e in kappa.items():
+        adj[u, v] = adj[v, u] = k_e
+    return adj
+
+
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(2, 7))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}  # a random tree
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    pairs = sorted(pairs)
+    kappas = {p: draw(st.floats(0.05, 2.0)) for p in pairs}
+    values = draw(st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n))
+    return n, pairs, kappas, values
+
+
+class TestLeadingTrailingOracles:
+    """Both oracles are identities of the kappa-metric at a single instant."""
+
+    @given(connected_graphs(), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_no_hit_on_any_clock_values(self, graph, s_max):
+        n, pairs, kappas, values = graph
+        _, kappa, dist = unit_kappa_graph(pairs, n, kappas)
+        *_, viol = metrics.trace_oracles(
+            np.zeros(1), np.array([values]), dist, kappa_adjacency(n, kappa), s_max, theta=1.0
+        )
+        assert viol == []
+
+    @given(st.floats(0.05, 2.0), st.floats(0.05, 2.0), st.floats(0.01, 0.9), st.floats(0.0, 3.0))
+    @settings(max_examples=50, deadline=None)
+    def test_distance_breaking_the_triangle_inequality_is_caught(self, k01, k12, h, e):
+        # line 0 - 1 - 2 with d(0, 2) above k01 + k12: the maximizing pair is
+        # (0, 1), and node 2 leads the leading node 1 by k12 + h
+        _, kappa, dist = unit_kappa_graph([(0, 1), (1, 2)], 3, {(0, 1): k01, (1, 2): k12})
+        dist = dist.copy()
+        dist[0, 2] = dist[2, 0] = k01 + k12 + 1.0 + e
+        values = [0.0, k01 + 1.0, k01 + 1.0 + k12 + h]
+        *_, viol = metrics.trace_oracles(
+            np.zeros(1), np.array([values]), dist, kappa_adjacency(3, kappa), 1, theta=1.0
+        )
+        assert "leading_node_not_slow" in {v.kind for v in viol}
 
 
 class TestTraceOracleConsistency:
