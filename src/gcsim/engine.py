@@ -412,16 +412,16 @@ class _Simulation:
         np.maximum(self.edge_max, edge_gaps.max(axis=0), out=self.edge_max)
         self.max_global = max(self.max_global, float(glob.max()))
         if self.first_exceed is None:
-            exceed = np.nonzero(glob > self._global_bound + _TOL)[0]
+            # exceeding means by more than the tolerance of `global_satisfied`
+            level = self._global_bound + _TOL
+            exceed = np.nonzero(glob > level)[0]
             if len(exceed):
                 k = exceed[0]
                 if k:
                     left = times[k - 1], L[k - 1]
                 else:  # the piece starts at the previous chunk's last row
                     left = self.last_row or (times[0], L[0])
-                self.first_exceed = metrics.global_bound_crossing(
-                    *left, times[k], L[k], self._global_bound
-                )
+                self.first_exceed = metrics.global_bound_crossing(*left, times[k], L[k], level)
         self.last_row = (times[-1], L[-1])
         if self.full:
             self.chunks.append((times, L, H, local, glob))
@@ -497,7 +497,7 @@ class _Simulation:
             for (u, v), k_e in sc.kappa.items():
                 kappa_adj[u, v] = k_e
                 kappa_adj[v, u] = k_e
-            psi_nodes, psi_levels, leading, oracle_viol = metrics.trace_oracles(
+            psi_levels, leading, oracle_viol = metrics.trace_oracles(
                 times, L, sc.dist, kappa_adj, sc.params.s_max, sc.params.theta
             )
             self.violations.extend(oracle_viol)
@@ -517,7 +517,6 @@ class _Simulation:
                 edges=edges,
                 local_skew=local,
                 global_skew=glob,
-                psi_nodes=psi_nodes,
                 psi_levels=psi_levels,
                 leading_nodes=leading,
                 measurements=self.measurements,
@@ -535,7 +534,6 @@ class _Simulation:
                 edges=edges,
                 local_skew=empty,
                 global_skew=empty,
-                psi_nodes=np.zeros((0, n, sc.params.s_max)),
                 psi_levels=np.zeros((0, sc.params.s_max)),
                 leading_nodes=np.zeros(0, dtype=np.int64),
                 measurements=[],

@@ -112,77 +112,103 @@ def theorem3_bound(dist: np.ndarray, sigma: float) -> float:
 # Trace-wide checks
 
 
-def global_bound_crossing(t0: float, L0: np.ndarray, t1: float, L1: np.ndarray, bound: float) -> float:
-    """Earliest instant of [t0, t1] at which the global skew reaches ``bound``.
+def global_bound_crossing(t0: float, L0: np.ndarray, t1: float, L1: np.ndarray, level: float) -> float:
+    """Earliest instant of [t0, t1] at which the global skew reaches ``level``.
 
     ``L0`` and ``L1`` are every logical clock at t0 and at t1, which end
-    the first piece whose right end exceeds the bound.  Every clock is
+    the first piece whose right end exceeds the level.  Every clock is
     linear on the piece, so every gap L_b - L_a is too, and the global
-    skew, their maximum, first reaches the bound where the earliest of the
+    skew, their maximum, first reaches the level where the earliest of the
     gaps that end above it does.  O(n^2).
     """
     f0 = L0[None, :] - L0[:, None]
-    if f0.max() >= bound:
+    if f0.max() >= level:
         return float(t0)
     f1 = L1[None, :] - L1[:, None]
-    up = f1 > bound
-    frac = (bound - f0[up]) / (f1[up] - f0[up])
+    up = f1 > level
+    frac = (level - f0[up]) / (f1[up] - f0[up])
     return float(t0 + (t1 - t0) * frac.min())
 
 
-def _growth_violations(times: np.ndarray, F: np.ndarray, s: int, theta: float, tol: float) -> list[Violation]:
-    """Corollary 1 at level s on the pieces between consecutive rows.
+# Rows per block of the trace-wide checks; bounds their (rows, n, n) temporaries.
+_ORACLE_CHUNK = 4096
 
-    ``F[r, a, b] = L_b - L_a - (2s-1) d(a, b)`` at ``times[r]``, so
-    ``F[r, a].max()`` is psi_s(a).  Each f_ab is linear on a piece; psi_s(a)
-    is their maximum, convex there, and rises fastest at the right end,
-    with the largest slope among the b that attain it.  A piece is flagged
-    when one of those b rose by more than (theta - 1) dt + tol over it.
+
+def _growth_violations(
+    times: np.ndarray, F: np.ndarray, psi: np.ndarray, s: int, theta: float, tol: float,
+    floor: np.ndarray | None,
+) -> tuple[list[Violation], np.ndarray]:
+    """Corollary 1 at level s over the rows of one block.
+
+    ``F[r, a, b] = L_b - L_a - (2s-1) d(a, b)`` at ``times[r]`` and
+    ``psi[r, a] = F[r, a].max()`` is psi_s(a).  With g_a(t) = psi_s(a)(t)
+    - (theta - 1) t, the statement is g_a(t1) - g_a(t0) <= tol for every
+    pair of real instants t0 < t1.
+
+    Each f_ab is linear on a piece, so g_a is convex there.  ``excess`` is
+    its left slope at the right end times the piece length: the largest
+    rise over the piece among the b that attain psi_s(a) at the right end,
+    less (theta - 1) dt.  On the piece, g_a is at most its value at one of
+    the ends, and at least its value at the right end less max(excess, 0).
+    ``floor`` is the running minimum of these lower bounds, so it lies at
+    or below g_a at every real instant up to the row; a row is flagged when
+    g_a there exceeds it by more than tol.  One tol then covers every pair
+    t0 < t1, however many pieces lie between them.  Where g_a does not
+    rise on any piece, the floor is just g_a's running minimum.
+
+    ``floor`` carries the floor at ``times[0]`` from the previous block,
+    or is None at the start of the trace.  Returns the violations of the
+    pieces that end at rows 1.. and the floor at the last row.
     """
+    g = psi - (theta - 1.0) * times[:, None]
+    start = g[0] if floor is None else floor
     if len(times) < 2:
-        return []
+        return [], start
     right = F[1:]
     rise = right - F[:-1]
-    rise[right < right.max(axis=2, keepdims=True) - _TIE_TOL] = -np.inf  # b does not attain
+    rise[right < psi[1:, :, None] - _TIE_TOL] = -np.inf  # b does not attain
     leader = rise.argmax(axis=2)
     excess = rise.max(axis=2) - (theta - 1.0) * np.diff(times)[:, None]
+    low = g[1:] - np.maximum(excess, 0.0)
+    floors = np.minimum.accumulate(np.vstack([start[None, :], low]), axis=0)[1:]
+    above = g[1:] - floors
     return [
         Violation(
             time=float(times[r + 1]),
             kind="corollary1",
             detail=(
                 f"node {a} level {s}, leader {leader[r, a]}: potential rose faster than "
-                f"the drift envelope on [{float(times[r])!r}, {float(times[r + 1])!r}] "
-                f"(excess {float(excess[r, a]):.3e})"
+                f"the drift envelope, by {float(above[r, a]):.3e} at the end of the piece "
+                f"[{float(times[r])!r}, {float(times[r + 1])!r}]"
             ),
         )
-        for r, a in zip(*np.nonzero(excess > tol))
-    ]
+        for r, a in zip(*np.nonzero(above > tol))
+    ], floors[-1]
 
 
-def corollary1_check(
-    trace: Trace, s: int, theta: float, tol: float = _CHECK_TOL, chunk: int = 4096
-) -> list[Violation]:
+def corollary1_check(trace: Trace, s: int, theta: float, tol: float = _CHECK_TOL) -> list[Violation]:
     """Corollary 1 at level s: no node's potential psi_s(v) rises faster
     than theta - 1.
 
-    Exact between samples: every clock is linear between two samples, so
-    psi_s(v) = max_w (L_w - L_v - (2s-1) d(v, w)) is convex on each piece
-    and its steepest rise is its left slope at the piece's right end.  That
-    slope is checked against theta - 1 for every node and piece, which
-    bounds psi_s(v)(t1) - psi_s(v)(t0) by (theta - 1)(t1 - t0) for every
-    pair of real instants t0 < t1, sampled or not.  ``trace_oracles``
-    makes the same check while it builds the potentials; this form reads
-    a stored trace.
+    The statement checked is psi_s(v)(t1) - psi_s(v)(t0) <= (theta - 1)
+    (t1 - t0) + tol for every node v and every pair of real instants
+    t0 < t1, sampled or not.  It is exact between samples: every clock is
+    linear between two samples, so psi_s(v) = max_w (L_w - L_v - (2s-1)
+    d(v, w)) is convex on each piece, with its steepest rise at the piece's
+    right end (see ``_growth_violations``).  ``trace_oracles`` makes the
+    same check while it builds the potentials; this form reads a stored
+    trace.
     """
     if not (1 <= s <= trace.s_max):
         raise ParameterError(f"level {s} outside recorded range 1..{trace.s_max}")
     out: list[Violation] = []
-    for lo in range(0, len(trace), chunk):
-        rows = slice(max(lo - 1, 0), lo + chunk)  # with the left end of the chunk's first piece
+    floor = None
+    for lo in range(0, len(trace), _ORACLE_CHUNK):
+        rows = slice(max(lo - 1, 0), lo + _ORACLE_CHUNK)  # with the left end of the chunk's first piece
         L = trace.logical[rows]
         F = L[:, None, :] - L[:, :, None] - (2 * s - 1) * trace.dist
-        out.extend(_growth_violations(trace.times[rows], F, s, theta, tol))
+        viol, floor = _growth_violations(trace.times[rows], F, F.max(axis=2), s, theta, tol, floor)
+        out.extend(viol)
     return out
 
 
@@ -201,13 +227,12 @@ def trace_oracles(
     s_max: int,
     theta: float,
     tol: float = _CHECK_TOL,
-    chunk: int = 4096,
 ):
-    """Vectorized per-sample potentials, the leading/trailing oracles and
-    the Corollary 1 growth check.
+    """Vectorized per-sample level potentials, the leading/trailing oracles
+    and the Corollary 1 growth check.
 
     ``kappa_adj`` is the per-edge weight matrix with +inf on non-edges.
-    Returns (psi_nodes, psi_levels, leading_nodes, violations).
+    Returns (psi_levels, leading_nodes, violations).
 
     The leading-node oracle demands that the ahead node b of every
     positive maximizing pair (a, b) satisfy the slow condition at that
@@ -226,16 +251,17 @@ def trace_oracles(
 
     The Corollary 1 check is the one :func:`corollary1_check` describes,
     made on the per-level matrices built here; the first piece of each
-    chunk starts at the previous chunk's last row.
+    chunk starts at the previous chunk's last row, and each level's floor
+    is carried from chunk to chunk.
     """
     S, n = logical.shape
-    psi_nodes = np.zeros((S, n, s_max))
     psi_levels = np.zeros((S, s_max))
     leading = np.zeros(S, dtype=np.int64)
     violations: list[Violation] = []
+    floors = [None] * s_max
 
-    for lo in range(0, S, chunk):
-        hi = min(lo + chunk, S)
+    for lo in range(0, S, _ORACLE_CHUNK):
+        hi = min(lo + _ORACLE_CHUNK, S)
         B = hi - lo
         # rows from `first` on; row `first` < lo only starts the first piece
         first = max(lo - 1, 0)
@@ -246,16 +272,16 @@ def trace_oracles(
         for s in range(1, s_max + 1):
             c_odd = 2 * s - 1
             M_x = diff_x - c_odd * dist[None, :, :]
-            violations.extend(_growth_violations(times[first:hi], M_x, s, theta, tol))
+            pn_x = M_x.max(axis=2)
+            viol, floors[s - 1] = _growth_violations(
+                times[first:hi], M_x, pn_x, s, theta, tol, floors[s - 1]
+            )
+            violations.extend(viol)
             M = M_x[own]
-            pn = M.max(axis=2)
-            psi_nodes[lo:hi, :, s - 1] = pn
-            lvl = pn.max(axis=1)
+            lvl = pn_x[own].max(axis=1)
             psi_levels[lo:hi, s - 1] = lvl
 
-            flat = M.reshape(B, -1).argmax(axis=1)
-            base = flat // n
-            lead = flat % n
+            lead = M.reshape(B, -1).argmax(axis=1) % n
             if s == 1:
                 leading[lo:hi] = lead
             active = lvl > tol
@@ -300,7 +326,7 @@ def trace_oracles(
                             ),
                         )
                     )
-    return psi_nodes, psi_levels, leading, violations
+    return psi_levels, leading, violations
 
 
 @dataclass

@@ -58,9 +58,9 @@ class Trace:
     """Time-ordered run record.
 
     Arrays are row-per-sample: ``logical``/``hardware`` are (S, n),
-    ``modes`` (S, n) of 0/1, ``psi_nodes`` (S, n, s_max) per-node
-    potentials (empty in skew-only runs), ``psi_levels`` (S, s_max).
-    ``dist`` is the (n, n) kappa-distance matrix the potentials use.
+    ``modes`` (S, n) of 0/1, ``psi_levels`` (S, s_max) level potentials
+    (empty in skew-only runs).  ``dist`` is the (n, n) kappa-distance
+    matrix the potentials use.
     """
 
     def __init__(
@@ -72,7 +72,6 @@ class Trace:
         edges: tuple[tuple[int, int], ...],
         local_skew: np.ndarray,
         global_skew: np.ndarray,
-        psi_nodes: np.ndarray,
         psi_levels: np.ndarray,
         leading_nodes: np.ndarray,
         measurements: list[MeasurementTruth],
@@ -87,7 +86,6 @@ class Trace:
         self.edges = edges
         self.local_skew = local_skew
         self.global_skew = global_skew
-        self.psi_nodes = psi_nodes
         self.psi_levels = psi_levels
         self.leading_nodes = leading_nodes
         self.measurements = measurements

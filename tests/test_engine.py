@@ -53,7 +53,7 @@ class TestDeterminism:
         b = engine.run(scen.build_scenario(random_suite_doc(2)))
         assert np.array_equal(a.trace.times, b.trace.times)
         assert np.array_equal(a.trace.logical, b.trace.logical)
-        assert np.array_equal(a.trace.psi_nodes, b.trace.psi_nodes)
+        assert np.array_equal(a.trace.psi_levels, b.trace.psi_levels)
         assert a.violations == b.violations
         assert a.summary.to_dict() == b.summary.to_dict()
 
@@ -196,7 +196,7 @@ class TestMetricsModes:
 
 
 TRACE_ARRAYS = ("times", "logical", "hardware", "modes", "local_skew", "global_skew",
-                "psi_nodes", "psi_levels", "leading_nodes")
+                "psi_levels", "leading_nodes")
 
 
 def flipping_antiphase_doc(semantics: str) -> dict:
@@ -264,15 +264,17 @@ class TestGlobalBoundCrossing:
     @pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 3])
     def test_crossing_is_exact_between_samples(self, monkeypatch, chunk_values):
         # GCS off: nodes 0 and 2 run at rate 1, node 1 at 1.001, so the
-        # global skew is (1.001 - 1) t and reaches the bound at bound / 0.001,
-        # strictly inside the piece between two samples (and two ticks).
-        # With one row per chunk the piece starts in the previous chunk.
+        # global skew is (1.001 - 1) t.  It exceeds the bound by the check
+        # tolerance at (bound + tol) / 0.001, strictly inside the piece
+        # between two samples (and two ticks).  With one row per chunk the
+        # piece starts in the previous chunk.
         monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
         doc = antiphase_line_doc(n_nodes=3, horizon_time=3000.0, enabled=False)
         res = run_both_modes(doc)
         assert_modes_agree(res)
+        assert not res["full"].summary.bound_report["global_satisfied"]
         sc = scen.build_scenario(doc)
-        exact = sc.global_bound / (1.001 - 1.0)
+        exact = (sc.global_bound + engine._TOL) / (1.001 - 1.0)
         t_cross = res["full"].summary.first_global_bound_exceed_time
         assert t_cross == pytest.approx(exact, abs=1e-9)
         times = res["full"].trace.times
@@ -280,6 +282,19 @@ class TestGlobalBoundCrossing:
         assert times[i - 1] < t_cross < times[i]
         dt = sc.sample_dt
         assert (exact // dt) * dt < exact < (exact // dt + 1) * dt
+
+    def test_skew_within_the_tolerance_is_no_crossing(self):
+        # the run ends with the global skew above the bound by half the
+        # tolerance: the bound counts as met, and so it is not crossed
+        doc = antiphase_line_doc(n_nodes=3, horizon_time=3000.0, enabled=False)
+        bound = scen.build_scenario(doc).global_bound
+        doc["sim"]["horizon_time"] = (bound + engine._TOL / 2) / (1.001 - 1.0)
+        res = run_both_modes(doc)
+        assert_modes_agree(res)
+        report = res["full"].summary.bound_report
+        assert bound < report["max_observed_global"] <= bound + engine._TOL
+        assert report["global_satisfied"]
+        assert res["full"].summary.first_global_bound_exceed_time is None
 
 
 def run_recording_mode_decisions(doc):

@@ -86,12 +86,14 @@ class TestPotential:
         _, kappa, dist = unit_kappa_graph([(0, 1)], 2)
         kappa_adj = np.full((2, 2), np.inf)
         kappa_adj[0, 1] = kappa_adj[1, 0] = kappa[(0, 1)]
-        psi_nodes, psi_levels, leading, _ = metrics.trace_oracles(
-            np.zeros(1), np.array([[0.0, 5.0]]), dist, kappa_adj, 1, theta=1.0
+        values = [0.0, 5.0]
+        psi_levels, leading, _ = metrics.trace_oracles(
+            np.zeros(1), np.array([values]), dist, kappa_adj, 1, theta=1.0
         )
-        base = int(psi_nodes[0, :, 0].argmax())
+        level, base = level_potential(values, dist, 1)
         assert (base, int(leading[0])) == (0, 1)
-        assert psi_levels[0, 0] == pytest.approx(4.0)
+        assert psi_levels[0, 0] == pytest.approx(level)
+        assert level == pytest.approx(4.0)
 
 
 class TestConditions:
@@ -222,7 +224,7 @@ class TestCorollary1:
         with pytest.raises(ParameterError):
             metrics.corollary1_check(short_run.trace, 99, theta=1.0)
 
-    def test_fast_neighbour_is_flagged_on_its_piece(self):
+    def test_fast_neighbour_is_flagged_on_its_piece(self, monkeypatch):
         sc = scen.build_scenario(corollary1_doc())
         res = engine.run(sc)
         hits = [v for v in res.violations if v.kind == "corollary1"]
@@ -232,11 +234,12 @@ class TestCorollary1:
         assert first.detail.startswith("node 23 level 1, leader 15:")
         assert metrics.corollary1_check_all(res.trace, sc.params.theta) == hits
         # chunks of two rows: every other piece starts in the previous chunk
+        monkeypatch.setattr(metrics, "_ORACLE_CHUNK", 2)
         trace, theta = res.trace, sc.params.theta
-        assert metrics.corollary1_check(trace, 1, theta, chunk=2) == hits
+        assert metrics.corollary1_check_all(trace, theta) == hits
         kappa_adj = kappa_adjacency(trace.n, sc.kappa)
         *_, viol = metrics.trace_oracles(trace.times, trace.logical, sc.dist, kappa_adj,
-                                         sc.params.s_max, theta, chunk=2)
+                                         sc.params.s_max, theta)
         assert viol == hits
 
     def test_check_covers_instants_between_samples(self):
@@ -244,17 +247,42 @@ class TestCorollary1:
         # samples, but on the piece its maximiser switches from node 1 (gap
         # falling) to node 2 (gap rising at slope 1): between the midpoint
         # and the right end it rises by 0.5 in 0.5 s
-        trace = Trace(
-            times=np.array([0.0, 1.0]), logical=np.array([[0.0, 2.0, 1.0], [1.0, 2.0, 3.0]]),
-            hardware=np.zeros((2, 3)), modes=np.zeros((2, 3), dtype=np.int8),
-            edges=((0, 1), (0, 2)), local_skew=np.zeros(2), global_skew=np.zeros(2),
-            psi_nodes=np.zeros((2, 3, 1)), psi_levels=np.zeros((2, 1)),
-            leading_nodes=np.zeros(2, dtype=np.int64), measurements=[], bound_local=2.0,
-            bound_global=2.0, dist=np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]),
+        trace = stored_trace(
+            np.array([0.0, 1.0]), np.array([[0.0, 2.0, 1.0], [1.0, 2.0, 3.0]]),
+            np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]),
         )
         assert metrics.corollary1_check(trace, 1, theta=2.5) == []
         bad = metrics.corollary1_check(trace, 1, theta=1.01)
         assert [(v.time, v.detail.split(":")[0]) for v in bad] == [(1.0, "node 0 level 1, leader 2")]
+
+    @pytest.mark.parametrize("chunk", [4096, 7])
+    def test_small_excess_sustained_over_many_pieces_is_flagged(self, monkeypatch, chunk):
+        # psi_1(0) = L_1 - L_0 - 1 rises at (theta - 1) + 1e-10 over 1000
+        # one-second pieces: 1e-10 over the envelope on each piece, far below
+        # the tolerance, but 1e-7 over the run
+        monkeypatch.setattr(metrics, "_ORACLE_CHUNK", chunk)
+        theta = 1.01
+        t = np.arange(1001.0)
+        dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+        exact = stored_trace(t, np.column_stack([t, 1.0 + theta * t]), dist)
+        assert metrics.corollary1_check(exact, 1, theta) == []
+        excess = stored_trace(t, np.column_stack([t, 1.0 + (theta + 1e-10) * t]), dist)
+        bad = metrics.corollary1_check(excess, 1, theta)
+        assert bad and all(v.detail.startswith("node 0 level 1, leader 1:") for v in bad)
+        assert bad[0].time == pytest.approx(11.0, abs=1.0)  # where the rise first tops 1e-9
+        assert bad[-1].time == 1000.0
+
+
+def stored_trace(times, logical, dist):
+    """A full-mode trace of the given clock values, for the stored-trace checks."""
+    S, n = logical.shape
+    return Trace(
+        times=times, logical=logical, hardware=np.zeros((S, n)),
+        modes=np.zeros((S, n), dtype=np.int8), edges=((0, 1),), local_skew=np.zeros(S),
+        global_skew=np.zeros(S), psi_levels=np.zeros((S, 1)),
+        leading_nodes=np.zeros(S, dtype=np.int64), measurements=[], bound_local=2.0,
+        bound_global=2.0, dist=dist,
+    )
 
 
 def kappa_adjacency(n, kappa):
@@ -315,10 +343,9 @@ class TestTraceOracleConsistency:
         for i in rng.integers(0, len(trace), size=20):
             values = list(trace.logical[int(i)])
             for s in range(1, trace.s_max + 1):
-                for v in range(trace.n):
-                    assert trace.psi_nodes[int(i), v, s - 1] == pytest.approx(
-                        potential(values, dist, v, s), abs=1e-9
-                    )
+                assert trace.psi_levels[int(i), s - 1] == pytest.approx(
+                    level_potential(values, dist, s)[0], abs=1e-9
+                )
             assert trace.local_skew[int(i)] == pytest.approx(
                 local_skew(values, trace.edges), abs=1e-12
             )
