@@ -15,6 +15,8 @@ import sys
 from dataclasses import replace
 from importlib import resources
 
+import numpy as np
+
 from .engine import Scenario, seeded_stream
 from .errors import ScenarioParseError, ScenarioValidationError
 from .gcs import GcsParams
@@ -52,6 +54,9 @@ _GEN_KEYS = {
 }
 _NODE_COMMON_KEYS = {"generator", "initial_value"}
 _INT_KINDS = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+# pairs compared per block of the boot-up gate (the temporaries are a few
+# of these as float64)
+_GATE_BLOCK = 1 << 16
 
 
 def bundled_names() -> list[str]:
@@ -276,6 +281,27 @@ def section_problems(doc: dict) -> list[str]:
     return problems
 
 
+def _boot_up_problems(init: list, dist: np.ndarray) -> list[str]:
+    """Boot-up gate: every pair of clocks must start within its path error
+    budget, |init_v - init_w| <= d(v, w).  One message per violating pair
+    v < w, in row-major order, compared as float64 a block of rows at a time."""
+    n = len(init)
+    values = np.array(init, dtype=float)
+    rows = max(1, _GATE_BLOCK // n)
+    problems = []
+    for r0 in range(0, n, rows):
+        block = slice(r0, min(r0 + rows, n))
+        bad = np.abs(values[block, None] - values) > dist[block] + 1e-12
+        bad &= np.arange(n) > np.arange(r0, block.stop)[:, None]
+        for v, w in zip(*np.nonzero(bad)):
+            v, w = int(v) + r0, int(w)
+            problems.append(
+                f"initial synchronisation violated for pair ({v},{w}): "
+                f"|{init[v]!r} - {init[w]!r}| > {float(dist[v, w])!r}"
+            )
+    return problems
+
+
 def validate_document(doc: dict) -> tuple[dict, list[str]]:
     """Check and convert an expanded document in one pass.
 
@@ -404,14 +430,7 @@ def validate_document(doc: dict) -> tuple[dict, list[str]]:
         return {}, problems
 
     dist = kappa_distance_matrix(g, kappa)
-    # boot-up gate: neighbouring clocks must start within the path error budget
-    for v in range(n):
-        for w in range(v + 1, n):
-            if abs(init[v] - init[w]) > dist[v, w] + 1e-12:
-                problems.append(
-                    f"initial synchronisation violated for pair ({v},{w}): "
-                    f"|{init[v]!r} - {init[w]!r}| > {float(dist[v, w])!r}"
-                )
+    problems.extend(_boot_up_problems(init, dist))
     if s_max is None:
         g_bound = theorem3_bound(dist, params.sigma)
         levels = theorem2_levels(min(kappa.values()), g_bound, params.sigma)

@@ -10,7 +10,6 @@ kappa-weighted graph.
 """
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -195,28 +194,61 @@ def kappa_weights(g: NetworkGraph, theta: float) -> dict[tuple[int, int], float]
     return {(u, v): edge_kappa(p, theta) for u, v, p in g.edges}
 
 
-def _dijkstra(g: NetworkGraph, kappa: dict[tuple[int, int], float], src: int) -> list[float]:
-    dist = [float("inf")] * g.n
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    done = [False] * g.n
-    while heap:
-        d, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        for w in g.neighbors(v):
-            k = kappa[(min(v, w), max(v, w))]
-            nd = d + k
-            if nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return dist
-
-
 def kappa_distance_matrix(g: NetworkGraph, kappa: dict[tuple[int, int], float]) -> np.ndarray:
-    """All-pairs kappa-weighted shortest-path distances (dense n x n)."""
-    out = np.empty((g.n, g.n), dtype=float)
-    for src in range(g.n):
-        out[src, :] = _dijkstra(g, kappa, src)
-    return out
+    """All-pairs kappa-weighted shortest-path distances (dense n x n).
+
+    ``out[s, v]`` is d(s, v): the least kappa sum over paths from s to v,
+    accumulated from the source outward as d(s, u) + kappa(u, v), or +inf
+    where v is unreachable.  It is computed by an all-sources Bellman-Ford
+    over arrays.  ``dt[v, s]`` holds the current d(s, v), starting at +inf
+    with a zero diagonal.  The 2m directed edges are sorted by head and
+    split into in-degree slots: slot j holds the j-th incoming edge of every
+    node that has one, so no head repeats within a slot.  A round relaxes
+    every slot in place, ``dt[v] = min(dt[v], dt[u] + kappa(u, v))``.
+    Rounds stop after the first one that changes nothing, at most n of them.
+
+    The result is bit for bit the one of a Dijkstra run from every source,
+    because every candidate is formed as Dijkstra forms it, d(s, u) +
+    kappa(u, v), and rounded float addition is monotone: a <= b gives
+    a + k <= b + k, so each relaxation is a monotone map.
+    - The limit L has L(v) <= L(u) + kappa(u, v) on every edge, so L is at
+      most every source-ordered path sum.  Dijkstra's value is one: the sum
+      along its predecessor path, of at most n - 1 edges, so n - 1 rounds
+      reach it and round n changes nothing.
+    - Dijkstra's result D is a fixed point of every relaxation, since each
+      settled d(s, u) was relaxed into all of u's neighbours, and D lies
+      below the start.  Monotone maps keep every round at or above D.
+    So L equals D exactly.
+    """
+    n = g.n
+    dt = np.full((n, n), np.inf)
+    np.fill_diagonal(dt, 0.0)
+    if g.edges:
+        heads, tails, weights = [], [], []
+        for u, v, _ in g.edges:
+            k = kappa[(u, v)]
+            heads += (v, u)
+            tails += (u, v)
+            weights += (k, k)
+        heads, tails, weights = np.array(heads), np.array(tails), np.array(weights)
+        order = np.argsort(heads, kind="stable")
+        heads, tails, weights = heads[order], tails[order], weights[order]
+        # rank of each edge among the edges entering its head
+        first = np.searchsorted(heads, heads)
+        rank = np.arange(heads.size) - first
+        slots = []
+        for j in range(int(rank.max()) + 1):
+            sel = rank == j
+            slots.append((heads[sel], tails[sel], weights[sel, None]))
+        for _ in range(n):
+            changed = False
+            for dst, src, k in slots:
+                cand = dt[src]
+                cand += k
+                cur = dt[dst]
+                if (cand < cur).any():
+                    changed = True
+                    dt[dst] = np.minimum(cur, cand, out=cand)
+            if not changed:
+                break
+    return np.ascontiguousarray(dt.T)

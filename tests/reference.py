@@ -2,10 +2,14 @@
 
 Plain-Python, one-instant versions of what the engine computes vectorized
 (clock samples, skews, potentials, the trailing-node test) or over whole
-traces (the hardware drift envelope), and the row-by-row trace writer.
-Tests check the engine against them; the package itself does not use them.
+traces (the hardware drift envelope), the row-by-row trace writer, the
+per-source Dijkstra behind the kappa distance matrix and the pair-by-pair
+boot-up gate.  Tests check the engine against them; the package itself
+does not use them.
 """
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -111,3 +115,41 @@ def write_trace_csv(trace: Trace, path) -> None:
             row += [_fmt(trace.psi_levels[i, s]) for s in range(s_max)]
             row += [bl, bg]
             fh.write(",".join(row) + "\n")
+
+
+def dijkstra(g, kappa: dict[tuple[int, int], float], src: int) -> list[float]:
+    """kappa distances from ``src``, each accumulated as d(src, u) + kappa(u, v)."""
+    dist = [float("inf")] * g.n
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    done = [False] * g.n
+    while heap:
+        d, v = heapq.heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        for w in g.neighbors(v):
+            nd = d + kappa[(min(v, w), max(v, w))]
+            if nd < dist[w]:
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return dist
+
+
+def dijkstra_matrix(g, kappa: dict[tuple[int, int], float]) -> np.ndarray:
+    """All-pairs kappa distances, one Dijkstra per source row."""
+    return np.array([dijkstra(g, kappa, src) for src in range(g.n)], dtype=float)
+
+
+def boot_up_gate(init, dist: np.ndarray) -> list[str]:
+    """Initial-synchronisation messages, one per violating pair (v < w), row-major."""
+    n = len(init)
+    problems = []
+    for v in range(n):
+        for w in range(v + 1, n):
+            if abs(init[v] - init[w]) > dist[v, w] + 1e-12:
+                problems.append(
+                    f"initial synchronisation violated for pair ({v},{w}): "
+                    f"|{init[v]!r} - {init[w]!r}| > {float(dist[v, w])!r}"
+                )
+    return problems

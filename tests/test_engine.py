@@ -10,6 +10,7 @@ from gcsim.engine import DelaySampler, StreamRegistry, seeded_stream
 from gcsim.errors import ConfigError, ScenarioValidationError
 from gcsim.topology import EdgeParams, NetworkGraph
 
+from reference import boot_up_gate
 from scenario_gen import antiphase_line_doc, random_suite_doc, zero_drift_doc
 
 
@@ -365,6 +366,27 @@ class TestValidationGate:
         with pytest.raises(ScenarioValidationError) as err:
             scen.build_scenario(doc)
         assert any("initial synchronisation" in p for p in err.value.problems)
+
+    @pytest.mark.parametrize("block", [None, 1, 10])
+    def test_gate_messages_match_pair_loop(self, monkeypatch, block):
+        # several violating pairs, gated in one block, one row a block and
+        # two rows a block; an integer initial value is read as a float
+        if block is not None:
+            monkeypatch.setattr(scen, "_GATE_BLOCK", block)
+        init = [0.0, 50, 0.01, 7.25, 0.03]
+        doc = zero_drift_doc(True)
+        doc["graph"]["edges"] += [{**doc["graph"]["edges"][0], "u": 2, "v": 3},
+                                  {**doc["graph"]["edges"][0], "u": 3, "v": 4}]
+        doc["clocks"]["overrides"] = {str(i): {"initial_value": v} for i, v in enumerate(init)}
+        doc["graph"]["nodes"] = len(init)
+        with pytest.raises(ScenarioValidationError) as err:
+            scen.build_scenario(doc)
+        doc["clocks"]["overrides"] = {}
+        dist = scen.build_scenario(doc).dist
+        expected = boot_up_gate([float(v) for v in init], dist)
+        assert len(expected) >= 3
+        assert err.value.problems == expected
+        assert not any("np." in p for p in err.value.problems)
 
     def test_T_below_timeout_rejected(self):
         doc = zero_drift_doc(True)

@@ -4,7 +4,10 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gcsim import scenario as scen
 from gcsim.errors import ParameterError
 from gcsim.topology import (
     EdgeParams,
@@ -14,6 +17,8 @@ from gcsim.topology import (
     kappa_weights,
     validate_graph,
 )
+
+from reference import dijkstra_matrix
 
 
 def simple_edge(**kw):
@@ -227,3 +232,83 @@ class TestMetricProperties:
         diam = hops.max()
         for v, w in itertools.combinations(range(8), 2):
             assert hops[v, w] == bfs_oracle(8, pairs, v)[w] <= diam
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A random connected graph with random link parameters and theta."""
+    n = draw(st.integers(1, 12))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}  # a random tree
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    pos = st.floats(0.01, 3.0)
+    edges = [
+        (u, v, EdgeParams(fwd_delay=draw(pos), bwd_delay=draw(pos), jitter=draw(st.floats(0.0, 0.5)),
+                          eps_d=draw(st.floats(0.0, 0.5)), eps_m=draw(st.floats(0.0, 0.5))))
+        for u, v in sorted(pairs)
+    ]
+    g = NetworkGraph.build(n, edges, d_max=10.0)
+    return g, kappa_weights(g, draw(st.floats(1.0, 1.1)))
+
+
+class TestBitIdenticalToDijkstra:
+    """The array relaxation returns Dijkstra's matrix exactly, not approximately:
+    every entry is the same rounded source-outward path sum."""
+
+    @given(weighted_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs(self, graph):
+        g, kappa = graph
+        assert np.array_equal(kappa_distance_matrix(g, kappa), dijkstra_matrix(g, kappa))
+
+    def test_exact_tie_with_different_float_sums(self):
+        # 0.1 + 0.2 rounds above 0.3: the direct edge wins from either end
+        g = graph_from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+        kappa = {(0, 1): 0.1, (1, 2): 0.2, (0, 2): 0.3}
+        dist = kappa_distance_matrix(g, kappa)
+        assert dist[0, 2] == dist[2, 0] == 0.3
+        assert np.array_equal(dist, dijkstra_matrix(g, kappa))
+
+    def test_accumulation_order_follows_the_source(self):
+        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 round differently, so the
+        # line's matrix is not symmetric, exactly as Dijkstra's is not
+        g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+        kappa = {(0, 1): 0.1, (1, 2): 0.2, (2, 3): 0.3}
+        dist = kappa_distance_matrix(g, kappa)
+        assert dist[0, 3] == (0.1 + 0.2) + 0.3 != dist[3, 0] == (0.3 + 0.2) + 0.1
+        assert np.array_equal(dist, dijkstra_matrix(g, kappa))
+
+    def test_disconnected_graph_has_matching_inf(self):
+        g = graph_from_pairs(5, [(0, 1), (2, 3), (3, 4)])
+        kappa = {(0, 1): 0.5, (2, 3): 0.25, (3, 4): 0.7}
+        dist = kappa_distance_matrix(g, kappa)
+        assert np.isinf(dist[0, 2]) and np.isinf(dist[4, 1])
+        assert np.array_equal(dist, dijkstra_matrix(g, kappa))
+
+    def test_single_node(self):
+        g = NetworkGraph.build(1, [], d_max=1.0)
+        assert np.array_equal(kappa_distance_matrix(g, {}), np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("name", scen.bundled_names())
+    def test_bundled_scenarios(self, name):
+        sc = scen.load_scenario(name)
+        assert np.array_equal(sc.dist, dijkstra_matrix(sc.graph, sc.kappa))
+
+    def test_benchmark_shaped_random_graph(self):
+        # the benchmark's n = 256 random template: uniform links, so many exact ties
+        edge = {"fwd_delay": 1.0, "bwd_delay": 1.0, "jitter": 0.05, "eps_d": 0.1, "eps_m": 0.001}
+        sc = scen.build_scenario({
+            "graph": {"d_max": 1.5, "template": {"kind": "random", "n": 256, "extra_edges": 128,
+                                                 "seed": 5, "edge": edge}},
+            "clocks": {"theta": 1.01, "mu": 0.1,
+                       "default": {"generator": "alternating", "dwell": 1000.0, "start_high": False}},
+            "gcs": {"T": 3.5, "T_stab": 1.5, "p_max": 0.2},
+            "sim": {"horizon_cycles": 6, "sample_dt": 1.0, "master_seed": 1, "metrics": "skew_only"},
+        })
+        assert sc.dist.flags.c_contiguous
+        assert np.array_equal(sc.dist, dijkstra_matrix(sc.graph, sc.kappa))
+        # the same graph with per-edge weights, so ties are no longer uniform
+        rng = np.random.default_rng(5)
+        kappa = {e: k * float(rng.uniform(0.5, 1.5)) for e, k in sc.kappa.items()}
+        assert np.array_equal(kappa_distance_matrix(sc.graph, kappa), dijkstra_matrix(sc.graph, kappa))
