@@ -23,6 +23,7 @@ __all__ = [
     "LogicalClock",
     "make_schedule",
     "sample_clocks",
+    "read_clocks",
 ]
 
 OWN_RATE = 0
@@ -119,12 +120,12 @@ class LogicalClock:
         return self._values[i] + dh + self.mu * (t - self._times[i])
 
     def value_pair(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(logical, hardware) at each of the sorted instants ``times``.
+        """(logical, hardware) at each of the instants ``times``, in any order.
 
         The array form of :meth:`value`, with the same operations in the
         same order, so every entry equals the scalar result bit for bit.
         """
-        t0, t1 = float(times[0]), float(times[-1])
+        t0, t1 = float(times.min()), float(times.max())
         if t0 < 0:
             raise ParameterError(f"time must be non-negative, got {t0!r}")
         # only the segments and anchors that [t0, t1] can select
@@ -201,49 +202,87 @@ class LogicalClock:
             j += 1
 
 
+def _linear_piece(c: LogicalClock, t0: float, t1: float):
+    """(cum, rate, start, value, hw_at, factor) of the one hardware segment
+    and logical anchor that ``c`` keeps from t0 to t1, or None where a
+    breakpoint or an anchor lies in (t0, t1], or ``c`` is an additive clock
+    in fast mode.  On such a piece ``c`` reads
+    ``value + factor * (cum + rate * (t - start) - hw_at)``, the scalar
+    formula of :meth:`LogicalClock.value`, since x * 1.0 == x exactly.
+    """
+    hw = c.hardware
+    starts, anchors = hw._starts, c._times
+    j = bisect_right(starts, t0) - 1
+    i = bisect_right(anchors, t0) - 1
+    fast = c._modes[i] == FAST
+    if (
+        bisect_right(starts, t1) - 1 != j
+        or bisect_right(anchors, t1) - 1 != i
+        or (fast and c.semantics == "additive")
+    ):
+        return None
+    return hw._cum[j], hw._rates[j], starts[j], c._values[i], c._hw_at[i], 1.0 + c.mu if fast else 1.0
+
+
 def sample_clocks(clocks, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Logical and hardware values, each (R, n), of every clock at each of
     the R sorted instants ``times``.
 
-    A clock that keeps one hardware segment and one logical anchor from the
-    first instant to the last is linear over all of them; all such clocks
-    are evaluated together in one broadcast.  The rest, and additive clocks
-    in fast mode, go through :meth:`LogicalClock.value_pair`.  Both paths
-    repeat the scalar formula of :meth:`LogicalClock.value` operation for
-    operation, so every entry equals it bit for bit.
+    A clock that keeps one linear piece (see ``_linear_piece``) from the
+    first instant to the last is evaluated with all such clocks in one
+    broadcast.  The rest go through :meth:`LogicalClock.value_pair`.  Both
+    paths repeat the scalar formula of :meth:`LogicalClock.value` operation
+    for operation, so every entry equals it bit for bit.
     """
     t0, t1 = float(times[0]), float(times[-1])
     if t0 < 0:
         raise ParameterError(f"time must be non-negative, got {t0!r}")
     L = np.empty((len(times), len(clocks)))
     H = np.empty_like(L)
-    cols, cum, rate, start, value, hw_at, factor = [], [], [], [], [], [], []
+    cols, pieces = [], []
     for k, c in enumerate(clocks):
-        hw = c.hardware
-        starts, anchors = hw._starts, c._times
-        j = bisect_right(starts, t0) - 1
-        i = bisect_right(anchors, t0) - 1
-        fast = c._modes[i] == FAST
-        if (
-            bisect_right(starts, t1) - 1 != j
-            or bisect_right(anchors, t1) - 1 != i
-            or (fast and c.semantics == "additive")
-        ):
+        piece = _linear_piece(c, t0, t1)
+        if piece is None:
             L[:, k], H[:, k] = c.value_pair(times)
-            continue
-        cols.append(k)
-        cum.append(hw._cum[j])
-        rate.append(hw._rates[j])
-        start.append(starts[j])
-        value.append(c._values[i])
-        hw_at.append(c._hw_at[i])
-        # x * 1.0 == x exactly, so own-rate clocks share the fast formula
-        factor.append(1.0 + c.mu if fast else 1.0)
+        else:
+            cols.append(k)
+            pieces.append(piece)
     if cols:
-        h = np.array(cum) + np.array(rate) * (times[:, None] - np.array(start))
-        L[:, cols] = np.array(value) + np.array(factor) * (h - np.array(hw_at))
+        cum, rate, start, value, hw_at, factor = map(np.array, zip(*pieces))
+        h = cum + rate * (times[:, None] - start)
+        L[:, cols] = value + factor * (h - hw_at)
         H[:, cols] = h
     return L, H
+
+
+def read_clocks(clocks, times: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Logical value of clock ``cols[r]`` at instant ``times[r]``, for every r.
+
+    The instants need not be sorted.  As in :func:`sample_clocks`, the
+    clocks that keep one linear piece from the earliest instant to the
+    latest are read in one broadcast and the rest through
+    :meth:`LogicalClock.value_pair`, so every entry equals
+    :meth:`LogicalClock.value` bit for bit.
+    """
+    if not len(times):
+        return np.empty(0)
+    t0, t1 = float(times.min()), float(times.max())
+    if t0 < 0:
+        raise ParameterError(f"time must be non-negative, got {t0!r}")
+    pieces, bent = [], []
+    for k, c in enumerate(clocks):
+        piece = _linear_piece(c, t0, t1)
+        if piece is None:
+            bent.append(k)
+            piece = (np.nan,) * 6
+        pieces.append(piece)
+    cum, rate, start, value, hw_at, factor = np.array(pieces)[cols].T
+    out = value + factor * (cum + rate * (times - start) - hw_at)
+    for k in bent:
+        rows = np.flatnonzero(cols == k)
+        if len(rows):
+            out[rows] = clocks[k].value_pair(times[rows])[0]
+    return out
 
 
 def make_schedule(

@@ -4,6 +4,17 @@ Events are totally ordered by (real time, schedule sequence number), and
 every random draw comes from a labelled substream of the master seed, so a
 run is a pure function of its scenario.  The loop owns all node state;
 metrics get read-only snapshots.
+
+Event handlers do only what the nodes do: readings, estimates, triggers and
+mode changes.  They record the instants that need ground truth, and every
+check against true clock values runs per chunk, in numpy, when the chunk
+is reduced: the skew maxima at the sample instants, the estimate sandwich
+at each reply arrival and evaluation, the slow and fast conditions at each
+evaluation, and (in full mode) each measurement's true mid-exchange offset.
+Reading a clock at a past instant then is exact, as the comment above
+``_flush_sample`` argues, so these checks report what checks made inside
+the handlers would.  A run that ends, or aborts with ``RunAborted``, first
+makes every check still buffered.
 """
 from __future__ import annotations
 
@@ -16,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gcs, metrics
-from .clocks import FAST, OWN_RATE, HardwareClock, LogicalClock, make_schedule, sample_clocks
+from .clocks import FAST, OWN_RATE, HardwareClock, LogicalClock, make_schedule, read_clocks, sample_clocks
 from .errors import ConfigError, InternalError, RunAborted
 from .gcs import GcsParams, NodeState
 from .topology import NetworkGraph
@@ -46,9 +57,10 @@ K_RATE = 5  # a hardware rate breakpoint: no handler, it only forces a sample
 _SLOPE_KINDS = frozenset((K_WAKEUP, K_EVALUATE, K_TICK, K_RATE))
 
 _TOL = 1e-9
-# Sampled clock values per chunk: sample instants are buffered and the
-# clocks evaluated and reduced with numpy once a chunk holds this many
-# values (32 rows at n = 256).
+# Values per chunk: sample instants and ground-truth checks are buffered,
+# and the clocks evaluated, reduced and checked with numpy once a chunk
+# holds this many sampled clock values plus checked estimates (32 rows at
+# n = 256 when no check is pending).
 _CHUNK_VALUES = 8192
 
 
@@ -79,20 +91,24 @@ def seeded_stream(master_seed: int, purpose_label: str) -> np.random.Generator:
 
 
 class DelaySampler:
-    """Per-direction message delays: base plus uniform jitter in [0, width]."""
+    """Per-direction message delays: base plus uniform jitter in [0, width].
+
+    ``links[(src, dst)]`` is the direction's (base delay, jitter, its
+    stream's ``random``, eps_d, eps_m), built once.
+    """
 
     def __init__(self, g: NetworkGraph, registry: StreamRegistry):
-        self._g = g
-        self._streams = {}
-        for u, v, _ in g.edges:
-            self._streams[(u, v)] = registry.stream(f"delay:{u}->{v}")
-            self._streams[(v, u)] = registry.stream(f"delay:{v}->{u}")
+        self._d_max = g.d_max
+        self.links = {}
+        for u, v, p in g.edges:
+            for a, b, base in ((u, v, p.fwd_delay), (v, u, p.bwd_delay)):
+                draw = registry.stream(f"delay:{a}->{b}").random
+                self.links[(a, b)] = (base, p.jitter, draw, p.eps_d, p.eps_m)
 
     def sample(self, src: int, dst: int) -> float:
-        p = self._g.edge(src, dst)
-        base = self._g.base_delay(src, dst)
-        d = base + p.jitter * self._streams[(src, dst)].random() if p.jitter > 0 else base
-        if d >= self._g.d_max:
+        base, jitter, draw, _, _ = self.links[(src, dst)]
+        d = base + jitter * draw() if jitter > 0 else base
+        if d >= self._d_max:
             raise InternalError(f"sampled delay {d!r} reached d_max on {src}->{dst}")
         return d
 
@@ -202,10 +218,21 @@ class _Simulation:
         }
 
         self.full = sc.metrics_mode == "full"
+        self._nb, self._nb_kappa = metrics.neighbour_table(g, sc.kappa)
+        self._deg = np.array([len(g.neighbors(v)) for v in range(n)], dtype=np.intp)
+        self._levels = range(1, sc.params.s_max + 1)
+        # Ground-truth checks waiting for the next chunk, in flat buffers:
+        # (t, v, w, estimate, kappa) per reply arrival; (sample row, v, slow
+        # level mask, fast level mask) per evaluation, with its estimates in
+        # neighbour order; in full mode the measurements whose true
+        # mid-exchange offset is still to be read.
+        self._reply_checks: list = []
+        self._eval_checks: list[int] = []
+        self._eval_estimates: list[float] = []
+        self._truths: list[MeasurementTruth] = []
         self.edges = tuple((u, v) for u, v, _ in g.edges)
         self._eu = np.array([u for u, _ in self.edges])
         self._ev = np.array([v for _, v in self.edges])
-        self._chunk_rows = max(1, _CHUNK_VALUES // n)
         self.clocks = [nd.logical for nd in self.nodes]
         self.buf_t: list[float] = []
         self.chunks: list[tuple] = []  # full mode: (times, L, H, local, global) per chunk
@@ -243,10 +270,7 @@ class _Simulation:
         l1 = node.logical.value(t)
         expected = node.logical.hardware.initial_value + k * sc.params.cycle_length
         if abs(l1 - expected) > 1e-6:
-            raise RunAborted(
-                f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}",
-                self.violations,
-            )
+            self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
         for w in sc.graph.neighbors(v):
             d = self.sampler.sample(v, w)
             self.pending[v][w] = (l1, t)
@@ -275,78 +299,43 @@ class _Simulation:
         t4 = node.logical.value(t)
         pend = self.pending[v].pop(w, None)
         if pend is None or pend[0] != reply.l_v_t1_echo:
-            raise RunAborted(f"unmatched reply from {w} at node {v}", self.violations)
+            self._abort(f"unmatched reply from {w} at node {v}")
         t1 = pend[0]
         if t4 - t1 >= sc.timeout + _TOL:
-            raise RunAborted(
+            self._abort(
                 f"measurement {v}->{w} exceeded the timeout window "
-                f"({t4 - t1!r} >= {sc.timeout!r})",
-                self.violations,
+                f"({t4 - t1!r} >= {sc.timeout!r})"
             )
         rec = MeasurementRecord(w, t1, reply.l_w_t2, reply.l_w_t3, t4, t)
-        edge = sc.graph.edge(v, w)
-        est = compute_estimates(rec, edge.eps_d, edge.eps_m, sc.params.theta, node.cycle_index)
+        _, _, _, eps_d, eps_m = self.sampler.links[(v, w)]
+        est = compute_estimates(rec, eps_d, eps_m, sc.params.theta, node.cycle_index)
         node.views[w] = est
         self.counters["measurements"] += 1
-        self._check_sandwich(t, v, w, estimate_value(est, t4, cycle=node.cycle_index))
+        self._reply_checks += (t, v, w, estimate_value(est, t4, cycle=node.cycle_index), self.kappa_nb[v][w])
         if self.full:
-            mid = 0.5 * (sent_real + t)
-            true_mid = self.nodes[w].logical.value(mid) - node.logical.value(mid)
-            self.measurements.append(
-                MeasurementTruth(
-                    requester=v,
-                    responder=w,
-                    cycle=node.cycle_index,
-                    record=rec,
-                    estimate=est,
-                    fwd_delay_actual=fwd_d,
-                    bwd_delay_actual=bwd_d,
-                    processing_real=p_real,
-                    sent_real=sent_real,
-                    true_offset_mid=true_mid,
-                )
-            )
-
-    def _check_sandwich(self, t: float, v: int, w: int, est_val: float) -> None:
-        self.counters["estimate_uses"] += 1
-        err = self.nodes[w].logical.value(t) - est_val
-        delta_max = self.kappa_nb[v][w]
-        if err < -_TOL or err > delta_max + _TOL:
-            self.violations.append(
-                Violation(
-                    time=t,
-                    kind="estimate_sandwich",
-                    detail=(
-                        f"estimate of {w} at {v} off by {err:.3e} "
-                        f"(allowed [0, {delta_max:.3e}])"
-                    ),
-                )
-            )
+            truth = MeasurementTruth(v, w, node.cycle_index, rec, est, fwd_d, bwd_d, p_real, sent_real)
+            self.measurements.append(truth)
+            self._truths.append(truth)
 
     def _on_evaluate(self, t: float, v: int, k: int) -> None:
         sc = self.sc
         node = self.nodes[v]
         nbrs = sc.graph.neighbors(v)
         if node.cycle_index != k or node.phase != gcs.MEASURING:
-            raise RunAborted(f"evaluation fired out of order at node {v}", self.violations)
+            self._abort(f"evaluation fired out of order at node {v}")
         if len(node.views) != len(nbrs):
             missing = sorted(set(nbrs) - set(node.views))
-            raise RunAborted(
-                f"node {v} evaluating cycle {k} with incomplete views (missing {missing})",
-                self.violations,
-            )
+            self._abort(f"node {v} evaluating cycle {k} with incomplete views (missing {missing})")
         kappa_nb = self.kappa_nb[v]
-        st, ft = gcs.trigger_levels(node, kappa_nb, kappa_nb, t, sc.params.s_max, sc.params.hysteresis)
+        gaps = gcs.estimate_gaps(node, nbrs, t)
+        st, ft = gcs.trigger_levels(node, kappa_nb, kappa_nb, t, sc.params.s_max, sc.params.hysteresis, gaps)
         self.counters["eval_instants"] += 1
         self.counters["trigger_evaluations"] += 2 * sc.params.s_max
         self.counters["st_instances"] += len(st)
         self.counters["ft_instances"] += len(ft)
-
-        # the conditions read only v and its neighbours
-        vals = {w: self.nodes[w].logical.value(t) for w in nbrs}
-        l_v = vals[v] = node.logical.value(t)
-        for w in nbrs:
-            self._check_sandwich(t, v, w, estimate_value(node.views[w], l_v, cycle=k))
+        # t is a sample instant, flushed at row len(buf_t) of this chunk
+        self._eval_checks += (len(self.buf_t), v, sum(1 << (s - 1) for s in st), sum(1 << (s - 1) for s in ft))
+        self._eval_estimates += gaps[1].values()
 
         if st and ft:
             self.violations.append(
@@ -356,28 +345,6 @@ class _Simulation:
                     detail=f"node {v} satisfies slow {st} and fast {ft} triggers together",
                 )
             )
-        for s in range(1, sc.params.s_max + 1):
-            if metrics.slow_condition(vals, sc.graph, sc.kappa, v, s):
-                self.counters["sc_instances"] += 1
-                if s not in st:
-                    self.violations.append(
-                        Violation(
-                            time=t,
-                            kind="condition_without_trigger",
-                            detail=f"node {v}: slow condition at level {s} without slow trigger",
-                        )
-                    )
-            if metrics.fast_condition(vals, sc.graph, sc.kappa, v, s):
-                self.counters["fc_instances"] += 1
-                if s not in ft:
-                    self.violations.append(
-                        Violation(
-                            time=t,
-                            kind="condition_without_trigger",
-                            detail=f"node {v}: fast condition at level {s} without fast trigger",
-                        )
-                    )
-
         mode = FAST if (ft and not st and sc.gcs_enabled) else OWN_RATE
         node.logical.set_mode(t, mode)
         if mode != node.mode:
@@ -387,24 +354,34 @@ class _Simulation:
         base = node.logical.hardware.initial_value
         self.push(node.logical.invert(base + (k + 1) * sc.params.cycle_length), K_WAKEUP, (v, k + 1))
 
-    # -- sampling
+    # -- sampling and the ground-truth checks
 
-    # Sampling records only the instant; the clocks are read when the chunk is
-    # reduced.  That deferred read is exact.  A sample at `current` is flushed
-    # only after every event at `current`; no handler schedules an event before
-    # its own time; and set_mode only appends anchors, at the time of the event
-    # that calls it.  So any anchor added later lies strictly after every
-    # buffered instant, and bisect_right never selects it for one of them.
+    # Sampling and the checks record only instants; the clocks are read when
+    # the chunk is reduced.  That deferred read of a past instant x is exact.
+    # Every recorded x is at or before the event that records it: samples
+    # (flushed after every event at their time), evaluations (which are
+    # samples), reply arrivals, and mid-exchange instants.  No handler
+    # schedules an event before its own time, and set_mode only appends an
+    # anchor at the time of the event that calls it, so an anchor added after
+    # x was recorded lies at or after x.  One after x is never selected for x.
+    # One at x is selected, but it stores the old segment's value and
+    # hardware reading at x, so it reads x as value + factor * 0.0: the old
+    # segment's value, bit for bit.
 
     def _flush_sample(self, t: float) -> None:
         self.buf_t.append(t)
-        if len(self.buf_t) == self._chunk_rows:
+        checks = len(self._reply_checks) + len(self._eval_checks) + len(self._eval_estimates)
+        if len(self.buf_t) * len(self.clocks) + checks >= _CHUNK_VALUES:
             self._reduce_chunk()
 
     def _reduce_chunk(self) -> None:
-        """Fold the buffered samples into the skew maxima; full mode keeps them."""
+        """Fold the buffered samples into the skew maxima, full mode keeping
+        them, and make the buffered checks."""
         times = np.asarray(self.buf_t)
         self.buf_t = []
+        if not len(times):
+            self._check_chunk(times, None)
+            return
         L, H = sample_clocks(self.clocks, times)
         edge_gaps = np.abs(L[:, self._eu] - L[:, self._ev])
         local = edge_gaps.max(axis=1)
@@ -425,6 +402,99 @@ class _Simulation:
         self.last_row = (times[-1], L[-1])
         if self.full:
             self.chunks.append((times, L, H, local, glob))
+        self._check_chunk(times, L)
+
+    def _check_chunk(self, times: np.ndarray, L: np.ndarray | None) -> None:
+        """The ground-truth checks buffered since the last chunk.
+
+        - The estimate sandwich: every estimate a node uses, at a reply
+          arrival and at an evaluation, lies in [L_w - kappa, L_w] (with
+          tolerance) for the true value L_w of the neighbour at that instant.
+        - The slow and fast conditions at each evaluation hold only at
+          levels where the matching trigger fired.
+        - In full mode, the true offset of each measurement at the middle of
+          its exchange.
+
+        ``times`` and ``L`` are the chunk's sample instants and logical
+        values (L is None for an empty chunk, which has no evaluation).
+        """
+        rep = np.array(self._reply_checks, dtype=float).reshape(-1, 5)
+        ev = np.array(self._eval_checks, dtype=np.intp).reshape(-1, 4)
+        est = np.array(self._eval_estimates, dtype=float)
+        truths = self._truths
+        self._reply_checks, self._eval_checks, self._eval_estimates, self._truths = [], [], [], []
+        t, v, w = rep[:, 0], rep[:, 1].astype(np.intp), rep[:, 2].astype(np.intp)
+        self._check_sandwich(t, v, w, self._read_replies(t, w, truths), rep[:, 3], rep[:, 4])
+        if len(ev):
+            self._check_evaluations(times, L, ev, est)
+
+    def _read_replies(self, t: np.ndarray, w: np.ndarray, truths: list) -> np.ndarray:
+        """The responders' true values at the reply arrivals; in full mode
+        also each measurement's true offset at the middle of its exchange.
+        Both are past instants."""
+        mid = np.array([0.5 * (m.sent_real + m.record.completed_at_real) for m in truths])
+        ends = np.array([(m.responder, m.requester) for m in truths], dtype=np.intp).reshape(-1, 2)
+        vals = read_clocks(self.clocks, np.concatenate([t, mid, mid]), np.concatenate([w, ends.T.ravel()]))
+        m, k = len(t), len(mid)
+        for truth, true_mid in zip(truths, (vals[m : m + k] - vals[m + k :]).tolist()):
+            truth.true_offset_mid = true_mid
+        return vals[:m]
+
+    def _check_evaluations(self, times: np.ndarray, L: np.ndarray, ev: np.ndarray, est: np.ndarray) -> None:
+        """The sandwich and the conditions at each evaluation; an evaluation
+        is a sample, so its true values are a row of L."""
+        rows, v = ev[:, 0], ev[:, 1]
+        nb, kappa, deg = self._nb[v], self._nb_kappa[v], self._deg[v]
+        L_nb = L[rows[:, None], nb]
+        own = np.arange(nb.shape[1]) < deg[:, None]  # not a pad
+        t = times[rows]
+        self._check_sandwich(np.repeat(t, deg), np.repeat(v, deg), nb[own], L_nb[own], est, kappa[own])
+        slow, fast = metrics.level_conditions(L[rows, v], L_nb, kappa, self._levels)
+        self.counters["sc_instances"] += int(np.count_nonzero(slow))
+        self.counters["fc_instances"] += int(np.count_nonzero(fast))
+        for name, held, fired in (("slow", slow, ev[:, 2].tolist()), ("fast", fast, ev[:, 3].tolist())):
+            # a condition holds at few (row, level) pairs: test their triggers one by one
+            for r, j in zip(*(a.tolist() for a in np.nonzero(held))):
+                if fired[r] >> j & 1:
+                    continue
+                self.violations.append(
+                    Violation(
+                        time=float(t[r]),
+                        kind="condition_without_trigger",
+                        detail=(
+                            f"node {int(v[r])}: {name} condition at level {j + 1} "
+                            f"without {name} trigger"
+                        ),
+                    )
+                )
+
+    def _check_sandwich(self, t, v, w, true, est, delta) -> None:
+        """Estimates ``est`` of w held at v, against w's true values."""
+        err = true - est
+        self.counters["estimate_uses"] += len(err)
+        for i in np.flatnonzero((err < -_TOL) | (err > delta + _TOL)).tolist():
+            self.violations.append(
+                Violation(
+                    time=float(t[i]),
+                    kind="estimate_sandwich",
+                    detail=(
+                        f"estimate of {int(w[i])} at {int(v[i])} off by {float(err[i]):.3e} "
+                        f"(allowed [0, {float(delta[i]):.3e}])"
+                    ),
+                )
+            )
+
+    def _abort(self, message: str) -> None:
+        """Make every buffered check, then end the run with RunAborted.
+
+        The violations are sorted as ``_finish`` sorts them, so the report of
+        an aborted run does not depend on where the chunks ended.
+        """
+        if self._eval_checks and self._eval_checks[-4] == len(self.buf_t):
+            self.buf_t.append(self.current)  # the evaluations' sample is not flushed yet
+        self._reduce_chunk()
+        self.violations.sort(key=_violation_key)
+        raise RunAborted(message, self.violations)
 
     # -- main loop
 
@@ -450,9 +520,7 @@ class _Simulation:
             t, _, kind, payload = heapq.heappop(self.heap)
             if self.current is not None:
                 if t < self.current - _TOL:
-                    raise RunAborted(
-                        f"event time regressed: {t!r} after {self.current!r}", self.violations
-                    )
+                    self._abort(f"event time regressed: {t!r} after {self.current!r}")
                 if t > self.current and need:
                     self._flush_sample(self.current)
                     need = False
@@ -486,7 +554,7 @@ class _Simulation:
         sc = self.sc
         n = sc.graph.n
         edges = self.edges
-        if self.buf_t:
+        if self.buf_t or self._reply_checks:
             self._reduce_chunk()
         if self.full:
             times, L, H, local, glob = (np.concatenate(parts) for parts in zip(*self.chunks))
@@ -567,7 +635,7 @@ class _Simulation:
                 )
             )
 
-        self.violations.sort(key=lambda v: (v.time, v.kind, v.detail))
+        self.violations.sort(key=_violation_key)
         summary = RunSummary(
             scenario_hash=sc.scenario_hash,
             seed=sc.master_seed,
@@ -593,7 +661,11 @@ class _Simulation:
         low_bad = dH < dt[:, None] - _TOL
         high_bad = dH > theta * dt[:, None] + _TOL
         if low_bad.any() or high_bad.any():
-            raise RunAborted("hardware clock violated its drift envelope", self.violations)
+            self._abort("hardware clock violated its drift envelope")
+
+
+def _violation_key(v: Violation) -> tuple:
+    return (v.time, v.kind, v.detail)
 
 
 def run(sc: Scenario) -> RunResult:

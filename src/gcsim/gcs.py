@@ -16,7 +16,7 @@ from .clocks import LogicalClock
 from .errors import InternalError
 from .twoway import NeighborEstimate, estimate_value
 
-__all__ = ["GcsParams", "NodeState", "trigger_levels"]
+__all__ = ["GcsParams", "NodeState", "estimate_gaps", "trigger_levels"]
 
 MEASURING = "measuring"
 STABILISING = "stabilising"
@@ -75,7 +75,7 @@ class NodeState:
     mode: int = 0
 
 
-def _estimate_gaps(node: NodeState, neighbors, t: float) -> tuple[float, dict[int, float]]:
+def estimate_gaps(node: NodeState, neighbors, t: float) -> tuple[float, dict[int, float]]:
     """(own logical value, estimate value per neighbour) at time t."""
     l_v = node.logical.value(t)
     vals = {}
@@ -94,6 +94,7 @@ def trigger_levels(
     t: float,
     s_max: int,
     hysteresis: float = 0.0,
+    gaps: tuple[float, dict[int, float]] | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Levels at which the slow / fast trigger fire, evaluated once.
 
@@ -101,8 +102,11 @@ def trigger_levels(
     hysteresis) and none leads by more than (2s-1)*kappa.  Fast at level
     s: some neighbour leads by more than 2s*kappa - delta (plus the
     hysteresis) and none trails by 2s*kappa + delta or more.
+
+    ``gaps`` is :func:`estimate_gaps` at t over the same neighbours, for a
+    caller that has computed it already.
     """
-    l_v, est = _estimate_gaps(node, kappa.keys(), t)
+    l_v, est = gaps if gaps is not None else estimate_gaps(node, kappa.keys(), t)
     lead = {w: est[w] - l_v for w in est}  # positive: neighbour estimated ahead
     st, ft = [], []
     for s in range(1, s_max + 1):

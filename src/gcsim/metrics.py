@@ -1,9 +1,9 @@
 """Ground-truth oracle: skew metrics, conditions, potentials, bound checks.
 
 Everything here reads true logical clock values, which running nodes never
-see.  The per-instant operations are plain Python over small dicts; the
-trace-wide checks are vectorized and chunked because a run can easily
-produce 10^5 samples.
+see.  The checks are vectorized: the slow and fast conditions over many
+evaluations at once, and the trace-wide checks chunked, because a run can
+easily produce 10^5 samples.
 """
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ from .trace import Trace, Violation
 
 __all__ = [
     "BoundReport",
+    "neighbour_table",
+    "level_conditions",
     "slow_condition",
     "fast_condition",
     "theorem2_bound",
@@ -38,29 +40,66 @@ _CHECK_TOL = 1e-9
 # Instant-level operations
 
 
-def slow_condition(values, g: NetworkGraph, kappa, v: int, s: int) -> bool:
-    """True-clock form of the slow trigger: v leads some neighbour by the
-    level threshold and no neighbour leads v by more."""
+def neighbour_table(g: NetworkGraph, kappa) -> tuple[np.ndarray, np.ndarray]:
+    """(nb, K), each (n, D) for the largest degree D: row v lists v's
+    neighbours in ascending order and their kappa, padded with v itself and
+    kappa = +inf.  A pad reads a gap of exactly 0 against a threshold of
+    +inf, which satisfies no "some neighbour" clause of
+    :func:`level_conditions` and every "no neighbour" clause: it changes no
+    condition."""
+    n = g.n
+    nbrs = [g.neighbors(v) for v in range(n)]
+    D = max(map(len, nbrs), default=0)
+    nb = np.repeat(np.arange(n)[:, None], D, axis=1)
+    K = np.full((n, D), np.inf)
+    for v, ws in enumerate(nbrs):
+        nb[v, : len(ws)] = ws
+        K[v, : len(ws)] = [kappa[(min(v, w), max(v, w))] for w in ws]
+    return nb, K
+
+
+def level_conditions(own: np.ndarray, nbr: np.ndarray, K: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
+    """True-clock forms of the slow and fast triggers, each (m, len(levels)).
+
+    Row r is one node v at one instant: ``own[r]`` is L_v, ``nbr[r, j]``
+    is L_w for its j-th neighbour w and ``K[r, j]`` is kappa(v, w), in the
+    padded layout of :func:`neighbour_table`.  Slow at level s: v leads
+    some neighbour by at least (2s-1) kappa and no neighbour leads v by
+    more.  Fast at level s: some neighbour leads v by at least 2s kappa and
+    v leads no neighbour by more.  Every gap and threshold is the float a
+    scalar evaluation, one neighbour at a time, computes (an int level
+    factor times kappa is the same product), so every comparison matches
+    it.
+    """
+    lead = nbr - own[:, None]
+    trail = own[:, None] - nbr
+    slow = np.empty((len(own), len(levels)), dtype=bool)
+    fast = np.empty_like(slow)
+    for j, s in enumerate(levels):
+        odd, even = (2 * s - 1) * K, 2 * s * K
+        slow[:, j] = (trail >= odd).any(axis=1) & (lead <= odd).all(axis=1)
+        fast[:, j] = (lead >= even).any(axis=1) & (trail <= even).all(axis=1)
+    return slow, fast
+
+
+def _conditions_at(values, g: NetworkGraph, kappa, v: int, s: int) -> tuple[bool, bool]:
     if s < 1:
         raise ParameterError(f"skew level must be positive, got {s!r}")
-    c = 2 * s - 1
     nbrs = g.neighbors(v)
-    k = lambda w: kappa[(min(v, w), max(v, w))]
-    sc1 = any(values[v] - values[x] >= c * k(x) for x in nbrs)
-    sc2 = all(values[y] - values[v] <= c * k(y) for y in nbrs)
-    return sc1 and sc2
+    nbr = np.array([[values[w] for w in nbrs]], dtype=float)
+    K = np.array([[kappa[(min(v, w), max(v, w))] for w in nbrs]], dtype=float)
+    slow, fast = level_conditions(np.array([values[v]], dtype=float), nbr, K, [s])
+    return bool(slow[0, 0]), bool(fast[0, 0])
+
+
+def slow_condition(values, g: NetworkGraph, kappa, v: int, s: int) -> bool:
+    """The slow condition of :func:`level_conditions` for node v at level s."""
+    return _conditions_at(values, g, kappa, v, s)[0]
 
 
 def fast_condition(values, g: NetworkGraph, kappa, v: int, s: int) -> bool:
-    """True-clock form of the fast trigger with the even-level threshold."""
-    if s < 1:
-        raise ParameterError(f"skew level must be positive, got {s!r}")
-    c = 2 * s
-    nbrs = g.neighbors(v)
-    k = lambda w: kappa[(min(v, w), max(v, w))]
-    fc1 = any(values[x] - values[v] >= c * k(x) for x in nbrs)
-    fc2 = all(values[v] - values[y] <= c * k(y) for y in nbrs)
-    return fc1 and fc2
+    """The fast condition of :func:`level_conditions` for node v at level s."""
+    return _conditions_at(values, g, kappa, v, s)[1]
 
 
 # ---------------------------------------------------------------------------

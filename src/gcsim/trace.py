@@ -38,9 +38,14 @@ class Violation:
         return {"time": self.time, "kind": self.kind, "detail": self.detail}
 
 
-@dataclass(frozen=True)
+@dataclass
 class MeasurementTruth:
-    """One completed measurement together with engine-side ground truth."""
+    """One completed measurement together with engine-side ground truth.
+
+    The engine records it at the reply and fills in ``true_offset_mid``,
+    the responder's true clock less the requester's at the middle of the
+    exchange, when it reduces the chunk that holds the reply.
+    """
 
     requester: int
     responder: int
@@ -51,7 +56,7 @@ class MeasurementTruth:
     bwd_delay_actual: float
     processing_real: float
     sent_real: float
-    true_offset_mid: float
+    true_offset_mid: float = float("nan")
 
 
 class Trace:

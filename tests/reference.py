@@ -1,11 +1,12 @@
 """Scalar reference forms of the ground-truth metrics.
 
 Plain-Python, one-instant versions of what the engine computes vectorized
-(clock samples, skews, potentials, the trailing-node test) or over whole
-traces (the hardware drift envelope), the row-by-row trace writer, the
-per-source Dijkstra behind the kappa distance matrix and the pair-by-pair
-boot-up gate.  Tests check the engine against them; the package itself
-does not use them.
+(clock samples, skews, potentials, the trailing-node test, the slow and
+fast conditions) or over whole traces (the hardware drift envelope), the
+engine's ground-truth checks made one event at a time, the row-by-row
+trace writer, the per-source Dijkstra behind the kappa distance matrix and
+the pair-by-pair boot-up gate.  Tests check the engine against them; the
+package itself does not use them.
 """
 from __future__ import annotations
 
@@ -13,9 +14,11 @@ import heapq
 
 import numpy as np
 
+from gcsim import engine, gcs
 from gcsim.clocks import OWN_RATE, HardwareClock, LogicalClock
 from gcsim.errors import ParameterError
-from gcsim.trace import Trace
+from gcsim.trace import Trace, Violation
+from gcsim.twoway import estimate_value
 
 _TIE_TOL = 1e-12
 
@@ -62,6 +65,87 @@ def trailing_node(values, dist: np.ndarray, w: int, s_max: int) -> bool:
             if mx > 0 and row[w] >= mx - _TIE_TOL:
                 return True
     return False
+
+
+def slow_condition(values, g, kappa, v: int, s: int) -> bool:
+    """v leads some neighbour by (2s-1) kappa or more and no neighbour leads v by more."""
+    c = 2 * s - 1
+    k = lambda w: kappa[(min(v, w), max(v, w))]
+    nbrs = g.neighbors(v)
+    return any(values[v] - values[x] >= c * k(x) for x in nbrs) and all(
+        values[y] - values[v] <= c * k(y) for y in nbrs
+    )
+
+
+def fast_condition(values, g, kappa, v: int, s: int) -> bool:
+    """Some neighbour leads v by 2s kappa or more and v leads no neighbour by more."""
+    c = 2 * s
+    k = lambda w: kappa[(min(v, w), max(v, w))]
+    nbrs = g.neighbors(v)
+    return any(values[x] - values[v] >= c * k(x) for x in nbrs) and all(
+        values[v] - values[y] <= c * k(y) for y in nbrs
+    )
+
+
+class PerEventChecks(engine._Simulation):
+    """The engine, with its ground-truth checks also made one event at a
+    time: each clock is read at the event's own time, before the event
+    changes any mode.  The estimate sandwich runs at every reply arrival and
+    evaluation, the slow and fast conditions at every evaluation, and the
+    true mid-exchange offset of every measurement.  Findings go to
+    ``ref_violations``, ``ref_counters`` and ``ref_true_mid``; the engine's
+    own are untouched, so one run gives both."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.ref_violations: list[Violation] = []
+        self.ref_counters = {"estimate_uses": 0, "sc_instances": 0, "fc_instances": 0}
+        self.ref_true_mid: list[float] = []
+
+    def _ref_sandwich(self, t: float, v: int, w: int, est_val: float) -> None:
+        self.ref_counters["estimate_uses"] += 1
+        err = self.nodes[w].logical.value(t) - est_val
+        delta_max = self.kappa_nb[v][w]
+        if err < -engine._TOL or err > delta_max + engine._TOL:
+            self.ref_violations.append(Violation(
+                t, "estimate_sandwich",
+                f"estimate of {w} at {v} off by {err:.3e} (allowed [0, {delta_max:.3e}])",
+            ))
+
+    def _on_reply_arrival(self, t: float, payload) -> None:
+        super()._on_reply_arrival(t, payload)
+        _, w, v, *_, sent_real = payload
+        node = self.nodes[v]
+        t4 = node.logical.value(t)
+        self._ref_sandwich(t, v, w, estimate_value(node.views[w], t4, cycle=node.cycle_index))
+        mid = 0.5 * (sent_real + t)
+        self.ref_true_mid.append(self.nodes[w].logical.value(mid) - node.logical.value(mid))
+
+    def _on_evaluate(self, t: float, v: int, k: int) -> None:
+        sc = self.sc
+        node = self.nodes[v]
+        nbrs = sc.graph.neighbors(v)
+        if node.cycle_index == k and node.phase == gcs.MEASURING and len(node.views) == len(nbrs):
+            kappa_nb = self.kappa_nb[v]
+            st, ft = gcs.trigger_levels(node, kappa_nb, kappa_nb, t, sc.params.s_max, sc.params.hysteresis)
+            vals = {w: self.nodes[w].logical.value(t) for w in nbrs}
+            l_v = vals[v] = node.logical.value(t)
+            for w in nbrs:
+                self._ref_sandwich(t, v, w, estimate_value(node.views[w], l_v, cycle=k))
+            for s in range(1, sc.params.s_max + 1):
+                for name, held, fired in (
+                    ("slow", slow_condition(vals, sc.graph, sc.kappa, v, s), st),
+                    ("fast", fast_condition(vals, sc.graph, sc.kappa, v, s), ft),
+                ):
+                    if not held:
+                        continue
+                    self.ref_counters[f"{name[0]}c_instances"] += 1
+                    if s not in fired:
+                        self.ref_violations.append(Violation(
+                            t, "condition_without_trigger",
+                            f"node {v}: {name} condition at level {s} without {name} trigger",
+                        ))
+        super()._on_evaluate(t, v, k)
 
 
 def check_lipschitz(c: HardwareClock, t1: float, t2: float, theta: float, tol: float = 1e-9) -> bool:

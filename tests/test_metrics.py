@@ -11,6 +11,7 @@ from gcsim.errors import ParameterError
 from gcsim.topology import EdgeParams, NetworkGraph, kappa_distance_matrix, kappa_weights
 from gcsim.trace import Trace
 
+import reference
 from reference import global_skew, level_potential, local_skew, potential, trailing_node
 from scenario_gen import corollary1_doc, zero_drift_doc
 
@@ -110,6 +111,28 @@ class TestConditions:
         g, kappa, _ = unit_kappa_graph([(0, 1)], 2)
         assert not metrics.fast_condition([0.0, 1.9], g, kappa, 0, 1)
         assert metrics.fast_condition([0.0, 2.0], g, kappa, 0, 1)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_vectorized_matches_scalar_at_the_thresholds(self, data):
+        # half-integer clocks and kappas make every product and gap exact,
+        # so gaps land on the thresholds and each >= / <= is tested there
+        n = data.draw(st.integers(2, 6))
+        pairs = sorted({tuple(sorted(p)) for p in data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+            min_size=1, max_size=8))})
+        kappas = {p: data.draw(st.sampled_from([0.5, 1.0, 1.5])) for p in pairs}
+        g, kappa, _ = unit_kappa_graph(pairs, n, kappas)
+        values = [data.draw(st.integers(-12, 12)) / 2.0 for _ in range(n)]
+        nb, K = metrics.neighbour_table(g, kappa)
+        L = np.array(values)
+        slow, fast = metrics.level_conditions(L, L[nb], K, range(1, 4))
+        for v in range(n):
+            for s in (1, 2, 3):
+                assert slow[v, s - 1] == reference.slow_condition(values, g, kappa, v, s)
+                assert fast[v, s - 1] == reference.fast_condition(values, g, kappa, v, s)
+                assert metrics.slow_condition(values, g, kappa, v, s) == slow[v, s - 1]
+                assert metrics.fast_condition(values, g, kappa, v, s) == fast[v, s - 1]
 
     def test_multi_neighbour_matches_brute_force(self):
         pairs = [(0, 1), (0, 2), (0, 3)]
