@@ -1,6 +1,6 @@
 """Command-line front end: run, check, sweep.
 
-Exit codes: 0 clean run, 2 parse error, 3 validation failure, 4 runtime
+Exit codes: 0 clean run, 2 parse or usage error, 3 validation failure, 4 runtime
 invariant violations (the run completed but recorded violations, or was
 aborted by a hard integrity failure).
 """
@@ -197,6 +197,16 @@ def _csv_cell(v) -> str:
     return '"' + s.replace('"', '""') + '"' if ("," in s or '"' in s) else s
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     _setup_logging()
     parser = argparse.ArgumentParser(prog="gcsim", description=__doc__)
@@ -215,9 +225,9 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="run a parameter grid and aggregate results")
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--grid", required=True, help="JSON file mapping parameter -> values")
-    p_sweep.add_argument("--seeds", type=int, default=1)
+    p_sweep.add_argument("--seeds", type=_positive_int, default=1)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_positive_int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)

@@ -10,7 +10,9 @@ mode changes.  They record the instants that need ground truth, and every
 check against true clock values runs per chunk, in numpy, when the chunk
 is reduced: the skew maxima at the sample instants, the estimate sandwich
 at each reply arrival and evaluation, the slow and fast conditions at each
-evaluation, and (in full mode) each measurement's true mid-exchange offset.
+evaluation, and in full mode each measurement's true mid-exchange offset
+and the trace oracles (level potentials, leading and trailing nodes,
+Corollary 1).
 Reading a clock at a past instant then is exact, as the comment above
 ``_flush_sample`` argues, so these checks report what checks made inside
 the handlers would.  A run that ends, or aborts with ``RunAborted``, first
@@ -235,11 +237,14 @@ class _Simulation:
         self._ev = np.array([v for _, v in self.edges])
         self.clocks = [nd.logical for nd in self.nodes]
         self.buf_t: list[float] = []
-        self.chunks: list[tuple] = []  # full mode: (times, L, H, local, global) per chunk
+        self.chunks: list[tuple] = []  # full mode: (times, L, H, local, global, psi_levels) per chunk
         self.edge_max = np.zeros(len(self.edges))
         self.max_global = 0.0
         self.first_exceed: float | None = None
-        self.last_row: tuple | None = None  # (t, L) of the last reduced sample
+        # carried from chunk to chunk: (t, L) of the last reduced sample and,
+        # in full mode, the Corollary 1 floors there
+        self.last_row: tuple | None = None
+        self.floors: np.ndarray | None = None
         self._global_bound = sc.global_bound
 
     # -- scheduling helpers
@@ -376,7 +381,8 @@ class _Simulation:
 
     def _reduce_chunk(self) -> None:
         """Fold the buffered samples into the skew maxima, full mode keeping
-        them, and make the buffered checks."""
+        them and running the trace oracles on them, and make the buffered
+        checks."""
         times = np.asarray(self.buf_t)
         self.buf_t = []
         if not len(times):
@@ -399,9 +405,15 @@ class _Simulation:
                 else:  # the piece starts at the previous chunk's last row
                     left = self.last_row or (times[0], L[0])
                 self.first_exceed = metrics.global_bound_crossing(*left, times[k], L[k], level)
-        self.last_row = (times[-1], L[-1])
         if self.full:
-            self.chunks.append((times, L, H, local, glob))
+            sc = self.sc
+            psi, viol, self.floors = metrics.trace_oracles(
+                times, L, sc.dist, self._nb, self._nb_kappa, sc.params.s_max, sc.params.theta,
+                self.last_row, self.floors,
+            )
+            self.violations.extend(viol)
+            self.chunks.append((times, L, H, local, glob, psi))
+        self.last_row = (times[-1], L[-1])
         self._check_chunk(times, L)
 
     def _check_chunk(self, times: np.ndarray, L: np.ndarray | None) -> None:
@@ -449,7 +461,7 @@ class _Simulation:
         own = np.arange(nb.shape[1]) < deg[:, None]  # not a pad
         t = times[rows]
         self._check_sandwich(np.repeat(t, deg), np.repeat(v, deg), nb[own], L_nb[own], est, kappa[own])
-        slow, fast = metrics.level_conditions(L[rows, v], L_nb, kappa, self._levels)
+        slow, fast = metrics.level_conditions(L[rows, v], L_nb, kappa, self._levels, 0.0)
         self.counters["sc_instances"] += int(np.count_nonzero(slow))
         self.counters["fc_instances"] += int(np.count_nonzero(fast))
         for name, held, fired in (("slow", slow, ev[:, 2].tolist()), ("fast", fast, ev[:, 3].tolist())):
@@ -485,7 +497,8 @@ class _Simulation:
             )
 
     def _abort(self, message: str) -> None:
-        """Make every buffered check, then end the run with RunAborted.
+        """Make every buffered check, the trace oracles included, then end
+        the run with RunAborted.
 
         The violations are sorted as ``_finish`` sorts them, so the report of
         an aborted run does not depend on where the chunks ended.
@@ -557,18 +570,9 @@ class _Simulation:
         if self.buf_t or self._reply_checks:
             self._reduce_chunk()
         if self.full:
-            times, L, H, local, glob = (np.concatenate(parts) for parts in zip(*self.chunks))
+            times, L, H, local, glob, psi_levels = (np.concatenate(parts) for parts in zip(*self.chunks))
             self.chunks = []
             self._check_lipschitz_trace(times, H)
-
-            kappa_adj = np.full((n, n), np.inf)
-            for (u, v), k_e in sc.kappa.items():
-                kappa_adj[u, v] = k_e
-                kappa_adj[v, u] = k_e
-            psi_levels, leading, oracle_viol = metrics.trace_oracles(
-                times, L, sc.dist, kappa_adj, sc.params.s_max, sc.params.theta
-            )
-            self.violations.extend(oracle_viol)
 
             modes = np.zeros((len(times), n), dtype=np.int8)
             for v in range(n):
@@ -586,7 +590,6 @@ class _Simulation:
                 local_skew=local,
                 global_skew=glob,
                 psi_levels=psi_levels,
-                leading_nodes=leading,
                 measurements=self.measurements,
                 bound_local=sc.local_bound,
                 bound_global=sc.global_bound,
@@ -603,7 +606,6 @@ class _Simulation:
                 local_skew=empty,
                 global_skew=empty,
                 psi_levels=np.zeros((0, sc.params.s_max)),
-                leading_nodes=np.zeros(0, dtype=np.int64),
                 measurements=[],
                 bound_local=sc.local_bound,
                 bound_global=sc.global_bound,

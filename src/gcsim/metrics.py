@@ -1,9 +1,12 @@
 """Ground-truth oracle: skew metrics, conditions, potentials, bound checks.
 
 Everything here reads true logical clock values, which running nodes never
-see.  The checks are vectorized: the slow and fast conditions over many
-evaluations at once, and the trace-wide checks chunked, because a run can
-easily produce 10^5 samples.
+see.  The checks are vectorized.  One threshold predicate,
+:func:`level_conditions`, gives the slow and fast conditions over a padded
+neighbour table, for many evaluations or samples at once.  The trace
+oracles (:func:`trace_oracles`) run on one engine chunk of samples at a
+time, carrying the previous chunk's last row and the Corollary 1 floors, so
+their temporaries are O(rows per chunk * n^2) however long the run.
 """
 from __future__ import annotations
 
@@ -58,7 +61,9 @@ def neighbour_table(g: NetworkGraph, kappa) -> tuple[np.ndarray, np.ndarray]:
     return nb, K
 
 
-def level_conditions(own: np.ndarray, nbr: np.ndarray, K: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
+def level_conditions(
+    own: np.ndarray, nbr: np.ndarray, K: np.ndarray, levels, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
     """True-clock forms of the slow and fast triggers, each (m, len(levels)).
 
     Row r is one node v at one instant: ``own[r]`` is L_v, ``nbr[r, j]``
@@ -66,10 +71,11 @@ def level_conditions(own: np.ndarray, nbr: np.ndarray, K: np.ndarray, levels) ->
     padded layout of :func:`neighbour_table`.  Slow at level s: v leads
     some neighbour by at least (2s-1) kappa and no neighbour leads v by
     more.  Fast at level s: some neighbour leads v by at least 2s kappa and
-    v leads no neighbour by more.  Every gap and threshold is the float a
-    scalar evaluation, one neighbour at a time, computes (an int level
-    factor times kappa is the same product), so every comparison matches
-    it.
+    v leads no neighbour by more.  Every clause is relaxed by ``tol``.
+    With tol = 0.0, which the engine passes, x - 0.0 and x + 0.0 are x, so
+    every gap and threshold is the float a scalar evaluation, one neighbour
+    at a time, computes (an int level factor times kappa is the same
+    product), and every comparison matches it.
     """
     lead = nbr - own[:, None]
     trail = own[:, None] - nbr
@@ -77,8 +83,8 @@ def level_conditions(own: np.ndarray, nbr: np.ndarray, K: np.ndarray, levels) ->
     fast = np.empty_like(slow)
     for j, s in enumerate(levels):
         odd, even = (2 * s - 1) * K, 2 * s * K
-        slow[:, j] = (trail >= odd).any(axis=1) & (lead <= odd).all(axis=1)
-        fast[:, j] = (lead >= even).any(axis=1) & (trail <= even).all(axis=1)
+        slow[:, j] = (trail >= odd - tol).any(axis=1) & (lead <= odd + tol).all(axis=1)
+        fast[:, j] = (lead >= even - tol).any(axis=1) & (trail <= even + tol).all(axis=1)
     return slow, fast
 
 
@@ -88,7 +94,7 @@ def _conditions_at(values, g: NetworkGraph, kappa, v: int, s: int) -> tuple[bool
     nbrs = g.neighbors(v)
     nbr = np.array([[values[w] for w in nbrs]], dtype=float)
     K = np.array([[kappa[(min(v, w), max(v, w))] for w in nbrs]], dtype=float)
-    slow, fast = level_conditions(np.array([values[v]], dtype=float), nbr, K, [s])
+    slow, fast = level_conditions(np.array([values[v]], dtype=float), nbr, K, [s], 0.0)
     return bool(slow[0, 0]), bool(fast[0, 0])
 
 
@@ -169,10 +175,6 @@ def global_bound_crossing(t0: float, L0: np.ndarray, t1: float, L1: np.ndarray, 
     return float(t0 + (t1 - t0) * frac.min())
 
 
-# Rows per block of the trace-wide checks; bounds their (rows, n, n) temporaries.
-_ORACLE_CHUNK = 4096
-
-
 def _growth_violations(
     times: np.ndarray, F: np.ndarray, psi: np.ndarray, s: int, theta: float, tol: float,
     floor: np.ndarray | None,
@@ -235,20 +237,14 @@ def corollary1_check(trace: Trace, s: int, theta: float, tol: float = _CHECK_TOL
     linear between two samples, so psi_s(v) = max_w (L_w - L_v - (2s-1)
     d(v, w)) is convex on each piece, with its steepest rise at the piece's
     right end (see ``_growth_violations``).  ``trace_oracles`` makes the
-    same check while it builds the potentials; this form reads a stored
-    trace.
+    same check on each chunk of a run while it builds the potentials; this
+    form re-reads a stored trace in one pass, with (S, n, n) temporaries.
     """
     if not (1 <= s <= trace.s_max):
         raise ParameterError(f"level {s} outside recorded range 1..{trace.s_max}")
-    out: list[Violation] = []
-    floor = None
-    for lo in range(0, len(trace), _ORACLE_CHUNK):
-        rows = slice(max(lo - 1, 0), lo + _ORACLE_CHUNK)  # with the left end of the chunk's first piece
-        L = trace.logical[rows]
-        F = L[:, None, :] - L[:, :, None] - (2 * s - 1) * trace.dist
-        viol, floor = _growth_violations(trace.times[rows], F, F.max(axis=2), s, theta, tol, floor)
-        out.extend(viol)
-    return out
+    L = trace.logical
+    F = L[:, None, :] - L[:, :, None] - (2 * s - 1) * trace.dist
+    return _growth_violations(trace.times, F, F.max(axis=2), s, theta, tol, None)[0]
 
 
 def corollary1_check_all(trace: Trace, theta: float, tol: float = _CHECK_TOL) -> list[Violation]:
@@ -260,112 +256,100 @@ def corollary1_check_all(trace: Trace, theta: float, tol: float = _CHECK_TOL) ->
 
 def trace_oracles(
     times: np.ndarray,
-    logical: np.ndarray,
+    L: np.ndarray,
     dist: np.ndarray,
-    kappa_adj: np.ndarray,
+    nb: np.ndarray,
+    K: np.ndarray,
     s_max: int,
     theta: float,
+    last_row: tuple | None = None,
+    floors: np.ndarray | None = None,
     tol: float = _CHECK_TOL,
-):
-    """Vectorized per-sample level potentials, the leading/trailing oracles
-    and the Corollary 1 growth check.
+) -> tuple[np.ndarray, list[Violation], np.ndarray]:
+    """Per-sample level potentials, the leading/trailing oracles and the
+    Corollary 1 growth check over one chunk of samples.
 
-    ``kappa_adj`` is the per-edge weight matrix with +inf on non-edges.
-    Returns (psi_levels, leading_nodes, violations).
+    ``times`` (m,) and ``L`` (m, n) are the chunk's sample instants and
+    logical values; ``nb`` and ``K`` are the padded neighbour table of
+    :func:`neighbour_table`.  The carry from the previous chunk is
+    ``last_row``, its last (t, L) row, which starts the first piece of this
+    chunk, and ``floors``, the (s_max, n) Corollary 1 floors at that row;
+    both are None for the first chunk, so one call over a whole trace checks
+    it as one chunk.  Returns (psi_levels (m, s_max), violations, the floors
+    at the chunk's last row).
 
-    The leading-node oracle demands that the ahead node b of every
-    positive maximizing pair (a, b) satisfy the slow condition at that
-    level; the trailing oracle demands that every node realizing a
-    positive discounted deficit satisfy the fast condition.  Both are
-    identities of the kappa-metric at any single instant, whatever the
-    clock values.  For the leading node: the node x before b on a shortest
-    path from a has d(a, x) = d(a, b) - kappa(x, b), and f_ax <= f_ab gives
-    sc1 on the edge (b, x); a neighbour y leading b by more than
-    (2s-1) kappa(b, y) would give f_ay > f_ab by the triangle inequality
-    d(a, y) <= d(a, b) + kappa(b, y), so sc2 holds.  The trailing node is
-    the mirror image (fc1, fc2).  So a hit is an implementation bug (a
-    distance matrix that is not the shortest-path metric of kappa, or a
-    wrong maximizer), and checking them only at the sample instants, which
+    The leading-node oracle demands that the ahead node b of the maximizing
+    pair (a, b) of a positive Psi_s (the first in row-major order) satisfy
+    the slow condition at level s; the trailing oracle demands that every
+    node realizing a positive discounted deficit satisfy the fast
+    condition.  Both conditions are :func:`level_conditions` relaxed by
+    ``tol``.  Both oracles are identities of the kappa-metric at any single
+    instant, whatever the clock values.  For the leading node: the node x
+    before b on a shortest path from a has d(a, x) = d(a, b) - kappa(x, b),
+    and f_ax <= f_ab makes b lead x by at least (2s-1) kappa(x, b); a
+    neighbour y leading b by more than (2s-1) kappa(b, y) would give
+    f_ay > f_ab by the triangle inequality d(a, y) <= d(a, b) + kappa(b, y).
+    The trailing node is the mirror image.  So a hit is an implementation
+    bug (a distance matrix that is not the shortest-path metric of kappa, or
+    a wrong maximizer), and checking them only at the sample instants, which
     need not include every message event, loses nothing.
 
     The Corollary 1 check is the one :func:`corollary1_check` describes,
-    made on the per-level matrices built here; the first piece of each
-    chunk starts at the previous chunk's last row, and each level's floor
-    is carried from chunk to chunk.
+    made on the per-level matrices built here and carried across chunks by
+    ``last_row`` and ``floors``.
     """
-    S, n = logical.shape
-    psi_levels = np.zeros((S, s_max))
-    leading = np.zeros(S, dtype=np.int64)
+    if last_row is not None:  # the carried row only starts the first piece
+        times, L = np.append(last_row[0], times), np.vstack([last_row[1], L])
+    own = slice(0 if last_row is None else 1, None)
+    t, L_own = times[own], L[own]
+    m, n = L_own.shape
+
+    def conditions(r: np.ndarray, v: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """The relaxed slow and fast conditions of node v[i] at row r[i]."""
+        slow, fast = level_conditions(L_own[r, v], L_own[r[:, None], nb[v]], K[v], [s], tol)
+        return slow[:, 0], fast[:, 0]
+
+    diff = L[:, None, :] - L[:, :, None]  # diff[r, a, b] = L_b - L_a
+    psi_levels = np.empty((m, s_max))
+    new_floors = np.empty((s_max, n))
     violations: list[Violation] = []
-    floors = [None] * s_max
+    rows = np.arange(m)
+    for s in range(1, s_max + 1):
+        F = diff - (2 * s - 1) * dist
+        psi = F.max(axis=2)
+        viol, new_floors[s - 1] = _growth_violations(
+            times, F, psi, s, theta, tol, None if floors is None else floors[s - 1]
+        )
+        violations += viol
+        F, psi = F[own], psi[own]
+        psi_levels[:, s - 1] = lvl = psi.max(axis=1)
 
-    for lo in range(0, S, _ORACLE_CHUNK):
-        hi = min(lo + _ORACLE_CHUNK, S)
-        B = hi - lo
-        # rows from `first` on; row `first` < lo only starts the first piece
-        first = max(lo - 1, 0)
-        own = slice(lo - first, None)
-        # diff[t, a, b] = L[t, b] - L[t, a]
-        diff_x = logical[first:hi, None, :] - logical[first:hi, :, None]
-        L, diff = logical[lo:hi], diff_x[own]
-        for s in range(1, s_max + 1):
-            c_odd = 2 * s - 1
-            M_x = diff_x - c_odd * dist[None, :, :]
-            pn_x = M_x.max(axis=2)
-            viol, floors[s - 1] = _growth_violations(
-                times[first:hi], M_x, pn_x, s, theta, tol, floors[s - 1]
+        # the leading node: b of the first pair (a, b) in row-major order attaining Psi_s
+        lead = F[rows, psi.argmax(axis=1)].argmax(axis=1)
+        r = np.nonzero(lvl > tol)[0]
+        slow, _ = conditions(r, lead[r], s)
+        violations += [
+            Violation(
+                time=float(t[i]),
+                kind="leading_node_not_slow",
+                detail=f"leading node {int(lead[i])} at level {s} fails the slow condition",
             )
-            violations.extend(viol)
-            M = M_x[own]
-            lvl = pn_x[own].max(axis=1)
-            psi_levels[lo:hi, s - 1] = lvl
+            for i in r[~slow]
+        ]
 
-            lead = M.reshape(B, -1).argmax(axis=1) % n
-            if s == 1:
-                leading[lo:hi] = lead
-            active = lvl > tol
-            if active.any():
-                idx = np.nonzero(active)[0]
-                Lw = L[idx, lead[idx]]
-                Ksub = kappa_adj[lead[idx]]
-                out_gap = Lw[:, None] - L[idx] - c_odd * Ksub
-                sc1 = (out_gap >= -tol).any(axis=1)
-                sc2_viol = ((L[idx] - Lw[:, None] - c_odd * Ksub) > tol).any(axis=1)
-                for j in np.nonzero(~sc1 | sc2_viol)[0]:
-                    t_idx = lo + idx[j]
-                    violations.append(
-                        Violation(
-                            time=float(times[t_idx]),
-                            kind="leading_node_not_slow",
-                            detail=(
-                                f"leading node {int(lead[idx[j]])} at level {s} "
-                                f"fails the slow condition"
-                            ),
-                        )
-                    )
-
-            c_even = 2 * s
-            M2 = -diff - c_even * dist[None, :, :]  # M2[t, v, x] = L_v - L_x - 2s*dist
-            mx = M2.max(axis=2)
-            pos = mx > tol
-            if pos.any():
-                attain = M2 >= (mx[:, :, None] - _TIE_TOL)
-                trailing = (attain & pos[:, :, None]).any(axis=1)
-                fc1 = ((diff - c_even * kappa_adj[None, :, :]) >= -tol).any(axis=2)
-                fc2_viol = ((-diff - c_even * kappa_adj[None, :, :]) > tol).any(axis=2)
-                bad = trailing & (~fc1 | fc2_viol)
-                for t_i, w in zip(*np.nonzero(bad)):
-                    violations.append(
-                        Violation(
-                            time=float(times[lo + t_i]),
-                            kind="trailing_node_not_fast",
-                            detail=(
-                                f"trailing node {int(w)} at level {s} "
-                                f"fails the fast condition"
-                            ),
-                        )
-                    )
-    return psi_levels, leading, violations
+        G = -2 * s * dist - diff[own]  # G[r, v, x] = L_v - L_x - 2s d(v, x)
+        mx = G.max(axis=2)[:, :, None]
+        r, x = np.nonzero(((G >= mx - _TIE_TOL) & (mx > tol)).any(axis=1))
+        _, fast = conditions(r, x, s)
+        violations += [
+            Violation(
+                time=float(t[i]),
+                kind="trailing_node_not_fast",
+                detail=f"trailing node {int(w)} at level {s} fails the fast condition",
+            )
+            for i, w in zip(r[~fast], x[~fast])
+        ]
+    return psi_levels, violations, new_floors
 
 
 @dataclass

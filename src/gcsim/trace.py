@@ -78,7 +78,6 @@ class Trace:
         local_skew: np.ndarray,
         global_skew: np.ndarray,
         psi_levels: np.ndarray,
-        leading_nodes: np.ndarray,
         measurements: list[MeasurementTruth],
         bound_local: float,
         bound_global: float,
@@ -92,7 +91,6 @@ class Trace:
         self.local_skew = local_skew
         self.global_skew = global_skew
         self.psi_levels = psi_levels
-        self.leading_nodes = leading_nodes
         self.measurements = measurements
         self.bound_local = bound_local
         self.bound_global = bound_global

@@ -270,6 +270,17 @@ class TestSweep:
         assert rc == cli.EXIT_VALIDATION
         assert "validation: section 'clocks' missing or not an object" in err.splitlines()
 
+    @pytest.mark.parametrize("option, value", [("--seeds", "-2"), ("--seeds", "0"), ("--workers", "0")])
+    def test_count_below_one_is_a_usage_error(self, option, value, tmp_path, capsys):
+        path = write_doc(tmp_path, sweepable_line_doc())
+        grid = write_doc(tmp_path, {"eps_m": [0.2]}, name="grid.json")
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["sweep", "--scenario", path, "--grid", grid, option, value,
+                      "--out", str(tmp_path / "s")])
+        assert exited.value.code == cli.EXIT_PARSE
+        assert f"{option}: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_unsupported_parameter_rejected(self, tmp_path, capsys):
         path = write_doc(tmp_path, sweepable_line_doc())
         grid = write_doc(tmp_path, {"frobnicate": [1]}, name="grid.json")

@@ -196,8 +196,7 @@ class TestMetricsModes:
         assert_modes_agree(res)
 
 
-TRACE_ARRAYS = ("times", "logical", "hardware", "modes", "local_skew", "global_skew",
-                "psi_levels", "leading_nodes")
+TRACE_ARRAYS = ("times", "logical", "hardware", "modes", "local_skew", "global_skew", "psi_levels")
 
 
 def flipping_antiphase_doc(semantics: str) -> dict:

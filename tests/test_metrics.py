@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gcsim import engine, metrics
 from gcsim import scenario as scen
-from gcsim.errors import ParameterError
+from gcsim.errors import ParameterError, RunAborted
 from gcsim.topology import EdgeParams, NetworkGraph, kappa_distance_matrix, kappa_weights
 from gcsim.trace import Trace
 
@@ -84,15 +84,19 @@ class TestPotential:
                     )
 
     def test_leading_pair_identifies_ahead_node(self):
-        _, kappa, dist = unit_kappa_graph([(0, 1)], 2)
-        kappa_adj = np.full((2, 2), np.inf)
-        kappa_adj[0, 1] = kappa_adj[1, 0] = kappa[(0, 1)]
+        # kappa 6 with a distance of 1, which is not the kappa-metric: the
+        # ahead node 1 of the maximizing pair cannot be slow, and the oracle
+        # names it
+        g, kappa, _ = unit_kappa_graph([(0, 1)], 2, {(0, 1): 6.0})
+        dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+        nb, K = metrics.neighbour_table(g, kappa)
         values = [0.0, 5.0]
-        psi_levels, leading, _ = metrics.trace_oracles(
-            np.zeros(1), np.array([values]), dist, kappa_adj, 1, theta=1.0
+        psi_levels, viol, _ = metrics.trace_oracles(
+            np.zeros(1), np.array([values]), dist, nb, K, 1, theta=1.0
         )
         level, base = level_potential(values, dist, 1)
-        assert (base, int(leading[0])) == (0, 1)
+        leading = [int(v.detail.split()[2]) for v in viol if v.kind == "leading_node_not_slow"]
+        assert (base, leading[0]) == (0, 1)
         assert psi_levels[0, 0] == pytest.approx(level)
         assert level == pytest.approx(4.0)
 
@@ -126,7 +130,7 @@ class TestConditions:
         values = [data.draw(st.integers(-12, 12)) / 2.0 for _ in range(n)]
         nb, K = metrics.neighbour_table(g, kappa)
         L = np.array(values)
-        slow, fast = metrics.level_conditions(L, L[nb], K, range(1, 4))
+        slow, fast = metrics.level_conditions(L, L[nb], K, range(1, 4), 0.0)
         for v in range(n):
             for s in (1, 2, 3):
                 assert slow[v, s - 1] == reference.slow_condition(values, g, kappa, v, s)
@@ -256,14 +260,34 @@ class TestCorollary1:
         assert first.time == pytest.approx(49.727, abs=1e-3)
         assert first.detail.startswith("node 23 level 1, leader 15:")
         assert metrics.corollary1_check_all(res.trace, sc.params.theta) == hits
-        # chunks of two rows: every other piece starts in the previous chunk
-        monkeypatch.setattr(metrics, "_ORACLE_CHUNK", 2)
+        # blocks of two rows: every other piece starts in the previous block
         trace, theta = res.trace, sc.params.theta
-        assert metrics.corollary1_check_all(trace, theta) == hits
-        kappa_adj = kappa_adjacency(trace.n, sc.kappa)
-        *_, viol = metrics.trace_oracles(trace.times, trace.logical, sc.dist, kappa_adj,
-                                         sc.params.s_max, theta)
-        assert viol == hits
+        assert chained_oracles(trace, sc.graph, sc.kappa, theta, 2) == hits
+        assert chained_oracles(trace, sc.graph, sc.kappa, theta, len(trace)) == hits
+        # engine chunks of one row, or of a size that divides no row count:
+        # the floors are carried from chunk to chunk
+        for chunk_values in (1, 50):
+            monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
+            assert [v for v in engine.run(sc).violations if v.kind == "corollary1"] == hits
+
+    def test_aborted_run_reports_the_hit_of_its_last_chunk(self, monkeypatch):
+        # abort right after the sample that ends the first hit's piece: the
+        # oracles run on the buffered chunk before RunAborted is raised
+        sc = scen.build_scenario(corollary1_doc())
+        first = next(v for v in engine.run(sc).violations if v.kind == "corollary1")
+        flush = engine._Simulation._flush_sample
+
+        def flush_then_abort(sim, t):
+            flush(sim, t)
+            if t == first.time:
+                sim._abort("stopped after the first corollary1 hit")
+
+        monkeypatch.setattr(engine._Simulation, "_flush_sample", flush_then_abort)
+        with pytest.raises(RunAborted) as aborted:
+            engine.run(sc)
+        assert [v for v in aborted.value.violations if v.kind == "corollary1"] == [first]
+        assert first.time == pytest.approx(49.727, abs=1e-3)
+        assert first.detail.startswith("node 23 level 1, leader 15:")
 
     def test_check_covers_instants_between_samples(self):
         # star around node 0 with unit distances.  psi_1(0) is 1 at both
@@ -279,18 +303,19 @@ class TestCorollary1:
         assert [(v.time, v.detail.split(":")[0]) for v in bad] == [(1.0, "node 0 level 1, leader 2")]
 
     @pytest.mark.parametrize("chunk", [4096, 7])
-    def test_small_excess_sustained_over_many_pieces_is_flagged(self, monkeypatch, chunk):
+    def test_small_excess_sustained_over_many_pieces_is_flagged(self, chunk):
         # psi_1(0) = L_1 - L_0 - 1 rises at (theta - 1) + 1e-10 over 1000
         # one-second pieces: 1e-10 over the envelope on each piece, far below
         # the tolerance, but 1e-7 over the run
-        monkeypatch.setattr(metrics, "_ORACLE_CHUNK", chunk)
         theta = 1.01
         t = np.arange(1001.0)
-        dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+        g, kappa, dist = unit_kappa_graph([(0, 1)], 2)
         exact = stored_trace(t, np.column_stack([t, 1.0 + theta * t]), dist)
         assert metrics.corollary1_check(exact, 1, theta) == []
+        assert chained_oracles(exact, g, kappa, theta, chunk) == []
         excess = stored_trace(t, np.column_stack([t, 1.0 + (theta + 1e-10) * t]), dist)
         bad = metrics.corollary1_check(excess, 1, theta)
+        assert chained_oracles(excess, g, kappa, theta, chunk) == bad
         assert bad and all(v.detail.startswith("node 0 level 1, leader 1:") for v in bad)
         assert bad[0].time == pytest.approx(11.0, abs=1.0)  # where the rise first tops 1e-9
         assert bad[-1].time == 1000.0
@@ -302,17 +327,23 @@ def stored_trace(times, logical, dist):
     return Trace(
         times=times, logical=logical, hardware=np.zeros((S, n)),
         modes=np.zeros((S, n), dtype=np.int8), edges=((0, 1),), local_skew=np.zeros(S),
-        global_skew=np.zeros(S), psi_levels=np.zeros((S, 1)),
-        leading_nodes=np.zeros(S, dtype=np.int64), measurements=[], bound_local=2.0,
-        bound_global=2.0, dist=dist,
+        global_skew=np.zeros(S), psi_levels=np.zeros((S, 1)), measurements=[],
+        bound_local=2.0, bound_global=2.0, dist=dist,
     )
 
 
-def kappa_adjacency(n, kappa):
-    adj = np.full((n, n), np.inf)
-    for (u, v), k_e in kappa.items():
-        adj[u, v] = adj[v, u] = k_e
-    return adj
+def chained_oracles(trace, g, kappa, theta, rows):
+    """The trace oracles over a stored trace, called on blocks of ``rows``
+    rows that carry the last row and the floors as the engine's chunks do;
+    sorted as a run sorts its violations."""
+    nb, K = metrics.neighbour_table(g, kappa)
+    out, last_row, floors = [], None, None
+    for lo in range(0, len(trace), rows):
+        t, L = trace.times[lo : lo + rows], trace.logical[lo : lo + rows]
+        _, viol, floors = metrics.trace_oracles(t, L, trace.dist, nb, K, trace.s_max, theta, last_row, floors)
+        out += viol
+        last_row = (t[-1], L[-1])
+    return sorted(out, key=lambda v: (v.time, v.kind, v.detail))
 
 
 @st.composite
@@ -335,9 +366,9 @@ class TestLeadingTrailingOracles:
     @settings(max_examples=200, deadline=None)
     def test_no_hit_on_any_clock_values(self, graph, s_max):
         n, pairs, kappas, values = graph
-        _, kappa, dist = unit_kappa_graph(pairs, n, kappas)
-        *_, viol = metrics.trace_oracles(
-            np.zeros(1), np.array([values]), dist, kappa_adjacency(n, kappa), s_max, theta=1.0
+        g, kappa, dist = unit_kappa_graph(pairs, n, kappas)
+        _, viol, _ = metrics.trace_oracles(
+            np.zeros(1), np.array([values]), dist, *metrics.neighbour_table(g, kappa), s_max, theta=1.0
         )
         assert viol == []
 
@@ -346,12 +377,12 @@ class TestLeadingTrailingOracles:
     def test_distance_breaking_the_triangle_inequality_is_caught(self, k01, k12, h, e):
         # line 0 - 1 - 2 with d(0, 2) above k01 + k12: the maximizing pair is
         # (0, 1), and node 2 leads the leading node 1 by k12 + h
-        _, kappa, dist = unit_kappa_graph([(0, 1), (1, 2)], 3, {(0, 1): k01, (1, 2): k12})
+        g, kappa, dist = unit_kappa_graph([(0, 1), (1, 2)], 3, {(0, 1): k01, (1, 2): k12})
         dist = dist.copy()
         dist[0, 2] = dist[2, 0] = k01 + k12 + 1.0 + e
         values = [0.0, k01 + 1.0, k01 + 1.0 + k12 + h]
-        *_, viol = metrics.trace_oracles(
-            np.zeros(1), np.array([values]), dist, kappa_adjacency(3, kappa), 1, theta=1.0
+        _, viol, _ = metrics.trace_oracles(
+            np.zeros(1), np.array([values]), dist, *metrics.neighbour_table(g, kappa), 1, theta=1.0
         )
         assert "leading_node_not_slow" in {v.kind for v in viol}
 
