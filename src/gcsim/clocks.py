@@ -38,7 +38,6 @@ class RateSchedule:
 
     starts: tuple[float, ...]
     rates: tuple[float, ...]
-    tag: str = "constant"
 
     def __post_init__(self):
         if not self.starts or self.starts[0] != 0.0:
@@ -104,6 +103,11 @@ class LogicalClock:
         self._values = [hardware.initial_value]
         self._hw_at = [hardware.initial_value]
         self._modes = [OWN_RATE]
+
+    @property
+    def mode_timeline(self) -> list[tuple[float, int]]:
+        """(time, mode) of each anchor: (0.0, OWN_RATE), then every mode change."""
+        return list(zip(self._times, self._modes))
 
     def _segment(self, t: float) -> int:
         return bisect_right(self._times, t) - 1
@@ -300,7 +304,7 @@ def make_schedule(
     """
     if generator == "constant":
         rate = float(params.get("rate", 1.0))
-        return RateSchedule(starts=(0.0,), rates=(rate,), tag="constant")
+        return RateSchedule(starts=(0.0,), rates=(rate,))
     if generator == "alternating":
         dwell = float(params["dwell"])
         if dwell <= 0:
@@ -315,7 +319,7 @@ def make_schedule(
             rates.append(high if hi else low)
             hi = not hi
             t += dwell
-        return RateSchedule(starts=tuple(starts), rates=tuple(rates), tag="alternating")
+        return RateSchedule(starts=tuple(starts), rates=tuple(rates))
     if generator == "random_walk":
         if rng is None:
             raise ParameterError("random_walk schedule needs an RNG stream")
@@ -332,12 +336,12 @@ def make_schedule(
             rates.append(rate)
             rate = min(max(rate + rng.uniform(-step, step), 1.0), theta)
             t += dwell
-        return RateSchedule(starts=tuple(starts), rates=tuple(rates), tag="random-walk")
+        return RateSchedule(starts=tuple(starts), rates=tuple(rates))
     if generator == "scripted":
         segments = params["segments"]
         if not segments:
             raise ParameterError("scripted schedule needs at least one segment")
         starts = tuple(float(s[0]) for s in segments)
         rates = tuple(float(s[1]) for s in segments)
-        return RateSchedule(starts=starts, rates=rates, tag="adversarial script")
+        return RateSchedule(starts=starts, rates=rates)
     raise ParameterError(f"unknown rate generator {generator!r}")

@@ -8,11 +8,11 @@ metrics get read-only snapshots.
 Event handlers do only what the nodes do: readings, estimates, triggers and
 mode changes.  They record the instants that need ground truth, and every
 check against true clock values runs per chunk, in numpy, when the chunk
-is reduced: the skew maxima at the sample instants, the estimate sandwich
-at each reply arrival and evaluation, the slow and fast conditions at each
-evaluation, and in full mode each measurement's true mid-exchange offset
-and the trace oracles (level potentials, leading and trailing nodes,
-Corollary 1).
+is reduced: the skew maxima at the sample instants, the hardware drift
+envelope between consecutive samples, the estimate sandwich at each reply
+arrival and evaluation, the slow and fast conditions at each evaluation,
+and in full mode the trace oracles (level potentials, leading and trailing
+nodes, Corollary 1).
 Reading a clock at a past instant then is exact, as the comment above
 ``_flush_sample`` argues, so these checks report what checks made inside
 the handlers would.  A run that ends, or aborts with ``RunAborted``, first
@@ -33,7 +33,7 @@ from .clocks import FAST, OWN_RATE, HardwareClock, LogicalClock, make_schedule, 
 from .errors import ConfigError, InternalError, RunAborted
 from .gcs import GcsParams, NodeState
 from .topology import NetworkGraph
-from .trace import MeasurementTruth, RunSummary, Trace, Violation
+from .trace import RunSummary, Trace, Violation
 from .twoway import (
     MeasurementRecord,
     RequestMsg,
@@ -46,13 +46,14 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["StreamRegistry", "seeded_stream", "DelaySampler", "Scenario", "RunResult", "run"]
 
-# Event kinds; CycleBoundary events carry a wakeup/evaluate stage.
-K_WAKEUP = 0
-K_EVALUATE = 1
-K_ARRIVAL = 2
-K_EMIT = 3
-K_TICK = 4
-K_RATE = 5  # a hardware rate breakpoint: no handler, it only forces a sample
+# Event kinds.  Each payload holds only what its handler reads.
+K_WAKEUP = 0  # (v, k): node v starts cycle k and sends its requests
+K_EVALUATE = 1  # (v, k): node v evaluates its triggers in cycle k
+K_REQUEST = 2  # (v, w, l_v_t1): v's request reaches w
+K_EMIT = 3  # (v, w, l_v_t1, l_w_t2): w sends its reply to v
+K_REPLY = 4  # (v, reply): w's ReplyMsg reaches v
+K_TICK = 5
+K_RATE = 6  # a hardware rate breakpoint: no handler, it only forces a sample
 # A clock's slope changes only at a mode decision or a rate breakpoint;
 # requests and replies only carry readings.  So only instants with one of
 # these kinds, or a grid tick, become samples.
@@ -62,7 +63,9 @@ _TOL = 1e-9
 # Values per chunk: sample instants and ground-truth checks are buffered,
 # and the clocks evaluated, reduced and checked with numpy once a chunk
 # holds this many sampled clock values plus checked estimates (32 rows at
-# n = 256 when no check is pending).
+# n = 256 when no check is pending).  Full mode also reduces a chunk once its
+# rows times n^2, the size of the trace oracles' temporaries, reach
+# 256 * _CHUNK_VALUES, which binds only above n = 256.
 _CHUNK_VALUES = 8192
 
 
@@ -199,7 +202,6 @@ class _Simulation:
         self.pending: list[dict] = [dict() for _ in range(n)]
         self.completed = [0] * n
         self.done: set[int] = set()
-        self.mode_timelines: list[list] = [[(0.0, OWN_RATE)] for _ in range(n)]
 
         self.heap: list = []
         self.seq = 0
@@ -207,7 +209,6 @@ class _Simulation:
         self.stop_time: float | None = None
 
         self.violations: list[Violation] = []
-        self.measurements: list[MeasurementTruth] = []
         self.counters = {
             "eval_instants": 0,
             "trigger_evaluations": 0,
@@ -226,12 +227,10 @@ class _Simulation:
         # Ground-truth checks waiting for the next chunk, in flat buffers:
         # (t, v, w, estimate, kappa) per reply arrival; (sample row, v, slow
         # level mask, fast level mask) per evaluation, with its estimates in
-        # neighbour order; in full mode the measurements whose true
-        # mid-exchange offset is still to be read.
+        # neighbour order.
         self._reply_checks: list = []
         self._eval_checks: list[int] = []
         self._eval_estimates: list[float] = []
-        self._truths: list[MeasurementTruth] = []
         self.edges = tuple((u, v) for u, v, _ in g.edges)
         self._eu = np.array([u for u, _ in self.edges])
         self._ev = np.array([v for _, v in self.edges])
@@ -241,9 +240,10 @@ class _Simulation:
         self.edge_max = np.zeros(len(self.edges))
         self.max_global = 0.0
         self.first_exceed: float | None = None
-        # carried from chunk to chunk: (t, L) of the last reduced sample and,
-        # in full mode, the Corollary 1 floors there
+        # carried from chunk to chunk: (t, L) and (t, H) of the last reduced
+        # sample and, in full mode, the Corollary 1 floors there
         self.last_row: tuple | None = None
+        self.last_hw: tuple | None = None
         self.floors: np.ndarray | None = None
         self._global_bound = sc.global_bound
 
@@ -258,9 +258,6 @@ class _Simulation:
     def _on_wakeup(self, t: float, v: int, k: int) -> None:
         node = self.nodes[v]
         node.logical.set_mode(t, OWN_RATE)
-        if node.mode != OWN_RATE:
-            node.mode = OWN_RATE
-            self.mode_timelines[v].append((t, OWN_RATE))
         self.completed[v] = k
         sc = self.sc
         if sc.horizon_cycles is not None and k >= sc.horizon_cycles:
@@ -278,34 +275,30 @@ class _Simulation:
             self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
         for w in sc.graph.neighbors(v):
             d = self.sampler.sample(v, w)
-            self.pending[v][w] = (l1, t)
-            self.push(t + d, K_ARRIVAL, ("req", v, w, l1, d, t))
+            self.pending[v][w] = l1
+            self.push(t + d, K_REQUEST, (v, w, l1))
         self.push(node.logical.invert(expected + sc.params.T), K_EVALUATE, (v, k))
 
-    def _on_request_arrival(self, t: float, payload) -> None:
-        _, v, w, t1, fwd_d, sent_real = payload
+    def _on_request_arrival(self, t: float, v: int, w: int, t1: float) -> None:
         t2 = self.nodes[w].logical.value(t)
         p_real = 0.0
         if self.sc.p_max > 0:
             p_real = self.sc.p_max * float(self.proc_streams[(v, w)].random())
-        self.push(t + p_real, K_EMIT, (v, w, t1, t2, fwd_d, p_real, sent_real))
+        self.push(t + p_real, K_EMIT, (v, w, t1, t2))
 
-    def _on_emit(self, t: float, payload) -> None:
-        v, w, t1, t2, fwd_d, p_real, sent_real = payload
+    def _on_emit(self, t: float, v: int, w: int, t1: float, t2: float) -> None:
         t3 = self.nodes[w].logical.value(t)
         reply = handle_request(RequestMsg(v, t1), w, t2, t3 - t2)
-        d = self.sampler.sample(w, v)
-        self.push(t + d, K_ARRIVAL, ("rep", w, v, reply, fwd_d, p_real, d, sent_real))
+        self.push(t + self.sampler.sample(w, v), K_REPLY, (v, reply))
 
-    def _on_reply_arrival(self, t: float, payload) -> None:
-        _, w, v, reply, fwd_d, p_real, bwd_d, sent_real = payload
+    def _on_reply_arrival(self, t: float, v: int, reply) -> None:
         sc = self.sc
+        w = reply.responder
         node = self.nodes[v]
         t4 = node.logical.value(t)
-        pend = self.pending[v].pop(w, None)
-        if pend is None or pend[0] != reply.l_v_t1_echo:
+        t1 = self.pending[v].pop(w, None)
+        if t1 is None or t1 != reply.l_v_t1_echo:
             self._abort(f"unmatched reply from {w} at node {v}")
-        t1 = pend[0]
         if t4 - t1 >= sc.timeout + _TOL:
             self._abort(
                 f"measurement {v}->{w} exceeded the timeout window "
@@ -317,10 +310,6 @@ class _Simulation:
         node.views[w] = est
         self.counters["measurements"] += 1
         self._reply_checks += (t, v, w, estimate_value(est, t4, cycle=node.cycle_index), self.kappa_nb[v][w])
-        if self.full:
-            truth = MeasurementTruth(v, w, node.cycle_index, rec, est, fwd_d, bwd_d, p_real, sent_real)
-            self.measurements.append(truth)
-            self._truths.append(truth)
 
     def _on_evaluate(self, t: float, v: int, k: int) -> None:
         sc = self.sc
@@ -350,11 +339,7 @@ class _Simulation:
                     detail=f"node {v} satisfies slow {st} and fast {ft} triggers together",
                 )
             )
-        mode = FAST if (ft and not st and sc.gcs_enabled) else OWN_RATE
-        node.logical.set_mode(t, mode)
-        if mode != node.mode:
-            node.mode = mode
-            self.mode_timelines[v].append((t, mode))
+        node.logical.set_mode(t, FAST if (ft and not st and sc.gcs_enabled) else OWN_RATE)
         node.phase = gcs.STABILISING
         base = node.logical.hardware.initial_value
         self.push(node.logical.invert(base + (k + 1) * sc.params.cycle_length), K_WAKEUP, (v, k + 1))
@@ -365,24 +350,25 @@ class _Simulation:
     # the chunk is reduced.  That deferred read of a past instant x is exact.
     # Every recorded x is at or before the event that records it: samples
     # (flushed after every event at their time), evaluations (which are
-    # samples), reply arrivals, and mid-exchange instants.  No handler
-    # schedules an event before its own time, and set_mode only appends an
-    # anchor at the time of the event that calls it, so an anchor added after
-    # x was recorded lies at or after x.  One after x is never selected for x.
+    # samples) and reply arrivals.  No handler schedules an event before its
+    # own time, and set_mode only appends an anchor at the time of the event
+    # that calls it, so an anchor added after x was recorded lies at or
+    # after x.  One after x is never selected for x.
     # One at x is selected, but it stores the old segment's value and
     # hardware reading at x, so it reads x as value + factor * 0.0: the old
     # segment's value, bit for bit.
 
     def _flush_sample(self, t: float) -> None:
         self.buf_t.append(t)
+        rows, n = len(self.buf_t), len(self.clocks)
         checks = len(self._reply_checks) + len(self._eval_checks) + len(self._eval_estimates)
-        if len(self.buf_t) * len(self.clocks) + checks >= _CHUNK_VALUES:
+        if rows * n + checks >= _CHUNK_VALUES or (self.full and rows * n * n >= 256 * _CHUNK_VALUES):
             self._reduce_chunk()
 
     def _reduce_chunk(self) -> None:
         """Fold the buffered samples into the skew maxima, full mode keeping
-        them and running the trace oracles on them, and make the buffered
-        checks."""
+        them and running the trace oracles on them, make the buffered checks,
+        then check the drift envelope, which may abort the run."""
         times = np.asarray(self.buf_t)
         self.buf_t = []
         if not len(times):
@@ -415,6 +401,7 @@ class _Simulation:
             self.chunks.append((times, L, H, local, glob, psi))
         self.last_row = (times[-1], L[-1])
         self._check_chunk(times, L)
+        self._check_drift(times, H)
 
     def _check_chunk(self, times: np.ndarray, L: np.ndarray | None) -> None:
         """The ground-truth checks buffered since the last chunk.
@@ -424,8 +411,6 @@ class _Simulation:
           tolerance) for the true value L_w of the neighbour at that instant.
         - The slow and fast conditions at each evaluation hold only at
           levels where the matching trigger fired.
-        - In full mode, the true offset of each measurement at the middle of
-          its exchange.
 
         ``times`` and ``L`` are the chunk's sample instants and logical
         values (L is None for an empty chunk, which has no evaluation).
@@ -433,24 +418,27 @@ class _Simulation:
         rep = np.array(self._reply_checks, dtype=float).reshape(-1, 5)
         ev = np.array(self._eval_checks, dtype=np.intp).reshape(-1, 4)
         est = np.array(self._eval_estimates, dtype=float)
-        truths = self._truths
-        self._reply_checks, self._eval_checks, self._eval_estimates, self._truths = [], [], [], []
+        self._reply_checks, self._eval_checks, self._eval_estimates = [], [], []
         t, v, w = rep[:, 0], rep[:, 1].astype(np.intp), rep[:, 2].astype(np.intp)
-        self._check_sandwich(t, v, w, self._read_replies(t, w, truths), rep[:, 3], rep[:, 4])
+        # the responders' true values at the reply arrivals, past instants
+        self._check_sandwich(t, v, w, read_clocks(self.clocks, t, w), rep[:, 3], rep[:, 4])
         if len(ev):
             self._check_evaluations(times, L, ev, est)
 
-    def _read_replies(self, t: np.ndarray, w: np.ndarray, truths: list) -> np.ndarray:
-        """The responders' true values at the reply arrivals; in full mode
-        also each measurement's true offset at the middle of its exchange.
-        Both are past instants."""
-        mid = np.array([0.5 * (m.sent_real + m.record.completed_at_real) for m in truths])
-        ends = np.array([(m.responder, m.requester) for m in truths], dtype=np.intp).reshape(-1, 2)
-        vals = read_clocks(self.clocks, np.concatenate([t, mid, mid]), np.concatenate([w, ends.T.ravel()]))
-        m, k = len(t), len(mid)
-        for truth, true_mid in zip(truths, (vals[m : m + k] - vals[m + k :]).tolist()):
-            truth.true_offset_mid = true_mid
-        return vals[:m]
+    def _check_drift(self, times: np.ndarray, H: np.ndarray) -> None:
+        """Every hardware clock advances by [dt, theta * dt] (with tolerance)
+        between consecutive samples, the first of the chunk following the
+        previous chunk's last one."""
+        if self.last_hw is not None:
+            times = np.concatenate(([self.last_hw[0]], times))
+            H = np.vstack((self.last_hw[1], H))
+        self.last_hw = (times[-1], H[-1])
+        dt = np.diff(times)
+        keep = dt > 0
+        dH = np.diff(H, axis=0)[keep]
+        dt = dt[keep, None]
+        if (dH < dt - _TOL).any() or (dH > self.sc.params.theta * dt + _TOL).any():
+            self._abort("hardware clock violated its drift envelope")
 
     def _check_evaluations(self, times: np.ndarray, L: np.ndarray, ev: np.ndarray, est: np.ndarray) -> None:
         """The sandwich and the conditions at each evaluation; an evaluation
@@ -543,13 +531,12 @@ class _Simulation:
                 self._on_wakeup(t, *payload)
             elif kind == K_EVALUATE:
                 self._on_evaluate(t, *payload)
-            elif kind == K_ARRIVAL:
-                if payload[0] == "req":
-                    self._on_request_arrival(t, payload)
-                else:
-                    self._on_reply_arrival(t, payload)
+            elif kind == K_REQUEST:
+                self._on_request_arrival(t, *payload)
             elif kind == K_EMIT:
-                self._on_emit(t, payload)
+                self._on_emit(t, *payload)
+            elif kind == K_REPLY:
+                self._on_reply_arrival(t, *payload)
             elif kind == K_TICK:
                 self.push(t + sc.sample_dt, K_TICK, None)
 
@@ -572,14 +559,11 @@ class _Simulation:
         if self.full:
             times, L, H, local, glob, psi_levels = (np.concatenate(parts) for parts in zip(*self.chunks))
             self.chunks = []
-            self._check_lipschitz_trace(times, H)
-
-            modes = np.zeros((len(times), n), dtype=np.int8)
-            for v in range(n):
-                ch_t = np.array([c[0] for c in self.mode_timelines[v]])
-                ch_m = np.array([c[1] for c in self.mode_timelines[v]], dtype=np.int8)
-                idx = np.searchsorted(ch_t, times, side="right") - 1
-                modes[:, v] = ch_m[np.maximum(idx, 0)]
+            # each clock's anchors are its node's mode timeline
+            modes = np.empty((len(times), n), dtype=np.int8)
+            for v, c in enumerate(self.clocks):
+                ch_t, ch_m = zip(*c.mode_timeline)
+                modes[:, v] = np.array(ch_m, dtype=np.int8)[np.searchsorted(ch_t, times, side="right") - 1]
 
             trace = Trace(
                 times=times,
@@ -590,7 +574,6 @@ class _Simulation:
                 local_skew=local,
                 global_skew=glob,
                 psi_levels=psi_levels,
-                measurements=self.measurements,
                 bound_local=sc.local_bound,
                 bound_global=sc.global_bound,
                 dist=sc.dist,
@@ -606,7 +589,6 @@ class _Simulation:
                 local_skew=empty,
                 global_skew=empty,
                 psi_levels=np.zeros((0, sc.params.s_max)),
-                measurements=[],
                 bound_local=sc.local_bound,
                 bound_global=sc.global_bound,
                 dist=sc.dist,
@@ -645,25 +627,10 @@ class _Simulation:
             bound_report=report.to_dict(),
             violation_count=len(self.violations),
             counters=dict(self.counters),
-            mode_timelines={
-                str(v): [[t, m] for t, m in tl] for v, tl in enumerate(self.mode_timelines)
-            },
+            mode_timelines={str(v): [[t, m] for t, m in c.mode_timeline] for v, c in enumerate(self.clocks)},
             first_global_bound_exceed_time=self.first_exceed,
         )
         return RunResult(trace=trace, summary=summary, violations=self.violations)
-
-    def _check_lipschitz_trace(self, times: np.ndarray, H: np.ndarray) -> None:
-        if len(times) < 2:
-            return
-        dt = np.diff(times)
-        keep = dt > 0
-        dH = np.diff(H, axis=0)[keep]
-        dt = dt[keep]
-        theta = self.sc.params.theta
-        low_bad = dH < dt[:, None] - _TOL
-        high_bad = dH > theta * dt[:, None] + _TOL
-        if low_bad.any() or high_bad.any():
-            self._abort("hardware clock violated its drift envelope")
 
 
 def _violation_key(v: Violation) -> tuple:

@@ -65,14 +65,14 @@ class GcsParams:
 
 @dataclass
 class NodeState:
-    """Everything one node owns: clock, phase, neighbour views, mode."""
+    """Everything one node owns: clock (its anchors are the node's mode
+    timeline), phase and neighbour views."""
 
     id: int
     logical: LogicalClock
     phase: str = MEASURING
     cycle_index: int = 0
     views: dict[int, NeighborEstimate] = field(default_factory=dict)
-    mode: int = 0
 
 
 def estimate_gaps(node: NodeState, neighbors, t: float) -> tuple[float, dict[int, float]]:

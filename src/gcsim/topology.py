@@ -99,27 +99,8 @@ class NetworkGraph:
             adj[v].append(u)
         return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
-    @cached_property
-    def _edge_map(self) -> dict[tuple[int, int], EdgeParams]:
-        return {(u, v): p for u, v, p in self.edges}
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
-
-    def edge(self, u: int, v: int) -> EdgeParams:
-        try:
-            return self._edge_map[(min(u, v), max(u, v))]
-        except KeyError:
-            raise ParameterError(f"no edge between {u} and {v}") from None
-
-    def delay_bound(self, src: int, dst: int) -> float:
-        """Worst-case delay bound for the directed hop src -> dst."""
-        p = self.edge(src, dst)
-        return p.delay_bound(forward=src < dst)
-
-    def base_delay(self, src: int, dst: int) -> float:
-        p = self.edge(src, dst)
-        return p.fwd_delay if src < dst else p.bwd_delay
 
 
 def validate_graph(g: NetworkGraph) -> list[str]:

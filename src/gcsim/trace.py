@@ -15,11 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .twoway import MeasurementRecord, NeighborEstimate
-
 __all__ = [
     "Violation",
-    "MeasurementTruth",
     "Trace",
     "RunSummary",
     "write_trace_csv",
@@ -36,27 +33,6 @@ class Violation:
 
     def to_dict(self) -> dict:
         return {"time": self.time, "kind": self.kind, "detail": self.detail}
-
-
-@dataclass
-class MeasurementTruth:
-    """One completed measurement together with engine-side ground truth.
-
-    The engine records it at the reply and fills in ``true_offset_mid``,
-    the responder's true clock less the requester's at the middle of the
-    exchange, when it reduces the chunk that holds the reply.
-    """
-
-    requester: int
-    responder: int
-    cycle: int
-    record: MeasurementRecord
-    estimate: NeighborEstimate
-    fwd_delay_actual: float
-    bwd_delay_actual: float
-    processing_real: float
-    sent_real: float
-    true_offset_mid: float = float("nan")
 
 
 class Trace:
@@ -78,7 +54,6 @@ class Trace:
         local_skew: np.ndarray,
         global_skew: np.ndarray,
         psi_levels: np.ndarray,
-        measurements: list[MeasurementTruth],
         bound_local: float,
         bound_global: float,
         dist: np.ndarray,
@@ -91,7 +66,6 @@ class Trace:
         self.local_skew = local_skew
         self.global_skew = global_skew
         self.psi_levels = psi_levels
-        self.measurements = measurements
         self.bound_local = bound_local
         self.bound_global = bound_global
         self.dist = dist

@@ -2,15 +2,17 @@
 
 Plain-Python, one-instant versions of what the engine computes vectorized
 (clock samples, skews, potentials, the trailing-node test, the slow and
-fast conditions) or over whole traces (the hardware drift envelope), the
+fast conditions) or per pair of samples (the hardware drift envelope), the
 engine's ground-truth checks made one event at a time, the row-by-row
 trace writer, the per-source Dijkstra behind the kappa distance matrix and
 the pair-by-pair boot-up gate.  Tests check the engine against them; the
-package itself does not use them.
+package itself does not use them.  ``Recording`` keeps the per-measurement
+ground truth that the engine does not keep.
 """
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from gcsim import engine, gcs
 from gcsim.clocks import OWN_RATE, HardwareClock, LogicalClock
 from gcsim.errors import ParameterError
 from gcsim.trace import Trace, Violation
-from gcsim.twoway import estimate_value
+from gcsim.twoway import MeasurementRecord, NeighborEstimate, estimate_value
 
 _TIE_TOL = 1e-12
 
@@ -87,20 +89,81 @@ def fast_condition(values, g, kappa, v: int, s: int) -> bool:
     )
 
 
+@dataclass(frozen=True)
+class Measurement:
+    """One completed exchange: the requester's record and estimate, the real
+    times of its legs, and the responder's true clock less the requester's
+    at the middle of the exchange."""
+
+    requester: int
+    responder: int
+    cycle: int
+    record: MeasurementRecord
+    estimate: NeighborEstimate
+    sent_real: float
+    fwd_delay_actual: float
+    processing_real: float
+    bwd_delay_actual: float
+    true_offset_mid: float
+
+
+class Recording(engine._Simulation):
+    """The engine, recording every completed measurement in
+    ``measurements``.  The real send, request arrival and emit times of an
+    exchange are the times of the handlers that see it: the requester's
+    wakeup, the request's arrival and the responder's emit.  The true offset
+    is read at the reply, a past instant, which is exact."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.measurements: list[Measurement] = []
+        self._legs: dict[tuple[int, int], list[float]] = {}  # real times of an exchange in flight
+
+    def _on_wakeup(self, t: float, v: int, k: int) -> None:
+        super()._on_wakeup(t, v, k)
+        for w in self.pending[v]:  # the requests sent now; none after the last cycle
+            self._legs[(v, w)] = [t]
+
+    def _on_request_arrival(self, t: float, v: int, w: int, t1: float) -> None:
+        self._legs[(v, w)].append(t)
+        super()._on_request_arrival(t, v, w, t1)
+
+    def _on_emit(self, t: float, v: int, w: int, t1: float, t2: float) -> None:
+        self._legs[(v, w)].append(t)
+        super()._on_emit(t, v, w, t1, t2)
+
+    def _on_reply_arrival(self, t: float, v: int, reply) -> None:
+        w = reply.responder
+        t1 = self.pending[v].get(w)
+        super()._on_reply_arrival(t, v, reply)
+        sent, arrived, emitted = self._legs.pop((v, w))
+        node, peer = self.nodes[v].logical, self.nodes[w].logical
+        rec = MeasurementRecord(w, t1, reply.l_w_t2, reply.l_w_t3, node.value(t), t)
+        mid = 0.5 * (sent + t)
+        self.measurements.append(Measurement(
+            v, w, self.nodes[v].cycle_index, rec, self.nodes[v].views[w],
+            sent, arrived - sent, emitted - arrived, t - emitted, peer.value(mid) - node.value(mid),
+        ))
+
+
+def recorded_run(sc) -> tuple[engine.RunResult, list[Measurement]]:
+    """Run ``sc`` and return its result and its measurements."""
+    sim = Recording(sc)
+    return sim.run(), sim.measurements
+
+
 class PerEventChecks(engine._Simulation):
     """The engine, with its ground-truth checks also made one event at a
     time: each clock is read at the event's own time, before the event
     changes any mode.  The estimate sandwich runs at every reply arrival and
-    evaluation, the slow and fast conditions at every evaluation, and the
-    true mid-exchange offset of every measurement.  Findings go to
-    ``ref_violations``, ``ref_counters`` and ``ref_true_mid``; the engine's
-    own are untouched, so one run gives both."""
+    evaluation, the slow and fast conditions at every evaluation.  Findings
+    go to ``ref_violations`` and ``ref_counters``; the engine's own are
+    untouched, so one run gives both."""
 
     def __init__(self, sc):
         super().__init__(sc)
         self.ref_violations: list[Violation] = []
         self.ref_counters = {"estimate_uses": 0, "sc_instances": 0, "fc_instances": 0}
-        self.ref_true_mid: list[float] = []
 
     def _ref_sandwich(self, t: float, v: int, w: int, est_val: float) -> None:
         self.ref_counters["estimate_uses"] += 1
@@ -112,14 +175,12 @@ class PerEventChecks(engine._Simulation):
                 f"estimate of {w} at {v} off by {err:.3e} (allowed [0, {delta_max:.3e}])",
             ))
 
-    def _on_reply_arrival(self, t: float, payload) -> None:
-        super()._on_reply_arrival(t, payload)
-        _, w, v, *_, sent_real = payload
+    def _on_reply_arrival(self, t: float, v: int, reply) -> None:
+        super()._on_reply_arrival(t, v, reply)
+        w = reply.responder
         node = self.nodes[v]
         t4 = node.logical.value(t)
         self._ref_sandwich(t, v, w, estimate_value(node.views[w], t4, cycle=node.cycle_index))
-        mid = 0.5 * (sent_real + t)
-        self.ref_true_mid.append(self.nodes[w].logical.value(mid) - node.logical.value(mid))
 
     def _on_evaluate(self, t: float, v: int, k: int) -> None:
         sc = self.sc

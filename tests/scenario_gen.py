@@ -177,3 +177,21 @@ def corollary1_doc() -> dict:
         "gcs": {"T": 3.5, "T_stab": 1.5, "p_max": 0.2, "s_max": 3},
         "sim": {"horizon_cycles": 12, "sample_dt": 1.0, "master_seed": 0, "metrics": "full"},
     }
+
+
+def random_template_doc(n: int, horizon_cycles: int = 12, metrics: str = "full") -> dict:
+    """The random-template document of the README's full-mode "Scale" runs:
+    n/2 extra edges, kappa 0.338, 3 levels, even nodes starting at rate
+    theta and odd nodes at rate 1."""
+    edge = {"fwd_delay": 1.0, "bwd_delay": 1.0, "jitter": 0.05, "eps_d": 0.15,
+            "eps_m": 0.001, "length": 1.0}
+    return {
+        "graph": {"d_max": 1.5, "template": {"kind": "random", "n": n, "extra_edges": n // 2,
+                                             "seed": 7, "edge": edge}},
+        "clocks": {"theta": 1.01, "mu": 0.1,
+                   "default": {"generator": "alternating", "dwell": 1000.0, "start_high": False},
+                   "overrides": {str(i): {"start_high": True} for i in range(0, n, 2)}},
+        "gcs": {"T": 3.5, "T_stab": 1.5, "p_max": 0.2, "s_max": 3},
+        "sim": {"horizon_cycles": horizon_cycles, "sample_dt": 1.0, "master_seed": 1,
+                "metrics": metrics},
+    }

@@ -11,7 +11,7 @@ import pytest
 
 from gcsim import cli, engine, metrics
 from gcsim import scenario as scen
-from reference import level_potential
+from reference import level_potential, recorded_run
 from scenario_gen import antiphase_line_doc, fc_lag_doc, random_suite_doc, zero_drift_doc
 
 PINNED = ("line8", "ring12", "grid4x4")
@@ -153,15 +153,15 @@ def test_criterion_06_potential_growth(pinned_runs):
 
 
 def test_criterion_07_two_way_algebra():
-    res = engine.run(scen.build_scenario(zero_drift_doc(True, horizon_cycles=25)))
-    assert res.trace.measurements
-    for m in res.trace.measurements:
+    _, measurements = recorded_run(scen.build_scenario(zero_drift_doc(True, horizon_cycles=25)))
+    assert measurements
+    for m in measurements:
         true_mean = 0.5 * (m.fwd_delay_actual + m.bwd_delay_actual)
         assert abs(m.estimate.d_avg - true_mean) <= 1e-12
         assert abs(m.estimate.offset - m.true_offset_mid) <= 1e-12
-    res = engine.run(scen.build_scenario(zero_drift_doc(False, horizon_cycles=25)))
+    _, measurements = recorded_run(scen.build_scenario(zero_drift_doc(False, horizon_cycles=25)))
     cap = abs(1.0 - 1.4) / 2 + 0.05
-    for m in res.trace.measurements:
+    for m in measurements:
         assert abs(m.estimate.offset - m.true_offset_mid) <= cap + 1e-12
     _report(7, "two-way algebra exactness")
 

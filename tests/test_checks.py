@@ -91,14 +91,6 @@ def test_untampered_run_is_clean_on_both_forms(monkeypatch, doc_name, mode):
     assert {k: res.summary.counters[k] for k in COUNTERS} == sim.ref_counters
 
 
-@pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 1, 50])
-def test_true_offsets_equal_the_reading_at_the_reply(monkeypatch, chunk_values):
-    sim = checked_sim(monkeypatch, "random_suite", "full", chunk_values)
-    res = sim.run()
-    assert len(res.trace.measurements) == res.summary.counters["measurements"] > 0
-    assert [m.true_offset_mid for m in res.trace.measurements] == sim.ref_true_mid
-
-
 def abort_after(sim, t_abort: float, kind: str) -> None:
     """Make the run abort on a genuine integrity check right after the first
     reply or evaluation at ``t_abort`` that the per-event checks flag with
@@ -134,3 +126,33 @@ def test_abort_carries_every_violation_up_to_it(monkeypatch, chunk_values, kind)
     assert [v for v in reported if v.kind in CHECKED] == want
     assert want[-1].time == t_abort
     assert len(want) < len(whole.ref_violations)
+
+
+@pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 1])
+@pytest.mark.parametrize("mode", ["full", "skew_only"])
+def test_drift_abort_carries_every_violation_up_to_it(monkeypatch, mode, chunk_values):
+    # a hardware reading jumps at an evaluation that breaks a condition: the
+    # drift check aborts the run only after its chunk's other checks
+    whole = checked_sim(monkeypatch, "fc_lag", mode, chunk_values)
+    whole.run()
+    times = [v.time for v in sorted(whole.ref_violations, key=key) if v.kind == "condition_without_trigger"]
+    t_bad = times[len(times) // 4]
+    sample = engine.sample_clocks
+
+    def tampered(clocks, t):
+        L, H = sample(clocks, t)
+        H[t == t_bad, 0] += 0.5
+        return L, H
+
+    monkeypatch.setattr(engine, "sample_clocks", tampered)
+    sim = PerEventChecks(whole.sc)
+    with pytest.raises(RunAborted, match="hardware clock violated its drift envelope") as exc:
+        sim.run()
+    reported = exc.value.violations
+    assert reported == sorted(reported, key=key)
+    want = sorted(sim.ref_violations, key=key)
+    assert [v for v in reported if v.kind in CHECKED] == want
+    assert t_bad in [v.time for v in want]
+    if chunk_values == 1:  # aborted at the chunk of the tampered sample
+        assert want[-1].time == t_bad
+        assert len(want) < len(whole.ref_violations)

@@ -180,6 +180,23 @@ class TestSweep:
         header = rows[0].split(",")
         assert header[:2] == ["eps_m", "seed"]
 
+    def test_two_workers_write_what_one_writes(self, tmp_path):
+        doc = scen.load_document("line8")
+        doc["sim"]["horizon_cycles"] = 20
+        path = write_doc(tmp_path, doc)
+        grid = write_doc(tmp_path, {"theta": [1.001, 1.002]}, name="grid.json")
+        texts = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            assert cli.main(["sweep", "--scenario", path, "--grid", grid, "--seeds", "2",
+                             "--workers", workers, "--out", str(out)]) == cli.EXIT_OK
+            texts.append((out / "sweep.csv").read_text())
+        assert texts[0] == texts[1]
+        rows = list(csv.DictReader(texts[0].splitlines()))
+        assert [(r["theta"], r["seed"], r["status"]) for r in rows] == [
+            (theta, seed, "ok") for theta in ("1.001", "1.002") for seed in ("0", "1")
+        ]
+
     def test_delta_over_d_identity(self, tmp_path):
         doc = sweepable_line_doc()
         path = write_doc(tmp_path, doc)

@@ -19,9 +19,9 @@ from reference import check_lipschitz, value_pair
 THETA = 1.02
 
 
-def hw(initial=0.0, segments=((0.0, 1.0),), tag="constant"):
+def hw(initial=0.0, segments=((0.0, 1.0),)):
     starts, rates = zip(*segments)
-    return HardwareClock(initial, RateSchedule(starts=starts, rates=rates, tag=tag))
+    return HardwareClock(initial, RateSchedule(starts=starts, rates=rates))
 
 
 class TestHardwareValue:
@@ -134,7 +134,6 @@ schedule_strategy = st.lists(
     lambda rates: RateSchedule(
         starts=tuple(float(i) * 3.0 for i in range(len(rates))),
         rates=tuple(rates),
-        tag="random",
     )
 )
 

@@ -3,15 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from gcsim import engine
+from gcsim import engine, metrics
 from gcsim import scenario as scen
 from gcsim.clocks import FAST, sample_clocks
 from gcsim.engine import DelaySampler, StreamRegistry, seeded_stream
 from gcsim.errors import ConfigError, ScenarioValidationError
 from gcsim.topology import EdgeParams, NetworkGraph
 
-from reference import boot_up_gate
-from scenario_gen import antiphase_line_doc, random_suite_doc, zero_drift_doc
+from reference import Recording, boot_up_gate, recorded_run
+from scenario_gen import antiphase_line_doc, random_suite_doc, random_template_doc, zero_drift_doc
 
 
 class TestSeededStreams:
@@ -60,10 +60,10 @@ class TestDeterminism:
 
     def test_different_seed_differs(self):
         doc = zero_drift_doc(symmetric=False)
-        a = engine.run(scen.build_scenario(doc, seed_override=1))
-        b = engine.run(scen.build_scenario(doc, seed_override=2))
+        _, a = recorded_run(scen.build_scenario(doc, seed_override=1))
+        _, b = recorded_run(scen.build_scenario(doc, seed_override=2))
         # zero drift: the seed moves only message times, which are not samples
-        records = lambda res: [m.record for m in res.trace.measurements]
+        records = lambda measurements: [m.record for m in measurements]
         assert records(a) != records(b)
 
 
@@ -87,17 +87,17 @@ class TestRunBasics:
             "sim": {"horizon_cycles": 3, "sample_dt": 20.0, "master_seed": 1,
                     "metrics": "full"},
         }
-        res = engine.run(scen.build_scenario(doc))
-        sent = sorted(set(round(m.sent_real, 9) for m in res.trace.measurements))
+        _, measurements = recorded_run(scen.build_scenario(doc))
+        sent = sorted(set(round(m.sent_real, 9) for m in measurements))
         assert sent == [0.0, pytest.approx(100.0, abs=1e-9), pytest.approx(200.0, abs=1e-9)]
 
     def test_one_measurement_per_neighbor_per_cycle(self):
         doc = antiphase_line_doc(n_nodes=4, horizon_cycles=12, metrics="full")
-        res = engine.run(scen.build_scenario(doc))
+        res, measurements = recorded_run(scen.build_scenario(doc))
         # 3 edges, both directions, every completed cycle
         assert res.summary.counters["measurements"] == 12 * 2 * 3
         per_cycle = {}
-        for m in res.trace.measurements:
+        for m in measurements:
             per_cycle.setdefault((m.requester, m.cycle), set()).add(m.responder)
         degrees = {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}
         for (req, _), partners in per_cycle.items():
@@ -126,11 +126,11 @@ class TestRunBasics:
         assert found > 0
 
     def test_sampled_delay_variation_respects_uncertainty_bound(self):
-        res = engine.run(scen.build_scenario(zero_drift_doc(False, horizon_cycles=25)))
+        _, measurements = recorded_run(scen.build_scenario(zero_drift_doc(False, horizon_cycles=25)))
         e = EdgeParams(1.0, 1.4, jitter=0.05, eps_d=0.35, eps_m=0.02)
         bound = e.max_delay_bound * e.eps_d + e.eps_m
         by_direction = {}
-        for m in res.trace.measurements:
+        for m in measurements:
             by_direction.setdefault((m.requester, m.responder), []).append(
                 (m.sent_real, m.fwd_delay_actual)
             )
@@ -298,9 +298,10 @@ class TestGlobalBoundCrossing:
 
 
 def run_recording_mode_decisions(doc):
-    """Run ``doc`` and record the real time of every wakeup and evaluation."""
+    """Run ``doc`` and record the real time of every wakeup and evaluation,
+    and every measurement."""
     sc = scen.build_scenario(doc)
-    sim = engine._Simulation(sc)
+    sim = Recording(sc)
     seen = []
     for name in ("_on_wakeup", "_on_evaluate"):
         handler = getattr(sim, name)
@@ -330,7 +331,7 @@ class TestSparseSampling:
         breakpoints = {b for c in sim.clocks for b in c.hardware.schedule.starts[1:]}
         allowed = set(decisions) | ticks | breakpoints | {sc.horizon_time}
         assert set(times.tolist()) <= allowed
-        arrivals = {m.record.completed_at_real for m in res.trace.measurements}
+        arrivals = {m.record.completed_at_real for m in sim.measurements}
         assert arrivals - allowed  # some message instants are not samples
 
     def test_end_is_sampled_when_only_a_reply_arrives_there(self):
@@ -339,8 +340,8 @@ class TestSparseSampling:
         doc["gcs"]["p_max"] = 0.0
         doc["sim"].pop("horizon_cycles")
         doc["sim"].update(horizon_time=2.0, sample_dt=5.0)
-        res = engine.run(scen.build_scenario(doc))
-        assert {m.record.completed_at_real for m in res.trace.measurements} == {2.0}
+        res, measurements = recorded_run(scen.build_scenario(doc))
+        assert {m.record.completed_at_real for m in measurements} == {2.0}
         assert res.trace.times.tolist() == [0.0, 2.0]
 
     @pytest.mark.parametrize("name", sorted(SPARSE_DOCS))
@@ -348,14 +349,32 @@ class TestSparseSampling:
         _, sim, res, _ = run_recording_mode_decisions(SPARSE_DOCS[name]())
         report = res.summary.bound_report
         dropped = sorted(
-            {m.sent_real for m in res.trace.measurements}
-            | {m.record.completed_at_real for m in res.trace.measurements}
+            {m.sent_real for m in sim.measurements}
+            | {m.record.completed_at_real for m in sim.measurements}
         )
         L, _ = sample_clocks(sim.clocks, np.array(dropped))
         assert float((L.max(axis=1) - L.min(axis=1)).max()) <= report["max_observed_global"] + 1e-12
         for rec in report["per_edge"]:
             gap = float(np.abs(L[:, rec["u"]] - L[:, rec["v"]]).max())
             assert gap <= rec["max_observed"] + 1e-12, (rec["u"], rec["v"])
+
+
+class TestChunkRows:
+    """Full mode also bounds the trace oracles' (rows, n, n) temporaries by
+    256 * _CHUNK_VALUES values; that rule cuts a chunk short only above
+    n = 256."""
+
+    @pytest.mark.parametrize("n, mode, rows", [(256, "full", 32), (264, "full", 31), (264, "skew_only", 32)])
+    def test_rows_per_chunk(self, monkeypatch, n, mode, rows):
+        sim = engine._Simulation(scen.build_scenario(random_template_doc(n, metrics=mode)))
+        sampled, oracle_rows = [], []
+        sample, oracles = engine.sample_clocks, metrics.trace_oracles
+        monkeypatch.setattr(engine, "sample_clocks", lambda c, t: (sampled.append(len(t)), sample(c, t))[1])
+        monkeypatch.setattr(metrics, "trace_oracles", lambda t, *a: (oracle_rows.append(len(t)), oracles(t, *a))[1])
+        for t in range(3 * rows):
+            sim._flush_sample(float(t))
+        assert sampled == [rows] * 3
+        assert oracle_rows == (sampled if mode == "full" else [])
 
 
 class TestValidationGate:

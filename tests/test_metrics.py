@@ -327,7 +327,7 @@ def stored_trace(times, logical, dist):
     return Trace(
         times=times, logical=logical, hardware=np.zeros((S, n)),
         modes=np.zeros((S, n), dtype=np.int8), edges=((0, 1),), local_skew=np.zeros(S),
-        global_skew=np.zeros(S), psi_levels=np.zeros((S, 1)), measurements=[],
+        global_skew=np.zeros(S), psi_levels=np.zeros((S, 1)),
         bound_local=2.0, bound_global=2.0, dist=dist,
     )
 
