@@ -6,17 +6,30 @@ run is a pure function of its scenario.  The loop owns all node state;
 metrics get read-only snapshots.
 
 Event handlers do only what the nodes do: readings, estimates, triggers and
-mode changes.  They record the instants that need ground truth, and every
-check against true clock values runs per chunk, in numpy, when the chunk
-is reduced: the skew maxima at the sample instants, the hardware drift
+mode changes.  A message is not an event of its own.  An exchange makes one
+event, the reply's emission: the requester's wakeup draws the request's
+delay and the responder's processing time, the emission draws the reply's
+delay, and the requester's evaluation reads the three stamps taken at
+past instants (w's at the request's arrival and at the reply's emission,
+v's at the reply's arrival).  The emission stays an event because the
+stream of one direction, ``delay:a->b``, serves both a's requests and a's
+replies to b, so a reply's delay is drawn in time order with a's wakeups.
+Every evaluation at one instant goes through one array evaluation
+(:func:`gcs.trigger_levels`), since each reads only its node's clock at
+that instant and its node's exchanges.
+
+Handlers record the instants that need ground truth, and every check
+against true clock values runs per chunk, in numpy, when the chunk is
+reduced: the skew maxima at the sample instants, the hardware drift
 envelope between consecutive samples, the estimate sandwich at each reply
 arrival and evaluation, the slow and fast conditions at each evaluation,
 and in full mode the trace oracles (level potentials, leading and trailing
 nodes, Corollary 1).
 Reading a clock at a past instant then is exact, as the comment above
-``_flush_sample`` argues, so these checks report what checks made inside
-the handlers would.  A run that ends, or aborts with ``RunAborted``, first
-makes every check still buffered.
+``_flush_sample`` argues, so the stamps are those the parties read, and
+these checks report what checks made inside the handlers would.  A run that
+ends, or aborts with ``RunAborted``, first completes every exchange whose
+reply has arrived and then makes every check still buffered.
 """
 from __future__ import annotations
 
@@ -34,13 +47,7 @@ from .errors import ConfigError, InternalError, RunAborted
 from .gcs import GcsParams, NodeState
 from .topology import NetworkGraph
 from .trace import RunSummary, Trace, Violation
-from .twoway import (
-    MeasurementRecord,
-    RequestMsg,
-    compute_estimates,
-    estimate_value,
-    handle_request,
-)
+from .twoway import compute_estimates, estimate_value
 
 logger = logging.getLogger(__name__)
 
@@ -49,17 +56,16 @@ __all__ = ["StreamRegistry", "seeded_stream", "DelaySampler", "Scenario", "RunRe
 # Event kinds.  Each payload holds only what its handler reads.
 K_WAKEUP = 0  # (v, k): node v starts cycle k and sends its requests
 K_EVALUATE = 1  # (v, k): node v evaluates its triggers in cycle k
-K_REQUEST = 2  # (v, w, l_v_t1): v's request reaches w
-K_EMIT = 3  # (v, w, l_v_t1, l_w_t2): w sends its reply to v
-K_REPLY = 4  # (v, reply): w's ReplyMsg reaches v
-K_TICK = 5
-K_RATE = 6  # a hardware rate breakpoint: no handler, it only forces a sample
+K_EMIT = 2  # (w, v, exchange): w sends its reply to v's request
+K_TICK = 3
+K_RATE = 4  # a hardware rate breakpoint: no handler, it only forces a sample
 # A clock's slope changes only at a mode decision or a rate breakpoint;
-# requests and replies only carry readings.  So only instants with one of
-# these kinds, or a grid tick, become samples.
+# messages only carry readings.  So only instants with one of these kinds,
+# or a grid tick, become samples.
 _SLOPE_KINDS = frozenset((K_WAKEUP, K_EVALUATE, K_TICK, K_RATE))
 
 _TOL = 1e-9
+_INF = float("inf")
 # Values per chunk: sample instants and ground-truth checks are buffered,
 # and the clocks evaluated, reduced and checked with numpy once a chunk
 # holds this many sampled clock values plus checked estimates (32 rows at
@@ -194,11 +200,12 @@ class _Simulation:
             lc = LogicalClock(hw, sc.params.mu, sc.correction_semantics)
             self.nodes.append(NodeState(id=i, logical=lc))
 
-        # per-node neighbour weight maps; triggers use the static per-edge
-        # error bound as their delta
         self.kappa_nb = [
             {w: sc.kappa[(min(v, w), max(v, w))] for w in g.neighbors(v)} for v in range(n)
         ]
+        # each node's exchanges of its current cycle, by neighbour in
+        # neighbour order: [l_v_t1, request arrival, reply emission, reply
+        # arrival] with the real times of the three legs (inf: not known yet)
         self.pending: list[dict] = [dict() for _ in range(n)]
         self.completed = [0] * n
         self.done: set[int] = set()
@@ -223,14 +230,21 @@ class _Simulation:
         self.full = sc.metrics_mode == "full"
         self._nb, self._nb_kappa = metrics.neighbour_table(g, sc.kappa)
         self._deg = np.array([len(g.neighbors(v)) for v in range(n)], dtype=np.intp)
+        self._own = np.arange(self._nb.shape[1]) < self._deg[:, None]  # not a pad
+        # triggers use the static per-edge error bound as their delta; a pad's is 0
+        self._thresholds = gcs.trigger_thresholds(
+            self._nb_kappa, np.where(self._own, self._nb_kappa, 0.0), sc.params.s_max, sc.params.hysteresis
+        )
         self._levels = range(1, sc.params.s_max + 1)
-        # Ground-truth checks waiting for the next chunk, in flat buffers:
-        # (t, v, w, estimate, kappa) per reply arrival; (sample row, v, slow
-        # level mask, fast level mask) per evaluation, with its estimates in
-        # neighbour order.
-        self._reply_checks: list = []
-        self._eval_checks: list[int] = []
-        self._eval_estimates: list[float] = []
+        # Ground-truth checks waiting for the next chunk, one entry per
+        # evaluation instant: rows (t1, t2, t3, t4, eps_d, eps_m, reply
+        # arrival, v, w, kappa) of its completed exchanges and their
+        # estimates at the arrivals; (sample row, nodes, their estimates in
+        # neighbour order, slow and fast levels fired) of its evaluations.
+        # ``_checked`` counts their values.
+        self._reply_checks: list[tuple] = []
+        self._evals: list[tuple] = []
+        self._checked = 0
         self.edges = tuple((u, v) for u, v, _ in g.edges)
         self._eu = np.array([u for u, _ in self.edges])
         self._ev = np.array([v for _, v in self.edges])
@@ -267,102 +281,137 @@ class _Simulation:
             return
         node.cycle_index = k
         node.phase = gcs.MEASURING
-        node.views = {}
-        self.pending[v] = {}
         l1 = node.logical.value(t)
         expected = node.logical.hardware.initial_value + k * sc.params.cycle_length
         if abs(l1 - expected) > 1e-6:
             self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
-        for w in sc.graph.neighbors(v):
-            d = self.sampler.sample(v, w)
-            self.pending[v][w] = l1
-            self.push(t + d, K_REQUEST, (v, w, l1))
+        self.pending[v] = {w: self._send(t, v, w, l1) for w in sc.graph.neighbors(v)}
         self.push(node.logical.invert(expected + sc.params.T), K_EVALUATE, (v, k))
 
-    def _on_request_arrival(self, t: float, v: int, w: int, t1: float) -> None:
-        t2 = self.nodes[w].logical.value(t)
-        p_real = 0.0
+    def _send(self, t: float, v: int, w: int, l1: float) -> list:
+        """v sends its request to w at t, its clock reading l1: draw the
+        request's delay and w's processing time, and schedule w's reply.
+        The stream ``proc:v->w`` serves only v's requests to w, so drawing
+        from it now gives the values a draw at the arrival would."""
+        arrival = t + self.sampler.sample(v, w)
+        emit = arrival
         if self.sc.p_max > 0:
-            p_real = self.sc.p_max * float(self.proc_streams[(v, w)].random())
-        self.push(t + p_real, K_EMIT, (v, w, t1, t2))
+            emit = arrival + self.sc.p_max * float(self.proc_streams[(v, w)].random())
+        exchange = [l1, arrival, emit, _INF]
+        self.push(emit, K_EMIT, (w, v, exchange))
+        return exchange
 
-    def _on_emit(self, t: float, v: int, w: int, t1: float, t2: float) -> None:
-        t3 = self.nodes[w].logical.value(t)
-        reply = handle_request(RequestMsg(v, t1), w, t2, t3 - t2)
-        self.push(t + self.sampler.sample(w, v), K_REPLY, (v, reply))
+    def _on_emit(self, t: float, w: int, v: int, exchange: list) -> None:
+        exchange[3] = t + self.sampler.sample(w, v)
 
-    def _on_reply_arrival(self, t: float, v: int, reply) -> None:
+    def _on_evaluate(self, t: float, batch: list) -> None:
+        """The evaluations ``batch``, each (v, k), due at t, in event order.
+
+        Each completes its node's exchanges, whose replies must have
+        arrived before t (a reply at t itself would have been scheduled
+        after the evaluation), and reads only its node's clock at t."""
+        done, l_rep = [], []
+        for v, k in batch:
+            node = self.nodes[v]
+            if node.cycle_index != k or node.phase != gcs.MEASURING:
+                self._abort(f"evaluation fired out of order at node {v}")
+            exchanges = self.pending[v]
+            missing = [w for w, ex in exchanges.items() if not ex[3] < t]
+            if missing:
+                self._abort(f"node {v} evaluating cycle {k} with incomplete views (missing {missing})")
+            done += [(v, w, ex) for w, ex in exchanges.items()]
+            l_rep += [node.logical.value(t)] * len(exchanges)
+        offset, deduction = self._complete(done, check_timeout=True)
+        l_rep = np.array(l_rep)
+        self._decide(t, batch, l_rep, estimate_value(offset, deduction, l_rep))
+
+    def _complete(self, done: list, check_timeout: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Complete the exchanges ``done``, each (v, w, exchange), whose
+        replies have arrived: read the four stamps at the past instants
+        the parties took them, end the run if a round trip exceeded the
+        timeout window (with ``check_timeout``), make the estimates, count
+        the measurements and buffer the sandwich check at each reply
+        arrival.  Returns the estimates' (offset, deduction)."""
         sc = self.sc
-        w = reply.responder
-        node = self.nodes[v]
-        t4 = node.logical.value(t)
-        t1 = self.pending[v].pop(w, None)
-        if t1 is None or t1 != reply.l_v_t1_echo:
-            self._abort(f"unmatched reply from {w} at node {v}")
-        if t4 - t1 >= sc.timeout + _TOL:
-            self._abort(
-                f"measurement {v}->{w} exceeded the timeout window "
-                f"({t4 - t1!r} >= {sc.timeout!r})"
-            )
-        rec = MeasurementRecord(w, t1, reply.l_w_t2, reply.l_w_t3, t4, t)
-        _, _, _, eps_d, eps_m = self.sampler.links[(v, w)]
-        est = compute_estimates(rec, eps_d, eps_m, sc.params.theta, node.cycle_index)
-        node.views[w] = est
-        self.counters["measurements"] += 1
-        self._reply_checks += (t, v, w, estimate_value(est, t4, cycle=node.cycle_index), self.kappa_nb[v][w])
+        clocks, links = self.clocks, self.sampler.links
+        rows = []
+        late = None  # the first reply that exceeded the timeout window
+        for v, w, (t1, arrival, emit, reply) in done:
+            peer = clocks[w]
+            t2 = peer.value(arrival)
+            t3 = t2 + (peer.value(emit) - t2)  # w's arrival stamp plus its local processing time
+            t4 = clocks[v].value(reply)
+            if check_timeout and t4 - t1 >= sc.timeout + _TOL and (late is None or reply < late[0]):
+                late = (reply, v, w, t4 - t1)
+            eps_d, eps_m = links[(v, w)][3:]
+            rows.append((t1, t2, t3, t4, eps_d, eps_m, reply, v, w, self.kappa_nb[v][w]))
+        if late is not None:
+            _, v, w, round_trip = late
+            self._abort(f"measurement {v}->{w} exceeded the timeout window ({round_trip!r} >= {sc.timeout!r})")
+        data = np.array(rows, dtype=float).reshape(-1, 10)
+        t1, t2, t3, t4, eps_d, eps_m = data.T[:6]
+        _, offset, deduction = compute_estimates(t1, t2, t3, t4, eps_d, eps_m, sc.params.theta)
+        self.counters["measurements"] += len(rows)
+        self._reply_checks.append((data, estimate_value(offset, deduction, t4)))
+        self._checked += 5 * len(rows)
+        return offset, deduction
 
-    def _on_evaluate(self, t: float, v: int, k: int) -> None:
+    def _settle(self, limit: float, check_timeout: bool) -> None:
+        """At the end of the run: complete the exchanges not yet evaluated
+        whose replies arrived at or before ``limit``, as reply events up to
+        it would have, and drop them."""
+        done = [
+            (v, w, ex)
+            for v, node in enumerate(self.nodes) if node.phase == gcs.MEASURING
+            for w, ex in self.pending[v].items() if ex[3] <= limit
+        ]
+        for v, w, _ in done:
+            del self.pending[v][w]
+        if done:
+            self._complete(done, check_timeout)
+
+    def _decide(self, t: float, batch: list, l_rep: np.ndarray, est: np.ndarray) -> None:
+        """Triggers and mode decisions of the evaluations ``batch`` at t.
+        ``l_rep`` is each node's own value at t, repeated once per
+        neighbour, and ``est`` its estimates, in neighbour order."""
         sc = self.sc
-        node = self.nodes[v]
-        nbrs = sc.graph.neighbors(v)
-        if node.cycle_index != k or node.phase != gcs.MEASURING:
-            self._abort(f"evaluation fired out of order at node {v}")
-        if len(node.views) != len(nbrs):
-            missing = sorted(set(nbrs) - set(node.views))
-            self._abort(f"node {v} evaluating cycle {k} with incomplete views (missing {missing})")
-        kappa_nb = self.kappa_nb[v]
-        gaps = gcs.estimate_gaps(node, nbrs, t)
-        st, ft = gcs.trigger_levels(node, kappa_nb, kappa_nb, t, sc.params.s_max, sc.params.hysteresis, gaps)
-        self.counters["eval_instants"] += 1
-        self.counters["trigger_evaluations"] += 2 * sc.params.s_max
-        self.counters["st_instances"] += len(st)
-        self.counters["ft_instances"] += len(ft)
+        vs = np.array([v for v, _ in batch], dtype=np.intp)
+        own = self._own[vs]
+        lead = np.zeros(own.shape)  # a pad's lead is 0
+        lead[own] = est - l_rep
+        slow, fast = gcs.trigger_levels(lead, self._thresholds[vs])
         # t is a sample instant, flushed at row len(buf_t) of this chunk
-        self._eval_checks += (len(self.buf_t), v, sum(1 << (s - 1) for s in st), sum(1 << (s - 1) for s in ft))
-        self._eval_estimates += gaps[1].values()
-
-        if st and ft:
-            self.violations.append(
-                Violation(
-                    time=t,
-                    kind="trigger_coexistence",
-                    detail=f"node {v} satisfies slow {st} and fast {ft} triggers together",
-                )
-            )
-        node.logical.set_mode(t, FAST if (ft and not st and sc.gcs_enabled) else OWN_RATE)
-        node.phase = gcs.STABILISING
-        base = node.logical.hardware.initial_value
-        self.push(node.logical.invert(base + (k + 1) * sc.params.cycle_length), K_WAKEUP, (v, k + 1))
+        self._evals.append((len(self.buf_t), vs, est, slow, fast))
+        self._checked += 4 * len(vs) + len(est)
+        to_fast = [sc.gcs_enabled and any(f) and not any(s) for s, f in zip(slow.tolist(), fast.tolist())]
+        for (v, k), speed_up in zip(batch, to_fast):
+            node = self.nodes[v]
+            node.logical.set_mode(t, FAST if speed_up else OWN_RATE)
+            node.phase = gcs.STABILISING
+            base = node.logical.hardware.initial_value
+            self.push(node.logical.invert(base + (k + 1) * sc.params.cycle_length), K_WAKEUP, (v, k + 1))
 
     # -- sampling and the ground-truth checks
 
-    # Sampling and the checks record only instants; the clocks are read when
-    # the chunk is reduced.  That deferred read of a past instant x is exact.
-    # Every recorded x is at or before the event that records it: samples
-    # (flushed after every event at their time), evaluations (which are
-    # samples) and reply arrivals.  No handler schedules an event before its
-    # own time, and set_mode only appends an anchor at the time of the event
-    # that calls it, so an anchor added after x was recorded lies at or
-    # after x.  One after x is never selected for x.
-    # One at x is selected, but it stores the old segment's value and
-    # hardware reading at x, so it reads x as value + factor * 0.0: the old
-    # segment's value, bit for bit.
+    # Sampling, the checks and the exchanges record only instants, and the
+    # clocks are read later: samples and checks when their chunk is reduced,
+    # the three stamps of an exchange at its requester's evaluation.  Such a
+    # deferred read of a past instant x returns what a read at x would have,
+    # bit for bit.  set_mode only appends an anchor at the time of the event
+    # that calls it, so every anchor before x is in place before any event
+    # at x runs, and both reads see it.  An anchor after x is never selected
+    # for x.  One at x may be selected by the deferred read alone, but it
+    # stores the old segment's value and hardware reading at x, so it reads
+    # x as value + factor * 0.0: the old segment's value.
+    # Every instant is read at or after it: samples are flushed after every
+    # event at their time, evaluations are samples, a reply arrives before
+    # its requester evaluates, and the run's end completes only exchanges
+    # whose replies arrived by then.
 
     def _flush_sample(self, t: float) -> None:
         self.buf_t.append(t)
         rows, n = len(self.buf_t), len(self.clocks)
-        checks = len(self._reply_checks) + len(self._eval_checks) + len(self._eval_estimates)
-        if rows * n + checks >= _CHUNK_VALUES or (self.full and rows * n * n >= 256 * _CHUNK_VALUES):
+        if rows * n + self._checked >= _CHUNK_VALUES or (self.full and rows * n * n >= 256 * _CHUNK_VALUES):
             self._reduce_chunk()
 
     def _reduce_chunk(self) -> None:
@@ -415,15 +464,17 @@ class _Simulation:
         ``times`` and ``L`` are the chunk's sample instants and logical
         values (L is None for an empty chunk, which has no evaluation).
         """
-        rep = np.array(self._reply_checks, dtype=float).reshape(-1, 5)
-        ev = np.array(self._eval_checks, dtype=np.intp).reshape(-1, 4)
-        est = np.array(self._eval_estimates, dtype=float)
-        self._reply_checks, self._eval_checks, self._eval_estimates = [], [], []
-        t, v, w = rep[:, 0], rep[:, 1].astype(np.intp), rep[:, 2].astype(np.intp)
+        replies, evals = self._reply_checks, self._evals
+        self._reply_checks, self._evals, self._checked = [], [], 0
+        data = np.concatenate([np.empty((0, 10))] + [d for d, _ in replies])
+        est = np.concatenate([np.empty(0)] + [e for _, e in replies])
+        t, v, w = data[:, 6], data[:, 7].astype(np.intp), data[:, 8].astype(np.intp)
         # the responders' true values at the reply arrivals, past instants
-        self._check_sandwich(t, v, w, read_clocks(self.clocks, t, w), rep[:, 3], rep[:, 4])
-        if len(ev):
-            self._check_evaluations(times, L, ev, est)
+        self._check_sandwich(t, v, w, read_clocks(self.clocks, t, w), est, data[:, 9])
+        if evals:
+            rows = np.concatenate([np.full(len(vs), r) for r, vs, *_ in evals])
+            v, est, slow, fast = (np.concatenate(a) for a in list(zip(*evals))[1:])
+            self._check_evaluations(times, L, rows, v, est, slow, fast)
 
     def _check_drift(self, times: np.ndarray, H: np.ndarray) -> None:
         """Every hardware clock advances by [dt, theta * dt] (with tolerance)
@@ -440,23 +491,36 @@ class _Simulation:
         if (dH < dt - _TOL).any() or (dH > self.sc.params.theta * dt + _TOL).any():
             self._abort("hardware clock violated its drift envelope")
 
-    def _check_evaluations(self, times: np.ndarray, L: np.ndarray, ev: np.ndarray, est: np.ndarray) -> None:
-        """The sandwich and the conditions at each evaluation; an evaluation
-        is a sample, so its true values are a row of L."""
-        rows, v = ev[:, 0], ev[:, 1]
-        nb, kappa, deg = self._nb[v], self._nb_kappa[v], self._deg[v]
+    def _check_evaluations(self, times, L, rows, v, est, slow_fired, fast_fired) -> None:
+        """The sandwich and the conditions at each evaluation: node ``v[i]``
+        at sample row ``rows[i]`` held the estimates of ``est`` (all rows',
+        in neighbour order) and its triggers fired at the levels of
+        ``slow_fired[i]`` and ``fast_fired[i]``.  An evaluation is a sample,
+        so its true values are a row of L.  Also counts the evaluations and
+        the levels fired, and reports slow and fast triggers firing
+        together."""
+        nb, kappa, deg, own = self._nb[v], self._nb_kappa[v], self._deg[v], self._own[v]
         L_nb = L[rows[:, None], nb]
-        own = np.arange(nb.shape[1]) < deg[:, None]  # not a pad
         t = times[rows]
+        self.counters["eval_instants"] += len(v)
+        self.counters["trigger_evaluations"] += 2 * self.sc.params.s_max * len(v)
+        self.counters["st_instances"] += int(np.count_nonzero(slow_fired))
+        self.counters["ft_instances"] += int(np.count_nonzero(fast_fired))
+        for r in np.flatnonzero(slow_fired.any(axis=1) & fast_fired.any(axis=1)).tolist():
+            st, ft = (tuple((np.flatnonzero(f[r]) + 1).tolist()) for f in (slow_fired, fast_fired))
+            self.violations.append(
+                Violation(
+                    time=float(t[r]),
+                    kind="trigger_coexistence",
+                    detail=f"node {int(v[r])} satisfies slow {st} and fast {ft} triggers together",
+                )
+            )
         self._check_sandwich(np.repeat(t, deg), np.repeat(v, deg), nb[own], L_nb[own], est, kappa[own])
         slow, fast = metrics.level_conditions(L[rows, v], L_nb, kappa, self._levels, 0.0)
         self.counters["sc_instances"] += int(np.count_nonzero(slow))
         self.counters["fc_instances"] += int(np.count_nonzero(fast))
-        for name, held, fired in (("slow", slow, ev[:, 2].tolist()), ("fast", fast, ev[:, 3].tolist())):
-            # a condition holds at few (row, level) pairs: test their triggers one by one
-            for r, j in zip(*(a.tolist() for a in np.nonzero(held))):
-                if fired[r] >> j & 1:
-                    continue
+        for name, held, fired in (("slow", slow, slow_fired), ("fast", fast, fast_fired)):
+            for r, j in zip(*(a.tolist() for a in np.nonzero(held & ~fired))):
                 self.violations.append(
                     Violation(
                         time=float(t[r]),
@@ -485,13 +549,15 @@ class _Simulation:
             )
 
     def _abort(self, message: str) -> None:
-        """Make every buffered check, the trace oracles included, then end
-        the run with RunAborted.
+        """Complete every exchange whose reply has arrived, make every
+        buffered check, the trace oracles included, then end the run with
+        RunAborted.
 
         The violations are sorted as ``_finish`` sorts them, so the report of
         an aborted run does not depend on where the chunks ended.
         """
-        if self._eval_checks and self._eval_checks[-4] == len(self.buf_t):
+        self._settle(self.current, check_timeout=False)
+        if self._evals and self._evals[-1][0] == len(self.buf_t):
             self.buf_t.append(self.current)  # the evaluations' sample is not flushed yet
         self._reduce_chunk()
         self.violations.sort(key=_violation_key)
@@ -512,13 +578,14 @@ class _Simulation:
             self.push(b, K_RATE, None)
 
         need = False  # an event at `current` can change a slope
-        while self.heap:
-            t = self.heap[0][0]
+        heap = self.heap
+        while heap:
+            t = heap[0][0]
             if self.stop_time is not None and t > self.stop_time:
                 break
             if sc.horizon_time is not None and t > sc.horizon_time:
                 break
-            t, _, kind, payload = heapq.heappop(self.heap)
+            t, _, kind, payload = heapq.heappop(heap)
             if self.current is not None:
                 if t < self.current - _TOL:
                     self._abort(f"event time regressed: {t!r} after {self.current!r}")
@@ -527,20 +594,20 @@ class _Simulation:
                     need = False
             self.current = t
             need = need or kind in _SLOPE_KINDS
-            if kind == K_WAKEUP:
+            if kind == K_EMIT:
+                self._on_emit(t, *payload)
+            elif kind == K_WAKEUP:
                 self._on_wakeup(t, *payload)
             elif kind == K_EVALUATE:
-                self._on_evaluate(t, *payload)
-            elif kind == K_REQUEST:
-                self._on_request_arrival(t, *payload)
-            elif kind == K_EMIT:
-                self._on_emit(t, *payload)
-            elif kind == K_REPLY:
-                self._on_reply_arrival(t, *payload)
+                batch = [payload]
+                while heap and heap[0][0] == t and heap[0][2] == K_EVALUATE:
+                    batch.append(heapq.heappop(heap)[3])
+                self._on_evaluate(t, batch)
             elif kind == K_TICK:
                 self.push(t + sc.sample_dt, K_TICK, None)
 
         end = self.stop_time if self.stop_time is not None else sc.horizon_time
+        self._settle(end if end is not None else self.current, check_timeout=True)
         if self.current is not None and (need or self.current == end):
             self._flush_sample(self.current)
         if end is not None and (self.current is None or end > self.current):

@@ -14,10 +14,6 @@ class InternalError(GcsSimError, RuntimeError):
     """A state that should be unreachable in a correct engine."""
 
 
-class StaleEstimateError(GcsSimError, RuntimeError):
-    """A neighbour estimate was used outside the cycle it was computed in."""
-
-
 class ConfigError(GcsSimError, ValueError):
     """Invalid engine configuration, e.g. a reused RNG stream label."""
 

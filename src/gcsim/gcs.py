@@ -6,17 +6,19 @@ says the node is ahead of its neighbourhood and should coast; the fast
 trigger says it is behind and should speed up by the correction factor.
 The threshold scale is the per-edge error weight kappa; the fast trigger
 additionally relaxes by the per-edge estimate error bound delta, because
-estimates deliberately understate the neighbour's clock.
+estimates deliberately understate the neighbour's clock.  The predicates
+of different nodes do not depend on each other, so every evaluation at one
+instant is one array operation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .clocks import LogicalClock
-from .errors import InternalError
-from .twoway import NeighborEstimate, estimate_value
 
-__all__ = ["GcsParams", "NodeState", "estimate_gaps", "trigger_levels"]
+__all__ = ["GcsParams", "NodeState", "trigger_thresholds", "trigger_levels"]
 
 MEASURING = "measuring"
 STABILISING = "stabilising"
@@ -65,60 +67,59 @@ class GcsParams:
 
 @dataclass
 class NodeState:
-    """Everything one node owns: clock (its anchors are the node's mode
-    timeline), phase and neighbour views."""
+    """Everything one node owns besides its exchanges in flight: clock (its
+    anchors are the node's mode timeline), phase and cycle."""
 
     id: int
     logical: LogicalClock
     phase: str = MEASURING
     cycle_index: int = 0
-    views: dict[int, NeighborEstimate] = field(default_factory=dict)
 
 
-def estimate_gaps(node: NodeState, neighbors, t: float) -> tuple[float, dict[int, float]]:
-    """(own logical value, estimate value per neighbour) at time t."""
-    l_v = node.logical.value(t)
-    vals = {}
-    for w in neighbors:
-        view = node.views.get(w)
-        if view is None:
-            raise InternalError(f"node {node.id} missing view of neighbor {w}")
-        vals[w] = estimate_value(view, l_v, cycle=node.cycle_index)
-    return l_v, vals
+def trigger_thresholds(
+    kappa: np.ndarray, delta: np.ndarray, s_max: int, hysteresis: float = 0.0
+) -> np.ndarray:
+    """The thresholds of :func:`trigger_levels` for edge weights ``kappa``
+    and estimate error bounds ``delta``, each (..., D): an array (..., 4,
+    s_max, D) holding, per level s, -((2s-1)*kappa + hysteresis),
+    (2s-1)*kappa, 2s*kappa - delta + hysteresis and -(2s*kappa + delta).
+
+    Each is computed in the order a scalar evaluation, one neighbour at a
+    time, computes it (an int level factor times kappa is the same
+    product), and negation is exact, so every comparison of
+    :func:`trigger_levels` matches the scalar one.  A pad of
+    :func:`metrics.neighbour_table`, with kappa +inf and delta 0, has the
+    thresholds -inf, +inf, +inf, -inf.
+    """
+    s = np.arange(1, s_max + 1)[:, None]
+    kappa, delta = kappa[..., None, :], delta[..., None, :]
+    odd = (2 * s - 1) * kappa
+    even = 2 * s * kappa
+    thresholds = (-(odd + hysteresis), odd, even - delta + hysteresis, -(even + delta))
+    return np.stack(np.broadcast_arrays(*thresholds), axis=-3)
 
 
-def trigger_levels(
-    node: NodeState,
-    kappa: dict[int, float],
-    delta: dict[int, float],
-    t: float,
-    s_max: int,
-    hysteresis: float = 0.0,
-    gaps: tuple[float, dict[int, float]] | None = None,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Levels at which the slow / fast trigger fire, evaluated once.
+def trigger_levels(lead: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slow and fast trigger of many evaluations at once, each (m, s_max):
+    entry [r, s - 1] says whether the trigger of row r fires at level s.
+
+    Row r is one node's evaluation: ``lead[r, j]`` is its estimate of its
+    j-th neighbour less its own value (positive: the neighbour is estimated
+    ahead), in the padded layout of :func:`metrics.neighbour_table`, and
+    ``thresholds[r]`` are its edges' thresholds from
+    :func:`trigger_thresholds`.
 
     Slow at level s: some neighbour trails by >= (2s-1)*kappa (plus the
     hysteresis) and none leads by more than (2s-1)*kappa.  Fast at level
     s: some neighbour leads by more than 2s*kappa - delta (plus the
-    hysteresis) and none trails by 2s*kappa + delta or more.
-
-    ``gaps`` is :func:`estimate_gaps` at t over the same neighbours, for a
-    caller that has computed it already.
+    hysteresis) and none trails by 2s*kappa + delta or more.  Each clause
+    counts the neighbours whose lead exceeds one threshold: trailing by
+    >= x is not leading by more than -x, and trailing by less than x is
+    leading by more than -x.  A pad leads by 0, which exceeds -inf and not
+    +inf, so it changes no count that a clause tests.
     """
-    l_v, est = gaps if gaps is not None else estimate_gaps(node, kappa.keys(), t)
-    lead = {w: est[w] - l_v for w in est}  # positive: neighbour estimated ahead
-    st, ft = [], []
-    for s in range(1, s_max + 1):
-        c = 2 * s - 1
-        if any(-lead[x] >= c * kappa[x] + hysteresis for x in lead) and all(
-            lead[y] <= c * kappa[y] for y in lead
-        ):
-            st.append(s)
-        c = 2 * s
-        if any(lead[x] > c * kappa[x] - delta[x] + hysteresis for x in lead) and all(
-            -lead[y] < c * kappa[y] + delta[y] for y in lead
-        ):
-            ft.append(s)
-    return tuple(st), tuple(ft)
-
+    D = lead.shape[1]
+    over = np.add.reduce(lead[:, None, None, :] > thresholds, axis=3)
+    slow = (over[:, 0] < D) & (over[:, 1] == 0)
+    fast = (over[:, 2] > 0) & (over[:, 3] == D)
+    return slow, fast

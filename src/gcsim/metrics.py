@@ -199,15 +199,18 @@ def _growth_violations(
 
     ``floor`` carries the floor at ``times[0]`` from the previous block,
     or is None at the start of the trace.  Returns the violations of the
-    pieces that end at rows 1.. and the floor at the last row.
+    pieces that end at rows 1.. and the floor at the last row.  ``F`` is
+    overwritten: its rows 1.. hold the rise over each piece.
     """
     g = psi - (theta - 1.0) * times[:, None]
     start = g[0] if floor is None else floor
     if len(times) < 2:
         return [], start
-    right = F[1:]
-    rise = right - F[:-1]
-    rise[right < psi[1:, :, None] - _TIE_TOL] = -np.inf  # b does not attain
+    below = F[1:] < psi[1:, :, None] - _TIE_TOL  # b does not attain
+    for r in range(len(times) - 1, 0, -1):  # the rise, in place: row r - 1 is still F there
+        F[r] -= F[r - 1]
+    rise = F[1:]
+    rise[below] = -np.inf
     leader = rise.argmax(axis=2)
     excess = rise.max(axis=2) - (theta - 1.0) * np.diff(times)[:, None]
     low = g[1:] - np.maximum(excess, 0.0)
@@ -310,22 +313,24 @@ def trace_oracles(
         return slow[:, 0], fast[:, 0]
 
     diff = L[:, None, :] - L[:, :, None]  # diff[r, a, b] = L_b - L_a
+    buf = np.empty_like(diff)  # F, then G, of one level at a time
     psi_levels = np.empty((m, s_max))
     new_floors = np.empty((s_max, n))
     violations: list[Violation] = []
     rows = np.arange(m)
     for s in range(1, s_max + 1):
-        F = diff - (2 * s - 1) * dist
+        F = np.subtract(diff, (2 * s - 1) * dist, out=buf)
         psi = F.max(axis=2)
+        psi_own = psi[own]
+        psi_levels[:, s - 1] = lvl = psi_own.max(axis=1)
+        # the leading node: b of the first pair (a, b) in row-major order
+        # attaining Psi_s, taken before the growth check overwrites F
+        lead = F[own][rows, psi_own.argmax(axis=1)].argmax(axis=1)
         viol, new_floors[s - 1] = _growth_violations(
             times, F, psi, s, theta, tol, None if floors is None else floors[s - 1]
         )
         violations += viol
-        F, psi = F[own], psi[own]
-        psi_levels[:, s - 1] = lvl = psi.max(axis=1)
 
-        # the leading node: b of the first pair (a, b) in row-major order attaining Psi_s
-        lead = F[rows, psi.argmax(axis=1)].argmax(axis=1)
         r = np.nonzero(lvl > tol)[0]
         slow, _ = conditions(r, lead[r], s)
         violations += [
@@ -337,7 +342,7 @@ def trace_oracles(
             for i in r[~slow]
         ]
 
-        G = -2 * s * dist - diff[own]  # G[r, v, x] = L_v - L_x - 2s d(v, x)
+        G = np.subtract(-2 * s * dist, diff[own], out=buf[own])  # G[r, v, x] = L_v - L_x - 2s d(v, x)
         mx = G.max(axis=2)[:, :, None]
         r, x = np.nonzero(((G >= mx - _TIE_TOL) & (mx > tol)).any(axis=1))
         _, fast = conditions(r, x, s)

@@ -6,8 +6,14 @@ fast conditions) or per pair of samples (the hardware drift envelope), the
 engine's ground-truth checks made one event at a time, the row-by-row
 trace writer, the per-source Dijkstra behind the kappa distance matrix and
 the pair-by-pair boot-up gate.  Tests check the engine against them; the
-package itself does not use them.  ``Recording`` keeps the per-measurement
-ground truth that the engine does not keep.
+package itself does not use them.
+
+``ThreeEventExchange`` is the reference twin of the engine's exchanges and
+evaluations: each message leg is an event that reads its own stamp, and
+each evaluation runs on its own.  ``Recording`` and ``PerEventChecks`` are
+built on it: the first keeps the per-measurement ground truth that the
+engine does not keep, the second makes the ground-truth checks one event
+at a time.
 """
 from __future__ import annotations
 
@@ -18,9 +24,8 @@ import numpy as np
 
 from gcsim import engine, gcs
 from gcsim.clocks import OWN_RATE, HardwareClock, LogicalClock
-from gcsim.errors import ParameterError
+from gcsim.errors import GcsSimError, ParameterError
 from gcsim.trace import Trace, Violation
-from gcsim.twoway import MeasurementRecord, NeighborEstimate, estimate_value
 
 _TIE_TOL = 1e-12
 
@@ -89,6 +94,159 @@ def fast_condition(values, g, kappa, v: int, s: int) -> bool:
     )
 
 
+class StaleEstimateError(GcsSimError, RuntimeError):
+    """A neighbour estimate was used outside the cycle it was computed in."""
+
+
+@dataclass(frozen=True)
+class RequestMsg:
+    sender: int
+    l_v_t1: float
+
+
+@dataclass(frozen=True)
+class ReplyMsg:
+    responder: int
+    l_w_t2: float
+    l_w_t3: float
+    l_v_t1_echo: float
+
+
+@dataclass(frozen=True)
+class MeasurementRecord:
+    """The completed five-tuple of one exchange, requester side."""
+
+    neighbor: int
+    l_v_t1: float
+    l_w_t2: float
+    l_w_t3: float
+    l_v_t4: float
+    completed_at_real: float
+
+
+@dataclass(frozen=True)
+class NeighborEstimate:
+    """Delay/offset estimate for one neighbour, valid for one cycle."""
+
+    neighbor: int
+    d_avg: float
+    offset: float
+    estimate_deduction: float
+    valid_cycle: int
+
+
+def handle_request(
+    req: RequestMsg, responder: int, responder_clock_now: float, processing_delay: float
+) -> ReplyMsg:
+    """The responder's reply: ``responder_clock_now`` is its logical value
+    at the request's arrival and ``processing_delay`` the local time spent
+    before the reply leaves, so the departure stamp is their sum."""
+    if processing_delay < 0:
+        raise ParameterError("processing delay must be non-negative")
+    return ReplyMsg(responder, responder_clock_now, responder_clock_now + processing_delay, req.l_v_t1)
+
+
+def compute_estimates(
+    rec: MeasurementRecord, eps_d: float, eps_m: float, theta: float, valid_cycle: int = -1
+) -> NeighborEstimate:
+    """The estimate of one completed record for ``valid_cycle`` (-1: not
+    tied to a cycle), from the engine's array form with one entry."""
+    one = lambda x: np.array([x], dtype=float)
+    d_avg, offset, deduction = engine.compute_estimates(
+        one(rec.l_v_t1), one(rec.l_w_t2), one(rec.l_w_t3), one(rec.l_v_t4), one(eps_d), one(eps_m), theta
+    )
+    return NeighborEstimate(rec.neighbor, float(d_avg[0]), float(offset[0]), float(deduction[0]), valid_cycle)
+
+
+def estimate_value(est: NeighborEstimate, l_v_now: float, cycle: int | None = None) -> float:
+    """Extrapolated neighbour clock estimate at the caller's current value."""
+    if cycle is not None and est.valid_cycle >= 0 and cycle != est.valid_cycle:
+        raise StaleEstimateError(
+            f"estimate for neighbor {est.neighbor} is from cycle {est.valid_cycle}, "
+            f"queried in cycle {cycle}"
+        )
+    return engine.estimate_value(est.offset, est.estimate_deduction, l_v_now)
+
+
+class ThreeEventExchange(engine._Simulation):
+    """The engine with every leg of an exchange an event of its own, the
+    reference twin of its one-event exchanges and batched evaluations.
+
+    The request's arrival reads the responder's stamp t2 and draws its
+    processing time; the reply's emission reads t3 and draws the reply's
+    delay; the reply's arrival reads t4, checks the round trip against the
+    timeout window and keeps the estimate as the requester's view.  Each
+    evaluation runs on its own, from the views.  All three legs are
+    ``engine.K_EMIT`` events that name their handler.  Streams, chunks and
+    checks are the engine's, so a run of the twin must equal the engine's
+    bit for bit.
+    """
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.views: list[dict[int, NeighborEstimate]] = [{} for _ in range(sc.graph.n)]
+
+    def _send(self, t: float, v: int, w: int, l1: float) -> float:
+        self.push(t + self.sampler.sample(v, w), engine.K_EMIT, ("_on_request_arrival", v, w, l1))
+        return l1
+
+    def _on_wakeup(self, t: float, v: int, k: int) -> None:
+        self.views[v] = {}
+        super()._on_wakeup(t, v, k)
+
+    def _on_emit(self, t: float, leg: str, *args) -> None:
+        getattr(self, leg)(t, *args)
+
+    def _settle(self, limit: float, check_timeout: bool) -> None:
+        """Every reply up to ``limit`` was an event: nothing to complete."""
+
+    def _on_request_arrival(self, t: float, v: int, w: int, t1: float) -> None:
+        t2 = self.clocks[w].value(t)
+        p_real = 0.0
+        if self.sc.p_max > 0:
+            p_real = self.sc.p_max * float(self.proc_streams[(v, w)].random())
+        self.push(t + p_real, engine.K_EMIT, ("_on_reply_emit", v, w, t1, t2))
+
+    def _on_reply_emit(self, t: float, v: int, w: int, t1: float, t2: float) -> None:
+        t3 = self.clocks[w].value(t)
+        reply = handle_request(RequestMsg(v, t1), w, t2, t3 - t2)
+        self.push(t + self.sampler.sample(w, v), engine.K_EMIT, ("_on_reply_arrival", v, reply))
+
+    def _on_reply_arrival(self, t: float, v: int, reply: ReplyMsg) -> None:
+        sc = self.sc
+        w = reply.responder
+        node = self.nodes[v]
+        t4 = node.logical.value(t)
+        t1 = self.pending[v].pop(w, None)
+        if t1 is None or t1 != reply.l_v_t1_echo:
+            self._abort(f"unmatched reply from {w} at node {v}")
+        if t4 - t1 >= sc.timeout + engine._TOL:
+            self._abort(f"measurement {v}->{w} exceeded the timeout window ({t4 - t1!r} >= {sc.timeout!r})")
+        rec = MeasurementRecord(w, t1, reply.l_w_t2, reply.l_w_t3, t4, t)
+        _, _, _, eps_d, eps_m = self.sampler.links[(v, w)]
+        est = compute_estimates(rec, eps_d, eps_m, sc.params.theta, node.cycle_index)
+        self.views[v][w] = est
+        self.counters["measurements"] += 1
+        value = estimate_value(est, t4, cycle=node.cycle_index)
+        row = (t1, reply.l_w_t2, reply.l_w_t3, t4, eps_d, eps_m, t, v, w, self.kappa_nb[v][w])
+        self._reply_checks.append((np.array([row]), np.array([value])))
+        self._checked += 5
+
+    def _on_evaluate(self, t: float, batch: list) -> None:
+        for v, k in batch:
+            node = self.nodes[v]
+            nbrs = self.sc.graph.neighbors(v)
+            views = self.views[v]
+            if node.cycle_index != k or node.phase != gcs.MEASURING:
+                self._abort(f"evaluation fired out of order at node {v}")
+            if len(views) != len(nbrs):
+                missing = sorted(set(nbrs) - set(views))
+                self._abort(f"node {v} evaluating cycle {k} with incomplete views (missing {missing})")
+            l_v = node.logical.value(t)
+            est = [estimate_value(views[w], l_v, cycle=k) for w in nbrs]
+            self._decide(t, [(v, k)], np.full(len(nbrs), l_v), np.array(est))
+
+
 @dataclass(frozen=True)
 class Measurement:
     """One completed exchange: the requester's record and estimate, the real
@@ -107,12 +265,12 @@ class Measurement:
     true_offset_mid: float
 
 
-class Recording(engine._Simulation):
-    """The engine, recording every completed measurement in
+class Recording(ThreeEventExchange):
+    """The twin, recording every completed measurement in
     ``measurements``.  The real send, request arrival and emit times of an
     exchange are the times of the handlers that see it: the requester's
-    wakeup, the request's arrival and the responder's emit.  The true offset
-    is read at the reply, a past instant, which is exact."""
+    wakeup, the request's arrival and the reply's emission.  The true
+    offset is read at the reply, a past instant, which is exact."""
 
     def __init__(self, sc):
         super().__init__(sc)
@@ -128,11 +286,11 @@ class Recording(engine._Simulation):
         self._legs[(v, w)].append(t)
         super()._on_request_arrival(t, v, w, t1)
 
-    def _on_emit(self, t: float, v: int, w: int, t1: float, t2: float) -> None:
+    def _on_reply_emit(self, t: float, v: int, w: int, t1: float, t2: float) -> None:
         self._legs[(v, w)].append(t)
-        super()._on_emit(t, v, w, t1, t2)
+        super()._on_reply_emit(t, v, w, t1, t2)
 
-    def _on_reply_arrival(self, t: float, v: int, reply) -> None:
+    def _on_reply_arrival(self, t: float, v: int, reply: ReplyMsg) -> None:
         w = reply.responder
         t1 = self.pending[v].get(w)
         super()._on_reply_arrival(t, v, reply)
@@ -141,23 +299,23 @@ class Recording(engine._Simulation):
         rec = MeasurementRecord(w, t1, reply.l_w_t2, reply.l_w_t3, node.value(t), t)
         mid = 0.5 * (sent + t)
         self.measurements.append(Measurement(
-            v, w, self.nodes[v].cycle_index, rec, self.nodes[v].views[w],
+            v, w, self.nodes[v].cycle_index, rec, self.views[v][w],
             sent, arrived - sent, emitted - arrived, t - emitted, peer.value(mid) - node.value(mid),
         ))
 
 
 def recorded_run(sc) -> tuple[engine.RunResult, list[Measurement]]:
-    """Run ``sc`` and return its result and its measurements."""
+    """Run ``sc`` on the twin and return its result and its measurements."""
     sim = Recording(sc)
     return sim.run(), sim.measurements
 
 
-class PerEventChecks(engine._Simulation):
-    """The engine, with its ground-truth checks also made one event at a
-    time: each clock is read at the event's own time, before the event
-    changes any mode.  The estimate sandwich runs at every reply arrival and
-    evaluation, the slow and fast conditions at every evaluation.  Findings
-    go to ``ref_violations`` and ``ref_counters``; the engine's own are
+class PerEventChecks(ThreeEventExchange):
+    """The twin, with its ground-truth checks also made one event at a
+    time: each clock is read at the event's own time.  The estimate sandwich
+    runs at every reply arrival and evaluation, the slow and fast conditions
+    at every evaluation, against the levels its trigger fired.  Findings go
+    to ``ref_violations`` and ``ref_counters``; the per-chunk ones are
     untouched, so one run gives both."""
 
     def __init__(self, sc):
@@ -175,38 +333,36 @@ class PerEventChecks(engine._Simulation):
                 f"estimate of {w} at {v} off by {err:.3e} (allowed [0, {delta_max:.3e}])",
             ))
 
-    def _on_reply_arrival(self, t: float, v: int, reply) -> None:
+    def _on_reply_arrival(self, t: float, v: int, reply: ReplyMsg) -> None:
         super()._on_reply_arrival(t, v, reply)
         w = reply.responder
         node = self.nodes[v]
         t4 = node.logical.value(t)
-        self._ref_sandwich(t, v, w, estimate_value(node.views[w], t4, cycle=node.cycle_index))
+        self._ref_sandwich(t, v, w, estimate_value(self.views[v][w], t4, cycle=node.cycle_index))
 
-    def _on_evaluate(self, t: float, v: int, k: int) -> None:
+    def _decide(self, t: float, batch: list, l_rep: np.ndarray, est: np.ndarray) -> None:
         sc = self.sc
-        node = self.nodes[v]
+        (v, _), = batch
         nbrs = sc.graph.neighbors(v)
-        if node.cycle_index == k and node.phase == gcs.MEASURING and len(node.views) == len(nbrs):
-            kappa_nb = self.kappa_nb[v]
-            st, ft = gcs.trigger_levels(node, kappa_nb, kappa_nb, t, sc.params.s_max, sc.params.hysteresis)
-            vals = {w: self.nodes[w].logical.value(t) for w in nbrs}
-            l_v = vals[v] = node.logical.value(t)
-            for w in nbrs:
-                self._ref_sandwich(t, v, w, estimate_value(node.views[w], l_v, cycle=k))
-            for s in range(1, sc.params.s_max + 1):
-                for name, held, fired in (
-                    ("slow", slow_condition(vals, sc.graph, sc.kappa, v, s), st),
-                    ("fast", fast_condition(vals, sc.graph, sc.kappa, v, s), ft),
-                ):
-                    if not held:
-                        continue
-                    self.ref_counters[f"{name[0]}c_instances"] += 1
-                    if s not in fired:
-                        self.ref_violations.append(Violation(
-                            t, "condition_without_trigger",
-                            f"node {v}: {name} condition at level {s} without {name} trigger",
-                        ))
-        super()._on_evaluate(t, v, k)
+        vals = {w: self.nodes[w].logical.value(t) for w in nbrs}
+        vals[v] = self.nodes[v].logical.value(t)
+        for w, e in zip(nbrs, est.tolist()):
+            self._ref_sandwich(t, v, w, e)
+        super()._decide(t, batch, l_rep, est)
+        _, _, _, slow_fired, fast_fired = self._evals[-1]
+        for s in range(1, sc.params.s_max + 1):
+            for name, held, fired in (
+                ("slow", slow_condition(vals, sc.graph, sc.kappa, v, s), slow_fired),
+                ("fast", fast_condition(vals, sc.graph, sc.kappa, v, s), fast_fired),
+            ):
+                if not held:
+                    continue
+                self.ref_counters[f"{name[0]}c_instances"] += 1
+                if not fired[0, s - 1]:
+                    self.ref_violations.append(Violation(
+                        t, "condition_without_trigger",
+                        f"node {v}: {name} condition at level {s} without {name} trigger",
+                    ))
 
 
 def check_lipschitz(c: HardwareClock, t1: float, t2: float, theta: float, tol: float = 1e-9) -> bool:

@@ -1,22 +1,24 @@
 """The engine's ground-truth checks, made per chunk, against the same checks
-made one event at a time (``reference.PerEventChecks``).
+made one event at a time (``reference.PerEventChecks``, on the engine's
+three-event twin).
 
 Untampered runs record no sandwich or condition violation, so the runs
 here are tampered until every check fires: some estimates are shifted off
 the sandwich, and the trigger drops some levels at which its condition
 holds.  The engine must then report the violations and counters the
-per-event form reports, whatever the chunk size and metrics mode.
+per-event form reports, whatever the chunk size and metrics mode, and an
+aborted run the violations found up to the abort.
 """
-import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from gcsim import engine, gcs
 from gcsim import scenario as scen
 from gcsim.errors import RunAborted
 
-from reference import PerEventChecks
+from reference import PerEventChecks, Recording
 from scenario_gen import fc_lag_doc, random_suite_doc
 
 CHECKED = ("estimate_sandwich", "condition_without_trigger")
@@ -34,23 +36,25 @@ def tamper(monkeypatch, kappa: float) -> None:
     """Shift the offset of some estimates by +kappa (the estimate then
     overstates the neighbour) or -2 kappa (it understates it by more than
     the error bound), and drop the lowest slow or fast level the trigger
-    finds on some cycles."""
+    finds on some evaluations.  Which ones follows from the responder's
+    arrival stamp and from the estimated leads, which the engine and its
+    twin compute alike, so both tamper the same ones."""
     compute = engine.compute_estimates
 
-    def shifted(rec, eps_d, eps_m, theta, valid_cycle=-1):
-        est = compute(rec, eps_d, eps_m, theta, valid_cycle)
-        shift = {0: kappa, 1: -2.0 * kappa}.get((rec.neighbor + valid_cycle) % 4, 0.0)
-        return dataclasses.replace(est, offset=est.offset + shift)
+    def shifted(t1, t2, t3, t4, eps_d, eps_m, theta):
+        d_avg, offset, deduction = compute(t1, t2, t3, t4, eps_d, eps_m, theta)
+        key = np.floor(1e6 * t2) % 4
+        return d_avg, offset + np.select([key == 0, key == 1], [kappa, -2.0 * kappa], 0.0), deduction
 
     levels = gcs.trigger_levels
 
-    def dropping(node, *args, **kwargs):
-        st, ft = levels(node, *args, **kwargs)
-        if (node.id + node.cycle_index) % 3 == 0:
-            st = st[1:]
-        if (node.id + node.cycle_index) % 3 == 1:
-            ft = ft[1:]
-        return st, ft
+    def dropping(lead, *args):
+        slow, fast = levels(lead, *args)
+        key = np.floor(1e6 * np.abs(lead).sum(axis=1)) % 3
+        for k, fired in enumerate((slow, fast)):
+            rows = np.flatnonzero((key == k) & fired.any(axis=1))
+            fired[rows, fired[rows].argmax(axis=1)] = False
+        return slow, fast
 
     monkeypatch.setattr(engine, "compute_estimates", shifted)
     monkeypatch.setattr(gcs, "trigger_levels", dropping)
@@ -75,6 +79,10 @@ def test_tampered_run_reports_what_per_event_checks_report(monkeypatch, doc_name
     got = [v for v in res.violations if v.kind in CHECKED]
     assert got == sorted(sim.ref_violations, key=key)
     assert {k: res.summary.counters[k] for k in COUNTERS} == sim.ref_counters
+    # the engine, with its one-event exchanges and batched evaluations, reports the same
+    ran = engine._Simulation(sim.sc).run()
+    assert [v for v in ran.violations if v.kind in CHECKED] == got
+    assert {k: ran.summary.counters[k] for k in COUNTERS} == sim.ref_counters
     # every check fired
     assert Counter(v.kind for v in got).keys() == set(CHECKED)
     fired = {v.detail.split()[2] for v in got if v.kind == "condition_without_trigger"}
@@ -156,3 +164,75 @@ def test_drift_abort_carries_every_violation_up_to_it(monkeypatch, mode, chunk_v
     if chunk_values == 1:  # aborted at the chunk of the tampered sample
         assert want[-1].time == t_bad
         assert len(want) < len(whole.ref_violations)
+
+
+def tampered_fc_lag(monkeypatch, chunk_values: int):
+    """The tampered fc_lag scenario and the engine's whole run of it."""
+    monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
+    sc = scen.build_scenario(fc_lag_doc())
+    tamper(monkeypatch, max(sc.kappa.values()))
+    return sc, engine.run(sc)
+
+
+def checked_before(res, t_abort: float, skip=lambda v: False) -> list:
+    """The checked violations of the whole run ``res`` before ``t_abort``."""
+    return [v for v in res.violations if v.kind in CHECKED and v.time < t_abort and not skip(v)]
+
+
+@pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 1])
+def test_timeout_abort_reports_every_reply_before_it(monkeypatch, chunk_values):
+    # a timeout window that some round trip exceeds, but none whose reply
+    # arrives in the first quarter of the run: the run ends at the first
+    # evaluation that completes such an exchange, with the checks of every
+    # reply that arrived before, evaluated or not
+    sc, whole = tampered_fc_lag(monkeypatch, chunk_values)
+    recording = Recording(sc)
+    recording.run()
+    trips = [(m.record.completed_at_real, m.record.l_v_t4 - m.record.l_v_t1) for m in recording.measurements]
+    t_from = trips[len(trips) // 4][0]
+    sc.timeout = max(trip for t, trip in trips if t <= t_from)
+    sim = engine._Simulation(sc)
+    with pytest.raises(RunAborted, match="exceeded the timeout window") as exc:
+        sim.run()
+    t_abort = sim.current
+    assert t_abort > t_from
+    reported = exc.value.violations
+    assert reported == sorted(reported, key=key)
+    want = checked_before(whole, t_abort)
+    assert [v for v in reported if v.kind in CHECKED] == want
+    assert {v.kind for v in want} == set(CHECKED)
+    assert len(want) < len([v for v in whole.violations if v.kind in CHECKED])
+
+
+@pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 1])
+def test_incomplete_views_abort_reports_every_reply_before_it(monkeypatch, chunk_values):
+    # one reply, emitted after the first quarter of the run, arrives long
+    # after its requester evaluates: that evaluation ends the run, with the
+    # checks of every other reply that arrived before
+    sc, whole = tampered_fc_lag(monkeypatch, chunk_values)
+    t_from = 0.25 * sc.horizon_cycles * sc.params.cycle_length
+    sim = engine._Simulation(sc)
+    emit, delayed = sim._on_emit, []
+
+    def late(t, w, v, exchange):
+        emit(t, w, v, exchange)
+        if t > t_from and not delayed:
+            delayed.append((v, w, exchange[3]))
+            exchange[3] += sc.params.cycle_length
+
+    sim._on_emit = late
+    with pytest.raises(RunAborted) as exc:
+        sim.run()
+    (v, w, arrival), = delayed
+    t_abort = sim.current
+    k = sim.nodes[v].cycle_index
+    assert str(exc.value) == f"node {v} evaluating cycle {k} with incomplete views (missing [{w}])"
+    assert arrival < t_abort
+    reported = exc.value.violations
+    assert reported == sorted(reported, key=key)
+    # the delayed reply is not checked: it has not arrived
+    unchecked = lambda x: x.time == arrival and x.detail.startswith(f"estimate of {w} at {v} ")
+    want = checked_before(whole, t_abort, unchecked)
+    assert [x for x in reported if x.kind in CHECKED] == want
+    assert {x.kind for x in want} == set(CHECKED)
+    assert len(want) < len([x for x in whole.violations if x.kind in CHECKED])

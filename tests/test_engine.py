@@ -10,8 +10,15 @@ from gcsim.engine import DelaySampler, StreamRegistry, seeded_stream
 from gcsim.errors import ConfigError, ScenarioValidationError
 from gcsim.topology import EdgeParams, NetworkGraph
 
-from reference import Recording, boot_up_gate, recorded_run
-from scenario_gen import antiphase_line_doc, random_suite_doc, random_template_doc, zero_drift_doc
+from reference import Recording, ThreeEventExchange, boot_up_gate, recorded_run
+from scenario_gen import (
+    antiphase_line_doc,
+    corollary1_doc,
+    fc_lag_doc,
+    random_suite_doc,
+    random_template_doc,
+    zero_drift_doc,
+)
 
 
 class TestSeededStreams:
@@ -228,6 +235,51 @@ class TestChunking:
         assert res.violations == ref.violations
         for name in TRACE_ARRAYS:
             assert np.array_equal(getattr(res.trace, name), getattr(ref.trace, name)), name
+
+
+def bundled_doc(name: str, horizon_cycles: int) -> dict:
+    doc = scen.load_document(name)
+    doc["sim"]["horizon_cycles"] = horizon_cycles
+    return doc
+
+
+TWIN_DOCS = {
+    **{f"{name}-60": lambda name=name: bundled_doc(name, 60) for name in scen.bundled_names()},
+    **{f"random_suite-{seed}": lambda seed=seed: random_suite_doc(seed) for seed in range(0, 12, 3)},
+    "fc_lag": fc_lag_doc,
+    "corollary1": corollary1_doc,
+    "random_template-64": lambda: random_template_doc(64, metrics="skew_only"),
+    "antiphase-3-horizon_time": lambda: antiphase_line_doc(3, horizon_time=77.3),
+    "antiphase-4-horizon_time": lambda: antiphase_line_doc(4, horizon_time=41.0, metrics="full"),
+}
+
+
+class TestThreeEventTwin:
+    """The engine draws an exchange's request delay and processing time at
+    the requester's wakeup, reads its stamps at the requester's
+    evaluation, and evaluates every node due at one instant in one array
+    evaluation.  The reference twin makes every message leg an event that
+    reads its own stamp, and evaluates one node at a time.  Their runs
+    agree bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(TWIN_DOCS))
+    def test_engine_matches_the_twin(self, name):
+        sc = scen.build_scenario(TWIN_DOCS[name]())
+        res, ref = engine.run(sc), ThreeEventExchange(sc).run()
+        summary, ref_summary = res.summary.to_dict(), ref.summary.to_dict()
+        for s in (summary, ref_summary):
+            s.pop("wall_time_s", None)
+        assert json.dumps(summary) == json.dumps(ref_summary)
+        assert res.violations == ref.violations
+        for array in TRACE_ARRAYS:
+            assert np.array_equal(getattr(res.trace, array), getattr(ref.trace, array)), array
+
+    def test_replies_before_the_end_count_when_their_evaluation_is_after_it(self):
+        # 60 exchanges complete at an evaluation before t = 77.3; 4 more
+        # replies arrive before it, and their requesters evaluate after it
+        sc = scen.build_scenario(antiphase_line_doc(3, horizon_time=77.3))
+        assert engine.run(sc).summary.counters["measurements"] == 64
+        assert ThreeEventExchange(sc).run().summary.counters["measurements"] == 64
 
 
 def swapped_rates_doc() -> dict:

@@ -1,59 +1,48 @@
 import numpy as np
 import pytest
 
-from gcsim.clocks import HardwareClock, LogicalClock, RateSchedule
-from gcsim.errors import InternalError
-from gcsim.gcs import GcsParams, NodeState, trigger_levels
-from gcsim.twoway import NeighborEstimate
+from gcsim.gcs import GcsParams, trigger_levels, trigger_thresholds
 
 
-def node_with_gaps(gaps: dict[int, float]) -> NodeState:
-    """Node with identity clock whose estimate of neighbour x reads
-    L_v + gaps[x] at any instant."""
-    clock = LogicalClock(HardwareClock(0.0, RateSchedule((0.0,), (1.0,))), mu=0.1)
-    views = {
-        x: NeighborEstimate(x, d_avg=1.0, offset=g, estimate_deduction=0.0, valid_cycle=0)
-        for x, g in gaps.items()
-    }
-    return NodeState(id=99, logical=clock, views=views)
+def fired(row: np.ndarray) -> tuple[int, ...]:
+    return tuple((np.flatnonzero(row) + 1).tolist())
 
 
-def slow_levels(node, kappa, delta, t, s_max=1, hysteresis=0.0):
-    return trigger_levels(node, kappa, delta, t, s_max, hysteresis)[0]
+def levels(gaps, kappa, delta, s_max=1, hysteresis=0.0):
+    """(slow, fast) levels at which one node's triggers fire, its estimate
+    of neighbour x leading its own value by gaps[x]."""
+    xs = sorted(gaps)
+    row = lambda d: np.array([[d[x] for x in xs]], dtype=float)
+    slow, fast = trigger_levels(row(gaps), trigger_thresholds(row(kappa), row(delta), s_max, hysteresis))
+    return fired(slow[0]), fired(fast[0])
 
 
-def fast_levels(node, kappa, delta, t, s_max=1, hysteresis=0.0):
-    return trigger_levels(node, kappa, delta, t, s_max, hysteresis)[1]
+def slow_levels(gaps, kappa, delta, s_max=1, hysteresis=0.0):
+    return levels(gaps, kappa, delta, s_max, hysteresis)[0]
+
+
+def fast_levels(gaps, kappa, delta, s_max=1, hysteresis=0.0):
+    return levels(gaps, kappa, delta, s_max, hysteresis)[1]
 
 
 class TestSlowTrigger:
     def test_fires_when_neighbour_trails(self):
-        node = node_with_gaps({1: -1.5})
-        assert 1 in slow_levels(node, {1: 1.0}, {1: 1.0}, t=10.0)
+        assert 1 in slow_levels({1: -1.5}, {1: 1.0}, {1: 1.0})
 
     def test_no_gap_no_trigger(self):
-        node = node_with_gaps({1: 0.0, 2: 0.0})
         kappa = {1: 1.0, 2: 1.0}
-        assert slow_levels(node, kappa, kappa, t=5.0, s_max=3) == ()
-
-    def test_missing_view_is_internal_error(self):
-        node = node_with_gaps({1: 0.0})
-        with pytest.raises(InternalError):
-            trigger_levels(node, {1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0}, t=5.0, s_max=1)
+        assert slow_levels({1: 0.0, 2: 0.0}, kappa, kappa, s_max=3) == ()
 
 
 class TestFastTrigger:
     def test_fires_past_relaxed_threshold(self):
-        node = node_with_gaps({1: 1.9})
-        assert 1 in fast_levels(node, {1: 1.0}, {1: 0.2}, t=0.0)
+        assert 1 in fast_levels({1: 1.9}, {1: 1.0}, {1: 0.2})
 
     def test_boundary_is_strict(self):
-        node = node_with_gaps({1: 1.8})
-        assert 1 not in fast_levels(node, {1: 1.0}, {1: 0.2}, t=0.0)
+        assert 1 not in fast_levels({1: 1.8}, {1: 1.0}, {1: 0.2})
 
     def test_blocked_by_far_trailing_neighbour(self):
-        node = node_with_gaps({1: 1.9, 2: -2.3})
-        assert 1 not in fast_levels(node, {1: 1.0, 2: 1.0}, {1: 0.2, 2: 0.2}, t=0.0)
+        assert 1 not in fast_levels({1: 1.9, 2: -2.3}, {1: 1.0, 2: 1.0}, {1: 0.2, 2: 0.2})
 
 
 class TestEvaluateMode:
@@ -61,17 +50,14 @@ class TestEvaluateMode:
     level does; otherwise the node keeps its own rate."""
 
     def test_all_zero_offsets_default(self):
-        node = node_with_gaps({1: 0.0, 2: 0.0})
         kappa = {1: 1.0, 2: 1.0}
-        assert trigger_levels(node, kappa, kappa, t=0.0, s_max=3) == ((), ())
+        assert levels({1: 0.0, 2: 0.0}, kappa, kappa, s_max=3) == ((), ())
 
     def test_behind_only_neighbour_fast(self):
-        node = node_with_gaps({1: 1.9})
-        assert trigger_levels(node, {1: 1.0}, {1: 0.2}, t=0.0, s_max=2) == ((), (1,))
+        assert levels({1: 1.9}, {1: 1.0}, {1: 0.2}, s_max=2) == ((), (1,))
 
     def test_ahead_own_rate(self):
-        node = node_with_gaps({1: -1.5})
-        assert trigger_levels(node, {1: 1.0}, {1: 1.0}, t=0.0, s_max=2) == ((1,), ())
+        assert levels({1: -1.5}, {1: 1.0}, {1: 1.0}, s_max=2) == ((1,), ())
 
 
 def brute_force_levels(gaps, kappa, delta, s_max, hysteresis=0.0):
@@ -92,15 +78,23 @@ def brute_force_levels(gaps, kappa, delta, s_max, hysteresis=0.0):
 
 class TestAgainstBruteForce:
     def test_random_views_match_clause_evaluation(self):
+        # all rows in one padded batch, as the engine evaluates one instant:
+        # a pad has lead 0, kappa +inf and delta 0
         rng = np.random.default_rng(17)
+        rows = []
         for _ in range(300):
             deg = int(rng.integers(1, 5))
             gaps = {x: float(rng.uniform(-5, 5)) for x in range(1, deg + 1)}
             kappa = {x: float(rng.uniform(0.2, 2.0)) for x in gaps}
-            delta = {x: kappa[x] for x in gaps}
-            node = node_with_gaps(gaps)
-            got = trigger_levels(node, kappa, delta, t=0.0, s_max=3)
-            assert got == brute_force_levels(gaps, kappa, delta, 3)
+            rows.append((gaps, kappa, dict(kappa)))
+        lead, K, delta = np.zeros((300, 4)), np.full((300, 4), np.inf), np.zeros((300, 4))
+        for r, (gaps, kappa, dlt) in enumerate(rows):
+            lead[r, : len(gaps)], K[r, : len(gaps)], delta[r, : len(gaps)] = (
+                list(d.values()) for d in (gaps, kappa, dlt)
+            )
+        slow, fast = trigger_levels(lead, trigger_thresholds(K, delta, 3))
+        for r, (gaps, kappa, dlt) in enumerate(rows):
+            assert (fired(slow[r]), fired(fast[r])) == brute_force_levels(gaps, kappa, dlt, 3)
 
     def test_triggers_never_co_fire_when_delta_is_kappa(self):
         # with the trigger slack equal to the edge weight, slow and fast
@@ -110,18 +104,14 @@ class TestAgainstBruteForce:
             deg = int(rng.integers(1, 6))
             gaps = {x: float(rng.uniform(-8, 8)) for x in range(deg)}
             kappa = {x: float(rng.uniform(0.1, 3.0)) for x in gaps}
-            node = node_with_gaps(gaps)
-            st, ft = trigger_levels(node, kappa, kappa, t=0.0, s_max=4)
+            st, ft = levels(gaps, kappa, kappa, s_max=4)
             assert not (st and ft)
 
     def test_hysteresis_raises_both_existential_thresholds(self):
-        gaps = {1: 1.9}
-        node = node_with_gaps(gaps)
-        assert 1 in fast_levels(node, {1: 1.0}, {1: 0.2}, t=0.0, hysteresis=0.0)
-        assert 1 not in fast_levels(node, {1: 1.0}, {1: 0.2}, t=0.0, hysteresis=0.2)
-        node = node_with_gaps({1: -1.5})
-        assert 1 in slow_levels(node, {1: 1.0}, {1: 1.0}, t=0.0, hysteresis=0.4)
-        assert 1 not in slow_levels(node, {1: 1.0}, {1: 1.0}, t=0.0, hysteresis=0.6)
+        assert 1 in fast_levels({1: 1.9}, {1: 1.0}, {1: 0.2}, hysteresis=0.0)
+        assert 1 not in fast_levels({1: 1.9}, {1: 1.0}, {1: 0.2}, hysteresis=0.2)
+        assert 1 in slow_levels({1: -1.5}, {1: 1.0}, {1: 1.0}, hysteresis=0.4)
+        assert 1 not in slow_levels({1: -1.5}, {1: 1.0}, {1: 1.0}, hysteresis=0.6)
 
 
 class TestGcsParams:

@@ -6,6 +6,11 @@ Each bundled scenario runs for 60 cycles in both metrics modes through
 checks moved from the event handlers into the per-chunk reduction.  A change
 that is meant to keep behaviour keeps these files byte for byte; a change
 that is meant to alter them updates the digests and says why.
+
+The two bundled scenarios with link jitter, random16 and star6 (p_max 0.2),
+are also pinned at their full length.  Each direction a->b has one delay
+stream for a's requests and a's replies to b, so a change in the order of
+its draws changes the delays; 60 cycles can miss that, full length does not.
 """
 import hashlib
 import json
@@ -71,16 +76,51 @@ DIGESTS = {
     ),
 }
 
+# (scenario, metrics mode) -> SHA-256 of FILES of the full-length run
+FULL_LENGTH_DIGESTS = {
+    ("random16", "full"): (
+        "6c7e9eeebe6c6aabb3ee6507efcb3e47d977db42eac74db0e4d783a2bf88a040",
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "f1b2b85f2a443a20cdeb76550b7b669fdb61cef8f697e67bc8a1e57e3cff5b10",
+    ),
+    ("random16", "skew_only"): (
+        "75e737fb6bcab849191dce6e0a0b8c4b9a43eb2d180daf30b430d078dd03030c",
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "b18875d2c90884f1684d16228d17eca0cbbc31fd93888ae08d964f2cb37f52cb",
+    ),
+    ("star6", "full"): (
+        "3d6e56f86264de483ff8c52e118956e9446e3db595457fbeecacbba9ad1a68c7",
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "2f681a7162e06793466619ac94debb994b4e938d3ccea47dfac055c86a4d15ac",
+    ),
+    ("star6", "skew_only"): (
+        "500088799c9de6b2b63964e26c38fe02c2245ddc91968a75453a90112e00786b",
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "5253a35a1810116c890644f94b4502afe856ba86cd8f68c093c93ce304b83ae3",
+    ),
+}
 
-@pytest.mark.parametrize("name,mode", sorted(DIGESTS))
-def test_bundled_outputs_are_byte_identical(name, mode, tmp_path):
+
+def digests(tmp_path, name: str, mode: str, horizon_cycles: int | None) -> dict:
+    """SHA-256 of FILES of ``gcsim run`` on bundled ``name`` in ``mode``,
+    for ``horizon_cycles`` cycles or at its own length (None)."""
     doc = scen.load_document(name)
-    doc["sim"].pop("horizon_time", None)
-    doc["sim"]["horizon_cycles"] = 60
+    if horizon_cycles is not None:
+        doc["sim"].pop("horizon_time", None)
+        doc["sim"]["horizon_cycles"] = horizon_cycles
     doc["sim"]["metrics"] = mode
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
-    got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
-    assert dict(zip(FILES, got)) == dict(zip(FILES, DIGESTS[(name, mode)]))
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES}
+
+
+@pytest.mark.parametrize("name,mode", sorted(DIGESTS))
+def test_bundled_outputs_are_byte_identical(name, mode, tmp_path):
+    assert digests(tmp_path, name, mode, 60) == dict(zip(FILES, DIGESTS[(name, mode)]))
+
+
+@pytest.mark.parametrize("name,mode", sorted(FULL_LENGTH_DIGESTS))
+def test_full_length_jittered_outputs_are_byte_identical(name, mode, tmp_path):
+    assert digests(tmp_path, name, mode, None) == dict(zip(FILES, FULL_LENGTH_DIGESTS[(name, mode)]))

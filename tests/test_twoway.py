@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from gcsim.errors import ParameterError, StaleEstimateError
-from gcsim.twoway import (
+from gcsim.errors import ParameterError
+from gcsim.twoway import timeout_window
+
+from reference import (
     MeasurementRecord,
     NeighborEstimate,
     RequestMsg,
+    StaleEstimateError,
     compute_estimates,
     estimate_value,
     handle_request,
-    timeout_window,
 )
 
 
