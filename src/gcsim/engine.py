@@ -321,6 +321,8 @@ class _Simulation:
                 self._abort(f"node {v} evaluating cycle {k} with incomplete views (missing {missing})")
             done += [(v, w, ex) for w, ex in exchanges.items()]
             l_rep += [node.logical.value(t)] * len(exchanges)
+        for v, _ in batch:
+            self.pending[v] = {}
         offset, deduction = self._complete(done, check_timeout=True)
         l_rep = np.array(l_rep)
         self._decide(t, batch, l_rep, estimate_value(offset, deduction, l_rep))
@@ -328,10 +330,13 @@ class _Simulation:
     def _complete(self, done: list, check_timeout: bool) -> tuple[np.ndarray, np.ndarray]:
         """Complete the exchanges ``done``, each (v, w, exchange), whose
         replies have arrived: read the four stamps at the past instants
-        the parties took them, end the run if a round trip exceeded the
-        timeout window (with ``check_timeout``), make the estimates, count
-        the measurements and buffer the sandwich check at each reply
-        arrival.  Returns the estimates' (offset, deduction)."""
+        the parties took them, make the estimates, count the measurements
+        and buffer the sandwich check at each reply arrival, then end the
+        run if a round trip exceeded the timeout window (with
+        ``check_timeout``).  Returns the estimates' (offset, deduction).
+
+        The caller drops ``done`` from ``pending`` first, so that the
+        abort's own ``_settle`` does not complete them again."""
         sc = self.sc
         clocks, links = self.clocks, self.sampler.links
         rows = []
@@ -345,15 +350,15 @@ class _Simulation:
                 late = (reply, v, w, t4 - t1)
             eps_d, eps_m = links[(v, w)][3:]
             rows.append((t1, t2, t3, t4, eps_d, eps_m, reply, v, w, self.kappa_nb[v][w]))
-        if late is not None:
-            _, v, w, round_trip = late
-            self._abort(f"measurement {v}->{w} exceeded the timeout window ({round_trip!r} >= {sc.timeout!r})")
         data = np.array(rows, dtype=float).reshape(-1, 10)
         t1, t2, t3, t4, eps_d, eps_m = data.T[:6]
         _, offset, deduction = compute_estimates(t1, t2, t3, t4, eps_d, eps_m, sc.params.theta)
         self.counters["measurements"] += len(rows)
         self._reply_checks.append((data, estimate_value(offset, deduction, t4)))
         self._checked += 5 * len(rows)
+        if late is not None:
+            _, v, w, round_trip = late
+            self._abort(f"measurement {v}->{w} exceeded the timeout window ({round_trip!r} >= {sc.timeout!r})")
         return offset, deduction
 
     def _settle(self, limit: float, check_timeout: bool) -> None:

@@ -6,7 +6,7 @@ run: node-cycles per second (n times the cycles completed, over the best
 wall time of ``engine.run``; building the scenario is not timed), the best
 wall time and the violation count.
 
-    PYTHONPATH=src python tests/ladder.py [--max-n 64] [--modes full,skew_only] [--repeats 3]
+    PYTHONPATH=src python tests/ladder.py [--max-n 64] [--repeats 3]
 
 There is no timing gate: it fails only if a run raises.  pytest does not
 collect it, since its name does not start with ``test_``.
@@ -31,12 +31,11 @@ CYCLES = 24
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-n", type=int, default=SIZES[-1], help="largest n to run (default %(default)s)")
-    ap.add_argument("--modes", default="full,skew_only", help="comma-separated metrics modes")
     ap.add_argument("--repeats", type=int, default=3, help="runs per row; the best is kept")
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
-    for mode in args.modes.split(","):
+    for mode in ("full", "skew_only"):
         for n in (n for n in SIZES if n <= args.max_n):
             sc = scen.build_scenario(random_template_doc(n, CYCLES, mode))
             best = float("inf")

@@ -196,12 +196,47 @@ def test_timeout_abort_reports_every_reply_before_it(monkeypatch, chunk_values):
         sim.run()
     t_abort = sim.current
     assert t_abort > t_from
+    # each reply that arrived is completed once
+    assert sim.counters["measurements"] == sum(t <= t_abort for t, _ in trips)
     reported = exc.value.violations
     assert reported == sorted(reported, key=key)
     want = checked_before(whole, t_abort)
     assert [v for v in reported if v.kind in CHECKED] == want
     assert {v.kind for v in want} == set(CHECKED)
     assert len(want) < len([v for v in whole.violations if v.kind in CHECKED])
+
+
+@pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 1])
+def test_timeout_abort_at_the_end_reports_every_reply_before_it(monkeypatch, chunk_values):
+    # the run ends at a reply that breaks the sandwich, before its requester
+    # evaluates, and the run's end finds a round trip over the timeout
+    # window: the abort still reports that reply's check and those of the
+    # other replies that arrived after the last evaluation
+    sc, whole = tampered_fc_lag(monkeypatch, chunk_values)
+    recording = Recording(sc)
+    recording.run()
+    replies = [m.record.completed_at_real for m in recording.measurements]
+    t_from = 0.75 * sc.horizon_cycles * sc.params.cycle_length
+    sc.horizon_time = min(
+        v.time for v in whole.violations if v.kind == "estimate_sandwich" and v.time > t_from and v.time in replies
+    )
+    sim = engine._Simulation(sc)
+    settle = sim._settle
+
+    def timing_out(limit, check_timeout):
+        if check_timeout:
+            sc.timeout = 0.0
+        settle(limit, check_timeout)
+
+    sim._settle = timing_out
+    with pytest.raises(RunAborted, match="exceeded the timeout window") as exc:
+        sim.run()
+    assert sim.current < sc.horizon_time
+    assert sim.counters["measurements"] == sum(t <= sc.horizon_time for t in replies)
+    reported = exc.value.violations
+    assert reported == sorted(reported, key=key)
+    want = [v for v in whole.violations if v.kind in CHECKED and v.time <= sc.horizon_time]
+    assert [v for v in reported if v.kind in CHECKED] == want
 
 
 @pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 1])
