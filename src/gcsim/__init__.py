@@ -2,7 +2,7 @@
 two-way measured links, with ground-truth oracles for every claimed
 invariant and skew bound."""
 
-from .clocks import FAST, OWN_RATE, HardwareClock, LogicalClock, RateSchedule
+from .clocks import FAST, OWN_RATE, HardwareClock, LogicalClock
 from .engine import RunResult, Scenario, run, seeded_stream
 from .gcs import GcsParams, NodeState
 from .metrics import BoundReport
@@ -19,7 +19,6 @@ __all__ = [
     "kappa_weights",
     "HardwareClock",
     "LogicalClock",
-    "RateSchedule",
     "OWN_RATE",
     "FAST",
     "GcsParams",

@@ -16,7 +16,7 @@ import sys
 
 from . import engine, scenario as scen
 from .errors import GcsSimError, RunAborted, ScenarioParseError, ScenarioValidationError
-from .trace import write_summary_json, write_trace_csv, write_violations_json
+from .trace import Violation, write_summary_json, write_trace_csv, write_violations_json
 
 logger = logging.getLogger(__name__)
 
@@ -59,11 +59,8 @@ def cmd_run(args) -> int:
     try:
         result = engine.run(sc)
     except RunAborted as exc:
-        report = [v.to_dict() for v in exc.violations]
-        report.append({"time": None, "kind": "aborted", "detail": str(exc)})
-        with open(os.path.join(args.out, "violations.json"), "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        aborted = Violation(time=None, kind="aborted", detail=str(exc))
+        write_violations_json([*exc.violations, aborted], os.path.join(args.out, "violations.json"))
         return _fail(exc)
     write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
     write_summary_json(result.summary, os.path.join(args.out, "summary.json"))

@@ -9,7 +9,6 @@ exact, which the trace oracles rely on.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +17,8 @@ from .errors import InternalError, ParameterError
 __all__ = [
     "OWN_RATE",
     "FAST",
-    "RateSchedule",
     "HardwareClock",
     "LogicalClock",
-    "make_schedule",
     "sample_clocks",
     "read_clocks",
 ]
@@ -32,44 +29,35 @@ FAST = 1
 _EQ_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RateSchedule:
-    """Piecewise-constant rate: ``rates[i]`` holds on ``[starts[i], starts[i+1])``."""
-
-    starts: tuple[float, ...]
-    rates: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.starts or self.starts[0] != 0.0:
-            raise ParameterError("rate schedule must start at t=0")
-        if len(self.starts) != len(self.rates):
-            raise ParameterError("starts and rates must have equal length")
-        if any(b <= a for a, b in zip(self.starts, self.starts[1:])):
-            raise ParameterError("segment start times must be strictly increasing")
-
-
 class HardwareClock:
-    """Free-running local time source; strictly increasing in real time."""
+    """Free-running local time source; strictly increasing in real time.
 
-    def __init__(self, initial_value: float, schedule: RateSchedule):
+    Its rate is piecewise constant: ``rates[i]`` holds on
+    ``[starts[i], starts[i+1])``.
+    """
+
+    def __init__(self, initial_value: float, starts, rates):
         if initial_value < 0:
             raise ParameterError("initial clock value must be non-negative")
+        if not starts or starts[0] != 0.0:
+            raise ParameterError("rate schedule must start at t=0")
+        if len(starts) != len(rates):
+            raise ParameterError("starts and rates must have equal length")
+        if any(b <= a for a, b in zip(starts, starts[1:])):
+            raise ParameterError("segment start times must be strictly increasing")
         self.initial_value = initial_value
-        self.schedule = schedule
-        starts = schedule.starts
-        rates = schedule.rates
+        self.starts = tuple(starts)
+        self.rates = tuple(rates)
         cum = [initial_value]
         for i in range(1, len(starts)):
             cum.append(cum[-1] + rates[i - 1] * (starts[i] - starts[i - 1]))
-        self._starts = starts
-        self._rates = rates
         self._cum = tuple(cum)
 
     def value(self, t: float) -> float:
         if t < 0:
             raise ParameterError(f"time must be non-negative, got {t!r}")
-        i = bisect_right(self._starts, t) - 1
-        return self._cum[i] + self._rates[i] * (t - self._starts[i])
+        i = bisect_right(self.starts, t) - 1
+        return self._cum[i] + self.rates[i] * (t - self.starts[i])
 
     def inverse(self, target: float) -> float:
         """Real time at which the clock reads ``target`` (exact, rates > 0)."""
@@ -79,7 +67,7 @@ class HardwareClock:
             )
         i = bisect_right(self._cum, target) - 1
         i = max(i, 0)
-        return self._starts[i] + (target - self._cum[i]) / self._rates[i]
+        return self.starts[i] + (target - self._cum[i]) / self.rates[i]
 
 
 class LogicalClock:
@@ -134,10 +122,10 @@ class LogicalClock:
             raise ParameterError(f"time must be non-negative, got {t0!r}")
         # only the segments and anchors that [t0, t1] can select
         hw = self.hardware
-        a, b = bisect_right(hw._starts, t0) - 1, bisect_right(hw._starts, t1)
-        starts = np.asarray(hw._starts[a:b])
+        a, b = bisect_right(hw.starts, t0) - 1, bisect_right(hw.starts, t1)
+        starts = np.asarray(hw.starts[a:b])
         j = np.searchsorted(starts, times, side="right") - 1
-        h = np.asarray(hw._cum[a:b])[j] + np.asarray(hw._rates[a:b])[j] * (times - starts[j])
+        h = np.asarray(hw._cum[a:b])[j] + np.asarray(hw.rates[a:b])[j] * (times - starts[j])
         a, b = self._segment(t0), bisect_right(self._times, t1)
         anchors = np.asarray(self._times[a:b])
         i = np.searchsorted(anchors, times, side="right") - 1
@@ -192,13 +180,13 @@ class LogicalClock:
         t0 = self._times[i]
         v0 = self._values[i]
         hw = self.hardware
-        j = bisect_right(hw._starts, t0) - 1
+        j = bisect_right(hw.starts, t0) - 1
         t_end = self._times[i + 1] if i + 1 < len(self._times) else float("inf")
         t_lo, v_lo = t0, v0
         while True:
-            seg_end = hw._starts[j + 1] if j + 1 < len(hw._starts) else float("inf")
+            seg_end = hw.starts[j + 1] if j + 1 < len(hw.starts) else float("inf")
             seg_end = min(seg_end, t_end)
-            slope = hw._rates[j] + self.mu
+            slope = hw.rates[j] + self.mu
             v_hi = v_lo + slope * (seg_end - t_lo) if seg_end < float("inf") else float("inf")
             if target <= v_hi + _EQ_TOL or seg_end == float("inf"):
                 return t_lo + (target - v_lo) / slope
@@ -215,7 +203,7 @@ def _linear_piece(c: LogicalClock, t0: float, t1: float):
     formula of :meth:`LogicalClock.value`, since x * 1.0 == x exactly.
     """
     hw = c.hardware
-    starts, anchors = hw._starts, c._times
+    starts, anchors = hw.starts, c._times
     j = bisect_right(starts, t0) - 1
     i = bisect_right(anchors, t0) - 1
     fast = c._modes[i] == FAST
@@ -225,7 +213,7 @@ def _linear_piece(c: LogicalClock, t0: float, t1: float):
         or (fast and c.semantics == "additive")
     ):
         return None
-    return hw._cum[j], hw._rates[j], starts[j], c._values[i], c._hw_at[i], 1.0 + c.mu if fast else 1.0
+    return hw._cum[j], hw.rates[j], starts[j], c._values[i], c._hw_at[i], 1.0 + c.mu if fast else 1.0
 
 
 def sample_clocks(clocks, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,60 +276,3 @@ def read_clocks(clocks, times: np.ndarray, cols: np.ndarray) -> np.ndarray:
             out[rows] = clocks[k].value_pair(times[rows])[0]
     return out
 
-
-def make_schedule(
-    generator: str,
-    params: dict,
-    theta: float,
-    horizon: float,
-    rng: np.random.Generator | None = None,
-) -> RateSchedule:
-    """Build a rate schedule from a generator spec.
-
-    Generators: ``constant`` (rate), ``alternating`` (dwell, start_high;
-    flips between rate 1 and theta), ``random_walk`` (dwell, step; seeded,
-    clipped to [1, theta]), ``scripted`` (explicit [t, rate] segments).
-    """
-    if generator == "constant":
-        rate = float(params.get("rate", 1.0))
-        return RateSchedule(starts=(0.0,), rates=(rate,))
-    if generator == "alternating":
-        dwell = float(params["dwell"])
-        if dwell <= 0:
-            raise ParameterError("alternating dwell must be positive")
-        start_high = bool(params.get("start_high", False))
-        low = float(params.get("low", 1.0))
-        high = float(params.get("high", theta))
-        starts, rates = [], []
-        t, hi = 0.0, start_high
-        while t <= horizon:
-            starts.append(t)
-            rates.append(high if hi else low)
-            hi = not hi
-            t += dwell
-        return RateSchedule(starts=tuple(starts), rates=tuple(rates))
-    if generator == "random_walk":
-        if rng is None:
-            raise ParameterError("random_walk schedule needs an RNG stream")
-        dwell = float(params["dwell"])
-        if dwell <= 0:
-            raise ParameterError("random_walk dwell must be positive")
-        step = float(params.get("step", (theta - 1.0) / 4.0))
-        rate = float(params.get("start_rate", (1.0 + theta) / 2.0))
-        rate = min(max(rate, 1.0), theta)
-        starts, rates = [], []
-        t = 0.0
-        while t <= horizon:
-            starts.append(t)
-            rates.append(rate)
-            rate = min(max(rate + rng.uniform(-step, step), 1.0), theta)
-            t += dwell
-        return RateSchedule(starts=tuple(starts), rates=tuple(rates))
-    if generator == "scripted":
-        segments = params["segments"]
-        if not segments:
-            raise ParameterError("scripted schedule needs at least one segment")
-        starts = tuple(float(s[0]) for s in segments)
-        rates = tuple(float(s[1]) for s in segments)
-        return RateSchedule(starts=starts, rates=rates)
-    raise ParameterError(f"unknown rate generator {generator!r}")

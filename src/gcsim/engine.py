@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gcs, metrics
-from .clocks import FAST, OWN_RATE, HardwareClock, LogicalClock, make_schedule, read_clocks, sample_clocks
+from .clocks import FAST, OWN_RATE, LogicalClock, read_clocks, sample_clocks
 from .errors import ConfigError, InternalError, RunAborted
 from .gcs import GcsParams, NodeState
 from .topology import NetworkGraph
@@ -91,8 +91,7 @@ class StreamRegistry:
         if label in self._labels:
             raise ConfigError(f"RNG stream label reused: {label!r}")
         self._labels.add(label)
-        seq = np.random.SeedSequence([self.master_seed & 0xFFFFFFFFFFFFFFFF] + _label_entropy(label))
-        return np.random.Generator(np.random.PCG64(seq))
+        return seeded_stream(self.master_seed, label)
 
 
 def seeded_stream(master_seed: int, purpose_label: str) -> np.random.Generator:
@@ -130,7 +129,7 @@ class Scenario:
 
     graph: NetworkGraph
     params: GcsParams
-    clock_specs: list
+    hardware: list  # each node's HardwareClock
     p_max: float
     sample_dt: float
     master_seed: int
@@ -177,28 +176,10 @@ class _Simulation:
                 self.proc_streams[(u, v)] = self.registry.stream(f"proc:{u}->{v}")
                 self.proc_streams[(v, u)] = self.registry.stream(f"proc:{v}->{u}")
 
-        horizon_real = (
-            sc.horizon_time
-            if sc.horizon_time is not None
-            else sc.horizon_cycles * sc.params.cycle_length
-        )
-        self.horizon_real = horizon_real
-
-        self.nodes: list[NodeState] = []
-        for i, spec in enumerate(sc.clock_specs):
-            gen = spec.get("generator", "constant")
-            seed_override = spec.get("seed")
-            rng = None
-            if gen == "random_walk":
-                if seed_override is not None:
-                    rng = seeded_stream(int(seed_override), f"clock:{i}")
-                    self.registry.stream(f"clock:{i}")  # reserve the label anyway
-                else:
-                    rng = self.registry.stream(f"clock:{i}")
-            sched = make_schedule(gen, spec, sc.params.theta, horizon_real + sc.params.cycle_length, rng)
-            hw = HardwareClock(float(spec.get("initial_value", 0.0)), sched)
-            lc = LogicalClock(hw, sc.params.mu, sc.correction_semantics)
-            self.nodes.append(NodeState(id=i, logical=lc))
+        self.nodes = [
+            NodeState(id=i, logical=LogicalClock(hw, sc.params.mu, sc.correction_semantics))
+            for i, hw in enumerate(sc.hardware)
+        ]
 
         self.kappa_nb = [
             {w: sc.kappa[(min(v, w), max(v, w))] for w in g.neighbors(v)} for v in range(n)
@@ -579,7 +560,7 @@ class _Simulation:
             self.push(sc.sample_dt, K_TICK, None)
         # every clock is linear between its rate breakpoints and mode changes;
         # sampling both makes the recorded extrema of any clock difference exact
-        for b in sorted({b for c in self.clocks for b in c.hardware.schedule.starts[1:]}):
+        for b in sorted({b for c in self.clocks for b in c.hardware.starts[1:]}):
             self.push(b, K_RATE, None)
 
         need = False  # an event at `current` can change a slope

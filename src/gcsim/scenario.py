@@ -17,6 +17,7 @@ from importlib import resources
 
 import numpy as np
 
+from .clocks import HardwareClock
 from .engine import Scenario, seeded_stream
 from .errors import ScenarioParseError, ScenarioValidationError
 from .gcs import GcsParams
@@ -57,6 +58,10 @@ _INT_KINDS = {None: "an integer", 0: "a non-negative integer", 1: "a positive in
 # pairs compared per block of the boot-up gate (the temporaries are a few
 # of these as float64)
 _GATE_BLOCK = 1 << 16
+# rate segments of all clocks together up to the horizon, checked before any
+# schedule is built: each is a clock segment, a heap event and a sample of
+# the run, and a tiny dwell would otherwise allocate until memory runs out
+_MAX_RATE_SEGMENTS = 1 << 20
 
 
 def bundled_names() -> list[str]:
@@ -211,21 +216,27 @@ def expand_document(doc: dict) -> tuple[dict, list[str]]:
     return doc, problems
 
 
-def _check_rate(spec: dict, key: str, problems: list[str], where: str, theta: float) -> None:
+def _rate(spec: dict, key: str, problems: list[str], where: str, theta: float, default: float) -> float:
+    """Rate field ``key``, which must lie in [1, theta] if given."""
     r = _num(spec, key, problems, where)
-    if r is not None and not (1.0 <= r <= theta + 1e-15):
+    if r is None:
+        return default
+    if not (1.0 <= r <= theta + 1e-15):
         problems.append(f"{where}.{key}: must lie in [1, theta]")
+    return r
 
 
-def _check_clock_spec(spec, theta: float, problems: list[str], where: str) -> float:
-    """Check one per-node clock spec; returns its initial value."""
+def _check_clock_spec(spec, theta: float, problems: list[str], where: str) -> tuple:
+    """Check one per-node clock spec.  Returns (initial value, generator,
+    its parameters with their defaults filled in), which ``_hardware_clock``
+    builds once the horizon and the master seed are known."""
     if not isinstance(spec, dict):
         problems.append(f"{where}: must be an object")
-        return 0.0
+        return 0.0, "constant", (1.0,)
     gen = spec.get("generator", "constant")
     if not isinstance(gen, str) or gen not in _GEN_KEYS:
         problems.append(f"{where}.generator: unknown generator {gen!r}")
-        return 0.0
+        return 0.0, "constant", (1.0,)
     unknown = set(spec) - _GEN_KEYS[gen] - _NODE_COMMON_KEYS
     if unknown:
         problems.append(f"{where}: unknown keys {sorted(unknown)} for generator {gen!r}")
@@ -234,26 +245,13 @@ def _check_clock_spec(spec, theta: float, problems: list[str], where: str) -> fl
         problems.append(f"{where}.initial_value: must be a non-negative number")
         iv = 0.0
     if gen == "constant":
-        _check_rate(spec, "rate", problems, where, theta)
-    elif gen == "alternating":
-        if _num(spec, "dwell", problems, where, required=True, default=0.0) <= 0:
-            problems.append(f"{where}.dwell: must be positive")
-        if not isinstance(spec.get("start_high", False), bool):
-            problems.append(f"{where}.start_high: must be a boolean")
-        for key in ("low", "high"):
-            _check_rate(spec, key, problems, where, theta)
-    elif gen == "random_walk":
-        if _num(spec, "dwell", problems, where, required=True, default=0.0) <= 0:
-            problems.append(f"{where}.dwell: must be positive")
-        _num(spec, "step", problems, where)
-        _num(spec, "start_rate", problems, where)
-        _int(spec, "seed", problems, where)
-    elif gen == "scripted":
+        return float(iv), gen, (_rate(spec, "rate", problems, where, theta, 1.0),)
+    if gen == "scripted":
         segs = spec.get("segments")
         if not isinstance(segs, list) or not segs:
             problems.append(f"{where}.segments: must be a non-empty list")
             segs = []
-        last = -1.0
+        starts, rates = [], []
         for j, seg in enumerate(segs):
             if not (isinstance(seg, list) and len(seg) == 2 and all(map(_is_number, seg))):
                 problems.append(f"{where}.segments[{j}]: must be [start, rate]")
@@ -261,12 +259,66 @@ def _check_clock_spec(spec, theta: float, problems: list[str], where: str) -> fl
             t0, r = float(seg[0]), float(seg[1])
             if j == 0 and t0 != 0.0:
                 problems.append(f"{where}.segments: first segment must start at 0")
-            if t0 <= last and j > 0:
+            if starts and t0 <= starts[-1]:
                 problems.append(f"{where}.segments: start times must increase")
             if not (1.0 <= r <= theta + 1e-15):
                 problems.append(f"{where}.segments[{j}]: rate outside [1, theta]")
-            last = t0
-    return float(iv)
+            starts.append(t0)
+            rates.append(r)
+        return float(iv), gen, (starts, rates)
+    dwell = _num(spec, "dwell", problems, where, required=True, default=0.0)
+    if dwell <= 0:
+        problems.append(f"{where}.dwell: must be positive")
+    if gen == "alternating":
+        start_high = spec.get("start_high", False)
+        if not isinstance(start_high, bool):
+            problems.append(f"{where}.start_high: must be a boolean")
+        low = _rate(spec, "low", problems, where, theta, 1.0)
+        high = _rate(spec, "high", problems, where, theta, theta)
+        return float(iv), gen, (dwell, start_high, low, high)
+    # random_walk; its draws are uniform in [-step, step], a finite range
+    step = _num(spec, "step", problems, where)
+    if step is None:
+        step = (theta - 1.0) / 4.0
+    elif not 0.0 <= step <= sys.float_info.max / 2:
+        problems.append(f"{where}.step: must be non-negative, and finite when doubled")
+    start_rate = _num(spec, "start_rate", problems, where, default=(1.0 + theta) / 2.0)
+    seed = _int(spec, "seed", problems, where)
+    return float(iv), gen, (dwell, step, min(max(start_rate, 1.0), theta), seed)
+
+
+def _segment_count(gen: str, args: tuple, horizon: float) -> float:
+    """Rate segments of a checked clock spec up to ``horizon``, known
+    before its schedule is built (inf where horizon / dwell overflows)."""
+    if gen in ("alternating", "random_walk"):
+        return horizon / args[0] + 1.0
+    return float(len(args[0])) if gen == "scripted" else 1.0
+
+
+def _hardware_clock(i: int, spec: tuple, theta: float, horizon: float, master_seed: int) -> HardwareClock:
+    """Node i's hardware clock from its checked spec, its rate schedule
+    covering [0, horizon].  A random walk draws from stream ``clock:<i>``
+    of the spec's own seed, or else of the master seed."""
+    iv, gen, args = spec
+    if gen == "constant":
+        return HardwareClock(iv, (0.0,), args)
+    if gen == "scripted":
+        return HardwareClock(iv, *args)
+    starts, t = [], 0.0
+    while t <= horizon:
+        starts.append(t)
+        t += args[0]
+    if gen == "alternating":
+        _, start_high, low, high = args
+        rates = [high if (k % 2 == 0) == start_high else low for k in range(len(starts))]
+    else:
+        _, step, rate, seed = args
+        rng = seeded_stream(master_seed if seed is None else seed, f"clock:{i}")
+        rates = [rate]
+        for _ in range(len(starts) - 1):
+            rate = min(max(rate + rng.uniform(-step, step), 1.0), theta)
+            rates.append(rate)
+    return HardwareClock(iv, starts, rates)
 
 
 def section_problems(doc: dict) -> list[str]:
@@ -302,12 +354,14 @@ def _boot_up_problems(init: list, dist: np.ndarray) -> list[str]:
     return problems
 
 
-def validate_document(doc: dict) -> tuple[dict, list[str]]:
+def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict, list[str]]:
     """Check and convert an expanded document in one pass.
 
     Returns the keyword arguments of :class:`~gcsim.engine.Scenario` other
     than the hash, built from the checked values, and every problem found.
-    The arguments are complete only when the problem list is empty.
+    The arguments are complete only when the problem list is empty.  The
+    hardware clocks are built last, from ``seed_override`` in place of the
+    document's master seed when given.
     """
     problems = section_problems(doc)
     if problems:
@@ -362,8 +416,8 @@ def validate_document(doc: dict) -> tuple[dict, list[str]]:
     if not isinstance(node_specs, list) or len(node_specs) != n:
         problems.append(f"clocks.nodes: must list exactly {n} per-node entries")
         node_specs = []
-    init = [_check_clock_spec(spec, theta, problems, f"clocks.nodes[{i}]")
-            for i, spec in enumerate(node_specs)]
+    hw_specs = [_check_clock_spec(spec, theta, problems, f"clocks.nodes[{i}]")
+                for i, spec in enumerate(node_specs)]
 
     gcs_sec = doc["gcs"]
     unknown = set(gcs_sec) - _GCS_KEYS
@@ -426,19 +480,32 @@ def validate_document(doc: dict) -> tuple[dict, list[str]]:
         problems.append(
             f"gcs.T: measurement window {params.T!r} is below the timeout window {timeout!r}"
         )
+    # the rate schedules have breakpoints up to the horizon plus one cycle
+    cycle = params.cycle_length
+    horizon = (horizon_time if horizon_time is not None else horizon_cycles * cycle) + cycle
+    segments = sum(_segment_count(gen, args, horizon) for _, gen, args in hw_specs)
+    if segments > _MAX_RATE_SEGMENTS:
+        problems.append(
+            f"clocks.nodes: {segments:.6g} rate segments up to the horizon exceed the limit of "
+            f"{_MAX_RATE_SEGMENTS}; raise dwell or shorten the horizon"
+        )
     if problems:
         return {}, problems
 
     dist = kappa_distance_matrix(g, kappa)
-    problems.extend(_boot_up_problems(init, dist))
+    problems.extend(_boot_up_problems([iv for iv, _, _ in hw_specs], dist))
     if s_max is None:
         g_bound = theorem3_bound(dist, params.sigma)
         levels = theorem2_levels(min(kappa.values()), g_bound, params.sigma)
         params = replace(params, s_max=max(1, levels) + 1)
+    if problems:
+        return {}, problems
+    if seed_override is not None:
+        master_seed = int(seed_override)
     return dict(
         graph=g,
         params=params,
-        clock_specs=node_specs,
+        hardware=[_hardware_clock(i, spec, theta, horizon, master_seed) for i, spec in enumerate(hw_specs)],
         p_max=p_max,
         sample_dt=sample_dt,
         master_seed=master_seed,
@@ -458,11 +525,11 @@ def build_scenario(doc: dict, seed_override: int | None = None) -> Scenario:
     doc, problems = expand_document(doc)
     fields: dict = {}
     if not problems:
-        fields, problems = validate_document(doc)
+        fields, problems = validate_document(doc, seed_override)
     if problems:
         raise ScenarioValidationError(problems)
     if seed_override is not None:
-        doc["sim"]["master_seed"] = fields["master_seed"] = int(seed_override)
+        doc["sim"]["master_seed"] = fields["master_seed"]
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return Scenario(**fields, scenario_hash=digest)

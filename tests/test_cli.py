@@ -4,10 +4,10 @@ import logging
 
 import pytest
 
-from gcsim import cli
+from gcsim import cli, engine
 from gcsim import scenario as scen
 
-from scenario_gen import zero_drift_doc
+from scenario_gen import fc_lag_doc, zero_drift_doc
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -77,6 +77,13 @@ MALFORMED = {
     "random walk step not a number": (
         random16_mutant(own_clock({"generator": "random_walk", "dwell": 10.0, "step": "x"})),
         "clocks.nodes[0].step"),
+    "random walk step negative": (
+        random16_mutant(own_clock({"generator": "random_walk", "dwell": 10.0, "step": -0.01})),
+        "clocks.nodes[0].step"),
+    "rate schedules too long": (
+        random16_mutant(lambda d: (d["clocks"]["default"].update(dwell=1e-300),
+                                   d["sim"].update(horizon_cycles=5))),
+        "rate segments up to the horizon exceed the limit"),
 }
 
 
@@ -154,6 +161,32 @@ class TestRun:
         assert summary["cycles_completed"] == 8
         assert "wall_time" not in json.dumps(summary)
         assert json.loads((out / "violations.json").read_text()) == []
+
+    def test_aborted_run_reports_its_violations_and_the_abort(self, tmp_path, monkeypatch, capsys):
+        # node 0 reads 1.0 ahead of its true value in (500, 1000], which its
+        # neighbour's estimates at an evaluation there miss, and its hardware
+        # reading jumps by 0.5 after t = 1000, which ends the run
+        sample = engine.sample_clocks
+
+        def tampered(clocks, t):
+            L, H = sample(clocks, t)
+            L[(t > 500.0) & (t <= 1000.0), 0] += 1.0
+            H[t > 1000.0, 0] += 0.5
+            return L, H
+
+        monkeypatch.setattr(engine, "sample_clocks", tampered)
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--scenario", write_doc(tmp_path, fc_lag_doc()), "--out", str(out)])
+        assert rc == cli.EXIT_RUNTIME
+        assert "run aborted: hardware clock violated its drift envelope" in capsys.readouterr().err
+        text = (out / "violations.json").read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert len(report) > 1 and report[0]["kind"] == "estimate_sandwich"
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert text.endswith(
+            '  {\n    "detail": "hardware clock violated its drift envelope",\n'
+            '    "kind": "aborted",\n    "time": null\n  }\n]\n'
+        )
 
     def test_seed_override_changes_hash(self, tmp_path):
         doc = zero_drift_doc(False, horizon_cycles=5)

@@ -3,25 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcsim.clocks import (
-    FAST,
-    OWN_RATE,
-    HardwareClock,
-    LogicalClock,
-    RateSchedule,
-    make_schedule,
-    sample_clocks,
-)
-from gcsim.errors import InternalError, ParameterError
+from gcsim import scenario as scen
+from gcsim.clocks import FAST, OWN_RATE, HardwareClock, LogicalClock, sample_clocks
+from gcsim.errors import InternalError, ParameterError, ScenarioValidationError
 
 from reference import check_lipschitz, value_pair
+from scenario_gen import UNIT_EDGE, line_doc
 
 THETA = 1.02
 
 
 def hw(initial=0.0, segments=((0.0, 1.0),)):
-    starts, rates = zip(*segments)
-    return HardwareClock(initial, RateSchedule(starts=starts, rates=rates))
+    return HardwareClock(initial, *zip(*segments))
 
 
 class TestHardwareValue:
@@ -128,14 +121,10 @@ class TestLipschitz:
         assert not check_lipschitz(c, 4.0, 8.0, THETA)
 
 
+# (starts, rates) of a rate schedule
 schedule_strategy = st.lists(
     st.floats(min_value=1.0, max_value=THETA), min_size=1, max_size=8
-).map(
-    lambda rates: RateSchedule(
-        starts=tuple(float(i) * 3.0 for i in range(len(rates))),
-        rates=tuple(rates),
-    )
-)
+).map(lambda rates: (tuple(float(i) * 3.0 for i in range(len(rates))), tuple(rates)))
 
 
 class TestProperties:
@@ -143,14 +132,14 @@ class TestProperties:
            st.floats(min_value=0.01, max_value=10.0))
     @settings(max_examples=80, deadline=None)
     def test_lipschitz_envelope(self, sched, t1, dt):
-        c = HardwareClock(0.0, sched)
+        c = HardwareClock(0.0, *sched)
         assert check_lipschitz(c, t1, t1 + dt, THETA, tol=1e-9)
 
     @given(schedule_strategy, st.lists(st.floats(min_value=0.0, max_value=50.0),
                                        min_size=2, max_size=6))
     @settings(max_examples=80, deadline=None)
     def test_logical_strictly_increasing_and_inverse(self, sched, times):
-        c = LogicalClock(HardwareClock(1.0, sched), mu=0.07)
+        c = LogicalClock(HardwareClock(1.0, *sched), mu=0.07)
         for i, t in enumerate(sorted(set(times))):
             c.set_mode(t, FAST if i % 2 == 0 else OWN_RATE)
         samples = np.linspace(0.0, 60.0, 25)
@@ -162,7 +151,7 @@ class TestProperties:
     @given(schedule_strategy, st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=50, deadline=None)
     def test_corrections_only_speed_up(self, sched, t_switch):
-        c = LogicalClock(HardwareClock(0.0, sched), mu=0.05)
+        c = LogicalClock(HardwareClock(0.0, *sched), mu=0.05)
         c.set_mode(t_switch, FAST)
         for t in (t_switch + 0.5, t_switch + 10.0):
             assert c.value(t) >= c.hardware.value(t) - 1e-12
@@ -225,7 +214,7 @@ class TestSampleClocks:
         for _ in range(data.draw(st.integers(1, 5))):
             sched = data.draw(schedule_strategy)
             c = LogicalClock(
-                HardwareClock(data.draw(st.floats(0.0, 5.0)), sched),
+                HardwareClock(data.draw(st.floats(0.0, 5.0)), *sched),
                 mu=data.draw(st.floats(0.01, 0.5)),
                 semantics=data.draw(st.sampled_from(["multiplicative", "additive"])),
             )
@@ -233,34 +222,52 @@ class TestSampleClocks:
             for k, t in enumerate(switches):
                 c.set_mode(t, FAST if k % 2 == 0 else OWN_RATE)
             clocks.append(c)
-            kinks += list(sched.starts) + switches
+            kinks += list(sched[0]) + switches
         instants = st.one_of(st.floats(0.0, 40.0), st.sampled_from(kinks))
         times = sorted(set(data.draw(st.lists(instants, min_size=1, max_size=12))))
         assert_matches_reference(clocks, times)
 
 
+def hardware_of(*specs, horizon_time=30.0, seed=None):
+    """The hardware clocks that ``build_scenario`` makes of ``specs``, one
+    per node of a line (with a constant clock added to a single spec), at
+    theta = THETA and with ``seed`` as ``--seed``.  Each rate schedule has
+    breakpoints up to the horizon plus one cycle of 5.0."""
+    nodes = list(specs) + [{"generator": "constant"}] * (len(specs) < 2)
+    doc = line_doc(
+        len(nodes), UNIT_EDGE, {"theta": THETA, "mu": 0.1, "nodes": nodes},
+        {"T": 3.5, "T_stab": 1.5}, {"horizon_time": horizon_time, "sample_dt": 1.0, "master_seed": 0},
+    )
+    return scen.build_scenario(doc, seed_override=seed).hardware[: len(specs)]
+
+
+WALK = {"generator": "random_walk", "dwell": 5.0, "step": 0.01}
+
+
 class TestGenerators:
     def test_constant(self):
-        s = make_schedule("constant", {"rate": 1.01}, THETA, 100.0)
-        assert s.rates == (1.01,)
+        (c,) = hardware_of({"generator": "constant", "rate": 1.01})
+        assert (c.starts, c.rates) == ((0.0,), (1.01,))
 
     def test_alternating_flips(self):
-        s = make_schedule("alternating", {"dwell": 10.0, "start_high": True}, THETA, 35.0)
-        assert s.rates[:4] == (THETA, 1.0, THETA, 1.0)
-        assert all(1.0 <= r <= THETA for r in s.rates)
+        (c,) = hardware_of({"generator": "alternating", "dwell": 10.0, "start_high": True})
+        assert c.rates == (THETA, 1.0, THETA, 1.0)
 
     def test_random_walk_bounded_and_seeded(self):
-        rng1 = np.random.default_rng(3)
-        rng2 = np.random.default_rng(3)
-        a = make_schedule("random_walk", {"dwell": 5.0, "step": 0.01}, THETA, 200.0, rng1)
-        b = make_schedule("random_walk", {"dwell": 5.0, "step": 0.01}, THETA, 200.0, rng2)
-        assert a.rates == b.rates
-        assert all(1.0 <= r <= THETA for r in a.rates)
+        a, b = hardware_of(WALK, WALK, horizon_time=195.0)
+        assert len(a.rates) == 41 and all(1.0 <= r <= THETA for r in a.rates)
+        assert a.rates != b.rates  # each node draws from a stream of its own
+        assert hardware_of(WALK, WALK, horizon_time=195.0)[0].rates == a.rates
+        assert hardware_of(WALK, WALK, horizon_time=195.0, seed=1)[0].rates != a.rates
+        # a spec's own seed replaces the master seed, and --seed with it
+        own = {**WALK, "seed": 3}
+        assert hardware_of(own, horizon_time=195.0, seed=1)[0].rates == hardware_of(
+            own, horizon_time=195.0, seed=2)[0].rates == hardware_of(WALK, horizon_time=195.0, seed=3)[0].rates
 
     def test_scripted(self):
-        s = make_schedule("scripted", {"segments": [[0.0, 1.0], [4.0, 1.02]]}, THETA, 10.0)
-        assert (s.starts, s.rates) == ((0.0, 4.0), (1.0, 1.02))
+        (c,) = hardware_of({"generator": "scripted", "segments": [[0.0, 1.0], [4.0, 1.02]]})
+        assert (c.starts, c.rates) == ((0.0, 4.0), (1.0, 1.02))
 
     def test_unknown_generator(self):
-        with pytest.raises(ParameterError):
-            make_schedule("brownian", {}, THETA, 10.0)
+        with pytest.raises(ScenarioValidationError, match="unknown generator 'brownian'"):
+            hardware_of({"generator": "brownian"})

@@ -380,7 +380,7 @@ class TestSparseSampling:
         while t <= times[-1]:
             ticks.add(t)
             t += sc.sample_dt
-        breakpoints = {b for c in sim.clocks for b in c.hardware.schedule.starts[1:]}
+        breakpoints = {b for c in sim.clocks for b in c.hardware.starts[1:]}
         allowed = set(decisions) | ticks | breakpoints | {sc.horizon_time}
         assert set(times.tolist()) <= allowed
         arrivals = {m.record.completed_at_real for m in sim.measurements}

@@ -11,6 +11,12 @@ The two bundled scenarios with link jitter, random16 and star6 (p_max 0.2),
 are also pinned at their full length.  Each direction a->b has one delay
 stream for a's requests and a's replies to b, so a change in the order of
 its draws changes the delays; 60 cycles can miss that, full length does not.
+
+No bundled scenario has a random-walk clock, so the full-length outputs of
+``scenario_gen.random_suite_doc(2)``, whose clocks are random walks, are
+pinned too, with digests taken while the engine still drew the walks: once
+as generated, drawing every walk from the master seed, and once with a
+``seed`` of its own on node 0.
 """
 import hashlib
 import json
@@ -19,6 +25,8 @@ import pytest
 
 from gcsim import cli
 from gcsim import scenario as scen
+
+from scenario_gen import random_suite_doc
 
 FILES = ("summary.json", "violations.json", "trace.csv")
 
@@ -101,15 +109,42 @@ FULL_LENGTH_DIGESTS = {
 }
 
 
-def digests(tmp_path, name: str, mode: str, horizon_cycles: int | None) -> dict:
-    """SHA-256 of FILES of ``gcsim run`` on bundled ``name`` in ``mode``,
-    for ``horizon_cycles`` cycles or at its own length (None)."""
+# random-walk document -> SHA-256 of FILES of its full-length run
+RANDOM_WALK_DIGESTS = {
+    "master seed": (
+        "8f31382b345f89ae3b07a1f8e334545f70e96bda1d0b10bf06da2d8a001662b5",
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "c8efdc96ba8e0b4f558205dcce738b71510af933549f5ba0d0c44a08545b6e62",
+    ),
+    "node seed": (
+        "6f1dc27c8466068e95ea42fd0c8510982b6ebf40d95ca88a62c98940ac95d734",
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "740d19c2fdcbdbdf9d041b89fedac319ed1af84a671393416720b60483aeb6c5",
+    ),
+}
+
+
+def random_walk_doc(variant: str) -> dict:
+    doc = random_suite_doc(2)
+    if variant == "node seed":
+        doc["clocks"]["overrides"].setdefault("0", {})["seed"] = 7
+    return doc
+
+
+def bundled_doc(name: str, mode: str, horizon_cycles: int | None) -> dict:
+    """Bundled ``name`` in ``mode``, for ``horizon_cycles`` cycles or at its
+    own length (None)."""
     doc = scen.load_document(name)
     if horizon_cycles is not None:
         doc["sim"].pop("horizon_time", None)
         doc["sim"]["horizon_cycles"] = horizon_cycles
     doc["sim"]["metrics"] = mode
-    path = tmp_path / f"{name}.json"
+    return doc
+
+
+def digests(tmp_path, doc: dict) -> dict:
+    """SHA-256 of FILES of ``gcsim run`` on ``doc``."""
+    path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
@@ -118,9 +153,16 @@ def digests(tmp_path, name: str, mode: str, horizon_cycles: int | None) -> dict:
 
 @pytest.mark.parametrize("name,mode", sorted(DIGESTS))
 def test_bundled_outputs_are_byte_identical(name, mode, tmp_path):
-    assert digests(tmp_path, name, mode, 60) == dict(zip(FILES, DIGESTS[(name, mode)]))
+    doc = bundled_doc(name, mode, 60)
+    assert digests(tmp_path, doc) == dict(zip(FILES, DIGESTS[(name, mode)]))
 
 
 @pytest.mark.parametrize("name,mode", sorted(FULL_LENGTH_DIGESTS))
 def test_full_length_jittered_outputs_are_byte_identical(name, mode, tmp_path):
-    assert digests(tmp_path, name, mode, None) == dict(zip(FILES, FULL_LENGTH_DIGESTS[(name, mode)]))
+    doc = bundled_doc(name, mode, None)
+    assert digests(tmp_path, doc) == dict(zip(FILES, FULL_LENGTH_DIGESTS[(name, mode)]))
+
+
+@pytest.mark.parametrize("variant", sorted(RANDOM_WALK_DIGESTS))
+def test_random_walk_outputs_are_byte_identical(variant, tmp_path):
+    assert digests(tmp_path, random_walk_doc(variant)) == dict(zip(FILES, RANDOM_WALK_DIGESTS[variant]))
