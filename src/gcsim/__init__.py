@@ -4,7 +4,7 @@ invariant and skew bound."""
 
 from .clocks import FAST, OWN_RATE, HardwareClock, LogicalClock
 from .engine import RunResult, Scenario, run, seeded_stream
-from .gcs import GcsParams, NodeState
+from .gcs import GcsParams
 from .metrics import BoundReport
 from .scenario import build_scenario, load_scenario, static_report
 from .topology import EdgeParams, NetworkGraph, edge_kappa, kappa_weights
@@ -22,7 +22,6 @@ __all__ = [
     "OWN_RATE",
     "FAST",
     "GcsParams",
-    "NodeState",
     "Scenario",
     "RunResult",
     "run",

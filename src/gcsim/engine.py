@@ -2,8 +2,11 @@
 
 Events are totally ordered by (real time, schedule sequence number), and
 every random draw comes from a labelled substream of the master seed, so a
-run is a pure function of its scenario.  The loop owns all node state;
-metrics get read-only snapshots.
+run is a pure function of its scenario.  The loop owns all node state,
+and each fact has one owner: a node is its logical clock ``clocks[v]``,
+its cycle ``cycle[v]`` and its exchanges in flight ``pending[v]`` (it is
+measuring exactly when that is non-empty), and a link direction is its
+record ``links[(a, b)]``.  Metrics get read-only snapshots.
 
 Event handlers do only what the nodes do: readings, estimates, triggers and
 mode changes.  A message is not an event of its own.  An exchange makes one
@@ -44,14 +47,14 @@ import numpy as np
 from . import gcs, metrics
 from .clocks import FAST, OWN_RATE, LogicalClock, read_clocks, sample_clocks
 from .errors import ConfigError, InternalError, RunAborted
-from .gcs import GcsParams, NodeState
+from .gcs import GcsParams
 from .topology import NetworkGraph
 from .trace import RunSummary, Trace, Violation
 from .twoway import compute_estimates, estimate_value
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["StreamRegistry", "seeded_stream", "DelaySampler", "Scenario", "RunResult", "run"]
+__all__ = ["StreamRegistry", "seeded_stream", "Scenario", "RunResult", "run"]
 
 # Event kinds.  Each payload holds only what its handler reads.
 K_WAKEUP = 0  # (v, k): node v starts cycle k and sends its requests
@@ -100,29 +103,6 @@ def seeded_stream(master_seed: int, purpose_label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-class DelaySampler:
-    """Per-direction message delays: base plus uniform jitter in [0, width].
-
-    ``links[(src, dst)]`` is the direction's (base delay, jitter, its
-    stream's ``random``, eps_d, eps_m), built once.
-    """
-
-    def __init__(self, g: NetworkGraph, registry: StreamRegistry):
-        self._d_max = g.d_max
-        self.links = {}
-        for u, v, p in g.edges:
-            for a, b, base in ((u, v, p.fwd_delay), (v, u, p.bwd_delay)):
-                draw = registry.stream(f"delay:{a}->{b}").random
-                self.links[(a, b)] = (base, p.jitter, draw, p.eps_d, p.eps_m)
-
-    def sample(self, src: int, dst: int) -> float:
-        base, jitter, draw, _, _ = self.links[(src, dst)]
-        d = base + jitter * draw() if jitter > 0 else base
-        if d >= self._d_max:
-            raise InternalError(f"sampled delay {d!r} reached d_max on {src}->{dst}")
-        return d
-
-
 @dataclass
 class Scenario:
     """Validated runtime scenario; build one via :mod:`gcsim.scenario`."""
@@ -169,26 +149,24 @@ class _Simulation:
         g = sc.graph
         n = g.n
         self.registry = StreamRegistry(sc.master_seed)
-        self.sampler = DelaySampler(g, self.registry)
-        self.proc_streams = {}
-        if sc.p_max > 0:
-            for u, v, _ in g.edges:
-                self.proc_streams[(u, v)] = self.registry.stream(f"proc:{u}->{v}")
-                self.proc_streams[(v, u)] = self.registry.stream(f"proc:{v}->{u}")
+        # each direction a->b: (base delay, jitter, the ``random`` of stream
+        # delay:a->b, that of proc:a->b or None when p_max is 0, eps_d,
+        # eps_m, kappa)
+        self.links = {}
+        for u, v, p in g.edges:
+            for a, b, base in ((u, v, p.fwd_delay), (v, u, p.bwd_delay)):
+                draw = self.registry.stream(f"delay:{a}->{b}").random
+                proc = self.registry.stream(f"proc:{a}->{b}").random if sc.p_max > 0 else None
+                self.links[(a, b)] = (base, p.jitter, draw, proc, p.eps_d, p.eps_m, sc.kappa[(u, v)])
 
-        self.nodes = [
-            NodeState(id=i, logical=LogicalClock(hw, sc.params.mu, sc.correction_semantics))
-            for i, hw in enumerate(sc.hardware)
-        ]
-
-        self.kappa_nb = [
-            {w: sc.kappa[(min(v, w), max(v, w))] for w in g.neighbors(v)} for v in range(n)
-        ]
-        # each node's exchanges of its current cycle, by neighbour in
-        # neighbour order: [l_v_t1, request arrival, reply emission, reply
-        # arrival] with the real times of the three legs (inf: not known yet)
+        # per node: its clock (whose anchors are its mode timeline), the
+        # cycle of its last wakeup, and its exchanges of that cycle until
+        # it evaluates, by neighbour in neighbour order: [l_v_t1, request
+        # arrival, reply emission, reply arrival] with the real times of the
+        # three legs (inf: not known yet)
+        self.clocks = [LogicalClock(hw, sc.params.mu, sc.correction_semantics) for hw in sc.hardware]
+        self.cycle = [0] * n
         self.pending: list[dict] = [dict() for _ in range(n)]
-        self.completed = [0] * n
         self.done: set[int] = set()
 
         self.heap: list = []
@@ -229,16 +207,18 @@ class _Simulation:
         self.edges = tuple((u, v) for u, v, _ in g.edges)
         self._eu = np.array([u for u, _ in self.edges])
         self._ev = np.array([v for _, v in self.edges])
-        self.clocks = [nd.logical for nd in self.nodes]
         self.buf_t: list[float] = []
-        self.chunks: list[tuple] = []  # full mode: (times, L, H, local, global, psi_levels) per chunk
+        # full mode: (times, L, H, local, global, psi_levels) per chunk, after
+        # a zero-row one, which is all a skew_only run keeps
+        self.chunks: list[tuple] = [
+            (np.zeros(0), np.zeros((0, n)), np.zeros((0, n)), np.zeros(0), np.zeros(0), np.zeros((0, sc.params.s_max)))
+        ]
         self.edge_max = np.zeros(len(self.edges))
         self.max_global = 0.0
         self.first_exceed: float | None = None
-        # carried from chunk to chunk: (t, L) and (t, H) of the last reduced
-        # sample and, in full mode, the Corollary 1 floors there
-        self.last_row: tuple | None = None
-        self.last_hw: tuple | None = None
+        # carried from chunk to chunk: (t, L, H) of the last reduced sample
+        # and, in full mode, the Corollary 1 floors there
+        self.last: tuple | None = None
         self.floors: np.ndarray | None = None
         self._global_bound = sc.global_bound
 
@@ -251,39 +231,44 @@ class _Simulation:
     # -- event handlers
 
     def _on_wakeup(self, t: float, v: int, k: int) -> None:
-        node = self.nodes[v]
-        node.logical.set_mode(t, OWN_RATE)
-        self.completed[v] = k
+        clock = self.clocks[v]
+        clock.set_mode(t, OWN_RATE)
+        self.cycle[v] = k
         sc = self.sc
         if sc.horizon_cycles is not None and k >= sc.horizon_cycles:
             self.done.add(v)
             if len(self.done) == sc.graph.n:
                 self.stop_time = t
             return
-        node.cycle_index = k
-        node.phase = gcs.MEASURING
-        l1 = node.logical.value(t)
-        expected = node.logical.hardware.initial_value + k * sc.params.cycle_length
+        l1 = clock.value(t)
+        expected = clock.hardware.initial_value + k * sc.params.cycle_length
         if abs(l1 - expected) > 1e-6:
             self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
         self.pending[v] = {w: self._send(t, v, w, l1) for w in sc.graph.neighbors(v)}
-        self.push(node.logical.invert(expected + sc.params.T), K_EVALUATE, (v, k))
+        self.push(clock.invert(expected + sc.params.T), K_EVALUATE, (v, k))
+
+    def _delay(self, a: int, b: int) -> float:
+        """A message delay on a->b: its base plus a uniform draw in [0, jitter]."""
+        base, jitter, draw = self.links[(a, b)][:3]
+        d = base + jitter * draw() if jitter > 0 else base
+        if d >= self.sc.graph.d_max:
+            raise InternalError(f"sampled delay {d!r} reached d_max on {a}->{b}")
+        return d
 
     def _send(self, t: float, v: int, w: int, l1: float) -> list:
         """v sends its request to w at t, its clock reading l1: draw the
         request's delay and w's processing time, and schedule w's reply.
         The stream ``proc:v->w`` serves only v's requests to w, so drawing
         from it now gives the values a draw at the arrival would."""
-        arrival = t + self.sampler.sample(v, w)
-        emit = arrival
-        if self.sc.p_max > 0:
-            emit = arrival + self.sc.p_max * float(self.proc_streams[(v, w)].random())
+        arrival = t + self._delay(v, w)
+        proc = self.links[(v, w)][3]
+        emit = arrival if proc is None else arrival + self.sc.p_max * proc()
         exchange = [l1, arrival, emit, _INF]
         self.push(emit, K_EMIT, (w, v, exchange))
         return exchange
 
     def _on_emit(self, t: float, w: int, v: int, exchange: list) -> None:
-        exchange[3] = t + self.sampler.sample(w, v)
+        exchange[3] = t + self._delay(w, v)
 
     def _on_evaluate(self, t: float, batch: list) -> None:
         """The evaluations ``batch``, each (v, k), due at t, in event order.
@@ -293,15 +278,14 @@ class _Simulation:
         after the evaluation), and reads only its node's clock at t."""
         done, l_rep = [], []
         for v, k in batch:
-            node = self.nodes[v]
-            if node.cycle_index != k or node.phase != gcs.MEASURING:
-                self._abort(f"evaluation fired out of order at node {v}")
             exchanges = self.pending[v]
+            if self.cycle[v] != k or not exchanges:
+                self._abort(f"evaluation fired out of order at node {v}")
             missing = [w for w, ex in exchanges.items() if not ex[3] < t]
             if missing:
                 self._abort(f"node {v} evaluating cycle {k} with incomplete views (missing {missing})")
             done += [(v, w, ex) for w, ex in exchanges.items()]
-            l_rep += [node.logical.value(t)] * len(exchanges)
+            l_rep += [self.clocks[v].value(t)] * len(exchanges)
         for v, _ in batch:
             self.pending[v] = {}
         offset, deduction = self._complete(done, check_timeout=True)
@@ -319,7 +303,7 @@ class _Simulation:
         The caller drops ``done`` from ``pending`` first, so that the
         abort's own ``_settle`` does not complete them again."""
         sc = self.sc
-        clocks, links = self.clocks, self.sampler.links
+        clocks, links = self.clocks, self.links
         rows = []
         late = None  # the first reply that exceeded the timeout window
         for v, w, (t1, arrival, emit, reply) in done:
@@ -329,8 +313,8 @@ class _Simulation:
             t4 = clocks[v].value(reply)
             if check_timeout and t4 - t1 >= sc.timeout + _TOL and (late is None or reply < late[0]):
                 late = (reply, v, w, t4 - t1)
-            eps_d, eps_m = links[(v, w)][3:]
-            rows.append((t1, t2, t3, t4, eps_d, eps_m, reply, v, w, self.kappa_nb[v][w]))
+            eps_d, eps_m, kappa = links[(v, w)][4:]
+            rows.append((t1, t2, t3, t4, eps_d, eps_m, reply, v, w, kappa))
         data = np.array(rows, dtype=float).reshape(-1, 10)
         t1, t2, t3, t4, eps_d, eps_m = data.T[:6]
         _, offset, deduction = compute_estimates(t1, t2, t3, t4, eps_d, eps_m, sc.params.theta)
@@ -347,9 +331,7 @@ class _Simulation:
         whose replies arrived at or before ``limit``, as reply events up to
         it would have, and drop them."""
         done = [
-            (v, w, ex)
-            for v, node in enumerate(self.nodes) if node.phase == gcs.MEASURING
-            for w, ex in self.pending[v].items() if ex[3] <= limit
+            (v, w, ex) for v, exchanges in enumerate(self.pending) for w, ex in exchanges.items() if ex[3] <= limit
         ]
         for v, w, _ in done:
             del self.pending[v][w]
@@ -371,11 +353,10 @@ class _Simulation:
         self._checked += 4 * len(vs) + len(est)
         to_fast = [sc.gcs_enabled and any(f) and not any(s) for s, f in zip(slow.tolist(), fast.tolist())]
         for (v, k), speed_up in zip(batch, to_fast):
-            node = self.nodes[v]
-            node.logical.set_mode(t, FAST if speed_up else OWN_RATE)
-            node.phase = gcs.STABILISING
-            base = node.logical.hardware.initial_value
-            self.push(node.logical.invert(base + (k + 1) * sc.params.cycle_length), K_WAKEUP, (v, k + 1))
+            clock = self.clocks[v]
+            clock.set_mode(t, FAST if speed_up else OWN_RATE)
+            base = clock.hardware.initial_value
+            self.push(clock.invert(base + (k + 1) * sc.params.cycle_length), K_WAKEUP, (v, k + 1))
 
     # -- sampling and the ground-truth checks
 
@@ -410,6 +391,7 @@ class _Simulation:
             self._check_chunk(times, None)
             return
         L, H = sample_clocks(self.clocks, times)
+        prev, self.last = self.last, (times[-1], L[-1], H[-1])
         edge_gaps = np.abs(L[:, self._eu] - L[:, self._ev])
         local = edge_gaps.max(axis=1)
         glob = L.max(axis=1) - L.min(axis=1)
@@ -424,19 +406,18 @@ class _Simulation:
                 if k:
                     left = times[k - 1], L[k - 1]
                 else:  # the piece starts at the previous chunk's last row
-                    left = self.last_row or (times[0], L[0])
+                    left = prev[:2] if prev else (times[0], L[0])
                 self.first_exceed = metrics.global_bound_crossing(*left, times[k], L[k], level)
         if self.full:
             sc = self.sc
             psi, viol, self.floors = metrics.trace_oracles(
                 times, L, sc.dist, self._nb, self._nb_kappa, sc.params.s_max, sc.params.theta,
-                self.last_row, self.floors,
+                None if prev is None else prev[:2], self.floors,
             )
             self.violations.extend(viol)
             self.chunks.append((times, L, H, local, glob, psi))
-        self.last_row = (times[-1], L[-1])
         self._check_chunk(times, L)
-        self._check_drift(times, H)
+        self._check_drift(prev, times, H)
 
     def _check_chunk(self, times: np.ndarray, L: np.ndarray | None) -> None:
         """The ground-truth checks buffered since the last chunk.
@@ -462,14 +443,13 @@ class _Simulation:
             v, est, slow, fast = (np.concatenate(a) for a in list(zip(*evals))[1:])
             self._check_evaluations(times, L, rows, v, est, slow, fast)
 
-    def _check_drift(self, times: np.ndarray, H: np.ndarray) -> None:
+    def _check_drift(self, prev: tuple | None, times: np.ndarray, H: np.ndarray) -> None:
         """Every hardware clock advances by [dt, theta * dt] (with tolerance)
         between consecutive samples, the first of the chunk following the
-        previous chunk's last one."""
-        if self.last_hw is not None:
-            times = np.concatenate(([self.last_hw[0]], times))
-            H = np.vstack((self.last_hw[1], H))
-        self.last_hw = (times[-1], H[-1])
+        previous chunk's last one, ``prev``."""
+        if prev is not None:
+            times = np.concatenate(([prev[0]], times))
+            H = np.vstack((prev[2], H))
         dt = np.diff(times)
         keep = dt > 0
         dH = np.diff(H, axis=0)[keep]
@@ -554,8 +534,8 @@ class _Simulation:
     def run(self) -> RunResult:
         started = _time.perf_counter()
         sc = self.sc
-        for v in range(sc.graph.n):
-            self.push(self.nodes[v].logical.invert(self.nodes[v].logical.hardware.initial_value), K_WAKEUP, (v, 0))
+        for v, clock in enumerate(self.clocks):
+            self.push(clock.invert(clock.hardware.initial_value), K_WAKEUP, (v, 0))
         if sc.sample_dt > 0:
             self.push(sc.sample_dt, K_TICK, None)
         # every clock is linear between its rate breakpoints and mode changes;
@@ -609,43 +589,17 @@ class _Simulation:
         edges = self.edges
         if self.buf_t or self._reply_checks:
             self._reduce_chunk()
-        if self.full:
-            times, L, H, local, glob, psi_levels = (np.concatenate(parts) for parts in zip(*self.chunks))
-            self.chunks = []
-            # each clock's anchors are its node's mode timeline
-            modes = np.empty((len(times), n), dtype=np.int8)
-            for v, c in enumerate(self.clocks):
-                ch_t, ch_m = zip(*c.mode_timeline)
-                modes[:, v] = np.array(ch_m, dtype=np.int8)[np.searchsorted(ch_t, times, side="right") - 1]
-
-            trace = Trace(
-                times=times,
-                logical=L,
-                hardware=H,
-                modes=modes,
-                edges=edges,
-                local_skew=local,
-                global_skew=glob,
-                psi_levels=psi_levels,
-                bound_local=sc.local_bound,
-                bound_global=sc.global_bound,
-                dist=sc.dist,
-            )
-        else:
-            empty = np.zeros((0,))
-            trace = Trace(
-                times=empty,
-                logical=np.zeros((0, n)),
-                hardware=np.zeros((0, n)),
-                modes=np.zeros((0, n), dtype=np.int8),
-                edges=edges,
-                local_skew=empty,
-                global_skew=empty,
-                psi_levels=np.zeros((0, sc.params.s_max)),
-                bound_local=sc.local_bound,
-                bound_global=sc.global_bound,
-                dist=sc.dist,
-            )
+        times, L, H, local, glob, psi_levels = (np.concatenate(parts) for parts in zip(*self.chunks))
+        self.chunks = []
+        # each clock's anchors are its node's mode timeline
+        modes = np.empty((len(times), n), dtype=np.int8)
+        for v, c in enumerate(self.clocks):
+            ch_t, ch_m = zip(*c.mode_timeline)
+            modes[:, v] = np.array(ch_m, dtype=np.int8)[np.searchsorted(ch_t, times, side="right") - 1]
+        trace = Trace(
+            times=times, logical=L, hardware=H, modes=modes, edges=edges, local_skew=local, global_skew=glob,
+            psi_levels=psi_levels, bound_local=sc.local_bound, bound_global=sc.global_bound, dist=sc.dist,
+        )
 
         report = metrics.build_bound_report(
             sc.kappa,
@@ -676,7 +630,7 @@ class _Simulation:
         summary = RunSummary(
             scenario_hash=sc.scenario_hash,
             seed=sc.master_seed,
-            cycles_completed=min(self.completed) if self.completed else 0,
+            cycles_completed=min(self.cycle),
             bound_report=report.to_dict(),
             violation_count=len(self.violations),
             counters=dict(self.counters),

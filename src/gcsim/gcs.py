@@ -1,7 +1,9 @@
-"""Per-node synchronisation state machine: parameters, node state, triggers.
+"""The synchronisation algorithm's parameters and triggers.
 
-Each cycle a node measures all neighbours, then evaluates two families of
-estimate-based predicates over discrete skew levels.  The slow trigger
+A node's state is its logical clock, its cycle and its exchanges in flight,
+all owned by the engine.  Each cycle a node measures all neighbours, then
+evaluates two families of estimate-based predicates over discrete skew
+levels.  The slow trigger
 says the node is ahead of its neighbourhood and should coast; the fast
 trigger says it is behind and should speed up by the correction factor.
 The threshold scale is the per-edge error weight kappa; the fast trigger
@@ -16,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocks import LogicalClock
-
-__all__ = ["GcsParams", "NodeState", "trigger_thresholds", "trigger_levels"]
-
-MEASURING = "measuring"
-STABILISING = "stabilising"
+__all__ = ["GcsParams", "trigger_thresholds", "trigger_levels"]
 
 
 @dataclass(frozen=True)
@@ -63,17 +60,6 @@ class GcsParams:
         if self.hysteresis < 0:
             problems.append("hysteresis must be non-negative")
         return problems
-
-
-@dataclass
-class NodeState:
-    """Everything one node owns besides its exchanges in flight: clock (its
-    anchors are the node's mode timeline), phase and cycle."""
-
-    id: int
-    logical: LogicalClock
-    phase: str = MEASURING
-    cycle_index: int = 0
 
 
 def trigger_thresholds(

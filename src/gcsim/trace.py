@@ -35,40 +35,27 @@ class Violation:
         return {"time": self.time, "kind": self.kind, "detail": self.detail}
 
 
+@dataclass(eq=False)
 class Trace:
     """Time-ordered run record.
 
     Arrays are row-per-sample: ``logical``/``hardware`` are (S, n),
-    ``modes`` (S, n) of 0/1, ``psi_levels`` (S, s_max) level potentials
-    (empty in skew-only runs).  ``dist`` is the (n, n) kappa-distance
+    ``modes`` (S, n) of 0/1, ``psi_levels`` (S, s_max) level potentials;
+    a skew-only run has no rows.  ``dist`` is the (n, n) kappa-distance
     matrix the potentials use.
     """
 
-    def __init__(
-        self,
-        times: np.ndarray,
-        logical: np.ndarray,
-        hardware: np.ndarray,
-        modes: np.ndarray,
-        edges: tuple[tuple[int, int], ...],
-        local_skew: np.ndarray,
-        global_skew: np.ndarray,
-        psi_levels: np.ndarray,
-        bound_local: float,
-        bound_global: float,
-        dist: np.ndarray,
-    ):
-        self.times = times
-        self.logical = logical
-        self.hardware = hardware
-        self.modes = modes
-        self.edges = edges
-        self.local_skew = local_skew
-        self.global_skew = global_skew
-        self.psi_levels = psi_levels
-        self.bound_local = bound_local
-        self.bound_global = bound_global
-        self.dist = dist
+    times: np.ndarray
+    logical: np.ndarray
+    hardware: np.ndarray
+    modes: np.ndarray
+    edges: tuple[tuple[int, int], ...]
+    local_skew: np.ndarray
+    global_skew: np.ndarray
+    psi_levels: np.ndarray
+    bound_local: float
+    bound_global: float
+    dist: np.ndarray
 
     @property
     def n(self) -> int:
@@ -80,6 +67,7 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.times)
+
 
 @dataclass
 class RunSummary:

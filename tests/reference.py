@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gcsim import engine, gcs
+from gcsim import engine
 from gcsim.clocks import OWN_RATE, HardwareClock, LogicalClock
 from gcsim.errors import GcsSimError, ParameterError
 from gcsim.trace import Trace, Violation
@@ -180,14 +180,19 @@ class ThreeEventExchange(engine._Simulation):
     ``engine.K_EMIT`` events that name their handler.  Streams, chunks and
     checks are the engine's, so a run of the twin must equal the engine's
     bit for bit.
+
+    ``pending[v]`` holds only the l_v_t1 of the replies still to arrive,
+    so it is empty at an evaluation, and ``evaluated[v]``, the last cycle
+    node v evaluated, guards against an evaluation out of order.
     """
 
     def __init__(self, sc):
         super().__init__(sc)
         self.views: list[dict[int, NeighborEstimate]] = [{} for _ in range(sc.graph.n)]
+        self.evaluated = [-1] * sc.graph.n
 
     def _send(self, t: float, v: int, w: int, l1: float) -> float:
-        self.push(t + self.sampler.sample(v, w), engine.K_EMIT, ("_on_request_arrival", v, w, l1))
+        self.push(t + self._delay(v, w), engine.K_EMIT, ("_on_request_arrival", v, w, l1))
         return l1
 
     def _on_wakeup(self, t: float, v: int, k: int) -> None:
@@ -202,47 +207,45 @@ class ThreeEventExchange(engine._Simulation):
 
     def _on_request_arrival(self, t: float, v: int, w: int, t1: float) -> None:
         t2 = self.clocks[w].value(t)
-        p_real = 0.0
-        if self.sc.p_max > 0:
-            p_real = self.sc.p_max * float(self.proc_streams[(v, w)].random())
+        proc = self.links[(v, w)][3]
+        p_real = 0.0 if proc is None else self.sc.p_max * proc()
         self.push(t + p_real, engine.K_EMIT, ("_on_reply_emit", v, w, t1, t2))
 
     def _on_reply_emit(self, t: float, v: int, w: int, t1: float, t2: float) -> None:
         t3 = self.clocks[w].value(t)
         reply = handle_request(RequestMsg(v, t1), w, t2, t3 - t2)
-        self.push(t + self.sampler.sample(w, v), engine.K_EMIT, ("_on_reply_arrival", v, reply))
+        self.push(t + self._delay(w, v), engine.K_EMIT, ("_on_reply_arrival", v, reply))
 
     def _on_reply_arrival(self, t: float, v: int, reply: ReplyMsg) -> None:
         sc = self.sc
         w = reply.responder
-        node = self.nodes[v]
-        t4 = node.logical.value(t)
+        t4 = self.clocks[v].value(t)
         t1 = self.pending[v].pop(w, None)
         if t1 is None or t1 != reply.l_v_t1_echo:
             self._abort(f"unmatched reply from {w} at node {v}")
         if t4 - t1 >= sc.timeout + engine._TOL:
             self._abort(f"measurement {v}->{w} exceeded the timeout window ({t4 - t1!r} >= {sc.timeout!r})")
         rec = MeasurementRecord(w, t1, reply.l_w_t2, reply.l_w_t3, t4, t)
-        _, _, _, eps_d, eps_m = self.sampler.links[(v, w)]
-        est = compute_estimates(rec, eps_d, eps_m, sc.params.theta, node.cycle_index)
+        eps_d, eps_m, kappa = self.links[(v, w)][4:]
+        est = compute_estimates(rec, eps_d, eps_m, sc.params.theta, self.cycle[v])
         self.views[v][w] = est
         self.counters["measurements"] += 1
-        value = estimate_value(est, t4, cycle=node.cycle_index)
-        row = (t1, reply.l_w_t2, reply.l_w_t3, t4, eps_d, eps_m, t, v, w, self.kappa_nb[v][w])
+        value = estimate_value(est, t4, cycle=self.cycle[v])
+        row = (t1, reply.l_w_t2, reply.l_w_t3, t4, eps_d, eps_m, t, v, w, kappa)
         self._reply_checks.append((np.array([row]), np.array([value])))
         self._checked += 5
 
     def _on_evaluate(self, t: float, batch: list) -> None:
         for v, k in batch:
-            node = self.nodes[v]
             nbrs = self.sc.graph.neighbors(v)
             views = self.views[v]
-            if node.cycle_index != k or node.phase != gcs.MEASURING:
+            if self.cycle[v] != k or self.evaluated[v] == k:
                 self._abort(f"evaluation fired out of order at node {v}")
+            self.evaluated[v] = k
             if len(views) != len(nbrs):
                 missing = sorted(set(nbrs) - set(views))
                 self._abort(f"node {v} evaluating cycle {k} with incomplete views (missing {missing})")
-            l_v = node.logical.value(t)
+            l_v = self.clocks[v].value(t)
             est = [estimate_value(views[w], l_v, cycle=k) for w in nbrs]
             self._decide(t, [(v, k)], np.full(len(nbrs), l_v), np.array(est))
 
@@ -295,11 +298,11 @@ class Recording(ThreeEventExchange):
         t1 = self.pending[v].get(w)
         super()._on_reply_arrival(t, v, reply)
         sent, arrived, emitted = self._legs.pop((v, w))
-        node, peer = self.nodes[v].logical, self.nodes[w].logical
+        node, peer = self.clocks[v], self.clocks[w]
         rec = MeasurementRecord(w, t1, reply.l_w_t2, reply.l_w_t3, node.value(t), t)
         mid = 0.5 * (sent + t)
         self.measurements.append(Measurement(
-            v, w, self.nodes[v].cycle_index, rec, self.views[v][w],
+            v, w, self.cycle[v], rec, self.views[v][w],
             sent, arrived - sent, emitted - arrived, t - emitted, peer.value(mid) - node.value(mid),
         ))
 
@@ -325,8 +328,8 @@ class PerEventChecks(ThreeEventExchange):
 
     def _ref_sandwich(self, t: float, v: int, w: int, est_val: float) -> None:
         self.ref_counters["estimate_uses"] += 1
-        err = self.nodes[w].logical.value(t) - est_val
-        delta_max = self.kappa_nb[v][w]
+        err = self.clocks[w].value(t) - est_val
+        delta_max = self.sc.kappa[(min(v, w), max(v, w))]
         if err < -engine._TOL or err > delta_max + engine._TOL:
             self.ref_violations.append(Violation(
                 t, "estimate_sandwich",
@@ -336,16 +339,15 @@ class PerEventChecks(ThreeEventExchange):
     def _on_reply_arrival(self, t: float, v: int, reply: ReplyMsg) -> None:
         super()._on_reply_arrival(t, v, reply)
         w = reply.responder
-        node = self.nodes[v]
-        t4 = node.logical.value(t)
-        self._ref_sandwich(t, v, w, estimate_value(self.views[v][w], t4, cycle=node.cycle_index))
+        t4 = self.clocks[v].value(t)
+        self._ref_sandwich(t, v, w, estimate_value(self.views[v][w], t4, cycle=self.cycle[v]))
 
     def _decide(self, t: float, batch: list, l_rep: np.ndarray, est: np.ndarray) -> None:
         sc = self.sc
         (v, _), = batch
         nbrs = sc.graph.neighbors(v)
-        vals = {w: self.nodes[w].logical.value(t) for w in nbrs}
-        vals[v] = self.nodes[v].logical.value(t)
+        vals = {w: self.clocks[w].value(t) for w in nbrs}
+        vals[v] = self.clocks[v].value(t)
         for w, e in zip(nbrs, est.tolist()):
             self._ref_sandwich(t, v, w, e)
         super()._decide(t, batch, l_rep, est)

@@ -260,7 +260,7 @@ def test_incomplete_views_abort_reports_every_reply_before_it(monkeypatch, chunk
         sim.run()
     (v, w, arrival), = delayed
     t_abort = sim.current
-    k = sim.nodes[v].cycle_index
+    k = sim.cycle[v]
     assert str(exc.value) == f"node {v} evaluating cycle {k} with incomplete views (missing [{w}])"
     assert arrival < t_abort
     reported = exc.value.violations

@@ -6,9 +6,9 @@ import pytest
 from gcsim import engine, metrics
 from gcsim import scenario as scen
 from gcsim.clocks import FAST, sample_clocks
-from gcsim.engine import DelaySampler, StreamRegistry, seeded_stream
-from gcsim.errors import ConfigError, ScenarioValidationError
-from gcsim.topology import EdgeParams, NetworkGraph
+from gcsim.engine import StreamRegistry, seeded_stream
+from gcsim.errors import ConfigError, InternalError, RunAborted, ScenarioValidationError
+from gcsim.topology import EdgeParams
 
 from reference import Recording, ThreeEventExchange, boot_up_gate, recorded_run
 from scenario_gen import (
@@ -39,20 +39,74 @@ class TestSeededStreams:
             reg.stream("clock:0")
 
 
-class TestDelaySampler:
+def two_node_sim(p_max: float = 0.0, **edge) -> engine._Simulation:
+    """The engine, not yet run, on two nodes joined by one edge: delays 1.0
+    forward and 1.2 backward unless ``edge`` says otherwise, d_max 2."""
+    e = {"fwd_delay": 1.0, "bwd_delay": 1.2, "jitter": 0.0, "eps_d": 0.5, "eps_m": 0.05, **edge}
+    doc = {
+        "graph": {"nodes": 2, "d_max": 2.0, "edges": [{"u": 0, "v": 1, **e}]},
+        "clocks": {"theta": 1.01, "mu": 0.1, "default": {"generator": "constant", "rate": 1.0}},
+        "gcs": {"T": 5.0, "T_stab": 1.5, "p_max": p_max, "s_max": 1},
+        "sim": {"horizon_cycles": 3, "sample_dt": 1.0, "master_seed": 5, "metrics": "full"},
+    }
+    return engine._Simulation(scen.build_scenario(doc))
+
+
+class TestLinkDelays:
+    """Each link direction's record ``links[(a, b)]`` and its delays."""
+
     def test_zero_jitter_is_base(self):
-        g = NetworkGraph.build(2, [(0, 1, EdgeParams(10.0, 12.0, eps_d=0.2, eps_m=0.1))], 20.0)
-        sampler = DelaySampler(g, StreamRegistry(1))
-        assert sampler.sample(0, 1) == 10.0
-        assert sampler.sample(1, 0) == 12.0
+        sim = two_node_sim()
+        assert sim._delay(0, 1) == 1.0
+        assert sim._delay(1, 0) == 1.2
 
     def test_samples_within_jitter_band(self):
-        e = EdgeParams(10.0, 10.0, jitter=0.5, eps_d=0.06, eps_m=0.0)
-        g = NetworkGraph.build(2, [(0, 1, e)], 20.0)
-        sampler = DelaySampler(g, StreamRegistry(1))
+        sim = two_node_sim(bwd_delay=1.0, jitter=0.5)
         for _ in range(1000):
-            d = sampler.sample(0, 1)
-            assert 10.0 <= d <= 10.5
+            d = sim._delay(0, 1)
+            assert 1.0 <= d <= 1.5
+
+    @pytest.mark.parametrize("p_max", [0.0, 0.1])
+    def test_records_draw_from_their_labelled_streams(self, p_max):
+        sim = two_node_sim(p_max, jitter=0.5)
+        directions = ("0->1", "1->0")
+        procs = {f"proc:{d}" for d in directions} if p_max else set()
+        assert sim.registry._labels == {f"delay:{d}" for d in directions} | procs
+        assert sim._delay(1, 0) == 1.2 + 0.5 * seeded_stream(5, "delay:1->0").random()
+        proc = sim.links[(0, 1)][3]
+        if p_max:
+            assert proc() == seeded_stream(5, "proc:0->1").random()
+        else:
+            assert proc is None
+        kappa = sim.sc.kappa[(0, 1)]
+        assert sim.links[(0, 1)][4:] == sim.links[(1, 0)][4:] == (0.5, 0.05, kappa)
+
+    def test_delay_reaching_d_max_is_an_internal_error(self):
+        sim = two_node_sim()
+        sim.links[(0, 1)] = (sim.sc.graph.d_max, *sim.links[(0, 1)][1:])
+        with pytest.raises(InternalError, match=r"reached d_max on 0->1"):
+            sim.run()
+
+
+@pytest.mark.parametrize("cls", [engine._Simulation, ThreeEventExchange])
+def test_repeated_evaluation_aborts_as_out_of_order(cls):
+    # the first node to evaluate gets a second evaluation of the same cycle
+    # before its next wakeup
+    sim = cls(scen.build_scenario(antiphase_line_doc(3, horizon_cycles=5)))
+    decide, repeated = sim._decide, []
+
+    def decide_then_repeat(t, batch, *args):
+        decide(t, batch, *args)
+        if not repeated:
+            repeated.append((t + 0.1, batch[0][0]))
+            sim.push(t + 0.1, engine.K_EVALUATE, batch[0])
+
+    sim._decide = decide_then_repeat
+    with pytest.raises(RunAborted) as exc:
+        sim.run()
+    (t_again, v), = repeated
+    assert str(exc.value) == f"evaluation fired out of order at node {v}"
+    assert sim.current == t_again
 
 
 class TestDeterminism:
