@@ -194,13 +194,25 @@ def _csv_cell(v) -> str:
     return '"' + s.replace('"', '""') + '"' if ("," in s or '"' in s) else s
 
 
-def _positive_int(text: str) -> int:
+def _int_arg(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int_arg(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """A seed in [0, 2^64), as ``sim.master_seed`` must be."""
+    value = _int_arg(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {value}")
     return value
 
 
@@ -211,7 +223,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="simulate one scenario and write reports")
     p_run.add_argument("--scenario", required=True, help="scenario file or bundled name")
-    p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
+    p_run.add_argument("--seed", type=_seed, default=None, help="override the master seed")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=cmd_run)
 

@@ -54,7 +54,17 @@ _GEN_KEYS = {
     "scripted": {"segments"},
 }
 _NODE_COMMON_KEYS = {"generator", "initial_value"}
-_INT_KINDS = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+# every seed lies in [0, 2^64), the range seeded_stream uses whole, so two
+# different seeds never draw the same streams
+_SEED = {"low": 0, "high": 1 << 64}
+_INT_KINDS = {
+    (None, None): "an integer",
+    (1, None): "a positive integer",
+    (0, 1 << 64): "an integer in [0, 2^64)",
+}
+# the largest node count, checked before anything of that size is built;
+# validation's n x n float64 distance matrix is 2 GiB at this size
+_MAX_NODES = 1 << 14
 # pairs compared per block of the boot-up gate (the temporaries are a few
 # of these as float64)
 _GATE_BLOCK = 1 << 16
@@ -118,13 +128,14 @@ def _num(section: dict, key: str, problems: list[str], where: str, required=Fals
 
 
 def _int(section: dict, key: str, problems: list[str], where: str, required=False, default=None,
-         low: int | None = None):
-    """An integer field (booleans excluded) of at least ``low``."""
+         low: int | None = None, high: int | None = None):
+    """An integer field (booleans excluded) in [low, high)."""
     if key not in section and not required:
         return default
     v = section.get(key)
-    if isinstance(v, bool) or not isinstance(v, int) or (low is not None and v < low):
-        problems.append(f"{where}.{key}: must be {_INT_KINDS[low]}")
+    if (isinstance(v, bool) or not isinstance(v, int) or (low is not None and v < low)
+            or (high is not None and v >= high)):
+        problems.append(f"{where}.{key}: must be {_INT_KINDS[low, high]}")
         return default
     return v
 
@@ -138,10 +149,15 @@ def _expand_graph_template(tpl: dict, problems: list[str]) -> tuple[int, list[di
     rows = _int(tpl, "rows", problems, where, default=2)
     cols = _int(tpl, "cols", problems, where, default=2)
     extra = _int(tpl, "extra_edges", problems, where, default=0)
-    seed = _int(tpl, "seed", problems, where, default=0)
+    seed = _int(tpl, "seed", problems, where, default=0, **_SEED)
     if not isinstance(edge, dict):
         problems.append(f"{where}.edge: must be an object")
     if len(problems) > before:
+        return 0, []
+    if kind == "grid":
+        n = rows * cols
+    if n > _MAX_NODES:
+        problems.append(f"{where}: {n} nodes exceed the limit of {_MAX_NODES}")
         return 0, []
     edges: list[tuple[int, int]] = []
     if kind == "line":
@@ -149,7 +165,6 @@ def _expand_graph_template(tpl: dict, problems: list[str]) -> tuple[int, list[di
     elif kind == "ring":
         edges = [(i, (i + 1) % n) for i in range(n)]
     elif kind == "grid":
-        n = rows * cols
         for r in range(rows):
             for c in range(cols):
                 if c + 1 < cols:
@@ -208,9 +223,8 @@ def expand_document(doc: dict) -> tuple[dict, list[str]]:
                 and all(isinstance(o, dict) for o in overrides.values())):
             problems.append("clocks: default and every override must be objects")
         elif isinstance(n, int):
-            clocks["nodes"] = [
-                {**default, **overrides.get(str(i), {})} for i in range(n)
-            ]
+            if n <= _MAX_NODES:  # validation rejects a larger graph
+                clocks["nodes"] = [{**default, **overrides.get(str(i), {})} for i in range(n)]
         else:
             problems.append("clocks: cannot expand default/overrides without graph.nodes")
     return doc, problems
@@ -283,7 +297,7 @@ def _check_clock_spec(spec, theta: float, problems: list[str], where: str) -> tu
     elif not 0.0 <= step <= sys.float_info.max / 2:
         problems.append(f"{where}.step: must be non-negative, and finite when doubled")
     start_rate = _num(spec, "start_rate", problems, where, default=(1.0 + theta) / 2.0)
-    seed = _int(spec, "seed", problems, where)
+    seed = _int(spec, "seed", problems, where, **_SEED)
     return float(iv), gen, (dwell, step, min(max(start_rate, 1.0), theta), seed)
 
 
@@ -372,6 +386,9 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
     if unknown:
         problems.append(f"graph: unknown keys {sorted(unknown)}")
     n = _int(graph_sec, "nodes", problems, "graph", required=True, low=1)
+    if n is not None and n > _MAX_NODES:
+        problems.append(f"graph.nodes: {n} nodes exceed the limit of {_MAX_NODES}")
+        n = None
     if n is None:
         return {}, problems
     d_max = _num(graph_sec, "d_max", problems, "graph", required=True)
@@ -457,7 +474,7 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
     sample_dt = _num(sim_sec, "sample_dt", problems, "sim", required=True, default=0.0)
     if sample_dt <= 0:
         problems.append("sim.sample_dt: must be positive")
-    master_seed = _int(sim_sec, "master_seed", problems, "sim", required=True, low=0)
+    master_seed = _int(sim_sec, "master_seed", problems, "sim", required=True, **_SEED)
     metrics_mode = sim_sec.get("metrics", "full")
     if metrics_mode not in ("full", "skew_only"):
         problems.append("sim.metrics: must be 'full' or 'skew_only'")

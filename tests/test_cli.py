@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import time
 
 import pytest
 
@@ -84,6 +85,21 @@ MALFORMED = {
         random16_mutant(lambda d: (d["clocks"]["default"].update(dwell=1e-300),
                                    d["sim"].update(horizon_cycles=5))),
         "rate segments up to the horizon exceed the limit"),
+    "template n one above the node limit": (
+        random16_mutant(lambda d: d["graph"]["template"].update(n=scen._MAX_NODES + 1)),
+        f"graph.template: {scen._MAX_NODES + 1} nodes exceed the limit"),
+    "grid template above the node limit": (
+        random16_mutant(lambda d: d["graph"].update(template={"kind": "grid", "rows": 10**5, "cols": 10**5})),
+        "graph.template: 10000000000 nodes exceed the limit"),
+    "master seed negative": (
+        random16_mutant(lambda d: d["sim"].update(master_seed=-1)), "sim.master_seed"),
+    "master seed of 2^64": (
+        random16_mutant(lambda d: d["sim"].update(master_seed=2**64)), "sim.master_seed"),
+    "random walk seed negative": (
+        random16_mutant(own_clock({"generator": "random_walk", "dwell": 10.0, "seed": -1})),
+        "clocks.nodes[0].seed"),
+    "template seed negative": (
+        random16_mutant(lambda d: d["graph"]["template"].update(seed=-1)), "graph.template.seed"),
 }
 
 
@@ -187,6 +203,21 @@ class TestRun:
             '  {\n    "detail": "hardware clock violated its drift envelope",\n'
             '    "kind": "aborted",\n    "time": null\n  }\n]\n'
         )
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_a_usage_error(self, seed, tmp_path, capsys):
+        path = write_doc(tmp_path, zero_drift_doc(False, horizon_cycles=5))
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["run", "--scenario", path, "--seed", seed, "--out", str(tmp_path / "out")])
+        assert exited.value.code == cli.EXIT_PARSE
+        assert f"--seed: must be an integer in [0, 2^64), got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        path = write_doc(tmp_path, zero_drift_doc(False, horizon_cycles=5))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--scenario", path, "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["seed"] == 2**64 - 1
 
     def test_seed_override_changes_hash(self, tmp_path):
         doc = zero_drift_doc(False, horizon_cycles=5)
@@ -337,6 +368,27 @@ class TestSweep:
         rc = cli.main(["sweep", "--scenario", path, "--grid", grid,
                        "--seeds", "1", "--out", str(tmp_path / "s")])
         assert rc == cli.EXIT_VALIDATION
+
+
+class TestNodeLimit:
+    """A billion-node graph, from a template or given explicitly with one
+    default clock, is rejected before anything of its size is built."""
+
+    @pytest.mark.parametrize("form", ["template", "explicit"])
+    def test_billion_nodes_exit_3_at_once(self, form, tmp_path, capsys):
+        doc = scen.load_document("random16")
+        doc["clocks"].pop("overrides")
+        if form == "template":
+            doc["graph"]["template"]["n"] = 10**9
+        else:
+            doc["graph"] = {**scen.expand_document(doc)[0]["graph"], "nodes": 10**9}
+        path = write_doc(tmp_path, doc)
+        started = time.perf_counter()
+        rc = cli.main(["check", "--scenario", path])
+        elapsed = time.perf_counter() - started
+        assert rc == cli.EXIT_VALIDATION
+        assert f"1000000000 nodes exceed the limit of {scen._MAX_NODES}" in capsys.readouterr().err
+        assert elapsed < 0.5
 
 
 class TestBundled:
