@@ -210,9 +210,8 @@ class _Simulation:
         self.buf_t: list[float] = []
         # full mode: (times, L, H, local, global, psi_levels) per chunk, after
         # a zero-row one, which is all a skew_only run keeps
-        self.chunks: list[tuple] = [
-            (np.zeros(0), np.zeros((0, n)), np.zeros((0, n)), np.zeros(0), np.zeros(0), np.zeros((0, sc.params.s_max)))
-        ]
+        empty, no_rows = np.zeros(0), np.zeros((0, n))
+        self.chunks: list[tuple] = [(empty, no_rows, no_rows, empty, empty, np.zeros((0, sc.params.s_max)))]
         self.edge_max = np.zeros(len(self.edges))
         self.max_global = 0.0
         self.first_exceed: float | None = None
