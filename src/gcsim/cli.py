@@ -120,7 +120,13 @@ def _apply_overrides(doc: dict, overrides: dict) -> dict:
                 raise ScenarioValidationError(
                     ["sweep over n requires a template-based graph section"]
                 )
+            # overrides of the base graph's nodes that this graph lacks are
+            # dropped; validation rejects any other key that names no node
+            base, over = tpl.get("n"), doc["clocks"].get("overrides")
             tpl["n"] = val
+            if isinstance(over, dict) and all(isinstance(x, int) for x in (base, val)):
+                for i in range(val, min(base, scen._MAX_NODES)):
+                    over.pop(str(i), None)
         else:  # eps_d, eps_m, jitter
             recs = [tpl.setdefault("edge", {})] if isinstance(tpl, dict) else graph.get("edges")
             for rec in recs if isinstance(recs, list) else []:

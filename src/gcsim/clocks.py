@@ -1,9 +1,8 @@
 """Hardware and logical clocks.
 
 Hardware clocks integrate a piecewise-constant rate held inside
-``[1, theta]``; a logical clock is the same integral with a correction
-multiplier (or additive boost) applied over the intervals the node spends
-in fast mode.  Piecewise-constant rates keep every value and inverse query
+``[1, theta]``; a logical clock is the same integral with the correction
+factor ``1 + mu`` applied over the intervals the node spends in fast mode.  Piecewise-constant rates keep every value and inverse query
 exact, which the trace oracles rely on.
 """
 from __future__ import annotations
@@ -73,24 +72,23 @@ class HardwareClock:
 class LogicalClock:
     """Hardware clock plus integrated rate correction.
 
-    In fast mode the clock advances at ``(1 + mu)`` times the hardware rate
-    (multiplicative semantics) or at the hardware rate plus ``mu``
-    (additive).  Mode changes append anchors; values before the last anchor
-    are never rewritten, so past queries stay exact.
+    Each anchor holds the clock's mode from its time on and the factor of
+    that mode: the clock advances at 1.0 times the hardware rate in
+    ``OWN_RATE`` and at ``(1 + mu)`` times it in ``FAST``.  Mode changes
+    append anchors; values before the last anchor are never rewritten, so
+    past queries stay exact.
     """
 
-    def __init__(self, hardware: HardwareClock, mu: float, semantics: str = "multiplicative"):
+    def __init__(self, hardware: HardwareClock, mu: float):
         if mu <= 0:
             raise ParameterError(f"mu must be positive, got {mu!r}")
-        if semantics not in ("multiplicative", "additive"):
-            raise ParameterError(f"unknown correction semantics {semantics!r}")
         self.hardware = hardware
         self.mu = mu
-        self.semantics = semantics
         self._times = [0.0]
         self._values = [hardware.initial_value]
         self._hw_at = [hardware.initial_value]
         self._modes = [OWN_RATE]
+        self._factors = [1.0]
 
     @property
     def mode_timeline(self) -> list[tuple[float, int]]:
@@ -104,12 +102,7 @@ class LogicalClock:
         if t < 0:
             raise ParameterError(f"time must be non-negative, got {t!r}")
         i = self._segment(t)
-        dh = self.hardware.value(t) - self._hw_at[i]
-        if self._modes[i] == OWN_RATE:
-            return self._values[i] + dh
-        if self.semantics == "multiplicative":
-            return self._values[i] + (1.0 + self.mu) * dh
-        return self._values[i] + dh + self.mu * (t - self._times[i])
+        return self._values[i] + self._factors[i] * (self.hardware.value(t) - self._hw_at[i])
 
     def value_pair(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(logical, hardware) at each of the instants ``times``, in any order.
@@ -129,14 +122,8 @@ class LogicalClock:
         a, b = self._segment(t0), bisect_right(self._times, t1)
         anchors = np.asarray(self._times[a:b])
         i = np.searchsorted(anchors, times, side="right") - 1
-        values = np.asarray(self._values[a:b])[i]
-        dh = h - np.asarray(self._hw_at[a:b])[i]
-        fast = np.asarray(self._modes[a:b])[i] == FAST
-        if self.semantics == "multiplicative":
-            boosted = values + (1.0 + self.mu) * dh
-        else:
-            boosted = values + dh + self.mu * (times - anchors[i])
-        return np.where(fast, boosted, values + dh), h
+        values, hw_at, factors = (np.asarray(x[a:b])[i] for x in (self._values, self._hw_at, self._factors))
+        return values + factors * (h - hw_at), h
 
     def set_mode(self, t: float, mode: int) -> None:
         """Switch correction mode at time t; past values stay unchanged."""
@@ -154,6 +141,7 @@ class LogicalClock:
         self._values.append(value_now)
         self._hw_at.append(hw_now)
         self._modes.append(mode)
+        self._factors.append(1.0 + self.mu if mode == FAST else 1.0)
 
     def invert(self, target: float) -> float:
         """Real time at which the logical clock reads ``target``.
@@ -166,54 +154,23 @@ class LogicalClock:
             )
         i = bisect_right(self._values, target) - 1
         i = max(i, 0)
-        mode = self._modes[i]
-        if mode == OWN_RATE:
-            return self.hardware.inverse(self._hw_at[i] + (target - self._values[i]))
-        if self.semantics == "multiplicative":
-            dh = (target - self._values[i]) / (1.0 + self.mu)
-            return self.hardware.inverse(self._hw_at[i] + dh)
-        return self._invert_additive(i, target)
-
-    def _invert_additive(self, i: int, target: float) -> float:
-        # Walk hardware segments from the anchor; each has combined slope
-        # rate + mu, so the crossing is an exact division.
-        t0 = self._times[i]
-        v0 = self._values[i]
-        hw = self.hardware
-        j = bisect_right(hw.starts, t0) - 1
-        t_end = self._times[i + 1] if i + 1 < len(self._times) else float("inf")
-        t_lo, v_lo = t0, v0
-        while True:
-            seg_end = hw.starts[j + 1] if j + 1 < len(hw.starts) else float("inf")
-            seg_end = min(seg_end, t_end)
-            slope = hw.rates[j] + self.mu
-            v_hi = v_lo + slope * (seg_end - t_lo) if seg_end < float("inf") else float("inf")
-            if target <= v_hi + _EQ_TOL or seg_end == float("inf"):
-                return t_lo + (target - v_lo) / slope
-            t_lo, v_lo = seg_end, v_hi
-            j += 1
+        return self.hardware.inverse(self._hw_at[i] + (target - self._values[i]) / self._factors[i])
 
 
 def _linear_piece(c: LogicalClock, t0: float, t1: float):
     """(cum, rate, start, value, hw_at, factor) of the one hardware segment
     and logical anchor that ``c`` keeps from t0 to t1, or None where a
-    breakpoint or an anchor lies in (t0, t1], or ``c`` is an additive clock
-    in fast mode.  On such a piece ``c`` reads
+    breakpoint or an anchor lies in (t0, t1].  On such a piece ``c`` reads
     ``value + factor * (cum + rate * (t - start) - hw_at)``, the scalar
-    formula of :meth:`LogicalClock.value`, since x * 1.0 == x exactly.
+    formula of :meth:`LogicalClock.value`.
     """
     hw = c.hardware
     starts, anchors = hw.starts, c._times
     j = bisect_right(starts, t0) - 1
     i = bisect_right(anchors, t0) - 1
-    fast = c._modes[i] == FAST
-    if (
-        bisect_right(starts, t1) - 1 != j
-        or bisect_right(anchors, t1) - 1 != i
-        or (fast and c.semantics == "additive")
-    ):
+    if bisect_right(starts, t1) - 1 != j or bisect_right(anchors, t1) - 1 != i:
         return None
-    return hw._cum[j], hw.rates[j], starts[j], c._values[i], c._hw_at[i], 1.0 + c.mu if fast else 1.0
+    return hw._cum[j], hw.rates[j], starts[j], c._values[i], c._hw_at[i], c._factors[i]
 
 
 def sample_clocks(clocks, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

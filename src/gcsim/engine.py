@@ -118,7 +118,6 @@ class Scenario:
     timeout: float  # round-trip budget in local time, see twoway.timeout_window
     horizon_cycles: int | None = None
     horizon_time: float | None = None
-    correction_semantics: str = "multiplicative"
     gcs_enabled: bool = True
     metrics_mode: str = "full"
     scenario_hash: str = ""
@@ -164,7 +163,7 @@ class _Simulation:
         # it evaluates, by neighbour in neighbour order: [l_v_t1, request
         # arrival, reply emission, reply arrival] with the real times of the
         # three legs (inf: not known yet)
-        self.clocks = [LogicalClock(hw, sc.params.mu, sc.correction_semantics) for hw in sc.hardware]
+        self.clocks = [LogicalClock(hw, sc.params.mu) for hw in sc.hardware]
         self.cycle = [0] * n
         self.pending: list[dict] = [dict() for _ in range(n)]
         self.done: set[int] = set()
@@ -192,7 +191,7 @@ class _Simulation:
         self._own = np.arange(self._nb.shape[1]) < self._deg[:, None]  # not a pad
         # triggers use the static per-edge error bound as their delta; a pad's is 0
         self._thresholds = gcs.trigger_thresholds(
-            self._nb_kappa, np.where(self._own, self._nb_kappa, 0.0), sc.params.s_max, sc.params.hysteresis
+            self._nb_kappa, np.where(self._own, self._nb_kappa, 0.0), sc.params.s_max
         )
         self._levels = range(1, sc.params.s_max + 1)
         # Ground-truth checks waiting for the next chunk, one entry per

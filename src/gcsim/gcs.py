@@ -30,7 +30,6 @@ class GcsParams:
     T: float
     T_stab: float
     s_max: int
-    hysteresis: float = 0.0
 
     @property
     def cycle_length(self) -> float:
@@ -57,18 +56,14 @@ class GcsParams:
             problems.append("T_stab must be positive")
         if self.s_max < 1:
             problems.append("s_max must be at least 1")
-        if self.hysteresis < 0:
-            problems.append("hysteresis must be non-negative")
         return problems
 
 
-def trigger_thresholds(
-    kappa: np.ndarray, delta: np.ndarray, s_max: int, hysteresis: float = 0.0
-) -> np.ndarray:
+def trigger_thresholds(kappa: np.ndarray, delta: np.ndarray, s_max: int) -> np.ndarray:
     """The thresholds of :func:`trigger_levels` for edge weights ``kappa``
     and estimate error bounds ``delta``, each (..., D): an array (..., 4,
-    s_max, D) holding, per level s, -((2s-1)*kappa + hysteresis),
-    (2s-1)*kappa, 2s*kappa - delta + hysteresis and -(2s*kappa + delta).
+    s_max, D) holding, per level s, -(2s-1)*kappa, (2s-1)*kappa,
+    2s*kappa - delta and -(2s*kappa + delta).
 
     Each is computed in the order a scalar evaluation, one neighbour at a
     time, computes it (an int level factor times kappa is the same
@@ -81,7 +76,7 @@ def trigger_thresholds(
     kappa, delta = kappa[..., None, :], delta[..., None, :]
     odd = (2 * s - 1) * kappa
     even = 2 * s * kappa
-    thresholds = (-(odd + hysteresis), odd, even - delta + hysteresis, -(even + delta))
+    thresholds = (-odd, odd, even - delta, -(even + delta))
     return np.stack(np.broadcast_arrays(*thresholds), axis=-3)
 
 
@@ -95,14 +90,14 @@ def trigger_levels(lead: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray
     ``thresholds[r]`` are its edges' thresholds from
     :func:`trigger_thresholds`.
 
-    Slow at level s: some neighbour trails by >= (2s-1)*kappa (plus the
-    hysteresis) and none leads by more than (2s-1)*kappa.  Fast at level
-    s: some neighbour leads by more than 2s*kappa - delta (plus the
-    hysteresis) and none trails by 2s*kappa + delta or more.  Each clause
-    counts the neighbours whose lead exceeds one threshold: trailing by
-    >= x is not leading by more than -x, and trailing by less than x is
-    leading by more than -x.  A pad leads by 0, which exceeds -inf and not
-    +inf, so it changes no count that a clause tests.
+    Slow at level s: some neighbour trails by >= (2s-1)*kappa and none
+    leads by more than (2s-1)*kappa.  Fast at level s: some neighbour leads
+    by more than 2s*kappa - delta and none trails by 2s*kappa + delta or
+    more.  Each clause counts the neighbours whose lead exceeds one
+    threshold: trailing by >= x is not leading by more than -x, and
+    trailing by less than x is leading by more than -x.  A pad leads by 0,
+    which exceeds -inf and not +inf, so it changes no count that a clause
+    tests.
     """
     D = lead.shape[1]
     over = np.add.reduce(lead[:, None, None, :] > thresholds, axis=3)

@@ -45,7 +45,7 @@ _EDGE_KEYS = {"u", "v", *_EDGE_NUMS}
 _EDGE_REQUIRED = {"u", "v", "fwd_delay", "bwd_delay"}
 _TEMPLATE_KEYS = {"kind", "n", "rows", "cols", "extra_edges", "seed", "edge"}
 _CLOCK_KEYS = {"theta", "mu", "default", "overrides", "nodes"}
-_GCS_KEYS = {"T", "T_stab", "s_max", "hysteresis", "p_max", "correction_semantics", "enabled"}
+_GCS_KEYS = {"T", "T_stab", "s_max", "p_max", "enabled"}
 _SIM_KEYS = {"horizon_cycles", "horizon_time", "sample_dt", "master_seed", "metrics"}
 _GEN_KEYS = {
     "constant": {"rate"},
@@ -72,6 +72,12 @@ _GATE_BLOCK = 1 << 16
 # schedule is built: each is a clock segment, a heap event and a sample of
 # the run, and a tiny dwell would otherwise allocate until memory runs out
 _MAX_RATE_SEGMENTS = 1 << 20
+# sampling ticks up to the same horizon: each is a heap event and a sample
+# of the run, like a rate segment
+_MAX_SAMPLE_TICKS = 1 << 20
+# values of the engine's trigger threshold table, 4 * n * D * s_max float64
+# (D the largest degree), checked for a given and a derived s_max alike
+_MAX_LEVEL_TABLE = 1 << 24
 
 
 def bundled_names() -> list[str]:
@@ -159,6 +165,11 @@ def _expand_graph_template(tpl: dict, problems: list[str]) -> tuple[int, list[di
     if n > _MAX_NODES:
         problems.append(f"{where}: {n} nodes exceed the limit of {_MAX_NODES}")
         return 0, []
+    # the links a graph of n nodes has beyond a spanning tree
+    room = (n - 1) * (n - 2) // 2
+    if not 0 <= extra <= room:
+        problems.append(f"{where}.extra_edges: must be an integer in [0, {room}]")
+        return 0, []
     edges: list[tuple[int, int]] = []
     if kind == "line":
         edges = [(i, i + 1) for i in range(n - 1)]
@@ -223,8 +234,10 @@ def expand_document(doc: dict) -> tuple[dict, list[str]]:
                 and all(isinstance(o, dict) for o in overrides.values())):
             problems.append("clocks: default and every override must be objects")
         elif isinstance(n, int):
-            if n <= _MAX_NODES:  # validation rejects a larger graph
+            if 0 < n <= _MAX_NODES:  # validation rejects any other count
                 clocks["nodes"] = [{**default, **overrides.get(str(i), {})} for i in range(n)]
+                problems.extend(f"clocks.overrides[{key!r}]: not a node id in 0..{n - 1}"
+                                for key in sorted(set(overrides) - {str(i) for i in range(n)}))
         else:
             problems.append("clocks: cannot expand default/overrides without graph.nodes")
     return doc, problems
@@ -443,9 +456,6 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
     p_max = _num(gcs_sec, "p_max", problems, "gcs", default=0.0)
     if p_max < 0:
         problems.append("gcs.p_max: must be non-negative")
-    semantics = gcs_sec.get("correction_semantics", "multiplicative")
-    if semantics not in ("multiplicative", "additive"):
-        problems.append(f"gcs.correction_semantics: unknown value {semantics!r}")
     enabled = gcs_sec.get("enabled", True)
     if not isinstance(enabled, bool):
         problems.append("gcs.enabled: must be a boolean")
@@ -457,7 +467,6 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
         T=_num(gcs_sec, "T", problems, "gcs", required=True, default=0.0),
         T_stab=_num(gcs_sec, "T_stab", problems, "gcs", required=True, default=0.0),
         s_max=1 if s_max is None else s_max,
-        hysteresis=_num(gcs_sec, "hysteresis", problems, "gcs", default=0.0),
     )
     problems.extend(params.validate())
 
@@ -506,6 +515,11 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
             f"clocks.nodes: {segments:.6g} rate segments up to the horizon exceed the limit of "
             f"{_MAX_RATE_SEGMENTS}; raise dwell or shorten the horizon"
         )
+    if horizon / sample_dt > _MAX_SAMPLE_TICKS:
+        problems.append(
+            f"sim.sample_dt: {horizon / sample_dt:.6g} sampling ticks up to the horizon exceed the "
+            f"limit of {_MAX_SAMPLE_TICKS}; raise sample_dt or shorten the horizon"
+        )
     if problems:
         return {}, problems
 
@@ -515,6 +529,12 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
         g_bound = theorem3_bound(dist, params.sigma)
         levels = theorem2_levels(min(kappa.values()), g_bound, params.sigma)
         params = replace(params, s_max=max(1, levels) + 1)
+    table = 4 * n * max(len(g.neighbors(v)) for v in range(n)) * params.s_max
+    if table > _MAX_LEVEL_TABLE:
+        problems.append(
+            f"gcs.s_max: {params.s_max} {'levels' if s_max is not None else 'derived levels'} make a "
+            f"trigger threshold table of {table} values, above the limit of {_MAX_LEVEL_TABLE}"
+        )
     if problems:
         return {}, problems
     if seed_override is not None:
@@ -531,7 +551,6 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
         timeout=timeout,
         horizon_cycles=horizon_cycles,
         horizon_time=horizon_time,
-        correction_semantics=semantics,
         gcs_enabled=enabled,
         metrics_mode=metrics_mode,
     ), problems

@@ -383,9 +383,7 @@ def value_pair(c: LogicalClock, t: float) -> tuple[float, float]:
     dh = h - c._hw_at[i]
     if c._modes[i] == OWN_RATE:
         return c._values[i] + dh, h
-    if c.semantics == "multiplicative":
-        return c._values[i] + (1.0 + c.mu) * dh, h
-    return c._values[i] + dh + c.mu * (t - c._times[i]), h
+    return c._values[i] + (1.0 + c.mu) * dh, h
 
 
 def _fmt(x: float) -> str:

@@ -40,7 +40,9 @@ def random16_mutant(mutate):
 
 def explicit_mutant(mutate, n=16):
     doc = scen.load_document("random16")
-    doc["graph"]["template"]["n"] = n
+    tpl = doc["graph"]["template"]
+    # a graph of n nodes has room for (n - 1)(n - 2)/2 extra edges
+    tpl.update(n=n, extra_edges=min(tpl["extra_edges"], (n - 1) * (n - 2) // 2))
     doc["clocks"].pop("overrides")
     doc, _ = scen.expand_document(doc)
     mutate(doc)
@@ -100,6 +102,46 @@ MALFORMED = {
         "clocks.nodes[0].seed"),
     "template seed negative": (
         random16_mutant(lambda d: d["graph"]["template"].update(seed=-1)), "graph.template.seed"),
+    "override key past the last node": (
+        random16_mutant(lambda d: d["clocks"]["overrides"].update({"99": {"start_high": True}})),
+        "clocks.overrides['99']"),
+    "override key not a node id": (
+        random16_mutant(lambda d: d["clocks"]["overrides"].update(x={"start_high": True})),
+        "clocks.overrides['x']"),
+    "gcs hysteresis": (
+        random16_mutant(lambda d: d["gcs"].update(hysteresis=0.0)), "gcs: unknown keys ['hysteresis']"),
+    "gcs correction semantics": (
+        random16_mutant(lambda d: d["gcs"].update(correction_semantics="multiplicative")),
+        "gcs: unknown keys ['correction_semantics']"),
+}
+
+
+def derived_levels_mutant(mu):
+    """random16 at 5 cycles with theta 1.001, ``mu`` and a derived s_max."""
+    def mutate(doc):
+        doc["clocks"].update(theta=1.001, mu=mu)
+        doc["gcs"].pop("s_max", None)
+        doc["sim"]["horizon_cycles"] = 5
+    return random16_mutant(mutate)
+
+
+# inputs whose size a limit bounds: each mutation, the command it fails,
+# and the field its validation line names
+OVERSIZED = {
+    "extra edges negative": (
+        random16_mutant(lambda d: d["graph"]["template"].update(extra_edges=-5)), "check",
+        "graph.template.extra_edges: must be an integer in [0, 105]"),
+    "a billion extra edges": (
+        random16_mutant(lambda d: d["graph"]["template"].update(n=2048, extra_edges=10**9)), "check",
+        "graph.template.extra_edges: must be an integer in [0, 2094081]"),
+    "a billion levels": (
+        random16_mutant(lambda d: d["gcs"].update(s_max=10**9)), "run",
+        "gcs.s_max: 1000000000 levels"),
+    "177 million derived levels": (
+        derived_levels_mutant(0.0010000001), "run", "gcs.s_max: 177275141 derived levels"),
+    "thirty million sampling ticks": (
+        random16_mutant(lambda d: d["sim"].update(sample_dt=1e-6, horizon_cycles=5)), "run",
+        "sim.sample_dt: 3e+07 sampling ticks"),
 }
 
 
@@ -299,6 +341,18 @@ class TestSweep:
         rows = (out / "sweep.csv").read_text().splitlines()
         assert "error" in rows[1]
 
+    def test_smaller_n_drops_the_overrides_of_removed_nodes(self, tmp_path):
+        # random16 overrides nodes 1, 3, ..., 15
+        doc = scen.load_document("random16")
+        doc["sim"]["horizon_cycles"] = 5
+        path = write_doc(tmp_path, doc)
+        grid = write_doc(tmp_path, {"n": [8, 16]}, name="grid.json")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--scenario", path, "--grid", grid,
+                        "--seeds", "1", "--out", str(out)]) == cli.EXIT_OK
+        with open(out / "sweep.csv", newline="") as fh:
+            assert [(r["n"], r["status"]) for r in csv.DictReader(fh)] == [("8", "ok"), ("16", "ok")]
+
     def test_bad_row_does_not_sink_the_sweep(self, tmp_path):
         doc = scen.load_document("random16")
         doc["sim"]["horizon_cycles"] = 20
@@ -389,6 +443,32 @@ class TestNodeLimit:
         assert rc == cli.EXIT_VALIDATION
         assert f"1000000000 nodes exceed the limit of {scen._MAX_NODES}" in capsys.readouterr().err
         assert elapsed < 0.5
+
+
+class TestInputLimits:
+    """An input that a limit bounds is rejected before anything of its size
+    is built or run."""
+
+    @pytest.mark.parametrize("label", sorted(OVERSIZED))
+    def test_oversized_input_exits_3_at_once(self, label, tmp_path, capsys):
+        doc, command, field = OVERSIZED[label]
+        argv = [command, "--scenario", write_doc(tmp_path, doc)]
+        started = time.perf_counter()
+        rc = cli.main(argv + (["--out", str(tmp_path / "out")] if command == "run" else []))
+        elapsed = time.perf_counter() - started
+        assert rc == cli.EXIT_VALIDATION
+        assert any(line.startswith("validation: ") and field in line
+                   for line in capsys.readouterr().err.splitlines())
+        assert elapsed < 0.5
+
+    def test_eight_thousand_derived_levels_run(self, tmp_path, capsys):
+        doc = derived_levels_mutant(0.001001)
+        assert cli.main(["check", "--scenario", write_doc(tmp_path, doc)]) == cli.EXIT_OK
+        assert "s_max              8524\n" in capsys.readouterr().out
+        # the derived level count does not depend on the horizon
+        doc["sim"]["horizon_cycles"] = 1
+        assert cli.main(["run", "--scenario", write_doc(tmp_path, doc),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
 
 
 class TestBundled:

@@ -51,11 +51,6 @@ class TestLogicalValue:
         c.set_mode(10.0, OWN_RATE)
         assert c.value(20.0) == pytest.approx(21.21, abs=1e-12)
 
-    def test_additive_semantics(self):
-        c = LogicalClock(hw(segments=((0.0, 1.01),)), mu=0.1, semantics="additive")
-        c.set_mode(0.0, FAST)
-        assert c.value(10.0) == pytest.approx(10.1 + 1.0, abs=1e-12)
-
 
 class TestSetMode:
     def test_fast_from_zero(self):
@@ -99,14 +94,6 @@ class TestInvert:
         c = LogicalClock(hw(initial=5.0), mu=0.1)
         with pytest.raises(ParameterError):
             c.invert(4.0)
-
-    def test_additive_invert_round_trip(self):
-        c = LogicalClock(hw(segments=((0.0, 1.01), (7.0, 1.02))), mu=0.1, semantics="additive")
-        c.set_mode(3.0, FAST)
-        c.set_mode(12.0, OWN_RATE)
-        c.set_mode(20.0, FAST)
-        for target in (1.0, 5.0, 13.4, 25.0, 60.0):
-            assert c.value(c.invert(target)) == pytest.approx(target, abs=1e-12)
 
 
 class TestLipschitz:
@@ -180,12 +167,7 @@ def mixed_clocks():
     switching = LogicalClock(hw(0.0, ((0.0, 1.011), (3.0, 1.004))), mu=0.1)
     switching.set_mode(2.5, FAST)
     switching.set_mode(5.0, OWN_RATE)
-    additive = LogicalClock(hw(0.4, ((0.0, 1.019),)), mu=0.05, semantics="additive")
-    additive.set_mode(1.5, FAST)
-    additive_switching = LogicalClock(hw(0.0, ((0.0, 1.0), (4.5, 1.02))), mu=0.05,
-                                      semantics="additive")
-    additive_switching.set_mode(3.3, FAST)
-    return [steady, fast, hw_break, switching, additive, additive_switching]
+    return [steady, fast, hw_break, switching]
 
 
 class TestSampleClocks:
@@ -216,7 +198,6 @@ class TestSampleClocks:
             c = LogicalClock(
                 HardwareClock(data.draw(st.floats(0.0, 5.0)), *sched),
                 mu=data.draw(st.floats(0.01, 0.5)),
-                semantics=data.draw(st.sampled_from(["multiplicative", "additive"])),
             )
             switches = sorted(set(data.draw(st.lists(st.floats(0.0, 30.0), max_size=5))))
             for k, t in enumerate(switches):

@@ -260,7 +260,7 @@ class TestMetricsModes:
 TRACE_ARRAYS = ("times", "logical", "hardware", "modes", "local_skew", "global_skew", "psi_levels")
 
 
-def flipping_antiphase_doc(semantics: str) -> dict:
+def flipping_antiphase_doc() -> dict:
     """Antiphase clocks whose rates swap once, off the sampling grid, after
     the skew has grown enough for the nodes to change mode."""
     doc = random_suite_doc(12)
@@ -270,17 +270,15 @@ def flipping_antiphase_doc(semantics: str) -> dict:
     for spec in doc["clocks"]["overrides"].values():
         del spec["rate"]
         spec["start_high"] = True
-    doc["gcs"]["correction_semantics"] = semantics
     return doc
 
 
 class TestChunking:
     """Clocks are read chunk by chunk; where the chunks end changes nothing."""
 
-    @pytest.mark.parametrize("semantics", ["multiplicative", "additive"])
     @pytest.mark.parametrize("chunk_values", [1, 50])
-    def test_chunk_size_does_not_change_the_run(self, monkeypatch, semantics, chunk_values):
-        doc = flipping_antiphase_doc(semantics)
+    def test_chunk_size_does_not_change_the_run(self, monkeypatch, chunk_values):
+        doc = flipping_antiphase_doc()
         ref = engine.run(scen.build_scenario(doc))
         monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
         res = engine.run(scen.build_scenario(doc))
@@ -416,8 +414,7 @@ def run_recording_mode_decisions(doc):
 
 
 SPARSE_DOCS = {
-    "flipping": lambda: flipping_antiphase_doc("multiplicative"),
-    "additive": lambda: flipping_antiphase_doc("additive"),
+    "flipping": flipping_antiphase_doc,
     "random_walk": lambda: random_suite_doc(2),
     "swapped_rates": swapped_rates_doc,
 }

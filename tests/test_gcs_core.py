@@ -8,21 +8,21 @@ def fired(row: np.ndarray) -> tuple[int, ...]:
     return tuple((np.flatnonzero(row) + 1).tolist())
 
 
-def levels(gaps, kappa, delta, s_max=1, hysteresis=0.0):
+def levels(gaps, kappa, delta, s_max=1):
     """(slow, fast) levels at which one node's triggers fire, its estimate
     of neighbour x leading its own value by gaps[x]."""
     xs = sorted(gaps)
     row = lambda d: np.array([[d[x] for x in xs]], dtype=float)
-    slow, fast = trigger_levels(row(gaps), trigger_thresholds(row(kappa), row(delta), s_max, hysteresis))
+    slow, fast = trigger_levels(row(gaps), trigger_thresholds(row(kappa), row(delta), s_max))
     return fired(slow[0]), fired(fast[0])
 
 
-def slow_levels(gaps, kappa, delta, s_max=1, hysteresis=0.0):
-    return levels(gaps, kappa, delta, s_max, hysteresis)[0]
+def slow_levels(gaps, kappa, delta, s_max=1):
+    return levels(gaps, kappa, delta, s_max)[0]
 
 
-def fast_levels(gaps, kappa, delta, s_max=1, hysteresis=0.0):
-    return levels(gaps, kappa, delta, s_max, hysteresis)[1]
+def fast_levels(gaps, kappa, delta, s_max=1):
+    return levels(gaps, kappa, delta, s_max)[1]
 
 
 class TestSlowTrigger:
@@ -60,16 +60,16 @@ class TestEvaluateMode:
         assert levels({1: -1.5}, {1: 1.0}, {1: 1.0}, s_max=2) == ((1,), ())
 
 
-def brute_force_levels(gaps, kappa, delta, s_max, hysteresis=0.0):
+def brute_force_levels(gaps, kappa, delta, s_max):
     st, ft = [], []
     for s in range(1, s_max + 1):
         c = 2 * s - 1
-        st1 = any(-gaps[x] >= c * kappa[x] + hysteresis for x in gaps)
+        st1 = any(-gaps[x] >= c * kappa[x] for x in gaps)
         st2 = all(gaps[y] <= c * kappa[y] for y in gaps)
         if st1 and st2:
             st.append(s)
         c = 2 * s
-        ft1 = any(gaps[x] > c * kappa[x] - delta[x] + hysteresis for x in gaps)
+        ft1 = any(gaps[x] > c * kappa[x] - delta[x] for x in gaps)
         ft2 = all(-gaps[y] < c * kappa[y] + delta[y] for y in gaps)
         if ft1 and ft2:
             ft.append(s)
@@ -106,12 +106,6 @@ class TestAgainstBruteForce:
             kappa = {x: float(rng.uniform(0.1, 3.0)) for x in gaps}
             st, ft = levels(gaps, kappa, kappa, s_max=4)
             assert not (st and ft)
-
-    def test_hysteresis_raises_both_existential_thresholds(self):
-        assert 1 in fast_levels({1: 1.9}, {1: 1.0}, {1: 0.2}, hysteresis=0.0)
-        assert 1 not in fast_levels({1: 1.9}, {1: 1.0}, {1: 0.2}, hysteresis=0.2)
-        assert 1 in slow_levels({1: -1.5}, {1: 1.0}, {1: 1.0}, hysteresis=0.4)
-        assert 1 not in slow_levels({1: -1.5}, {1: 1.0}, {1: 1.0}, hysteresis=0.6)
 
 
 class TestGcsParams:
