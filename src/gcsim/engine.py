@@ -43,6 +43,7 @@ import time as _time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import gcs, metrics
 from .clocks import FAST, OWN_RATE, LogicalClock, read_clocks, sample_clocks
@@ -54,7 +55,7 @@ from .twoway import compute_estimates, estimate_value
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["StreamRegistry", "seeded_stream", "Scenario", "RunResult", "run"]
+__all__ = ["StreamRegistry", "seeded_streams", "seeded_stream", "Scenario", "RunResult", "run"]
 
 # Event kinds.  Each payload holds only what its handler reads.
 K_WAKEUP = 0  # (v, k): node v starts cycle k and sends its requests
@@ -78,11 +79,6 @@ _INF = float("inf")
 _CHUNK_VALUES = 8192
 
 
-def _label_entropy(label: str) -> list[int]:
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-
-
 class StreamRegistry:
     """Hands out independent, reproducible RNG substreams by label."""
 
@@ -90,17 +86,76 @@ class StreamRegistry:
         self.master_seed = master_seed
         self._labels: set[str] = set()
 
-    def stream(self, label: str) -> np.random.Generator:
-        if label in self._labels:
-            raise ConfigError(f"RNG stream label reused: {label!r}")
-        self._labels.add(label)
-        return seeded_stream(self.master_seed, label)
+    def streams(self, labels: list[str]) -> list[np.random.Generator]:
+        """One substream per label, seeded in one batch.  A label given twice,
+        in this batch or an earlier one, is a ``ConfigError``."""
+        for label in labels:
+            if label in self._labels:
+                raise ConfigError(f"RNG stream label reused: {label!r}")
+            self._labels.add(label)
+        return seeded_streams([(self.master_seed, label) for label in labels])
+
+
+def _state_hash_constants() -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of ``SeedSequence.generate_state``'s
+    hash for the 8 words of a 4 x uint64 state: word i xors the i-th value
+    of the chain h = INIT_B, h *= MULT_B (mod 2^32) and multiplies by the
+    next, whatever the pool."""
+    xor, mul, h = [], [], 0x8B51F9DD
+    for _ in range(8):
+        xor.append(h)
+        h = h * 0x58F38DED & 0xFFFFFFFF
+        mul.append(h)
+    return np.array(xor, dtype=np.uint32), np.array(mul, dtype=np.uint32)
+
+
+_STATE_XOR, _STATE_MUL = _state_hash_constants()
+
+
+class _GeneratedState(ISeedSequence):
+    """A seed sequence whose state is already generated: ``PCG64`` asks for
+    its four uint64 words once, when it is built."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"pre-generated state is 4 x uint64, not {n_words} x {np.dtype(dtype)}")
+        return self.state
+
+
+def seeded_streams(pairs: list[tuple[int, str]]) -> list[np.random.Generator]:
+    """One labelled substream per (seed, label) pair, seeded in one batch.
+
+    Each generator draws what ``PCG64(SeedSequence([seed, *w]))`` does, w
+    the four little-endian 32-bit words of ``sha256(label)[:16]``: a pair's
+    entropy is the same words as a uint32 array (the seed's little-endian
+    words first, one below 2^32, two above), its ``SeedSequence`` mixes
+    them into the same pool, and one array pass hashes every pool into its
+    PCG64 state as ``generate_state(4, np.uint64)`` would, with the same
+    uint32 wrap-around.  The generators cannot ``spawn`` children.
+    """
+    if not pairs:
+        return []
+    pools = np.empty((len(pairs), 4), dtype=np.uint32)
+    for row, (seed, label) in zip(pools, pairs):
+        seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        entropy = seed.to_bytes(4 if seed < 1 << 32 else 8, "little")
+        entropy += hashlib.sha256(label.encode("utf-8")).digest()[:16]
+        row[:] = np.random.SeedSequence(np.frombuffer(entropy, dtype="<u4")).pool
+    words = np.tile(pools, 2) ^ _STATE_XOR  # word i reads pool word i % 4
+    words *= _STATE_MUL
+    words ^= words >> 16
+    states = words.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_GeneratedState(state))) for state in states]
 
 
 def seeded_stream(master_seed: int, purpose_label: str) -> np.random.Generator:
-    """One-off labelled substream (no reuse tracking)."""
-    seq = np.random.SeedSequence([master_seed & 0xFFFFFFFFFFFFFFFF] + _label_entropy(purpose_label))
-    return np.random.Generator(np.random.PCG64(seq))
+    """One-off labelled substream (no reuse tracking).  Its bit generator's
+    ``seed_seq`` holds only the generated state, so the generator cannot
+    ``spawn`` children."""
+    return seeded_streams([(master_seed, purpose_label)])[0]
 
 
 @dataclass
@@ -148,15 +203,18 @@ class _Simulation:
         g = sc.graph
         n = g.n
         self.registry = StreamRegistry(sc.master_seed)
+        directions = [(a, b, base, p, sc.kappa[(u, v)])
+                      for u, v, p in g.edges for a, b, base in ((u, v, p.fwd_delay), (v, u, p.bwd_delay))]
+        kinds = ("delay", "proc") if sc.p_max > 0 else ("delay",)
+        streams = iter(self.registry.streams([f"{kind}:{a}->{b}" for a, b, *_ in directions for kind in kinds]))
         # each direction a->b: (base delay, jitter, the ``random`` of stream
         # delay:a->b, that of proc:a->b or None when p_max is 0, eps_d,
         # eps_m, kappa)
         self.links = {}
-        for u, v, p in g.edges:
-            for a, b, base in ((u, v, p.fwd_delay), (v, u, p.bwd_delay)):
-                draw = self.registry.stream(f"delay:{a}->{b}").random
-                proc = self.registry.stream(f"proc:{a}->{b}").random if sc.p_max > 0 else None
-                self.links[(a, b)] = (base, p.jitter, draw, proc, p.eps_d, p.eps_m, sc.kappa[(u, v)])
+        for a, b, base, p, kappa in directions:
+            draw = next(streams).random
+            proc = next(streams).random if sc.p_max > 0 else None
+            self.links[(a, b)] = (base, p.jitter, draw, proc, p.eps_d, p.eps_m, kappa)
 
         # per node: its clock (whose anchors are its mode timeline), the
         # cycle of its last wakeup, and its exchanges of that cycle until

@@ -165,8 +165,10 @@ def _expand_graph_template(tpl: dict, problems: list[str]) -> tuple[int, list[di
     if n > _MAX_NODES:
         problems.append(f"{where}: {n} nodes exceed the limit of {_MAX_NODES}")
         return 0, []
-    # the links a graph of n nodes has beyond a spanning tree
-    room = (n - 1) * (n - 2) // 2
+    # the links a graph of n nodes has beyond a spanning tree, at most 4n:
+    # the random template tries up to 100n of them, and expansion and
+    # validation time grow with the edges drawn
+    room = min((n - 1) * (n - 2) // 2, 4 * n)
     if not 0 <= extra <= room:
         problems.append(f"{where}.extra_edges: must be an integer in [0, {room}]")
         return 0, []

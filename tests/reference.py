@@ -4,8 +4,8 @@ Plain-Python, one-instant versions of what the engine computes vectorized
 (clock samples, skews, potentials, the trailing-node test, the slow and
 fast conditions) or per pair of samples (the hardware drift envelope), the
 engine's ground-truth checks made one event at a time, the row-by-row
-trace writer, the per-source Dijkstra behind the kappa distance matrix and
-the pair-by-pair boot-up gate.  Tests check the engine against them; the
+trace writer, the per-source Dijkstra behind the kappa distance matrix,
+the pair-by-pair boot-up gate and the one-stream-at-a-time RNG seeding.  Tests check the engine against them; the
 package itself does not use them.
 
 ``ThreeEventExchange`` is the reference twin of the engine's exchanges and
@@ -17,6 +17,7 @@ at a time.
 """
 from __future__ import annotations
 
+import hashlib
 import heapq
 from dataclasses import dataclass
 
@@ -28,6 +29,17 @@ from gcsim.errors import GcsSimError, ParameterError
 from gcsim.trace import Trace, Violation
 
 _TIE_TOL = 1e-12
+
+
+def seeded_stream(master_seed: int, purpose_label: str) -> np.random.Generator:
+    """The labelled substream seeded on its own: a ``SeedSequence`` over the
+    seed masked to 64 bits and the four little-endian 32-bit words of
+    ``sha256(label)[:16]``, as Python ints.  ``engine.seeded_streams`` must
+    draw what this draws."""
+    digest = hashlib.sha256(purpose_label.encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    seq = np.random.SeedSequence([master_seed & 0xFFFFFFFFFFFFFFFF] + words)
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def local_skew(values, edges) -> float:

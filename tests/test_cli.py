@@ -130,10 +130,13 @@ def derived_levels_mutant(mu):
 OVERSIZED = {
     "extra edges negative": (
         random16_mutant(lambda d: d["graph"]["template"].update(extra_edges=-5)), "check",
-        "graph.template.extra_edges: must be an integer in [0, 105]"),
+        "graph.template.extra_edges: must be an integer in [0, 64]"),
     "a billion extra edges": (
         random16_mutant(lambda d: d["graph"]["template"].update(n=2048, extra_edges=10**9)), "check",
-        "graph.template.extra_edges: must be an integer in [0, 2094081]"),
+        "graph.template.extra_edges: must be an integer in [0, 8192]"),
+    "every extra edge a 1024-node graph has room for": (
+        random16_mutant(lambda d: d["graph"]["template"].update(n=1024, extra_edges=1023 * 1022 // 2)),
+        "check", "graph.template.extra_edges: must be an integer in [0, 4096]"),
     "a billion levels": (
         random16_mutant(lambda d: d["gcs"].update(s_max=10**9)), "run",
         "gcs.s_max: 1000000000 levels"),

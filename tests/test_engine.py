@@ -2,14 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gcsim import engine, metrics
 from gcsim import scenario as scen
 from gcsim.clocks import FAST, sample_clocks
-from gcsim.engine import StreamRegistry, seeded_stream
+from gcsim.engine import StreamRegistry, seeded_stream, seeded_streams
 from gcsim.errors import ConfigError, InternalError, RunAborted, ScenarioValidationError
 from gcsim.topology import EdgeParams
 
+import reference
 from reference import Recording, ThreeEventExchange, boot_up_gate, recorded_run
 from scenario_gen import (
     antiphase_line_doc,
@@ -33,10 +36,42 @@ class TestSeededStreams:
         assert list(a.random(16)) != list(b.random(16))
 
     def test_registry_rejects_reuse(self):
+        with pytest.raises(ConfigError, match="'clock:0'"):
+            StreamRegistry(3).streams(["clock:0", "clock:1", "clock:0"])
         reg = StreamRegistry(3)
-        reg.stream("clock:0")
-        with pytest.raises(ConfigError):
-            reg.stream("clock:0")
+        reg.streams(["clock:0", "clock:1"])
+        with pytest.raises(ConfigError, match="'clock:1'"):
+            reg.streams(["clock:2", "clock:1"])
+
+    # one-word and two-word seeds at their ends
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+    @staticmethod
+    def first_draws(rng: np.random.Generator, k: int, s: float) -> tuple:
+        return rng.random(), int(rng.integers(0, k)), rng.uniform(-s, s)
+
+    @given(
+        pairs=st.lists(st.tuples(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1), st.text()), max_size=6),
+        k=st.integers(1, 2**62),
+        s=st.floats(1e-9, 1e9),
+    )
+    @example(pairs=[(seed, label) for seed in EDGE_SEEDS for label in ("", "delay:0->1", "clock:ü→∞")], k=3, s=0.5)
+    @settings(max_examples=80, deadline=None)
+    def test_batch_draws_what_one_at_a_time_draws(self, pairs, k, s):
+        streams = seeded_streams(pairs)
+        assert len(streams) == len(pairs)
+        for (seed, label), rng in zip(pairs, streams):
+            want = self.first_draws(reference.seeded_stream(seed, label), k, s)
+            assert self.first_draws(rng, k, s) == want
+
+    def test_empty_batch(self):
+        assert seeded_streams([]) == []
+
+    def test_pre_generated_state_refuses_other_requests(self):
+        seq = seeded_stream(7, "delay:0->1").bit_generator.seed_seq
+        assert seq.generate_state(4, np.uint64).dtype == np.uint64
+        with pytest.raises(ValueError, match="4 x uint64"):
+            seq.generate_state(8, np.uint32)
 
 
 def two_node_sim(p_max: float = 0.0, **edge) -> engine._Simulation:
