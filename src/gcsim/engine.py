@@ -26,8 +26,10 @@ against true clock values runs per chunk, in numpy, when the chunk is
 reduced: the skew maxima at the sample instants, the hardware drift
 envelope between consecutive samples, the estimate sandwich at each reply
 arrival and evaluation, the slow and fast conditions at each evaluation,
-and in full mode the trace oracles (level potentials, leading and trailing
-nodes, Corollary 1).
+and in full mode the trace oracles (level potentials, Corollary 1).  The
+leading-node and trailing-node lemmas are identities of the kappa-metric,
+so a full-mode run checks instead, once before its first event, that
+``sc.dist`` is that metric (``InternalError`` if not).
 Reading a clock at a past instant then is exact, as the comment above
 ``_flush_sample`` argues, so the stamps are those the parties read, and
 these checks report what checks made inside the handlers would.  A run that
@@ -49,13 +51,13 @@ from . import gcs, metrics
 from .clocks import FAST, OWN_RATE, LogicalClock, read_clocks, sample_clocks
 from .errors import ConfigError, InternalError, RunAborted
 from .gcs import GcsParams
-from .topology import NetworkGraph
+from .topology import NetworkGraph, check_kappa_metric
 from .trace import RunSummary, Trace, Violation
 from .twoway import compute_estimates, estimate_value
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["StreamRegistry", "seeded_streams", "seeded_stream", "Scenario", "RunResult", "run"]
+__all__ = ["seeded_streams", "seeded_stream", "Scenario", "RunResult", "run"]
 
 # Event kinds.  Each payload holds only what its handler reads.
 K_WAKEUP = 0  # (v, k): node v starts cycle k and sends its requests
@@ -77,23 +79,6 @@ _INF = float("inf")
 # rows times n^2, the size of the trace oracles' temporaries, reach
 # 256 * _CHUNK_VALUES, which binds only above n = 256.
 _CHUNK_VALUES = 8192
-
-
-class StreamRegistry:
-    """Hands out independent, reproducible RNG substreams by label."""
-
-    def __init__(self, master_seed: int):
-        self.master_seed = master_seed
-        self._labels: set[str] = set()
-
-    def streams(self, labels: list[str]) -> list[np.random.Generator]:
-        """One substream per label, seeded in one batch.  A label given twice,
-        in this batch or an earlier one, is a ``ConfigError``."""
-        for label in labels:
-            if label in self._labels:
-                raise ConfigError(f"RNG stream label reused: {label!r}")
-            self._labels.add(label)
-        return seeded_streams([(self.master_seed, label) for label in labels])
 
 
 def _state_hash_constants() -> tuple[np.ndarray, np.ndarray]:
@@ -202,11 +187,14 @@ class _Simulation:
         self.sc = sc
         g = sc.graph
         n = g.n
-        self.registry = StreamRegistry(sc.master_seed)
         directions = [(a, b, base, p, sc.kappa[(u, v)])
                       for u, v, p in g.edges for a, b, base in ((u, v, p.fwd_delay), (v, u, p.bwd_delay))]
         kinds = ("delay", "proc") if sc.p_max > 0 else ("delay",)
-        streams = iter(self.registry.streams([f"{kind}:{a}->{b}" for a, b, *_ in directions for kind in kinds]))
+        labels = [f"{kind}:{a}->{b}" for a, b, *_ in directions for kind in kinds]
+        if len(set(labels)) < len(labels):
+            reused = next(label for i, label in enumerate(labels) if label in labels[:i])
+            raise ConfigError(f"RNG stream label reused: {reused!r}")
+        streams = iter(seeded_streams([(sc.master_seed, label) for label in labels]))
         # each direction a->b: (base delay, jitter, the ``random`` of stream
         # delay:a->b, that of proc:a->b or None when p_max is 0, eps_d,
         # eps_m, kappa)
@@ -244,6 +232,8 @@ class _Simulation:
         }
 
         self.full = sc.metrics_mode == "full"
+        if self.full:  # what the leading/trailing-node lemmas rest on, once per run
+            check_kappa_metric(g, sc.kappa, sc.dist)
         self._nb, self._nb_kappa = metrics.neighbour_table(g, sc.kappa)
         self._deg = np.array([len(g.neighbors(v)) for v in range(n)], dtype=np.intp)
         self._own = np.arange(self._nb.shape[1]) < self._deg[:, None]  # not a pad
@@ -467,8 +457,7 @@ class _Simulation:
         if self.full:
             sc = self.sc
             psi, viol, self.floors = metrics.trace_oracles(
-                times, L, sc.dist, self._nb, self._nb_kappa, sc.params.s_max, sc.params.theta,
-                None if prev is None else prev[:2], self.floors,
+                times, L, sc.dist, sc.params.s_max, sc.params.theta, None if prev is None else prev[:2], self.floors
             )
             self.violations.extend(viol)
             self.chunks.append((times, L, H, local, glob, psi))
@@ -538,7 +527,7 @@ class _Simulation:
                 )
             )
         self._check_sandwich(np.repeat(t, deg), np.repeat(v, deg), nb[own], L_nb[own], est, kappa[own])
-        slow, fast = metrics.level_conditions(L[rows, v], L_nb, kappa, self._levels, 0.0)
+        slow, fast = metrics.level_conditions(L[rows, v], L_nb, kappa, self._levels)
         self.counters["sc_instances"] += int(np.count_nonzero(slow))
         self.counters["fc_instances"] += int(np.count_nonzero(fast))
         for name, held, fired in (("slow", slow, slow_fired), ("fast", fast, fast_fired)):

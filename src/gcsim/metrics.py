@@ -3,10 +3,11 @@
 Everything here reads true logical clock values, which running nodes never
 see.  The checks are vectorized.  One threshold predicate,
 :func:`level_conditions`, gives the slow and fast conditions over a padded
-neighbour table, for many evaluations or samples at once.  The trace
-oracles (:func:`trace_oracles`) run on one engine chunk of samples at a
-time, carrying the previous chunk's last row and the Corollary 1 floors, so
-their temporaries are O(rows per chunk * n^2) however long the run.
+neighbour table, for many evaluations at once.  The trace oracles
+(:func:`trace_oracles`: the level potentials and Corollary 1) run on one
+engine chunk of samples at a time, carrying the previous chunk's last row
+and the Corollary 1 floors, so their temporaries are O(rows per chunk *
+n^2) however long the run.
 """
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ def neighbour_table(g: NetworkGraph, kappa) -> tuple[np.ndarray, np.ndarray]:
 
 
 def level_conditions(
-    own: np.ndarray, nbr: np.ndarray, K: np.ndarray, levels, tol: float
+    own: np.ndarray, nbr: np.ndarray, K: np.ndarray, levels
 ) -> tuple[np.ndarray, np.ndarray]:
     """True-clock forms of the slow and fast triggers, each (m, len(levels)).
 
@@ -71,11 +72,10 @@ def level_conditions(
     padded layout of :func:`neighbour_table`.  Slow at level s: v leads
     some neighbour by at least (2s-1) kappa and no neighbour leads v by
     more.  Fast at level s: some neighbour leads v by at least 2s kappa and
-    v leads no neighbour by more.  Every clause is relaxed by ``tol``.
-    With tol = 0.0, which the engine passes, x - 0.0 and x + 0.0 are x, so
-    every gap and threshold is the float a scalar evaluation, one neighbour
-    at a time, computes (an int level factor times kappa is the same
-    product), and every comparison matches it.
+    v leads no neighbour by more.  Every gap and threshold is the float a
+    scalar evaluation, one neighbour at a time, computes (an int level
+    factor times kappa is the same product), and every comparison matches
+    it.
     """
     lead = nbr - own[:, None]
     trail = own[:, None] - nbr
@@ -83,8 +83,8 @@ def level_conditions(
     fast = np.empty_like(slow)
     for j, s in enumerate(levels):
         odd, even = (2 * s - 1) * K, 2 * s * K
-        slow[:, j] = (trail >= odd - tol).any(axis=1) & (lead <= odd + tol).all(axis=1)
-        fast[:, j] = (lead >= even - tol).any(axis=1) & (trail <= even + tol).all(axis=1)
+        slow[:, j] = (trail >= odd).any(axis=1) & (lead <= odd).all(axis=1)
+        fast[:, j] = (lead >= even).any(axis=1) & (trail <= even).all(axis=1)
     return slow, fast
 
 
@@ -94,7 +94,7 @@ def _conditions_at(values, g: NetworkGraph, kappa, v: int, s: int) -> tuple[bool
     nbrs = g.neighbors(v)
     nbr = np.array([[values[w] for w in nbrs]], dtype=float)
     K = np.array([[kappa[(min(v, w), max(v, w))] for w in nbrs]], dtype=float)
-    slow, fast = level_conditions(np.array([values[v]], dtype=float), nbr, K, [s], 0.0)
+    slow, fast = level_conditions(np.array([values[v]], dtype=float), nbr, K, [s])
     return bool(slow[0, 0]), bool(fast[0, 0])
 
 
@@ -175,6 +175,14 @@ def global_bound_crossing(t0: float, L0: np.ndarray, t1: float, L1: np.ndarray, 
     return float(t0 + (t1 - t0) * frac.min())
 
 
+# Values per in-place block of the Corollary 1 rise.  numpy copies the
+# overlapping operand of ``F[lo:hi] -= F[lo - 1:hi - 1]``, an extra pass that
+# costs more than the per-row call it saves once a row holds a few thousand
+# values: 16 rows a block at n = 16, 4 at n = 32, one row at a time from
+# n = 64 on.
+_RISE_BLOCK = 1 << 12
+
+
 def _growth_violations(
     times: np.ndarray, F: np.ndarray, psi: np.ndarray, s: int, theta: float, tol: float,
     floor: np.ndarray | None,
@@ -195,7 +203,8 @@ def _growth_violations(
     or below g_a at every real instant up to the row; a row is flagged when
     g_a there exceeds it by more than tol.  One tol then covers every pair
     t0 < t1, however many pieces lie between them.  Where g_a does not
-    rise on any piece, the floor is just g_a's running minimum.
+    rise on any piece, the floor is just g_a's running minimum.  A hit
+    names as leader the first such b with the largest rise.
 
     ``floor`` carries the floor at ``times[0]`` from the previous block,
     or is None at the start of the trace.  Returns the violations of the
@@ -207,11 +216,14 @@ def _growth_violations(
     if len(times) < 2:
         return [], start
     below = F[1:] < psi[1:, :, None] - _TIE_TOL  # b does not attain
-    for r in range(len(times) - 1, 0, -1):  # the rise, in place: row r - 1 is still F there
-        F[r] -= F[r - 1]
+    # the rise, in place, a block of rows at a time from the last: rows
+    # lo - 1.. still hold F when the block [lo, hi) takes its rise
+    k = max(1, _RISE_BLOCK // F[0].size)
+    for hi in range(len(times), 1, -k):
+        lo = max(1, hi - k)
+        F[lo:hi] -= F[lo - 1 : hi - 1]
     rise = F[1:]
     rise[below] = -np.inf
-    leader = rise.argmax(axis=2)
     excess = rise.max(axis=2) - (theta - 1.0) * np.diff(times)[:, None]
     low = g[1:] - np.maximum(excess, 0.0)
     floors = np.minimum.accumulate(np.vstack([start[None, :], low]), axis=0)[1:]
@@ -221,7 +233,7 @@ def _growth_violations(
             time=float(times[r + 1]),
             kind="corollary1",
             detail=(
-                f"node {a} level {s}, leader {leader[r, a]}: potential rose faster than "
+                f"node {a} level {s}, leader {rise[r, a].argmax()}: potential rose faster than "
                 f"the drift envelope, by {float(above[r, a]):.3e} at the end of the piece "
                 f"[{float(times[r])!r}, {float(times[r + 1])!r}]"
             ),
@@ -261,99 +273,56 @@ def trace_oracles(
     times: np.ndarray,
     L: np.ndarray,
     dist: np.ndarray,
-    nb: np.ndarray,
-    K: np.ndarray,
     s_max: int,
     theta: float,
     last_row: tuple | None = None,
     floors: np.ndarray | None = None,
     tol: float = _CHECK_TOL,
 ) -> tuple[np.ndarray, list[Violation], np.ndarray]:
-    """Per-sample level potentials, the leading/trailing oracles and the
-    Corollary 1 growth check over one chunk of samples.
+    """Per-sample level potentials and the Corollary 1 growth check over
+    one chunk of samples.
 
     ``times`` (m,) and ``L`` (m, n) are the chunk's sample instants and
-    logical values; ``nb`` and ``K`` are the padded neighbour table of
-    :func:`neighbour_table`.  The carry from the previous chunk is
-    ``last_row``, its last (t, L) row, which starts the first piece of this
-    chunk, and ``floors``, the (s_max, n) Corollary 1 floors at that row;
-    both are None for the first chunk, so one call over a whole trace checks
-    it as one chunk.  Returns (psi_levels (m, s_max), violations, the floors
-    at the chunk's last row).
+    logical values.  The carry from the previous chunk is ``last_row``, its
+    last (t, L) row, which starts the first piece of this chunk, and
+    ``floors``, the (s_max, n) Corollary 1 floors at that row; both are None
+    for the first chunk, so one call over a whole trace checks it as one
+    chunk.  Returns (psi_levels (m, s_max), violations, the floors at the
+    chunk's last row).  The Corollary 1 check is the one
+    :func:`corollary1_check` describes, made on the per-level matrices
+    built here and carried across chunks by ``last_row`` and ``floors``.
 
-    The leading-node oracle demands that the ahead node b of the maximizing
-    pair (a, b) of a positive Psi_s (the first in row-major order) satisfy
-    the slow condition at level s; the trailing oracle demands that every
-    node realizing a positive discounted deficit satisfy the fast
-    condition.  Both conditions are :func:`level_conditions` relaxed by
-    ``tol``.  Both oracles are identities of the kappa-metric at any single
-    instant, whatever the clock values.  For the leading node: the node x
+    The leading-node and trailing-node lemmas need no check per sample:
+    they are identities of the kappa-metric at any single instant, whatever
+    the clock values.  The ahead node b of a pair (a, b) attaining a
+    positive Psi_s satisfies the slow condition at level s: the node x
     before b on a shortest path from a has d(a, x) = d(a, b) - kappa(x, b),
     and f_ax <= f_ab makes b lead x by at least (2s-1) kappa(x, b); a
     neighbour y leading b by more than (2s-1) kappa(b, y) would give
     f_ay > f_ab by the triangle inequality d(a, y) <= d(a, b) + kappa(b, y).
-    The trailing node is the mirror image.  So a hit is an implementation
-    bug (a distance matrix that is not the shortest-path metric of kappa, or
-    a wrong maximizer), and checking them only at the sample instants, which
-    need not include every message event, loses nothing.
-
-    The Corollary 1 check is the one :func:`corollary1_check` describes,
-    made on the per-level matrices built here and carried across chunks by
-    ``last_row`` and ``floors``.
+    A node realizing a positive discounted deficit satisfies the fast
+    condition, the mirror image.  Both rest only on the zero diagonal, the
+    triangle inequality and the in-neighbour on a shortest path, which
+    :func:`topology.check_kappa_metric` checks of ``dist`` once per
+    full-mode run.
     """
     if last_row is not None:  # the carried row only starts the first piece
         times, L = np.append(last_row[0], times), np.vstack([last_row[1], L])
-    own = slice(0 if last_row is None else 1, None)
-    t, L_own = times[own], L[own]
-    m, n = L_own.shape
-
-    def conditions(r: np.ndarray, v: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """The relaxed slow and fast conditions of node v[i] at row r[i]."""
-        slow, fast = level_conditions(L_own[r, v], L_own[r[:, None], nb[v]], K[v], [s], tol)
-        return slow[:, 0], fast[:, 0]
-
+    first = 0 if last_row is None else 1
+    m, n = len(times) - first, L.shape[1]
     diff = L[:, None, :] - L[:, :, None]  # diff[r, a, b] = L_b - L_a
-    buf = np.empty_like(diff)  # F, then G, of one level at a time
+    buf = np.empty_like(diff)  # F of one level at a time
     psi_levels = np.empty((m, s_max))
     new_floors = np.empty((s_max, n))
     violations: list[Violation] = []
-    rows = np.arange(m)
     for s in range(1, s_max + 1):
         F = np.subtract(diff, (2 * s - 1) * dist, out=buf)
         psi = F.max(axis=2)
-        psi_own = psi[own]
-        psi_levels[:, s - 1] = lvl = psi_own.max(axis=1)
-        # the leading node: b of the first pair (a, b) in row-major order
-        # attaining Psi_s, taken before the growth check overwrites F
-        lead = F[own][rows, psi_own.argmax(axis=1)].argmax(axis=1)
+        psi_levels[:, s - 1] = psi[first:].max(axis=1)
         viol, new_floors[s - 1] = _growth_violations(
             times, F, psi, s, theta, tol, None if floors is None else floors[s - 1]
         )
         violations += viol
-
-        r = np.nonzero(lvl > tol)[0]
-        slow, _ = conditions(r, lead[r], s)
-        violations += [
-            Violation(
-                time=float(t[i]),
-                kind="leading_node_not_slow",
-                detail=f"leading node {int(lead[i])} at level {s} fails the slow condition",
-            )
-            for i in r[~slow]
-        ]
-
-        G = np.subtract(-2 * s * dist, diff[own], out=buf[own])  # G[r, v, x] = L_v - L_x - 2s d(v, x)
-        mx = G.max(axis=2)[:, :, None]
-        r, x = np.nonzero(((G >= mx - _TIE_TOL) & (mx > tol)).any(axis=1))
-        _, fast = conditions(r, x, s)
-        violations += [
-            Violation(
-                time=float(t[i]),
-                kind="trailing_node_not_fast",
-                detail=f"trailing node {int(w)} at level {s} fails the fast condition",
-            )
-            for i, w in zip(r[~fast], x[~fast])
-        ]
     return psi_levels, violations, new_floors
 
 

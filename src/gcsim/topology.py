@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InternalError, ParameterError
 
 __all__ = [
     "EdgeParams",
@@ -25,6 +25,7 @@ __all__ = [
     "edge_kappa",
     "kappa_weights",
     "kappa_distance_matrix",
+    "check_kappa_metric",
 ]
 
 
@@ -175,6 +176,20 @@ def kappa_weights(g: NetworkGraph, theta: float) -> dict[tuple[int, int], float]
     return {(u, v): edge_kappa(p, theta) for u, v, p in g.edges}
 
 
+def _in_edges(g: NetworkGraph, kappa: dict[tuple[int, int], float]) -> tuple[np.ndarray, ...]:
+    """(heads, tails, weights) of the 2m directed edges, sorted by head
+    (stably, so a head's edges keep edge order)."""
+    heads, tails, weights = [], [], []
+    for u, v, _ in g.edges:
+        k = kappa[(u, v)]
+        heads += (v, u)
+        tails += (u, v)
+        weights += (k, k)
+    heads, tails, weights = np.array(heads), np.array(tails), np.array(weights)
+    order = np.argsort(heads, kind="stable")
+    return heads[order], tails[order], weights[order]
+
+
 def kappa_distance_matrix(g: NetworkGraph, kappa: dict[tuple[int, int], float]) -> np.ndarray:
     """All-pairs kappa-weighted shortest-path distances (dense n x n).
 
@@ -205,15 +220,7 @@ def kappa_distance_matrix(g: NetworkGraph, kappa: dict[tuple[int, int], float]) 
     dt = np.full((n, n), np.inf)
     np.fill_diagonal(dt, 0.0)
     if g.edges:
-        heads, tails, weights = [], [], []
-        for u, v, _ in g.edges:
-            k = kappa[(u, v)]
-            heads += (v, u)
-            tails += (u, v)
-            weights += (k, k)
-        heads, tails, weights = np.array(heads), np.array(tails), np.array(weights)
-        order = np.argsort(heads, kind="stable")
-        heads, tails, weights = heads[order], tails[order], weights[order]
+        heads, tails, weights = _in_edges(g, kappa)
         # rank of each edge among the edges entering its head
         first = np.searchsorted(heads, heads)
         rank = np.arange(heads.size) - first
@@ -233,3 +240,41 @@ def kappa_distance_matrix(g: NetworkGraph, kappa: dict[tuple[int, int], float]) 
             if not changed:
                 break
     return np.ascontiguousarray(dt.T)
+
+
+# Values per block of rows in :func:`check_kappa_metric`: its sums take
+# (rows, 2m) floats, one block (8 MiB) at a time.
+_CHECK_BLOCK = 1 << 20
+
+
+def check_kappa_metric(g: NetworkGraph, kappa: dict[tuple[int, int], float], dist: np.ndarray) -> None:
+    """Raise ``InternalError`` unless ``dist`` is exactly the shortest-path
+    metric of kappa on a connected graph: d(a, a) = 0; d(a, b) <= d(a, x) +
+    kappa(x, b) for every node a and directed edge x -> b; and for a != b,
+    d(a, b) equals that sum for some in-neighbour x of b.  So d(a, b) is the
+    least such sum, and for b = a no sum is below 0.  The sums are formed as
+    :func:`kappa_distance_matrix` forms them, so its fixed point passes bit
+    for bit: each d(a, b) is at or below every sum and equal to the one that
+    last lowered it.  O(n * m), a block of rows of the (n, 2m) sums at a time.
+    """
+    bad = np.flatnonzero(np.diagonal(dist) != 0.0)
+    if len(bad):
+        raise InternalError(f"kappa distance d({bad[0]}, {bad[0]}) is {float(dist[bad[0], bad[0]])!r}, not 0")
+    if not g.edges:
+        return
+    heads, tails, weights = _in_edges(g, kappa)
+    starts = np.searchsorted(heads, np.arange(g.n))  # a connected graph gives every node an edge
+    rows = max(1, _CHECK_BLOCK // len(tails))
+    for lo in range(0, g.n, rows):
+        d = dist[lo : lo + rows]
+        least = np.minimum.reduceat(d[:, tails] + weights, starts, axis=1)
+        own = np.arange(len(d)), np.arange(lo, lo + len(d))
+        least[own] = np.minimum(least[own], 0.0)
+        bad = np.argwhere(d != least)
+        if len(bad):
+            r, b = bad[0].tolist()
+            x, y = float(d[r, b]), float(least[r, b])
+            raise InternalError(
+                f"kappa distance d({lo + r}, {b}) = {x!r} {'exceeds' if x > y else 'is not'} {y!r}, the least "
+                f"d({lo + r}, x) + kappa(x, {b}) over the in-neighbours x of {b}"
+            )

@@ -5,8 +5,10 @@ Plain-Python, one-instant versions of what the engine computes vectorized
 fast conditions) or per pair of samples (the hardware drift envelope), the
 engine's ground-truth checks made one event at a time, the row-by-row
 trace writer, the per-source Dijkstra behind the kappa distance matrix,
-the pair-by-pair boot-up gate and the one-stream-at-a-time RNG seeding.  Tests check the engine against them; the
-package itself does not use them.
+the pair-by-pair boot-up gate, the one-stream-at-a-time RNG seeding and
+the trace oracles with their Corollary 1 rise taken one row at a time.
+Tests check the engine against them; the package itself does not use
+them.
 
 ``ThreeEventExchange`` is the reference twin of the engine's exchanges and
 evaluations: each message leg is an event that reads its own stamp, and
@@ -84,6 +86,62 @@ def trailing_node(values, dist: np.ndarray, w: int, s_max: int) -> bool:
             if mx > 0 and row[w] >= mx - _TIE_TOL:
                 return True
     return False
+
+
+def growth_violations(
+    times: np.ndarray, F: np.ndarray, psi: np.ndarray, s: int, theta: float, tol: float,
+    floor: np.ndarray | None,
+) -> tuple[list[Violation], np.ndarray]:
+    """``metrics._growth_violations`` with the rise taken one row at a time,
+    from the last, and the leader of every row and node by one full argmax
+    over the (rows, n, n) rise."""
+    g = psi - (theta - 1.0) * times[:, None]
+    start = g[0] if floor is None else floor
+    if len(times) < 2:
+        return [], start
+    below = F[1:] < psi[1:, :, None] - _TIE_TOL
+    for r in range(len(times) - 1, 0, -1):
+        F[r] -= F[r - 1]
+    rise = F[1:]
+    rise[below] = -np.inf
+    leader = rise.argmax(axis=2)
+    excess = rise.max(axis=2) - (theta - 1.0) * np.diff(times)[:, None]
+    low = g[1:] - np.maximum(excess, 0.0)
+    floors = np.minimum.accumulate(np.vstack([start[None, :], low]), axis=0)[1:]
+    above = g[1:] - floors
+    return [
+        Violation(
+            time=float(times[r + 1]),
+            kind="corollary1",
+            detail=(
+                f"node {a} level {s}, leader {leader[r, a]}: potential rose faster than "
+                f"the drift envelope, by {float(above[r, a]):.3e} at the end of the piece "
+                f"[{float(times[r])!r}, {float(times[r + 1])!r}]"
+            ),
+        )
+        for r, a in zip(*np.nonzero(above > tol))
+    ], floors[-1]
+
+
+def trace_oracles(times, L, dist, s_max, theta, last_row=None, floors=None, tol=1e-9):
+    """``metrics.trace_oracles`` on :func:`growth_violations`: the same
+    (psi_levels, violations, floors) of one chunk, with the same carry."""
+    if last_row is not None:
+        times, L = np.append(last_row[0], times), np.vstack([last_row[1], L])
+    first = 0 if last_row is None else 1
+    diff = L[:, None, :] - L[:, :, None]
+    psi_levels = np.empty((len(times) - first, s_max))
+    new_floors = np.empty((s_max, L.shape[1]))
+    violations: list[Violation] = []
+    for s in range(1, s_max + 1):
+        F = diff - (2 * s - 1) * dist
+        psi = F.max(axis=2)
+        psi_levels[:, s - 1] = psi[first:].max(axis=1)
+        viol, new_floors[s - 1] = growth_violations(
+            times, F, psi, s, theta, tol, None if floors is None else floors[s - 1]
+        )
+        violations += viol
+    return psi_levels, violations, new_floors
 
 
 def slow_condition(values, g, kappa, v: int, s: int) -> bool:

@@ -195,3 +195,16 @@ def random_template_doc(n: int, horizon_cycles: int = 12, metrics: str = "full")
         "sim": {"horizon_cycles": horizon_cycles, "sample_dt": 1.0, "master_seed": 1,
                 "metrics": metrics},
     }
+
+
+def distinct_rate_doc(n: int, horizon_cycles: int = 12, metrics: str = "full") -> dict:
+    """:func:`random_template_doc` with each node at its own constant rate,
+    drawn uniformly in [1, theta] from a fixed seed (node i's rate is the
+    i-th draw at every n).  Where the template's two rate groups put a
+    cycle's evaluations on about a dozen instants, these fall on about 2n,
+    so a full run samples about 2n rows per cycle."""
+    doc = random_template_doc(n, horizon_cycles, metrics)
+    rates = np.random.default_rng(16).uniform(1.0, doc["clocks"]["theta"], size=n)
+    doc["clocks"]["default"] = {"generator": "constant", "rate": 1.0}
+    doc["clocks"]["overrides"] = {str(i): {"rate": float(r)} for i, r in enumerate(rates)}
+    return doc

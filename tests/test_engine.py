@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from gcsim import engine, metrics
 from gcsim import scenario as scen
 from gcsim.clocks import FAST, sample_clocks
-from gcsim.engine import StreamRegistry, seeded_stream, seeded_streams
+from gcsim.engine import seeded_stream, seeded_streams
 from gcsim.errors import ConfigError, InternalError, RunAborted, ScenarioValidationError
-from gcsim.topology import EdgeParams
+from gcsim.topology import EdgeParams, NetworkGraph
 
 import reference
 from reference import Recording, ThreeEventExchange, boot_up_gate, recorded_run
@@ -36,12 +37,12 @@ class TestSeededStreams:
         assert list(a.random(16)) != list(b.random(16))
 
     def test_registry_rejects_reuse(self):
-        with pytest.raises(ConfigError, match="'clock:0'"):
-            StreamRegistry(3).streams(["clock:0", "clock:1", "clock:0"])
-        reg = StreamRegistry(3)
-        reg.streams(["clock:0", "clock:1"])
-        with pytest.raises(ConfigError, match="'clock:1'"):
-            reg.streams(["clock:2", "clock:1"])
+        # validation rejects a duplicate edge; past it, the run's one batch
+        # of link labels would name both copies' streams alike
+        sc = two_node_sim(0.1).sc
+        doubled = NetworkGraph(sc.graph.n, sc.graph.edges * 2, sc.graph.d_max)
+        with pytest.raises(ConfigError, match=r"reused: 'delay:0->1'"):
+            engine._Simulation(dataclasses.replace(sc, graph=doubled))
 
     # one-word and two-word seeds at their ends
     EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -104,9 +105,7 @@ class TestLinkDelays:
     @pytest.mark.parametrize("p_max", [0.0, 0.1])
     def test_records_draw_from_their_labelled_streams(self, p_max):
         sim = two_node_sim(p_max, jitter=0.5)
-        directions = ("0->1", "1->0")
-        procs = {f"proc:{d}" for d in directions} if p_max else set()
-        assert sim.registry._labels == {f"delay:{d}" for d in directions} | procs
+        assert set(sim.links) == {(0, 1), (1, 0)}
         assert sim._delay(1, 0) == 1.2 + 0.5 * seeded_stream(5, "delay:1->0").random()
         proc = sim.links[(0, 1)][3]
         if p_max:
@@ -121,6 +120,21 @@ class TestLinkDelays:
         sim.links[(0, 1)] = (sim.sc.graph.d_max, *sim.links[(0, 1)][1:])
         with pytest.raises(InternalError, match=r"reached d_max on 0->1"):
             sim.run()
+
+
+@pytest.mark.parametrize("mode", ["full", "skew_only"])
+def test_full_mode_checks_the_distance_matrix_before_the_first_event(mode):
+    # one ulp above the shortest path: only full mode, whose oracles rest on
+    # the kappa-metric, checks it, when the run is set up
+    sc = scen.build_scenario(random_template_doc(16, metrics=mode))
+    dist = sc.dist.copy()
+    dist[3, 5] = np.nextafter(dist[3, 5], np.inf)
+    tampered = dataclasses.replace(sc, dist=dist)
+    if mode == "full":
+        with pytest.raises(InternalError, match=r"d\(3, 5\) = \S+ exceeds \S+, the least d\(3, x\)"):
+            engine._Simulation(tampered)
+    else:
+        engine._Simulation(tampered)
 
 
 @pytest.mark.parametrize("cls", [engine._Simulation, ThreeEventExchange])

@@ -1,14 +1,15 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcsim import engine, metrics
+from gcsim import engine, metrics, topology
 from gcsim import scenario as scen
-from gcsim.errors import ParameterError, RunAborted
-from gcsim.topology import EdgeParams, NetworkGraph, kappa_distance_matrix, kappa_weights
+from gcsim.errors import InternalError, ParameterError, RunAborted
+from gcsim.topology import EdgeParams, NetworkGraph, check_kappa_metric, kappa_distance_matrix, kappa_weights
 from gcsim.trace import Trace
 
 import reference
@@ -85,20 +86,18 @@ class TestPotential:
 
     def test_leading_pair_identifies_ahead_node(self):
         # kappa 6 with a distance of 1, which is not the kappa-metric: the
-        # ahead node 1 of the maximizing pair cannot be slow, and the oracle
-        # names it
+        # ahead node 1 of the maximizing pair could not be slow.  The
+        # potentials read any matrix; the static check names the pair
         g, kappa, _ = unit_kappa_graph([(0, 1)], 2, {(0, 1): 6.0})
         dist = np.array([[0.0, 1.0], [1.0, 0.0]])
-        nb, K = metrics.neighbour_table(g, kappa)
         values = [0.0, 5.0]
-        psi_levels, viol, _ = metrics.trace_oracles(
-            np.zeros(1), np.array([values]), dist, nb, K, 1, theta=1.0
-        )
+        psi_levels, viol, _ = metrics.trace_oracles(np.zeros(1), np.array([values]), dist, 1, theta=1.0)
         level, base = level_potential(values, dist, 1)
-        leading = [int(v.detail.split()[2]) for v in viol if v.kind == "leading_node_not_slow"]
-        assert (base, leading[0]) == (0, 1)
+        assert (base, viol) == (0, [])
         assert psi_levels[0, 0] == pytest.approx(level)
         assert level == pytest.approx(4.0)
+        with pytest.raises(InternalError, match=r"d\(0, 1\) = 1.0 is not 6.0, the least d\(0, x\) \+ kappa\(x, 1\)"):
+            check_kappa_metric(g, kappa, dist)
 
 
 class TestConditions:
@@ -130,7 +129,7 @@ class TestConditions:
         values = [data.draw(st.integers(-12, 12)) / 2.0 for _ in range(n)]
         nb, K = metrics.neighbour_table(g, kappa)
         L = np.array(values)
-        slow, fast = metrics.level_conditions(L, L[nb], K, range(1, 4), 0.0)
+        slow, fast = metrics.level_conditions(L, L[nb], K, range(1, 4))
         for v in range(n):
             for s in (1, 2, 3):
                 assert slow[v, s - 1] == reference.slow_condition(values, g, kappa, v, s)
@@ -262,8 +261,9 @@ class TestCorollary1:
         assert metrics.corollary1_check_all(res.trace, sc.params.theta) == hits
         # blocks of two rows: every other piece starts in the previous block
         trace, theta = res.trace, sc.params.theta
-        assert chained_oracles(trace, sc.graph, sc.kappa, theta, 2) == hits
-        assert chained_oracles(trace, sc.graph, sc.kappa, theta, len(trace)) == hits
+        assert chained_oracles(trace, theta, 2) == hits
+        assert chained_oracles(trace, theta, len(trace)) == hits
+        assert chained_oracles(trace, theta, 7, reference.trace_oracles) == hits
         # engine chunks of one row, or of a size that divides no row count:
         # the floors are carried from chunk to chunk
         for chunk_values in (1, 50):
@@ -309,13 +309,13 @@ class TestCorollary1:
         # the tolerance, but 1e-7 over the run
         theta = 1.01
         t = np.arange(1001.0)
-        g, kappa, dist = unit_kappa_graph([(0, 1)], 2)
+        _, _, dist = unit_kappa_graph([(0, 1)], 2)
         exact = stored_trace(t, np.column_stack([t, 1.0 + theta * t]), dist)
         assert metrics.corollary1_check(exact, 1, theta) == []
-        assert chained_oracles(exact, g, kappa, theta, chunk) == []
+        assert chained_oracles(exact, theta, chunk) == []
         excess = stored_trace(t, np.column_stack([t, 1.0 + (theta + 1e-10) * t]), dist)
         bad = metrics.corollary1_check(excess, 1, theta)
-        assert chained_oracles(excess, g, kappa, theta, chunk) == bad
+        assert chained_oracles(excess, theta, chunk) == bad
         assert bad and all(v.detail.startswith("node 0 level 1, leader 1:") for v in bad)
         assert bad[0].time == pytest.approx(11.0, abs=1.0)  # where the rise first tops 1e-9
         assert bad[-1].time == 1000.0
@@ -332,15 +332,14 @@ def stored_trace(times, logical, dist):
     )
 
 
-def chained_oracles(trace, g, kappa, theta, rows):
+def chained_oracles(trace, theta, rows, oracles=metrics.trace_oracles):
     """The trace oracles over a stored trace, called on blocks of ``rows``
     rows that carry the last row and the floors as the engine's chunks do;
     sorted as a run sorts its violations."""
-    nb, K = metrics.neighbour_table(g, kappa)
     out, last_row, floors = [], None, None
     for lo in range(0, len(trace), rows):
         t, L = trace.times[lo : lo + rows], trace.logical[lo : lo + rows]
-        _, viol, floors = metrics.trace_oracles(t, L, trace.dist, nb, K, trace.s_max, theta, last_row, floors)
+        _, viol, floors = oracles(t, L, trace.dist, trace.s_max, theta, last_row, floors)
         out += viol
         last_row = (t[-1], L[-1])
     return sorted(out, key=lambda v: (v.time, v.kind, v.detail))
@@ -360,31 +359,97 @@ def connected_graphs(draw):
 
 
 class TestLeadingTrailingOracles:
-    """Both oracles are identities of the kappa-metric at a single instant."""
+    """The leading-node and trailing-node lemmas are identities of the
+    kappa-metric at a single instant.  What they rest on is checked once per
+    full-mode run, of the distance matrix: ``check_kappa_metric``."""
 
-    @given(connected_graphs(), st.integers(1, 3))
+    # values per block of the check: one row at a time, or every row at once
+    BLOCKS = st.sampled_from([1, 1 << 20])
+
+    @given(connected_graphs(), st.integers(1, 3), BLOCKS)
     @settings(max_examples=200, deadline=None)
-    def test_no_hit_on_any_clock_values(self, graph, s_max):
+    def test_no_hit_on_any_clock_values(self, graph, s_max, block):
+        # every kappa_distance_matrix passes, bit for bit; one row of any
+        # clock values has no piece, so the oracles report nothing
         n, pairs, kappas, values = graph
         g, kappa, dist = unit_kappa_graph(pairs, n, kappas)
-        _, viol, _ = metrics.trace_oracles(
-            np.zeros(1), np.array([values]), dist, *metrics.neighbour_table(g, kappa), s_max, theta=1.0
-        )
+        with mock.patch.object(topology, "_CHECK_BLOCK", block):
+            check_kappa_metric(g, kappa, dist)
+        _, viol, _ = metrics.trace_oracles(np.zeros(1), np.array([values]), dist, s_max, theta=1.0)
         assert viol == []
 
-    @given(st.floats(0.05, 2.0), st.floats(0.05, 2.0), st.floats(0.01, 0.9), st.floats(0.0, 3.0))
+    def test_nonzero_diagonal_is_caught(self):
+        g, kappa, dist = unit_kappa_graph([(0, 1), (1, 2)], 3)
+        dist = dist.copy()
+        dist[2, 2] = 5e-324
+        with pytest.raises(InternalError, match=r"d\(2, 2\) is 5e-324, not 0"):
+            check_kappa_metric(g, kappa, dist)
+
+    @given(st.floats(0.05, 2.0), st.floats(0.05, 2.0), st.floats(0.0, 3.0), BLOCKS)
     @settings(max_examples=50, deadline=None)
-    def test_distance_breaking_the_triangle_inequality_is_caught(self, k01, k12, h, e):
-        # line 0 - 1 - 2 with d(0, 2) above k01 + k12: the maximizing pair is
-        # (0, 1), and node 2 leads the leading node 1 by k12 + h
+    def test_distance_breaking_the_triangle_inequality_is_caught(self, k01, k12, e, block):
+        # line 0 - 1 - 2 with d(0, 2) above d(0, 1) + kappa(1, 2)
         g, kappa, dist = unit_kappa_graph([(0, 1), (1, 2)], 3, {(0, 1): k01, (1, 2): k12})
         dist = dist.copy()
         dist[0, 2] = dist[2, 0] = k01 + k12 + 1.0 + e
-        values = [0.0, k01 + 1.0, k01 + 1.0 + k12 + h]
-        _, viol, _ = metrics.trace_oracles(
-            np.zeros(1), np.array([values]), dist, *metrics.neighbour_table(g, kappa), 1, theta=1.0
-        )
-        assert "leading_node_not_slow" in {v.kind for v in viol}
+        with mock.patch.object(topology, "_CHECK_BLOCK", block), pytest.raises(
+            InternalError, match=r"d\(0, 2\) = \S+ exceeds \S+, the least d\(0, x\) \+ kappa\(x, 2\)"
+        ):
+            check_kappa_metric(g, kappa, dist)
+
+    @given(connected_graphs(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_distance_below_every_in_neighbour_path_is_caught(self, graph, data):
+        # the node b farthest from a, one ulp nearer: no in-neighbour path
+        # reaches it, and no path through b undercuts another distance
+        n, pairs, kappas, _ = graph
+        g, kappa, dist = unit_kappa_graph(pairs, n, kappas)
+        a = data.draw(st.integers(0, n - 1))
+        b = int(dist[a].argmax())
+        dist = dist.copy()
+        dist[a, b] = np.nextafter(dist[a, b], 0.0)
+        with mock.patch.object(topology, "_CHECK_BLOCK", data.draw(self.BLOCKS)), pytest.raises(
+            InternalError, match=rf"d\({a}, {b}\) = \S+ is not \S+, the least"
+        ):
+            check_kappa_metric(g, kappa, dist)
+
+
+@st.composite
+def oracle_chunks(draw):
+    """Clock rows on a random graph, piecewise linear with slopes from a
+    small set (so rises tie and psi outruns theta - 1), cut into chunks."""
+    n, pairs, kappas, values = draw(connected_graphs())
+    rows = draw(st.integers(1, 14))
+    dt = np.array(draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=rows, max_size=rows)))
+    rates = draw(st.lists(st.sampled_from([1.0, 1.01, 1.1, 1.5]), min_size=rows * n, max_size=rows * n))
+    L = np.asarray(values) + np.cumsum(np.reshape(rates, (rows, n)) * dt[:, None], axis=0)
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, rows - 1)), max_size=4)) - {rows})
+    return pairs, n, kappas, np.cumsum(dt), L, cuts
+
+
+class TestTraceOraclesTwin:
+    @given(oracle_chunks(), st.integers(1, 3), st.sampled_from([1.0, 1.01]), st.sampled_from([1, 2, 3, 50, 1 << 16]))
+    @example(([(0, 1)], 2, {(0, 1): 1.0}, np.arange(1.0, 5.0), np.column_stack([np.arange(4.0), 1.5 * np.arange(4.0)]), [2]),
+             1, 1.01, 1)
+    @settings(max_examples=150, deadline=None)
+    def test_chunks_match_the_row_by_row_twin(self, chunks, s_max, theta, block_rows):
+        # the rise in blocks of block_rows * n^2 values and the lazy leader
+        # give the twin's potentials, floors and violations bit for bit
+        pairs, n, kappas, times, L, cuts = chunks
+        _, _, dist = unit_kappa_graph(pairs, n, kappas)
+        carry = {"new": (None, None), "twin": (None, None)}
+        bounds = [0, *cuts, len(times)]
+        with mock.patch.object(metrics, "_RISE_BLOCK", block_rows * n * n):
+            for lo, hi in zip(bounds, bounds[1:]):
+                last_row = None if lo == 0 else (times[lo - 1], L[lo - 1])
+                out = {}
+                for side, oracles in (("new", metrics.trace_oracles), ("twin", reference.trace_oracles)):
+                    psi, viol, floors = oracles(times[lo:hi], L[lo:hi], dist, s_max, theta, last_row, carry[side][1])
+                    out[side] = psi, viol
+                    carry[side] = (None, floors)
+                assert np.array_equal(out["new"][0], out["twin"][0])
+                assert out["new"][1] == out["twin"][1]
+                assert np.array_equal(carry["new"][1], carry["twin"][1])
 
 
 class TestTraceOracleConsistency:
