@@ -437,19 +437,18 @@ class TestTraceOraclesTwin:
         # give the twin's potentials, floors and violations bit for bit
         pairs, n, kappas, times, L, cuts = chunks
         _, _, dist = unit_kappa_graph(pairs, n, kappas)
-        carry = {"new": (None, None), "twin": (None, None)}
+        floors = {"new": None, "twin": None}
         bounds = [0, *cuts, len(times)]
         with mock.patch.object(metrics, "_RISE_BLOCK", block_rows * n * n):
             for lo, hi in zip(bounds, bounds[1:]):
                 last_row = None if lo == 0 else (times[lo - 1], L[lo - 1])
                 out = {}
                 for side, oracles in (("new", metrics.trace_oracles), ("twin", reference.trace_oracles)):
-                    psi, viol, floors = oracles(times[lo:hi], L[lo:hi], dist, s_max, theta, last_row, carry[side][1])
+                    psi, viol, floors[side] = oracles(times[lo:hi], L[lo:hi], dist, s_max, theta, last_row, floors[side])
                     out[side] = psi, viol
-                    carry[side] = (None, floors)
                 assert np.array_equal(out["new"][0], out["twin"][0])
                 assert out["new"][1] == out["twin"][1]
-                assert np.array_equal(carry["new"][1], carry["twin"][1])
+                assert np.array_equal(floors["new"], floors["twin"])
 
 
 class TestTraceOracleConsistency:
