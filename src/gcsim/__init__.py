@@ -5,7 +5,6 @@ invariant and skew bound."""
 from .clocks import FAST, OWN_RATE, HardwareClock, LogicalClock
 from .engine import RunResult, Scenario, run, seeded_stream
 from .gcs import GcsParams
-from .metrics import BoundReport
 from .scenario import build_scenario, load_scenario, static_report
 from .topology import EdgeParams, NetworkGraph, edge_kappa, kappa_weights
 from .trace import RunSummary, Trace, Violation
@@ -26,7 +25,6 @@ __all__ = [
     "RunResult",
     "run",
     "seeded_stream",
-    "BoundReport",
     "Trace",
     "RunSummary",
     "Violation",

@@ -2,7 +2,7 @@
 
 Exit codes: 0 clean run, 2 parse or usage error, 3 validation failure, 4 runtime
 invariant violations (the run completed but recorded violations, or was
-aborted by a hard integrity failure).
+aborted by a hard integrity failure or another engine error).
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import engine, scenario as scen
-from .errors import GcsSimError, RunAborted, ScenarioParseError, ScenarioValidationError
+from .errors import GcsSimError, ScenarioParseError, ScenarioValidationError
 from .trace import Violation, write_summary_json, write_trace_csv, write_violations_json
 
 logger = logging.getLogger(__name__)
@@ -58,9 +58,9 @@ def cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     try:
         result = engine.run(sc)
-    except RunAborted as exc:
+    except GcsSimError as exc:  # RunAborted carries the violations found before the abort
         aborted = Violation(time=None, kind="aborted", detail=str(exc))
-        write_violations_json([*exc.violations, aborted], os.path.join(args.out, "violations.json"))
+        write_violations_json([*getattr(exc, "violations", ()), aborted], os.path.join(args.out, "violations.json"))
         return _fail(exc)
     write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
     write_summary_json(result.summary, os.path.join(args.out, "summary.json"))

@@ -647,36 +647,22 @@ class _Simulation:
         )
 
         report = metrics.build_bound_report(
-            sc.kappa,
-            sc.sigma,
-            sc.dist,
-            float(self.edge_max.max()),
-            self.max_global,
-            per_edge_max={e: float(m) for e, m in zip(edges, self.edge_max)},
+            sc.kappa, sc.sigma, sc.local_bound, sc.global_bound, float(self.edge_max.max()), self.max_global,
+            {e: float(m) for e, m in zip(edges, self.edge_max)},
         )
-        if not report.local_satisfied:
-            self.violations.append(
-                Violation(
-                    time=0.0,
-                    kind="bound_local",
-                    detail=f"max local skew {report.max_observed_local!r} exceeds {report.local_bound!r}",
+        for side in ("local", "global"):
+            if not report[f"{side}_satisfied"]:
+                observed, bound = report[f"max_observed_{side}"], report[f"{side}_bound"]
+                self.violations.append(
+                    Violation(time=0.0, kind=f"bound_{side}", detail=f"max {side} skew {observed!r} exceeds {bound!r}")
                 )
-            )
-        if not report.global_satisfied:
-            self.violations.append(
-                Violation(
-                    time=0.0,
-                    kind="bound_global",
-                    detail=f"max global skew {report.max_observed_global!r} exceeds {report.global_bound!r}",
-                )
-            )
 
         self.violations.sort(key=_violation_key)
         summary = RunSummary(
             scenario_hash=sc.scenario_hash,
             seed=sc.master_seed,
             cycles_completed=min(self.cycle),
-            bound_report=report.to_dict(),
+            bound_report=report,
             violation_count=len(self.violations),
             counters=dict(self.counters),
             mode_timelines={str(v): [[t, m] for t, m in c.mode_timeline] for v, c in enumerate(self.clocks)},

@@ -1,18 +1,25 @@
 """Ground-truth oracle: skew metrics, conditions, potentials, bound checks.
 
 Everything here reads true logical clock values, which running nodes never
-see.  The checks are vectorized.  One threshold predicate,
-:func:`level_conditions`, gives the slow and fast conditions over a padded
-neighbour table, for many evaluations at once.  The trace oracles
-(:func:`trace_oracles`: the level potentials and Corollary 1) run on one
-engine chunk of samples at a time, carrying the previous chunk's last row
-and the Corollary 1 floors, so their temporaries are O(rows per chunk *
-n^2) however long the run.
+see.  The checks are vectorized, and each has one implementation.  One
+threshold predicate, :func:`level_conditions`, gives the slow and fast
+conditions over a padded neighbour table, for many evaluations at once.
+One checker, :func:`trace_oracles`, computes the level potentials and
+Corollary 1; it runs on one engine chunk of samples at a time, carrying
+the previous chunk's last row and the Corollary 1 floors, so its
+temporaries are O(rows per chunk * n^2) however long the run, and
+:func:`corollary1_check_all` applies it to a stored trace as one chunk.
+:func:`build_bound_report` sets the run's skew maxima against the
+scenario's static bounds.
+
+``perfbench/worker.py`` wraps :func:`trace_oracles`,
+:func:`corollary1_check_all`, :func:`build_bound_report`,
+:func:`slow_condition` and :func:`fast_condition` by name to time them, so
+these names stay while the benchmark reads them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +28,6 @@ from .topology import NetworkGraph
 from .trace import Trace, Violation
 
 __all__ = [
-    "BoundReport",
     "neighbour_table",
     "level_conditions",
     "slow_condition",
@@ -30,7 +36,6 @@ __all__ = [
     "theorem2_levels",
     "theorem3_bound",
     "global_bound_crossing",
-    "corollary1_check",
     "corollary1_check_all",
     "trace_oracles",
     "build_bound_report",
@@ -99,12 +104,14 @@ def _conditions_at(values, g: NetworkGraph, kappa, v: int, s: int) -> tuple[bool
 
 
 def slow_condition(values, g: NetworkGraph, kappa, v: int, s: int) -> bool:
-    """The slow condition of :func:`level_conditions` for node v at level s."""
+    """The slow condition of :func:`level_conditions` for node v at level s.
+    ``perfbench/worker.py`` counts its calls by this name."""
     return _conditions_at(values, g, kappa, v, s)[0]
 
 
 def fast_condition(values, g: NetworkGraph, kappa, v: int, s: int) -> bool:
-    """The fast condition of :func:`level_conditions` for node v at level s."""
+    """The fast condition of :func:`level_conditions` for node v at level s.
+    ``perfbench/worker.py`` counts its calls by this name."""
     return _conditions_at(values, g, kappa, v, s)[1]
 
 
@@ -136,10 +143,6 @@ def theorem2_bound(kappa_e: float, g_bound: float, sigma: float) -> float:
     """
     levels = theorem2_levels(kappa_e, g_bound, sigma)
     return 2.0 * kappa_e * max(1, levels)
-
-
-def theorem2_is_degenerate(kappa_e: float, g_bound: float, sigma: float) -> bool:
-    return theorem2_levels(kappa_e, g_bound, sigma) < 1
 
 
 def theorem3_bound(dist: np.ndarray, sigma: float) -> float:
@@ -184,15 +187,14 @@ _RISE_BLOCK = 1 << 12
 
 
 def _growth_violations(
-    times: np.ndarray, F: np.ndarray, psi: np.ndarray, s: int, theta: float, tol: float,
-    floor: np.ndarray | None,
+    times: np.ndarray, F: np.ndarray, psi: np.ndarray, s: int, theta: float, floor: np.ndarray | None,
 ) -> tuple[list[Violation], np.ndarray]:
     """Corollary 1 at level s over the rows of one block.
 
     ``F[r, a, b] = L_b - L_a - (2s-1) d(a, b)`` at ``times[r]`` and
     ``psi[r, a] = F[r, a].max()`` is psi_s(a).  With g_a(t) = psi_s(a)(t)
-    - (theta - 1) t, the statement is g_a(t1) - g_a(t0) <= tol for every
-    pair of real instants t0 < t1.
+    - (theta - 1) t, the statement is g_a(t1) - g_a(t0) <= _CHECK_TOL for
+    every pair of real instants t0 < t1.
 
     Each f_ab is linear on a piece, so g_a is convex there.  ``excess`` is
     its left slope at the right end times the piece length: the largest
@@ -201,10 +203,10 @@ def _growth_violations(
     the ends, and at least its value at the right end less max(excess, 0).
     ``floor`` is the running minimum of these lower bounds, so it lies at
     or below g_a at every real instant up to the row; a row is flagged when
-    g_a there exceeds it by more than tol.  One tol then covers every pair
-    t0 < t1, however many pieces lie between them.  Where g_a does not
-    rise on any piece, the floor is just g_a's running minimum.  A hit
-    names as leader the first such b with the largest rise.
+    g_a there exceeds it by more than _CHECK_TOL.  One tolerance then
+    covers every pair t0 < t1, however many pieces lie between them.  Where
+    g_a does not rise on any piece, the floor is just g_a's running
+    minimum.  A hit names as leader the first such b with the largest rise.
 
     ``floor`` carries the floor at ``times[0]`` from the previous block,
     or is None at the start of the trace.  Returns the violations of the
@@ -238,35 +240,15 @@ def _growth_violations(
                 f"[{float(times[r])!r}, {float(times[r + 1])!r}]"
             ),
         )
-        for r, a in zip(*np.nonzero(above > tol))
+        for r, a in zip(*np.nonzero(above > _CHECK_TOL))
     ], floors[-1]
 
 
-def corollary1_check(trace: Trace, s: int, theta: float, tol: float = _CHECK_TOL) -> list[Violation]:
-    """Corollary 1 at level s: no node's potential psi_s(v) rises faster
-    than theta - 1.
-
-    The statement checked is psi_s(v)(t1) - psi_s(v)(t0) <= (theta - 1)
-    (t1 - t0) + tol for every node v and every pair of real instants
-    t0 < t1, sampled or not.  It is exact between samples: every clock is
-    linear between two samples, so psi_s(v) = max_w (L_w - L_v - (2s-1)
-    d(v, w)) is convex on each piece, with its steepest rise at the piece's
-    right end (see ``_growth_violations``).  ``trace_oracles`` makes the
-    same check on each chunk of a run while it builds the potentials; this
-    form re-reads a stored trace in one pass, with (S, n, n) temporaries.
-    """
-    if not (1 <= s <= trace.s_max):
-        raise ParameterError(f"level {s} outside recorded range 1..{trace.s_max}")
-    L = trace.logical
-    F = L[:, None, :] - L[:, :, None] - (2 * s - 1) * trace.dist
-    return _growth_violations(trace.times, F, F.max(axis=2), s, theta, tol, None)[0]
-
-
-def corollary1_check_all(trace: Trace, theta: float, tol: float = _CHECK_TOL) -> list[Violation]:
-    out: list[Violation] = []
-    for s in range(1, trace.s_max + 1):
-        out.extend(corollary1_check(trace, s, theta, tol))
-    return out
+def corollary1_check_all(trace: Trace, theta: float) -> list[Violation]:
+    """Corollary 1 at every level of a stored trace: :func:`trace_oracles`
+    applied to the whole trace as one chunk, with (S, n, n) temporaries.
+    ``perfbench/worker.py`` times it by this name."""
+    return trace_oracles(trace.times, trace.logical, trace.dist, trace.s_max, theta)[1]
 
 
 def trace_oracles(
@@ -277,7 +259,6 @@ def trace_oracles(
     theta: float,
     last_row: tuple | None = None,
     floors: np.ndarray | None = None,
-    tol: float = _CHECK_TOL,
 ) -> tuple[np.ndarray, list[Violation], np.ndarray]:
     """Per-sample level potentials and the Corollary 1 growth check over
     one chunk of samples.
@@ -288,9 +269,16 @@ def trace_oracles(
     ``floors``, the (s_max, n) Corollary 1 floors at that row; both are None
     for the first chunk, so one call over a whole trace checks it as one
     chunk.  Returns (psi_levels (m, s_max), violations, the floors at the
-    chunk's last row).  The Corollary 1 check is the one
-    :func:`corollary1_check` describes, made on the per-level matrices
-    built here and carried across chunks by ``last_row`` and ``floors``.
+    chunk's last row).  The engine calls it on each chunk of a full-mode
+    run, and ``perfbench/worker.py`` times it by this name.
+
+    Corollary 1: no node's potential psi_s(v) rises faster than theta - 1.
+    The statement checked is psi_s(v)(t1) - psi_s(v)(t0) <= (theta - 1)
+    (t1 - t0) + _CHECK_TOL for every level s, node v and pair of real
+    instants t0 < t1, sampled or not.  It is exact between samples: every
+    clock is linear between two samples, so psi_s(v) = max_w (L_w - L_v -
+    (2s-1) d(v, w)) is convex on each piece, with its steepest rise at the
+    piece's right end (see ``_growth_violations``).
 
     The leading-node and trailing-node lemmas need no check per sample:
     they are identities of the kappa-metric at any single instant, whatever
@@ -310,85 +298,45 @@ def trace_oracles(
         times, L = np.append(last_row[0], times), np.vstack([last_row[1], L])
     first = 0 if last_row is None else 1
     m, n = len(times) - first, L.shape[1]
-    diff = L[:, None, :] - L[:, :, None]  # diff[r, a, b] = L_b - L_a
-    buf = np.empty_like(diff)  # F of one level at a time
+    buf = np.empty((len(times), n, n))  # F of one level at a time
     psi_levels = np.empty((m, s_max))
     new_floors = np.empty((s_max, n))
     violations: list[Violation] = []
     for s in range(1, s_max + 1):
-        F = np.subtract(diff, (2 * s - 1) * dist, out=buf)
+        F = np.subtract(L[:, None, :], L[:, :, None], out=buf)  # F[r, a, b] = L_b - L_a
+        F -= (2 * s - 1) * dist
         psi = F.max(axis=2)
         psi_levels[:, s - 1] = psi[first:].max(axis=1)
         viol, new_floors[s - 1] = _growth_violations(
-            times, F, psi, s, theta, tol, None if floors is None else floors[s - 1]
+            times, F, psi, s, theta, None if floors is None else floors[s - 1]
         )
         violations += viol
     return psi_levels, violations, new_floors
 
 
-@dataclass
-class BoundReport:
-    """Static skew bounds against the maxima a run actually produced."""
-
-    sigma: float
-    local_bound: float
-    global_bound: float
-    max_observed_local: float
-    max_observed_global: float
-    local_satisfied: bool
-    global_satisfied: bool
-    local_bound_degenerate: bool = False
-    per_edge: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "local_bound": self.local_bound,
-            "global_bound": self.global_bound,
-            "max_observed_local": self.max_observed_local,
-            "max_observed_global": self.max_observed_global,
-            "local_satisfied": self.local_satisfied,
-            "global_satisfied": self.global_satisfied,
-            "local_bound_degenerate": self.local_bound_degenerate,
-            "per_edge": self.per_edge,
-        }
-
-
 def build_bound_report(
-    kappa,
-    sigma: float,
-    dist: np.ndarray,
-    max_local: float,
-    max_global: float,
-    per_edge_max: dict | None = None,
-    tol: float = _CHECK_TOL,
-) -> BoundReport:
-    g_bound = theorem3_bound(dist, sigma)
-    kappa_max = max(kappa.values())
-    l_bound = theorem2_bound(kappa_max, g_bound, sigma)
+    kappa, sigma: float, local_bound: float, global_bound: float, max_local: float, max_global: float,
+    per_edge_max: dict,
+) -> dict:
+    """The ``bound_report`` of ``summary.json``: the scenario's static skew
+    bounds against the maxima a run produced, overall and per edge.
+    ``perfbench/worker.py`` times it by this name."""
     per_edge = []
-    if per_edge_max is not None:
-        for (u, v), observed in sorted(per_edge_max.items()):
-            k_e = kappa[(u, v)]
-            b_e = theorem2_bound(k_e, g_bound, sigma)
-            per_edge.append(
-                {
-                    "u": u,
-                    "v": v,
-                    "kappa": k_e,
-                    "bound": b_e,
-                    "max_observed": observed,
-                    "satisfied": observed <= b_e + tol,
-                }
-            )
-    return BoundReport(
-        sigma=sigma,
-        local_bound=l_bound,
-        global_bound=g_bound,
-        max_observed_local=max_local,
-        max_observed_global=max_global,
-        local_satisfied=max_local <= l_bound + tol,
-        global_satisfied=max_global <= g_bound + tol,
-        local_bound_degenerate=theorem2_is_degenerate(kappa_max, g_bound, sigma),
-        per_edge=per_edge,
-    )
+    for (u, v), observed in sorted(per_edge_max.items()):
+        k_e = kappa[(u, v)]
+        b_e = theorem2_bound(k_e, global_bound, sigma)
+        per_edge.append(
+            {"u": u, "v": v, "kappa": k_e, "bound": b_e, "max_observed": observed,
+             "satisfied": observed <= b_e + _CHECK_TOL}
+        )
+    return {
+        "sigma": sigma,
+        "local_bound": local_bound,
+        "global_bound": global_bound,
+        "max_observed_local": max_local,
+        "max_observed_global": max_global,
+        "local_satisfied": max_local <= local_bound + _CHECK_TOL,
+        "global_satisfied": max_global <= global_bound + _CHECK_TOL,
+        "local_bound_degenerate": theorem2_levels(max(kappa.values()), global_bound, sigma) < 1,
+        "per_edge": per_edge,
+    }

@@ -32,7 +32,7 @@ class Violation:
     detail: str
 
     def to_dict(self) -> dict:
-        return {"time": self.time, "kind": self.kind, "detail": self.detail}
+        return dict(vars(self))
 
 
 @dataclass(eq=False)
@@ -85,16 +85,7 @@ class RunSummary:
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_hash": self.scenario_hash,
-            "seed": self.seed,
-            "cycles_completed": self.cycles_completed,
-            "bound_report": self.bound_report,
-            "violation_count": self.violation_count,
-            "counters": self.counters,
-            "mode_timelines": self.mode_timelines,
-            "first_global_bound_exceed_time": self.first_global_bound_exceed_time,
-        }
+        return {k: v for k, v in vars(self).items() if k != "wall_time_s"}
 
 
 # Rows formatted at once by write_trace_csv; bounds the strings held in memory.

@@ -249,6 +249,25 @@ class TestRun:
             '    "kind": "aborted",\n    "time": null\n  }\n]\n'
         )
 
+    def test_engine_error_is_reported_as_an_abort(self, tmp_path, monkeypatch, capsys):
+        # a distance matrix that is not the kappa-metric fails the engine's
+        # static check, an InternalError rather than a RunAborted
+        build = scen.kappa_distance_matrix
+
+        def tampered(g, kappa):
+            dist = build(g, kappa)
+            dist[0, 0] = 1e-300
+            return dist
+
+        monkeypatch.setattr(scen, "kappa_distance_matrix", tampered)
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--scenario", "line8", "--out", str(out)])
+        assert rc == cli.EXIT_RUNTIME
+        assert "run aborted: kappa distance d(0, 0) is 1e-300, not 0" in capsys.readouterr().err
+        assert json.loads((out / "violations.json").read_text(encoding="utf-8")) == [
+            {"detail": "kappa distance d(0, 0) is 1e-300, not 0", "kind": "aborted", "time": None}
+        ]
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_is_a_usage_error(self, seed, tmp_path, capsys):
         path = write_doc(tmp_path, zero_drift_doc(False, horizon_cycles=5))

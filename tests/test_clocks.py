@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcsim import scenario as scen
-from gcsim.clocks import FAST, OWN_RATE, HardwareClock, LogicalClock, sample_clocks
+from gcsim.clocks import FAST, OWN_RATE, HardwareClock, LogicalClock, read_clocks, sample_clocks
 from gcsim.errors import InternalError, ParameterError, ScenarioValidationError
 
 from reference import check_lipschitz, value_pair
@@ -158,6 +158,13 @@ def assert_matches_reference(clocks, times):
     assert np.array_equal(H, ref_H)
 
 
+def assert_reads_match_reference(clocks, times, cols):
+    """``read_clocks`` equals the scalar reference, one (instant, clock) at a time."""
+    times, cols = np.asarray(times, dtype=float), np.asarray(cols, dtype=np.intp)
+    expect = [value_pair(clocks[k], t)[0] for t, k in zip(times.tolist(), cols.tolist())]
+    assert np.array_equal(read_clocks(clocks, times, cols), np.array(expect, dtype=float))
+
+
 def mixed_clocks():
     """Clocks that, between t = 2 and t = 6, cover each evaluation path."""
     steady = LogicalClock(hw(0.3, ((0.0, 1.013),)), mu=0.1)
@@ -207,6 +214,27 @@ class TestSampleClocks:
         instants = st.one_of(st.floats(0.0, 40.0), st.sampled_from(kinks))
         times = sorted(set(data.draw(st.lists(instants, min_size=1, max_size=12))))
         assert_matches_reference(clocks, times)
+        reads = data.draw(st.lists(st.tuples(instants, st.integers(0, len(clocks) - 1)), min_size=1, max_size=12))
+        assert_reads_match_reference(clocks, *zip(*reads))
+
+
+class TestReadClocks:
+    """The per-read evaluator equals the scalar formula bit for bit."""
+
+    @pytest.mark.parametrize("times, cols", [
+        ([5.5, 2.0, 4.0, 3.1, 2.6, 0.5], [3, 0, 2, 1, 3, 1]),  # unsorted, across every breakpoint
+        ([2.0, 3.0, 4.5, 6.0, 3.0], [2, 2, 2, 2, 2]),  # one column, read again and again
+        ([3.7], [3]),  # one read
+        ([6.5, 7.25, 100.0], [0, 3, 0]),  # no breakpoint inside: one broadcast
+        ([2.0, 6.0, 4.0], [0, 1, 0]),  # clocks 2 and 3 bend in [2, 6] but are not read
+        ([], []),
+    ])
+    def test_matches_scalar_reference(self, times, cols):
+        assert_reads_match_reference(mixed_clocks(), times, cols)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ParameterError):
+            read_clocks(mixed_clocks(), np.array([2.0, -1.0]), np.array([0, 1]))
 
 
 def hardware_of(*specs, horizon_time=30.0, seed=None):

@@ -187,8 +187,8 @@ class TestTheoremBounds:
 
     def test_theorem2_degenerate_replaced(self):
         assert metrics.theorem2_bound(1.0, 1.0, 10.0) == pytest.approx(2.0)
-        assert metrics.theorem2_is_degenerate(1.0, 1.0, 10.0)
-        assert not metrics.theorem2_is_degenerate(1.0, 8.889, 10.0)
+        assert metrics.theorem2_levels(1.0, 1.0, 10.0) < 1
+        assert metrics.theorem2_levels(1.0, 8.889, 10.0) >= 1
 
     def test_theorem2_small_kappa(self):
         # ceil(log_100(10 / 0.31)) = 1
@@ -235,20 +235,14 @@ def short_run():
 
 class TestCorollary1:
     def test_zero_drift_run_is_clean(self, short_run):
-        trace = short_run.trace
-        for s in range(1, trace.s_max + 1):
-            assert metrics.corollary1_check(trace, s, theta=1.0) == []
+        assert metrics.corollary1_check_all(short_run.trace, theta=1.0) == []
 
     def test_corrupted_trace_is_flagged(self, short_run):
         trace = short_run.trace
         trace.logical = trace.logical.copy()
         trace.logical[len(trace) // 2, 0] += 1.0
-        bad = metrics.corollary1_check(trace, 1, theta=1.0)
+        bad = metrics.corollary1_check_all(trace, theta=1.0)
         assert bad and all(v.kind == "corollary1" for v in bad)
-
-    def test_level_out_of_range(self, short_run):
-        with pytest.raises(ParameterError):
-            metrics.corollary1_check(short_run.trace, 99, theta=1.0)
 
     def test_fast_neighbour_is_flagged_on_its_piece(self, monkeypatch):
         sc = scen.build_scenario(corollary1_doc())
@@ -298,8 +292,8 @@ class TestCorollary1:
             np.array([0.0, 1.0]), np.array([[0.0, 2.0, 1.0], [1.0, 2.0, 3.0]]),
             np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]),
         )
-        assert metrics.corollary1_check(trace, 1, theta=2.5) == []
-        bad = metrics.corollary1_check(trace, 1, theta=1.01)
+        assert metrics.corollary1_check_all(trace, theta=2.5) == []
+        bad = metrics.corollary1_check_all(trace, theta=1.01)
         assert [(v.time, v.detail.split(":")[0]) for v in bad] == [(1.0, "node 0 level 1, leader 2")]
 
     @pytest.mark.parametrize("chunk", [4096, 7])
@@ -311,10 +305,10 @@ class TestCorollary1:
         t = np.arange(1001.0)
         _, _, dist = unit_kappa_graph([(0, 1)], 2)
         exact = stored_trace(t, np.column_stack([t, 1.0 + theta * t]), dist)
-        assert metrics.corollary1_check(exact, 1, theta) == []
+        assert metrics.corollary1_check_all(exact, theta) == []
         assert chained_oracles(exact, theta, chunk) == []
         excess = stored_trace(t, np.column_stack([t, 1.0 + (theta + 1e-10) * t]), dist)
-        bad = metrics.corollary1_check(excess, 1, theta)
+        bad = metrics.corollary1_check_all(excess, theta)
         assert chained_oracles(excess, theta, chunk) == bad
         assert bad and all(v.detail.startswith("node 0 level 1, leader 1:") for v in bad)
         assert bad[0].time == pytest.approx(11.0, abs=1.0)  # where the rise first tops 1e-9
