@@ -76,8 +76,9 @@ _INF = float("inf")
 # and the clocks evaluated, reduced and checked with numpy once a chunk
 # holds this many sampled clock values plus checked estimates (32 rows at
 # n = 256 when no check is pending).  Full mode also reduces a chunk once its
-# rows times n^2, the size of the trace oracles' temporaries, reach
-# 256 * _CHUNK_VALUES, which binds only above n = 256.
+# rows times n^2, the size of the trace oracles' temporaries when the skew
+# ball holds every pair (they are rows times n * K for the K columns inside
+# it), reach 256 * _CHUNK_VALUES, which binds only above n = 256.
 _CHUNK_VALUES = 8192
 
 
@@ -234,6 +235,8 @@ class _Simulation:
         self.full = sc.metrics_mode == "full"
         if self.full:  # what the leading/trailing-node lemmas rest on, once per run
             check_kappa_metric(g, sc.kappa, sc.dist)
+            # each row of dist in ascending order, for the trace oracles' skew balls
+            self._by_distance = metrics.distance_order(sc.dist)
         self._nb, self._nb_kappa = metrics.neighbour_table(g, sc.kappa)
         self._deg = np.array([len(g.neighbors(v)) for v in range(n)], dtype=np.intp)
         self._own = np.arange(self._nb.shape[1]) < self._deg[:, None]  # not a pad
@@ -457,7 +460,8 @@ class _Simulation:
         if self.full:
             sc = self.sc
             psi, viol, self.floors = metrics.trace_oracles(
-                times, L, sc.dist, sc.params.s_max, sc.params.theta, None if prev is None else prev[:2], self.floors
+                times, L, sc.dist, sc.params.s_max, sc.params.theta, None if prev is None else prev[:2], self.floors,
+                self._by_distance,
             )
             self.violations.extend(viol)
             self.chunks.append((times, L, H, local, glob, psi))

@@ -6,9 +6,12 @@ threshold predicate, :func:`level_conditions`, gives the slow and fast
 conditions over a padded neighbour table, for many evaluations at once.
 One checker, :func:`trace_oracles`, computes the level potentials and
 Corollary 1; it runs on one engine chunk of samples at a time, carrying
-the previous chunk's last row and the Corollary 1 floors, so its
-temporaries are O(rows per chunk * n^2) however long the run, and
-:func:`corollary1_check_all` applies it to a stored trace as one chunk.
+the previous chunk's last row and the Corollary 1 floors, and reads only
+the pairs inside the chunk's skew ball, the first K columns of each row
+of the distance matrix in ascending order (:func:`distance_order`).  Its
+temporaries are O(rows per chunk * n * K), n^2 per row at worst, however
+long the run, and :func:`corollary1_check_all` applies it to a stored
+trace as one chunk.
 :func:`build_bound_report` sets the run's skew maxima against the
 scenario's static bounds.
 
@@ -36,6 +39,7 @@ __all__ = [
     "theorem2_levels",
     "theorem3_bound",
     "global_bound_crossing",
+    "distance_order",
     "corollary1_check_all",
     "trace_oracles",
     "build_bound_report",
@@ -181,20 +185,22 @@ def global_bound_crossing(t0: float, L0: np.ndarray, t1: float, L1: np.ndarray, 
 # Values per in-place block of the Corollary 1 rise.  numpy copies the
 # overlapping operand of ``F[lo:hi] -= F[lo - 1:hi - 1]``, an extra pass that
 # costs more than the per-row call it saves once a row holds a few thousand
-# values: 16 rows a block at n = 16, 4 at n = 32, one row at a time from
-# n = 64 on.
+# values.  A row holds n * K values, K the columns inside the chunk's skew
+# ball: 16 rows a block at n = K = 16, and one row at a time once n * K
+# reaches 4096, which at K = n is from n = 64 on.
 _RISE_BLOCK = 1 << 12
 
 
 def _growth_violations(
     times: np.ndarray, F: np.ndarray, psi: np.ndarray, s: int, theta: float, floor: np.ndarray | None,
+    cols: np.ndarray,
 ) -> tuple[list[Violation], np.ndarray]:
     """Corollary 1 at level s over the rows of one block.
 
-    ``F[r, a, b] = L_b - L_a - (2s-1) d(a, b)`` at ``times[r]`` and
-    ``psi[r, a] = F[r, a].max()`` is psi_s(a).  With g_a(t) = psi_s(a)(t)
-    - (theta - 1) t, the statement is g_a(t1) - g_a(t0) <= _CHECK_TOL for
-    every pair of real instants t0 < t1.
+    ``F[r, a, k] = L_b - L_a - (2s-1) d(a, b)`` at ``times[r]`` for the
+    node b = ``cols[a, k]``, and ``psi[r, a] = F[r, a].max()`` is psi_s(a).
+    With g_a(t) = psi_s(a)(t) - (theta - 1) t, the statement is g_a(t1) -
+    g_a(t0) <= _CHECK_TOL for every pair of real instants t0 < t1.
 
     Each f_ab is linear on a piece, so g_a is convex there.  ``excess`` is
     its left slope at the right end times the piece length: the largest
@@ -206,7 +212,8 @@ def _growth_violations(
     g_a there exceeds it by more than _CHECK_TOL.  One tolerance then
     covers every pair t0 < t1, however many pieces lie between them.  Where
     g_a does not rise on any piece, the floor is just g_a's running
-    minimum.  A hit names as leader the first such b with the largest rise.
+    minimum.  A hit names as leader the smallest such b with the largest
+    rise.
 
     ``floor`` carries the floor at ``times[0]`` from the previous block,
     or is None at the start of the trace.  Returns the violations of the
@@ -235,7 +242,7 @@ def _growth_violations(
             time=float(times[r + 1]),
             kind="corollary1",
             detail=(
-                f"node {a} level {s}, leader {rise[r, a].argmax()}: potential rose faster than "
+                f"node {a} level {s}, leader {_leader(rise[r, a], cols[a])}: potential rose faster than "
                 f"the drift envelope, by {float(above[r, a]):.3e} at the end of the piece "
                 f"[{float(times[r])!r}, {float(times[r + 1])!r}]"
             ),
@@ -244,9 +251,25 @@ def _growth_violations(
     ], floors[-1]
 
 
+def _leader(rise: np.ndarray, names: np.ndarray) -> int:
+    """The smallest of the nodes ``names`` whose ``rise`` is the largest."""
+    return int(names[rise == rise.max()].min())
+
+
+def distance_order(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, col_min) of a distance matrix, for :func:`trace_oracles`.
+
+    ``order[a]`` (int32, since n <= 2^14) lists the nodes by their distance
+    from a, ascending, and ``col_min[j]`` is the least j-th smallest
+    distance of any row, so ``col_min`` is non-decreasing.
+    """
+    order = np.argsort(dist, axis=1, kind="stable")
+    return order.astype(np.int32), np.take_along_axis(dist, order, axis=1).min(axis=0)
+
+
 def corollary1_check_all(trace: Trace, theta: float) -> list[Violation]:
     """Corollary 1 at every level of a stored trace: :func:`trace_oracles`
-    applied to the whole trace as one chunk, with (S, n, n) temporaries.
+    applied to the whole trace as one chunk, with (S, n, K) temporaries.
     ``perfbench/worker.py`` times it by this name."""
     return trace_oracles(trace.times, trace.logical, trace.dist, trace.s_max, theta)[1]
 
@@ -259,6 +282,7 @@ def trace_oracles(
     theta: float,
     last_row: tuple | None = None,
     floors: np.ndarray | None = None,
+    by_distance: tuple | None = None,
 ) -> tuple[np.ndarray, list[Violation], np.ndarray]:
     """Per-sample level potentials and the Corollary 1 growth check over
     one chunk of samples.
@@ -268,9 +292,11 @@ def trace_oracles(
     last (t, L) row, which starts the first piece of this chunk, and
     ``floors``, the (s_max, n) Corollary 1 floors at that row; both are None
     for the first chunk, so one call over a whole trace checks it as one
-    chunk.  Returns (psi_levels (m, s_max), violations, the floors at the
-    chunk's last row).  The engine calls it on each chunk of a full-mode
-    run, and ``perfbench/worker.py`` times it by this name.
+    chunk.  ``by_distance`` is :func:`distance_order` of ``dist``, computed
+    here when None; a run computes it once.  Returns (psi_levels (m,
+    s_max), violations, the floors at the chunk's last row).  The engine
+    calls it on each chunk of a full-mode run, and ``perfbench/worker.py``
+    times it by this name.
 
     Corollary 1: no node's potential psi_s(v) rises faster than theta - 1.
     The statement checked is psi_s(v)(t1) - psi_s(v)(t0) <= (theta - 1)
@@ -279,6 +305,22 @@ def trace_oracles(
     clock is linear between two samples, so psi_s(v) = max_w (L_w - L_v -
     (2s-1) d(v, w)) is convex on each piece, with its steepest rise at the
     piece's right end (see ``_growth_violations``).
+
+    Only the pairs inside the chunk's skew ball are read, and the result is
+    the one over all pairs, bit for bit.  Let G_c be the chunk's largest
+    global skew, the carried row included, and K the number of columns j
+    with (2s-1) col_min[j] <= G_c + _CHECK_TOL; ``col_min`` is
+    non-decreasing, so these are the first K.  F is built over the nodes
+    ``order[:, :K]`` with the float operations of the dense form, so each
+    of its values is the dense one.  psi_s(a) >= 0, since the diagonal
+    reads exactly 0.  A node b outside a's first K columns has (2s-1)
+    d(a, b) > G_c + _CHECK_TOL, while the rounded L_b - L_a is at most the
+    rounded G_c, so F_ab <= -_CHECK_TOL up to the rounding of G_c +
+    _CHECK_TOL, far below psi_s(a) - _TIE_TOL.  Such a b never sets psi_s(a),
+    never enters the tie mask, so it sets no rise, floor or leader: the
+    maxima over the first K columns equal those over all n, and the leader
+    is named as the smallest node of the largest rise in either order.
+    At K = n the columns stay in natural order.
 
     The leading-node and trailing-node lemmas need no check per sample:
     they are identities of the kappa-metric at any single instant, whatever
@@ -296,19 +338,30 @@ def trace_oracles(
     """
     if last_row is not None:  # the carried row only starts the first piece
         times, L = np.append(last_row[0], times), np.vstack([last_row[1], L])
+    order, col_min = distance_order(dist) if by_distance is None else by_distance
     first = 0 if last_row is None else 1
     m, n = len(times) - first, L.shape[1]
-    buf = np.empty((len(times), n, n))  # F of one level at a time
+    reach = float((L.max(axis=1) - L.min(axis=1)).max()) + _CHECK_TOL
+    width = [int(np.count_nonzero((2 * s - 1) * col_min <= reach)) for s in range(1, s_max + 1)]
+    buf = np.empty(len(times) * n * width[0])  # F of one level at a time
     psi_levels = np.empty((m, s_max))
     new_floors = np.empty((s_max, n))
     violations: list[Violation] = []
-    for s in range(1, s_max + 1):
-        F = np.subtract(L[:, None, :], L[:, :, None], out=buf)  # F[r, a, b] = L_b - L_a
-        F -= (2 * s - 1) * dist
+    for s, K in zip(range(1, s_max + 1), width):
+        F = buf[: len(times) * n * K].reshape(len(times), n, K)
+        if K == n:  # every pair: natural column order
+            cols = np.broadcast_to(np.arange(n), (n, n))
+            np.subtract(L[:, None, :], L[:, :, None], out=F)  # F[r, a, b] = L_b - L_a
+            F -= (2 * s - 1) * dist
+        else:
+            cols = order[:, :K]
+            np.take(L, cols, axis=1, out=F, mode="clip")  # in range: "clip" skips a buffered copy
+            F -= L[:, :, None]
+            F -= (2 * s - 1) * np.take_along_axis(dist, cols, axis=1)
         psi = F.max(axis=2)
         psi_levels[:, s - 1] = psi[first:].max(axis=1)
         viol, new_floors[s - 1] = _growth_violations(
-            times, F, psi, s, theta, None if floors is None else floors[s - 1]
+            times, F, psi, s, theta, None if floors is None else floors[s - 1], cols
         )
         violations += viol
     return psi_levels, violations, new_floors

@@ -6,7 +6,8 @@ fast conditions) or per pair of samples (the hardware drift envelope), the
 engine's ground-truth checks made one event at a time, the row-by-row
 trace writer, the per-source Dijkstra behind the kappa distance matrix,
 the pair-by-pair boot-up gate, the one-stream-at-a-time RNG seeding and
-the trace oracles with their Corollary 1 rise taken one row at a time.
+the dense trace oracles, over every pair, with their Corollary 1 rise
+taken one row at a time.
 Tests check the engine against them; the package itself does not use
 them.
 
@@ -123,9 +124,11 @@ def growth_violations(
     ], floors[-1]
 
 
-def trace_oracles(times, L, dist, s_max, theta, last_row=None, floors=None, tol=1e-9):
-    """``metrics.trace_oracles`` on :func:`growth_violations`: the same
-    (psi_levels, violations, floors) of one chunk, with the same carry."""
+def dense_trace_oracles(times, L, dist, s_max, theta, last_row=None, floors=None, tol=1e-9):
+    """``metrics.trace_oracles`` over every pair, with (rows, n, n)
+    temporaries per level, on :func:`growth_violations`: the same
+    (psi_levels, violations, floors) of one chunk, with the same carry,
+    whatever the skew ball holds."""
     if last_row is not None:
         times, L = np.append(last_row[0], times), np.vstack([last_row[1], L])
     first = 0 if last_row is None else 1

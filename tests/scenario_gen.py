@@ -208,3 +208,18 @@ def distinct_rate_doc(n: int, horizon_cycles: int = 12, metrics: str = "full") -
     doc["clocks"]["default"] = {"generator": "constant", "rate": 1.0}
     doc["clocks"]["overrides"] = {str(i): {"rate": float(r)} for i, r in enumerate(rates)}
     return doc
+
+
+def wide_offset_doc(n: int, horizon_cycles: int = 12) -> dict:
+    """:func:`random_template_doc` with GCS disabled and node v starting at
+    0.9 d(0, v), which the boot-up gate allows.  The global skew then stays
+    near 0.9 times node 0's kappa-eccentricity, so the level-1 ball of the
+    trace oracles holds most pairs: their worst case."""
+    from gcsim import scenario
+
+    doc = random_template_doc(n, horizon_cycles)
+    d0 = scenario.build_scenario(doc).dist[0]
+    doc["gcs"]["enabled"] = False
+    for v, d in enumerate(d0.tolist()):
+        doc["clocks"]["overrides"].setdefault(str(v), {})["initial_value"] = 0.9 * d
+    return doc

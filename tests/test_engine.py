@@ -512,9 +512,9 @@ class TestSparseSampling:
 
 
 class TestChunkRows:
-    """Full mode also bounds the trace oracles' (rows, n, n) temporaries by
-    256 * _CHUNK_VALUES values; that rule cuts a chunk short only above
-    n = 256."""
+    """Full mode also bounds the trace oracles' (rows, n, K) temporaries,
+    n^2 per row when the skew ball holds every pair, by 256 * _CHUNK_VALUES
+    values; that rule cuts a chunk short only above n = 256."""
 
     @pytest.mark.parametrize("n, mode, rows", [(256, "full", 32), (264, "full", 31), (264, "skew_only", 32)])
     def test_rows_per_chunk(self, monkeypatch, n, mode, rows):

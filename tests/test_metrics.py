@@ -14,7 +14,7 @@ from gcsim.trace import Trace
 
 import reference
 from reference import global_skew, level_potential, local_skew, potential, trailing_node
-from scenario_gen import corollary1_doc, zero_drift_doc
+from scenario_gen import corollary1_doc, wide_offset_doc, zero_drift_doc
 
 
 def unit_kappa_graph(pairs, n, kappas=None):
@@ -257,7 +257,7 @@ class TestCorollary1:
         trace, theta = res.trace, sc.params.theta
         assert chained_oracles(trace, theta, 2) == hits
         assert chained_oracles(trace, theta, len(trace)) == hits
-        assert chained_oracles(trace, theta, 7, reference.trace_oracles) == hits
+        assert chained_oracles(trace, theta, 7, reference.dense_trace_oracles) == hits
         # engine chunks of one row, or of a size that divides no row count:
         # the floors are carried from chunk to chunk
         for chunk_values in (1, 50):
@@ -340,14 +340,14 @@ def chained_oracles(trace, theta, rows, oracles=metrics.trace_oracles):
 
 
 @st.composite
-def connected_graphs(draw):
+def connected_graphs(draw, kappa_values=st.floats(0.05, 2.0)):
     n = draw(st.integers(2, 7))
     pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}  # a random tree
     for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
         if a != b:
             pairs.add((min(a, b), max(a, b)))
     pairs = sorted(pairs)
-    kappas = {p: draw(st.floats(0.05, 2.0)) for p in pairs}
+    kappas = {p: draw(kappa_values) for p in pairs}
     values = draw(st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n))
     return n, pairs, kappas, values
 
@@ -410,39 +410,143 @@ class TestLeadingTrailingOracles:
 
 @st.composite
 def oracle_chunks(draw):
-    """Clock rows on a random graph, piecewise linear with slopes from a
-    small set (so rises tie and psi outruns theta - 1), cut into chunks."""
-    n, pairs, kappas, values = draw(connected_graphs())
+    """Clock rows on a random kappa-metric graph, piecewise linear with
+    slopes from a small set (so rises tie and psi outruns theta - 1), cut
+    into chunks.  The initial offsets are scaled down to a small multiple
+    of the smallest kappa, so the skew ball may hold few pairs, or are
+    widened by twice the distance from node 0, which makes every pair a
+    candidate at level 1 in the first chunk."""
+    n, pairs, kappas, values = draw(connected_graphs(st.one_of(st.floats(0.05, 2.0), st.sampled_from([0.25, 0.5]))))
+    _, _, dist = unit_kappa_graph(pairs, n, kappas)
+    spread = draw(st.sampled_from(["narrow", "as drawn", "wide"]))
+    if spread == "narrow":
+        values = np.asarray(values) / 6.0 * min(kappas.values()) * draw(st.sampled_from([0.0, 0.5, 2.0]))
+    elif spread == "wide":
+        values = np.asarray(values) + 2.0 * dist[0] + 1.0
     rows = draw(st.integers(1, 14))
     dt = np.array(draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=rows, max_size=rows)))
     rates = draw(st.lists(st.sampled_from([1.0, 1.01, 1.1, 1.5]), min_size=rows * n, max_size=rows * n))
     L = np.asarray(values) + np.cumsum(np.reshape(rates, (rows, n)) * dt[:, None], axis=0)
     cuts = sorted(draw(st.sets(st.integers(1, max(1, rows - 1)), max_size=4)) - {rows})
-    return pairs, n, kappas, np.cumsum(dt), L, cuts
+    return dist, np.cumsum(dt), L, cuts
+
+
+# line 0 -(1)- 1 -(3)- 2 -(10)- 3: the sorted rows' least distances are
+# 0, 1, 3, 10, and node 2 is third nearest to node 1, at d(1, 2) = 3
+BALL_LINE = ([(0, 1), (1, 2), (2, 3)], 4, {(0, 1): 1.0, (1, 2): 3.0, (2, 3): 10.0})
+
+
+def ball_widths(monkeypatch):
+    """Record the columns per node, (n, K), that each level of
+    :func:`metrics.trace_oracles` reads: a list of K per call and level."""
+    widths = []
+    growth = metrics._growth_violations
+
+    def recording(times, F, psi, s, theta, floor, cols):
+        widths.append(cols.shape[1])
+        return growth(times, F, psi, s, theta, floor, cols)
+
+    monkeypatch.setattr(metrics, "_growth_violations", recording)
+    return widths
 
 
 class TestTraceOraclesTwin:
     @given(oracle_chunks(), st.integers(1, 3), st.sampled_from([1.0, 1.01]), st.sampled_from([1, 2, 3, 50, 1 << 16]))
-    @example(([(0, 1)], 2, {(0, 1): 1.0}, np.arange(1.0, 5.0), np.column_stack([np.arange(4.0), 1.5 * np.arange(4.0)]), [2]),
-             1, 1.01, 1)
-    @settings(max_examples=150, deadline=None)
+    @example((np.array([[0.0, 1.0], [1.0, 0.0]]), np.arange(1.0, 5.0),
+              np.column_stack([np.arange(4.0), 1.5 * np.arange(4.0)]), [2]), 1, 1.01, 1)
+    @settings(max_examples=200, deadline=None)
     def test_chunks_match_the_row_by_row_twin(self, chunks, s_max, theta, block_rows):
-        # the rise in blocks of block_rows * n^2 values and the lazy leader
-        # give the twin's potentials, floors and violations bit for bit
-        pairs, n, kappas, times, L, cuts = chunks
-        _, _, dist = unit_kappa_graph(pairs, n, kappas)
+        # the oracles over the skew ball, with the rise in blocks of
+        # block_rows * n^2 values and the lazy leader, give the dense
+        # twin's potentials, floors and violations (time, kind and detail,
+        # leader included) bit for bit, chunk after chunk
+        dist, times, L, cuts = chunks
+        n = len(dist)
         floors = {"new": None, "twin": None}
         bounds = [0, *cuts, len(times)]
+        by_distance = metrics.distance_order(dist)
+        sides = (("new", lambda *a: metrics.trace_oracles(*a, by_distance)), ("twin", reference.dense_trace_oracles))
         with mock.patch.object(metrics, "_RISE_BLOCK", block_rows * n * n):
             for lo, hi in zip(bounds, bounds[1:]):
                 last_row = None if lo == 0 else (times[lo - 1], L[lo - 1])
                 out = {}
-                for side, oracles in (("new", metrics.trace_oracles), ("twin", reference.trace_oracles)):
+                for side, oracles in sides:
                     psi, viol, floors[side] = oracles(times[lo:hi], L[lo:hi], dist, s_max, theta, last_row, floors[side])
                     out[side] = psi, viol
                 assert np.array_equal(out["new"][0], out["twin"][0])
                 assert out["new"][1] == out["twin"][1]
                 assert np.array_equal(floors["new"], floors["twin"])
+
+    def test_wide_offset_run_matches_the_dense_twin(self, monkeypatch):
+        # the CI's worst-case shape at n = 32: level 1 reads every sorted
+        # column but the last, so each row's order differs from the natural one
+        sc = scen.build_scenario(wide_offset_doc(32, horizon_cycles=4))
+        widths = ball_widths(monkeypatch)
+        res = engine.run(sc)
+        assert widths[:3] == [31, 9, 1]
+        monkeypatch.setattr(metrics, "trace_oracles", lambda *a: reference.dense_trace_oracles(*a[:7]))
+        dense = engine.run(sc)
+        assert np.array_equal(res.trace.psi_levels, dense.trace.psi_levels)
+        assert res.violations == dense.violations
+
+    def test_distance_order_sorts_every_row(self):
+        _, _, dist = unit_kappa_graph(*BALL_LINE)
+        order, col_min = metrics.distance_order(dist)
+        assert order.dtype == np.int32
+        assert order.tolist() == [[0, 1, 2, 3], [1, 0, 2, 3], [2, 1, 0, 3], [3, 2, 1, 0]]
+        assert col_min.tolist() == [0.0, 1.0, 3.0, 10.0]
+
+
+class TestSkewBallTamper:
+    """Tampered rows around the edge of the level-1 skew ball: the pair
+    (1, 2), with d(1, 2) = 3, realizes the global skew G_c = L_2 - L_1 of
+    a two-row chunk.  Its column is read when 3 <= G_c + _CHECK_TOL."""
+
+    def oracles(self, L, monkeypatch):
+        _, _, dist = unit_kappa_graph(*BALL_LINE)
+        times = np.array([0.0, 1.0])
+        widths = ball_widths(monkeypatch)
+        got = metrics.trace_oracles(times, L, dist, 2, 1.01)
+        twin = reference.dense_trace_oracles(times, L, dist, 2, 1.01)
+        assert np.array_equal(got[0], twin[0]) and got[1] == twin[1] and np.array_equal(got[2], twin[2])
+        return got[1], widths
+
+    @pytest.mark.parametrize("gap", [2.0 ** -40, -(2.0 ** -40)])
+    def test_jump_through_a_pair_just_inside_is_flagged_with_its_leader(self, gap, monkeypatch):
+        # psi_1(1) jumps to L_2 - L_1 - 3 = gap, 9.1e-13 either way: a
+        # positive potential, or a tie with the diagonal's 0 within
+        # _TIE_TOL.  Either way the pair (1, 2) attains psi_1(1), its rise
+        # of about 3 tops the drift envelope, and it is read: 3 columns
+        L = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 3.0 + gap, 0.0]])
+        viol, widths = self.oracles(L, monkeypatch)
+        assert widths == [3, 2]  # levels 1 and 2
+        assert [(v.time, v.kind, v.detail.split(":")[0]) for v in viol] == [
+            (1.0, "corollary1", "node 1 level 1, leader 2")
+        ]
+
+    def test_pair_just_outside_is_excluded_and_changes_nothing(self, monkeypatch):
+        # G_c = 3 - 1.5e-9 leaves column 3 out (3 > G_c + _CHECK_TOL); a
+        # jump of psi_1(1) through its neighbour 0 is still flagged, as the
+        # dense twin flags it
+        L = np.array([[0.0, 0.0, 0.0, 0.0], [2.5, 0.0, 3.0 - 1.5e-9, 0.0]])
+        viol, widths = self.oracles(L, monkeypatch)
+        assert widths == [2, 1]
+        assert [(v.time, v.kind, v.detail.split(":")[0]) for v in viol] == [
+            (1.0, "corollary1", "node 1 level 1, leader 0")
+        ]
+
+    def test_leader_is_the_smallest_node_of_the_largest_rise(self, monkeypatch):
+        # line 0 -(1)- 2 -(1)- 1 and a far node 3: nodes 1 and 2 both attain
+        # psi_1(0) = 1 and both rose by 2.  Node 2 is nearer to node 0, so
+        # it comes first in the sorted row; the leader is node 1
+        g, kappa, dist = unit_kappa_graph([(0, 2), (1, 2), (1, 3)], 4, {(0, 2): 1.0, (1, 2): 1.0, (1, 3): 10.0})
+        times, L = np.array([0.0, 1.0]), np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 3.0, 2.0, 0.0]])
+        widths = ball_widths(monkeypatch)
+        psi, viol, floors = metrics.trace_oracles(times, L, dist, 1, 1.01)
+        assert widths == [3] and metrics.distance_order(dist)[0][0, :3].tolist() == [0, 2, 1]
+        assert [v.detail.split(":")[0] for v in viol] == ["node 0 level 1, leader 1"]
+        twin = reference.dense_trace_oracles(times, L, dist, 1, 1.01)
+        assert np.array_equal(psi, twin[0]) and viol == twin[1] and np.array_equal(floors, twin[2])
 
 
 class TestTraceOracleConsistency:
