@@ -50,12 +50,22 @@ def _fail(exc: GcsSimError) -> int:
 _INPUT_ERRORS = (ScenarioParseError, ScenarioValidationError)
 
 
+def _make_out_dir(path: str) -> int | None:
+    """Create the output directory; where that fails, a usage error's exit code."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"usage error: --out {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARSE
+
+
 def cmd_run(args) -> int:
     try:
         sc = scen.load_scenario(args.scenario, seed_override=args.seed)
     except _INPUT_ERRORS as exc:
         return _fail(exc)
-    os.makedirs(args.out, exist_ok=True)
+    if (rc := _make_out_dir(args.out)) is not None:
+        return rc
     try:
         result = engine.run(sc)
     except GcsSimError as exc:  # RunAborted carries the violations found before the abort
@@ -168,6 +178,8 @@ def cmd_sweep(args) -> int:
         keys, points = _grid_points(doc, scen.load_document(args.grid))
     except _INPUT_ERRORS as exc:
         return _fail(exc)
+    if (rc := _make_out_dir(args.out)) is not None:
+        return rc
     seeds = list(range(args.seeds))
     jobs = [(pt, seed) for pt in points for seed in seeds]
 
@@ -179,7 +191,6 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_sweep_row(doc, pt, seed) for pt, seed in jobs]
 
-    os.makedirs(args.out, exist_ok=True)
     cols = keys + [
         "seed", "status", "cycles", "max_local", "max_global", "local_bound",
         "global_bound", "slack_local", "slack_global", "delta_over_d", "violations",

@@ -2,8 +2,9 @@
 
 Hardware clocks integrate a piecewise-constant rate held inside
 ``[1, theta]``; a logical clock is the same integral with the correction
-factor ``1 + mu`` applied over the intervals the node spends in fast mode.  Piecewise-constant rates keep every value and inverse query
-exact, which the trace oracles rely on.
+factor ``1 + mu`` applied over the intervals the node spends in fast
+mode.  Piecewise-constant rates keep every value and inverse query exact,
+which the trace oracles rely on.
 """
 from __future__ import annotations
 
@@ -175,61 +176,43 @@ def _linear_piece(c: LogicalClock, t0: float, t1: float):
 
 def sample_clocks(clocks, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Logical and hardware values, each (R, n), of every clock at each of
-    the R sorted instants ``times``.
+    the R instants ``times``: the grid read of :func:`read_clocks`."""
+    return read_clocks(clocks, times[:, None], np.arange(len(clocks)))
 
-    A clock that keeps one linear piece (see ``_linear_piece``) from the
-    first instant to the last is evaluated with all such clocks in one
-    broadcast.  The rest go through :meth:`LogicalClock.value_pair`.  Both
-    paths repeat the scalar formula of :meth:`LogicalClock.value` operation
-    for operation, so every entry equals it bit for bit.
+
+def read_clocks(clocks, times: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logical and hardware values of clock ``cols[j]`` at the instants
+    ``times[..., j]``, for a 1-D ``cols`` in ascending order and ``times``
+    that broadcasts against it, in any order: :func:`sample_clocks` reads
+    ``times[:, None]`` against ``arange(n)``, and the engine's reply checks
+    read equal-length vectors.
+
+    A clock named in ``cols`` that keeps one linear piece (see
+    ``_linear_piece``) from the earliest instant to the latest is read with
+    all such clocks in one broadcast.  Each other clock reads its instants,
+    one slice of the last axis, in one :meth:`LogicalClock.value_pair`
+    call.  Both paths repeat the scalar formula of :meth:`LogicalClock.value`
+    operation for operation, so every entry equals it bit for bit.
     """
-    t0, t1 = float(times[0]), float(times[-1])
-    if t0 < 0:
-        raise ParameterError(f"time must be non-negative, got {t0!r}")
-    L = np.empty((len(times), len(clocks)))
-    H = np.empty_like(L)
-    cols, pieces = [], []
-    for k, c in enumerate(clocks):
-        piece = _linear_piece(c, t0, t1)
-        if piece is None:
-            L[:, k], H[:, k] = c.value_pair(times)
-        else:
-            cols.append(k)
-            pieces.append(piece)
-    if cols:
-        cum, rate, start, value, hw_at, factor = map(np.array, zip(*pieces))
-        h = cum + rate * (times[:, None] - start)
-        L[:, cols] = value + factor * (h - hw_at)
-        H[:, cols] = h
-    return L, H
-
-
-def read_clocks(clocks, times: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Logical value of clock ``cols[r]`` at instant ``times[r]``, for every r.
-
-    The instants need not be sorted.  As in :func:`sample_clocks`, the
-    clocks that keep one linear piece from the earliest instant to the
-    latest are read in one broadcast and the rest through
-    :meth:`LogicalClock.value_pair`, so every entry equals
-    :meth:`LogicalClock.value` bit for bit.
-    """
-    if not len(times):
-        return np.empty(0)
+    L = np.empty(np.broadcast_shapes(times.shape, cols.shape))
+    if not L.size:
+        return L, L.copy()
     t0, t1 = float(times.min()), float(times.max())
     if t0 < 0:
         raise ParameterError(f"time must be non-negative, got {t0!r}")
-    pieces, bent = [], []
-    for k, c in enumerate(clocks):
-        piece = _linear_piece(c, t0, t1)
-        if piece is None:
-            bent.append(k)
-            piece = (np.nan,) * 6
-        pieces.append(piece)
-    cum, rate, start, value, hw_at, factor = np.array(pieces)[cols].T
-    out = value + factor * (cum + rate * (times - start) - hw_at)
-    for k in bent:
-        rows = np.flatnonzero(cols == k)
-        if len(rows):
-            out[rows] = clocks[k].value_pair(times[rows])[0]
-    return out
-
+    if (cols[1:] < cols[:-1]).any():
+        raise ParameterError("clock indices must be in ascending order")
+    counts = np.bincount(cols, minlength=len(clocks))
+    named = np.flatnonzero(counts).tolist()
+    pieces = [_linear_piece(clocks[k], t0, t1) for k in named]
+    table = np.full((6, len(clocks)), np.nan)  # a bent clock reads NaN until its value_pair call
+    table[:, [k for k, p in zip(named, pieces) if p is not None]] = list(zip(*(p for p in pieces if p is not None)))
+    cum, rate, start, value, hw_at, factor = table[:, cols]
+    H = cum + rate * (times - start)
+    L = value + factor * (H - hw_at)
+    times, ends = np.broadcast_to(times, L.shape), np.cumsum(counts)
+    for k, p in zip(named, pieces):
+        if p is None:
+            at = slice(ends[k] - counts[k], ends[k])
+            L[..., at], H[..., at] = clocks[k].value_pair(times[..., at])
+    return L, H

@@ -70,6 +70,8 @@ K_RATE = 4  # a hardware rate breakpoint: no handler, it only forces a sample
 # or a grid tick, become samples.
 _SLOPE_KINDS = frozenset((K_WAKEUP, K_EVALUATE, K_TICK, K_RATE))
 
+# the event loop's own tolerance, for time regression and the timeout
+# window; the ground-truth checks use the oracle's, metrics._CHECK_TOL
 _TOL = 1e-9
 _INF = float("inf")
 # Values per chunk: sample instants and ground-truth checks are buffered,
@@ -448,7 +450,7 @@ class _Simulation:
         self.max_global = max(self.max_global, float(glob.max()))
         if self.first_exceed is None:
             # exceeding means by more than the tolerance of `global_satisfied`
-            level = self._global_bound + _TOL
+            level = self._global_bound + metrics._CHECK_TOL
             exceed = np.nonzero(glob > level)[0]
             if len(exceed):
                 k = exceed[0]
@@ -484,9 +486,11 @@ class _Simulation:
         self._reply_checks, self._evals, self._checked = [], [], 0
         data = np.concatenate([np.empty((0, 10))] + [d for d, _ in replies])
         est = np.concatenate([np.empty(0)] + [e for _, e in replies])
+        by_responder = np.argsort(data[:, 8], kind="stable")  # read_clocks takes the clocks in ascending order
+        data, est = data[by_responder], est[by_responder]
         t, v, w = data[:, 6], data[:, 7].astype(np.intp), data[:, 8].astype(np.intp)
         # the responders' true values at the reply arrivals, past instants
-        self._check_sandwich(t, v, w, read_clocks(self.clocks, t, w), est, data[:, 9])
+        self._check_sandwich(t, v, w, read_clocks(self.clocks, t, w)[0], est, data[:, 9])
         if evals:
             rows = np.concatenate([np.full(len(vs), r) for r, vs, *_ in evals])
             v, est, slow, fast = (np.concatenate(a) for a in list(zip(*evals))[1:])
@@ -503,7 +507,7 @@ class _Simulation:
         keep = dt > 0
         dH = np.diff(H, axis=0)[keep]
         dt = dt[keep, None]
-        if (dH < dt - _TOL).any() or (dH > self.sc.params.theta * dt + _TOL).any():
+        if (dH < dt - metrics._CHECK_TOL).any() or (dH > self.sc.params.theta * dt + metrics._CHECK_TOL).any():
             self._abort("hardware clock violated its drift envelope")
 
     def _check_evaluations(self, times, L, rows, v, est, slow_fired, fast_fired) -> None:
@@ -551,7 +555,7 @@ class _Simulation:
         """Estimates ``est`` of w held at v, against w's true values."""
         err = true - est
         self.counters["estimate_uses"] += len(err)
-        for i in np.flatnonzero((err < -_TOL) | (err > delta + _TOL)).tolist():
+        for i in np.flatnonzero((err < -metrics._CHECK_TOL) | (err > delta + metrics._CHECK_TOL)).tolist():
             self.violations.append(
                 Violation(
                     time=float(t[i]),

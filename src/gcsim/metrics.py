@@ -259,12 +259,13 @@ def _leader(rise: np.ndarray, names: np.ndarray) -> int:
 def distance_order(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, col_min) of a distance matrix, for :func:`trace_oracles`.
 
-    ``order[a]`` (int32, since n <= 2^14) lists the nodes by their distance
-    from a, ascending, and ``col_min[j]`` is the least j-th smallest
-    distance of any row, so ``col_min`` is non-decreasing.
+    ``order[a]`` lists the nodes by their distance from a, ascending, in
+    the narrowest unsigned type that holds n - 1 (uint16 at n = 1024), and
+    ``col_min[j]`` is the least j-th smallest distance of any row, so
+    ``col_min`` is non-decreasing.
     """
     order = np.argsort(dist, axis=1, kind="stable")
-    return order.astype(np.int32), np.take_along_axis(dist, order, axis=1).min(axis=0)
+    return order.astype(np.min_scalar_type(len(dist) - 1)), np.take_along_axis(dist, order, axis=1).min(axis=0)
 
 
 def corollary1_check_all(trace: Trace, theta: float) -> list[Violation]:

@@ -101,7 +101,7 @@ def load_document(source) -> dict:
             text = bundled.read_text(encoding="utf-8")
         else:
             raise ScenarioParseError(f"scenario not found: {path}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario {path}: {exc}")
     try:
         doc = json.loads(text)
@@ -111,6 +111,8 @@ def load_document(source) -> dict:
             line=exc.lineno,
             column=exc.colno,
         )
+    except RecursionError:
+        raise ScenarioParseError("JSON nested too deeply")
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
     return doc

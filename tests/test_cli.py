@@ -184,7 +184,34 @@ class TestCheck:
                    for line in err.splitlines())
 
 
+# file contents that are not a JSON document, and the parse error each gives
+UNPARSABLE = [
+    pytest.param(b"\xff\xfe{}", "codec can't decode byte 0xff in position 0", id="undecodable"),
+    pytest.param(b"[" * 100_000, "JSON nested too deeply", id="deeply-nested"),
+]
+
+
+def assert_one_error_line(capsys, prefix, text):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix) and text in err[0]
+
+
 class TestRun:
+    @pytest.mark.parametrize("content, message", UNPARSABLE)
+    def test_unparsable_file_is_a_parse_error(self, content, message, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        rc = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_PARSE
+        assert_one_error_line(capsys, "parse error: ", message)
+
+    def test_out_that_is_a_file_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = cli.main(["run", "--scenario", "line8", "--out", str(out)])
+        assert rc == cli.EXIT_PARSE
+        assert_one_error_line(capsys, "usage error: ", f"--out {out}: File exists")
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"graph": [,]}')
@@ -405,6 +432,26 @@ class TestSweep:
         with open(out / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["status"].startswith("error: ")
+
+    @pytest.mark.parametrize("content, message", UNPARSABLE)
+    def test_unparsable_grid_is_a_parse_error(self, content, message, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_bytes(content)
+        rc = cli.main(["sweep", "--scenario", write_doc(tmp_path, sweepable_line_doc()), "--grid", str(grid),
+                       "--out", str(tmp_path / "s")])
+        assert rc == cli.EXIT_PARSE
+        assert_one_error_line(capsys, "parse error: ", message)
+
+    def test_out_that_is_a_file_is_a_usage_error_before_any_row_runs(self, tmp_path, monkeypatch, capsys):
+        rows = []
+        monkeypatch.setattr(cli, "_sweep_row", lambda *args: rows.append(args))
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = cli.main(["sweep", "--scenario", write_doc(tmp_path, sweepable_line_doc()),
+                       "--grid", write_doc(tmp_path, {"eps_m": [0.2]}, name="grid.json"), "--out", str(out)])
+        assert rc == cli.EXIT_PARSE
+        assert_one_error_line(capsys, "usage error: ", f"--out {out}: File exists")
+        assert rows == []
 
     def test_grid_value_not_a_list_is_a_validation_failure(self, tmp_path, capsys):
         path = write_doc(tmp_path, scen.load_document("random16"))

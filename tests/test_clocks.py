@@ -144,25 +144,33 @@ class TestProperties:
             assert c.value(t) >= c.hardware.value(t) - 1e-12
 
 
-def reference_samples(clocks, times):
-    """(L, H) from the scalar reference, one clock and one instant at a time."""
-    pairs = [[value_pair(c, float(t)) for c in clocks] for t in times]
-    return np.array([[p[0] for p in row] for row in pairs]), np.array([[p[1] for p in row] for row in pairs])
+def reference_reads(clocks, times, cols):
+    """(L, H) from the scalar reference, one (instant, clock) of the
+    broadcast of ``times`` and ``cols`` at a time."""
+    times, cols = np.broadcast_arrays(times, cols)
+    pairs = [value_pair(clocks[k], t) for t, k in zip(times.ravel().tolist(), cols.ravel().tolist())]
+    return tuple(np.array([p[i] for p in pairs], dtype=float).reshape(times.shape) for i in (0, 1))
 
 
-def assert_matches_reference(clocks, times):
-    times = np.asarray(times, dtype=float)
-    L, H = sample_clocks(clocks, times)
-    ref_L, ref_H = reference_samples(clocks, times)
+def assert_reads_match_reference(clocks, times, cols):
+    L, H = read_clocks(clocks, times, cols)
+    ref_L, ref_H = reference_reads(clocks, times, cols)
+    assert L.shape == ref_L.shape
     assert np.array_equal(L, ref_L)
     assert np.array_equal(H, ref_H)
 
 
-def assert_reads_match_reference(clocks, times, cols):
-    """``read_clocks`` equals the scalar reference, one (instant, clock) at a time."""
-    times, cols = np.asarray(times, dtype=float), np.asarray(cols, dtype=np.intp)
-    expect = [value_pair(clocks[k], t)[0] for t, k in zip(times.tolist(), cols.tolist())]
-    assert np.array_equal(read_clocks(clocks, times, cols), np.array(expect, dtype=float))
+def grid(times, n=4):
+    """The read of ``sample_clocks``: each of n clocks at every instant."""
+    return np.array(times, dtype=float)[:, None], np.arange(n)
+
+
+def scattered(times, cols):
+    """Clock ``cols[r]`` at instant ``times[r]``, for every r, the reads
+    sorted by clock as ``read_clocks`` takes them."""
+    times, cols = np.array(times, dtype=float), np.array(cols, dtype=np.intp)
+    by_clock = np.argsort(cols, kind="stable")
+    return times[by_clock], cols[by_clock]
 
 
 def mixed_clocks():
@@ -177,24 +185,44 @@ def mixed_clocks():
     return [steady, fast, hw_break, switching]
 
 
-class TestSampleClocks:
-    """The chunk evaluator equals the scalar formula bit for bit."""
+class TestReadClocks:
+    """The one array reader equals the scalar formula bit for bit, on the
+    chunk grid and on scattered (instant, clock) reads."""
 
-    @pytest.mark.parametrize("times", [
-        [3.7],  # one row
-        [4.0],  # one row on a hardware breakpoint
-        [2.5, 2.6],  # starting on a mode change
-        [2.0, 2.25, 2.5, 3.0, 4.0, 4.5, 5.0, 5.5, 6.0],  # every breakpoint inside
-        [0.0, 0.5, 1.0],  # from t = 0 up to an anchor
-        [5.0, 5.0000001, 7.0],
-        [6.5, 7.25, 100.0],  # no breakpoint inside: one broadcast
+    @pytest.mark.parametrize("times, cols", [
+        scattered([5.5, 2.0, 4.0, 3.1, 2.6, 0.5], [3, 0, 2, 1, 3, 1]),  # unsorted instants, every breakpoint
+        scattered([2.0, 3.0, 4.5, 6.0, 3.0], [2, 2, 2, 2, 2]),  # one clock, read again and again
+        scattered([3.7], [3]),  # one read
+        scattered([6.5, 7.25, 100.0], [0, 3, 0]),  # no breakpoint inside: one broadcast
+        scattered([2.0, 6.0, 4.0], [0, 1, 0]),  # clocks 2 and 3 bend in [2, 6] but are not read
+        scattered([], []),
+        grid([3.7]),  # one row
+        grid([4.0]),  # one row on a hardware breakpoint
+        grid([2.5, 2.6]),  # starting on a mode change
+        grid([2.0, 2.25, 2.5, 3.0, 4.0, 4.5, 5.0, 5.5, 6.0]),  # every breakpoint inside
+        grid([0.0, 0.5, 1.0]),  # from t = 0 up to an anchor
+        grid([5.0, 5.0000001, 7.0]),
+        grid([6.5, 7.25, 100.0]),  # no breakpoint inside: one broadcast
+        grid([]),
     ])
-    def test_matches_scalar_reference(self, times):
-        assert_matches_reference(mixed_clocks(), times)
+    def test_matches_scalar_reference(self, times, cols):
+        assert_reads_match_reference(mixed_clocks(), times, cols)
+
+    def test_sample_clocks_is_the_grid_read(self):
+        times = np.array([2.0, 3.0, 4.5, 6.0])
+        L, H = sample_clocks(mixed_clocks(), times)
+        ref_L, ref_H = reference_reads(mixed_clocks(), *grid(times))
+        assert np.array_equal(L, ref_L)
+        assert np.array_equal(H, ref_H)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ParameterError):
-            sample_clocks(mixed_clocks(), np.array([-1.0, 2.0]))
+        for times, cols in (grid([-1.0, 2.0]), scattered([2.0, -1.0], [0, 1])):
+            with pytest.raises(ParameterError):
+                read_clocks(mixed_clocks(), times, cols)
+
+    def test_clocks_out_of_order_rejected(self):
+        with pytest.raises(ParameterError, match="ascending"):
+            read_clocks(mixed_clocks(), np.array([2.0, 3.0]), np.array([1, 0]))
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -213,28 +241,9 @@ class TestSampleClocks:
             kinks += list(sched[0]) + switches
         instants = st.one_of(st.floats(0.0, 40.0), st.sampled_from(kinks))
         times = sorted(set(data.draw(st.lists(instants, min_size=1, max_size=12))))
-        assert_matches_reference(clocks, times)
+        assert_reads_match_reference(clocks, *grid(times, len(clocks)))
         reads = data.draw(st.lists(st.tuples(instants, st.integers(0, len(clocks) - 1)), min_size=1, max_size=12))
-        assert_reads_match_reference(clocks, *zip(*reads))
-
-
-class TestReadClocks:
-    """The per-read evaluator equals the scalar formula bit for bit."""
-
-    @pytest.mark.parametrize("times, cols", [
-        ([5.5, 2.0, 4.0, 3.1, 2.6, 0.5], [3, 0, 2, 1, 3, 1]),  # unsorted, across every breakpoint
-        ([2.0, 3.0, 4.5, 6.0, 3.0], [2, 2, 2, 2, 2]),  # one column, read again and again
-        ([3.7], [3]),  # one read
-        ([6.5, 7.25, 100.0], [0, 3, 0]),  # no breakpoint inside: one broadcast
-        ([2.0, 6.0, 4.0], [0, 1, 0]),  # clocks 2 and 3 bend in [2, 6] but are not read
-        ([], []),
-    ])
-    def test_matches_scalar_reference(self, times, cols):
-        assert_reads_match_reference(mixed_clocks(), times, cols)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ParameterError):
-            read_clocks(mixed_clocks(), np.array([2.0, -1.0]), np.array([0, 1]))
+        assert_reads_match_reference(clocks, *scattered(*zip(*reads)))
 
 
 def hardware_of(*specs, horizon_time=30.0, seed=None):

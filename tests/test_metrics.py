@@ -492,9 +492,12 @@ class TestTraceOraclesTwin:
     def test_distance_order_sorts_every_row(self):
         _, _, dist = unit_kappa_graph(*BALL_LINE)
         order, col_min = metrics.distance_order(dist)
-        assert order.dtype == np.int32
+        assert order.dtype == np.uint8  # the narrowest type that holds n - 1
         assert order.tolist() == [[0, 1, 2, 3], [1, 0, 2, 3], [2, 1, 0, 3], [3, 2, 1, 0]]
         assert col_min.tolist() == [0.0, 1.0, 3.0, 10.0]
+        line = np.arange(257.0)
+        wide, _ = metrics.distance_order(np.abs(line[:, None] - line))
+        assert wide.dtype == np.uint16 and wide[0].tolist() == list(range(257))
 
 
 class TestSkewBallTamper:
