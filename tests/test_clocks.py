@@ -208,13 +208,6 @@ class TestReadClocks:
     def test_matches_scalar_reference(self, times, cols):
         assert_reads_match_reference(mixed_clocks(), times, cols)
 
-    def test_sample_clocks_is_the_grid_read(self):
-        times = np.array([2.0, 3.0, 4.5, 6.0])
-        L, H = sample_clocks(mixed_clocks(), times)
-        ref_L, ref_H = reference_reads(mixed_clocks(), *grid(times))
-        assert np.array_equal(L, ref_L)
-        assert np.array_equal(H, ref_H)
-
     def test_negative_time_rejected(self):
         for times, cols in (grid([-1.0, 2.0]), scattered([2.0, -1.0], [0, 1])):
             with pytest.raises(ParameterError):
@@ -244,6 +237,21 @@ class TestReadClocks:
         assert_reads_match_reference(clocks, *grid(times, len(clocks)))
         reads = data.draw(st.lists(st.tuples(instants, st.integers(0, len(clocks) - 1)), min_size=1, max_size=12))
         assert_reads_match_reference(clocks, *scattered(*zip(*reads)))
+
+
+class TestSampleClocks:
+    """sample_clocks is the grid read of read_clocks."""
+
+    def test_sample_clocks_is_the_grid_read(self):
+        times = np.array([2.0, 3.0, 4.5, 6.0])
+        L, H = sample_clocks(mixed_clocks(), times)
+        ref_L, ref_H = reference_reads(mixed_clocks(), *grid(times))
+        assert np.array_equal(L, ref_L)
+        assert np.array_equal(H, ref_H)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ParameterError):
+            sample_clocks(mixed_clocks(), np.array([-1.0, 2.0]))
 
 
 def hardware_of(*specs, horizon_time=30.0, seed=None):
