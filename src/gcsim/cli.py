@@ -50,13 +50,19 @@ def _fail(exc: GcsSimError) -> int:
 _INPUT_ERRORS = (ScenarioParseError, ScenarioValidationError)
 
 
+def _out_error(path: str, exc: OSError) -> int:
+    """Report that ``--out path`` could not be created or written; a usage error."""
+    where = f"{exc.filename}: " if exc.filename not in (None, path) else ""
+    print(f"usage error: --out {path}: {where}{exc.strerror or exc}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def _make_out_dir(path: str) -> int | None:
     """Create the output directory; where that fails, a usage error's exit code."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        print(f"usage error: --out {path}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _out_error(path, exc)
 
 
 def cmd_run(args) -> int:
@@ -70,11 +76,17 @@ def cmd_run(args) -> int:
         result = engine.run(sc)
     except GcsSimError as exc:  # RunAborted carries the violations found before the abort
         aborted = Violation(time=None, kind="aborted", detail=str(exc))
-        write_violations_json([*getattr(exc, "violations", ()), aborted], os.path.join(args.out, "violations.json"))
+        try:
+            write_violations_json([*getattr(exc, "violations", ()), aborted], os.path.join(args.out, "violations.json"))
+        except OSError as err:
+            return _out_error(args.out, err)
         return _fail(exc)
-    write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
-    write_summary_json(result.summary, os.path.join(args.out, "summary.json"))
-    write_violations_json(result.violations, os.path.join(args.out, "violations.json"))
+    try:  # the small reports first, so that a failing trace.csv leaves them
+        write_summary_json(result.summary, os.path.join(args.out, "summary.json"))
+        write_violations_json(result.violations, os.path.join(args.out, "violations.json"))
+        write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
+    except OSError as exc:
+        return _out_error(args.out, exc)
     logger.info("run finished in %.3fs with %d violations",
                 result.summary.wall_time_s, len(result.violations))
     if result.violations:
@@ -196,10 +208,13 @@ def cmd_sweep(args) -> int:
         "global_bound", "slack_local", "slack_global", "delta_over_d", "violations",
     ]
     out_path = os.path.join(args.out, "sweep.csv")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(row.get(c, "")) for c in cols) + "\n")
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(cols) + "\n")
+            for row in rows:
+                fh.write(",".join(_csv_cell(row.get(c, "")) for c in cols) + "\n")
+    except OSError as exc:
+        return _out_error(args.out, exc)
     print(f"wrote {len(rows)} rows to {out_path}")
     return EXIT_OK
 

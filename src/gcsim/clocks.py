@@ -54,19 +54,24 @@ class HardwareClock:
         self._cum = tuple(cum)
 
     def value(self, t: float) -> float:
-        if t < 0:
+        if t >= self.starts[-1]:  # on the last segment: no search
+            i = -1
+        elif t < 0:
             raise ParameterError(f"time must be non-negative, got {t!r}")
-        i = bisect_right(self.starts, t) - 1
+        else:
+            i = bisect_right(self.starts, t) - 1
         return self._cum[i] + self.rates[i] * (t - self.starts[i])
 
     def inverse(self, target: float) -> float:
         """Real time at which the clock reads ``target`` (exact, rates > 0)."""
-        if target < self.initial_value - _EQ_TOL:
+        if target >= self._cum[-1]:  # on the last segment: no search
+            i = -1
+        elif target < self.initial_value - _EQ_TOL:
             raise ParameterError(
                 f"target {target!r} below initial clock value {self.initial_value!r}"
             )
-        i = bisect_right(self._cum, target) - 1
-        i = max(i, 0)
+        else:
+            i = max(bisect_right(self._cum, target) - 1, 0)
         return self.starts[i] + (target - self._cum[i]) / self.rates[i]
 
 
@@ -100,9 +105,12 @@ class LogicalClock:
         return bisect_right(self._times, t) - 1
 
     def value(self, t: float) -> float:
-        if t < 0:
+        if t >= self._times[-1]:  # on the last anchor: no search
+            i = -1
+        elif t < 0:
             raise ParameterError(f"time must be non-negative, got {t!r}")
-        i = self._segment(t)
+        else:
+            i = self._segment(t)
         return self._values[i] + self._factors[i] * (self.hardware.value(t) - self._hw_at[i])
 
     def value_pair(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,12 +157,14 @@ class LogicalClock:
 
         Unique because the logical rate is strictly positive.
         """
-        if target < self._values[0] - _EQ_TOL:
+        if target >= self._values[-1]:  # on the last anchor: no search
+            i = -1
+        elif target < self._values[0] - _EQ_TOL:
             raise ParameterError(
                 f"target {target!r} below initial logical value {self._values[0]!r}"
             )
-        i = bisect_right(self._values, target) - 1
-        i = max(i, 0)
+        else:
+            i = max(bisect_right(self._values, target) - 1, 0)
         return self.hardware.inverse(self._hw_at[i] + (target - self._values[i]) / self._factors[i])
 
 

@@ -9,17 +9,17 @@ measuring exactly when that is non-empty), and a link direction is its
 record ``links[(a, b)]``.  Metrics get read-only snapshots.
 
 Event handlers do only what the nodes do: readings, estimates, triggers and
-mode changes.  A message is not an event of its own.  An exchange makes one
-event, the reply's emission: the requester's wakeup draws the request's
-delay and the responder's processing time, the emission draws the reply's
-delay, and the requester's evaluation reads the three stamps taken at
-past instants (w's at the request's arrival and at the reply's emission,
-v's at the reply's arrival).  The emission stays an event because the
-stream of one direction, ``delay:a->b``, serves both a's requests and a's
-replies to b, so a reply's delay is drawn in time order with a's wakeups.
-Every evaluation at one instant goes through one array evaluation
-(:func:`gcs.trigger_levels`), since each reads only its node's clock at
-that instant and its node's exchanges.
+mode changes.  Neither a message nor an exchange is an event of its own:
+the requester's wakeup draws the request's delay and the responder's
+processing time, and keeps the reply's emission instant with the heap
+sequence number an event for it would take; the reply's delay is drawn
+off the heap, in the order of the stream it shares with the responder's
+requests (see the comment above ``_flush_sample``); and the requester's
+evaluation reads the three stamps taken at past instants (w's at the
+request's arrival and at the reply's emission, v's at the reply's
+arrival).  Every evaluation at one instant goes through one array
+evaluation (:func:`gcs.trigger_levels`), since each reads only its node's
+clock at that instant and its node's exchanges.
 
 Handlers record the instants that need ground truth, and every check
 against true clock values runs per chunk, in numpy, when the chunk is
@@ -62,12 +62,14 @@ __all__ = ["seeded_streams", "seeded_stream", "Scenario", "RunResult", "run"]
 # Event kinds.  Each payload holds only what its handler reads.
 K_WAKEUP = 0  # (v, k): node v starts cycle k and sends its requests
 K_EVALUATE = 1  # (v, k): node v evaluates its triggers in cycle k
-K_EMIT = 2  # (w, v, exchange): w sends its reply to v's request
+K_MESSAGE = 2  # (handler name, *args): a message leg as an event of its own
 K_TICK = 3
 K_RATE = 4  # a hardware rate breakpoint: no handler, it only forces a sample
 # A clock's slope changes only at a mode decision or a rate breakpoint;
 # messages only carry readings.  So only instants with one of these kinds,
-# or a grid tick, become samples.
+# or a grid tick, become samples.  The engine pushes no K_MESSAGE: it draws
+# every leg of an exchange off the heap (see _send).  A twin that makes each
+# leg an event pushes them, naming the method that handles each.
 _SLOPE_KINDS = frozenset((K_WAKEUP, K_EVALUATE, K_TICK, K_RATE))
 
 # the event loop's own tolerance, for time regression and the timeout
@@ -84,20 +86,82 @@ _INF = float("inf")
 _CHUNK_VALUES = 8192
 
 
-def _state_hash_constants() -> tuple[np.ndarray, np.ndarray]:
-    """The xor and multiply constants of ``SeedSequence.generate_state``'s
-    hash for the 8 words of a 4 x uint64 state: word i xors the i-th value
-    of the chain h = INIT_B, h *= MULT_B (mod 2^32) and multiplies by the
-    next, whatever the pool."""
-    xor, mul, h = [], [], 0x8B51F9DD
-    for _ in range(8):
-        xor.append(h)
-        h = h * 0x58F38DED & 0xFFFFFFFF
-        mul.append(h)
-    return np.array(xor, dtype=np.uint32), np.array(mul, dtype=np.uint32)
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of ``count`` consecutive hashes of
+    ``SeedSequence``, as columns: hash j xors the j-th value of the chain
+    h = init, h *= mult (mod 2^32) and multiplies by the next."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array(chain[:-1], dtype=np.uint32)[:, None], np.array(chain[1:], dtype=np.uint32)[:, None]
 
 
-_STATE_XOR, _STATE_MUL = _state_hash_constants()
+# SeedSequence's constants, as uint32 arrays (0-d for the scalars) so that
+# every product wraps mod 2^32 under both NEP 50 and legacy promotion.  The
+# pool's 24 hashes (for six entropy words) run along the INIT_A chain: 0-3
+# fill the pool from words 0-3, 4-15 make the four mixing steps, 16-19 and
+# 20-23 mix words 4 and 5 into the pool.  The state's 8 (the words of a
+# 4 x uint64 state, word i hashing pool word i % 4) run along INIT_B.
+_POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 24)
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L = np.array(0xCA01F9DD, dtype=np.uint32)
+_MIX_R = np.array(0x4973F715, dtype=np.uint32)
+_SHIFT = np.array(16, dtype=np.uint32)
+# the entropy word each hash outside the mixing steps reads, and its constants
+_WORD_HASHES = np.array([0, 1, 2, 3, 4, 4, 4, 4, 5, 5, 5, 5])
+_WORD_XOR, _WORD_MUL = (np.concatenate([c[:4], c[16:]]) for c in (_POOL_XOR, _POOL_MUL))
+# mixing step s: pool word s three times, the other three words, and the
+# constants of their hashes of word s, hashes 4 + 3s to 6 + 3s (taking the
+# source word once per hash keeps every operand the constants' shape, which
+# numpy handles faster than a broadcast when there is one column)
+_POOL_STEPS = [
+    (
+        np.full(3, s),
+        np.array([d for d in range(4) if d != s]),
+        _POOL_XOR[4 + 3 * s : 7 + 3 * s],
+        _POOL_MUL[4 + 3 * s : 7 + 3 * s],
+    )
+    for s in range(4)
+]
+_STATE_WORDS = np.array([0, 1, 2, 3, 0, 1, 2, 3])
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s hashmix of ``values`` with the constants ``xor``
+    and ``mul``, broadcast against each other."""
+    values = values ^ xor
+    values *= mul
+    values ^= values >> _SHIFT
+    return values
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s mix of pool words ``x`` with hashed words ``y``,
+    both new arrays, computed into ``x``."""
+    x *= _MIX_L
+    y *= _MIX_R
+    x -= y
+    x ^= x >> _SHIFT
+    return x
+
+
+def _pools(entropy: np.ndarray, long: list[bool]) -> np.ndarray:
+    """The 4-word pools, one column each, that ``SeedSequence.mix_entropy``
+    makes of the columns of ``entropy``: six uint32 words where ``long``,
+    else its first five.  Its loops run across all columns at once: the
+    first four words fill the pool, each pool word is mixed into the other
+    three, then each further word into all four, every hash taking the next
+    constants of the chain.  The hashes of entropy words come first, in one
+    pass, since they do not read the pool."""
+    hashed = _hashmix(entropy.take(_WORD_HASHES, 0), _WORD_XOR, _WORD_MUL)
+    pool = hashed[:4]
+    for src, dst, xor, mul in _POOL_STEPS:
+        pool[dst] = _mix(pool.take(dst, 0), _hashmix(pool.take(src, 0), xor, mul))
+    pool = _mix(pool, hashed[4:8])
+    if any(long):
+        long = np.array(long)
+        pool[:, long] = _mix(pool[:, long], hashed[8:, long])
+    return pool
 
 
 class _GeneratedState(ISeedSequence):
@@ -118,24 +182,25 @@ def seeded_streams(pairs: list[tuple[int, str]]) -> list[np.random.Generator]:
 
     Each generator draws what ``PCG64(SeedSequence([seed, *w]))`` does, w
     the four little-endian 32-bit words of ``sha256(label)[:16]``: a pair's
-    entropy is the same words as a uint32 array (the seed's little-endian
-    words first, one below 2^32, two above), its ``SeedSequence`` mixes
-    them into the same pool, and one array pass hashes every pool into its
-    PCG64 state as ``generate_state(4, np.uint64)`` would, with the same
-    uint32 wrap-around.  The generators cannot ``spawn`` children.
+    entropy is the same words as uint32 (the seed's little-endian words
+    first, one below 2^32, two above), one array pass mixes every pair's
+    entropy into the pool its ``SeedSequence`` would hold, and one more
+    hashes every pool into its PCG64 state as ``generate_state(4,
+    np.uint64)`` would, with the same uint32 wrap-around.  The generators
+    cannot ``spawn`` children.
     """
     if not pairs:
         return []
-    pools = np.empty((len(pairs), 4), dtype=np.uint32)
-    for row, (seed, label) in zip(pools, pairs):
-        seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        entropy = seed.to_bytes(4 if seed < 1 << 32 else 8, "little")
-        entropy += hashlib.sha256(label.encode("utf-8")).digest()[:16]
-        row[:] = np.random.SeedSequence(np.frombuffer(entropy, dtype="<u4")).pool
-    words = np.tile(pools, 2) ^ _STATE_XOR  # word i reads pool word i % 4
-    words *= _STATE_MUL
-    words ^= words >> 16
-    states = words.astype("<u4").view("<u8").astype(np.uint64)
+    seeds = [int(seed) & 0xFFFFFFFFFFFFFFFF for seed, _ in pairs]
+    entropy = b"".join(
+        (seed.to_bytes(4 if seed < 1 << 32 else 8, "little") + hashlib.sha256(label.encode("utf-8")).digest()[:16])
+        .ljust(24, b"\0")
+        for seed, (_, label) in zip(seeds, pairs)
+    )
+    entropy = np.frombuffer(entropy, dtype="<u4").reshape(-1, 6).T  # one column per pair
+    long = [seed >= 1 << 32 for seed in seeds]
+    words = _hashmix(_pools(entropy, long).take(_STATE_WORDS, 0), _STATE_XOR, _STATE_MUL)
+    states = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
     return [np.random.Generator(np.random.PCG64(_GeneratedState(state))) for state in states]
 
 
@@ -210,8 +275,9 @@ class _Simulation:
         # per node: its clock (whose anchors are its mode timeline), the
         # cycle of its last wakeup, and its exchanges of that cycle until
         # it evaluates, by neighbour in neighbour order: [l_v_t1, request
-        # arrival, reply emission, reply arrival] with the real times of the
-        # three legs (inf: not known yet)
+        # arrival, reply emission, reply arrival, emission seq] with the real
+        # times of the three legs (reply arrival inf: its delay is not drawn
+        # yet) and the heap sequence number the emission would take as an event
         self.clocks = [LogicalClock(hw, sc.params.mu) for hw in sc.hardware]
         self.cycle = [0] * n
         self.pending: list[dict] = [dict() for _ in range(n)]
@@ -219,6 +285,7 @@ class _Simulation:
 
         self.heap: list = []
         self.seq = 0
+        self.now: tuple = (-_INF, -1)  # (time, seq) of the event being handled
         self.current: float | None = None
         self.stop_time: float | None = None
 
@@ -308,30 +375,46 @@ class _Simulation:
 
     def _send(self, t: float, v: int, w: int, l1: float) -> list:
         """v sends its request to w at t, its clock reading l1: draw the
-        request's delay and w's processing time, and schedule w's reply.
-        The stream ``proc:v->w`` serves only v's requests to w, so drawing
-        from it now gives the values a draw at the arrival would."""
+        request's delay and w's processing time, and return the exchange
+        with its reply's emission instant and the sequence number an event
+        pushed for it would take.  No event is pushed: the reply's delay is
+        drawn later, by :meth:`_draw_reply`, in stream order (see the
+        comment above ``_flush_sample``).  The stream ``proc:v->w`` serves
+        only v's requests to w, so drawing from it now gives the values a
+        draw at the arrival would.  ``delay:v->w`` also serves v's reply to
+        w's request, so that reply is drawn first if it was emitted before
+        this wakeup."""
+        back = self.pending[w].get(v)
+        if back is not None:
+            self._draw_reply(v, w, back, self.now)
         arrival = t + self._delay(v, w)
         proc = self.links[(v, w)][3]
         emit = arrival if proc is None else arrival + self.sc.p_max * proc()
-        exchange = [l1, arrival, emit, _INF]
-        self.push(emit, K_EMIT, (w, v, exchange))
-        return exchange
+        self.seq += 1
+        return [l1, arrival, emit, _INF, self.seq - 1]
 
-    def _on_emit(self, t: float, w: int, v: int, exchange: list) -> None:
-        exchange[3] = t + self._delay(w, v)
+    def _draw_reply(self, w: int, v: int, exchange: list, before: tuple | None = None) -> None:
+        """Draw the delay of w's reply to v's request ``exchange``, which
+        leaves at its emission instant, and record the reply's arrival,
+        unless it is drawn already or, with ``before``, a heap key (time,
+        seq), its emission's key does not precede ``before``."""
+        if exchange[3] == _INF and (before is None or (exchange[2], exchange[4]) < before):
+            exchange[3] = exchange[2] + self._delay(w, v)
 
     def _on_evaluate(self, t: float, batch: list) -> None:
         """The evaluations ``batch``, each (v, k), due at t, in event order.
 
-        Each completes its node's exchanges, whose replies must have
-        arrived before t (a reply at t itself would have been scheduled
-        after the evaluation), and reads only its node's clock at t."""
+        Each draws the reply delays of its node's exchanges not drawn yet,
+        then completes the exchanges, whose replies must have arrived
+        before t (a reply at t itself would have been scheduled after the
+        evaluation), and reads only its node's clock at t."""
         done, l_rep = [], []
         for v, k in batch:
             exchanges = self.pending[v]
             if self.cycle[v] != k or not exchanges:
                 self._abort(f"evaluation fired out of order at node {v}")
+            for w, ex in exchanges.items():
+                self._draw_reply(w, v, ex)
             missing = [w for w, ex in exchanges.items() if not ex[3] < t]
             if missing:
                 self._abort(f"node {v} evaluating cycle {k} with incomplete views (missing {missing})")
@@ -357,7 +440,7 @@ class _Simulation:
         clocks, links = self.clocks, self.links
         rows = []
         late = None  # the first reply that exceeded the timeout window
-        for v, w, (t1, arrival, emit, reply) in done:
+        for v, w, (t1, arrival, emit, reply, _) in done:
             peer = clocks[w]
             t2 = peer.value(arrival)
             t3 = t2 + (peer.value(emit) - t2)  # w's arrival stamp plus its local processing time
@@ -378,9 +461,13 @@ class _Simulation:
         return offset, deduction
 
     def _settle(self, limit: float, check_timeout: bool) -> None:
-        """At the end of the run: complete the exchanges not yet evaluated
-        whose replies arrived at or before ``limit``, as reply events up to
-        it would have, and drop them."""
+        """At the end of the run: draw the replies emitted before ``now``
+        (the aborting event, or every event up to the limit), then complete the exchanges not yet
+        evaluated whose replies arrived at or before ``limit``, as reply
+        events up to it would have, and drop them."""
+        for v, exchanges in enumerate(self.pending):
+            for w, ex in exchanges.items():
+                self._draw_reply(w, v, ex, self.now)
         done = [
             (v, w, ex) for v, exchanges in enumerate(self.pending) for w, ex in exchanges.items() if ex[3] <= limit
         ]
@@ -425,6 +512,28 @@ class _Simulation:
     # event at their time, evaluations are samples, a reply arrives before
     # its requester evaluates, and the run's end completes only exchanges
     # whose replies arrived by then.
+    #
+    # Reply delays are drawn off the heap as well, each where an event for
+    # its emission would have drawn it.  The stream delay:w->v serves w's
+    # requests to v, drawn at w's wakeups, and w's replies to v's requests.
+    # A reply's (emit, seq) is where its event would sit in the heap's
+    # (time, seq) order, since its send took the next seq, and v has one
+    # exchange with w until it evaluates, so a stream has at most one reply
+    # undrawn.  That reply is drawn at the first of:
+    # - w's next request to v, if (emit, seq) precedes that wakeup's
+    #   (t, seq); an earlier wakeup of w after the emission drew it already;
+    # - v's evaluation, before its incomplete-views check.  No wakeup of w
+    #   came between the emission and now, or it would have drawn the
+    #   reply, so no draw on the stream did.  A reply emitted after the
+    #   evaluation also arrives after it, so the check finds it missing
+    #   whenever drawn, and ends the run;
+    # - the run's end, for emissions up to its limit (every event up to it
+    #   ran), or an abort, for emissions before the event being handled.
+    # So each stream draws in the heap's (time, seq) order, as it did when
+    # the emission was an event, and every draw gets the same value.
+    # Without emission events, a batch of evaluations at one instant is no
+    # longer split by an emission at that instant; that changes nothing,
+    # since each member reads only its own node's clock at the instant.
 
     def _flush_sample(self, t: float) -> None:
         self.buf_t.append(t)
@@ -604,7 +713,8 @@ class _Simulation:
                 break
             if sc.horizon_time is not None and t > sc.horizon_time:
                 break
-            t, _, kind, payload = heapq.heappop(heap)
+            t, seq, kind, payload = heapq.heappop(heap)
+            self.now = (t, seq)
             if self.current is not None:
                 if t < self.current - _TOL:
                     self._abort(f"event time regressed: {t!r} after {self.current!r}")
@@ -613,9 +723,7 @@ class _Simulation:
                     need = False
             self.current = t
             need = need or kind in _SLOPE_KINDS
-            if kind == K_EMIT:
-                self._on_emit(t, *payload)
-            elif kind == K_WAKEUP:
+            if kind == K_WAKEUP:
                 self._on_wakeup(t, *payload)
             elif kind == K_EVALUATE:
                 batch = [payload]
@@ -624,9 +732,13 @@ class _Simulation:
                 self._on_evaluate(t, batch)
             elif kind == K_TICK:
                 self.push(t + sc.sample_dt, K_TICK, None)
+            elif kind == K_MESSAGE:
+                getattr(self, payload[0])(t, *payload[1:])
 
         end = self.stop_time if self.stop_time is not None else sc.horizon_time
-        self._settle(end if end is not None else self.current, check_timeout=True)
+        limit = end if end is not None else self.current
+        self.now = (limit, _INF)  # every event up to the limit has run
+        self._settle(limit, check_timeout=True)
         if self.current is not None and (need or self.current == end):
             self._flush_sample(self.current)
         if end is not None and (self.current is None or end > self.current):

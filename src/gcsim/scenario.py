@@ -18,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from .clocks import HardwareClock
-from .engine import Scenario, seeded_stream
+from .engine import Scenario, seeded_stream, seeded_streams
 from .errors import ScenarioParseError, ScenarioValidationError
 from .gcs import GcsParams
 from .metrics import theorem2_levels, theorem3_bound
@@ -259,7 +259,7 @@ def _rate(spec: dict, key: str, problems: list[str], where: str, theta: float, d
 
 def _check_clock_spec(spec, theta: float, problems: list[str], where: str) -> tuple:
     """Check one per-node clock spec.  Returns (initial value, generator,
-    its parameters with their defaults filled in), which ``_hardware_clock``
+    its parameters with their defaults filled in), which ``_hardware_clocks``
     builds once the horizon and the master seed are known."""
     if not isinstance(spec, dict):
         problems.append(f"{where}: must be an object")
@@ -326,10 +326,9 @@ def _segment_count(gen: str, args: tuple, horizon: float) -> float:
     return float(len(args[0])) if gen == "scripted" else 1.0
 
 
-def _hardware_clock(i: int, spec: tuple, theta: float, horizon: float, master_seed: int) -> HardwareClock:
-    """Node i's hardware clock from its checked spec, its rate schedule
-    covering [0, horizon].  A random walk draws from stream ``clock:<i>``
-    of the spec's own seed, or else of the master seed."""
+def _hardware_clock(spec: tuple, theta: float, horizon: float, rng: np.random.Generator | None) -> HardwareClock:
+    """A node's hardware clock from its checked spec, its rate schedule
+    covering [0, horizon].  A random walk draws its steps from ``rng``."""
     iv, gen, args = spec
     if gen == "constant":
         return HardwareClock(iv, (0.0,), args)
@@ -343,13 +342,22 @@ def _hardware_clock(i: int, spec: tuple, theta: float, horizon: float, master_se
         _, start_high, low, high = args
         rates = [high if (k % 2 == 0) == start_high else low for k in range(len(starts))]
     else:
-        _, step, rate, seed = args
-        rng = seeded_stream(master_seed if seed is None else seed, f"clock:{i}")
+        _, step, rate, _ = args
         rates = [rate]
         for _ in range(len(starts) - 1):
             rate = min(max(rate + rng.uniform(-step, step), 1.0), theta)
             rates.append(rate)
     return HardwareClock(iv, starts, rates)
+
+
+def _hardware_clocks(specs: list[tuple], theta: float, horizon: float, master_seed: int) -> list[HardwareClock]:
+    """Every node's hardware clock.  Random walk i draws from stream
+    ``clock:<i>`` of its spec's own seed, or else of the master seed; all
+    these streams are seeded in one batch."""
+    walks = {i: args[3] for i, (_, gen, args) in enumerate(specs) if gen == "random_walk"}  # node: own seed
+    pairs = [(master_seed if seed is None else seed, f"clock:{i}") for i, seed in walks.items()]
+    rngs = dict(zip(walks, seeded_streams(pairs)))
+    return [_hardware_clock(spec, theta, horizon, rngs.get(i)) for i, spec in enumerate(specs)]
 
 
 def section_problems(doc: dict) -> list[str]:
@@ -546,7 +554,7 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
     return dict(
         graph=g,
         params=params,
-        hardware=[_hardware_clock(i, spec, theta, horizon, master_seed) for i, spec in enumerate(hw_specs)],
+        hardware=_hardware_clocks(hw_specs, theta, horizon, master_seed),
         p_max=p_max,
         sample_dt=sample_dt,
         master_seed=master_seed,

@@ -13,9 +13,22 @@ shapes, 24 cycles each:
 - ``distinct``: ``scenario_gen.distinct_rate_doc``, every node at its own
   constant rate, so a cycle samples about 2n rows and evaluates on about
   n instants.  Its full-mode n = 256 row takes about 3.5 s per run on a
-  2-core Xeon host; ``--max-n 128`` skips it.
+  2-core Xeon host; ``--max-n 128`` skips it;
+- ``antiphase``: one row, ``scenario_gen.antiphase_line_doc(3,
+  horizon_time=44440)``, where about one node evaluates per instant (small
+  batches).
 
     PYTHONPATH=src python tests/ladder.py [--shape distinct] [--max-n 64] [--repeats 3]
+
+With ``--against SRC`` it compares this tree with the gcsim package under
+another checkout's ``SRC`` directory (its ``src``), on the same documents.
+It runs ``ROUNDS`` rounds, each tree's whole ladder in one subprocess per
+round, the two trees back to back and taking turns to go first, and prints
+per row each tree's median node-cycles/s and the median over the rounds of
+the per-round ratio, this tree over the other.  Alternating keeps the slow
+drift of a shared host's speed out of the ratio:
+
+    PYTHONPATH=src python tests/ladder.py --against ../parent/src --max-n 128
 
 There is no timing gate: it fails only if a run raises.  pytest does not
 collect it, since its name does not start with ``test_``.
@@ -23,6 +36,10 @@ collect it, since its name does not start with ``test_``.
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -30,12 +47,19 @@ from pathlib import Path
 from gcsim import engine
 from gcsim import scenario as scen
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from scenario_gen import distinct_rate_doc, random_template_doc  # noqa: E402
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
+from scenario_gen import antiphase_line_doc, distinct_rate_doc, random_template_doc  # noqa: E402
 
 SIZES = (16, 32, 64, 128, 256)
 CYCLES = 24
-SHAPES = {"template": random_template_doc, "distinct": distinct_rate_doc}
+ROUNDS = 6  # rounds per tree with --against
+# each shape: its document for (n, cycles, metrics mode), and its sizes
+SHAPES = {
+    "template": (random_template_doc, SIZES),
+    "distinct": (distinct_rate_doc, SIZES),
+    "antiphase": (lambda n, cycles, mode: antiphase_line_doc(n, horizon_time=44440.0, metrics=mode), (3,)),
+}
 
 
 def timed_runs(sc, repeats: int) -> tuple[float, int, int, engine.RunResult]:
@@ -65,25 +89,65 @@ def timed_runs(sc, repeats: int) -> tuple[float, int, int, engine.RunResult]:
     return best, sum(rows) // repeats, instants[0] // repeats, res
 
 
+def ladder(shape: str, max_n: int, repeats: int):
+    """Yield one record per row of the ladder, as it is run."""
+    make, sizes = SHAPES[shape]
+    for mode in ("full", "skew_only"):
+        for n in (n for n in sizes if n <= max_n):
+            sc = scen.build_scenario(make(n, CYCLES, mode))
+            best, rows, instants, res = timed_runs(sc, repeats)
+            cycles = res.summary.cycles_completed
+            yield {
+                "row": f"{shape:9s} {mode:9s} n={n:4d}", "rate": n * cycles / best, "rows": rows / cycles,
+                "instants": instants / cycles, "best": best, "violations": len(res.violations),
+            }
+
+
+def compare(shape: str, max_n: int, repeats: int, against: str) -> None:
+    """Alternate subprocess rounds of this tree and of the gcsim package
+    under ``against``, and print each row's medians and median per-round
+    ratio."""
+    # each round imports this module afresh, with the tree's gcsim, and
+    # prints one JSON record per row
+    code = "import json, sys, ladder\nfor r in ladder.ladder(sys.argv[1], *map(int, sys.argv[2:])): print(json.dumps(r))"
+    argv = [sys.executable, "-c", code, shape, str(max_n), str(repeats)]
+    rates: dict[str, dict[str, list]] = {}
+    for i in range(ROUNDS):
+        trees = (("this", HERE.parent / "src"), ("other", Path(against)))
+        for tree, src in trees[:: 1 if i % 2 == 0 else -1]:
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src.resolve()), str(HERE))))
+            out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+            for record in map(json.loads, out.splitlines()):
+                rates.setdefault(record["row"], {"this": [], "other": []})[tree].append(record["rate"])
+    for row, r in rates.items():
+        ratio = statistics.median(a / b for a, b in zip(r["this"], r["other"]))
+        print(
+            f"{row} {statistics.median(r['this']):9.0f} vs {statistics.median(r['other']):9.0f} node-cycles/s, "
+            f"median ratio {ratio:.3f} over {len(r['this'])} rounds",
+            flush=True,
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--shape", choices=sorted(SHAPES), default="template", help="document shape (default %(default)s)")
     ap.add_argument("--max-n", type=int, default=SIZES[-1], help="largest n to run (default %(default)s)")
     ap.add_argument("--repeats", type=int, default=3, help="runs per row; the best is kept")
+    ap.add_argument("--against", metavar="SRC", help="compare with the gcsim package under this directory")
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
-    for mode in ("full", "skew_only"):
-        for n in (n for n in SIZES if n <= args.max_n):
-            sc = scen.build_scenario(SHAPES[args.shape](n, CYCLES, mode))
-            best, rows, instants, res = timed_runs(sc, args.repeats)
-            cycles = res.summary.cycles_completed
-            print(
-                f"{args.shape:8s} {mode:9s} n={n:4d} {n * cycles / best:9.0f} node-cycles/s "
-                f"{rows / cycles:6.1f} rows/cycle {instants / cycles:6.1f} instants/cycle "
-                f"({best:.3f} s, {len(res.violations)} violations)",
-                flush=True,
-            )
+    if args.against is not None:
+        if not (Path(args.against) / "gcsim").is_dir():
+            ap.error(f"--against {args.against}: no gcsim package there")
+        compare(args.shape, args.max_n, args.repeats, args.against)
+        return 0
+    for r in ladder(args.shape, args.max_n, args.repeats):
+        print(
+            f"{r['row']} {r['rate']:9.0f} node-cycles/s {r['rows']:6.1f} rows/cycle "
+            f"{r['instants']:6.1f} instants/cycle ({r['best']:.3f} s, {r['violations']} violations)",
+            flush=True,
+        )
     return 0
 
 

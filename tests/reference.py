@@ -3,7 +3,9 @@
 Plain-Python, one-instant versions of what the engine computes vectorized
 (clock samples, skews, potentials, the trailing-node test, the slow and
 fast conditions) or per pair of samples (the hardware drift envelope), the
-engine's ground-truth checks made one event at a time, the row-by-row
+engine's ground-truth checks made one event at a time, clock reads and
+inverses that search for every piece (the clocks skip the search on their
+last one), the row-by-row
 trace writer, the per-source Dijkstra behind the kappa distance matrix,
 the pair-by-pair boot-up gate, the one-stream-at-a-time RNG seeding and
 the dense trace oracles, over every pair, with their Corollary 1 rise
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,9 +253,12 @@ class ThreeEventExchange(engine._Simulation):
     delay; the reply's arrival reads t4, checks the round trip against the
     timeout window and keeps the estimate as the requester's view.  Each
     evaluation runs on its own, from the views.  All three legs are
-    ``engine.K_EMIT`` events that name their handler.  Streams, chunks and
-    checks are the engine's, so a run of the twin must equal the engine's
-    bit for bit.
+    ``engine.K_MESSAGE`` events that name their handler.  The emission takes
+    its place in the heap's (time, seq) order at the send, as the engine
+    gives it one there: its delay draw shares the stream of the responder's
+    requests, so at an emission on the responder's own wakeup instant that
+    place decides which draw goes first.  Streams, chunks and checks are the
+    engine's, so a run of the twin must equal the engine's bit for bit.
 
     ``pending[v]`` holds only the l_v_t1 of the replies still to arrive,
     so it is empty at an evaluation, and ``evaluated[v]``, the last cycle
@@ -265,29 +271,28 @@ class ThreeEventExchange(engine._Simulation):
         self.evaluated = [-1] * sc.graph.n
 
     def _send(self, t: float, v: int, w: int, l1: float) -> float:
-        self.push(t + self._delay(v, w), engine.K_EMIT, ("_on_request_arrival", v, w, l1))
+        arrival = t + self._delay(v, w)
+        self.seq += 1  # the emission's place
+        self.push(arrival, engine.K_MESSAGE, ("_on_request_arrival", v, w, l1, self.seq - 1))
         return l1
 
     def _on_wakeup(self, t: float, v: int, k: int) -> None:
         self.views[v] = {}
         super()._on_wakeup(t, v, k)
 
-    def _on_emit(self, t: float, leg: str, *args) -> None:
-        getattr(self, leg)(t, *args)
-
     def _settle(self, limit: float, check_timeout: bool) -> None:
         """Every reply up to ``limit`` was an event: nothing to complete."""
 
-    def _on_request_arrival(self, t: float, v: int, w: int, t1: float) -> None:
+    def _on_request_arrival(self, t: float, v: int, w: int, t1: float, seq: int) -> None:
         t2 = self.clocks[w].value(t)
         proc = self.links[(v, w)][3]
         p_real = 0.0 if proc is None else self.sc.p_max * proc()
-        self.push(t + p_real, engine.K_EMIT, ("_on_reply_emit", v, w, t1, t2))
+        heapq.heappush(self.heap, (t + p_real, seq, engine.K_MESSAGE, ("_on_reply_emit", v, w, t1, t2)))
 
     def _on_reply_emit(self, t: float, v: int, w: int, t1: float, t2: float) -> None:
         t3 = self.clocks[w].value(t)
         reply = handle_request(RequestMsg(v, t1), w, t2, t3 - t2)
-        self.push(t + self._delay(w, v), engine.K_EMIT, ("_on_reply_arrival", v, reply))
+        self.push(t + self._delay(w, v), engine.K_MESSAGE, ("_on_reply_arrival", v, reply))
 
     def _on_reply_arrival(self, t: float, v: int, reply: ReplyMsg) -> None:
         sc = self.sc
@@ -358,9 +363,9 @@ class Recording(ThreeEventExchange):
         for w in self.pending[v]:  # the requests sent now; none after the last cycle
             self._legs[(v, w)] = [t]
 
-    def _on_request_arrival(self, t: float, v: int, w: int, t1: float) -> None:
+    def _on_request_arrival(self, t: float, v: int, w: int, t1: float, seq: int) -> None:
         self._legs[(v, w)].append(t)
-        super()._on_request_arrival(t, v, w, t1)
+        super()._on_request_arrival(t, v, w, t1, seq)
 
     def _on_reply_emit(self, t: float, v: int, w: int, t1: float, t2: float) -> None:
         self._legs[(v, w)].append(t)
@@ -450,13 +455,26 @@ def check_lipschitz(c: HardwareClock, t1: float, t2: float, theta: float, tol: f
 
 
 def value_pair(c: LogicalClock, t: float) -> tuple[float, float]:
-    """(logical, hardware) of ``c`` at one instant, evaluating the hardware clock once."""
-    h = c.hardware.value(t)
+    """(logical, hardware) of ``c`` at one instant, evaluating the hardware
+    clock once, each piece found by a search, whether or not it is the last."""
+    hw = c.hardware
+    j = bisect_right(hw.starts, t) - 1
+    h = hw._cum[j] + hw.rates[j] * (t - hw.starts[j])
     i = c._segment(t)
     dh = h - c._hw_at[i]
     if c._modes[i] == OWN_RATE:
         return c._values[i] + dh, h
     return c._values[i] + (1.0 + c.mu) * dh, h
+
+
+def invert(c: LogicalClock, target: float) -> float:
+    """Real time at which ``c`` reads ``target``, each piece found by a
+    search, whether or not it is the last."""
+    i = max(bisect_right(c._values, target) - 1, 0)
+    x = c._hw_at[i] + (target - c._values[i]) / c._factors[i]
+    hw = c.hardware
+    j = max(bisect_right(hw._cum, x) - 1, 0)
+    return hw.starts[j] + (x - hw._cum[j]) / hw.rates[j]
 
 
 def _fmt(x: float) -> str:

@@ -9,6 +9,7 @@ holds.  The engine must then report the violations and counters the
 per-event form reports, whatever the chunk size and metrics mode, and an
 aborted run the violations found up to the abort.
 """
+import math
 from collections import Counter
 
 import numpy as np
@@ -247,15 +248,16 @@ def test_incomplete_views_abort_reports_every_reply_before_it(monkeypatch, chunk
     sc, whole = tampered_fc_lag(monkeypatch, chunk_values)
     t_from = 0.25 * sc.horizon_cycles * sc.params.cycle_length
     sim = engine._Simulation(sc)
-    emit, delayed = sim._on_emit, []
+    draw, delayed = sim._draw_reply, []
 
-    def late(t, w, v, exchange):
-        emit(t, w, v, exchange)
-        if t > t_from and not delayed:
+    def late(w, v, exchange, before=None):
+        drawn = exchange[3] < math.inf
+        draw(w, v, exchange, before)
+        if exchange[2] > t_from and not drawn and exchange[3] < math.inf and not delayed:  # drawn now, emitted after t_from
             delayed.append((v, w, exchange[3]))
             exchange[3] += sc.params.cycle_length
 
-    sim._on_emit = late
+    sim._draw_reply = late
     with pytest.raises(RunAborted) as exc:
         sim.run()
     (v, w, arrival), = delayed

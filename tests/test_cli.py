@@ -3,6 +3,7 @@ import json
 import logging
 import time
 
+import numpy as np
 import pytest
 
 from gcsim import cli, engine
@@ -250,6 +251,28 @@ class TestRun:
         assert "wall_time" not in json.dumps(summary)
         assert json.loads((out / "violations.json").read_text()) == []
 
+    def test_unwritable_trace_is_a_usage_error_after_the_reports(self, tmp_path, capsys):
+        # trace.csv is a directory: the run's summary and violations are
+        # still written, and the failure is one usage-error line
+        path = write_doc(tmp_path, zero_drift_doc(True, horizon_cycles=8))
+        rc = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "ref")])
+        assert rc == cli.EXIT_OK
+        out = tmp_path / "out"
+        (out / "trace.csv").mkdir(parents=True)
+        rc = cli.main(["run", "--scenario", path, "--out", str(out)])
+        assert rc == cli.EXIT_PARSE
+        assert_one_error_line(capsys, "usage error: ", f"--out {out}: {out / 'trace.csv'}: Is a directory")
+        for name in ("summary.json", "violations.json"):
+            assert (out / name).read_text() == (tmp_path / "ref" / name).read_text()
+
+    def test_unwritable_report_of_an_aborted_run_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(scen, "kappa_distance_matrix", lambda g, kappa: np.ones((g.n, g.n)))
+        out = tmp_path / "out"
+        (out / "violations.json").mkdir(parents=True)
+        rc = cli.main(["run", "--scenario", "line8", "--out", str(out)])
+        assert rc == cli.EXIT_PARSE
+        assert_one_error_line(capsys, "usage error: ", f"--out {out}: {out / 'violations.json'}: Is a directory")
+
     def test_aborted_run_reports_its_violations_and_the_abort(self, tmp_path, monkeypatch, capsys):
         # node 0 reads 1.0 ahead of its true value in (500, 1000], which its
         # neighbour's estimates at an evaluation there miss, and its hardware
@@ -452,6 +475,14 @@ class TestSweep:
         assert rc == cli.EXIT_PARSE
         assert_one_error_line(capsys, "usage error: ", f"--out {out}: File exists")
         assert rows == []
+
+    def test_unwritable_sweep_csv_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        (out / "sweep.csv").mkdir(parents=True)
+        rc = cli.main(["sweep", "--scenario", write_doc(tmp_path, sweepable_line_doc()),
+                       "--grid", write_doc(tmp_path, {"eps_m": [0.2]}, name="grid.json"), "--out", str(out)])
+        assert rc == cli.EXIT_PARSE
+        assert_one_error_line(capsys, "usage error: ", f"--out {out}: {out / 'sweep.csv'}: Is a directory")
 
     def test_grid_value_not_a_list_is_a_validation_failure(self, tmp_path, capsys):
         path = write_doc(tmp_path, scen.load_document("random16"))

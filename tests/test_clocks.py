@@ -7,7 +7,7 @@ from gcsim import scenario as scen
 from gcsim.clocks import FAST, OWN_RATE, HardwareClock, LogicalClock, read_clocks, sample_clocks
 from gcsim.errors import InternalError, ParameterError, ScenarioValidationError
 
-from reference import check_lipschitz, value_pair
+from reference import check_lipschitz, invert, value_pair
 from scenario_gen import UNIT_EDGE, line_doc
 
 THETA = 1.02
@@ -252,6 +252,24 @@ class TestSampleClocks:
     def test_negative_time_rejected(self):
         with pytest.raises(ParameterError):
             sample_clocks(mixed_clocks(), np.array([-1.0, 2.0]))
+
+
+class TestCurrentPiece:
+    """Reads and inverses on a clock's last anchor and last hardware
+    segment skip the search, with the same float operations: they equal
+    the searching forms of ``reference`` bit for bit, and so do all others."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_value_and_invert_match_the_search(self, data):
+        for c in mixed_clocks():
+            anchor, rate_change = c.mode_timeline[-1][0], c.hardware.starts[-1]
+            piece = max(anchor, rate_change)  # where the current piece starts
+            t = data.draw(st.sampled_from([anchor, rate_change]) | st.floats(piece, 1e6) | st.floats(0.0, piece))
+            assert c.value(t) == value_pair(c, t)[0]
+            edges = [c._values[-1], c.value(anchor), c.value(rate_change), c.value(t)]
+            target = data.draw(st.sampled_from(edges) | st.floats(c.value(piece), 1e6) | st.floats(c._values[0], 1e6))
+            assert c.invert(target) == invert(c, target)
 
 
 def hardware_of(*specs, horizon_time=30.0, seed=None):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -64,6 +65,22 @@ class TestSeededStreams:
         for (seed, label), rng in zip(pairs, streams):
             want = self.first_draws(reference.seeded_stream(seed, label), k, s)
             assert self.first_draws(rng, k, s) == want
+
+    @staticmethod
+    def assert_states_match(pairs):
+        for (seed, label), rng in zip(pairs, seeded_streams(pairs), strict=True):
+            assert rng.bit_generator.state == reference.seeded_stream(seed, label).bit_generator.state
+
+    def test_one_pair(self):
+        self.assert_states_match([(12345, "topology")])
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_seed_at_a_word_boundary(self, seed):
+        self.assert_states_match([(seed, "delay:0->1")])
+
+    def test_batch_of_four_and_eight_byte_seeds(self):
+        seeds = [0, 2**32, 7, 2**64 - 1, 2**32 - 1, 2**40 + 3, 1]
+        self.assert_states_match([(seed, f"clock:{i}") for i, seed in enumerate(seeds)])
 
     def test_empty_batch(self):
         assert seeded_streams([]) == []
@@ -355,6 +372,64 @@ TWIN_DOCS = {
 }
 
 
+def wakeup_tie_doc() -> dict:
+    """A GCS-off line 0 - 1 - 2 whose clocks all run at rate 1 from t = 22
+    on, after nodes 1 and 2 ran at 1.5 long enough to wake 2 and 1 time
+    units after node 0 in each 12-unit cycle.  With the link draws stubbed
+    to dyadic values (``stub_dyadic_draws``), a reply emitted 2 after node
+    0's send or 1 after node 2's leaves at node 1's wakeup.  Node 1
+    scheduled that wakeup at its evaluation 1.5 earlier: after node 0's
+    send, so that reply goes first, and before node 2's."""
+    edge = {"fwd_delay": 1.0, "bwd_delay": 1.0, "jitter": 1.0, "eps_d": 0.5, "eps_m": 0.0}
+    return {
+        "graph": {"nodes": 3, "d_max": 2.5, "edges": [{"u": 0, "v": 1, **edge}, {"u": 1, "v": 2, **edge}]},
+        "clocks": {"theta": 1.5, "mu": 1.0, "nodes": [
+            {"generator": "constant", "rate": 1.0},
+            {"generator": "scripted", "segments": [[0.0, 1.5], [20.0, 1.0]]},
+            {"generator": "scripted", "segments": [[0.0, 1.5], [22.0, 1.0]]},
+        ]},
+        "gcs": {"T": 10.5, "T_stab": 1.5, "p_max": 0.5, "s_max": 1, "enabled": False},
+        "sim": {"horizon_cycles": 40, "sample_dt": 1.0, "master_seed": 3, "metrics": "full"},
+    }
+
+
+def stub_dyadic_draws(sim):
+    """Each link stream of ``sim`` draws its own cycle of dyadic values, so
+    the values a draw gets depend on its place in its stream's order."""
+    for key, (base, jitter, _, proc, *rest) in list(sim.links.items()):
+        delays, procs = itertools.cycle([0.0, 1.0, 0.5, 1.0, 0.25]), itertools.cycle([0.0, 1.0])
+        sim.links[key] = (base, jitter, delays.__next__, procs.__next__ if proc else None, *rest)
+    return sim
+
+
+def reply_rows(sim) -> list:
+    """Collect (t1, t2, t3, t4, reply arrival, v, w) of every exchange
+    ``sim`` completes, as its chunks take them."""
+    rows, check = [], sim._check_chunk
+
+    def collecting(*args):
+        rows.extend(tuple(r[[0, 1, 2, 3, 6, 7, 8]].tolist()) for data, _ in sim._reply_checks for r in data)
+        check(*args)
+
+    sim._check_chunk = collecting
+    return rows
+
+
+class TieCounting(engine._Simulation):
+    """The engine, counting the sends that meet, on the stream they draw
+    from, a reply emitted at the same instant, by which goes first."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.ties = {"reply first": 0, "request first": 0}
+
+    def _send(self, t, v, w, l1):
+        back = self.pending[w].get(v)
+        if back is not None and back[2] == t:
+            self.ties["reply first" if (back[2], back[4]) < self.now else "request first"] += 1
+        return super()._send(t, v, w, l1)
+
+
 class TestThreeEventTwin:
     """The engine draws an exchange's request delay and processing time at
     the requester's wakeup, reads its stamps at the requester's
@@ -371,6 +446,24 @@ class TestThreeEventTwin:
         for s in (summary, ref_summary):
             s.pop("wall_time_s", None)
         assert json.dumps(summary) == json.dumps(ref_summary)
+        assert res.violations == ref.violations
+        for array in TRACE_ARRAYS:
+            assert np.array_equal(getattr(res.trace, array), getattr(ref.trace, array)), array
+
+    def test_reply_emissions_on_the_responders_wakeups_match_the_twin(self):
+        # The engine draws a reply's delay off the heap, from the stream
+        # that also serves its responder's requests, so where the reply
+        # leaves at the responder's own wakeup instant the two draws must
+        # keep the heap's (time, seq) order.  Dyadic link draws and phases
+        # put emissions exactly on such wakeups, in both orders.
+        sc = scen.build_scenario(wakeup_tie_doc())
+        sim, twin = (stub_dyadic_draws(cls(sc)) for cls in (TieCounting, ThreeEventExchange))
+        rows, twin_rows = reply_rows(sim), reply_rows(twin)
+        res, ref = sim.run(), twin.run()
+        assert sim.ties["reply first"] >= 3 and sim.ties["request first"] >= 3
+        assert len(rows) == res.summary.counters["measurements"] == 160
+        assert sorted(rows) == sorted(twin_rows)
+        assert json.dumps(res.summary.to_dict()) == json.dumps(ref.summary.to_dict())
         assert res.violations == ref.violations
         for array in TRACE_ARRAYS:
             assert np.array_equal(getattr(res.trace, array), getattr(ref.trace, array)), array
