@@ -9,6 +9,7 @@ which the trace oracles rely on.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 
 import numpy as np
 
@@ -168,20 +169,17 @@ class LogicalClock:
         return self.hardware.inverse(self._hw_at[i] + (target - self._values[i]) / self._factors[i])
 
 
-def _linear_piece(c: LogicalClock, t0: float, t1: float):
-    """(cum, rate, start, value, hw_at, factor) of the one hardware segment
-    and logical anchor that ``c`` keeps from t0 to t1, or None where a
-    breakpoint or an anchor lies in (t0, t1].  On such a piece ``c`` reads
-    ``value + factor * (cum + rate * (t - start) - hw_at)``, the scalar
-    formula of :meth:`LogicalClock.value`.
-    """
+def _piece(c: LogicalClock, t: float) -> tuple:
+    """(cum, rate, start, value, hw_at, factor, since): the hardware segment and
+    logical anchor of ``c`` in force at t, found as :meth:`LogicalClock.value`
+    finds them, and the later of their starts.  From ``since`` through t, ``c``
+    reads ``value + factor * (cum + rate * (t - start) - hw_at)``, the scalar formula."""
     hw = c.hardware
     starts, anchors = hw.starts, c._times
-    j = bisect_right(starts, t0) - 1
-    i = bisect_right(anchors, t0) - 1
-    if bisect_right(starts, t1) - 1 != j or bisect_right(anchors, t1) - 1 != i:
-        return None
-    return hw._cum[j], hw.rates[j], starts[j], c._values[i], c._hw_at[i], c._factors[i]
+    j = -1 if t >= starts[-1] else bisect_right(starts, t) - 1
+    i = -1 if t >= anchors[-1] else bisect_right(anchors, t) - 1
+    since = starts[j] if starts[j] > anchors[i] else anchors[i]
+    return hw._cum[j], hw.rates[j], starts[j], c._values[i], c._hw_at[i], c._factors[i], since
 
 
 def sample_clocks(clocks, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,12 +195,12 @@ def read_clocks(clocks, times: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray
     ``times[:, None]`` against ``arange(n)``, and the engine's reply checks
     read equal-length vectors.
 
-    A clock named in ``cols`` that keeps one linear piece (see
-    ``_linear_piece``) from the earliest instant to the latest is read with
-    all such clocks in one broadcast.  Each other clock reads its instants,
-    one slice of the last axis, in one :meth:`LogicalClock.value_pair`
-    call.  Both paths repeat the scalar formula of :meth:`LogicalClock.value`
-    operation for operation, so every entry equals it bit for bit.
+    Every clock named in ``cols`` is read in one broadcast on its piece at
+    the latest instant t1 (see ``_piece``), which holds from the earliest,
+    t0, on if it began by t0.  Each clock whose piece began after t0 then
+    reads its instants, one slice of the last axis, in one
+    :meth:`LogicalClock.value_pair` call.  Both paths repeat the scalar
+    formula of :meth:`LogicalClock.value`, so every entry equals it bit for bit.
     """
     L = np.empty(np.broadcast_shapes(times.shape, cols.shape))
     if not L.size:
@@ -213,16 +211,15 @@ def read_clocks(clocks, times: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray
     if (cols[1:] < cols[:-1]).any():
         raise ParameterError("clock indices must be in ascending order")
     counts = np.bincount(cols, minlength=len(clocks))
-    named = np.flatnonzero(counts).tolist()
-    pieces = [_linear_piece(clocks[k], t0, t1) for k in named]
-    table = np.full((6, len(clocks)), np.nan)  # a bent clock reads NaN until its value_pair call
-    table[:, [k for k, p in zip(named, pieces) if p is not None]] = list(zip(*(p for p in pieces if p is not None)))
-    cum, rate, start, value, hw_at, factor = table[:, cols]
+    named = np.flatnonzero(counts)
+    pieces = chain.from_iterable([_piece(clocks[k], t1) for k in named.tolist()])
+    table = np.empty((len(clocks), 7))  # only the named clocks' rows are read
+    table[named] = np.fromiter(pieces, float, 7 * len(named)).reshape(-1, 7)
+    cum, rate, start, value, hw_at, factor, _ = table[cols].T
     H = cum + rate * (times - start)
     L = value + factor * (H - hw_at)
     times, ends = np.broadcast_to(times, L.shape), np.cumsum(counts)
-    for k, p in zip(named, pieces):
-        if p is None:
-            at = slice(ends[k] - counts[k], ends[k])
-            L[..., at], H[..., at] = clocks[k].value_pair(times[..., at])
+    for k in named[table[named, 6] > t0].tolist():
+        at = slice(ends[k] - counts[k], ends[k])
+        L[..., at], H[..., at] = clocks[k].value_pair(times[..., at])
     return L, H

@@ -213,7 +213,8 @@ def seeded_stream(master_seed: int, purpose_label: str) -> np.random.Generator:
 
 @dataclass
 class Scenario:
-    """Validated runtime scenario; build one via :mod:`gcsim.scenario`."""
+    """Validated runtime scenario; build one via :mod:`gcsim.scenario`.  Only
+    ``full`` mode keeps ``dist``: ``skew_only`` needs just its ``diameter``."""
 
     graph: NetworkGraph
     params: GcsParams
@@ -222,7 +223,8 @@ class Scenario:
     sample_dt: float
     master_seed: int
     kappa: dict
-    dist: np.ndarray  # all-pairs kappa-weighted distances
+    dist: np.ndarray | None  # all-pairs kappa-weighted distances, None in skew_only
+    diameter: float  # kappa-weighted diameter: the largest distance, taken once at validation
     timeout: float  # round-trip budget in local time, see twoway.timeout_window
     horizon_cycles: int | None = None
     horizon_time: float | None = None
@@ -236,7 +238,7 @@ class Scenario:
 
     @property
     def global_bound(self) -> float:
-        return metrics.theorem3_bound(self.dist, self.sigma)
+        return metrics.theorem3_bound(self.diameter, self.sigma)
 
     @property
     def local_bound(self) -> float:
@@ -307,8 +309,8 @@ class _Simulation:
             # each row of dist in ascending order, for the trace oracles' skew balls
             self._by_distance = metrics.distance_order(sc.dist)
         self._nb, self._nb_kappa = metrics.neighbour_table(g, sc.kappa)
-        self._deg = np.array([len(g.neighbors(v)) for v in range(n)], dtype=np.intp)
-        self._own = np.arange(self._nb.shape[1]) < self._deg[:, None]  # not a pad
+        self._own = np.isfinite(self._nb_kappa)  # not a pad: validation rejects an infinite kappa
+        self._deg = self._own.sum(axis=1)
         # triggers use the static per-edge error bound as their delta; a pad's is 0
         self._thresholds = gcs.trigger_thresholds(
             self._nb_kappa, np.where(self._own, self._nb_kappa, 0.0), sc.params.s_max
@@ -338,7 +340,6 @@ class _Simulation:
         # and, in full mode, the Corollary 1 floors there
         self.last: tuple | None = None
         self.floors: np.ndarray | None = None
-        self._global_bound = sc.global_bound
 
     # -- scheduling helpers
 
@@ -559,7 +560,7 @@ class _Simulation:
         self.max_global = max(self.max_global, float(glob.max()))
         if self.first_exceed is None:
             # exceeding means by more than the tolerance of `global_satisfied`
-            level = self._global_bound + metrics._CHECK_TOL
+            level = self.sc.global_bound + metrics._CHECK_TOL
             exceed = np.nonzero(glob > level)[0]
             if len(exceed):
                 k = exceed[0]

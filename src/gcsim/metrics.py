@@ -149,15 +149,15 @@ def theorem2_bound(kappa_e: float, g_bound: float, sigma: float) -> float:
     return 2.0 * kappa_e * max(1, levels)
 
 
-def theorem3_bound(dist: np.ndarray, sigma: float) -> float:
+def theorem3_bound(diameter: float, sigma: float) -> float:
     """Global skew bound (1 + 1/(sigma-1)) x kappa-weighted diameter.
 
-    ``dist`` is the all-pairs kappa-distance matrix.
+    ``diameter`` is the largest kappa-distance, ``Scenario.diameter``.
     """
     if sigma <= 1.0:
         raise ParameterError(f"sigma must exceed 1, got {sigma!r}")
     factor = 1.0 if math.isinf(sigma) else 1.0 + 1.0 / (sigma - 1.0)
-    return factor * float(dist.max())
+    return factor * diameter
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +269,7 @@ def distance_order(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def corollary1_check_all(trace: Trace, theta: float) -> list[Violation]:
-    """Corollary 1 at every level of a stored trace: :func:`trace_oracles`
+    """Corollary 1 at every level of a stored full-mode trace: :func:`trace_oracles`
     applied to the whole trace as one chunk, with (S, n, K) temporaries.
     ``perfbench/worker.py`` times it by this name."""
     return trace_oracles(trace.times, trace.logical, trace.dist, trace.s_max, theta)[1]

@@ -537,8 +537,9 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
 
     dist = kappa_distance_matrix(g, kappa)
     problems.extend(_boot_up_problems([iv for iv, _, _ in hw_specs], dist))
+    diameter = float(dist.max())
     if s_max is None:
-        g_bound = theorem3_bound(dist, params.sigma)
+        g_bound = theorem3_bound(diameter, params.sigma)
         levels = theorem2_levels(min(kappa.values()), g_bound, params.sigma)
         params = replace(params, s_max=max(1, levels) + 1)
     table = 4 * n * max(len(g.neighbors(v)) for v in range(n)) * params.s_max
@@ -559,7 +560,8 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
         sample_dt=sample_dt,
         master_seed=master_seed,
         kappa=kappa,
-        dist=dist,
+        dist=dist if metrics_mode == "full" else None,  # only the full-mode oracles read it
+        diameter=diameter,
         timeout=timeout,
         horizon_cycles=horizon_cycles,
         horizon_time=horizon_time,
@@ -594,7 +596,6 @@ def static_report(sc: Scenario) -> dict:
             ["sigma undefined: theta == 1 means mu/(theta-1) has no value; "
              "the static bound report requires theta > 1"]
         )
-    dist = sc.dist
     return {
         "sigma": sc.sigma,
         "s_max": sc.params.s_max,
@@ -602,7 +603,7 @@ def static_report(sc: Scenario) -> dict:
         "kappa_per_edge": [
             {"u": u, "v": v, "kappa": sc.kappa[(u, v)]} for u, v, _ in sc.graph.edges
         ],
-        "kappa_diameter": float(dist.max()),
+        "kappa_diameter": sc.diameter,
         "local_bound": sc.local_bound,
         "global_bound": sc.global_bound,
     }

@@ -42,7 +42,7 @@ class Trace:
     Arrays are row-per-sample: ``logical``/``hardware`` are (S, n),
     ``modes`` (S, n) of 0/1, ``psi_levels`` (S, s_max) level potentials;
     a skew-only run has no rows.  ``dist`` is the (n, n) kappa-distance
-    matrix the potentials use.
+    matrix the potentials use, None in a skew-only run.
     """
 
     times: np.ndarray
@@ -55,7 +55,7 @@ class Trace:
     psi_levels: np.ndarray
     bound_local: float
     bound_global: float
-    dist: np.ndarray
+    dist: np.ndarray | None
 
     @property
     def n(self) -> int:

@@ -238,6 +238,33 @@ class TestReadClocks:
         reads = data.draw(st.lists(st.tuples(instants, st.integers(0, len(clocks) - 1)), min_size=1, max_size=12))
         assert_reads_match_reference(clocks, *scattered(*zip(*reads)))
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bends_at_the_window_ends_match_scalar_reference(self, data):
+        # The reader takes each clock's piece at the latest instant t1 and
+        # falls back to value_pair when that piece began after the earliest,
+        # t0.  Anchors and hardware breakpoints land exactly at t0, exactly
+        # at t1 and after t1, as a reply read at a past instant meets them.
+        t0 = data.draw(st.one_of(st.sampled_from([0.0, 1.0, 2.5, 3.0, 4.0, 5.0]), st.floats(0.0, 8.0)))
+        t1 = t0 + data.draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+        bends = sorted({t0, t1, t1 + data.draw(st.floats(0.001, 3.0))})
+        clocks = mixed_clocks()
+        for c in clocks:
+            for t in sorted(data.draw(st.sets(st.sampled_from(bends)))):
+                if t >= c._times[-1]:
+                    c.set_mode(t, OWN_RATE if c._modes[-1] == FAST else FAST)
+        for breaks in data.draw(st.lists(st.sets(st.sampled_from([b for b in bends if b > 0]), min_size=1),
+                                         max_size=3)):
+            starts = (0.0, *sorted(breaks))
+            rates = [1.0 + 0.006 * (k % 3) for k in range(len(starts))]
+            clocks.append(LogicalClock(HardwareClock(0.2, starts, rates), mu=0.1))
+        inside = st.floats(t0, t1)
+        times = sorted({t0, t1, *data.draw(st.lists(inside, max_size=6))})
+        assert_reads_match_reference(clocks, *grid(times, len(clocks)))
+        clock = st.integers(0, len(clocks) - 1)
+        reads = [(t0, data.draw(clock)), (t1, data.draw(clock))] + data.draw(st.lists(st.tuples(inside, clock)))
+        assert_reads_match_reference(clocks, *scattered(*zip(*reads)))
+
 
 class TestSampleClocks:
     """sample_clocks is the grid read of read_clocks."""

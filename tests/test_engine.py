@@ -142,11 +142,12 @@ class TestLinkDelays:
 @pytest.mark.parametrize("mode", ["full", "skew_only"])
 def test_full_mode_checks_the_distance_matrix_before_the_first_event(mode):
     # one ulp above the shortest path: only full mode, whose oracles rest on
-    # the kappa-metric, checks it, when the run is set up
-    sc = scen.build_scenario(random_template_doc(16, metrics=mode))
+    # the kappa-metric, checks it, when the run is set up (a skew_only
+    # scenario drops the matrix, so the tampered one is a full one's)
+    sc = scen.build_scenario(random_template_doc(16))
     dist = sc.dist.copy()
     dist[3, 5] = np.nextafter(dist[3, 5], np.inf)
-    tampered = dataclasses.replace(sc, dist=dist)
+    tampered = dataclasses.replace(sc, dist=dist, metrics_mode=mode)
     if mode == "full":
         with pytest.raises(InternalError, match=r"d\(3, 5\) = \S+ exceeds \S+, the least d\(3, x\)"):
             engine._Simulation(tampered)
@@ -320,6 +321,18 @@ class TestMetricsModes:
         t_cross = res["full"].summary.first_global_bound_exceed_time
         assert t_cross is not None
         assert np.searchsorted(trace.times, t_cross) >= engine._CHUNK_VALUES // trace.n
+        assert_modes_agree(res)
+
+    def test_skew_only_drops_the_distance_matrix(self):
+        # a skew_only scenario keeps only the diameter, so neither it nor its
+        # trace holds the n x n matrix
+        res, scs = {}, {}
+        for mode in ("full", "skew_only"):
+            scs[mode] = scen.build_scenario(random_template_doc(16, 2, mode))
+            res[mode] = engine.run(scs[mode])
+        assert scs["skew_only"].dist is None and res["skew_only"].trace.dist is None
+        assert res["full"].trace.dist is scs["full"].dist
+        assert scs["skew_only"].diameter == scs["full"].diameter == float(scs["full"].dist.max())
         assert_modes_agree(res)
 
 

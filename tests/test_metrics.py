@@ -201,13 +201,13 @@ class TestTheoremBounds:
     def test_theorem3_line(self):
         pairs = [(i, i + 1) for i in range(8)]
         _, _, dist = unit_kappa_graph(pairs, 9)
-        got = metrics.theorem3_bound(dist, 10.0)
+        got = metrics.theorem3_bound(float(dist.max()), 10.0)
         assert got == pytest.approx(80.0 / 9.0, rel=1e-12)
 
     def test_theorem3_sigma_infinity_limit(self):
         pairs = [(i, i + 1) for i in range(8)]
         _, _, dist = unit_kappa_graph(pairs, 9)
-        assert metrics.theorem3_bound(dist, float("inf")) == pytest.approx(8.0)
+        assert metrics.theorem3_bound(float(dist.max()), float("inf")) == pytest.approx(8.0)
 
     def test_theorem3_matches_floyd_warshall(self):
         pairs = [(i, (i + 1) % 6) for i in range(6)]
@@ -224,7 +224,7 @@ class TestTheoremBounds:
                     fw[a, b] = min(fw[a, b], fw[a, m] + fw[m, b])
         sigma = 5.0
         expect = (1 + 1 / (sigma - 1)) * fw.max()
-        assert metrics.theorem3_bound(dist, sigma) == pytest.approx(expect, rel=1e-12)
+        assert metrics.theorem3_bound(float(dist.max()), sigma) == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -19,6 +19,7 @@ from gcsim.topology import (
 )
 
 from reference import dijkstra_matrix
+from scenario_gen import random_template_doc
 
 
 def simple_edge(**kw):
@@ -294,6 +295,7 @@ class TestBitIdenticalToDijkstra:
     def test_bundled_scenarios(self, name):
         sc = scen.load_scenario(name)
         assert np.array_equal(sc.dist, dijkstra_matrix(sc.graph, sc.kappa))
+        assert sc.diameter == float(sc.dist.max())
 
     def test_benchmark_shaped_random_graph(self):
         # the benchmark's n = 256 random template: uniform links, so many exact ties
@@ -306,9 +308,35 @@ class TestBitIdenticalToDijkstra:
             "gcs": {"T": 3.5, "T_stab": 1.5, "p_max": 0.2},
             "sim": {"horizon_cycles": 6, "sample_dt": 1.0, "master_seed": 1, "metrics": "skew_only"},
         })
-        assert sc.dist.flags.c_contiguous
-        assert np.array_equal(sc.dist, dijkstra_matrix(sc.graph, sc.kappa))
+        dist = kappa_distance_matrix(sc.graph, sc.kappa)  # a skew_only scenario keeps only its maximum
+        assert dist.flags.c_contiguous
+        assert np.array_equal(dist, dijkstra_matrix(sc.graph, sc.kappa))
+        assert sc.diameter == float(dist.max())
         # the same graph with per-edge weights, so ties are no longer uniform
         rng = np.random.default_rng(5)
         kappa = {e: k * float(rng.uniform(0.5, 1.5)) for e, k in sc.kappa.items()}
         assert np.array_equal(kappa_distance_matrix(sc.graph, kappa), dijkstra_matrix(sc.graph, kappa))
+
+
+@st.composite
+def random_template_docs(draw):
+    """A random-template document on a drawn graph, in either metrics mode."""
+    n = draw(st.integers(2, 24))
+    doc = random_template_doc(n, 2, draw(st.sampled_from(["full", "skew_only"])))
+    tpl = doc["graph"]["template"]
+    tpl["extra_edges"] = draw(st.integers(0, min(n, (n - 1) * (n - 2) // 2)))
+    tpl["seed"] = draw(st.integers(0, 2**32 - 1))
+    tpl["edge"]["eps_d"] = draw(st.floats(0.05, 0.3))  # at least the jitter, its asymmetry
+    return doc
+
+
+@given(random_template_docs())
+@settings(max_examples=60, deadline=None)
+def test_scenario_takes_the_diameter_once_and_keeps_the_matrix_in_full_mode(doc):
+    sc = scen.build_scenario(doc)
+    dist = kappa_distance_matrix(sc.graph, sc.kappa)
+    assert sc.diameter == float(dist.max())
+    if sc.metrics_mode == "full":
+        assert np.array_equal(sc.dist, dist)
+    else:
+        assert sc.dist is None
