@@ -21,6 +21,10 @@ arrival).  Every evaluation at one instant goes through one array
 evaluation (:func:`gcs.trigger_levels`), since each reads only its node's
 clock at that instant and its node's exchanges.
 
+Every event instant is a sample, since every event may change a clock's
+slope or is a grid tick, and so is the run's one end instant: the horizon
+time, or the wakeup at which the last node reaches the horizon cycle.
+
 Handlers record the instants that need ground truth, and every check
 against true clock values runs per chunk, in numpy, when the chunk is
 reduced: the skew maxima at the sample instants, the hardware drift
@@ -60,21 +64,24 @@ logger = logging.getLogger(__name__)
 __all__ = ["seeded_streams", "seeded_stream", "Scenario", "RunResult", "run"]
 
 # Event kinds.  Each payload holds only what its handler reads.
+# Each kind either may change a clock's slope (a mode decision or a rate
+# breakpoint) or is a grid tick, so every event instant is a sample.
+# Messages are no events: every leg of an exchange is drawn off the heap
+# (see _send).
 K_WAKEUP = 0  # (v, k): node v starts cycle k and sends its requests
 K_EVALUATE = 1  # (v, k): node v evaluates its triggers in cycle k
-K_MESSAGE = 2  # (handler name, *args): a message leg as an event of its own
-K_TICK = 3
-K_RATE = 4  # a hardware rate breakpoint: no handler, it only forces a sample
-# A clock's slope changes only at a mode decision or a rate breakpoint;
-# messages only carry readings.  So only instants with one of these kinds,
-# or a grid tick, become samples.  The engine pushes no K_MESSAGE: it draws
-# every leg of an exchange off the heap (see _send).  A twin that makes each
-# leg an event pushes them, naming the method that handles each.
-_SLOPE_KINDS = frozenset((K_WAKEUP, K_EVALUATE, K_TICK, K_RATE))
+K_TICK = 2
+K_RATE = 3  # a hardware rate breakpoint: no handler, it only forces a sample
 
 # the event loop's own tolerance, for time regression and the timeout
 # window; the ground-truth checks use the oracle's, metrics._CHECK_TOL
 _TOL = 1e-9
+# how far a wakeup's logical value may lie from its cycle boundary: the
+# wakeup is scheduled at the clock's inverse of the boundary, and that
+# inverse and the read back each round off by a few ulps of the clock's
+# value, more than _TOL once values pass about 1e7 (an ulp there is 1.9e-9);
+# this admits values up to about 1e9
+_BOUNDARY_TOL = 1e-6
 _INF = float("inf")
 # Values per chunk: sample instants and ground-truth checks are buffered,
 # and the clocks evaluated, reduced and checked with numpy once a chunk
@@ -289,7 +296,9 @@ class _Simulation:
         self.seq = 0
         self.now: tuple = (-_INF, -1)  # (time, seq) of the event being handled
         self.current: float | None = None
-        self.stop_time: float | None = None
+        # the run's last instant: the horizon time, or the wakeup at which
+        # the last node reaches the horizon cycle
+        self.end = _INF if sc.horizon_time is None else sc.horizon_time
 
         self.violations: list[Violation] = []
         self.counters = {
@@ -357,11 +366,11 @@ class _Simulation:
         if sc.horizon_cycles is not None and k >= sc.horizon_cycles:
             self.done.add(v)
             if len(self.done) == sc.graph.n:
-                self.stop_time = t
+                self.end = t
             return
         l1 = clock.value(t)
         expected = clock.hardware.initial_value + k * sc.params.cycle_length
-        if abs(l1 - expected) > 1e-6:
+        if abs(l1 - expected) > _BOUNDARY_TOL:
             self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
         self.pending[v] = {w: self._send(t, v, w, l1) for w in sc.graph.neighbors(v)}
         self.push(clock.invert(expected + sc.params.T), K_EVALUATE, (v, k))
@@ -706,24 +715,16 @@ class _Simulation:
         for b in sorted({b for c in self.clocks for b in c.hardware.starts[1:]}):
             self.push(b, K_RATE, None)
 
-        need = False  # an event at `current` can change a slope
         heap = self.heap
-        while heap:
-            t = heap[0][0]
-            if self.stop_time is not None and t > self.stop_time:
-                break
-            if sc.horizon_time is not None and t > sc.horizon_time:
-                break
+        while heap and heap[0][0] <= self.end:
             t, seq, kind, payload = heapq.heappop(heap)
             self.now = (t, seq)
             if self.current is not None:
                 if t < self.current - _TOL:
                     self._abort(f"event time regressed: {t!r} after {self.current!r}")
-                if t > self.current and need:
+                if t > self.current:
                     self._flush_sample(self.current)
-                    need = False
             self.current = t
-            need = need or kind in _SLOPE_KINDS
             if kind == K_WAKEUP:
                 self._on_wakeup(t, *payload)
             elif kind == K_EVALUATE:
@@ -733,16 +734,13 @@ class _Simulation:
                 self._on_evaluate(t, batch)
             elif kind == K_TICK:
                 self.push(t + sc.sample_dt, K_TICK, None)
-            elif kind == K_MESSAGE:
-                getattr(self, payload[0])(t, *payload[1:])
 
-        end = self.stop_time if self.stop_time is not None else sc.horizon_time
-        limit = end if end is not None else self.current
-        self.now = (limit, _INF)  # every event up to the limit has run
-        self._settle(limit, check_timeout=True)
-        if self.current is not None and (need or self.current == end):
+        end = self.end
+        self.now = (end, _INF)  # every event up to the end has run
+        self._settle(end, check_timeout=True)
+        if self.current is not None:
             self._flush_sample(self.current)
-        if end is not None and (self.current is None or end > self.current):
+        if self.current is None or end > self.current:
             self._flush_sample(end)
 
         result = self._finish()
@@ -764,7 +762,7 @@ class _Simulation:
             modes[:, v] = np.array(ch_m, dtype=np.int8)[np.searchsorted(ch_t, times, side="right") - 1]
         trace = Trace(
             times=times, logical=L, hardware=H, modes=modes, edges=edges, local_skew=local, global_skew=glob,
-            psi_levels=psi_levels, bound_local=sc.local_bound, bound_global=sc.global_bound, dist=sc.dist,
+            psi_levels=psi_levels, bound_local=sc.local_bound, bound_global=sc.global_bound,
         )
 
         report = metrics.build_bound_report(

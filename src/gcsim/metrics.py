@@ -11,7 +11,8 @@ the pairs inside the chunk's skew ball, the first K columns of each row
 of the distance matrix in ascending order (:func:`distance_order`).  Its
 temporaries are O(rows per chunk * n * K), n^2 per row at worst, however
 long the run, and :func:`corollary1_check_all` applies it to a stored
-trace as one chunk.
+trace as one chunk, with the scenario's distance matrix (a trace does not
+carry it).
 :func:`build_bound_report` sets the run's skew maxima against the
 scenario's static bounds.
 
@@ -268,11 +269,12 @@ def distance_order(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order.astype(np.min_scalar_type(len(dist) - 1)), np.take_along_axis(dist, order, axis=1).min(axis=0)
 
 
-def corollary1_check_all(trace: Trace, theta: float) -> list[Violation]:
-    """Corollary 1 at every level of a stored full-mode trace: :func:`trace_oracles`
+def corollary1_check_all(trace: Trace, dist: np.ndarray, theta: float) -> list[Violation]:
+    """Corollary 1 at every level of a stored full-mode trace, whose
+    scenario's kappa-distance matrix is ``dist``: :func:`trace_oracles`
     applied to the whole trace as one chunk, with (S, n, K) temporaries.
-    ``perfbench/worker.py`` times it by this name."""
-    return trace_oracles(trace.times, trace.logical, trace.dist, trace.s_max, theta)[1]
+    ``perfbench/worker.py`` wraps it by this name."""
+    return trace_oracles(trace.times, trace.logical, dist, trace.s_max, theta)[1]
 
 
 def trace_oracles(

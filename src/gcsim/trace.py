@@ -1,12 +1,12 @@
 """Run outputs: sampled trace, violations, summary, and their file formats.
 
-The trace samples every wakeup and evaluation, every hardware rate
-breakpoint, a fixed real-time grid and the end of the run; message
-arrivals and emits only carry readings and are not sampled.  A logical
-clock changes slope only at a rate breakpoint or at a mode change, which
-happens at a wakeup or an evaluation, so every clock is linear between two
-samples and every pairwise difference attains its extrema at sampled
-points: the recorded extrema are exact.
+The trace samples every event instant of the run, each a wakeup, an
+evaluation, a hardware rate breakpoint or a tick of a fixed real-time grid,
+and the end of the run; messages are no events, since they only carry
+readings.  A logical clock changes slope only at a rate breakpoint or at a
+mode change, which happens at a wakeup or an evaluation, so every clock is
+linear between two samples and every pairwise difference attains its
+extrema at sampled points: the recorded extrema are exact.
 """
 from __future__ import annotations
 
@@ -41,8 +41,8 @@ class Trace:
 
     Arrays are row-per-sample: ``logical``/``hardware`` are (S, n),
     ``modes`` (S, n) of 0/1, ``psi_levels`` (S, s_max) level potentials;
-    a skew-only run has no rows.  ``dist`` is the (n, n) kappa-distance
-    matrix the potentials use, None in a skew-only run.
+    a skew-only run has no rows.  The kappa-distance matrix the
+    potentials use is the scenario's, ``Scenario.dist``.
     """
 
     times: np.ndarray
@@ -55,7 +55,6 @@ class Trace:
     psi_levels: np.ndarray
     bound_local: float
     bound_global: float
-    dist: np.ndarray | None
 
     @property
     def n(self) -> int:

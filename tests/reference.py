@@ -14,8 +14,8 @@ Tests check the engine against them; the package itself does not use
 them.
 
 ``ThreeEventExchange`` is the reference twin of the engine's exchanges and
-evaluations: each message leg is an event that reads its own stamp, and
-each evaluation runs on its own.  ``Recording`` and ``PerEventChecks`` are
+evaluations: each message leg is an event that reads its own stamp, run by
+the twin's own event loop, and each evaluation runs on its own.  ``Recording`` and ``PerEventChecks`` are
 built on it: the first keeps the per-measurement ground truth that the
 engine does not keep, the second makes the ground-truth checks one event
 at a time.
@@ -244,6 +244,9 @@ def estimate_value(est: NeighborEstimate, l_v_now: float, cycle: int | None = No
     return engine.estimate_value(est.offset, est.estimate_deduction, l_v_now)
 
 
+K_MESSAGE = 4  # (handler name, *args): a message leg as an event of its own
+
+
 class ThreeEventExchange(engine._Simulation):
     """The engine with every leg of an exchange an event of its own, the
     reference twin of its one-event exchanges and batched evaluations.
@@ -253,7 +256,9 @@ class ThreeEventExchange(engine._Simulation):
     delay; the reply's arrival reads t4, checks the round trip against the
     timeout window and keeps the estimate as the requester's view.  Each
     evaluation runs on its own, from the views.  All three legs are
-    ``engine.K_MESSAGE`` events that name their handler.  The emission takes
+    ``K_MESSAGE`` events that name their handler, and the twin runs its own
+    loop, which dispatches them and does not sample an instant that only
+    message legs fall on.  The emission takes
     its place in the heap's (time, seq) order at the send, as the engine
     gives it one there: its delay draw shares the stream of the responder's
     requests, so at an emission on the responder's own wakeup instant that
@@ -273,7 +278,7 @@ class ThreeEventExchange(engine._Simulation):
     def _send(self, t: float, v: int, w: int, l1: float) -> float:
         arrival = t + self._delay(v, w)
         self.seq += 1  # the emission's place
-        self.push(arrival, engine.K_MESSAGE, ("_on_request_arrival", v, w, l1, self.seq - 1))
+        self.push(arrival, K_MESSAGE, ("_on_request_arrival", v, w, l1, self.seq - 1))
         return l1
 
     def _on_wakeup(self, t: float, v: int, k: int) -> None:
@@ -281,18 +286,60 @@ class ThreeEventExchange(engine._Simulation):
         super()._on_wakeup(t, v, k)
 
     def _settle(self, limit: float, check_timeout: bool) -> None:
-        """Every reply up to ``limit`` was an event: nothing to complete."""
+        """Every reply up to ``limit`` was an event: nothing to complete
+        when the run aborts."""
+
+    def run(self) -> engine.RunResult:
+        """The engine's loop with message legs as events of their own.  A
+        leg only carries readings, so an instant that only legs fall on is
+        no sample; every other event changes a slope or is a grid tick.
+        Legs up to the end all ran, so there is nothing to settle."""
+        sc = self.sc
+        for v, clock in enumerate(self.clocks):
+            self.push(clock.invert(clock.hardware.initial_value), engine.K_WAKEUP, (v, 0))
+        if sc.sample_dt > 0:
+            self.push(sc.sample_dt, engine.K_TICK, None)
+        for b in sorted({b for c in self.clocks for b in c.hardware.starts[1:]}):
+            self.push(b, engine.K_RATE, None)
+
+        need = False  # an event at `current` can change a slope
+        heap = self.heap
+        while heap and heap[0][0] <= self.end:
+            t, _, kind, payload = heapq.heappop(heap)
+            if self.current is not None:
+                if t < self.current - engine._TOL:
+                    self._abort(f"event time regressed: {t!r} after {self.current!r}")
+                if t > self.current and need:
+                    self._flush_sample(self.current)
+                    need = False
+            self.current = t
+            need = need or kind != K_MESSAGE
+            if kind == K_MESSAGE:
+                getattr(self, payload[0])(t, *payload[1:])
+            elif kind == engine.K_WAKEUP:
+                self._on_wakeup(t, *payload)
+            elif kind == engine.K_EVALUATE:
+                self._on_evaluate(t, [payload])
+            elif kind == engine.K_TICK:
+                self.push(t + sc.sample_dt, engine.K_TICK, None)
+
+        end = self.end
+        if self.current is not None and (need or self.current == end):
+            self._flush_sample(self.current)
+        if self.current is None or end > self.current:
+            self._flush_sample(end)
+        return self._finish()
 
     def _on_request_arrival(self, t: float, v: int, w: int, t1: float, seq: int) -> None:
         t2 = self.clocks[w].value(t)
         proc = self.links[(v, w)][3]
         p_real = 0.0 if proc is None else self.sc.p_max * proc()
-        heapq.heappush(self.heap, (t + p_real, seq, engine.K_MESSAGE, ("_on_reply_emit", v, w, t1, t2)))
+        heapq.heappush(self.heap, (t + p_real, seq, K_MESSAGE, ("_on_reply_emit", v, w, t1, t2)))
 
     def _on_reply_emit(self, t: float, v: int, w: int, t1: float, t2: float) -> None:
         t3 = self.clocks[w].value(t)
         reply = handle_request(RequestMsg(v, t1), w, t2, t3 - t2)
-        self.push(t + self._delay(w, v), engine.K_MESSAGE, ("_on_reply_arrival", v, reply))
+        self.push(t + self._delay(w, v), K_MESSAGE, ("_on_reply_arrival", v, reply))
 
     def _on_reply_arrival(self, t: float, v: int, reply: ReplyMsg) -> None:
         sc = self.sc

@@ -139,13 +139,13 @@ def test_criterion_06_potential_growth(pinned_runs):
     for name, run in pinned_runs.items():
         trace = run["res"].trace
         assert _kinds(run["res"].violations).get("corollary1", 0) == 0
-        assert metrics.corollary1_check_all(trace, run["sc"].params.theta) == []
+        assert metrics.corollary1_check_all(trace, run["sc"].dist, run["sc"].params.theta) == []
     # negative control: the same checker must catch an artificial clock jump
     trace = pinned_runs["line8"]["res"].trace
     saved = trace.logical
     trace.logical = saved.copy()
     trace.logical[len(trace) // 2, 0] += 0.5
-    flagged = metrics.corollary1_check_all(trace, theta=1.001)
+    flagged = metrics.corollary1_check_all(trace, pinned_runs["line8"]["sc"].dist, theta=1.001)
     trace.logical = saved
     assert flagged, "corrupted fixture must be flagged"
     _report(6, "potential growth envelope")

@@ -32,6 +32,19 @@ class TestHardwareValue:
         with pytest.raises(ParameterError):
             hw().value(-1.0)
 
+    @pytest.mark.parametrize("initial, starts, rates, message", [
+        (0.0, (1.0, 2.0), (1.0, 1.0), "rate schedule must start at t=0"),
+        (0.0, (), (), "rate schedule must start at t=0"),
+        (0.0, (0.0, 2.0, 2.0), (1.0, 1.01, 1.0), "segment start times must be strictly increasing"),
+        (0.0, (0.0, 3.0, 2.0), (1.0, 1.01, 1.0), "segment start times must be strictly increasing"),
+        (0.0, (0.0, 2.0), (1.0,), "starts and rates must have equal length"),
+        (-1.0, (0.0,), (1.0,), "initial clock value must be non-negative"),
+    ])
+    def test_malformed_schedule_rejected(self, initial, starts, rates, message):
+        with pytest.raises(ParameterError) as exc:
+            HardwareClock(initial, starts, rates)
+        assert str(exc.value) == message
+
 
 class TestLogicalValue:
     def test_no_corrections_equals_hardware(self):
@@ -79,6 +92,22 @@ class TestSetMode:
         before = c.value(3.0)
         c.set_mode(9.0, OWN_RATE)
         assert c.value(3.0) == before
+
+    def test_change_before_the_last_one_rejected(self):
+        c = LogicalClock(hw(), mu=0.1)
+        c.set_mode(5.0, FAST)
+        last = 5.0 - 1e-13
+        c.set_mode(last, OWN_RATE)  # before the last change, but within the tolerance
+        with pytest.raises(InternalError) as exc:
+            c.set_mode(4.0, FAST)
+        assert str(exc.value) == f"mode change at t=4.0 precedes last change at {last!r}"
+
+    def test_unknown_mode_rejected(self):
+        c = LogicalClock(hw(), mu=0.1)
+        with pytest.raises(ParameterError) as exc:
+            c.set_mode(1.0, 2)
+        assert str(exc.value) == "unknown mode 2"
+        assert c.mode_timeline == [(0.0, OWN_RATE)]
 
 
 class TestInvert:
@@ -214,8 +243,10 @@ class TestReadClocks:
                 read_clocks(mixed_clocks(), times, cols)
 
     def test_clocks_out_of_order_rejected(self):
-        with pytest.raises(ParameterError, match="ascending"):
-            read_clocks(mixed_clocks(), np.array([2.0, 3.0]), np.array([1, 0]))
+        for cols in ([1, 0], [0, 2, 1, 3]):
+            with pytest.raises(ParameterError) as exc:
+                read_clocks(mixed_clocks(), np.full(len(cols), 3.0), np.array(cols))
+            assert str(exc.value) == "clock indices must be in ascending order"
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

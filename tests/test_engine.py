@@ -176,6 +176,23 @@ def test_repeated_evaluation_aborts_as_out_of_order(cls):
     assert sim.current == t_again
 
 
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_wakeup_off_its_cycle_boundary_aborts_beyond_the_tolerance(factor):
+    # node 1's wakeups come a shift after the instants its clock reads its
+    # cycle boundaries; at rate 1.001 its value is off by about the shift
+    sim = engine._Simulation(scen.build_scenario(antiphase_line_doc(3, horizon_cycles=5)))
+    clock = sim.clocks[1]
+    invert, shift = clock.invert, factor * engine._BOUNDARY_TOL
+    clock.invert = lambda target: invert(target) + shift
+    if factor < 1:
+        assert sim.run().summary.cycles_completed == 5
+        return
+    with pytest.raises(RunAborted) as exc:
+        sim.run()
+    assert sim.current == shift  # node 1's first wakeup, at cycle boundary 0.0
+    assert str(exc.value) == f"cycle boundary misaligned at node 1: local {clock.value(shift)!r} vs 0.0"
+
+
 class TestDeterminism:
     def test_same_seed_identical_results(self):
         a = engine.run(scen.build_scenario(random_suite_doc(2)))
@@ -324,14 +341,14 @@ class TestMetricsModes:
         assert_modes_agree(res)
 
     def test_skew_only_drops_the_distance_matrix(self):
-        # a skew_only scenario keeps only the diameter, so neither it nor its
-        # trace holds the n x n matrix
+        # a skew_only scenario keeps only the diameter, and no trace holds
+        # the n x n matrix: the scenario owns it
         res, scs = {}, {}
         for mode in ("full", "skew_only"):
             scs[mode] = scen.build_scenario(random_template_doc(16, 2, mode))
             res[mode] = engine.run(scs[mode])
-        assert scs["skew_only"].dist is None and res["skew_only"].trace.dist is None
-        assert res["full"].trace.dist is scs["full"].dist
+        assert scs["skew_only"].dist is None
+        assert not any(hasattr(r.trace, "dist") for r in res.values())
         assert scs["skew_only"].diameter == scs["full"].diameter == float(scs["full"].dist.max())
         assert_modes_agree(res)
 
@@ -556,41 +573,99 @@ class TestGlobalBoundCrossing:
         assert res["full"].summary.first_global_bound_exceed_time is None
 
 
-def run_recording_mode_decisions(doc):
-    """Run ``doc`` and record the real time of every wakeup and evaluation,
-    and every measurement."""
+class DecisionLog:
+    """Records the real time of every wakeup, with its cycle, and of every
+    evaluation batch, over the loop it is mixed into."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.wakeups: list[tuple[float, int]] = []
+        self.evaluations: list[float] = []
+
+    def _on_wakeup(self, t, v, k):
+        self.wakeups.append((t, k))
+        super()._on_wakeup(t, v, k)
+
+    def _on_evaluate(self, t, batch):
+        self.evaluations.append(t)
+        super()._on_evaluate(t, batch)
+
+
+class EngineDecisions(DecisionLog, engine._Simulation):
+    pass
+
+
+class TwinDecisions(DecisionLog, Recording):
+    pass
+
+
+def run_recording_mode_decisions(doc, cls=TwinDecisions):
+    """Run ``doc`` on ``cls`` and return the scenario, the simulation, its
+    result and the real time of every wakeup and evaluation."""
     sc = scen.build_scenario(doc)
-    sim = Recording(sc)
-    seen = []
-    for name in ("_on_wakeup", "_on_evaluate"):
-        handler = getattr(sim, name)
-        setattr(sim, name, lambda t, *args, _h=handler: (seen.append(t), _h(t, *args)))
-    return sc, sim, sim.run(), seen
+    sim = cls(sc)
+    res = sim.run()
+    return sc, sim, res, [t for t, _ in sim.wakeups] + sim.evaluations
+
+
+def grid_ticks(sc, end: float) -> set:
+    """The sampling grid up to ``end``, each tick the previous plus
+    ``sample_dt``, as the loop pushes them."""
+    ticks, t = set(), sc.sample_dt
+    while t <= end:
+        ticks.add(t)
+        t += sc.sample_dt
+    return ticks
+
+
+def off_grid_end_doc() -> dict:
+    """``swapped_rates_doc`` ending halfway between two grid ticks."""
+    doc = swapped_rates_doc()
+    doc["sim"]["horizon_time"] = 19.5
+    return doc
 
 
 SPARSE_DOCS = {
-    "flipping": flipping_antiphase_doc,
-    "random_walk": lambda: random_suite_doc(2),
-    "swapped_rates": swapped_rates_doc,
+    "flipping": flipping_antiphase_doc,  # horizon_cycles
+    "random_walk": lambda: random_suite_doc(2),  # horizon_cycles
+    "swapped_rates": swapped_rates_doc,  # horizon_time
+    "off_grid_end": off_grid_end_doc,  # horizon_time after the last event
 }
 
 
 class TestSparseSampling:
-    """Samples are taken only where a slope can change, and nothing is lost."""
+    """The engine's loop samples every event instant, each of which can
+    change a slope or is a grid tick, and the end of the run.  The twin's
+    loop also has message legs as events, and samples none of their
+    instants.  Nothing is lost either way."""
 
     @pytest.mark.parametrize("name", sorted(SPARSE_DOCS))
     def test_every_sample_can_change_a_slope(self, name):
+        # the twin's loop: its samples are a subset of the instants that
+        # can change a slope, and some message instants are left out
         sc, sim, res, decisions = run_recording_mode_decisions(SPARSE_DOCS[name]())
         times = res.trace.times
-        ticks, t = set(), sc.sample_dt
-        while t <= times[-1]:
-            ticks.add(t)
-            t += sc.sample_dt
         breakpoints = {b for c in sim.clocks for b in c.hardware.starts[1:]}
-        allowed = set(decisions) | ticks | breakpoints | {sc.horizon_time}
+        allowed = set(decisions) | grid_ticks(sc, times[-1]) | breakpoints | {sc.horizon_time}
         assert set(times.tolist()) <= allowed
         arrivals = {m.record.completed_at_real for m in sim.measurements}
         assert arrivals - allowed  # some message instants are not samples
+
+    @pytest.mark.parametrize("name", sorted(SPARSE_DOCS))
+    def test_engine_samples_every_event_instant(self, name):
+        # the engine's loop: every wakeup, evaluation, grid tick and rate
+        # breakpoint up to the end is a sample, and so is the end, which is
+        # the horizon time or the wakeup at which the last node reaches the
+        # horizon cycle
+        sc, sim, res, decisions = run_recording_mode_decisions(SPARSE_DOCS[name](), EngineDecisions)
+        if sc.horizon_time is not None:
+            end = sc.horizon_time
+        else:
+            end = max(t for t, k in sim.wakeups if k == sc.horizon_cycles)
+        breakpoints = {b for c in sim.clocks for b in c.hardware.starts[1:]}
+        instants = set(decisions) | grid_ticks(sc, end) | breakpoints | {end}
+        expected = sorted(t for t in instants if 0.0 <= t <= end)
+        assert res.trace.times.tolist() == expected
 
     def test_end_is_sampled_when_only_a_reply_arrives_there(self):
         # requests leave at 0, replies arrive at exactly 2.0, the horizon

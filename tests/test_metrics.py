@@ -230,18 +230,20 @@ class TestTheoremBounds:
 @pytest.fixture(scope="module")
 def short_run():
     sc = scen.build_scenario(zero_drift_doc(True, horizon_cycles=10))
-    return engine.run(sc)
+    return engine.run(sc), sc.dist
 
 
 class TestCorollary1:
     def test_zero_drift_run_is_clean(self, short_run):
-        assert metrics.corollary1_check_all(short_run.trace, theta=1.0) == []
+        res, dist = short_run
+        assert metrics.corollary1_check_all(res.trace, dist, theta=1.0) == []
 
     def test_corrupted_trace_is_flagged(self, short_run):
-        trace = short_run.trace
+        res, dist = short_run
+        trace = res.trace
         trace.logical = trace.logical.copy()
         trace.logical[len(trace) // 2, 0] += 1.0
-        bad = metrics.corollary1_check_all(trace, theta=1.0)
+        bad = metrics.corollary1_check_all(trace, dist, theta=1.0)
         assert bad and all(v.kind == "corollary1" for v in bad)
 
     def test_fast_neighbour_is_flagged_on_its_piece(self, monkeypatch):
@@ -252,12 +254,12 @@ class TestCorollary1:
         first = hits[0]
         assert first.time == pytest.approx(49.727, abs=1e-3)
         assert first.detail.startswith("node 23 level 1, leader 15:")
-        assert metrics.corollary1_check_all(res.trace, sc.params.theta) == hits
+        assert metrics.corollary1_check_all(res.trace, sc.dist, sc.params.theta) == hits
         # blocks of two rows: every other piece starts in the previous block
-        trace, theta = res.trace, sc.params.theta
-        assert chained_oracles(trace, theta, 2) == hits
-        assert chained_oracles(trace, theta, len(trace)) == hits
-        assert chained_oracles(trace, theta, 7, reference.dense_trace_oracles) == hits
+        trace, dist, theta = res.trace, sc.dist, sc.params.theta
+        assert chained_oracles(trace, dist, theta, 2) == hits
+        assert chained_oracles(trace, dist, theta, len(trace)) == hits
+        assert chained_oracles(trace, dist, theta, 7, reference.dense_trace_oracles) == hits
         # engine chunks of one row, or of a size that divides no row count:
         # the floors are carried from chunk to chunk
         for chunk_values in (1, 50):
@@ -288,12 +290,10 @@ class TestCorollary1:
         # samples, but on the piece its maximiser switches from node 1 (gap
         # falling) to node 2 (gap rising at slope 1): between the midpoint
         # and the right end it rises by 0.5 in 0.5 s
-        trace = stored_trace(
-            np.array([0.0, 1.0]), np.array([[0.0, 2.0, 1.0], [1.0, 2.0, 3.0]]),
-            np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]),
-        )
-        assert metrics.corollary1_check_all(trace, theta=2.5) == []
-        bad = metrics.corollary1_check_all(trace, theta=1.01)
+        trace = stored_trace(np.array([0.0, 1.0]), np.array([[0.0, 2.0, 1.0], [1.0, 2.0, 3.0]]))
+        dist = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+        assert metrics.corollary1_check_all(trace, dist, theta=2.5) == []
+        bad = metrics.corollary1_check_all(trace, dist, theta=1.01)
         assert [(v.time, v.detail.split(":")[0]) for v in bad] == [(1.0, "node 0 level 1, leader 2")]
 
     @pytest.mark.parametrize("chunk", [4096, 7])
@@ -304,36 +304,36 @@ class TestCorollary1:
         theta = 1.01
         t = np.arange(1001.0)
         _, _, dist = unit_kappa_graph([(0, 1)], 2)
-        exact = stored_trace(t, np.column_stack([t, 1.0 + theta * t]), dist)
-        assert metrics.corollary1_check_all(exact, theta) == []
-        assert chained_oracles(exact, theta, chunk) == []
-        excess = stored_trace(t, np.column_stack([t, 1.0 + (theta + 1e-10) * t]), dist)
-        bad = metrics.corollary1_check_all(excess, theta)
-        assert chained_oracles(excess, theta, chunk) == bad
+        exact = stored_trace(t, np.column_stack([t, 1.0 + theta * t]))
+        assert metrics.corollary1_check_all(exact, dist, theta) == []
+        assert chained_oracles(exact, dist, theta, chunk) == []
+        excess = stored_trace(t, np.column_stack([t, 1.0 + (theta + 1e-10) * t]))
+        bad = metrics.corollary1_check_all(excess, dist, theta)
+        assert chained_oracles(excess, dist, theta, chunk) == bad
         assert bad and all(v.detail.startswith("node 0 level 1, leader 1:") for v in bad)
         assert bad[0].time == pytest.approx(11.0, abs=1.0)  # where the rise first tops 1e-9
         assert bad[-1].time == 1000.0
 
 
-def stored_trace(times, logical, dist):
+def stored_trace(times, logical):
     """A full-mode trace of the given clock values, for the stored-trace checks."""
     S, n = logical.shape
     return Trace(
         times=times, logical=logical, hardware=np.zeros((S, n)),
         modes=np.zeros((S, n), dtype=np.int8), edges=((0, 1),), local_skew=np.zeros(S),
         global_skew=np.zeros(S), psi_levels=np.zeros((S, 1)),
-        bound_local=2.0, bound_global=2.0, dist=dist,
+        bound_local=2.0, bound_global=2.0,
     )
 
 
-def chained_oracles(trace, theta, rows, oracles=metrics.trace_oracles):
+def chained_oracles(trace, dist, theta, rows, oracles=metrics.trace_oracles):
     """The trace oracles over a stored trace, called on blocks of ``rows``
     rows that carry the last row and the floors as the engine's chunks do;
     sorted as a run sorts its violations."""
     out, last_row, floors = [], None, None
     for lo in range(0, len(trace), rows):
         t, L = trace.times[lo : lo + rows], trace.logical[lo : lo + rows]
-        _, viol, floors = oracles(t, L, trace.dist, trace.s_max, theta, last_row, floors)
+        _, viol, floors = oracles(t, L, dist, trace.s_max, theta, last_row, floors)
         out += viol
         last_row = (t[-1], L[-1])
     return sorted(out, key=lambda v: (v.time, v.kind, v.detail))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gcsim.errors import ParameterError
+from gcsim import twoway
+from gcsim.errors import InternalError, ParameterError
 from gcsim.twoway import timeout_window
 
 from reference import (
@@ -70,6 +71,17 @@ class TestComputeEstimates:
     def test_degenerate_all_processing(self):
         est = compute_estimates(record(100.0, 100.0, 110.0, 110.0), 0.0, 0.0, 1.0)
         assert est.d_avg == 0.0
+
+    def test_negative_average_delay_is_an_internal_error(self):
+        # the second exchange's remote processing outlasts its round trip by
+        # 4; the first's by 2e-13, within the tolerance
+        stamps = [np.array(s) for s in ([0.0, 0.0], [0.0, 5.0], [10.0 + 2e-13, 10.0], [10.0, 1.0])]
+        zeros = np.zeros(2)
+        with pytest.raises(InternalError) as exc:
+            twoway.compute_estimates(*stamps, zeros, zeros, 1.0)
+        assert str(exc.value) == "negative average delay -2.0 from stamps (0.0, 5.0, 10.0, 1.0)"
+        d_avg, _, _ = twoway.compute_estimates(*(s[:1] for s in stamps), zeros[:1], zeros[:1], 1.0)
+        assert -1e-12 < d_avg[0] < 0.0
 
     def test_deduction_formula(self):
         est = compute_estimates(record(0.0, 10.0, 10.0, 20.0), 0.01, 0.001, 1.001)
