@@ -19,6 +19,7 @@ __all__ = [
     "OWN_RATE",
     "FAST",
     "HardwareClock",
+    "ClockTable",
     "LogicalClock",
     "sample_clocks",
     "read_clocks",
@@ -76,150 +77,210 @@ class HardwareClock:
         return self.starts[i] + (target - self._cum[i]) / self.rates[i]
 
 
+class ClockTable:
+    """The anchors of a set of logical clocks, and the rate breakpoints of
+    their hardware clocks, in flat arrays.
+
+    Anchor ``a`` is one mode change of clock ``owner[a]``: from ``time[a]``
+    on, the clock reads ``value[a] + factor[a] * (H - hw_at[a])`` for its
+    hardware reading H, in mode ``mode[a]``.  ``prev[a]`` is the same clock's
+    anchor before it (-1 for its first, at t = 0) and ``last[c]`` clock c's
+    latest, so each clock's anchors are a chain in time order, and
+    :meth:`LogicalClock.set_mode` is the only writer.  The rate segments
+    of every clock, clock by clock in time order, are the entries of
+    ``hw_start``, ``hw_rate`` and ``hw_cum`` (clock c's last is
+    ``hw_last[c]``), keyed in ``hw_key`` by (c, start) as the complex
+    number ``c + start * 1j``, which numpy orders real part first.
+
+    Every array has a memoryview twin (``time_mv`` and so on) through which
+    the scalar methods of :class:`LogicalClock` read and write single
+    entries as Python numbers.
+    """
+
+    _ANCHOR_ARRAYS = ("time", "value", "hw_at", "factor", "mode", "prev", "owner")
+
+    def __init__(self, hardware):
+        n = len(hardware)
+        counts = np.array([len(h.starts) for h in hardware], dtype=np.intp)
+        flat = lambda attr: np.fromiter(chain.from_iterable(getattr(h, attr) for h in hardware), float, counts.sum())
+        self.hw_start, self.hw_rate, self.hw_cum = flat("starts"), flat("rates"), flat("_cum")
+        self.hw_last = np.cumsum(counts) - 1
+        self.hw_key = np.empty(len(self.hw_start), complex)
+        self.hw_key.real = np.repeat(np.arange(n), counts)
+        self.hw_key.imag = self.hw_start
+        self.one_segment = len(self.hw_start) == n  # every clock at one rate: segment c is clock c's
+        capacity = max(2 * n, 16)
+        initial = np.array([h.initial_value for h in hardware], dtype=float)
+        self.time, self.value, self.hw_at, self.factor = (np.zeros(capacity) for _ in range(4))
+        self.value[:n] = self.hw_at[:n] = initial
+        self.factor[:n] = 1.0
+        self.mode = np.full(capacity, OWN_RATE, dtype=np.int8)
+        self.prev = np.full(capacity, -1, dtype=np.intp)
+        self.owner = np.zeros(capacity, dtype=np.intp)
+        self.owner[:n] = np.arange(n)
+        self.last = np.arange(n, dtype=np.intp)
+        self.size = n
+        self.last_mv = memoryview(self.last)
+        self._views()
+
+    def _views(self) -> None:
+        for name in self._ANCHOR_ARRAYS:
+            setattr(self, name + "_mv", memoryview(getattr(self, name)))
+
+    def append(self, c: int, t: float, value: float, hw_at: float, factor: float, mode: int) -> None:
+        """Make (t, value, hw_at, factor, mode) clock c's latest anchor."""
+        a = self.size
+        if a == len(self.time):  # full: double every anchor array
+            for name in self._ANCHOR_ARRAYS:
+                old = getattr(self, name)
+                grown = np.empty(2 * a, dtype=old.dtype)
+                grown[:a] = old
+                setattr(self, name, grown)
+            self._views()
+        self.time_mv[a], self.value_mv[a], self.hw_at_mv[a] = t, value, hw_at
+        self.factor_mv[a], self.mode_mv[a] = factor, mode
+        self.prev_mv[a], self.owner_mv[a] = self.last_mv[c], c
+        self.last_mv[c] = a
+        self.size = a + 1
+
+    def mode_timelines(self) -> list[list[tuple[float, int]]]:
+        """(time, mode) of each clock's anchors, in time order, per clock."""
+        k = self.size
+        order = np.argsort(self.owner[:k], kind="stable")  # table order is time order within a clock
+        pairs = list(zip(self.time[order].tolist(), self.mode[order].tolist()))
+        ends = np.cumsum(np.bincount(self.owner[:k], minlength=len(self.last))).tolist()
+        return [pairs[a:b] for a, b in zip([0] + ends, ends)]
+
+
 class LogicalClock:
-    """Hardware clock plus integrated rate correction.
+    """Hardware clock plus integrated rate correction: clock ``index`` of
+    an anchor table (a table of its own by default).
 
     Each anchor holds the clock's mode from its time on and the factor of
     that mode: the clock advances at 1.0 times the hardware rate in
     ``OWN_RATE`` and at ``(1 + mu)`` times it in ``FAST``.  Mode changes
     append anchors; values before the last anchor are never rewritten, so
-    past queries stay exact.
+    past queries stay exact.  A read before the last anchor walks back
+    along the clock's chain of anchors.
     """
 
-    def __init__(self, hardware: HardwareClock, mu: float):
+    def __init__(self, hardware: HardwareClock, mu: float, table: ClockTable | None = None, index: int = 0):
         if mu <= 0:
             raise ParameterError(f"mu must be positive, got {mu!r}")
         self.hardware = hardware
         self.mu = mu
-        self._times = [0.0]
-        self._values = [hardware.initial_value]
-        self._hw_at = [hardware.initial_value]
-        self._modes = [OWN_RATE]
-        self._factors = [1.0]
+        self.table = ClockTable([hardware]) if table is None else table
+        self.index = index
 
     @property
     def mode_timeline(self) -> list[tuple[float, int]]:
         """(time, mode) of each anchor: (0.0, OWN_RATE), then every mode change."""
-        return list(zip(self._times, self._modes))
+        return self.table.mode_timelines()[self.index]
 
-    def _segment(self, t: float) -> int:
-        return bisect_right(self._times, t) - 1
+    def _anchor(self, t: float) -> int:
+        """The anchor in force at t: the clock's last one at or before t."""
+        tb = self.table
+        time = tb.time_mv
+        a = tb.last_mv[self.index]
+        if t < time[a]:
+            if t < 0:
+                raise ParameterError(f"time must be non-negative, got {t!r}")
+            prev = tb.prev_mv
+            while t < time[a]:
+                a = prev[a]
+        return a
 
     def value(self, t: float) -> float:
-        if t >= self._times[-1]:  # on the last anchor: no search
-            i = -1
-        elif t < 0:
-            raise ParameterError(f"time must be non-negative, got {t!r}")
-        else:
-            i = self._segment(t)
-        return self._values[i] + self._factors[i] * (self.hardware.value(t) - self._hw_at[i])
+        a = self._anchor(t)
+        tb = self.table
+        return tb.value_mv[a] + tb.factor_mv[a] * (self.hardware.value(t) - tb.hw_at_mv[a])
 
     def value_pair(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(logical, hardware) at each of the instants ``times``, in any order.
-
-        The array form of :meth:`value`, with the same operations in the
-        same order, so every entry equals the scalar result bit for bit.
-        """
-        t0, t1 = float(times.min()), float(times.max())
-        if t0 < 0:
-            raise ParameterError(f"time must be non-negative, got {t0!r}")
-        # only the segments and anchors that [t0, t1] can select
-        hw = self.hardware
-        a, b = bisect_right(hw.starts, t0) - 1, bisect_right(hw.starts, t1)
-        starts = np.asarray(hw.starts[a:b])
-        j = np.searchsorted(starts, times, side="right") - 1
-        h = np.asarray(hw._cum[a:b])[j] + np.asarray(hw.rates[a:b])[j] * (times - starts[j])
-        a, b = self._segment(t0), bisect_right(self._times, t1)
-        anchors = np.asarray(self._times[a:b])
-        i = np.searchsorted(anchors, times, side="right") - 1
-        values, hw_at, factors = (np.asarray(x[a:b])[i] for x in (self._values, self._hw_at, self._factors))
-        return values + factors * (h - hw_at), h
+        """(logical, hardware) at each of the instants ``times``, in any order:
+        the :func:`read_clocks` read of this clock, which equals :meth:`value`
+        bit for bit."""
+        L, H, _ = read_clocks(self.table, times, np.intp(self.index))
+        return L, H
 
     def set_mode(self, t: float, mode: int) -> None:
-        """Switch correction mode at time t; past values stay unchanged."""
+        """Switch correction mode at time t; past values stay unchanged.  A
+        time up to ``_EQ_TOL`` before the last change counts as the time of
+        that change, so each clock's anchors stay in time order."""
         if mode not in (OWN_RATE, FAST):
             raise ParameterError(f"unknown mode {mode!r}")
-        if t < self._times[-1] - _EQ_TOL:
-            raise InternalError(
-                f"mode change at t={t!r} precedes last change at {self._times[-1]!r}"
-            )
-        if mode == self._modes[-1]:
+        tb = self.table
+        a = tb.last_mv[self.index]
+        last = tb.time_mv[a]
+        if t < last:
+            if t < last - _EQ_TOL:
+                raise InternalError(f"mode change at t={t!r} precedes last change at {last!r}")
+            t = last
+        if mode == tb.mode_mv[a]:
             return
-        value_now = self.value(t)
-        hw_now = self.hardware.value(t)
-        self._times.append(t)
-        self._values.append(value_now)
-        self._hw_at.append(hw_now)
-        self._modes.append(mode)
-        self._factors.append(1.0 + self.mu if mode == FAST else 1.0)
+        factor = 1.0 + self.mu if mode == FAST else 1.0
+        tb.append(self.index, t, self.value(t), self.hardware.value(t), factor, mode)
 
     def invert(self, target: float) -> float:
         """Real time at which the logical clock reads ``target``.
 
         Unique because the logical rate is strictly positive.
         """
-        if target >= self._values[-1]:  # on the last anchor: no search
-            i = -1
-        elif target < self._values[0] - _EQ_TOL:
-            raise ParameterError(
-                f"target {target!r} below initial logical value {self._values[0]!r}"
-            )
-        else:
-            i = max(bisect_right(self._values, target) - 1, 0)
-        return self.hardware.inverse(self._hw_at[i] + (target - self._values[i]) / self._factors[i])
+        tb = self.table
+        values = tb.value_mv
+        a = tb.last_mv[self.index]
+        if target < values[a]:  # walk back to the last anchor at or below target
+            prev = tb.prev_mv
+            while target < values[a] and prev[a] >= 0:
+                a = prev[a]
+            if target < values[a] - _EQ_TOL:
+                raise ParameterError(f"target {target!r} below initial logical value {values[a]!r}")
+        return self.hardware.inverse(tb.hw_at_mv[a] + (target - values[a]) / tb.factor_mv[a])
 
 
-def _piece(c: LogicalClock, t: float) -> tuple:
-    """(cum, rate, start, value, hw_at, factor, since): the hardware segment and
-    logical anchor of ``c`` in force at t, found as :meth:`LogicalClock.value`
-    finds them, and the later of their starts.  From ``since`` through t, ``c``
-    reads ``value + factor * (cum + rate * (t - start) - hw_at)``, the scalar formula."""
-    hw = c.hardware
-    starts, anchors = hw.starts, c._times
-    j = -1 if t >= starts[-1] else bisect_right(starts, t) - 1
-    i = -1 if t >= anchors[-1] else bisect_right(anchors, t) - 1
-    since = starts[j] if starts[j] > anchors[i] else anchors[i]
-    return hw._cum[j], hw.rates[j], starts[j], c._values[i], c._hw_at[i], c._factors[i], since
+def sample_clocks(table: ClockTable, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Logical values, hardware values and anchors in force, each (R, n),
+    of every clock of ``table`` at each of the R instants ``times``: the
+    grid read of :func:`read_clocks`."""
+    return read_clocks(table, times[:, None], np.arange(len(table.last)))
 
 
-def sample_clocks(clocks, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Logical and hardware values, each (R, n), of every clock at each of
-    the R instants ``times``: the grid read of :func:`read_clocks`."""
-    return read_clocks(clocks, times[:, None], np.arange(len(clocks)))
+def read_clocks(table: ClockTable, times: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Logical value, hardware value and anchor in force of clock ``cols[j]``
+    of ``table`` at the instant ``times[j]``, for ``times`` and ``cols`` that
+    broadcast against each other, in any order: :func:`sample_clocks` reads
+    ``times[:, None]`` against ``arange(n)``, and the engine's stamps and
+    checks read equal-length vectors.
 
-
-def read_clocks(clocks, times: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Logical and hardware values of clock ``cols[j]`` at the instants
-    ``times[..., j]``, for a 1-D ``cols`` in ascending order and ``times``
-    that broadcasts against it, in any order: :func:`sample_clocks` reads
-    ``times[:, None]`` against ``arange(n)``, and the engine's reply checks
-    read equal-length vectors.
-
-    Every clock named in ``cols`` is read in one broadcast on its piece at
-    the latest instant t1 (see ``_piece``), which holds from the earliest,
-    t0, on if it began by t0.  Each clock whose piece began after t0 then
-    reads its instants, one slice of the last axis, in one
-    :meth:`LogicalClock.value_pair` call.  Both paths repeat the scalar
-    formula of :meth:`LogicalClock.value`, so every entry equals it bit for bit.
+    Each read starts at its clock's last anchor and walks back along the
+    clock's chain, all reads in one step, until every anchor began at or
+    before its instant; each finds its rate segment with one
+    ``searchsorted`` over the (clock, start) keys.  The values repeat the
+    scalar formula of :meth:`LogicalClock.value`, so every entry equals it
+    bit for bit.
     """
-    L = np.empty(np.broadcast_shapes(times.shape, cols.shape))
-    if not L.size:
-        return L, L.copy()
-    t0, t1 = float(times.min()), float(times.max())
+    shape = np.shape(times)
+    if shape == np.shape(cols):
+        t, c = times.ravel(), cols.ravel()
+    else:
+        shape = np.broadcast_shapes(shape, np.shape(cols))
+        t, c = (np.broadcast_to(x, shape).ravel() for x in (times, cols))
+    if not t.size:
+        return np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.intp)
+    t0 = t.min()
     if t0 < 0:
-        raise ParameterError(f"time must be non-negative, got {t0!r}")
-    if (cols[1:] < cols[:-1]).any():
-        raise ParameterError("clock indices must be in ascending order")
-    counts = np.bincount(cols, minlength=len(clocks))
-    named = np.flatnonzero(counts)
-    pieces = chain.from_iterable([_piece(clocks[k], t1) for k in named.tolist()])
-    table = np.empty((len(clocks), 7))  # only the named clocks' rows are read
-    table[named] = np.fromiter(pieces, float, 7 * len(named)).reshape(-1, 7)
-    cum, rate, start, value, hw_at, factor, _ = table[cols].T
-    H = cum + rate * (times - start)
-    L = value + factor * (H - hw_at)
-    times, ends = np.broadcast_to(times, L.shape), np.cumsum(counts)
-    for k in named[table[named, 6] > t0].tolist():
-        at = slice(ends[k] - counts[k], ends[k])
-        L[..., at], H[..., at] = clocks[k].value_pair(times[..., at])
-    return L, H
+        raise ParameterError(f"time must be non-negative, got {float(t0)!r}")
+    a = table.last[c]
+    time = table.time
+    back = (time[a] > t).nonzero()[0]
+    while back.size:
+        a[back] = stepped = table.prev[a[back]]
+        back = back[time[stepped] > t[back]]
+    if table.one_segment:
+        j = c
+    else:
+        key = np.empty(len(t), complex)
+        key.real, key.imag = c, t
+        j = np.searchsorted(table.hw_key, key, side="right") - 1
+    H = table.hw_cum[j] + table.hw_rate[j] * (t - table.hw_start[j])
+    L = table.value[a] + table.factor[a] * (H - table.hw_at[a])
+    return L.reshape(shape), H.reshape(shape), a.reshape(shape)

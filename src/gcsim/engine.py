@@ -52,7 +52,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import gcs, metrics
-from .clocks import FAST, OWN_RATE, LogicalClock, read_clocks, sample_clocks
+from .clocks import FAST, OWN_RATE, ClockTable, LogicalClock, read_clocks, sample_clocks
 from .errors import ConfigError, InternalError, RunAborted
 from .gcs import GcsParams
 from .topology import NetworkGraph, check_kappa_metric
@@ -67,7 +67,7 @@ __all__ = ["seeded_streams", "seeded_stream", "Scenario", "RunResult", "run"]
 # Each kind either may change a clock's slope (a mode decision or a rate
 # breakpoint) or is a grid tick, so every event instant is a sample.
 # Messages are no events: every leg of an exchange is drawn off the heap
-# (see _send).
+# (see _on_wakeup and the comment above _flush_sample).
 K_WAKEUP = 0  # (v, k): node v starts cycle k and sends its requests
 K_EVALUATE = 1  # (v, k): node v evaluates its triggers in cycle k
 K_TICK = 2
@@ -91,6 +91,10 @@ _INF = float("inf")
 # ball holds every pair (they are rows times n * K for the K columns inside
 # it), reach 256 * _CHUNK_VALUES, which binds only above n = 256.
 _CHUNK_VALUES = 8192
+# Draws per row of the block table: each link stream's next values, drawn
+# with one Generator.random call
+_BLOCK = 16
+_NO_NODES = np.empty(0, dtype=np.intp)
 
 
 def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -264,32 +268,64 @@ class _Simulation:
         self.sc = sc
         g = sc.graph
         n = g.n
-        directions = [(a, b, base, p, sc.kappa[(u, v)])
-                      for u, v, p in g.edges for a, b, base in ((u, v, p.fwd_delay), (v, u, p.bwd_delay))]
+        # The link directions a->b, node by node and each node's in neighbour
+        # order, so node v's are _first[v] to _first[v + 1] and an
+        # evaluation's estimates come in the order of metrics.neighbour_table.
+        # Direction d draws its delays from stream d, delay:a->b, and, when
+        # p_max > 0, the responder's processing times from stream D + d,
+        # proc:a->b.
+        params = {}
+        for u, v, p in g.edges:
+            params[(u, v)], params[(v, u)] = (p.fwd_delay, p), (p.bwd_delay, p)
+        pairs = [(a, b) for a in range(n) for b in g.neighbors(a)]
+        D = len(pairs)
         kinds = ("delay", "proc") if sc.p_max > 0 else ("delay",)
-        labels = [f"{kind}:{a}->{b}" for a, b, *_ in directions for kind in kinds]
+        labels = [f"{kind}:{a}->{b}" for kind in kinds for a, b in pairs]
         if len(set(labels)) < len(labels):
             reused = next(label for i, label in enumerate(labels) if label in labels[:i])
             raise ConfigError(f"RNG stream label reused: {reused!r}")
-        streams = iter(seeded_streams([(sc.master_seed, label) for label in labels]))
-        # each direction a->b: (base delay, jitter, the ``random`` of stream
-        # delay:a->b, that of proc:a->b or None when p_max is 0, eps_d,
-        # eps_m, kappa)
-        self.links = {}
-        for a, b, base, p, kappa in directions:
-            draw = next(streams).random
-            proc = next(streams).random if sc.p_max > 0 else None
-            self.links[(a, b)] = (base, p.jitter, draw, proc, p.eps_d, p.eps_m, kappa)
+        self._streams = seeded_streams([(sc.master_seed, label) for label in labels])
+        # each stream's next values, drawn _BLOCK at a time (see _refill):
+        # a delay stream's are delays, base + jitter * u, a proc stream's
+        # processing times, p_max * u; _pos is the next unread column
+        self._blocks = np.empty((len(labels), _BLOCK))
+        self._pos = np.full(len(labels), _BLOCK, dtype=np.intp)
+        self._scale = np.array([params[ab][1].jitter for ab in pairs] + [sc.p_max] * (len(labels) - D))
+        self._base = np.array([params[ab][0] for ab in pairs] + [0.0] * (len(labels) - D))
+        self._src = np.array([a for a, _ in pairs], dtype=np.intp)
+        self._dst = np.array([b for _, b in pairs], dtype=np.intp)
+        index = {ab: d for d, ab in enumerate(pairs)}
+        self._rev = np.array([index[(b, a)] for a, b in pairs], dtype=np.intp)  # b->a: its stream serves a's replies to b
+        self._first = np.cumsum([0] + [len(g.neighbors(v)) for v in range(n)]).tolist()
+        self._out = [np.arange(a, b) for a, b in zip(self._first, self._first[1:])]
+        self._eps = np.array([[params[ab][1].eps_d for ab in pairs], [params[ab][1].eps_m for ab in pairs]])
+        self._kappa = np.array([sc.kappa[(min(ab), max(ab))] for ab in pairs])
+        # whose clock each stamp reads: the responder's at the request's
+        # arrival and at the reply's emission, the requester's at the reply's
+        # arrival (the rows of _legs)
+        self._readers = np.stack((self._dst, self._dst, self._src))
+        # Each direction's exchange in flight, from its requester's wakeup to
+        # its evaluation (the requester is measuring exactly when its
+        # directions are open): the requester's reading at the send, the
+        # real times of the request's arrival, the reply's emission and the
+        # reply's arrival (inf until its delay is drawn), one row each, and
+        # the heap sequence number the emission would take as an event.
+        self._open = np.zeros(D, dtype=bool)
+        self._t1 = np.zeros(D)
+        self._legs = np.zeros((3, D))
+        self._eseq = np.zeros(D, dtype=np.intp)
+        # the wakeups' scalar reads and writes go through memoryviews, as
+        # Python numbers
+        self._legs_mv = [memoryview(row) for row in self._legs]
+        self._blocks_mv = memoryview(self._blocks.reshape(-1))
+        self._open_mv, self._t1_mv, self._eseq_mv, self._pos_mv, self._rev_mv = map(
+            memoryview, (self._open, self._t1, self._eseq, self._pos, self._rev))
 
-        # per node: its clock (whose anchors are its mode timeline), the
-        # cycle of its last wakeup, and its exchanges of that cycle until
-        # it evaluates, by neighbour in neighbour order: [l_v_t1, request
-        # arrival, reply emission, reply arrival, emission seq] with the real
-        # times of the three legs (reply arrival inf: its delay is not drawn
-        # yet) and the heap sequence number the emission would take as an event
-        self.clocks = [LogicalClock(hw, sc.params.mu) for hw in sc.hardware]
+        # per node: its clock, in one anchor table whose anchors are the
+        # nodes' mode timelines, and the cycle of its last wakeup
+        self.table = ClockTable(sc.hardware)
+        self.clocks = [LogicalClock(hw, sc.params.mu, self.table, v) for v, hw in enumerate(sc.hardware)]
         self.cycle = [0] * n
-        self.pending: list[dict] = [dict() for _ in range(n)]
         self.done: set[int] = set()
 
         self.heap: list = []
@@ -326,11 +362,11 @@ class _Simulation:
         )
         self._levels = range(1, sc.params.s_max + 1)
         # Ground-truth checks waiting for the next chunk, one entry per
-        # evaluation instant: rows (t1, t2, t3, t4, eps_d, eps_m, reply
-        # arrival, v, w, kappa) of its completed exchanges and their
-        # estimates at the arrivals; (sample row, nodes, their estimates in
-        # neighbour order, slow and fast levels fired) of its evaluations.
-        # ``_checked`` counts their values.
+        # evaluation instant: (directions, reply arrivals, estimates at the
+        # arrivals, stamps (t1, t2, t3, t4)) of its completed exchanges;
+        # (sample row, nodes, their estimates in neighbour order, slow and
+        # fast levels fired) of its evaluations.  ``_checked`` counts their
+        # values.
         self._reply_checks: list[tuple] = []
         self._evals: list[tuple] = []
         self._checked = 0
@@ -338,10 +374,12 @@ class _Simulation:
         self._eu = np.array([u for u, _ in self.edges])
         self._ev = np.array([v for _, v in self.edges])
         self.buf_t: list[float] = []
-        # full mode: (times, L, H, local, global, psi_levels) per chunk, after
-        # a zero-row one, which is all a skew_only run keeps
+        # full mode: (times, L, H, modes, local, global, psi_levels) per
+        # chunk, after a zero-row one, which is all a skew_only run keeps
         empty, no_rows = np.zeros(0), np.zeros((0, n))
-        self.chunks: list[tuple] = [(empty, no_rows, no_rows, empty, empty, np.zeros((0, sc.params.s_max)))]
+        self.chunks: list[tuple] = [
+            (empty, no_rows, no_rows, np.zeros((0, n), dtype=np.int8), empty, empty, np.zeros((0, sc.params.s_max)))
+        ]
         self.edge_max = np.zeros(len(self.edges))
         self.max_global = 0.0
         self.first_exceed: float | None = None
@@ -359,6 +397,15 @@ class _Simulation:
     # -- event handlers
 
     def _on_wakeup(self, t: float, v: int, k: int) -> None:
+        """Node v starts cycle k at t: it sends its requests, one per
+        neighbour w in neighbour order, its clock reading l1.  Each send
+        draws the request's delay and w's processing time, and keeps the
+        reply's emission instant with the heap sequence number an event for
+        it would take; no event is pushed.  The stream proc:v->w serves only
+        v's requests to w, so drawing from it now gives the values a draw at
+        the arrival would.  delay:v->w also serves v's reply to w's request,
+        so that reply is drawn first if it was emitted before this wakeup
+        (see the comment above ``_flush_sample``)."""
         clock = self.clocks[v]
         clock.set_mode(t, OWN_RATE)
         self.cycle[v] = k
@@ -372,44 +419,65 @@ class _Simulation:
         expected = clock.hardware.initial_value + k * sc.params.cycle_length
         if abs(l1 - expected) > _BOUNDARY_TOL:
             self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
-        self.pending[v] = {w: self._send(t, v, w, l1) for w in sc.graph.neighbors(v)}
+        (arrival, emit, reply), eseq, is_open, t1 = self._legs_mv, self._eseq_mv, self._open_mv, self._t1_mv
+        draw, rev, now, seq = self._draw, self._rev_mv, self.now, self.seq
+        proc = len(t1) if len(self._pos) > len(t1) else 0  # the proc streams' offset, 0 without them
+        for d in range(self._first[v], self._first[v + 1]):
+            r = rev[d]
+            if reply[r] == _INF and is_open[r] and (emit[r], eseq[r]) < now:
+                reply[r] = emit[r] + draw(d)
+            arrival[d] = a = t + draw(d)
+            emit[d] = a + draw(proc + d) if proc else a
+            reply[d], t1[d], eseq[d], is_open[d] = _INF, l1, seq, True
+            seq += 1
+        self.seq = seq
         self.push(clock.invert(expected + sc.params.T), K_EVALUATE, (v, k))
 
-    def _delay(self, a: int, b: int) -> float:
-        """A message delay on a->b: its base plus a uniform draw in [0, jitter]."""
-        base, jitter, draw = self.links[(a, b)][:3]
-        d = base + jitter * draw() if jitter > 0 else base
-        if d >= self.sc.graph.d_max:
-            raise InternalError(f"sampled delay {d!r} reached d_max on {a}->{b}")
-        return d
+    def _refill(self, s: int) -> None:
+        """Draw stream s's next _BLOCK values into its row of the block
+        table, as delays or processing times (see ``_blocks``).  Each equals
+        the scalar ``base + jitter * u`` or ``p_max * u`` bit for bit, since
+        numpy repeats the operations elementwise.  A delay that reaches
+        d_max is an internal error."""
+        row = self._blocks[s]
+        self._streams[s].random(out=row)
+        row *= self._scale[s]
+        row += self._base[s]
+        if s < len(self._t1) and row.max() >= self.sc.graph.d_max:
+            d = float(row[row >= self.sc.graph.d_max][0])
+            raise InternalError(f"sampled delay {d!r} reached d_max on {self._src[s]}->{self._dst[s]}")
+        self._pos[s] = 0
 
-    def _send(self, t: float, v: int, w: int, l1: float) -> list:
-        """v sends its request to w at t, its clock reading l1: draw the
-        request's delay and w's processing time, and return the exchange
-        with its reply's emission instant and the sequence number an event
-        pushed for it would take.  No event is pushed: the reply's delay is
-        drawn later, by :meth:`_draw_reply`, in stream order (see the
-        comment above ``_flush_sample``).  The stream ``proc:v->w`` serves
-        only v's requests to w, so drawing from it now gives the values a
-        draw at the arrival would.  ``delay:v->w`` also serves v's reply to
-        w's request, so that reply is drawn first if it was emitted before
-        this wakeup."""
-        back = self.pending[w].get(v)
-        if back is not None:
-            self._draw_reply(v, w, back, self.now)
-        arrival = t + self._delay(v, w)
-        proc = self.links[(v, w)][3]
-        emit = arrival if proc is None else arrival + self.sc.p_max * proc()
-        self.seq += 1
-        return [l1, arrival, emit, _INF, self.seq - 1]
+    def _draw(self, s: int) -> float:
+        """The next value of stream s."""
+        p = self._pos_mv[s]
+        if p == _BLOCK:
+            self._refill(s)
+            p = 0
+        self._pos_mv[s] = p + 1
+        return self._blocks_mv[s * _BLOCK + p]
 
-    def _draw_reply(self, w: int, v: int, exchange: list, before: tuple | None = None) -> None:
-        """Draw the delay of w's reply to v's request ``exchange``, which
-        leaves at its emission instant, and record the reply's arrival,
-        unless it is drawn already or, with ``before``, a heap key (time,
-        seq), its emission's key does not precede ``before``."""
-        if exchange[3] == _INF and (before is None or (exchange[2], exchange[4]) < before):
-            exchange[3] = exchange[2] + self._delay(w, v)
+    def _draws(self, s: np.ndarray) -> np.ndarray:
+        """The next value of each of the distinct streams s."""
+        p = self._pos[s]
+        for k in s[p == _BLOCK].tolist():
+            self._refill(k)
+        p = self._pos[s]
+        self._pos[s] = p + 1
+        return self._blocks[s, p]
+
+    def _draw_replies(self, dirs: np.ndarray, before: tuple | None = None) -> None:
+        """Draw the delays of the replies to the requests on the directions
+        ``dirs`` not drawn yet, each on the stream of the reverse direction,
+        and record their arrivals; with ``before``, a heap key (time, seq),
+        only those of replies whose emission's key precedes it."""
+        legs = self._legs
+        dirs = dirs[legs[2, dirs] == _INF]
+        if before is not None:
+            emit = legs[1, dirs]
+            dirs = dirs[(emit < before[0]) | ((emit == before[0]) & (self._eseq[dirs] < before[1]))]
+        if dirs.size:
+            legs[2, dirs] = legs[1, dirs] + self._draws(self._rev[dirs])
 
     def _on_evaluate(self, t: float, batch: list) -> None:
         """The evaluations ``batch``, each (v, k), due at t, in event order.
@@ -418,72 +486,69 @@ class _Simulation:
         then completes the exchanges, whose replies must have arrived
         before t (a reply at t itself would have been scheduled after the
         evaluation), and reads only its node's clock at t."""
-        done, l_rep = [], []
+        first, is_open = self._first, self._open_mv
+        vs = np.array([v for v, _ in batch], dtype=np.intp)
         for v, k in batch:
-            exchanges = self.pending[v]
-            if self.cycle[v] != k or not exchanges:
+            if self.cycle[v] != k or first[v] == first[v + 1] or not is_open[first[v]]:
                 self._abort(f"evaluation fired out of order at node {v}")
-            for w, ex in exchanges.items():
-                self._draw_reply(w, v, ex)
-            missing = [w for w, ex in exchanges.items() if not ex[3] < t]
-            if missing:
-                self._abort(f"node {v} evaluating cycle {k} with incomplete views (missing {missing})")
-            done += [(v, w, ex) for w, ex in exchanges.items()]
-            l_rep += [self.clocks[v].value(t)] * len(exchanges)
-        for v, _ in batch:
-            self.pending[v] = {}
-        offset, deduction = self._complete(done, check_timeout=True)
-        l_rep = np.array(l_rep)
+        dirs = self._out[batch[0][0]] if len(batch) == 1 else np.concatenate([self._out[v] for v, _ in batch])
+        self._draw_replies(dirs)
+        missing = ~(self._legs[2, dirs] < t)
+        if missing.any():
+            late = dirs[missing]
+            v = int(self._src[late[0]])
+            ws = self._dst[late[self._src[late] == v]].tolist()
+            self._abort(f"node {v} evaluating cycle {self.cycle[v]} with incomplete views (missing {ws})")
+        self._open[dirs] = False
+        offset, deduction, own = self._complete(dirs, check_timeout=True, t=t, vs=vs)
+        l_rep = np.repeat(own, self._deg[vs])
         self._decide(t, batch, l_rep, estimate_value(offset, deduction, l_rep))
 
-    def _complete(self, done: list, check_timeout: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Complete the exchanges ``done``, each (v, w, exchange), whose
-        replies have arrived: read the four stamps at the past instants
-        the parties took them, make the estimates, count the measurements
-        and buffer the sandwich check at each reply arrival, then end the
-        run if a round trip exceeded the timeout window (with
-        ``check_timeout``).  Returns the estimates' (offset, deduction).
+    def _complete(
+        self, dirs: np.ndarray, check_timeout: bool, t: float = 0.0, vs: np.ndarray = _NO_NODES
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Complete the exchanges on the directions ``dirs``, whose replies
+        have arrived: read the four stamps at the past instants the parties
+        took them, make the estimates, count the measurements and buffer the
+        sandwich check at each reply arrival, then end the run if a round
+        trip exceeded the timeout window (with ``check_timeout``).  Returns
+        the estimates' (offset, deduction) and the values of the nodes
+        ``vs`` at t, read with the stamps in one :func:`read_clocks` call.
 
-        The caller drops ``done`` from ``pending`` first, so that the
-        abort's own ``_settle`` does not complete them again."""
+        The caller closes ``dirs`` first, so that the abort's own
+        ``_settle`` does not complete them again."""
+        m = len(dirs)
+        times = np.concatenate((self._legs[:, dirs].ravel(), np.full(len(vs), t)))
+        cols = np.concatenate((self._readers[:, dirs].ravel(), vs))
+        L = read_clocks(self.table, times, cols)[0]
+        t1, t2, t4 = self._t1[dirs], L[:m], L[2 * m : 3 * m]
+        t3 = t2 + (L[m : 2 * m] - t2)  # w's arrival stamp plus its local processing time
+        eps_d, eps_m = self._eps[:, dirs]
         sc = self.sc
-        clocks, links = self.clocks, self.links
-        rows = []
-        late = None  # the first reply that exceeded the timeout window
-        for v, w, (t1, arrival, emit, reply, _) in done:
-            peer = clocks[w]
-            t2 = peer.value(arrival)
-            t3 = t2 + (peer.value(emit) - t2)  # w's arrival stamp plus its local processing time
-            t4 = clocks[v].value(reply)
-            if check_timeout and t4 - t1 >= sc.timeout + _TOL and (late is None or reply < late[0]):
-                late = (reply, v, w, t4 - t1)
-            eps_d, eps_m, kappa = links[(v, w)][4:]
-            rows.append((t1, t2, t3, t4, eps_d, eps_m, reply, v, w, kappa))
-        data = np.array(rows, dtype=float).reshape(-1, 10)
-        t1, t2, t3, t4, eps_d, eps_m = data.T[:6]
         _, offset, deduction = compute_estimates(t1, t2, t3, t4, eps_d, eps_m, sc.params.theta)
-        self.counters["measurements"] += len(rows)
-        self._reply_checks.append((data, estimate_value(offset, deduction, t4)))
-        self._checked += 5 * len(rows)
-        if late is not None:
-            _, v, w, round_trip = late
-            self._abort(f"measurement {v}->{w} exceeded the timeout window ({round_trip!r} >= {sc.timeout!r})")
-        return offset, deduction
+        reply = times[2 * m : 3 * m]
+        self.counters["measurements"] += m
+        self._reply_checks.append((dirs, reply, estimate_value(offset, deduction, t4), (t1, t2, t3, t4)))
+        self._checked += 5 * m
+        if check_timeout:
+            over = np.flatnonzero(t4 - t1 >= sc.timeout + _TOL)
+            if over.size:
+                i = over[np.argmin(reply[over])]  # the first reply that exceeded the window
+                v, w = self._src[dirs[i]], self._dst[dirs[i]]
+                round_trip = float(t4[i] - t1[i])
+                self._abort(f"measurement {v}->{w} exceeded the timeout window ({round_trip!r} >= {sc.timeout!r})")
+        return offset, deduction, L[3 * m :]
 
     def _settle(self, limit: float, check_timeout: bool) -> None:
         """At the end of the run: draw the replies emitted before ``now``
-        (the aborting event, or every event up to the limit), then complete the exchanges not yet
-        evaluated whose replies arrived at or before ``limit``, as reply
-        events up to it would have, and drop them."""
-        for v, exchanges in enumerate(self.pending):
-            for w, ex in exchanges.items():
-                self._draw_reply(w, v, ex, self.now)
-        done = [
-            (v, w, ex) for v, exchanges in enumerate(self.pending) for w, ex in exchanges.items() if ex[3] <= limit
-        ]
-        for v, w, _ in done:
-            del self.pending[v][w]
-        if done:
+        (the aborting event, or every event up to the limit), then complete
+        the exchanges not yet evaluated whose replies arrived at or before
+        ``limit``, as reply events up to it would have, and close them."""
+        dirs = np.flatnonzero(self._open)
+        self._draw_replies(dirs, self.now)
+        done = dirs[self._legs[2, dirs] <= limit]
+        self._open[done] = False
+        if done.size:
             self._complete(done, check_timeout)
 
     def _decide(self, t: float, batch: list, l_rep: np.ndarray, est: np.ndarray) -> None:
@@ -560,7 +625,7 @@ class _Simulation:
         if not len(times):
             self._check_chunk(times, None)
             return
-        L, H = sample_clocks(self.clocks, times)
+        L, H, anchors = sample_clocks(self.table, times)
         prev, self.last = self.last, (times[-1], L[-1], H[-1])
         edge_gaps = np.abs(L[:, self._eu] - L[:, self._ev])
         local = edge_gaps.max(axis=1)
@@ -585,7 +650,7 @@ class _Simulation:
                 self._by_distance,
             )
             self.violations.extend(viol)
-            self.chunks.append((times, L, H, local, glob, psi))
+            self.chunks.append((times, L, H, self.table.mode[anchors], local, glob, psi))
         self._check_chunk(times, L)
         self._check_drift(prev, times, H)
 
@@ -603,13 +668,11 @@ class _Simulation:
         """
         replies, evals = self._reply_checks, self._evals
         self._reply_checks, self._evals, self._checked = [], [], 0
-        data = np.concatenate([np.empty((0, 10))] + [d for d, _ in replies])
-        est = np.concatenate([np.empty(0)] + [e for _, e in replies])
-        by_responder = np.argsort(data[:, 8], kind="stable")  # read_clocks takes the clocks in ascending order
-        data, est = data[by_responder], est[by_responder]
-        t, v, w = data[:, 6], data[:, 7].astype(np.intp), data[:, 8].astype(np.intp)
+        dirs = np.concatenate([np.empty(0, dtype=np.intp)] + [r[0] for r in replies])
+        t, est = (np.concatenate([np.empty(0)] + [r[i] for r in replies]) for i in (1, 2))
+        w = self._dst[dirs]
         # the responders' true values at the reply arrivals, past instants
-        self._check_sandwich(t, v, w, read_clocks(self.clocks, t, w)[0], est, data[:, 9])
+        self._check_sandwich(t, self._src[dirs], w, read_clocks(self.table, t, w)[0], est, self._kappa[dirs])
         if evals:
             rows = np.concatenate([np.full(len(vs), r) for r, vs, *_ in evals])
             v, est, slow, fast = (np.concatenate(a) for a in list(zip(*evals))[1:])
@@ -712,7 +775,7 @@ class _Simulation:
             self.push(sc.sample_dt, K_TICK, None)
         # every clock is linear between its rate breakpoints and mode changes;
         # sampling both makes the recorded extrema of any clock difference exact
-        for b in sorted({b for c in self.clocks for b in c.hardware.starts[1:]}):
+        for b in sorted(set(self.table.hw_start[self.table.hw_start > 0].tolist())):
             self.push(b, K_RATE, None)
 
         heap = self.heap
@@ -753,13 +816,8 @@ class _Simulation:
         edges = self.edges
         if self.buf_t or self._reply_checks:
             self._reduce_chunk()
-        times, L, H, local, glob, psi_levels = (np.concatenate(parts) for parts in zip(*self.chunks))
+        times, L, H, modes, local, glob, psi_levels = (np.concatenate(parts) for parts in zip(*self.chunks))
         self.chunks = []
-        # each clock's anchors are its node's mode timeline
-        modes = np.empty((len(times), n), dtype=np.int8)
-        for v, c in enumerate(self.clocks):
-            ch_t, ch_m = zip(*c.mode_timeline)
-            modes[:, v] = np.array(ch_m, dtype=np.int8)[np.searchsorted(ch_t, times, side="right") - 1]
         trace = Trace(
             times=times, logical=L, hardware=H, modes=modes, edges=edges, local_skew=local, global_skew=glob,
             psi_levels=psi_levels, bound_local=sc.local_bound, bound_global=sc.global_bound,
@@ -784,7 +842,8 @@ class _Simulation:
             bound_report=report,
             violation_count=len(self.violations),
             counters=dict(self.counters),
-            mode_timelines={str(v): [[t, m] for t, m in c.mode_timeline] for v, c in enumerate(self.clocks)},
+            # each clock's anchors are its node's mode timeline
+            mode_timelines={str(v): [list(a) for a in tl] for v, tl in enumerate(self.table.mode_timelines())},
             first_global_bound_exceed_time=self.first_exceed,
         )
         return RunResult(trace=trace, summary=summary, violations=self.violations)

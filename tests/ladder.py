@@ -86,6 +86,8 @@ def timed_runs(sc, repeats: int) -> tuple[float, int, int, engine.RunResult]:
             best = min(best, time.perf_counter() - t0)
     finally:
         engine.sample_clocks, engine._Simulation._on_evaluate = sample, evaluate
+    if not rows or not instants[0]:
+        raise RuntimeError("no sample rows or evaluation instants counted: the engine no longer calls the hooks")
     return best, sum(rows) // repeats, instants[0] // repeats, res
 
 

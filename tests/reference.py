@@ -31,7 +31,7 @@ import numpy as np
 
 from gcsim import engine
 from gcsim.clocks import OWN_RATE, HardwareClock, LogicalClock
-from gcsim.errors import GcsSimError, ParameterError
+from gcsim.errors import GcsSimError, InternalError, ParameterError
 from gcsim.trace import Trace, Violation
 
 _TIE_TOL = 1e-12
@@ -249,41 +249,77 @@ K_MESSAGE = 4  # (handler name, *args): a message leg as an event of its own
 
 class ThreeEventExchange(engine._Simulation):
     """The engine with every leg of an exchange an event of its own, the
-    reference twin of its one-event exchanges and batched evaluations.
+    reference twin of its array exchanges and batched evaluations.
 
-    The request's arrival reads the responder's stamp t2 and draws its
-    processing time; the reply's emission reads t3 and draws the reply's
-    delay; the reply's arrival reads t4, checks the round trip against the
-    timeout window and keeps the estimate as the requester's view.  Each
-    evaluation runs on its own, from the views.  All three legs are
-    ``K_MESSAGE`` events that name their handler, and the twin runs its own
-    loop, which dispatches them and does not sample an instant that only
-    message legs fall on.  The emission takes
-    its place in the heap's (time, seq) order at the send, as the engine
-    gives it one there: its delay draw shares the stream of the responder's
-    requests, so at an emission on the responder's own wakeup instant that
-    place decides which draw goes first.  Streams, chunks and checks are the
-    engine's, so a run of the twin must equal the engine's bit for bit.
+    A wakeup sends one request per neighbour, each drawing its delay with
+    one scalar ``Generator.random`` call, from a stream the twin seeds on
+    its own.  The request's arrival reads the responder's stamp t2 and
+    draws its processing time; the reply's emission reads t3 and draws the
+    reply's delay; the reply's arrival reads t4, checks the round trip
+    against the timeout window and keeps the estimate as the requester's
+    view.  Each evaluation runs on its own, from the views.  All three legs
+    are ``K_MESSAGE`` events that name their handler, and the twin runs its
+    own loop, which dispatches them and does not sample an instant that
+    only message legs fall on.  The emission takes its place in the heap's
+    (time, seq) order at the send, as the engine gives it one there: its
+    delay draw shares the stream of the responder's requests, so at an
+    emission on the responder's own wakeup instant that place decides which
+    draw goes first.  Chunks and checks are the engine's, so a run of the
+    twin must equal the engine's bit for bit.
 
-    ``pending[v]`` holds only the l_v_t1 of the replies still to arrive,
-    so it is empty at an evaluation, and ``evaluated[v]``, the last cycle
-    node v evaluated, guards against an evaluation out of order.
+    Each link direction a->b is one record ``links[(a, b)]``: (base delay,
+    jitter, the stream delay:a->b, proc:a->b or None when p_max is 0,
+    eps_d, eps_m, kappa).  ``pending[v]`` holds only the l_v_t1 of the
+    replies still to arrive, so it is empty at an evaluation, and
+    ``evaluated[v]``, the last cycle node v evaluated, guards against an
+    evaluation out of order.
     """
 
     def __init__(self, sc):
         super().__init__(sc)
-        self.views: list[dict[int, NeighborEstimate]] = [{} for _ in range(sc.graph.n)]
-        self.evaluated = [-1] * sc.graph.n
+        n = sc.graph.n
+        self.views: list[dict[int, NeighborEstimate]] = [{} for _ in range(n)]
+        self.evaluated = [-1] * n
+        self.pending: list[dict[int, float]] = [{} for _ in range(n)]
+        self.links = {}
+        for u, w, p in sc.graph.edges:
+            for a, b, base in ((u, w, p.fwd_delay), (w, u, p.bwd_delay)):
+                delay = seeded_stream(sc.master_seed, f"delay:{a}->{b}")
+                proc = seeded_stream(sc.master_seed, f"proc:{a}->{b}") if sc.p_max > 0 else None
+                self.links[(a, b)] = (base, p.jitter, delay, proc, p.eps_d, p.eps_m, sc.kappa[(u, w)])
+        # the engine's index of each direction, which its reply checks name
+        self.direction = {ab: d for d, ab in enumerate(zip(self._src.tolist(), self._dst.tolist()))}
 
-    def _send(self, t: float, v: int, w: int, l1: float) -> float:
-        arrival = t + self._delay(v, w)
-        self.seq += 1  # the emission's place
-        self.push(arrival, K_MESSAGE, ("_on_request_arrival", v, w, l1, self.seq - 1))
-        return l1
+    def _delay(self, a: int, b: int) -> float:
+        """A message delay on a->b: its base plus a uniform draw in [0, jitter]."""
+        base, jitter, draw = self.links[(a, b)][:3]
+        d = base + jitter * draw.random() if jitter > 0 else base
+        if d >= self.sc.graph.d_max:
+            raise InternalError(f"sampled delay {d!r} reached d_max on {a}->{b}")
+        return d
 
     def _on_wakeup(self, t: float, v: int, k: int) -> None:
         self.views[v] = {}
-        super()._on_wakeup(t, v, k)
+        clock = self.clocks[v]
+        clock.set_mode(t, OWN_RATE)
+        self.cycle[v] = k
+        sc = self.sc
+        if sc.horizon_cycles is not None and k >= sc.horizon_cycles:
+            self.done.add(v)
+            if len(self.done) == sc.graph.n:
+                self.end = t
+            return
+        l1 = clock.value(t)
+        expected = clock.hardware.initial_value + k * sc.params.cycle_length
+        if abs(l1 - expected) > engine._BOUNDARY_TOL:
+            self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
+        self.pending[v] = {}
+        for w in sc.graph.neighbors(v):
+            self.pending[v][w] = l1
+            arrival = t + self._delay(v, w)
+            self.seq += 1  # the emission's place
+            self.push(arrival, K_MESSAGE, ("_on_request_arrival", v, w, l1, self.seq - 1))
+        self.push(clock.invert(expected + sc.params.T), engine.K_EVALUATE, (v, k))
 
     def _settle(self, limit: float, check_timeout: bool) -> None:
         """Every reply up to ``limit`` was an event: nothing to complete
@@ -333,7 +369,7 @@ class ThreeEventExchange(engine._Simulation):
     def _on_request_arrival(self, t: float, v: int, w: int, t1: float, seq: int) -> None:
         t2 = self.clocks[w].value(t)
         proc = self.links[(v, w)][3]
-        p_real = 0.0 if proc is None else self.sc.p_max * proc()
+        p_real = 0.0 if proc is None else self.sc.p_max * proc.random()
         heapq.heappush(self.heap, (t + p_real, seq, K_MESSAGE, ("_on_reply_emit", v, w, t1, t2)))
 
     def _on_reply_emit(self, t: float, v: int, w: int, t1: float, t2: float) -> None:
@@ -351,13 +387,13 @@ class ThreeEventExchange(engine._Simulation):
         if t4 - t1 >= sc.timeout + engine._TOL:
             self._abort(f"measurement {v}->{w} exceeded the timeout window ({t4 - t1!r} >= {sc.timeout!r})")
         rec = MeasurementRecord(w, t1, reply.l_w_t2, reply.l_w_t3, t4, t)
-        eps_d, eps_m, kappa = self.links[(v, w)][4:]
+        eps_d, eps_m, _ = self.links[(v, w)][4:]
         est = compute_estimates(rec, eps_d, eps_m, sc.params.theta, self.cycle[v])
         self.views[v][w] = est
         self.counters["measurements"] += 1
         value = estimate_value(est, t4, cycle=self.cycle[v])
-        row = (t1, reply.l_w_t2, reply.l_w_t3, t4, eps_d, eps_m, t, v, w, kappa)
-        self._reply_checks.append((np.array([row]), np.array([value])))
+        stamps = tuple(np.array([x]) for x in (t1, reply.l_w_t2, reply.l_w_t3, t4))
+        self._reply_checks.append((np.array([self.direction[(v, w)]]), np.array([t]), np.array([value]), stamps))
         self._checked += 5
 
     def _on_evaluate(self, t: float, batch: list) -> None:
@@ -501,24 +537,34 @@ def check_lipschitz(c: HardwareClock, t1: float, t2: float, theta: float, tol: f
     return dt - tol <= dh <= theta * dt + tol
 
 
+def anchors(c: LogicalClock) -> tuple[list, ...]:
+    """(times, values, hw_at, factors, modes) of the anchors of ``c``, in
+    time order, picked out of its table by owner."""
+    tb = c.table
+    mine = np.flatnonzero(tb.owner[: tb.size] == c.index)  # table order is time order within a clock
+    return tuple(getattr(tb, name)[mine].tolist() for name in ("time", "value", "hw_at", "factor", "mode"))
+
+
 def value_pair(c: LogicalClock, t: float) -> tuple[float, float]:
     """(logical, hardware) of ``c`` at one instant, evaluating the hardware
     clock once, each piece found by a search, whether or not it is the last."""
     hw = c.hardware
     j = bisect_right(hw.starts, t) - 1
     h = hw._cum[j] + hw.rates[j] * (t - hw.starts[j])
-    i = c._segment(t)
-    dh = h - c._hw_at[i]
-    if c._modes[i] == OWN_RATE:
-        return c._values[i] + dh, h
-    return c._values[i] + (1.0 + c.mu) * dh, h
+    times, values, hw_at, _, modes = anchors(c)
+    i = bisect_right(times, t) - 1
+    dh = h - hw_at[i]
+    if modes[i] == OWN_RATE:
+        return values[i] + dh, h
+    return values[i] + (1.0 + c.mu) * dh, h
 
 
 def invert(c: LogicalClock, target: float) -> float:
     """Real time at which ``c`` reads ``target``, each piece found by a
     search, whether or not it is the last."""
-    i = max(bisect_right(c._values, target) - 1, 0)
-    x = c._hw_at[i] + (target - c._values[i]) / c._factors[i]
+    _, values, hw_at, factors, _ = anchors(c)
+    i = max(bisect_right(values, target) - 1, 0)
+    x = hw_at[i] + (target - values[i]) / factors[i]
     hw = c.hardware
     j = max(bisect_right(hw._cum, x) - 1, 0)
     return hw.starts[j] + (x - hw._cum[j]) / hw.rates[j]

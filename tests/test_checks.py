@@ -148,10 +148,10 @@ def test_drift_abort_carries_every_violation_up_to_it(monkeypatch, mode, chunk_v
     t_bad = times[len(times) // 4]
     sample = engine.sample_clocks
 
-    def tampered(clocks, t):
-        L, H = sample(clocks, t)
+    def tampered(table, t):
+        L, H, anchors = sample(table, t)
         H[t == t_bad, 0] += 0.5
-        return L, H
+        return L, H, anchors
 
     monkeypatch.setattr(engine, "sample_clocks", tampered)
     sim = PerEventChecks(whole.sc)
@@ -248,16 +248,18 @@ def test_incomplete_views_abort_reports_every_reply_before_it(monkeypatch, chunk
     sc, whole = tampered_fc_lag(monkeypatch, chunk_values)
     t_from = 0.25 * sc.horizon_cycles * sc.params.cycle_length
     sim = engine._Simulation(sc)
-    draw, delayed = sim._draw_reply, []
+    draw, delayed = sim._draw_replies, []
 
-    def late(w, v, exchange, before=None):
-        drawn = exchange[3] < math.inf
-        draw(w, v, exchange, before)
-        if exchange[2] > t_from and not drawn and exchange[3] < math.inf and not delayed:  # drawn now, emitted after t_from
-            delayed.append((v, w, exchange[3]))
-            exchange[3] += sc.params.cycle_length
+    def late(dirs, before=None):
+        emit, reply = sim._legs[1], sim._legs[2]
+        undrawn = dirs[reply[dirs] == math.inf]
+        draw(dirs, before)
+        for d in undrawn[(emit[undrawn] > t_from) & (reply[undrawn] < math.inf)].tolist()[:1]:  # drawn now, emitted after t_from
+            if not delayed:
+                delayed.append((int(sim._src[d]), int(sim._dst[d]), float(reply[d])))
+                reply[d] += sc.params.cycle_length
 
-    sim._draw_reply = late
+    sim._draw_replies = late
     with pytest.raises(RunAborted) as exc:
         sim.run()
     (v, w, arrival), = delayed

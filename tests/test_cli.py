@@ -279,11 +279,11 @@ class TestRun:
         # reading jumps by 0.5 after t = 1000, which ends the run
         sample = engine.sample_clocks
 
-        def tampered(clocks, t):
-            L, H = sample(clocks, t)
+        def tampered(table, t):
+            L, H, anchors = sample(table, t)
             L[(t > 500.0) & (t <= 1000.0), 0] += 1.0
             H[t > 1000.0, 0] += 0.5
-            return L, H
+            return L, H, anchors
 
         monkeypatch.setattr(engine, "sample_clocks", tampered)
         out = tmp_path / "out"

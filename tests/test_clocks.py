@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcsim import scenario as scen
-from gcsim.clocks import FAST, OWN_RATE, HardwareClock, LogicalClock, read_clocks, sample_clocks
+from gcsim.clocks import FAST, OWN_RATE, ClockTable, HardwareClock, LogicalClock, read_clocks, sample_clocks
 from gcsim.errors import InternalError, ParameterError, ScenarioValidationError
 
-from reference import check_lipschitz, invert, value_pair
+from bisect import bisect_right
+
+from reference import anchors, check_lipschitz, invert, value_pair
 from scenario_gen import UNIT_EDGE, line_doc
 
 THETA = 1.02
@@ -96,11 +98,23 @@ class TestSetMode:
     def test_change_before_the_last_one_rejected(self):
         c = LogicalClock(hw(), mu=0.1)
         c.set_mode(5.0, FAST)
-        last = 5.0 - 1e-13
-        c.set_mode(last, OWN_RATE)  # before the last change, but within the tolerance
+        c.set_mode(5.0 - 1e-13, OWN_RATE)  # before the last change, but within the tolerance: taken at it
         with pytest.raises(InternalError) as exc:
             c.set_mode(4.0, FAST)
-        assert str(exc.value) == f"mode change at t=4.0 precedes last change at {last!r}"
+        assert str(exc.value) == "mode change at t=4.0 precedes last change at 5.0"
+
+    def test_change_within_the_tolerance_keeps_the_anchors_in_order(self):
+        c = LogicalClock(hw(), mu=0.1)
+        c.set_mode(5.0, FAST)
+        at_five = c.value(5.0)
+        c.set_mode(5.0 - 1e-13, OWN_RATE)
+        assert c.mode_timeline == [(0.0, OWN_RATE), (5.0, FAST), (5.0, OWN_RATE)]
+        assert anchors(c)[0] == [0.0, 5.0, 5.0]
+        assert c.value(5.0) == at_five
+        assert c.value(7.0) == at_five + 2.0
+        assert c.value(4.0) == 4.0
+        L, H = c.value_pair(np.array([4.0, 5.0, 7.0]))
+        assert L.tolist() == [4.0, at_five, at_five + 2.0] and H.tolist() == [4.0, 5.0, 7.0]
 
     def test_unknown_mode_rejected(self):
         c = LogicalClock(hw(), mu=0.1)
@@ -173,20 +187,34 @@ class TestProperties:
             assert c.value(t) >= c.hardware.value(t) - 1e-12
 
 
+def shared(hardware, mus):
+    """Logical clocks over ``hardware`` with the rates ``mus``, in one
+    anchor table."""
+    table = ClockTable(hardware)
+    return [LogicalClock(h, mu, table, c) for c, (h, mu) in enumerate(zip(hardware, mus))]
+
+
 def reference_reads(clocks, times, cols):
-    """(L, H) from the scalar reference, one (instant, clock) of the
-    broadcast of ``times`` and ``cols`` at a time."""
+    """(L, H, mode) from the scalar reference, one (instant, clock) of the
+    broadcast of ``times`` and ``cols`` at a time, the mode that of the
+    anchor a search finds."""
     times, cols = np.broadcast_arrays(times, cols)
-    pairs = [value_pair(clocks[k], t) for t, k in zip(times.ravel().tolist(), cols.ravel().tolist())]
-    return tuple(np.array([p[i] for p in pairs], dtype=float).reshape(times.shape) for i in (0, 1))
+    reads = []
+    for t, k in zip(times.ravel().tolist(), cols.ravel().tolist()):
+        at, *_, modes = anchors(clocks[k])
+        reads.append((*value_pair(clocks[k], t), modes[bisect_right(at, t) - 1]))
+    return tuple(np.array([r[i] for r in reads], dtype=float).reshape(times.shape) for i in (0, 1, 2))
 
 
 def assert_reads_match_reference(clocks, times, cols):
-    L, H = read_clocks(clocks, times, cols)
-    ref_L, ref_H = reference_reads(clocks, times, cols)
-    assert L.shape == ref_L.shape
+    table = clocks[0].table
+    L, H, a = read_clocks(table, times, cols)
+    ref_L, ref_H, ref_mode = reference_reads(clocks, times, cols)
+    assert L.shape == H.shape == a.shape == ref_L.shape
     assert np.array_equal(L, ref_L)
     assert np.array_equal(H, ref_H)
+    assert np.array_equal(table.mode[a], ref_mode)
+    assert np.array_equal(table.owner[a], np.broadcast_to(cols, a.shape))
 
 
 def grid(times, n=4):
@@ -195,23 +223,26 @@ def grid(times, n=4):
 
 
 def scattered(times, cols):
-    """Clock ``cols[r]`` at instant ``times[r]``, for every r, the reads
-    sorted by clock as ``read_clocks`` takes them."""
-    times, cols = np.array(times, dtype=float), np.array(cols, dtype=np.intp)
-    by_clock = np.argsort(cols, kind="stable")
-    return times[by_clock], cols[by_clock]
+    """Clock ``cols[r]`` at instant ``times[r]``, for every r."""
+    return np.array(times, dtype=float), np.array(cols, dtype=np.intp)
 
 
-def mixed_clocks():
-    """Clocks that, between t = 2 and t = 6, cover each evaluation path."""
-    steady = LogicalClock(hw(0.3, ((0.0, 1.013),)), mu=0.1)
-    fast = LogicalClock(hw(0.1, ((0.0, 1.007),)), mu=0.1)
-    fast.set_mode(1.0, FAST)
-    hw_break = LogicalClock(hw(0.2, ((0.0, 1.0), (4.0, 1.02))), mu=0.1)
-    switching = LogicalClock(hw(0.0, ((0.0, 1.011), (3.0, 1.004))), mu=0.1)
-    switching.set_mode(2.5, FAST)
-    switching.set_mode(5.0, OWN_RATE)
-    return [steady, fast, hw_break, switching]
+MIXED_HARDWARE = (
+    (0.3, ((0.0, 1.013),)),  # steady
+    (0.1, ((0.0, 1.007),)),  # fast from t = 1
+    (0.2, ((0.0, 1.0), (4.0, 1.02))),  # a hardware breakpoint
+    (0.0, ((0.0, 1.011), (3.0, 1.004))),  # switching at 2.5 and 5
+)
+
+
+def mixed_clocks(extra=()):
+    """Clocks that, between t = 2 and t = 6, cover each evaluation path,
+    then clocks over the hardware ``extra`` at its own rate, in one table."""
+    clocks = shared([hw(*spec) for spec in MIXED_HARDWARE] + list(extra), [0.1] * (4 + len(extra)))
+    clocks[1].set_mode(1.0, FAST)
+    clocks[3].set_mode(2.5, FAST)
+    clocks[3].set_mode(5.0, OWN_RATE)
+    return clocks
 
 
 class TestReadClocks:
@@ -219,7 +250,7 @@ class TestReadClocks:
     chunk grid and on scattered (instant, clock) reads."""
 
     @pytest.mark.parametrize("times, cols", [
-        scattered([5.5, 2.0, 4.0, 3.1, 2.6, 0.5], [3, 0, 2, 1, 3, 1]),  # unsorted instants, every breakpoint
+        scattered([5.5, 2.0, 4.0, 3.1, 2.6, 0.5], [3, 0, 2, 1, 3, 1]),  # unsorted instants and clocks
         scattered([2.0, 3.0, 4.5, 6.0, 3.0], [2, 2, 2, 2, 2]),  # one clock, read again and again
         scattered([3.7], [3]),  # one read
         scattered([6.5, 7.25, 100.0], [0, 3, 0]),  # no breakpoint inside: one broadcast
@@ -240,29 +271,27 @@ class TestReadClocks:
     def test_negative_time_rejected(self):
         for times, cols in (grid([-1.0, 2.0]), scattered([2.0, -1.0], [0, 1])):
             with pytest.raises(ParameterError):
-                read_clocks(mixed_clocks(), times, cols)
+                read_clocks(mixed_clocks()[0].table, times, cols)
 
-    def test_clocks_out_of_order_rejected(self):
-        for cols in ([1, 0], [0, 2, 1, 3]):
-            with pytest.raises(ParameterError) as exc:
-                read_clocks(mixed_clocks(), np.full(len(cols), 3.0), np.array(cols))
-            assert str(exc.value) == "clock indices must be in ascending order"
+    def test_clocks_in_any_order_match_scalar_reference(self):
+        for cols in ([1, 0], [0, 2, 1, 3], [3, 3, 0, 3, 2]):
+            assert_reads_match_reference(mixed_clocks(), np.linspace(2.0, 6.0, len(cols)), np.array(cols))
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_random_clocks_match_scalar_reference(self, data):
-        clocks, kinks = [], [0.0]
+        hardware, mus, kinks = [], [], [0.0]
         for _ in range(data.draw(st.integers(1, 5))):
             sched = data.draw(schedule_strategy)
-            c = LogicalClock(
-                HardwareClock(data.draw(st.floats(0.0, 5.0)), *sched),
-                mu=data.draw(st.floats(0.01, 0.5)),
-            )
+            hardware.append(HardwareClock(data.draw(st.floats(0.0, 5.0)), *sched))
+            mus.append(data.draw(st.floats(0.01, 0.5)))
+            kinks += list(sched[0])
+        clocks = shared(hardware, mus)
+        for c in clocks:
             switches = sorted(set(data.draw(st.lists(st.floats(0.0, 30.0), max_size=5))))
             for k, t in enumerate(switches):
                 c.set_mode(t, FAST if k % 2 == 0 else OWN_RATE)
-            clocks.append(c)
-            kinks += list(sched[0]) + switches
+            kinks += switches
         instants = st.one_of(st.floats(0.0, 40.0), st.sampled_from(kinks))
         times = sorted(set(data.draw(st.lists(instants, min_size=1, max_size=12))))
         assert_reads_match_reference(clocks, *grid(times, len(clocks)))
@@ -272,23 +301,24 @@ class TestReadClocks:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_bends_at_the_window_ends_match_scalar_reference(self, data):
-        # The reader takes each clock's piece at the latest instant t1 and
-        # falls back to value_pair when that piece began after the earliest,
-        # t0.  Anchors and hardware breakpoints land exactly at t0, exactly
-        # at t1 and after t1, as a reply read at a past instant meets them.
+        # Reads over a window [t0, t1] meet anchors and hardware breakpoints
+        # exactly at t0, exactly at t1 and after t1, as a reply read at a
+        # past instant meets them.
         t0 = data.draw(st.one_of(st.sampled_from([0.0, 1.0, 2.5, 3.0, 4.0, 5.0]), st.floats(0.0, 8.0)))
         t1 = t0 + data.draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
         bends = sorted({t0, t1, t1 + data.draw(st.floats(0.001, 3.0))})
-        clocks = mixed_clocks()
-        for c in clocks:
-            for t in sorted(data.draw(st.sets(st.sampled_from(bends)))):
-                if t >= c._times[-1]:
-                    c.set_mode(t, OWN_RATE if c._modes[-1] == FAST else FAST)
+        extra = []
         for breaks in data.draw(st.lists(st.sets(st.sampled_from([b for b in bends if b > 0]), min_size=1),
                                          max_size=3)):
             starts = (0.0, *sorted(breaks))
             rates = [1.0 + 0.006 * (k % 3) for k in range(len(starts))]
-            clocks.append(LogicalClock(HardwareClock(0.2, starts, rates), mu=0.1))
+            extra.append(HardwareClock(0.2, starts, rates))
+        clocks = mixed_clocks(extra)
+        for c in clocks[:4]:
+            for t in sorted(data.draw(st.sets(st.sampled_from(bends)))):
+                last, mode = c.mode_timeline[-1]
+                if t >= last:
+                    c.set_mode(t, OWN_RATE if mode == FAST else FAST)
         inside = st.floats(t0, t1)
         times = sorted({t0, t1, *data.draw(st.lists(inside, max_size=6))})
         assert_reads_match_reference(clocks, *grid(times, len(clocks)))
@@ -297,19 +327,52 @@ class TestReadClocks:
         assert_reads_match_reference(clocks, *scattered(*zip(*reads)))
 
 
+class TestTableReader:
+    """The table reader against the scalar clock, :meth:`LogicalClock.value`
+    and :meth:`HardwareClock.value`, bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_scalar_clock(self, data):
+        # mixed_clocks() has hardware breakpoints at 3.0 and 4.0.  Each
+        # clock bends again exactly at some of the read instants, and twice
+        # after the last one, so every read walks back over two anchors or
+        # more before it finds its own.
+        clocks = mixed_clocks()
+        instants = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 3.0, 4.0, 5.0]), st.floats(0.0, 12.0))
+        reads = data.draw(st.lists(st.tuples(instants, st.integers(0, 3)), min_size=1, max_size=12))
+        times = sorted({t for t, _ in reads})
+        for c in clocks:
+            for t in sorted(data.draw(st.sets(st.sampled_from(times))) | {times[-1] + 1.0, times[-1] + 2.5}):
+                last, mode = c.mode_timeline[-1]
+                if t >= last:
+                    c.set_mode(t, OWN_RATE if mode == FAST else FAST)
+        table = clocks[0].table
+        for t, cols in (scattered(*zip(*reads)), grid(times)):
+            L, H, a = read_clocks(table, t, cols)
+            t, cols = np.broadcast_arrays(t, cols)
+            for i, (ti, k) in enumerate(zip(t.ravel().tolist(), cols.ravel().tolist())):
+                assert sum(at > ti for at, _ in clocks[k].mode_timeline) >= 2
+                assert L.ravel()[i] == clocks[k].value(ti)
+                assert H.ravel()[i] == clocks[k].hardware.value(ti)
+                assert table.time[a.ravel()[i]] <= ti
+
+
 class TestSampleClocks:
     """sample_clocks is the grid read of read_clocks."""
 
     def test_sample_clocks_is_the_grid_read(self):
         times = np.array([2.0, 3.0, 4.5, 6.0])
-        L, H = sample_clocks(mixed_clocks(), times)
-        ref_L, ref_H = reference_reads(mixed_clocks(), *grid(times))
+        clocks = mixed_clocks()
+        L, H, a = sample_clocks(clocks[0].table, times)
+        ref_L, ref_H, ref_a = read_clocks(clocks[0].table, *grid(times))
         assert np.array_equal(L, ref_L)
         assert np.array_equal(H, ref_H)
+        assert np.array_equal(a, ref_a)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ParameterError):
-            sample_clocks(mixed_clocks(), np.array([-1.0, 2.0]))
+            sample_clocks(mixed_clocks()[0].table, np.array([-1.0, 2.0]))
 
 
 class TestCurrentPiece:
@@ -325,8 +388,9 @@ class TestCurrentPiece:
             piece = max(anchor, rate_change)  # where the current piece starts
             t = data.draw(st.sampled_from([anchor, rate_change]) | st.floats(piece, 1e6) | st.floats(0.0, piece))
             assert c.value(t) == value_pair(c, t)[0]
-            edges = [c._values[-1], c.value(anchor), c.value(rate_change), c.value(t)]
-            target = data.draw(st.sampled_from(edges) | st.floats(c.value(piece), 1e6) | st.floats(c._values[0], 1e6))
+            values = anchors(c)[1]
+            edges = [values[-1], c.value(anchor), c.value(rate_change), c.value(t)]
+            target = data.draw(st.sampled_from(edges) | st.floats(c.value(piece), 1e6) | st.floats(values[0], 1e6))
             assert c.invert(target) == invert(c, target)
 
 

@@ -105,38 +105,115 @@ def two_node_sim(p_max: float = 0.0, **edge) -> engine._Simulation:
     return engine._Simulation(scen.build_scenario(doc))
 
 
+def direction(sim: engine._Simulation, a: int, b: int) -> int:
+    """The engine's index of the link direction a->b, which is also that
+    of its delay stream."""
+    return int(np.flatnonzero((sim._src == a) & (sim._dst == b))[0])
+
+
 class TestLinkDelays:
-    """Each link direction's record ``links[(a, b)]`` and its delays."""
+    """Each link direction's parameters and the delays its streams draw."""
 
     def test_zero_jitter_is_base(self):
         sim = two_node_sim()
-        assert sim._delay(0, 1) == 1.0
-        assert sim._delay(1, 0) == 1.2
+        assert sim._draw(direction(sim, 0, 1)) == 1.0
+        assert sim._draw(direction(sim, 1, 0)) == 1.2
+        assert sim._draws(np.array([direction(sim, 1, 0)])).tolist() == [1.2]
 
     def test_samples_within_jitter_band(self):
         sim = two_node_sim(bwd_delay=1.0, jitter=0.5)
-        for _ in range(1000):
-            d = sim._delay(0, 1)
-            assert 1.0 <= d <= 1.5
+        d = direction(sim, 0, 1)
+        for _ in range(500):
+            assert 1.0 <= sim._draw(d) <= 1.5
+            assert 1.0 <= sim._draws(np.array([d]))[0] <= 1.5
 
     @pytest.mark.parametrize("p_max", [0.0, 0.1])
     def test_records_draw_from_their_labelled_streams(self, p_max):
         sim = two_node_sim(p_max, jitter=0.5)
-        assert set(sim.links) == {(0, 1), (1, 0)}
-        assert sim._delay(1, 0) == 1.2 + 0.5 * seeded_stream(5, "delay:1->0").random()
-        proc = sim.links[(0, 1)][3]
-        if p_max:
-            assert proc() == seeded_stream(5, "proc:0->1").random()
+        fwd, bwd = direction(sim, 0, 1), direction(sim, 1, 0)
+        assert sorted(zip(sim._src.tolist(), sim._dst.tolist())) == [(0, 1), (1, 0)]
+        assert sim._rev.tolist()[fwd] == bwd and sim._rev.tolist()[bwd] == fwd
+        assert sim._draw(bwd) == 1.2 + 0.5 * seeded_stream(5, "delay:1->0").random()
+        if p_max:  # the proc streams follow the delay streams
+            assert len(sim._streams) == 4
+            assert sim._draw(2 + fwd) == 0.1 * seeded_stream(5, "proc:0->1").random()
         else:
-            assert proc is None
+            assert len(sim._streams) == 2
         kappa = sim.sc.kappa[(0, 1)]
-        assert sim.links[(0, 1)][4:] == sim.links[(1, 0)][4:] == (0.5, 0.05, kappa)
+        for d in (fwd, bwd):
+            assert (sim._eps[0, d], sim._eps[1, d], sim._kappa[d]) == (0.5, 0.05, kappa)
 
     def test_delay_reaching_d_max_is_an_internal_error(self):
         sim = two_node_sim()
-        sim.links[(0, 1)] = (sim.sc.graph.d_max, *sim.links[(0, 1)][1:])
+        sim._base[direction(sim, 0, 1)] = sim.sc.graph.d_max
         with pytest.raises(InternalError, match=r"reached d_max on 0->1"):
             sim.run()
+
+
+class DrawLog(engine._Simulation):
+    """The engine, logging every value each stream draws, in draw order,
+    and counting the streams a wakeup draws from twice."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.drawn: dict[int, list[float]] = {}
+        self.in_wakeup: list | None = None
+        self.twice = 0
+
+    def _on_wakeup(self, t, v, k):
+        self.in_wakeup = []
+        super()._on_wakeup(t, v, k)
+        self.twice += len(self.in_wakeup) - len(set(self.in_wakeup))
+        self.in_wakeup = None
+
+    def _draw(self, s):
+        x = super()._draw(s)
+        self.drawn.setdefault(s, []).append(x)
+        if self.in_wakeup is not None:
+            self.in_wakeup.append(s)
+        return x
+
+    def _draws(self, s):
+        x = super()._draws(s)
+        for k, value in zip(s.tolist(), x.tolist()):
+            self.drawn.setdefault(k, []).append(value)
+        return x
+
+
+def stream_label(sim: engine._Simulation, s: int) -> str:
+    """The label of the engine's stream s: delay:a->b for a direction's
+    index, proc:a->b for it plus the number of directions."""
+    D = len(sim._src)
+    return f"{'delay' if s < D else 'proc'}:{sim._src[s % D]}->{sim._dst[s % D]}"
+
+
+class TestStreamTable:
+    """Every link stream draws its values engine._BLOCK at a time into one
+    table, and each is what the stream's own generator, seeded on its own,
+    draws with ``Generator.random()``, bit for bit, across refills."""
+
+    def test_blocks_hold_the_streams_uniforms(self):
+        sim = engine._Simulation(scen.build_scenario(random_suite_doc(3)))
+        sim._scale[:], sim._base[:] = 1.0, 0.0  # the table keeps the uniforms themselves
+        seed = sim.sc.master_seed
+        for s in range(len(sim._streams)):
+            ref = reference.seeded_stream(seed, stream_label(sim, s))
+            for _ in range(3):
+                sim._refill(s)
+                assert sim._blocks[s].tolist() == [ref.random() for _ in range(engine._BLOCK)]
+
+    def test_every_draw_of_a_run_is_its_streams_next_value(self):
+        # wakeup_tie_doc: nodes 1 and 2 wake 2 and 1 time units after node
+        # 0, so some of their wakeups owe a reply on the stream of the
+        # request they send next, and a delay stream draws 80 values
+        sim = DrawLog(scen.build_scenario(wakeup_tie_doc()))
+        sim.run()
+        assert sim.twice > 0
+        assert max(map(len, sim.drawn.values())) > 3 * engine._BLOCK
+        for s, values in sim.drawn.items():
+            ref = reference.seeded_stream(sim.sc.master_seed, stream_label(sim, s))
+            base, scale = float(sim._base[s]), float(sim._scale[s])
+            assert values == [base + scale * ref.random() for _ in values], stream_label(sim, s)
 
 
 @pytest.mark.parametrize("mode", ["full", "skew_only"])
@@ -423,12 +500,29 @@ def wakeup_tie_doc() -> dict:
     }
 
 
+class DyadicStream:
+    """A stand-in for a ``Generator`` whose ``random`` cycles through
+    ``values``, one at a time or into ``out``."""
+
+    def __init__(self, values):
+        self.values = itertools.cycle(values)
+
+    def random(self, out=None):
+        if out is None:
+            return next(self.values)
+        out[:] = [next(self.values) for _ in range(len(out))]
+        return out
+
+
 def stub_dyadic_draws(sim):
     """Each link stream of ``sim`` draws its own cycle of dyadic values, so
-    the values a draw gets depend on its place in its stream's order."""
-    for key, (base, jitter, _, proc, *rest) in list(sim.links.items()):
-        delays, procs = itertools.cycle([0.0, 1.0, 0.5, 1.0, 0.25]), itertools.cycle([0.0, 1.0])
-        sim.links[key] = (base, jitter, delays.__next__, procs.__next__ if proc else None, *rest)
+    the values a draw gets depend on its place in its stream's order: the
+    engine's streams, and the twin's own (its ``links`` records)."""
+    delays, procs = (lambda: DyadicStream([0.0, 1.0, 0.5, 1.0, 0.25])), (lambda: DyadicStream([0.0, 1.0]))
+    D = len(sim._src)
+    sim._streams = [delays() if s < D else procs() for s in range(len(sim._streams))]
+    for key, (base, jitter, _, proc, *rest) in list(getattr(sim, "links", {}).items()):
+        sim.links[key] = (base, jitter, delays(), procs() if proc else None, *rest)
     return sim
 
 
@@ -438,7 +532,9 @@ def reply_rows(sim) -> list:
     rows, check = [], sim._check_chunk
 
     def collecting(*args):
-        rows.extend(tuple(r[[0, 1, 2, 3, 6, 7, 8]].tolist()) for data, _ in sim._reply_checks for r in data)
+        for dirs, reply, _, stamps in sim._reply_checks:
+            ends = (reply, sim._src[dirs], sim._dst[dirs])
+            rows.extend(zip(*(x.tolist() for x in (*stamps, *ends))))
         check(*args)
 
     sim._check_chunk = collecting
@@ -453,11 +549,13 @@ class TieCounting(engine._Simulation):
         super().__init__(sc)
         self.ties = {"reply first": 0, "request first": 0}
 
-    def _send(self, t, v, w, l1):
-        back = self.pending[w].get(v)
-        if back is not None and back[2] == t:
-            self.ties["reply first" if (back[2], back[4]) < self.now else "request first"] += 1
-        return super()._send(t, v, w, l1)
+    def _on_wakeup(self, t, v, k):
+        if k < self.sc.horizon_cycles:  # the wakeup sends: v->w meets w's request to v
+            for d in self._out[v].tolist():
+                r = int(self._rev[d])
+                if self._open[r] and self._legs[1, r] == t:
+                    self.ties["reply first" if (t, int(self._eseq[r])) < self.now else "request first"] += 1
+        super()._on_wakeup(t, v, k)
 
 
 class TestThreeEventTwin:
@@ -685,7 +783,7 @@ class TestSparseSampling:
             {m.sent_real for m in sim.measurements}
             | {m.record.completed_at_real for m in sim.measurements}
         )
-        L, _ = sample_clocks(sim.clocks, np.array(dropped))
+        L, _, _ = sample_clocks(sim.table, np.array(dropped))
         assert float((L.max(axis=1) - L.min(axis=1)).max()) <= report["max_observed_global"] + 1e-12
         for rec in report["per_edge"]:
             gap = float(np.abs(L[:, rec["u"]] - L[:, rec["v"]]).max())
@@ -706,7 +804,7 @@ class TestChunkRows:
         monkeypatch.setattr(metrics, "trace_oracles", lambda t, *a: (oracle_rows.append(len(t)), oracles(t, *a))[1])
         for t in range(3 * rows):
             sim._flush_sample(float(t))
-        assert sampled == [rows] * 3
+        assert sampled == [rows] * 3 and rows > 0
         assert oracle_rows == (sampled if mode == "full" else [])
 
 
