@@ -88,32 +88,35 @@ class ClockTable:
     latest, so each clock's anchors are a chain in time order, and
     :meth:`LogicalClock.set_mode` is the only writer.  The rate segments
     of every clock, clock by clock in time order, are the entries of
-    ``hw_start``, ``hw_rate`` and ``hw_cum`` (clock c's last is
+    ``hw_cum``, ``hw_rate`` and ``hw_start`` (clock c's last is
     ``hw_last[c]``), keyed in ``hw_key`` by (c, start) as the complex
     number ``c + start * 1j``, which numpy orders real part first.
 
-    Every array has a memoryview twin (``time_mv`` and so on) through which
-    the scalar methods of :class:`LogicalClock` read and write single
-    entries as Python numbers.
+    ``value``, ``hw_at`` and ``factor`` are the rows of one array, ``law``,
+    and the three segment arrays those of ``segments``, so a read gathers
+    each in one step.  Every anchor array has a memoryview twin
+    (``time_mv`` and so on) through which the scalar methods of
+    :class:`LogicalClock` read and write single entries as Python numbers.
     """
 
-    _ANCHOR_ARRAYS = ("time", "value", "hw_at", "factor", "mode", "prev", "owner")
+    _ANCHOR_ARRAYS = ("time", "law", "mode", "prev", "owner")
 
     def __init__(self, hardware):
         n = len(hardware)
         counts = np.array([len(h.starts) for h in hardware], dtype=np.intp)
         flat = lambda attr: np.fromiter(chain.from_iterable(getattr(h, attr) for h in hardware), float, counts.sum())
-        self.hw_start, self.hw_rate, self.hw_cum = flat("starts"), flat("rates"), flat("_cum")
+        self.segments = np.stack([flat("_cum"), flat("rates"), flat("starts")])
+        self.hw_cum, self.hw_rate, self.hw_start = self.segments
         self.hw_last = np.cumsum(counts) - 1
         self.hw_key = np.empty(len(self.hw_start), complex)
         self.hw_key.real = np.repeat(np.arange(n), counts)
         self.hw_key.imag = self.hw_start
         self.one_segment = len(self.hw_start) == n  # every clock at one rate: segment c is clock c's
         capacity = max(2 * n, 16)
-        initial = np.array([h.initial_value for h in hardware], dtype=float)
-        self.time, self.value, self.hw_at, self.factor = (np.zeros(capacity) for _ in range(4))
-        self.value[:n] = self.hw_at[:n] = initial
-        self.factor[:n] = 1.0
+        self.time = np.zeros(capacity)
+        self.law = np.zeros((3, capacity))
+        self.law[:2, :n] = [h.initial_value for h in hardware]
+        self.law[2, :n] = 1.0
         self.mode = np.full(capacity, OWN_RATE, dtype=np.int8)
         self.prev = np.full(capacity, -1, dtype=np.intp)
         self.owner = np.zeros(capacity, dtype=np.intp)
@@ -124,7 +127,8 @@ class ClockTable:
         self._views()
 
     def _views(self) -> None:
-        for name in self._ANCHOR_ARRAYS:
+        self.value, self.hw_at, self.factor = self.law
+        for name in ("time", "value", "hw_at", "factor", "mode", "prev", "owner"):
             setattr(self, name + "_mv", memoryview(getattr(self, name)))
 
     def append(self, c: int, t: float, value: float, hw_at: float, factor: float, mode: int) -> None:
@@ -133,8 +137,8 @@ class ClockTable:
         if a == len(self.time):  # full: double every anchor array
             for name in self._ANCHOR_ARRAYS:
                 old = getattr(self, name)
-                grown = np.empty(2 * a, dtype=old.dtype)
-                grown[:a] = old
+                grown = np.empty(old.shape[:-1] + (2 * a,), dtype=old.dtype)
+                grown[..., :a] = old
                 setattr(self, name, grown)
             self._views()
         self.time_mv[a], self.value_mv[a], self.hw_at_mv[a] = t, value, hw_at
@@ -177,22 +181,16 @@ class LogicalClock:
         """(time, mode) of each anchor: (0.0, OWN_RATE), then every mode change."""
         return self.table.mode_timelines()[self.index]
 
-    def _anchor(self, t: float) -> int:
-        """The anchor in force at t: the clock's last one at or before t."""
+    def value(self, t: float) -> float:
         tb = self.table
         time = tb.time_mv
         a = tb.last_mv[self.index]
-        if t < time[a]:
+        if t < time[a]:  # walk back to the last anchor at or before t
             if t < 0:
                 raise ParameterError(f"time must be non-negative, got {t!r}")
             prev = tb.prev_mv
             while t < time[a]:
                 a = prev[a]
-        return a
-
-    def value(self, t: float) -> float:
-        a = self._anchor(t)
-        tb = self.table
         return tb.value_mv[a] + tb.factor_mv[a] * (self.hardware.value(t) - tb.hw_at_mv[a])
 
     def value_pair(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,23 +262,26 @@ def read_clocks(table: ClockTable, times: np.ndarray, cols) -> tuple[np.ndarray,
     else:
         shape = np.broadcast_shapes(shape, np.shape(cols))
         t, c = (np.broadcast_to(x, shape).ravel() for x in (times, cols))
-    if not t.size:
-        return np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.intp)
-    t0 = t.min()
-    if t0 < 0:
-        raise ParameterError(f"time must be non-negative, got {float(t0)!r}")
     a = table.last[c]
     time = table.time
-    back = (time[a] > t).nonzero()[0]
-    while back.size:
-        a[back] = stepped = table.prev[a[back]]
-        back = back[time[stepped] > t[back]]
+    back = time[a] > t
+    if np.count_nonzero(back):  # a negative instant precedes every clock's first anchor, at 0
+        if t.min() < 0:
+            raise ParameterError(f"time must be non-negative, got {float(t.min())!r}")
+        back = back.nonzero()[0]
+        while back.size:
+            a[back] = stepped = table.prev[a[back]]
+            back = back[time[stepped] > t[back]]
     if table.one_segment:
         j = c
     else:
         key = np.empty(len(t), complex)
         key.real, key.imag = c, t
         j = np.searchsorted(table.hw_key, key, side="right") - 1
-    H = table.hw_cum[j] + table.hw_rate[j] * (t - table.hw_start[j])
-    L = table.value[a] + table.factor[a] * (H - table.hw_at[a])
+    cum, rate, start = table.segments.take(j, axis=1)
+    value, hw_at, factor = table.law.take(a, axis=1)
+    H = cum + rate * (t - start)
+    L = value + factor * (H - hw_at)
+    if len(shape) == 1:
+        return L, H, a
     return L.reshape(shape), H.reshape(shape), a.reshape(shape)

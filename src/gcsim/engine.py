@@ -3,23 +3,29 @@
 Events are totally ordered by (real time, schedule sequence number), and
 every random draw comes from a labelled substream of the master seed, so a
 run is a pure function of its scenario.  The loop owns all node state,
-and each fact has one owner: a node is its logical clock ``clocks[v]``,
-its cycle ``cycle[v]`` and its exchanges in flight ``pending[v]`` (it is
-measuring exactly when that is non-empty), and a link direction is its
-record ``links[(a, b)]``.  Metrics get read-only snapshots.
+and each fact has one owner: a node is its logical clock ``clocks[v]``, a
+view of the run's one anchor table ``table``, and its cycle ``cycle[v]``;
+a link direction d, a->b, is a column of arrays: its parameters, its
+streams and its exchange in flight (``_ex[:, d]``, open from a's wakeup
+to a's evaluation, so a is measuring exactly when its directions are
+open).  Metrics get read-only snapshots.
 
 Event handlers do only what the nodes do: readings, estimates, triggers and
 mode changes.  Neither a message nor an exchange is an event of its own:
 the requester's wakeup draws the request's delay and the responder's
-processing time, and keeps the reply's emission instant with the heap
-sequence number an event for it would take; the reply's delay is drawn
-off the heap, in the order of the stream it shares with the responder's
-requests (see the comment above ``_flush_sample``); and the requester's
-evaluation reads the three stamps taken at past instants (w's at the
-request's arrival and at the reply's emission, v's at the reply's
-arrival).  Every evaluation at one instant goes through one array
-evaluation (:func:`gcs.trigger_levels`), since each reads only its node's
-clock at that instant and its node's exchanges.
+processing time, one scalar send per neighbour, and keeps the reply's
+emission instant with the heap sequence number an event for it would
+take; the reply's delay is drawn off the heap, in the order of the stream
+it shares with the responder's requests (see the comment above
+``_flush_sample``); and the requester's evaluation reads the three stamps
+taken at past instants (w's at the request's arrival and at the reply's
+emission, v's at the reply's arrival).  The evaluations at one instant are
+one array pass: it draws their reply delays, checks their views, reads
+every stamp and each node's own value in one :func:`clocks.read_clocks`
+call, and evaluates the triggers in one :func:`gcs.trigger_levels` call,
+since each evaluation reads only its node's clock at that instant and its
+node's exchanges.  Every link stream draws its values ``_BLOCK`` at a time
+into one table, so a draw is a table read.
 
 Every event instant is a sample, since every event may change a clock's
 slope or is a grid tick, and so is the run's one end instant: the horizon
@@ -94,7 +100,15 @@ _CHUNK_VALUES = 8192
 # Draws per row of the block table: each link stream's next values, drawn
 # with one Generator.random call
 _BLOCK = 16
-_NO_NODES = np.empty(0, dtype=np.intp)
+# The rows of the engine's exchange records, one column per link direction
+# (see _Simulation.__init__)
+_ARRIVAL, _EMIT, _REPLY, _EVAL, _T1, _EPS_D, _EPS_M = range(7)
+# the instants an exchange's completion reads, and whose clock reads each:
+# the responder's at the request's arrival and the reply's emission (t2,
+# t3), the requester's at the reply's arrival (t4), the responder's there
+# (the true value its estimate is checked against), and at an evaluation
+# the requester's at it
+_READ_ROWS = np.array([_ARRIVAL, _EMIT, _REPLY, _REPLY, _EVAL])
 
 
 def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,6 +304,7 @@ class _Simulation:
         # processing times, p_max * u; _pos is the next unread column
         self._blocks = np.empty((len(labels), _BLOCK))
         self._pos = np.full(len(labels), _BLOCK, dtype=np.intp)
+        self._proc = D if sc.p_max > 0 else 0  # the proc streams' offset, 0 without them
         self._scale = np.array([params[ab][1].jitter for ab in pairs] + [sc.p_max] * (len(labels) - D))
         self._base = np.array([params[ab][0] for ab in pairs] + [0.0] * (len(labels) - D))
         self._src = np.array([a for a, _ in pairs], dtype=np.intp)
@@ -298,28 +313,28 @@ class _Simulation:
         self._rev = np.array([index[(b, a)] for a, b in pairs], dtype=np.intp)  # b->a: its stream serves a's replies to b
         self._first = np.cumsum([0] + [len(g.neighbors(v)) for v in range(n)]).tolist()
         self._out = [np.arange(a, b) for a, b in zip(self._first, self._first[1:])]
-        self._eps = np.array([[params[ab][1].eps_d for ab in pairs], [params[ab][1].eps_m for ab in pairs]])
         self._kappa = np.array([sc.kappa[(min(ab), max(ab))] for ab in pairs])
-        # whose clock each stamp reads: the responder's at the request's
-        # arrival and at the reply's emission, the requester's at the reply's
-        # arrival (the rows of _legs)
-        self._readers = np.stack((self._dst, self._dst, self._src))
         # Each direction's exchange in flight, from its requester's wakeup to
         # its evaluation (the requester is measuring exactly when its
-        # directions are open): the requester's reading at the send, the
-        # real times of the request's arrival, the reply's emission and the
-        # reply's arrival (inf until its delay is drawn), one row each, and
-        # the heap sequence number the emission would take as an event.
+        # directions are open), is one column of _ex, whose rows are: the
+        # real times of the request's arrival, the reply's emission, the
+        # reply's arrival (inf until its delay is drawn) and the requester's
+        # evaluation; the requester's reading at the send; and the link's
+        # eps_d and eps_m.  _eseq holds the heap sequence number the
+        # emission would take as an event.  The rows of _readers name whose
+        # clock reads each instant of _READ_ROWS.
         self._open = np.zeros(D, dtype=bool)
-        self._t1 = np.zeros(D)
-        self._legs = np.zeros((3, D))
+        self._ex = np.zeros((7, D))
+        self._ex[_EPS_D] = [params[ab][1].eps_d for ab in pairs]
+        self._ex[_EPS_M] = [params[ab][1].eps_m for ab in pairs]
         self._eseq = np.zeros(D, dtype=np.intp)
+        self._readers = np.stack((self._dst, self._dst, self._src, self._dst, self._src))
         # the wakeups' scalar reads and writes go through memoryviews, as
         # Python numbers
-        self._legs_mv = [memoryview(row) for row in self._legs]
+        self._ex_mv = [memoryview(row) for row in self._ex]
         self._blocks_mv = memoryview(self._blocks.reshape(-1))
-        self._open_mv, self._t1_mv, self._eseq_mv, self._pos_mv, self._rev_mv = map(
-            memoryview, (self._open, self._t1, self._eseq, self._pos, self._rev))
+        self._open_mv, self._eseq_mv, self._pos_mv, self._rev_mv = map(
+            memoryview, (self._open, self._eseq, self._pos, self._rev))
 
         # per node: its clock, in one anchor table whose anchors are the
         # nodes' mode timelines, and the cycle of its last wakeup
@@ -362,8 +377,10 @@ class _Simulation:
         )
         self._levels = range(1, sc.params.s_max + 1)
         # Ground-truth checks waiting for the next chunk, one entry per
-        # evaluation instant: (directions, reply arrivals, estimates at the
-        # arrivals, stamps (t1, t2, t3, t4)) of its completed exchanges;
+        # evaluation instant: (directions, reply arrivals, offsets,
+        # deductions, stamps (t1, t2, t3, t4), the responders' true values
+        # at the arrivals) of its completed exchanges, whose estimates at
+        # the arrivals the chunk makes;
         # (sample row, nodes, their estimates in neighbour order, slow and
         # fast levels fired) of its evaluations.  ``_checked`` counts their
         # values.
@@ -419,19 +436,20 @@ class _Simulation:
         expected = clock.hardware.initial_value + k * sc.params.cycle_length
         if abs(l1 - expected) > _BOUNDARY_TOL:
             self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
-        (arrival, emit, reply), eseq, is_open, t1 = self._legs_mv, self._eseq_mv, self._open_mv, self._t1_mv
-        draw, rev, now, seq = self._draw, self._rev_mv, self.now, self.seq
-        proc = len(t1) if len(self._pos) > len(t1) else 0  # the proc streams' offset, 0 without them
+        t_eval = clock.invert(expected + sc.params.T)
+        arrival, emit, reply, evaluate, t1 = self._ex_mv[:5]
+        eseq, is_open = self._eseq_mv, self._open_mv
+        draw, rev, now, seq, proc = self._draw, self._rev_mv, self.now, self.seq, self._proc
         for d in range(self._first[v], self._first[v + 1]):
             r = rev[d]
             if reply[r] == _INF and is_open[r] and (emit[r], eseq[r]) < now:
                 reply[r] = emit[r] + draw(d)
             arrival[d] = a = t + draw(d)
             emit[d] = a + draw(proc + d) if proc else a
-            reply[d], t1[d], eseq[d], is_open[d] = _INF, l1, seq, True
+            reply[d], evaluate[d], t1[d], eseq[d], is_open[d] = _INF, t_eval, l1, seq, True
             seq += 1
         self.seq = seq
-        self.push(clock.invert(expected + sc.params.T), K_EVALUATE, (v, k))
+        self.push(t_eval, K_EVALUATE, (v, k))
 
     def _refill(self, s: int) -> None:
         """Draw stream s's next _BLOCK values into its row of the block
@@ -443,7 +461,7 @@ class _Simulation:
         self._streams[s].random(out=row)
         row *= self._scale[s]
         row += self._base[s]
-        if s < len(self._t1) and row.max() >= self.sc.graph.d_max:
+        if s < len(self._src) and row.max() >= self.sc.graph.d_max:
             d = float(row[row >= self.sc.graph.d_max][0])
             raise InternalError(f"sampled delay {d!r} reached d_max on {self._src[s]}->{self._dst[s]}")
         self._pos[s] = 0
@@ -460,24 +478,29 @@ class _Simulation:
     def _draws(self, s: np.ndarray) -> np.ndarray:
         """The next value of each of the distinct streams s."""
         p = self._pos[s]
-        for k in s[p == _BLOCK].tolist():
-            self._refill(k)
-        p = self._pos[s]
+        empty = p == _BLOCK
+        if np.count_nonzero(empty):
+            for k in s[empty].tolist():
+                self._refill(k)
+            p[empty] = 0
         self._pos[s] = p + 1
         return self._blocks[s, p]
 
-    def _draw_replies(self, dirs: np.ndarray, before: tuple | None = None) -> None:
+    def _draw_replies(self, dirs: np.ndarray, ex: np.ndarray, before: tuple | None = None) -> None:
         """Draw the delays of the replies to the requests on the directions
         ``dirs`` not drawn yet, each on the stream of the reverse direction,
-        and record their arrivals; with ``before``, a heap key (time, seq),
-        only those of replies whose emission's key precedes it."""
-        legs = self._legs
-        dirs = dirs[legs[2, dirs] == _INF]
+        and record their arrivals, in ``_ex`` and in ``ex``, the directions'
+        records as gathered from it; with ``before``, a heap key (time,
+        seq), only those of replies whose emission's key precedes it."""
+        emit, reply = ex[_EMIT], ex[_REPLY]
+        undrawn = reply == _INF
         if before is not None:
-            emit = legs[1, dirs]
-            dirs = dirs[(emit < before[0]) | ((emit == before[0]) & (self._eseq[dirs] < before[1]))]
-        if dirs.size:
-            legs[2, dirs] = legs[1, dirs] + self._draws(self._rev[dirs])
+            undrawn &= (emit < before[0]) | ((emit == before[0]) & (self._eseq[dirs] < before[1]))
+        count = np.count_nonzero(undrawn)
+        if count:
+            at = slice(None) if count == len(dirs) else undrawn  # all undrawn, as at most evaluations
+            drawn = dirs[at]
+            self._ex[_REPLY][drawn] = reply[at] = emit[at] + self._draws(self._rev[drawn])
 
     def _on_evaluate(self, t: float, batch: list) -> None:
         """The evaluations ``batch``, each (v, k), due at t, in event order.
@@ -487,57 +510,53 @@ class _Simulation:
         before t (a reply at t itself would have been scheduled after the
         evaluation), and reads only its node's clock at t."""
         first, is_open = self._first, self._open_mv
-        vs = np.array([v for v, _ in batch], dtype=np.intp)
         for v, k in batch:
             if self.cycle[v] != k or first[v] == first[v + 1] or not is_open[first[v]]:
                 self._abort(f"evaluation fired out of order at node {v}")
         dirs = self._out[batch[0][0]] if len(batch) == 1 else np.concatenate([self._out[v] for v, _ in batch])
-        self._draw_replies(dirs)
-        missing = ~(self._legs[2, dirs] < t)
-        if missing.any():
+        ex = self._ex.take(dirs, axis=1)
+        self._draw_replies(dirs, ex)
+        missing = ex[_REPLY] >= t
+        if np.count_nonzero(missing):
             late = dirs[missing]
             v = int(self._src[late[0]])
             ws = self._dst[late[self._src[late] == v]].tolist()
             self._abort(f"node {v} evaluating cycle {self.cycle[v]} with incomplete views (missing {ws})")
         self._open[dirs] = False
-        offset, deduction, own = self._complete(dirs, check_timeout=True, t=t, vs=vs)
-        l_rep = np.repeat(own, self._deg[vs])
+        offset, deduction, l_rep = self._complete(dirs, ex, 5, check_timeout=True)
         self._decide(t, batch, l_rep, estimate_value(offset, deduction, l_rep))
 
-    def _complete(
-        self, dirs: np.ndarray, check_timeout: bool, t: float = 0.0, vs: np.ndarray = _NO_NODES
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _complete(self, dirs: np.ndarray, ex: np.ndarray, reads: int, check_timeout: bool) -> tuple:
         """Complete the exchanges on the directions ``dirs``, whose replies
-        have arrived: read the four stamps at the past instants the parties
-        took them, make the estimates, count the measurements and buffer the
-        sandwich check at each reply arrival, then end the run if a round
-        trip exceeded the timeout window (with ``check_timeout``).  Returns
-        the estimates' (offset, deduction) and the values of the nodes
-        ``vs`` at t, read with the stamps in one :func:`read_clocks` call.
+        have arrived and whose records are ``ex``: read the four stamps at
+        the past instants the parties took them, make the estimates, count
+        the measurements and buffer the sandwich check at each reply
+        arrival, then end the run if a round trip exceeded the timeout
+        window (with ``check_timeout``).  Reads the first ``reads`` instants
+        of _READ_ROWS, 4 or 5, in one :func:`read_clocks` call, and returns
+        the estimates' (offset, deduction) and, with 5, each requester's
+        value at its evaluation.
 
         The caller closes ``dirs`` first, so that the abort's own
         ``_settle`` does not complete them again."""
         m = len(dirs)
-        times = np.concatenate((self._legs[:, dirs].ravel(), np.full(len(vs), t)))
-        cols = np.concatenate((self._readers[:, dirs].ravel(), vs))
-        L = read_clocks(self.table, times, cols)[0]
-        t1, t2, t4 = self._t1[dirs], L[:m], L[2 * m : 3 * m]
+        times = ex.take(_READ_ROWS[:reads], axis=0).ravel()
+        L = read_clocks(self.table, times, self._readers[:reads].take(dirs, axis=1).ravel())[0]
+        t1, t2, t4 = ex[_T1], L[:m], L[2 * m : 3 * m]
         t3 = t2 + (L[m : 2 * m] - t2)  # w's arrival stamp plus its local processing time
-        eps_d, eps_m = self._eps[:, dirs]
         sc = self.sc
-        _, offset, deduction = compute_estimates(t1, t2, t3, t4, eps_d, eps_m, sc.params.theta)
-        reply = times[2 * m : 3 * m]
+        _, offset, deduction = compute_estimates(t1, t2, t3, t4, ex[_EPS_D], ex[_EPS_M], sc.params.theta)
+        reply = ex[_REPLY]
         self.counters["measurements"] += m
-        self._reply_checks.append((dirs, reply, estimate_value(offset, deduction, t4), (t1, t2, t3, t4)))
+        self._reply_checks.append((dirs, reply, offset, deduction, (t1, t2, t3, t4), L[3 * m : 4 * m]))
         self._checked += 5 * m
         if check_timeout:
-            over = np.flatnonzero(t4 - t1 >= sc.timeout + _TOL)
-            if over.size:
-                i = over[np.argmin(reply[over])]  # the first reply that exceeded the window
-                v, w = self._src[dirs[i]], self._dst[dirs[i]]
-                round_trip = float(t4[i] - t1[i])
+            over = t4 - t1 >= sc.timeout + _TOL
+            if np.count_nonzero(over):
+                i = np.flatnonzero(over)[np.argmin(reply[over])]  # the first reply that exceeded the window
+                v, w, round_trip = self._src[dirs[i]], self._dst[dirs[i]], float(t4[i] - t1[i])
                 self._abort(f"measurement {v}->{w} exceeded the timeout window ({round_trip!r} >= {sc.timeout!r})")
-        return offset, deduction, L[3 * m :]
+        return offset, deduction, L[4 * m :]
 
     def _settle(self, limit: float, check_timeout: bool) -> None:
         """At the end of the run: draw the replies emitted before ``now``
@@ -545,11 +564,12 @@ class _Simulation:
         the exchanges not yet evaluated whose replies arrived at or before
         ``limit``, as reply events up to it would have, and close them."""
         dirs = np.flatnonzero(self._open)
-        self._draw_replies(dirs, self.now)
-        done = dirs[self._legs[2, dirs] <= limit]
-        self._open[done] = False
-        if done.size:
-            self._complete(done, check_timeout)
+        ex = self._ex.take(dirs, axis=1)
+        self._draw_replies(dirs, ex, self.now)
+        done = ex[_REPLY] <= limit
+        self._open[dirs[done]] = False
+        if np.count_nonzero(done):
+            self._complete(dirs[done], ex[:, done], 4, check_timeout)
 
     def _decide(self, t: float, batch: list, l_rep: np.ndarray, est: np.ndarray) -> None:
         """Triggers and mode decisions of the evaluations ``batch`` at t.
@@ -574,15 +594,17 @@ class _Simulation:
     # -- sampling and the ground-truth checks
 
     # Sampling, the checks and the exchanges record only instants, and the
-    # clocks are read later: samples and checks when their chunk is reduced,
-    # the three stamps of an exchange at its requester's evaluation.  Such a
-    # deferred read of a past instant x returns what a read at x would have,
-    # bit for bit.  set_mode only appends an anchor at the time of the event
-    # that calls it, so every anchor before x is in place before any event
-    # at x runs, and both reads see it.  An anchor after x is never selected
-    # for x.  One at x may be selected by the deferred read alone, but it
-    # stores the old segment's value and hardware reading at x, so it reads
-    # x as value + factor * 0.0: the old segment's value.
+    # clocks are read later, from the anchor table: samples and checks when
+    # their chunk is reduced, the three stamps of an exchange at its
+    # requester's evaluation.  Such a deferred read of a past instant x
+    # returns what a read at x would have, bit for bit.  set_mode only
+    # appends an anchor at the time of the event that calls it, so every
+    # anchor before x is in place before any event at x runs, and both reads
+    # see it.  A read walks back along its clock's anchors to the last one
+    # at or before x, so an anchor after x is never selected for x.  One at
+    # x may be selected by the deferred read alone, but it stores the old
+    # segment's value and hardware reading at x, so it reads x as value +
+    # factor * 0.0: the old segment's value.
     # Every instant is read at or after it: samples are flushed after every
     # event at their time, evaluations are samples, a reply arrives before
     # its requester evaluates, and the run's end completes only exchanges
@@ -609,6 +631,16 @@ class _Simulation:
     # Without emission events, a batch of evaluations at one instant is no
     # longer split by an emission at that instant; that changes nothing,
     # since each member reads only its own node's clock at the instant.
+    # The batch draws its replies in one array pass: each of its exchanges
+    # draws on the stream of its reverse direction, so no stream is drawn
+    # twice in the pass and the order among them does not matter.
+    #
+    # Each stream's values come _BLOCK at a time from one Generator.random
+    # call into its row of the block table, and a draw takes the next unread
+    # one, so the k-th draw on a stream gets its k-th value, as the k-th
+    # scalar random() call would: the values of a block are the generator's
+    # next _BLOCK doubles in order.  A stream's draws only ever take its own
+    # row, whatever the order of draws across streams.
 
     def _flush_sample(self, t: float) -> None:
         self.buf_t.append(t)
@@ -669,10 +701,10 @@ class _Simulation:
         replies, evals = self._reply_checks, self._evals
         self._reply_checks, self._evals, self._checked = [], [], 0
         dirs = np.concatenate([np.empty(0, dtype=np.intp)] + [r[0] for r in replies])
-        t, est = (np.concatenate([np.empty(0)] + [r[i] for r in replies]) for i in (1, 2))
-        w = self._dst[dirs]
-        # the responders' true values at the reply arrivals, past instants
-        self._check_sandwich(t, self._src[dirs], w, read_clocks(self.table, t, w)[0], est, self._kappa[dirs])
+        t, offset, deduction = (np.concatenate([np.empty(0)] + [r[i] for r in replies]) for i in (1, 2, 3))
+        t4, true = (np.concatenate([np.empty(0)] + x) for x in ([r[4][3] for r in replies], [r[5] for r in replies]))
+        est = estimate_value(offset, deduction, t4)  # each requester's estimate at the reply's arrival
+        self._check_sandwich(t, self._src[dirs], self._dst[dirs], true, est, self._kappa[dirs])
         if evals:
             rows = np.concatenate([np.full(len(vs), r) for r, vs, *_ in evals])
             v, est, slow, fast = (np.concatenate(a) for a in list(zip(*evals))[1:])
@@ -812,7 +844,6 @@ class _Simulation:
 
     def _finish(self) -> RunResult:
         sc = self.sc
-        n = sc.graph.n
         edges = self.edges
         if self.buf_t or self._reply_checks:
             self._reduce_chunk()

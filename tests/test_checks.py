@@ -250,14 +250,15 @@ def test_incomplete_views_abort_reports_every_reply_before_it(monkeypatch, chunk
     sim = engine._Simulation(sc)
     draw, delayed = sim._draw_replies, []
 
-    def late(dirs, before=None):
-        emit, reply = sim._legs[1], sim._legs[2]
-        undrawn = dirs[reply[dirs] == math.inf]
-        draw(dirs, before)
-        for d in undrawn[(emit[undrawn] > t_from) & (reply[undrawn] < math.inf)].tolist()[:1]:  # drawn now, emitted after t_from
+    def late(dirs, ex, before=None):
+        emit, reply = ex[engine._EMIT], ex[engine._REPLY]
+        undrawn = reply == math.inf
+        draw(dirs, ex, before)
+        for i in np.flatnonzero(undrawn & (emit > t_from) & (reply < math.inf))[:1].tolist():  # drawn now, emitted after t_from
             if not delayed:
-                delayed.append((int(sim._src[d]), int(sim._dst[d]), float(reply[d])))
-                reply[d] += sc.params.cycle_length
+                delayed.append((int(sim._src[dirs[i]]), int(sim._dst[dirs[i]]), float(reply[i])))
+                reply[i] += sc.params.cycle_length
+                sim._ex[engine._REPLY, dirs[i]] = reply[i]
 
     sim._draw_replies = late
     with pytest.raises(RunAborted) as exc:

@@ -141,7 +141,7 @@ class TestLinkDelays:
             assert len(sim._streams) == 2
         kappa = sim.sc.kappa[(0, 1)]
         for d in (fwd, bwd):
-            assert (sim._eps[0, d], sim._eps[1, d], sim._kappa[d]) == (0.5, 0.05, kappa)
+            assert (sim._ex[engine._EPS_D, d], sim._ex[engine._EPS_M, d], sim._kappa[d]) == (0.5, 0.05, kappa)
 
     def test_delay_reaching_d_max_is_an_internal_error(self):
         sim = two_node_sim()
@@ -532,7 +532,7 @@ def reply_rows(sim) -> list:
     rows, check = [], sim._check_chunk
 
     def collecting(*args):
-        for dirs, reply, _, stamps in sim._reply_checks:
+        for dirs, reply, _, _, stamps, _ in sim._reply_checks:
             ends = (reply, sim._src[dirs], sim._dst[dirs])
             rows.extend(zip(*(x.tolist() for x in (*stamps, *ends))))
         check(*args)
@@ -553,7 +553,7 @@ class TieCounting(engine._Simulation):
         if k < self.sc.horizon_cycles:  # the wakeup sends: v->w meets w's request to v
             for d in self._out[v].tolist():
                 r = int(self._rev[d])
-                if self._open[r] and self._legs[1, r] == t:
+                if self._open[r] and self._ex[engine._EMIT, r] == t:
                     self.ties["reply first" if (t, int(self._eseq[r])) < self.now else "request first"] += 1
         super()._on_wakeup(t, v, k)
 
