@@ -86,17 +86,17 @@ class ClockTable:
     hardware reading H, in mode ``mode[a]``.  ``prev[a]`` is the same clock's
     anchor before it (-1 for its first, at t = 0) and ``last[c]`` clock c's
     latest, so each clock's anchors are a chain in time order, and
-    :meth:`LogicalClock.set_mode` is the only writer.  The rate segments
-    of every clock, clock by clock in time order, are the entries of
-    ``hw_cum``, ``hw_rate`` and ``hw_start`` (clock c's last is
-    ``hw_last[c]``), keyed in ``hw_key`` by (c, start) as the complex
-    number ``c + start * 1j``, which numpy orders real part first.
-
-    ``value``, ``hw_at`` and ``factor`` are the rows of one array, ``law``,
-    and the three segment arrays those of ``segments``, so a read gathers
-    each in one step.  Every anchor array has a memoryview twin
+    :meth:`LogicalClock.set_mode` is the only writer.  ``value``,
+    ``hw_at`` and ``factor`` are the rows of one array, ``law``, so a read
+    gathers them in one step, and every anchor array has a memoryview twin
     (``time_mv`` and so on) through which the scalar methods of
     :class:`LogicalClock` read and write single entries as Python numbers.
+
+    The columns of ``segments`` are the rate segments of every clock, clock
+    by clock in time order, each (value at its start, rate, start), the
+    hardware clock's ``_cum``, ``rates`` and ``starts``; ``hw_start`` is its
+    last row.  ``hw_key`` keys them by (clock, start) as the complex number
+    ``clock + start * 1j``, which numpy orders real part first.
     """
 
     _ANCHOR_ARRAYS = ("time", "law", "mode", "prev", "owner")
@@ -106,8 +106,7 @@ class ClockTable:
         counts = np.array([len(h.starts) for h in hardware], dtype=np.intp)
         flat = lambda attr: np.fromiter(chain.from_iterable(getattr(h, attr) for h in hardware), float, counts.sum())
         self.segments = np.stack([flat("_cum"), flat("rates"), flat("starts")])
-        self.hw_cum, self.hw_rate, self.hw_start = self.segments
-        self.hw_last = np.cumsum(counts) - 1
+        self.hw_start = self.segments[2]
         self.hw_key = np.empty(len(self.hw_start), complex)
         self.hw_key.real = np.repeat(np.arange(n), counts)
         self.hw_key.imag = self.hw_start
@@ -260,8 +259,10 @@ def read_clocks(table: ClockTable, times: np.ndarray, cols) -> tuple[np.ndarray,
     if shape == np.shape(cols):
         t, c = times.ravel(), cols.ravel()
     else:
-        shape = np.broadcast_shapes(shape, np.shape(cols))
-        t, c = (np.broadcast_to(x, shape).ravel() for x in (times, cols))
+        shape = np.broadcast(times, cols).shape
+        t, c = np.empty(shape), np.empty(shape, dtype=np.intp)
+        t[...], c[...] = times, cols
+        t, c = t.ravel(), c.ravel()
     a = table.last[c]
     time = table.time
     back = time[a] > t

@@ -282,9 +282,9 @@ class _Simulation:
         self.sc = sc
         g = sc.graph
         n = g.n
-        # The link directions a->b, node by node and each node's in neighbour
-        # order, so node v's are _first[v] to _first[v + 1] and an
-        # evaluation's estimates come in the order of metrics.neighbour_table.
+        # The link directions a->b, in (a, b) order, so node v's are
+        # _first[v] to _first[v + 1], in neighbour order, and an evaluation's
+        # estimates come in the order of metrics.neighbour_table.
         # Direction d draws its delays from stream d, delay:a->b, and, when
         # p_max > 0, the responder's processing times from stream D + d,
         # proc:a->b.
@@ -464,7 +464,6 @@ class _Simulation:
         if s < len(self._src) and row.max() >= self.sc.graph.d_max:
             d = float(row[row >= self.sc.graph.d_max][0])
             raise InternalError(f"sampled delay {d!r} reached d_max on {self._src[s]}->{self._dst[s]}")
-        self._pos[s] = 0
 
     def _draw(self, s: int) -> float:
         """The next value of stream s."""
@@ -523,23 +522,24 @@ class _Simulation:
             ws = self._dst[late[self._src[late] == v]].tolist()
             self._abort(f"node {v} evaluating cycle {self.cycle[v]} with incomplete views (missing {ws})")
         self._open[dirs] = False
-        offset, deduction, l_rep = self._complete(dirs, ex, 5, check_timeout=True)
+        offset, deduction, l_rep = self._complete(dirs, ex, check_timeout=True, own_values=True)
         self._decide(t, batch, l_rep, estimate_value(offset, deduction, l_rep))
 
-    def _complete(self, dirs: np.ndarray, ex: np.ndarray, reads: int, check_timeout: bool) -> tuple:
+    def _complete(self, dirs: np.ndarray, ex: np.ndarray, check_timeout: bool, own_values: bool = False) -> tuple:
         """Complete the exchanges on the directions ``dirs``, whose replies
         have arrived and whose records are ``ex``: read the four stamps at
         the past instants the parties took them, make the estimates, count
         the measurements and buffer the sandwich check at each reply
         arrival, then end the run if a round trip exceeded the timeout
-        window (with ``check_timeout``).  Reads the first ``reads`` instants
-        of _READ_ROWS, 4 or 5, in one :func:`read_clocks` call, and returns
-        the estimates' (offset, deduction) and, with 5, each requester's
-        value at its evaluation.
+        window (with ``check_timeout``).  Reads the instants of _READ_ROWS,
+        the last, the evaluation, only with ``own_values``, in one
+        :func:`read_clocks` call, and returns the estimates' (offset,
+        deduction) and, with ``own_values``, each requester's value at its
+        evaluation.
 
         The caller closes ``dirs`` first, so that the abort's own
         ``_settle`` does not complete them again."""
-        m = len(dirs)
+        m, reads = len(dirs), len(_READ_ROWS) - (not own_values)
         times = ex.take(_READ_ROWS[:reads], axis=0).ravel()
         L = read_clocks(self.table, times, self._readers[:reads].take(dirs, axis=1).ravel())[0]
         t1, t2, t4 = ex[_T1], L[:m], L[2 * m : 3 * m]
@@ -569,7 +569,7 @@ class _Simulation:
         done = ex[_REPLY] <= limit
         self._open[dirs[done]] = False
         if np.count_nonzero(done):
-            self._complete(dirs[done], ex[:, done], 4, check_timeout)
+            self._complete(dirs[done], ex[:, done], check_timeout)
 
     def _decide(self, t: float, batch: list, l_rep: np.ndarray, est: np.ndarray) -> None:
         """Triggers and mode decisions of the evaluations ``batch`` at t.
@@ -594,17 +594,18 @@ class _Simulation:
     # -- sampling and the ground-truth checks
 
     # Sampling, the checks and the exchanges record only instants, and the
-    # clocks are read later, from the anchor table: samples and checks when
-    # their chunk is reduced, the three stamps of an exchange at its
-    # requester's evaluation.  Such a deferred read of a past instant x
-    # returns what a read at x would have, bit for bit.  set_mode only
-    # appends an anchor at the time of the event that calls it, so every
-    # anchor before x is in place before any event at x runs, and both reads
-    # see it.  A read walks back along its clock's anchors to the last one
-    # at or before x, so an anchor after x is never selected for x.  One at
-    # x may be selected by the deferred read alone, but it stores the old
-    # segment's value and hardware reading at x, so it reads x as value +
-    # factor * 0.0: the old segment's value.
+    # clocks are read later, from the anchor table: samples when their chunk
+    # is reduced, and an exchange's three stamps and the responder's true
+    # value at the reply's arrival when the exchange completes, at its
+    # requester's evaluation or the run's end.  Such a deferred read of a
+    # past instant x returns what a read at x would have, bit for bit.
+    # set_mode only appends an anchor at the time of the event that calls
+    # it, so every anchor before x is in place before any event at x runs,
+    # and both reads see it.  A read walks back along its clock's anchors to
+    # the last one at or before x, so an anchor after x is never selected
+    # for x.  One at x may be selected by the deferred read alone, but it
+    # stores the old segment's value and hardware reading at x, so it reads
+    # x as value + factor * 0.0: the old segment's value.
     # Every instant is read at or after it: samples are flushed after every
     # event at their time, evaluations are samples, a reply arrives before
     # its requester evaluates, and the run's end completes only exchanges
