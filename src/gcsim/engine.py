@@ -310,7 +310,8 @@ class _Simulation:
         self._src = np.array([a for a, _ in pairs], dtype=np.intp)
         self._dst = np.array([b for _, b in pairs], dtype=np.intp)
         index = {ab: d for d, ab in enumerate(pairs)}
-        self._rev = np.array([index[(b, a)] for a, b in pairs], dtype=np.intp)  # b->a: its stream serves a's replies to b
+        # b->a, whose delay stream also carries b's replies to a's requests
+        self._rev = np.array([index[(b, a)] for a, b in pairs], dtype=np.intp)
         self._first = np.cumsum([0] + [len(g.neighbors(v)) for v in range(n)]).tolist()
         self._out = [np.arange(a, b) for a, b in zip(self._first, self._first[1:])]
         self._kappa = np.array([sc.kappa[(min(ab), max(ab))] for ab in pairs])
@@ -380,10 +381,9 @@ class _Simulation:
         # evaluation instant: (directions, reply arrivals, offsets,
         # deductions, stamps (t1, t2, t3, t4), the responders' true values
         # at the arrivals) of its completed exchanges, whose estimates at
-        # the arrivals the chunk makes;
-        # (sample row, nodes, their estimates in neighbour order, slow and
-        # fast levels fired) of its evaluations.  ``_checked`` counts their
-        # values.
+        # the arrivals the chunk makes; (sample row, nodes, their estimates
+        # in neighbour order, slow and fast levels fired) of its
+        # evaluations.  ``_checked`` counts their values.
         self._reply_checks: list[tuple] = []
         self._evals: list[tuple] = []
         self._checked = 0

@@ -269,7 +269,7 @@ class ThreeEventExchange(engine._Simulation):
 
     Each link direction a->b is one record ``links[(a, b)]``: (base delay,
     jitter, the stream delay:a->b, proc:a->b or None when p_max is 0,
-    eps_d, eps_m, kappa).  ``pending[v]`` holds only the l_v_t1 of the
+    eps_d, eps_m).  ``pending[v]`` holds only the l_v_t1 of the
     replies still to arrive, so it is empty at an evaluation, and
     ``evaluated[v]``, the last cycle node v evaluated, guards against an
     evaluation out of order.
@@ -286,7 +286,7 @@ class ThreeEventExchange(engine._Simulation):
             for a, b, base in ((u, w, p.fwd_delay), (w, u, p.bwd_delay)):
                 delay = seeded_stream(sc.master_seed, f"delay:{a}->{b}")
                 proc = seeded_stream(sc.master_seed, f"proc:{a}->{b}") if sc.p_max > 0 else None
-                self.links[(a, b)] = (base, p.jitter, delay, proc, p.eps_d, p.eps_m, sc.kappa[(u, w)])
+                self.links[(a, b)] = (base, p.jitter, delay, proc, p.eps_d, p.eps_m)
         # the engine's index of each direction, which its reply checks name
         self.direction = {ab: d for d, ab in enumerate(zip(self._src.tolist(), self._dst.tolist()))}
 
@@ -387,11 +387,10 @@ class ThreeEventExchange(engine._Simulation):
         if t4 - t1 >= sc.timeout + engine._TOL:
             self._abort(f"measurement {v}->{w} exceeded the timeout window ({t4 - t1!r} >= {sc.timeout!r})")
         rec = MeasurementRecord(w, t1, reply.l_w_t2, reply.l_w_t3, t4, t)
-        eps_d, eps_m, _ = self.links[(v, w)][4:]
+        eps_d, eps_m = self.links[(v, w)][4:]
         est = compute_estimates(rec, eps_d, eps_m, sc.params.theta, self.cycle[v])
         self.views[v][w] = est
         self.counters["measurements"] += 1
-        estimate_value(est, t4, cycle=self.cycle[v])  # the estimate is of this cycle
         one = lambda x: np.array([x])
         stamps = tuple(one(x) for x in (t1, reply.l_w_t2, reply.l_w_t3, t4))
         true = one(self.clocks[w].value(t))

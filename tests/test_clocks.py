@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,6 @@ from hypothesis import strategies as st
 from gcsim import scenario as scen
 from gcsim.clocks import FAST, OWN_RATE, ClockTable, HardwareClock, LogicalClock, read_clocks, sample_clocks
 from gcsim.errors import InternalError, ParameterError, ScenarioValidationError
-
-from bisect import bisect_right
 
 from reference import anchors, check_lipschitz, invert, value_pair
 from scenario_gen import UNIT_EDGE, line_doc
@@ -188,8 +188,8 @@ class TestProperties:
 
 
 def shared(hardware, mus):
-    """Logical clocks over ``hardware`` with the rates ``mus``, in one
-    anchor table."""
+    """Logical clocks over ``hardware``, clock c with the correction rate
+    ``mus[c]``, in one anchor table."""
     table = ClockTable(hardware)
     return [LogicalClock(h, mu, table, c) for c, (h, mu) in enumerate(zip(hardware, mus))]
 
