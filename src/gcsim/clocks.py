@@ -86,7 +86,7 @@ class ClockTable:
     hardware reading H, in mode ``mode[a]``.  ``prev[a]`` is the same clock's
     anchor before it (-1 for its first, at t = 0) and ``last[c]`` clock c's
     latest, so each clock's anchors are a chain in time order, and
-    :meth:`LogicalClock.set_mode` is the only writer.  ``value``,
+    :meth:`LogicalClock.set_mode` is the only writer.  ``time``, ``value``,
     ``hw_at`` and ``factor`` are the rows of one array, ``law``, so a read
     gathers them in one step, and every anchor array has a memoryview twin
     (``time_mv`` and so on) through which the scalar methods of
@@ -99,7 +99,7 @@ class ClockTable:
     ``clock + start * 1j``, which numpy orders real part first.
     """
 
-    _ANCHOR_ARRAYS = ("time", "law", "mode", "prev", "owner")
+    _ANCHOR_ARRAYS = ("law", "mode", "prev", "owner")
 
     def __init__(self, hardware):
         n = len(hardware)
@@ -112,10 +112,9 @@ class ClockTable:
         self.hw_key.imag = self.hw_start
         self.one_segment = len(self.hw_start) == n  # every clock at one rate: segment c is clock c's
         capacity = max(2 * n, 16)
-        self.time = np.zeros(capacity)
-        self.law = np.zeros((3, capacity))
-        self.law[:2, :n] = [h.initial_value for h in hardware]
-        self.law[2, :n] = 1.0
+        self.law = np.zeros((4, capacity))
+        self.law[1:3, :n] = [h.initial_value for h in hardware]
+        self.law[3, :n] = 1.0
         self.mode = np.full(capacity, OWN_RATE, dtype=np.int8)
         self.prev = np.full(capacity, -1, dtype=np.intp)
         self.owner = np.zeros(capacity, dtype=np.intp)
@@ -126,14 +125,14 @@ class ClockTable:
         self._views()
 
     def _views(self) -> None:
-        self.value, self.hw_at, self.factor = self.law
+        self.time, self.value, self.hw_at, self.factor = self.law
         for name in ("time", "value", "hw_at", "factor", "mode", "prev", "owner"):
             setattr(self, name + "_mv", memoryview(getattr(self, name)))
 
     def append(self, c: int, t: float, value: float, hw_at: float, factor: float, mode: int) -> None:
         """Make (t, value, hw_at, factor, mode) clock c's latest anchor."""
         a = self.size
-        if a == len(self.time):  # full: double every anchor array
+        if a == len(self.mode):  # full: double every anchor array
             for name in self._ANCHOR_ARRAYS:
                 old = getattr(self, name)
                 grown = np.empty(old.shape[:-1] + (2 * a,), dtype=old.dtype)
@@ -255,8 +254,8 @@ def read_clocks(table: ClockTable, times: np.ndarray, cols) -> tuple[np.ndarray,
     scalar formula of :meth:`LogicalClock.value`, so every entry equals it
     bit for bit.
     """
-    shape = np.shape(times)
-    if shape == np.shape(cols):
+    shape = times.shape
+    if shape == cols.shape:
         t, c = times.ravel(), cols.ravel()
     else:
         shape = np.broadcast(times, cols).shape
@@ -264,24 +263,25 @@ def read_clocks(table: ClockTable, times: np.ndarray, cols) -> tuple[np.ndarray,
         t[...], c[...] = times, cols
         t, c = t.ravel(), c.ravel()
     a = table.last[c]
-    time = table.time
-    back = time[a] > t
+    law = table.law.take(a, axis=1)
+    back = law[0] > t
     if np.count_nonzero(back):  # a negative instant precedes every clock's first anchor, at 0
         if t.min() < 0:
             raise ParameterError(f"time must be non-negative, got {float(t.min())!r}")
-        back = back.nonzero()[0]
+        back, time = back.nonzero()[0], table.time
         while back.size:
             a[back] = stepped = table.prev[a[back]]
             back = back[time[stepped] > t[back]]
-    if table.one_segment:
-        j = c
+        law = table.law.take(a, axis=1)
+    if table.one_segment:  # clock c's one segment, which starts at 0.0, and t - 0.0 is t
+        cum, rate, _ = table.segments.take(c, axis=1)
+        H = cum + rate * t
     else:
         key = np.empty(len(t), complex)
         key.real, key.imag = c, t
-        j = np.searchsorted(table.hw_key, key, side="right") - 1
-    cum, rate, start = table.segments.take(j, axis=1)
-    value, hw_at, factor = table.law.take(a, axis=1)
-    H = cum + rate * (t - start)
+        cum, rate, start = table.segments.take(np.searchsorted(table.hw_key, key, side="right") - 1, axis=1)
+        H = cum + rate * (t - start)
+    _, value, hw_at, factor = law
     L = value + factor * (H - hw_at)
     if len(shape) == 1:
         return L, H, a

@@ -488,9 +488,11 @@ class _Simulation:
     def _draw_replies(self, dirs: np.ndarray, ex: np.ndarray, before: tuple | None = None) -> None:
         """Draw the delays of the replies to the requests on the directions
         ``dirs`` not drawn yet, each on the stream of the reverse direction,
-        and record their arrivals, in ``_ex`` and in ``ex``, the directions'
-        records as gathered from it; with ``before``, a heap key (time,
-        seq), only those of replies whose emission's key precedes it."""
+        and record their arrivals in ``ex``, the directions' records as
+        gathered from ``_ex``; with ``before``, a heap key (time, seq), only
+        those of replies whose emission's key precedes it.  The caller writes
+        them back to ``_ex`` before anything that may draw again: an abort's
+        ``_settle`` would."""
         emit, reply = ex[_EMIT], ex[_REPLY]
         undrawn = reply == _INF
         if before is not None:
@@ -498,8 +500,7 @@ class _Simulation:
         count = np.count_nonzero(undrawn)
         if count:
             at = slice(None) if count == len(dirs) else undrawn  # all undrawn, as at most evaluations
-            drawn = dirs[at]
-            self._ex[_REPLY][drawn] = reply[at] = emit[at] + self._draws(self._rev[drawn])
+            reply[at] = emit[at] + self._draws(self._rev[dirs[at]])
 
     def _on_evaluate(self, t: float, batch: list) -> None:
         """The evaluations ``batch``, each (v, k), due at t, in event order.
@@ -517,6 +518,7 @@ class _Simulation:
         self._draw_replies(dirs, ex)
         missing = ex[_REPLY] >= t
         if np.count_nonzero(missing):
+            self._ex[_REPLY][dirs] = ex[_REPLY]
             late = dirs[missing]
             v = int(self._src[late[0]])
             ws = self._dst[late[self._src[late] == v]].tolist()
@@ -566,6 +568,7 @@ class _Simulation:
         dirs = np.flatnonzero(self._open)
         ex = self._ex.take(dirs, axis=1)
         self._draw_replies(dirs, ex, self.now)
+        self._ex[_REPLY][dirs] = ex[_REPLY]  # a timeout abort settles again
         done = ex[_REPLY] <= limit
         self._open[dirs[done]] = False
         if np.count_nonzero(done):

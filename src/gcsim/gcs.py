@@ -93,19 +93,14 @@ def trigger_levels(lead: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray
     Slow at level s: some neighbour trails by >= (2s-1)*kappa and none
     leads by more than (2s-1)*kappa.  Fast at level s: some neighbour leads
     by more than 2s*kappa - delta and none trails by 2s*kappa + delta or
-    more.  Each clause bounds a count of neighbours by D - 1 ("some") or
-    by 0 ("none"), D the row's width: the slow clauses count the neighbours
-    whose lead exceeds their threshold, the fast ones those whose lead does
-    not.  Trailing by >= x is not leading by more than -x, and trailing by
-    less than x is leading by more than -x.  A pad leads by 0, which
-    exceeds -inf and not +inf, so it changes no count that a clause tests.
+    more.  Each clause counts the neighbours whose lead exceeds one
+    threshold: trailing by >= x is not leading by more than -x, and
+    trailing by less than x is leading by more than -x.  A pad leads by 0,
+    which exceeds -inf and not +inf, so it changes no count that a clause
+    tests.
     """
-    counted = lead[:, None, None, :] > thresholds
-    counted[:, 2:] ^= True
-    held = np.add.reduce(counted, axis=3) <= (lead.shape[1] - 1) * _SOME
-    return held[:, 0] & held[:, 1], held[:, 2] & held[:, 3]
-
-
-# the clauses of trigger_levels that need "some" neighbour (bound D - 1)
-# rather than "none" (bound 0)
-_SOME = np.array([[1], [0], [1], [0]])
+    D = lead.shape[1]
+    over = np.add.reduce(lead[:, None, None, :] > thresholds, axis=3)
+    slow = (over[:, 0] < D) & (over[:, 1] == 0)
+    fast = (over[:, 2] > 0) & (over[:, 3] == D)
+    return slow, fast
