@@ -86,20 +86,26 @@ class ClockTable:
     hardware reading H, in mode ``mode[a]``.  ``prev[a]`` is the same clock's
     anchor before it (-1 for its first, at t = 0) and ``last[c]`` clock c's
     latest, so each clock's anchors are a chain in time order, and
-    :meth:`LogicalClock.set_mode` is the only writer.  ``time``, ``value``,
-    ``hw_at`` and ``factor`` are the rows of one array, ``law``, so a read
-    gathers them in one step, and every anchor array has a memoryview twin
-    (``time_mv`` and so on) through which the scalar methods of
-    :class:`LogicalClock` read and write single entries as Python numbers.
+    :meth:`LogicalClock.set_mode` is the only writer.  ``jump[a]`` is an
+    earlier anchor of the chain, ``prev[a]`` or one further back, chosen by
+    the skew-binary rule over ``depth`` (each anchor's place in its chain),
+    so a walk back to any earlier time that jumps where the jump lands
+    after that time, and else steps, takes a number of steps logarithmic in
+    the anchors it passes.  ``time``, ``value``, ``hw_at`` and ``factor``
+    are the rows of one array, ``law``, so a read gathers them in one step,
+    and every anchor array has a memoryview twin (``time_mv`` and so on)
+    through which the scalar methods of :class:`LogicalClock` read and
+    write single entries as Python numbers.
 
     The columns of ``segments`` are the rate segments of every clock, clock
     by clock in time order, each (value at its start, rate, start), the
     hardware clock's ``_cum``, ``rates`` and ``starts``; ``hw_start`` is its
     last row.  ``hw_key`` keys them by (clock, start) as the complex number
-    ``clock + start * 1j``, which numpy orders real part first.
+    ``clock + start * 1j``, which numpy orders real part first, and column
+    c of ``last_segment`` is clock c's last segment.
     """
 
-    _ANCHOR_ARRAYS = ("law", "mode", "prev", "owner")
+    _ANCHOR_ARRAYS = ("law", "mode", "prev", "jump", "depth", "owner")
 
     def __init__(self, hardware):
         n = len(hardware)
@@ -110,13 +116,15 @@ class ClockTable:
         self.hw_key = np.empty(len(self.hw_start), complex)
         self.hw_key.real = np.repeat(np.arange(n), counts)
         self.hw_key.imag = self.hw_start
-        self.one_segment = len(self.hw_start) == n  # every clock at one rate: segment c is clock c's
+        self.last_segment = self.segments[:, np.cumsum(counts) - 1]
         capacity = max(2 * n, 16)
         self.law = np.zeros((4, capacity))
         self.law[1:3, :n] = [h.initial_value for h in hardware]
         self.law[3, :n] = 1.0
         self.mode = np.full(capacity, OWN_RATE, dtype=np.int8)
         self.prev = np.full(capacity, -1, dtype=np.intp)
+        self.jump = np.arange(capacity, dtype=np.intp)  # a first anchor's is itself
+        self.depth = np.zeros(capacity, dtype=np.intp)
         self.owner = np.zeros(capacity, dtype=np.intp)
         self.owner[:n] = np.arange(n)
         self.last = np.arange(n, dtype=np.intp)
@@ -126,7 +134,7 @@ class ClockTable:
 
     def _views(self) -> None:
         self.time, self.value, self.hw_at, self.factor = self.law
-        for name in ("time", "value", "hw_at", "factor", "mode", "prev", "owner"):
+        for name in ("time", "value", "hw_at", "factor", "mode", "prev", "jump", "depth", "owner"):
             setattr(self, name + "_mv", memoryview(getattr(self, name)))
 
     def append(self, c: int, t: float, value: float, hw_at: float, factor: float, mode: int) -> None:
@@ -141,8 +149,12 @@ class ClockTable:
             self._views()
         self.time_mv[a], self.value_mv[a], self.hw_at_mv[a] = t, value, hw_at
         self.factor_mv[a], self.mode_mv[a] = factor, mode
-        self.prev_mv[a], self.owner_mv[a] = self.last_mv[c], c
-        self.last_mv[c] = a
+        p = self.last_mv[c]
+        self.prev_mv[a], self.owner_mv[a], self.last_mv[c] = p, c, a
+        depth, jump = self.depth_mv, self.jump_mv
+        j = jump[p]
+        depth[a] = depth[p] + 1
+        jump[a] = jump[j] if depth[p] - depth[j] == depth[j] - depth[jump[j]] else p
         self.size = a + 1
 
     def mode_timelines(self) -> list[list[tuple[float, int]]]:
@@ -192,10 +204,11 @@ class LogicalClock:
         return tb.value_mv[a] + tb.factor_mv[a] * (self.hardware.value(t) - tb.hw_at_mv[a])
 
     def value_pair(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(logical, hardware) at each of the instants ``times``, in any order:
+        """(logical, hardware) at each of the instants ``times``, a vector in
+        any order:
         the :func:`read_clocks` read of this clock, which equals :meth:`value`
         bit for bit."""
-        L, H, _ = read_clocks(self.table, times, np.intp(self.index))
+        L, H, _ = read_clocks(self.table, times, np.full(len(times), self.index))
         return L, H
 
     def set_mode(self, t: float, mode: int) -> None:
@@ -237,52 +250,43 @@ def sample_clocks(table: ClockTable, times: np.ndarray) -> tuple[np.ndarray, np.
     """Logical values, hardware values and anchors in force, each (R, n),
     of every clock of ``table`` at each of the R instants ``times``: the
     grid read of :func:`read_clocks`."""
-    return read_clocks(table, times[:, None], np.arange(len(table.last)))
+    n = len(table.last)
+    L, H, a = read_clocks(table, np.repeat(times, n), np.tile(np.arange(n), len(times)))
+    return L.reshape(-1, n), H.reshape(-1, n), a.reshape(-1, n)
 
 
-def read_clocks(table: ClockTable, times: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def read_clocks(table: ClockTable, times: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Logical value, hardware value and anchor in force of clock ``cols[j]``
-    of ``table`` at the instant ``times[j]``, for ``times`` and ``cols`` that
-    broadcast against each other, in any order: :func:`sample_clocks` reads
-    ``times[:, None]`` against ``arange(n)``, and the engine's stamps and
-    checks read equal-length vectors.
+    of ``table`` at the instant ``times[j]``, for vectors ``times`` and
+    ``cols`` of one length, in any order.
 
-    Each read starts at its clock's last anchor and walks back along the
-    clock's chain, all reads in one step, until every anchor began at or
-    before its instant; each finds its rate segment with one
-    ``searchsorted`` over the (clock, start) keys.  The values repeat the
-    scalar formula of :meth:`LogicalClock.value`, so every entry equals it
-    bit for bit.
+    Each read starts at its clock's last anchor and last rate segment.
+    The reads before that anchor walk back along its clock's chain, all in
+    one step each, jumping where ``jump`` lands after the read's instant;
+    the reads before that segment find theirs with one ``searchsorted``
+    over the (clock, start) keys.  The values repeat the scalar formula of
+    :meth:`LogicalClock.value`, so every entry equals it bit for bit.
     """
-    shape = times.shape
-    if shape == cols.shape:
-        t, c = times.ravel(), cols.ravel()
-    else:
-        shape = np.broadcast(times, cols).shape
-        t, c = np.empty(shape), np.empty(shape, dtype=np.intp)
-        t[...], c[...] = times, cols
-        t, c = t.ravel(), c.ravel()
-    a = table.last[c]
+    a = table.last[cols]
     law = table.law.take(a, axis=1)
-    back = law[0] > t
-    if np.count_nonzero(back):  # a negative instant precedes every clock's first anchor, at 0
+    back = (law[0] > times).nonzero()[0]
+    if back.size:  # a negative instant precedes every clock's first anchor, at 0
+        t = times[back]
         if t.min() < 0:
             raise ParameterError(f"time must be non-negative, got {float(t.min())!r}")
-        back, time = back.nonzero()[0], table.time
+        time, steps = table.time, a[back]
         while back.size:
-            a[back] = stepped = table.prev[a[back]]
-            back = back[time[stepped] > t[back]]
+            jumps = table.jump[steps]
+            a[back] = steps = np.where(time[jumps] > t, jumps, table.prev[steps])
+            on = time[steps] > t
+            back, t, steps = back[on], t[on], steps[on]
         law = table.law.take(a, axis=1)
-    if table.one_segment:  # clock c's one segment, which starts at 0.0, and t - 0.0 is t
-        cum, rate, _ = table.segments.take(c, axis=1)
-        H = cum + rate * t
-    else:
-        key = np.empty(len(t), complex)
-        key.real, key.imag = c, t
-        cum, rate, start = table.segments.take(np.searchsorted(table.hw_key, key, side="right") - 1, axis=1)
-        H = cum + rate * (t - start)
+    cum, rate, start = segment = table.last_segment.take(cols, axis=1)
+    before = (start > times).nonzero()[0]
+    if before.size:
+        key = cols[before] + times[before] * 1j
+        segment[:, before] = table.segments.take(np.searchsorted(table.hw_key, key, side="right") - 1, axis=1)
     _, value, hw_at, factor = law
+    H = cum + rate * (times - start)
     L = value + factor * (H - hw_at)
-    if len(shape) == 1:
-        return L, H, a
-    return L.reshape(shape), H.reshape(shape), a.reshape(shape)
+    return L, H, a

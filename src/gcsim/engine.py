@@ -301,9 +301,12 @@ class _Simulation:
         self._streams = seeded_streams([(sc.master_seed, label) for label in labels])
         # each stream's next values, drawn _BLOCK at a time (see _refill):
         # a delay stream's are delays, base + jitter * u, a proc stream's
-        # processing times, p_max * u; _pos is the next unread column
-        self._blocks = np.empty((len(labels), _BLOCK))
-        self._pos = np.full(len(labels), _BLOCK, dtype=np.intp)
+        # processing times, p_max * u, all finite.  Each row ends in an inf,
+        # which a draw finds once the row is read out; _next is the flat
+        # index of each stream's next value, at first its inf
+        self._blocks = np.full((len(labels), _BLOCK + 1), _INF)
+        self._flat = self._blocks.reshape(-1)
+        self._next = np.arange(1, len(labels) + 1) * (_BLOCK + 1) - 1
         self._proc = D if sc.p_max > 0 else 0  # the proc streams' offset, 0 without them
         self._scale = np.array([params[ab][1].jitter for ab in pairs] + [sc.p_max] * (len(labels) - D))
         self._base = np.array([params[ab][0] for ab in pairs] + [0.0] * (len(labels) - D))
@@ -333,9 +336,8 @@ class _Simulation:
         # the wakeups' scalar reads and writes go through memoryviews, as
         # Python numbers
         self._ex_mv = [memoryview(row) for row in self._ex]
-        self._blocks_mv = memoryview(self._blocks.reshape(-1))
-        self._open_mv, self._eseq_mv, self._pos_mv, self._rev_mv = map(
-            memoryview, (self._open, self._eseq, self._pos, self._rev))
+        self._flat_mv, self._open_mv, self._eseq_mv, self._next_mv, self._rev_mv = map(
+            memoryview, (self._flat, self._open, self._eseq, self._next, self._rev))
 
         # per node: its clock, in one anchor table whose anchors are the
         # nodes' mode timelines, and the cycle of its last wakeup
@@ -453,37 +455,40 @@ class _Simulation:
 
     def _refill(self, s: int) -> None:
         """Draw stream s's next _BLOCK values into its row of the block
-        table, as delays or processing times (see ``_blocks``).  Each equals
-        the scalar ``base + jitter * u`` or ``p_max * u`` bit for bit, since
-        numpy repeats the operations elementwise.  A delay that reaches
-        d_max is an internal error."""
-        row = self._blocks[s]
+        table, as delays or processing times (see ``_blocks``), and point
+        ``_next`` at the first.  Each equals the scalar ``base + jitter *
+        u`` or ``p_max * u`` bit for bit, since numpy repeats the operations
+        elementwise.  A delay that reaches d_max is an internal error."""
+        row = self._blocks[s, :_BLOCK]
         self._streams[s].random(out=row)
         row *= self._scale[s]
         row += self._base[s]
         if s < len(self._src) and row.max() >= self.sc.graph.d_max:
             d = float(row[row >= self.sc.graph.d_max][0])
             raise InternalError(f"sampled delay {d!r} reached d_max on {self._src[s]}->{self._dst[s]}")
+        self._next_mv[s] = s * (_BLOCK + 1)
 
     def _draw(self, s: int) -> float:
         """The next value of stream s."""
-        p = self._pos_mv[s]
-        if p == _BLOCK:
+        i = self._next_mv[s]
+        if self._flat_mv[i] == _INF:
             self._refill(s)
-            p = 0
-        self._pos_mv[s] = p + 1
-        return self._blocks_mv[s * _BLOCK + p]
+            i = self._next_mv[s]
+        self._next_mv[s] = i + 1
+        return self._flat_mv[i]
 
     def _draws(self, s: np.ndarray) -> np.ndarray:
         """The next value of each of the distinct streams s."""
-        p = self._pos[s]
-        empty = p == _BLOCK
-        if np.count_nonzero(empty):
-            for k in s[empty].tolist():
+        i = self._next[s]
+        values = self._flat[i]
+        out = values == _INF
+        if np.count_nonzero(out):
+            for k in s[out].tolist():
                 self._refill(k)
-            p[empty] = 0
-        self._pos[s] = p + 1
-        return self._blocks[s, p]
+            i = self._next[s]
+            values = self._flat[i]
+        self._next[s] = i + 1
+        return values
 
     def _draw_replies(self, dirs: np.ndarray, ex: np.ndarray, before: tuple | None = None) -> None:
         """Draw the delays of the replies to the requests on the directions
@@ -497,9 +502,8 @@ class _Simulation:
         undrawn = reply == _INF
         if before is not None:
             undrawn &= (emit < before[0]) | ((emit == before[0]) & (self._eseq[dirs] < before[1]))
-        count = np.count_nonzero(undrawn)
-        if count:
-            at = slice(None) if count == len(dirs) else undrawn  # all undrawn, as at most evaluations
+        at = undrawn.nonzero()[0]
+        if at.size:
             reply[at] = emit[at] + self._draws(self._rev[dirs[at]])
 
     def _on_evaluate(self, t: float, batch: list) -> None:
@@ -513,7 +517,7 @@ class _Simulation:
         for v, k in batch:
             if self.cycle[v] != k or first[v] == first[v + 1] or not is_open[first[v]]:
                 self._abort(f"evaluation fired out of order at node {v}")
-        dirs = self._out[batch[0][0]] if len(batch) == 1 else np.concatenate([self._out[v] for v, _ in batch])
+        dirs = np.concatenate([self._out[v] for v, _ in batch])
         ex = self._ex.take(dirs, axis=1)
         self._draw_replies(dirs, ex)
         missing = ex[_REPLY] >= t
@@ -580,10 +584,10 @@ class _Simulation:
         neighbour, and ``est`` its estimates, in neighbour order."""
         sc = self.sc
         vs = np.array([v for v, _ in batch], dtype=np.intp)
-        own = self._own[vs]
+        own = self._own.take(vs, axis=0)
         lead = np.zeros(own.shape)  # a pad's lead is 0
         lead[own] = est - l_rep
-        slow, fast = gcs.trigger_levels(lead, self._thresholds[vs])
+        slow, fast = gcs.trigger_levels(lead, self._thresholds.take(vs, axis=0))
         # t is a sample instant, flushed at row len(buf_t) of this chunk
         self._evals.append((len(self.buf_t), vs, est, slow, fast))
         self._checked += 4 * len(vs) + len(est)
@@ -641,10 +645,11 @@ class _Simulation:
     #
     # Each stream's values come _BLOCK at a time from one Generator.random
     # call into its row of the block table, and a draw takes the next unread
-    # one, so the k-th draw on a stream gets its k-th value, as the k-th
-    # scalar random() call would: the values of a block are the generator's
-    # next _BLOCK doubles in order.  A stream's draws only ever take its own
-    # row, whatever the order of draws across streams.
+    # one (a draw that finds the inf after the last refills the row first),
+    # so the k-th draw on a stream gets its k-th value, as the k-th scalar
+    # random() call would: the values of a block are the generator's next
+    # _BLOCK doubles in order.  A stream's draws only ever take its own row,
+    # whatever the order of draws across streams.
 
     def _flush_sample(self, t: float) -> None:
         self.buf_t.append(t)

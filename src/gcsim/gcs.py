@@ -80,6 +80,11 @@ def trigger_thresholds(kappa: np.ndarray, delta: np.ndarray, s_max: int) -> np.n
     return np.stack(np.broadcast_arrays(*thresholds), axis=-3)
 
 
+# the thresholds of trigger_levels whose counts its clauses compare with D
+# (the others' with 0)
+_COUNTS_ALL = np.array([True, False, False, True])[:, None, None]
+
+
 def trigger_levels(lead: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Slow and fast trigger of many evaluations at once, each (m, s_max):
     entry [r, s - 1] says whether the trigger of row r fires at level s.
@@ -97,10 +102,12 @@ def trigger_levels(lead: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray
     threshold: trailing by >= x is not leading by more than -x, and
     trailing by less than x is leading by more than -x.  A pad leads by 0,
     which exceeds -inf and not +inf, so it changes no count that a clause
-    tests.
+    tests.  ``some[:, k]`` says whether some neighbour's lead does not
+    exceed threshold k, for k = 0 and 3, or exceeds it, for k = 1 and 2.
+    So the first clause of each trigger (a count below D, a count above 0)
+    holds where it is set, and the second (a count of 0, a count of D)
+    where it is not.
     """
-    D = lead.shape[1]
-    over = np.add.reduce(lead[:, None, None, :] > thresholds, axis=3)
-    slow = (over[:, 0] < D) & (over[:, 1] == 0)
-    fast = (over[:, 2] > 0) & (over[:, 3] == D)
-    return slow, fast
+    some = np.logical_or.reduce((lead[:, None, None, :] > thresholds) != _COUNTS_ALL, axis=3)
+    fired = some[:, ::2] > some[:, 1::2]
+    return fired[:, 0], fired[:, 1]

@@ -51,7 +51,7 @@ def compute_estimates(
     underestimates the neighbour under worst-case asymmetry and drift.
     """
     d_avg = 0.5 * ((t4 - t1) - (t3 - t2))
-    if (d_avg < -_NEG_TOL).any():
+    if np.count_nonzero(d_avg < -_NEG_TOL):
         i = int(np.argmin(d_avg))
         raise InternalError(
             f"negative average delay {float(d_avg[i])!r} from stamps "

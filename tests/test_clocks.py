@@ -218,8 +218,9 @@ def assert_reads_match_reference(clocks, times, cols):
 
 
 def grid(times, n=4):
-    """The read of ``sample_clocks``: each of n clocks at every instant."""
-    return np.array(times, dtype=float)[:, None], np.arange(n)
+    """The read of ``sample_clocks``: each of n clocks at every instant,
+    instant by instant."""
+    return np.repeat(np.array(times, dtype=float), n), np.tile(np.arange(n), len(times))
 
 
 def scattered(times, cols):
@@ -358,6 +359,23 @@ class TestTableReader:
                 assert table.time[a.ravel()[i]] <= ti
 
 
+    def test_long_chains_match_the_scalar_clock(self):
+        # 300 mode changes per clock, so reads far back take the jumps of
+        # the skew-binary walk as well as single steps
+        clocks = mixed_clocks()
+        for k in range(1, 301):
+            for c in clocks:
+                c.set_mode(6.0 + 0.1 * k + 0.01 * c.index, FAST if k % 2 else OWN_RATE)
+        table = clocks[0].table
+        assert min(table.depth[table.last]) >= 300
+        times = np.linspace(0.0, 40.0, 97)
+        assert_reads_match_reference(clocks, *grid(times))
+        L, H, _ = sample_clocks(table, times)
+        for i, t in enumerate(times.tolist()):
+            assert L[i].tolist() == [c.value(t) for c in clocks]
+            assert H[i].tolist() == [c.hardware.value(t) for c in clocks]
+
+
 class TestSampleClocks:
     """sample_clocks is the grid read of read_clocks."""
 
@@ -365,7 +383,7 @@ class TestSampleClocks:
         times = np.array([2.0, 3.0, 4.5, 6.0])
         clocks = mixed_clocks()
         L, H, a = sample_clocks(clocks[0].table, times)
-        ref_L, ref_H, ref_a = read_clocks(clocks[0].table, *grid(times))
+        ref_L, ref_H, ref_a = (x.reshape(len(times), 4) for x in read_clocks(clocks[0].table, *grid(times)))
         assert np.array_equal(L, ref_L)
         assert np.array_equal(H, ref_H)
         assert np.array_equal(a, ref_a)

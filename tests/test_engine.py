@@ -200,7 +200,7 @@ class TestStreamTable:
             ref = reference.seeded_stream(seed, stream_label(sim, s))
             for _ in range(3):
                 sim._refill(s)
-                assert sim._blocks[s].tolist() == [ref.random() for _ in range(engine._BLOCK)]
+                assert sim._blocks[s, : engine._BLOCK].tolist() == [ref.random() for _ in range(engine._BLOCK)]
 
     def test_every_draw_of_a_run_is_its_streams_next_value(self):
         # wakeup_tie_doc: nodes 1 and 2 wake 2 and 1 time units after node
