@@ -380,12 +380,12 @@ class _Simulation:
         )
         self._levels = range(1, sc.params.s_max + 1)
         # Ground-truth checks waiting for the next chunk, one entry per
-        # evaluation instant: (directions, reply arrivals, offsets,
-        # deductions, stamps (t1, t2, t3, t4), the responders' true values
-        # at the arrivals) of its completed exchanges, whose estimates at
-        # the arrivals the chunk makes; (sample row, nodes, their estimates
-        # in neighbour order, slow and fast levels fired) of its
-        # evaluations.  ``_checked`` counts their values.
+        # evaluation instant: (directions, a (5, m) record of the reply
+        # arrivals, offsets, deductions, t4 stamps and the responders' true
+        # values at the arrivals) of its m completed exchanges, whose
+        # estimates at the arrivals the chunk makes; (sample row, nodes,
+        # their estimates in neighbour order, slow and fast levels fired) of
+        # its evaluations.  ``_checked`` counts their values.
         self._reply_checks: list[tuple] = []
         self._evals: list[tuple] = []
         self._checked = 0
@@ -554,7 +554,8 @@ class _Simulation:
         _, offset, deduction = compute_estimates(t1, t2, t3, t4, ex[_EPS_D], ex[_EPS_M], sc.params.theta)
         reply = ex[_REPLY]
         self.counters["measurements"] += m
-        self._reply_checks.append((dirs, reply, offset, deduction, (t1, t2, t3, t4), L[3 * m : 4 * m]))
+        # L[2m:4m] is t4 and then the true values
+        self._reply_checks.append((dirs, np.concatenate((reply, offset, deduction, L[2 * m : 4 * m])).reshape(5, m)))
         self._checked += 5 * m
         if check_timeout:
             over = t4 - t1 >= sc.timeout + _TOL
@@ -709,9 +710,8 @@ class _Simulation:
         """
         replies, evals = self._reply_checks, self._evals
         self._reply_checks, self._evals, self._checked = [], [], 0
-        dirs = np.concatenate([np.empty(0, dtype=np.intp)] + [r[0] for r in replies])
-        t, offset, deduction = (np.concatenate([np.empty(0)] + [r[i] for r in replies]) for i in (1, 2, 3))
-        t4, true = (np.concatenate([np.empty(0)] + x) for x in ([r[4][3] for r in replies], [r[5] for r in replies]))
+        dirs = np.concatenate([np.empty(0, dtype=np.intp)] + [d for d, _ in replies])
+        t, offset, deduction, t4, true = np.concatenate([np.empty((5, 0))] + [r for _, r in replies], axis=1)
         est = estimate_value(offset, deduction, t4)  # each requester's estimate at the reply's arrival
         self._check_sandwich(t, self._src[dirs], self._dst[dirs], true, est, self._kappa[dirs])
         if evals:

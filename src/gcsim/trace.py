@@ -92,8 +92,32 @@ _CSV_BLOCK_ROWS = 2048
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    """Write the trace block by block; within a block, each column is
-    formatted with one ``repr`` pass over its ``tolist()``."""
+    """Write the trace block by block, each block of ``_CSV_BLOCK_ROWS``
+    rows formatting each distinct value once.
+
+    GCS drives neighbours into shared modes, so nodes with one rate and one
+    mode history carry identical L and H columns, and a block holds few
+    distinct values: in grid4x4, 8 distinct columns among its 37 float
+    columns, and one distinct value per ten float cells.  A block is
+    therefore formatted in four steps:
+
+    1. its columns are keyed by (dtype, bytes), and only the distinct ones
+       go on;
+    2. per dtype, their values are viewed as unsigned integers of the same
+       width, and ``np.unique`` over those keeps one of each bit pattern,
+       which is formatted with one ``repr``;
+    3. one take from the table of those strings, through the inverse,
+       gives every cell its string;
+    4. each row is one ``",".join`` of its cells plus the constant tail of
+       the two bounds.
+
+    The bytes cannot change: a cell's string is the ``repr`` of the Python
+    float or int that its own ``tolist()`` element would be, since values
+    with equal bit patterns are the same double or int, and the take puts
+    each string back at its cell's row and column.  Keying by bit pattern,
+    not by ``==``, keeps ``0.0`` and ``-0.0`` apart, which compare equal but
+    print differently, and needs no rule for NaN, which equals nothing.
+    """
     n = trace.n
     s_max = trace.s_max
     cols = ["t_real"]
@@ -112,8 +136,30 @@ def write_trace_csv(trace: Trace, path) -> None:
                 block += [trace.logical[rows, j], trace.hardware[rows, j], trace.modes[rows, j]]
             block += [trace.local_skew[rows], trace.global_skew[rows]]
             block += [trace.psi_levels[rows, s] for s in range(s_max)]
-            text = zip(*(map(repr, col.tolist()) for col in block))
-            fh.write("".join(",".join(row) + tail for row in text))
+            cells = _block_cells(block)
+            fh.write("".join([",".join(row) + tail for row in cells.tolist()]))
+
+
+def _block_cells(block: list[np.ndarray]) -> np.ndarray:
+    """The (rows, columns) object array of the strings of the equal-length
+    columns ``block``, each distinct bit pattern of each dtype formatted
+    once with ``repr``."""
+    keys = [(col.dtype, col.tobytes()) for col in block]
+    by_dtype: dict[np.dtype, list[bytes]] = {}
+    for dtype, data in dict.fromkeys(keys):
+        by_dtype.setdefault(dtype, []).append(data)
+    rows = len(block[0])
+    strings: list[str] = []
+    index = {}  # key -> the column's rows in ``strings``
+    for dtype, columns in by_dtype.items():
+        values = np.frombuffer(b"".join(columns), dtype=dtype)
+        bits, inverse = np.unique(values.view(f"u{dtype.itemsize}"), return_inverse=True)
+        # one row of indices into ``strings`` per column; the input is 1-D,
+        # whose inverse numpy 1.x and 2.x both return 1-D
+        inverse = inverse.reshape(len(columns), rows) + len(strings)
+        strings += map(repr, bits.view(dtype).tolist())
+        index.update(((dtype, data), at) for data, at in zip(columns, inverse))
+    return np.array(strings, dtype=object).take(np.stack([index[key] for key in keys], axis=1))
 
 
 def write_summary_json(summary: RunSummary, path) -> None:

@@ -391,12 +391,8 @@ class ThreeEventExchange(engine._Simulation):
         est = compute_estimates(rec, eps_d, eps_m, sc.params.theta, self.cycle[v])
         self.views[v][w] = est
         self.counters["measurements"] += 1
-        one = lambda x: np.array([x])
-        stamps = tuple(one(x) for x in (t1, reply.l_w_t2, reply.l_w_t3, t4))
-        true = one(self.clocks[w].value(t))
-        self._reply_checks.append(
-            (one(self.direction[(v, w)]), one(t), one(est.offset), one(est.estimate_deduction), stamps, true)
-        )
+        record = np.array([[t], [est.offset], [est.estimate_deduction], [t4], [self.clocks[w].value(t)]])
+        self._reply_checks.append((np.array([self.direction[(v, w)]]), record))
         self._checked += 5
 
     def _on_evaluate(self, t: float, batch: list) -> None:

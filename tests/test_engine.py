@@ -527,14 +527,14 @@ def stub_dyadic_draws(sim):
 
 
 def reply_rows(sim) -> list:
-    """Collect (t1, t2, t3, t4, reply arrival, v, w) of every exchange
-    ``sim`` completes, as its chunks take them."""
+    """Collect (reply arrival, offset, deduction, t4, the responder's true
+    value at the arrival, v, w) of every exchange ``sim`` completes, as its
+    chunks take them."""
     rows, check = [], sim._check_chunk
 
     def collecting(*args):
-        for dirs, reply, _, _, stamps, _ in sim._reply_checks:
-            ends = (reply, sim._src[dirs], sim._dst[dirs])
-            rows.extend(zip(*(x.tolist() for x in (*stamps, *ends))))
+        for dirs, record in sim._reply_checks:
+            rows.extend(zip(*record.tolist(), sim._src[dirs].tolist(), sim._dst[dirs].tolist()))
         check(*args)
 
     sim._check_chunk = collecting
