@@ -53,6 +53,7 @@ import heapq
 import logging
 import time as _time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -282,17 +283,16 @@ class _Simulation:
         self.sc = sc
         g = sc.graph
         n = g.n
-        # The link directions a->b, in (a, b) order, so node v's are
-        # _first[v] to _first[v + 1], in neighbour order, and an evaluation's
-        # estimates come in the order of metrics.neighbour_table.
+        # The link directions a->b, in (a, b) order (NetworkGraph.directions),
+        # so node v's are _first[v] to _first[v + 1], in neighbour order.
         # Direction d draws its delays from stream d, delay:a->b, and, when
         # p_max > 0, the responder's processing times from stream D + d,
         # proc:a->b.
-        params = {}
-        for u, v, p in g.edges:
-            params[(u, v)], params[(v, u)] = (p.fwd_delay, p), (p.bwd_delay, p)
-        pairs = [(a, b) for a in range(n) for b in g.neighbors(a)]
-        D = len(pairs)
+        src, dst, edge, first = g.directions
+        D = len(src)
+        pairs = list(zip(src.tolist(), dst.tolist()))
+        links = [g.edges[e][2] for e in edge.tolist()]
+        base = [p.fwd_delay if a < b else p.bwd_delay for (a, b), p in zip(pairs, links)]
         kinds = ("delay", "proc") if sc.p_max > 0 else ("delay",)
         labels = [f"{kind}:{a}->{b}" for kind in kinds for a, b in pairs]
         if len(set(labels)) < len(labels):
@@ -308,16 +308,15 @@ class _Simulation:
         self._flat = self._blocks.reshape(-1)
         self._next = np.arange(1, len(labels) + 1) * (_BLOCK + 1) - 1
         self._proc = D if sc.p_max > 0 else 0  # the proc streams' offset, 0 without them
-        self._scale = np.array([params[ab][1].jitter for ab in pairs] + [sc.p_max] * (len(labels) - D))
-        self._base = np.array([params[ab][0] for ab in pairs] + [0.0] * (len(labels) - D))
-        self._src = np.array([a for a, _ in pairs], dtype=np.intp)
-        self._dst = np.array([b for _, b in pairs], dtype=np.intp)
-        index = {ab: d for d, ab in enumerate(pairs)}
+        self._scale = np.array([p.jitter for p in links] + [sc.p_max] * (len(labels) - D))
+        self._base = np.array(base + [0.0] * (len(labels) - D))
+        self._src, self._dst = src, dst
         # b->a, whose delay stream also carries b's replies to a's requests
-        self._rev = np.array([index[(b, a)] for a, b in pairs], dtype=np.intp)
-        self._first = np.cumsum([0] + [len(g.neighbors(v)) for v in range(n)]).tolist()
+        self._rev = np.searchsorted(src * n + dst, dst * n + src)
+        self._deg = np.diff(first)
+        self._first = first.tolist()
         self._out = [np.arange(a, b) for a, b in zip(self._first, self._first[1:])]
-        self._kappa = np.array([sc.kappa[(min(ab), max(ab))] for ab in pairs])
+        self._kappa = np.array([sc.kappa[(u, v)] for u, v, _ in g.edges])[edge]
         # Each direction's exchange in flight, from its requester's wakeup to
         # its evaluation (the requester is measuring exactly when its
         # directions are open), is one column of _ex, whose rows are: the
@@ -329,8 +328,8 @@ class _Simulation:
         # clock reads each instant of _READ_ROWS.
         self._open = np.zeros(D, dtype=bool)
         self._ex = np.zeros((7, D))
-        self._ex[_EPS_D] = [params[ab][1].eps_d for ab in pairs]
-        self._ex[_EPS_M] = [params[ab][1].eps_m for ab in pairs]
+        self._ex[_EPS_D] = [p.eps_d for p in links]
+        self._ex[_EPS_M] = [p.eps_m for p in links]
         self._eseq = np.zeros(D, dtype=np.intp)
         self._readers = np.stack((self._dst, self._dst, self._src, self._dst, self._src))
         # the wakeups' scalar reads and writes go through memoryviews, as
@@ -371,21 +370,16 @@ class _Simulation:
             check_kappa_metric(g, sc.kappa, sc.dist)
             # each row of dist in ascending order, for the trace oracles' skew balls
             self._by_distance = metrics.distance_order(sc.dist)
-        self._nb, self._nb_kappa = metrics.neighbour_table(g, sc.kappa)
-        self._own = np.isfinite(self._nb_kappa)  # not a pad: validation rejects an infinite kappa
-        self._deg = self._own.sum(axis=1)
-        # triggers use the static per-edge error bound as their delta; a pad's is 0
-        self._thresholds = gcs.trigger_thresholds(
-            self._nb_kappa, np.where(self._own, self._nb_kappa, 0.0), sc.params.s_max
-        )
+        # triggers use the static per-edge error bound as their delta
+        self._thresholds = gcs.trigger_thresholds(self._kappa, self._kappa, sc.params.s_max)
         self._levels = range(1, sc.params.s_max + 1)
         # Ground-truth checks waiting for the next chunk, one entry per
         # evaluation instant: (directions, a (5, m) record of the reply
         # arrivals, offsets, deductions, t4 stamps and the responders' true
         # values at the arrivals) of its m completed exchanges, whose
         # estimates at the arrivals the chunk makes; (sample row, nodes,
-        # their estimates in neighbour order, slow and fast levels fired) of
-        # its evaluations.  ``_checked`` counts their values.
+        # their directions, the estimates across them, slow and fast levels
+        # fired) of its evaluations.  ``_checked`` counts their values.
         self._reply_checks: list[tuple] = []
         self._evals: list[tuple] = []
         self._checked = 0
@@ -529,7 +523,7 @@ class _Simulation:
             self._abort(f"node {v} evaluating cycle {self.cycle[v]} with incomplete views (missing {ws})")
         self._open[dirs] = False
         offset, deduction, l_rep = self._complete(dirs, ex, check_timeout=True, own_values=True)
-        self._decide(t, batch, l_rep, estimate_value(offset, deduction, l_rep))
+        self._decide(t, batch, dirs, l_rep, estimate_value(offset, deduction, l_rep))
 
     def _complete(self, dirs: np.ndarray, ex: np.ndarray, check_timeout: bool, own_values: bool = False) -> tuple:
         """Complete the exchanges on the directions ``dirs``, whose replies
@@ -579,18 +573,18 @@ class _Simulation:
         if np.count_nonzero(done):
             self._complete(dirs[done], ex[:, done], check_timeout)
 
-    def _decide(self, t: float, batch: list, l_rep: np.ndarray, est: np.ndarray) -> None:
-        """Triggers and mode decisions of the evaluations ``batch`` at t.
-        ``l_rep`` is each node's own value at t, repeated once per
-        neighbour, and ``est`` its estimates, in neighbour order."""
+    def _decide(self, t: float, batch: list, dirs: np.ndarray, l_rep: np.ndarray, est: np.ndarray) -> None:
+        """Triggers and mode decisions of the evaluations ``batch`` at t,
+        over their nodes' directions ``dirs``, in batch order.  ``l_rep`` is
+        each node's own value at t, repeated once per direction, and ``est``
+        its estimates across them."""
         sc = self.sc
         vs = np.array([v for v, _ in batch], dtype=np.intp)
-        own = self._own.take(vs, axis=0)
-        lead = np.zeros(own.shape)  # a pad's lead is 0
-        lead[own] = est - l_rep
-        slow, fast = gcs.trigger_levels(lead, self._thresholds.take(vs, axis=0))
+        first = self._first
+        starts = list(accumulate([first[v + 1] - first[v] for v, _ in batch[:-1]], initial=0))
+        slow, fast = gcs.trigger_levels(est - l_rep, self._thresholds.take(dirs, axis=0), starts)
         # t is a sample instant, flushed at row len(buf_t) of this chunk
-        self._evals.append((len(self.buf_t), vs, est, slow, fast))
+        self._evals.append((len(self.buf_t), vs, dirs, est, slow, fast))
         self._checked += 4 * len(vs) + len(est)
         to_fast = [sc.gcs_enabled and any(f) and not any(s) for s, f in zip(slow.tolist(), fast.tolist())]
         for (v, k), speed_up in zip(batch, to_fast):
@@ -716,8 +710,8 @@ class _Simulation:
         self._check_sandwich(t, self._src[dirs], self._dst[dirs], true, est, self._kappa[dirs])
         if evals:
             rows = np.concatenate([np.full(len(vs), r) for r, vs, *_ in evals])
-            v, est, slow, fast = (np.concatenate(a) for a in list(zip(*evals))[1:])
-            self._check_evaluations(times, L, rows, v, est, slow, fast)
+            v, dirs, est, slow, fast = (np.concatenate(a) for a in list(zip(*evals))[1:])
+            self._check_evaluations(times, L, rows, v, dirs, est, slow, fast)
 
     def _check_drift(self, prev: tuple | None, times: np.ndarray, H: np.ndarray) -> None:
         """Every hardware clock advances by [dt, theta * dt] (with tolerance)
@@ -733,16 +727,17 @@ class _Simulation:
         if (dH < dt - metrics._CHECK_TOL).any() or (dH > self.sc.params.theta * dt + metrics._CHECK_TOL).any():
             self._abort("hardware clock violated its drift envelope")
 
-    def _check_evaluations(self, times, L, rows, v, est, slow_fired, fast_fired) -> None:
+    def _check_evaluations(self, times, L, rows, v, dirs, est, slow_fired, fast_fired) -> None:
         """The sandwich and the conditions at each evaluation: node ``v[i]``
-        at sample row ``rows[i]`` held the estimates of ``est`` (all rows',
-        in neighbour order) and its triggers fired at the levels of
-        ``slow_fired[i]`` and ``fast_fired[i]``.  An evaluation is a sample,
-        so its true values are a row of L.  Also counts the evaluations and
-        the levels fired, and reports slow and fast triggers firing
-        together."""
-        nb, kappa, deg, own = self._nb[v], self._nb_kappa[v], self._deg[v], self._own[v]
-        L_nb = L[rows[:, None], nb]
+        at sample row ``rows[i]`` held the estimates of ``est`` across its
+        directions, the next ``deg[v[i]]`` of ``dirs``, and its triggers
+        fired at the levels of ``slow_fired[i]`` and ``fast_fired[i]``.  An
+        evaluation is a sample, so its true values are a row of L.  Also
+        counts the evaluations and the levels fired, and reports slow and
+        fast triggers firing together."""
+        deg, w, kappa = self._deg[v], self._dst[dirs], self._kappa[dirs]
+        at = np.repeat(rows, deg)
+        L_w = L[at, w]
         t = times[rows]
         self.counters["eval_instants"] += len(v)
         self.counters["trigger_evaluations"] += 2 * self.sc.params.s_max * len(v)
@@ -757,8 +752,8 @@ class _Simulation:
                     detail=f"node {int(v[r])} satisfies slow {st} and fast {ft} triggers together",
                 )
             )
-        self._check_sandwich(np.repeat(t, deg), np.repeat(v, deg), nb[own], L_nb[own], est, kappa[own])
-        slow, fast = metrics.level_conditions(L[rows, v], L_nb, kappa, self._levels)
+        self._check_sandwich(times[at], np.repeat(v, deg), w, L_w, est, kappa)
+        slow, fast = metrics.level_conditions(L_w - L[at, self._src[dirs]], kappa, np.cumsum(deg) - deg, self._levels)
         self.counters["sc_instances"] += int(np.count_nonzero(slow))
         self.counters["fc_instances"] += int(np.count_nonzero(fast))
         for name, held, fired in (("slow", slow, slow_fired), ("fast", fast, fast_fired)):

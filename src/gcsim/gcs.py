@@ -60,54 +60,52 @@ class GcsParams:
 
 
 def trigger_thresholds(kappa: np.ndarray, delta: np.ndarray, s_max: int) -> np.ndarray:
-    """The thresholds of :func:`trigger_levels` for edge weights ``kappa``
-    and estimate error bounds ``delta``, each (..., D): an array (..., 4,
-    s_max, D) holding, per level s, -(2s-1)*kappa, (2s-1)*kappa,
-    2s*kappa - delta and -(2s*kappa + delta).
+    """The thresholds of :func:`trigger_levels` for the link directions'
+    edge weights ``kappa`` and estimate error bounds ``delta``, each (E,):
+    an array (E, 4, s_max) holding, per level s, -(2s-1)*kappa,
+    (2s-1)*kappa, 2s*kappa - delta and -(2s*kappa + delta).
 
     Each is computed in the order a scalar evaluation, one neighbour at a
     time, computes it (an int level factor times kappa is the same
     product), and negation is exact, so every comparison of
-    :func:`trigger_levels` matches the scalar one.  A pad of
-    :func:`metrics.neighbour_table`, with kappa +inf and delta 0, has the
-    thresholds -inf, +inf, +inf, -inf.
+    :func:`trigger_levels` matches the scalar one.
     """
-    s = np.arange(1, s_max + 1)[:, None]
-    kappa, delta = kappa[..., None, :], delta[..., None, :]
+    s = np.arange(1, s_max + 1)
+    kappa, delta = kappa[:, None], delta[:, None]
     odd = (2 * s - 1) * kappa
     even = 2 * s * kappa
-    thresholds = (-odd, odd, even - delta, -(even + delta))
-    return np.stack(np.broadcast_arrays(*thresholds), axis=-3)
+    return np.stack(np.broadcast_arrays(-odd, odd, even - delta, -(even + delta)), axis=1)
 
 
-# the thresholds of trigger_levels whose counts its clauses compare with D
-# (the others' with 0)
-_COUNTS_ALL = np.array([True, False, False, True])[:, None, None]
+# the thresholds of trigger_levels whose counts its clauses compare with the
+# degree (the others' with 0)
+_COUNTS_ALL = np.array([True, False, False, True])[:, None]
 
 
-def trigger_levels(lead: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def trigger_levels(lead: np.ndarray, thresholds: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Slow and fast trigger of many evaluations at once, each (m, s_max):
-    entry [r, s - 1] says whether the trigger of row r fires at level s.
+    entry [r, s - 1] says whether the trigger of evaluation r fires at
+    level s.
 
-    Row r is one node's evaluation: ``lead[r, j]`` is its estimate of its
-    j-th neighbour less its own value (positive: the neighbour is estimated
-    ahead), in the padded layout of :func:`metrics.neighbour_table`, and
-    ``thresholds[r]`` are its edges' thresholds from
-    :func:`trigger_thresholds`.
+    Evaluation r is one node's, over its link directions ``starts[r]`` to
+    ``starts[r + 1]`` (the last to the end) of ``lead`` and ``thresholds``,
+    a non-empty segment: ``lead[d]`` is the node's estimate of the
+    neighbour across direction d less its own value (positive: the
+    neighbour is estimated ahead), and ``thresholds[d]`` the direction's
+    from :func:`trigger_thresholds`.
 
     Slow at level s: some neighbour trails by >= (2s-1)*kappa and none
     leads by more than (2s-1)*kappa.  Fast at level s: some neighbour leads
     by more than 2s*kappa - delta and none trails by 2s*kappa + delta or
     more.  Each clause counts the neighbours whose lead exceeds one
     threshold: trailing by >= x is not leading by more than -x, and
-    trailing by less than x is leading by more than -x.  A pad leads by 0,
-    which exceeds -inf and not +inf, so it changes no count that a clause
-    tests.  ``some[:, k]`` says whether some neighbour's lead does not
-    exceed threshold k, for k = 0 and 3, or exceeds it, for k = 1 and 2.
-    So the first clause of each trigger (a count below D, a count above 0)
-    holds where it is set, and the second (a count of 0, a count of D)
-    where it is not.
+    trailing by less than x is leading by more than -x.  ``some[:, k]``
+    says whether some neighbour's lead does not exceed threshold k, for
+    k = 0 and 3, or exceeds it, for k = 1 and 2.  So the first clause of
+    each trigger (a count below the degree, a count above 0) holds where it
+    is set, and the second (a count of 0, a count of the degree) where it
+    is not.
     """
-    some = np.logical_or.reduce((lead[:, None, None, :] > thresholds) != _COUNTS_ALL, axis=3)
+    some = np.logical_or.reduceat((lead[:, None, None] > thresholds) != _COUNTS_ALL, starts, axis=0)
     fired = some[:, ::2] > some[:, 1::2]
     return fired[:, 0], fired[:, 1]

@@ -3,7 +3,7 @@
 Everything here reads true logical clock values, which running nodes never
 see.  The checks are vectorized, and each has one implementation.  One
 threshold predicate, :func:`level_conditions`, gives the slow and fast
-conditions over a padded neighbour table, for many evaluations at once.
+conditions over the nodes' link directions, for many evaluations at once.
 One checker, :func:`trace_oracles`, computes the level potentials and
 Corollary 1; it runs on one engine chunk of samples at a time, carrying
 the previous chunk's last row and the Corollary 1 floors, and reads only
@@ -32,7 +32,6 @@ from .topology import NetworkGraph
 from .trace import Trace, Violation
 
 __all__ = [
-    "neighbour_table",
     "level_conditions",
     "slow_condition",
     "fast_condition",
@@ -54,47 +53,28 @@ _CHECK_TOL = 1e-9
 # Instant-level operations
 
 
-def neighbour_table(g: NetworkGraph, kappa) -> tuple[np.ndarray, np.ndarray]:
-    """(nb, K), each (n, D) for the largest degree D: row v lists v's
-    neighbours in ascending order and their kappa, padded with v itself and
-    kappa = +inf.  A pad reads a gap of exactly 0 against a threshold of
-    +inf, which satisfies no "some neighbour" clause of
-    :func:`level_conditions` and every "no neighbour" clause: it changes no
-    condition."""
-    n = g.n
-    nbrs = [g.neighbors(v) for v in range(n)]
-    D = max(map(len, nbrs), default=0)
-    nb = np.repeat(np.arange(n)[:, None], D, axis=1)
-    K = np.full((n, D), np.inf)
-    for v, ws in enumerate(nbrs):
-        nb[v, : len(ws)] = ws
-        K[v, : len(ws)] = [kappa[(min(v, w), max(v, w))] for w in ws]
-    return nb, K
-
-
-def level_conditions(
-    own: np.ndarray, nbr: np.ndarray, K: np.ndarray, levels
-) -> tuple[np.ndarray, np.ndarray]:
+def level_conditions(lead: np.ndarray, K: np.ndarray, starts: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
     """True-clock forms of the slow and fast triggers, each (m, len(levels)).
 
-    Row r is one node v at one instant: ``own[r]`` is L_v, ``nbr[r, j]``
-    is L_w for its j-th neighbour w and ``K[r, j]`` is kappa(v, w), in the
-    padded layout of :func:`neighbour_table`.  Slow at level s: v leads
-    some neighbour by at least (2s-1) kappa and no neighbour leads v by
-    more.  Fast at level s: some neighbour leads v by at least 2s kappa and
-    v leads no neighbour by more.  Every gap and threshold is the float a
+    Row r is one node v at one instant, over its link directions
+    ``starts[r]`` to ``starts[r + 1]`` (the last to the end), a non-empty
+    segment: ``lead[d]`` is L_w - L_v for the neighbour w across direction
+    d, and ``K[d]`` is kappa(v, w).  Slow at level s: v leads some
+    neighbour by at least (2s-1) kappa and no neighbour leads v by more.
+    Fast at level s: some neighbour leads v by at least 2s kappa and v
+    leads no neighbour by more.  Every gap and threshold is the float a
     scalar evaluation, one neighbour at a time, computes (an int level
-    factor times kappa is the same product), and every comparison matches
-    it.
+    factor times kappa is the same product, and L_v - L_w is -(L_w - L_v)
+    exactly), and every comparison matches it.
     """
-    lead = nbr - own[:, None]
-    trail = own[:, None] - nbr
-    slow = np.empty((len(own), len(levels)), dtype=bool)
+    trail = -lead
+    any_of, all_of = np.logical_or.reduceat, np.logical_and.reduceat
+    slow = np.empty((len(starts), len(levels)), dtype=bool)
     fast = np.empty_like(slow)
     for j, s in enumerate(levels):
         odd, even = (2 * s - 1) * K, 2 * s * K
-        slow[:, j] = (trail >= odd).any(axis=1) & (lead <= odd).all(axis=1)
-        fast[:, j] = (lead >= even).any(axis=1) & (trail <= even).all(axis=1)
+        slow[:, j] = any_of(trail >= odd, starts) & all_of(lead <= odd, starts)
+        fast[:, j] = any_of(lead >= even, starts) & all_of(trail <= even, starts)
     return slow, fast
 
 
@@ -102,9 +82,11 @@ def _conditions_at(values, g: NetworkGraph, kappa, v: int, s: int) -> tuple[bool
     if s < 1:
         raise ParameterError(f"skew level must be positive, got {s!r}")
     nbrs = g.neighbors(v)
-    nbr = np.array([[values[w] for w in nbrs]], dtype=float)
-    K = np.array([[kappa[(min(v, w), max(v, w))] for w in nbrs]], dtype=float)
-    slow, fast = level_conditions(np.array([values[v]], dtype=float), nbr, K, [s])
+    if not nbrs:  # no neighbour to lead or trail
+        return False, False
+    lead = np.array([values[w] for w in nbrs], dtype=float) - float(values[v])
+    K = np.array([kappa[(min(v, w), max(v, w))] for w in nbrs], dtype=float)
+    slow, fast = level_conditions(lead, K, [0], [s])
     return bool(slow[0, 0]), bool(fast[0, 0])
 
 

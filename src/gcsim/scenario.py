@@ -68,6 +68,9 @@ _MAX_NODES = 1 << 14
 # pairs compared per block of the boot-up gate (the temporaries are a few
 # of these as float64)
 _GATE_BLOCK = 1 << 16
+# violating pairs the boot-up gate names; it counts the rest in one line, so
+# its report stays small when most of n^2 / 2 pairs violate
+_GATE_PAIRS = 100
 # rate segments of all clocks together up to the horizon, checked before any
 # schedule is built: each is a clock segment, a heap event and a sample of
 # the run, and a tiny dwell would otherwise allocate until memory runs out
@@ -75,8 +78,9 @@ _MAX_RATE_SEGMENTS = 1 << 20
 # sampling ticks up to the same horizon: each is a heap event and a sample
 # of the run, like a rate segment
 _MAX_SAMPLE_TICKS = 1 << 20
-# values of the engine's trigger threshold table, 4 * n * D * s_max float64
-# (D the largest degree), checked for a given and a derived s_max alike
+# the limit on 4 * n * D * s_max (D the largest degree), checked for a given
+# and a derived s_max alike; it bounds the engine's trigger threshold table,
+# 4 * 2m * s_max float64, one row per link direction, from above (2m <= n * D)
 _MAX_LEVEL_TABLE = 1 << 24
 
 
@@ -375,21 +379,28 @@ def section_problems(doc: dict) -> list[str]:
 def _boot_up_problems(init: list, dist: np.ndarray) -> list[str]:
     """Boot-up gate: every pair of clocks must start within its path error
     budget, |init_v - init_w| <= d(v, w).  One message per violating pair
-    v < w, in row-major order, compared as float64 a block of rows at a time."""
+    v < w, in row-major order, for the first _GATE_PAIRS of them, then one
+    line with the count of the others; compared as float64 a block of rows
+    at a time."""
     n = len(init)
     values = np.array(init, dtype=float)
     rows = max(1, _GATE_BLOCK // n)
-    problems = []
+    problems, more = [], 0
     for r0 in range(0, n, rows):
         block = slice(r0, min(r0 + rows, n))
         bad = np.abs(values[block, None] - values) > dist[block] + 1e-12
         bad &= np.arange(n) > np.arange(r0, block.stop)[:, None]
-        for v, w in zip(*np.nonzero(bad)):
-            v, w = int(v) + r0, int(w)
+        count = int(np.count_nonzero(bad))
+        named = min(count, _GATE_PAIRS - len(problems))  # no pair is looked up past the cap
+        more += count - named
+        for v, w in (np.argwhere(bad)[:named].tolist() if named else []):
+            v += r0
             problems.append(
                 f"initial synchronisation violated for pair ({v},{w}): "
                 f"|{init[v]!r} - {init[w]!r}| > {float(dist[v, w])!r}"
             )
+    if more:
+        problems.append(f"initial synchronisation violated for {more} more pairs")
     return problems
 
 

@@ -93,12 +93,26 @@ class NetworkGraph:
         return NetworkGraph(n=n, edges=tuple(norm), d_max=d_max)
 
     @cached_property
+    def directions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(src, dst, edge, first) of the 2m link directions a -> b, in (a, b)
+        order: direction d runs ``src[d]`` -> ``dst[d]`` over edge
+        ``edge[d]`` of ``edges``, and node v's directions, by ascending head,
+        are ``first[v]`` to ``first[v + 1]``.  Read-only arrays."""
+        u, v = (np.array([e[i] for e in self.edges], dtype=np.intp) for i in (0, 1))
+        src, dst, edge = np.concatenate((u, v)), np.concatenate((v, u)), np.tile(np.arange(len(u)), 2)
+        order = np.lexsort((dst, src))
+        src, dst, edge = src[order], dst[order], edge[order]
+        first = np.searchsorted(src, np.arange(self.n + 1))
+        for a in (src, dst, edge, first):
+            a.flags.writeable = False
+        return src, dst, edge, first
+
+    @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        """Each node's neighbours in ascending order: its directions' heads."""
+        _, dst, _, first = self.directions
+        dst, first = dst.tolist(), first.tolist()
+        return {v: tuple(dst[first[v] : first[v + 1]]) for v in range(self.n)}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -177,17 +191,11 @@ def kappa_weights(g: NetworkGraph, theta: float) -> dict[tuple[int, int], float]
 
 
 def _in_edges(g: NetworkGraph, kappa: dict[tuple[int, int], float]) -> tuple[np.ndarray, ...]:
-    """(heads, tails, weights) of the 2m directed edges, sorted by head
-    (stably, so a head's edges keep edge order)."""
-    heads, tails, weights = [], [], []
-    for u, v, _ in g.edges:
-        k = kappa[(u, v)]
-        heads += (v, u)
-        tails += (u, v)
-        weights += (k, k)
-    heads, tails, weights = np.array(heads), np.array(tails), np.array(weights)
-    order = np.argsort(heads, kind="stable")
-    return heads[order], tails[order], weights[order]
+    """(heads, tails, weights) of the 2m directed edges, sorted by head and
+    then by tail: direction d of ``g.directions`` enters ``src[d]`` from
+    ``dst[d]``."""
+    src, dst, edge, _ = g.directions
+    return src, dst, np.array([kappa[(u, v)] for u, v, _ in g.edges])[edge]
 
 
 def kappa_distance_matrix(g: NetworkGraph, kappa: dict[tuple[int, int], float]) -> np.ndarray:
@@ -222,8 +230,7 @@ def kappa_distance_matrix(g: NetworkGraph, kappa: dict[tuple[int, int], float]) 
     if g.edges:
         heads, tails, weights = _in_edges(g, kappa)
         # rank of each edge among the edges entering its head
-        first = np.searchsorted(heads, heads)
-        rank = np.arange(heads.size) - first
+        rank = np.arange(heads.size) - g.directions[3][heads]
         slots = []
         for j in range(int(rank.max()) + 1):
             sel = rank == j
@@ -263,7 +270,7 @@ def check_kappa_metric(g: NetworkGraph, kappa: dict[tuple[int, int], float], dis
     if not g.edges:
         return
     heads, tails, weights = _in_edges(g, kappa)
-    starts = np.searchsorted(heads, np.arange(g.n))  # a connected graph gives every node an edge
+    starts = g.directions[3][:-1]  # a connected graph gives every node an edge
     rows = max(1, _CHECK_BLOCK // len(tails))
     for lo in range(0, g.n, rows):
         d = dist[lo : lo + rows]

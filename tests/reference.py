@@ -407,7 +407,7 @@ class ThreeEventExchange(engine._Simulation):
                 self._abort(f"node {v} evaluating cycle {k} with incomplete views (missing {missing})")
             l_v = self.clocks[v].value(t)
             est = [estimate_value(views[w], l_v, cycle=k) for w in nbrs]
-            self._decide(t, [(v, k)], np.full(len(nbrs), l_v), np.array(est))
+            self._decide(t, [(v, k)], self._out[v], np.full(len(nbrs), l_v), np.array(est))
 
 
 @dataclass(frozen=True)
@@ -502,7 +502,7 @@ class PerEventChecks(ThreeEventExchange):
         t4 = self.clocks[v].value(t)
         self._ref_sandwich(t, v, w, estimate_value(self.views[v][w], t4, cycle=self.cycle[v]))
 
-    def _decide(self, t: float, batch: list, l_rep: np.ndarray, est: np.ndarray) -> None:
+    def _decide(self, t: float, batch: list, dirs: np.ndarray, l_rep: np.ndarray, est: np.ndarray) -> None:
         sc = self.sc
         (v, _), = batch
         nbrs = sc.graph.neighbors(v)
@@ -510,8 +510,8 @@ class PerEventChecks(ThreeEventExchange):
         vals[v] = self.clocks[v].value(t)
         for w, e in zip(nbrs, est.tolist()):
             self._ref_sandwich(t, v, w, e)
-        super()._decide(t, batch, l_rep, est)
-        _, _, _, slow_fired, fast_fired = self._evals[-1]
+        super()._decide(t, batch, dirs, l_rep, est)
+        *_, slow_fired, fast_fired = self._evals[-1]
         for s in range(1, sc.params.s_max + 1):
             for name, held, fired in (
                 ("slow", slow_condition(vals, sc.graph, sc.kappa, v, s), slow_fired),

@@ -49,9 +49,9 @@ def tamper(monkeypatch, kappa: float) -> None:
 
     levels = gcs.trigger_levels
 
-    def dropping(lead, *args):
-        slow, fast = levels(lead, *args)
-        key = np.floor(1e6 * np.abs(lead).sum(axis=1)) % 3
+    def dropping(lead, thresholds, starts):
+        slow, fast = levels(lead, thresholds, starts)
+        key = np.floor(1e6 * np.add.reduceat(np.abs(lead), starts)) % 3
         for k, fired in enumerate((slow, fast)):
             rows = np.flatnonzero((key == k) & fired.any(axis=1))
             fired[rows, fired[rows].argmax(axis=1)] = False

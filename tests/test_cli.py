@@ -9,7 +9,7 @@ import pytest
 from gcsim import cli, engine
 from gcsim import scenario as scen
 
-from scenario_gen import fc_lag_doc, zero_drift_doc
+from scenario_gen import fc_lag_doc, random_template_doc, zero_drift_doc
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -543,6 +543,23 @@ class TestNodeLimit:
         assert rc == cli.EXIT_VALIDATION
         assert f"1000000000 nodes exceed the limit of {scen._MAX_NODES}" in capsys.readouterr().err
         assert elapsed < 0.5
+
+
+class TestBootUpGate:
+    def test_every_pair_violating_at_n_1024_exits_3_with_a_bounded_report(self, tmp_path, capsys):
+        # 523,776 violating pairs: the first _GATE_PAIRS are named, the rest counted
+        n = 1024
+        doc = random_template_doc(n)
+        for v in range(n):
+            doc["clocks"]["overrides"].setdefault(str(v), {})["initial_value"] = 1000.0 * v
+        rc = cli.main(["check", "--scenario", write_doc(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        lines = err.splitlines()
+        assert len(lines) == scen._GATE_PAIRS + 1 and len(err) < 200 * len(lines)
+        assert lines[0].startswith("validation: initial synchronisation violated for pair (0,1): ")
+        more = n * (n - 1) // 2 - scen._GATE_PAIRS
+        assert lines[-1] == f"validation: initial synchronisation violated for {more} more pairs"
 
 
 class TestInputLimits:

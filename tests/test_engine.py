@@ -837,6 +837,28 @@ class TestValidationGate:
         assert err.value.problems == expected
         assert not any("np." in p for p in err.value.problems)
 
+    @pytest.mark.parametrize("cap", [0, 1, 3])
+    @pytest.mark.parametrize("block", [None, 1, 10])
+    def test_gate_names_the_first_pairs_and_counts_the_rest(self, monkeypatch, block, cap):
+        # the cap falls in the first block, one row a block, or across blocks
+        monkeypatch.setattr(scen, "_GATE_PAIRS", cap)
+        if block is not None:
+            monkeypatch.setattr(scen, "_GATE_BLOCK", block)
+        init = [0.0, 50, 0.01, 7.25, 0.03]
+        doc = zero_drift_doc(True)
+        doc["graph"]["edges"] += [{**doc["graph"]["edges"][0], "u": 2, "v": 3},
+                                  {**doc["graph"]["edges"][0], "u": 3, "v": 4}]
+        doc["graph"]["nodes"] = len(init)
+        dist = scen.build_scenario(doc).dist
+        doc["clocks"]["overrides"] = {str(i): {"initial_value": v} for i, v in enumerate(init)}
+        with pytest.raises(ScenarioValidationError) as err:
+            scen.build_scenario(doc)
+        every = boot_up_gate([float(v) for v in init], dist)
+        assert len(every) > cap
+        assert err.value.problems == every[:cap] + [
+            f"initial synchronisation violated for {len(every) - cap} more pairs"
+        ]
+
     def test_T_below_timeout_rejected(self):
         doc = zero_drift_doc(True)
         doc["gcs"]["T"] = 1.0

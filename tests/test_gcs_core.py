@@ -12,8 +12,8 @@ def levels(gaps, kappa, delta, s_max=1):
     """(slow, fast) levels at which one node's triggers fire, its estimate
     of neighbour x leading its own value by gaps[x]."""
     xs = sorted(gaps)
-    row = lambda d: np.array([[d[x] for x in xs]], dtype=float)
-    slow, fast = trigger_levels(row(gaps), trigger_thresholds(row(kappa), row(delta), s_max))
+    flat = lambda d: np.array([d[x] for x in xs], dtype=float)
+    slow, fast = trigger_levels(flat(gaps), trigger_thresholds(flat(kappa), flat(delta), s_max), [0])
     return fired(slow[0]), fired(fast[0])
 
 
@@ -78,8 +78,8 @@ def brute_force_levels(gaps, kappa, delta, s_max):
 
 class TestAgainstBruteForce:
     def test_random_views_match_clause_evaluation(self):
-        # all rows in one padded batch, as the engine evaluates one instant:
-        # a pad has lead 0, kappa +inf and delta 0
+        # all rows in one batch of directions, one segment per row, as the
+        # engine evaluates one instant; degrees 1 to 4
         rng = np.random.default_rng(17)
         rows = []
         for _ in range(300):
@@ -87,12 +87,10 @@ class TestAgainstBruteForce:
             gaps = {x: float(rng.uniform(-5, 5)) for x in range(1, deg + 1)}
             kappa = {x: float(rng.uniform(0.2, 2.0)) for x in gaps}
             rows.append((gaps, kappa, dict(kappa)))
-        lead, K, delta = np.zeros((300, 4)), np.full((300, 4), np.inf), np.zeros((300, 4))
-        for r, (gaps, kappa, dlt) in enumerate(rows):
-            lead[r, : len(gaps)], K[r, : len(gaps)], delta[r, : len(gaps)] = (
-                list(d.values()) for d in (gaps, kappa, dlt)
-            )
-        slow, fast = trigger_levels(lead, trigger_thresholds(K, delta, 3))
+        assert {len(gaps) for gaps, _, _ in rows} == {1, 2, 3, 4}
+        lead, K, delta = (np.array([x for row in rows for x in row[i].values()]) for i in range(3))
+        starts = np.cumsum([0] + [len(gaps) for gaps, _, _ in rows[:-1]])
+        slow, fast = trigger_levels(lead, trigger_thresholds(K, delta, 3), starts)
         for r, (gaps, kappa, dlt) in enumerate(rows):
             assert (fired(slow[r]), fired(fast[r])) == brute_force_levels(gaps, kappa, dlt, 3)
 

@@ -127,15 +127,22 @@ class TestConditions:
         kappas = {p: data.draw(st.sampled_from([0.5, 1.0, 1.5])) for p in pairs}
         g, kappa, _ = unit_kappa_graph(pairs, n, kappas)
         values = [data.draw(st.integers(-12, 12)) / 2.0 for _ in range(n)]
-        nb, K = metrics.neighbour_table(g, kappa)
+        # every node with neighbours is one segment of the link directions
+        src, dst, edge, first = g.directions
+        has = np.diff(first) > 0
+        K = np.array([kappa[(u, v)] for u, v, _ in g.edges])[edge]
         L = np.array(values)
-        slow, fast = metrics.level_conditions(L, L[nb], K, range(1, 4))
-        for v in range(n):
+        slow, fast = metrics.level_conditions(L[dst] - L[src], K, first[:-1][has], range(1, 4))
+        for r, v in enumerate(np.flatnonzero(has).tolist()):
             for s in (1, 2, 3):
-                assert slow[v, s - 1] == reference.slow_condition(values, g, kappa, v, s)
-                assert fast[v, s - 1] == reference.fast_condition(values, g, kappa, v, s)
-                assert metrics.slow_condition(values, g, kappa, v, s) == slow[v, s - 1]
-                assert metrics.fast_condition(values, g, kappa, v, s) == fast[v, s - 1]
+                assert slow[r, s - 1] == reference.slow_condition(values, g, kappa, v, s)
+                assert fast[r, s - 1] == reference.fast_condition(values, g, kappa, v, s)
+                assert metrics.slow_condition(values, g, kappa, v, s) == slow[r, s - 1]
+                assert metrics.fast_condition(values, g, kappa, v, s) == fast[r, s - 1]
+        for v in np.flatnonzero(~has).tolist():  # no neighbour: no condition holds
+            for s in (1, 2, 3):
+                assert not metrics.slow_condition(values, g, kappa, v, s)
+                assert not metrics.fast_condition(values, g, kappa, v, s)
 
     def test_multi_neighbour_matches_brute_force(self):
         pairs = [(0, 1), (0, 2), (0, 3)]

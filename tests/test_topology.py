@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcsim import engine
 from gcsim import scenario as scen
 from gcsim.errors import ParameterError
 from gcsim.topology import (
@@ -340,3 +341,35 @@ def test_scenario_takes_the_diameter_once_and_keeps_the_matrix_in_full_mode(doc)
         assert np.array_equal(sc.dist, dist)
     else:
         assert sc.dist is None
+
+
+class TestDirections:
+    """The link directions are the one neighbourhood layout: the engine's
+    streams and exchanges, the triggers and the distance relaxation all
+    read ``NetworkGraph.directions``."""
+
+    @given(weighted_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_layout(self, graph):
+        g, _ = graph
+        src, dst, edge, first = g.directions
+        pairs = list(zip(src.tolist(), dst.tolist()))
+        assert pairs == sorted(pairs) and len(set(pairs)) == 2 * len(g.edges)
+        degree = np.bincount([x for u, v, _ in g.edges for x in (u, v)], minlength=g.n)
+        assert np.diff(first).tolist() == degree.tolist() and first[0] == 0
+        assert sorted(edge.tolist()) == sorted(2 * list(range(len(g.edges))))
+        for (a, b), e in zip(pairs, edge.tolist()):
+            assert (min(a, b), max(a, b)) == g.edges[e][:2]
+        for v in range(g.n):
+            assert g.neighbors(v) == tuple(dst[first[v] : first[v + 1]].tolist())
+
+    @given(random_template_docs())
+    @settings(max_examples=30, deadline=None)
+    def test_engine_reverse_is_an_involution_that_swaps_the_ends(self, doc):
+        sc = scen.build_scenario(doc)
+        sim = engine._Simulation(sc)
+        src, dst, _, _ = sc.graph.directions
+        rev = sim._rev
+        assert np.array_equal(rev[rev], np.arange(len(src)))
+        assert np.array_equal(src[rev], dst) and np.array_equal(dst[rev], src)
+        assert np.array_equal(sim._src, src) and np.array_equal(sim._dst, dst)
