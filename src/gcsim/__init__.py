@@ -2,7 +2,7 @@
 two-way measured links, with ground-truth oracles for every claimed
 invariant and skew bound."""
 
-from .clocks import FAST, OWN_RATE, HardwareClock, LogicalClock
+from .clocks import FAST, OWN_RATE, LogicalClock
 from .engine import RunResult, Scenario, run, seeded_stream
 from .gcs import GcsParams
 from .scenario import build_scenario, load_scenario, static_report
@@ -16,7 +16,6 @@ __all__ = [
     "NetworkGraph",
     "edge_kappa",
     "kappa_weights",
-    "HardwareClock",
     "LogicalClock",
     "OWN_RATE",
     "FAST",

@@ -1,15 +1,16 @@
-"""Hardware and logical clocks.
+"""Hardware and logical clocks, as breakpoint arrays.
 
-Hardware clocks integrate a piecewise-constant rate held inside
-``[1, theta]``; a logical clock is the same integral with the correction
-factor ``1 + mu`` applied over the intervals the node spends in fast
-mode.  Piecewise-constant rates keep every value and inverse query exact,
-which the trace oracles rely on.
+A hardware clock integrates a piecewise-constant rate held inside
+``[1, theta]``: its validated rate schedule, one row of segments of a
+:class:`ClockTable`.  A logical clock is the same integral with the
+correction factor ``1 + mu`` applied over the intervals the node spends in
+fast mode: its chain of anchors in the same table.  Piecewise-constant
+rates keep every value and inverse query exact, which the trace oracles
+rely on.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .errors import InternalError, ParameterError
 __all__ = [
     "OWN_RATE",
     "FAST",
-    "HardwareClock",
     "ClockTable",
     "LogicalClock",
     "sample_clocks",
@@ -29,52 +29,6 @@ OWN_RATE = 0
 FAST = 1
 
 _EQ_TOL = 1e-12
-
-
-class HardwareClock:
-    """Free-running local time source; strictly increasing in real time.
-
-    Its rate is piecewise constant: ``rates[i]`` holds on
-    ``[starts[i], starts[i+1])``.
-    """
-
-    def __init__(self, initial_value: float, starts, rates):
-        if initial_value < 0:
-            raise ParameterError("initial clock value must be non-negative")
-        if not starts or starts[0] != 0.0:
-            raise ParameterError("rate schedule must start at t=0")
-        if len(starts) != len(rates):
-            raise ParameterError("starts and rates must have equal length")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ParameterError("segment start times must be strictly increasing")
-        self.initial_value = initial_value
-        self.starts = tuple(starts)
-        self.rates = tuple(rates)
-        cum = [initial_value]
-        for i in range(1, len(starts)):
-            cum.append(cum[-1] + rates[i - 1] * (starts[i] - starts[i - 1]))
-        self._cum = tuple(cum)
-
-    def value(self, t: float) -> float:
-        if t >= self.starts[-1]:  # on the last segment: no search
-            i = -1
-        elif t < 0:
-            raise ParameterError(f"time must be non-negative, got {t!r}")
-        else:
-            i = bisect_right(self.starts, t) - 1
-        return self._cum[i] + self.rates[i] * (t - self.starts[i])
-
-    def inverse(self, target: float) -> float:
-        """Real time at which the clock reads ``target`` (exact, rates > 0)."""
-        if target >= self._cum[-1]:  # on the last segment: no search
-            i = -1
-        elif target < self.initial_value - _EQ_TOL:
-            raise ParameterError(
-                f"target {target!r} below initial clock value {self.initial_value!r}"
-            )
-        else:
-            i = max(bisect_right(self._cum, target) - 1, 0)
-        return self.starts[i] + (target - self._cum[i]) / self.rates[i]
 
 
 class ClockTable:
@@ -98,28 +52,41 @@ class ClockTable:
     write single entries as Python numbers.
 
     The columns of ``segments`` are the rate segments of every clock, clock
-    by clock in time order, each (value at its start, rate, start), the
-    hardware clock's ``_cum``, ``rates`` and ``starts``; ``hw_start`` is its
-    last row.  ``hw_key`` keys them by (clock, start) as the complex number
-    ``clock + start * 1j``, which numpy orders real part first, and column
-    c of ``last_segment`` is clock c's last segment.
+    by clock in time order, each (value at its start, rate, start), built
+    from the validated schedules ``hardware``, (initial value, starts,
+    rates) per clock, with each start value integrated from the one before
+    it.  They are the only form of a hardware clock: clock c's are columns
+    ``hw_first[c]`` to ``hw_first[c + 1]``, and ``initial[c]`` is its
+    initial value.  ``hw_start`` is the last row.  ``hw_key`` keys the
+    segments by (clock, start) as the complex number ``clock + start * 1j``,
+    which numpy orders real part first; column c of ``last_segment`` is
+    clock c's last segment.  The scalar reads, :meth:`hw_value` and
+    :meth:`hw_inverse`, take their segments as Python floats: the last from
+    ``hw_tail[c]``, the others from the lists ``segments`` was built of.
     """
 
     _ANCHOR_ARRAYS = ("law", "mode", "prev", "jump", "depth", "owner")
 
     def __init__(self, hardware):
         n = len(hardware)
-        counts = np.array([len(h.starts) for h in hardware], dtype=np.intp)
-        flat = lambda attr: np.fromiter(chain.from_iterable(getattr(h, attr) for h in hardware), float, counts.sum())
-        self.segments = np.stack([flat("_cum"), flat("rates"), flat("starts")])
+        self.initial = [iv for iv, _, _ in hardware]
+        cum, rate, start, first = [], [], [], [0]
+        for iv, s, r in hardware:
+            cum.append(iv)
+            for i in range(1, len(s)):
+                cum.append(cum[-1] + r[i - 1] * (s[i] - s[i - 1]))
+            rate += r
+            start += s
+            first.append(len(cum))
+        self._cum, self._rate, self._start, self.hw_first = cum, rate, start, first
+        self.segments = np.array([cum, rate, start], dtype=float)
         self.hw_start = self.segments[2]
-        self.hw_key = np.empty(len(self.hw_start), complex)
-        self.hw_key.real = np.repeat(np.arange(n), counts)
-        self.hw_key.imag = self.hw_start
-        self.last_segment = self.segments[:, np.cumsum(counts) - 1]
+        self.hw_key = np.repeat(np.arange(n), np.diff(first)) + self.hw_start * 1j
+        self.last_segment = self.segments[:, np.array(first[1:]) - 1]
+        self.hw_tail = self.last_segment.T.tolist()
         capacity = max(2 * n, 16)
         self.law = np.zeros((4, capacity))
-        self.law[1:3, :n] = [h.initial_value for h in hardware]
+        self.law[1:3, :n] = self.initial
         self.law[3, :n] = 1.0
         self.mode = np.full(capacity, OWN_RATE, dtype=np.int8)
         self.prev = np.full(capacity, -1, dtype=np.intp)
@@ -157,6 +124,27 @@ class ClockTable:
         jump[a] = jump[j] if depth[p] - depth[j] == depth[j] - depth[jump[j]] else p
         self.size = a + 1
 
+    def hw_value(self, c: int, t: float) -> float:
+        """Clock c's hardware reading at t, as :func:`read_clocks` computes
+        it: on its last segment, or else on the one bisecting its slice finds."""
+        cum, rate, start = self.hw_tail[c]
+        if t < start:
+            if t < 0:
+                raise ParameterError(f"time must be non-negative, got {t!r}")
+            i = bisect_right(self._start, t, self.hw_first[c], self.hw_first[c + 1]) - 1
+            cum, rate, start = self._cum[i], self._rate[i], self._start[i]
+        return cum + rate * (t - start)
+
+    def hw_inverse(self, c: int, x: float) -> float:
+        """Real time at which clock c's hardware reads x (exact, rates > 0),
+        on the segment found as :meth:`hw_value` finds it."""
+        cum, rate, start = self.hw_tail[c]
+        if x < cum:
+            lo = self.hw_first[c]
+            i = max(bisect_right(self._cum, x, lo, self.hw_first[c + 1]) - 1, lo)
+            cum, rate, start = self._cum[i], self._rate[i], self._start[i]
+        return start + (x - cum) / rate
+
     def mode_timelines(self) -> list[list[tuple[float, int]]]:
         """(time, mode) of each clock's anchors, in time order, per clock."""
         k = self.size
@@ -168,7 +156,7 @@ class ClockTable:
 
 class LogicalClock:
     """Hardware clock plus integrated rate correction: clock ``index`` of
-    an anchor table (a table of its own by default).
+    the anchor table ``table``, with correction rate ``mu``.
 
     Each anchor holds the clock's mode from its time on and the factor of
     that mode: the clock advances at 1.0 times the hardware rate in
@@ -178,18 +166,12 @@ class LogicalClock:
     along the clock's chain of anchors.
     """
 
-    def __init__(self, hardware: HardwareClock, mu: float, table: ClockTable | None = None, index: int = 0):
+    def __init__(self, table: ClockTable, index: int, mu: float):
         if mu <= 0:
             raise ParameterError(f"mu must be positive, got {mu!r}")
-        self.hardware = hardware
-        self.mu = mu
-        self.table = ClockTable([hardware]) if table is None else table
+        self.table = table
         self.index = index
-
-    @property
-    def mode_timeline(self) -> list[tuple[float, int]]:
-        """(time, mode) of each anchor: (0.0, OWN_RATE), then every mode change."""
-        return self.table.mode_timelines()[self.index]
+        self.mu = mu
 
     def value(self, t: float) -> float:
         tb = self.table
@@ -201,7 +183,7 @@ class LogicalClock:
             prev = tb.prev_mv
             while t < time[a]:
                 a = prev[a]
-        return tb.value_mv[a] + tb.factor_mv[a] * (self.hardware.value(t) - tb.hw_at_mv[a])
+        return tb.value_mv[a] + tb.factor_mv[a] * (tb.hw_value(self.index, t) - tb.hw_at_mv[a])
 
     def value_pair(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(logical, hardware) at each of the instants ``times``, a vector in
@@ -227,7 +209,8 @@ class LogicalClock:
         if mode == tb.mode_mv[a]:
             return
         factor = 1.0 + self.mu if mode == FAST else 1.0
-        tb.append(self.index, t, self.value(t), self.hardware.value(t), factor, mode)
+        h = tb.hw_value(self.index, t)  # t is at or after anchor a: the read of value(t)
+        tb.append(self.index, t, tb.value_mv[a] + tb.factor_mv[a] * (h - tb.hw_at_mv[a]), h, factor, mode)
 
     def invert(self, target: float) -> float:
         """Real time at which the logical clock reads ``target``.
@@ -243,7 +226,7 @@ class LogicalClock:
                 a = prev[a]
             if target < values[a] - _EQ_TOL:
                 raise ParameterError(f"target {target!r} below initial logical value {values[a]!r}")
-        return self.hardware.inverse(tb.hw_at_mv[a] + (target - values[a]) / tb.factor_mv[a])
+        return tb.hw_inverse(self.index, tb.hw_at_mv[a] + (target - values[a]) / tb.factor_mv[a])
 
 
 def sample_clocks(table: ClockTable, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -358,7 +358,7 @@ class Scenario:
 
     graph: NetworkGraph
     params: GcsParams
-    hardware: list  # each node's HardwareClock
+    hardware: list  # each node's validated rate schedule, (initial value, starts, rates)
     p_max: float
     sample_dt: float
     master_seed: int
@@ -463,7 +463,7 @@ class _Simulation:
         # per node: its clock, in one anchor table whose anchors are the
         # nodes' mode timelines, and the cycle of its last wakeup
         self.table = ClockTable(sc.hardware)
-        self.clocks = [LogicalClock(hw, sc.params.mu, self.table, v) for v, hw in enumerate(sc.hardware)]
+        self.clocks = [LogicalClock(self.table, v, sc.params.mu) for v in range(n)]
         self.cycle = [0] * n
         self.done: set[int] = set()
 
@@ -494,7 +494,7 @@ class _Simulation:
             self._by_distance = metrics.distance_order(sc.dist)
         # triggers use the static per-edge error bound as their delta
         self._thresholds = gcs.trigger_thresholds(self._kappa, self._kappa, sc.params.s_max)
-        self._levels = range(1, sc.params.s_max + 1)
+        self._conditions = metrics.condition_thresholds(self._kappa, sc.params.s_max)
         # Ground-truth checks waiting for the next chunk, one entry per
         # evaluation instant: (directions, a (5, m) record of the reply
         # arrivals, offsets, deductions, t4 stamps and the responders' true
@@ -551,7 +551,7 @@ class _Simulation:
                 self.end = t
             return
         l1 = clock.value(t)
-        expected = clock.hardware.initial_value + k * sc.params.cycle_length
+        expected = self.table.initial[v] + k * sc.params.cycle_length
         if abs(l1 - expected) > _BOUNDARY_TOL:
             self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
         t_eval = clock.invert(expected + sc.params.T)
@@ -718,8 +718,7 @@ class _Simulation:
         for (v, k), speed_up in zip(batch, to_fast):
             clock = self.clocks[v]
             clock.set_mode(t, FAST if speed_up else OWN_RATE)
-            base = clock.hardware.initial_value
-            self.push(clock.invert(base + (k + 1) * sc.params.cycle_length), K_WAKEUP, (v, k + 1))
+            self.push(clock.invert(self.table.initial[v] + (k + 1) * sc.params.cycle_length), K_WAKEUP, (v, k + 1))
 
     # -- sampling and the ground-truth checks
 
@@ -890,7 +889,8 @@ class _Simulation:
                 )
             )
         self._check_sandwich(times[at], np.repeat(v, deg), w, L_w, est, kappa)
-        slow, fast = metrics.level_conditions(L_w - L[at, self._src[dirs]], kappa, np.cumsum(deg) - deg, self._levels)
+        conditions = self._conditions.take(dirs, axis=0)
+        slow, fast = metrics.level_conditions(L_w - L[at, self._src[dirs]], conditions, np.cumsum(deg) - deg)
         self.counters["sc_instances"] += int(np.count_nonzero(slow))
         self.counters["fc_instances"] += int(np.count_nonzero(fast))
         for name, held, fired in (("slow", slow, slow_fired), ("fast", fast, fast_fired)):
@@ -943,7 +943,7 @@ class _Simulation:
         started = _time.perf_counter()
         sc = self.sc
         for v, clock in enumerate(self.clocks):
-            self.push(clock.invert(clock.hardware.initial_value), K_WAKEUP, (v, 0))
+            self.push(clock.invert(self.table.initial[v]), K_WAKEUP, (v, 0))
         if sc.sample_dt > 0:
             self.push(sc.sample_dt, K_TICK, None)
         # every clock is linear between its rate breakpoints and mode changes;

@@ -71,7 +71,7 @@ def trigger_thresholds(kappa: np.ndarray, delta: np.ndarray, s_max: int) -> np.n
     :func:`trigger_levels` matches the scalar one.
     """
     s = np.arange(1, s_max + 1)
-    kappa, delta = kappa[:, None], delta[:, None]
+    kappa, delta = kappa[:, None], np.reshape(delta, (-1, 1))  # delta may be one number
     odd = (2 * s - 1) * kappa
     even = 2 * s * kappa
     return np.stack(np.broadcast_arrays(-odd, odd, even - delta, -(even + delta)), axis=1)

@@ -2,8 +2,9 @@
 
 Everything here reads true logical clock values, which running nodes never
 see.  The checks are vectorized, and each has one implementation.  One
-threshold predicate, :func:`level_conditions`, gives the slow and fast
-conditions over the nodes' link directions, for many evaluations at once.
+threshold evaluator, :func:`gcs.trigger_levels`, gives the slow and fast
+conditions (:func:`level_conditions`) as it gives the triggers, over the
+nodes' link directions, for many evaluations at once.
 One checker, :func:`trace_oracles`, computes the level potentials and
 Corollary 1; it runs on one engine chunk of samples at a time, carrying
 the previous chunk's last row and the Corollary 1 floors, and reads only
@@ -28,10 +29,12 @@ import math
 import numpy as np
 
 from .errors import ParameterError
+from .gcs import trigger_levels, trigger_thresholds
 from .topology import NetworkGraph
 from .trace import Trace, Violation
 
 __all__ = [
+    "condition_thresholds",
     "level_conditions",
     "slow_condition",
     "fast_condition",
@@ -53,29 +56,35 @@ _CHECK_TOL = 1e-9
 # Instant-level operations
 
 
-def level_conditions(lead: np.ndarray, K: np.ndarray, starts: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
-    """True-clock forms of the slow and fast triggers, each (m, len(levels)).
+def condition_thresholds(K: np.ndarray, s_max: int) -> np.ndarray:
+    """The thresholds of :func:`level_conditions` for the link directions'
+    edge weights ``K``: those of :func:`gcs.trigger_thresholds` at
+    delta = 0, with the fast pair, 2s*kappa and -2s*kappa, lowered to the
+    next float.  The slow condition is the slow trigger on true leads.  The
+    fast trigger wants some lead above its first threshold and none at or
+    below its second, the fast condition some at or above 2s*kappa and none
+    below -2s*kappa, and for finite y, x >= y exactly when
+    x > nextafter(y, -inf).  Before lowering, each threshold is the float a
+    scalar evaluation computes (y - 0.0 is y), so each comparison matches."""
+    thresholds = trigger_thresholds(K, 0.0, s_max)
+    thresholds[:, 2:] = np.nextafter(thresholds[:, 2:], -np.inf)
+    return thresholds
+
+
+def level_conditions(lead: np.ndarray, thresholds: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """True-clock forms of the slow and fast triggers, each (m, s_max):
+    :func:`gcs.trigger_levels` over :func:`condition_thresholds`.
 
     Row r is one node v at one instant, over its link directions
     ``starts[r]`` to ``starts[r + 1]`` (the last to the end), a non-empty
     segment: ``lead[d]`` is L_w - L_v for the neighbour w across direction
-    d, and ``K[d]`` is kappa(v, w).  Slow at level s: v leads some
-    neighbour by at least (2s-1) kappa and no neighbour leads v by more.
-    Fast at level s: some neighbour leads v by at least 2s kappa and v
-    leads no neighbour by more.  Every gap and threshold is the float a
-    scalar evaluation, one neighbour at a time, computes (an int level
-    factor times kappa is the same product, and L_v - L_w is -(L_w - L_v)
-    exactly), and every comparison matches it.
+    d (L_v - L_w is -(L_w - L_v) exactly), and ``thresholds[d]`` are those
+    of kappa(v, w).  Slow at level s: v leads some neighbour by at least
+    (2s-1) kappa and no neighbour leads v by more.  Fast at level s: some
+    neighbour leads v by at least 2s kappa and v leads no neighbour by
+    more.
     """
-    trail = -lead
-    any_of, all_of = np.logical_or.reduceat, np.logical_and.reduceat
-    slow = np.empty((len(starts), len(levels)), dtype=bool)
-    fast = np.empty_like(slow)
-    for j, s in enumerate(levels):
-        odd, even = (2 * s - 1) * K, 2 * s * K
-        slow[:, j] = any_of(trail >= odd, starts) & all_of(lead <= odd, starts)
-        fast[:, j] = any_of(lead >= even, starts) & all_of(trail <= even, starts)
-    return slow, fast
+    return trigger_levels(lead, thresholds, starts)
 
 
 def _conditions_at(values, g: NetworkGraph, kappa, v: int, s: int) -> tuple[bool, bool]:
@@ -86,8 +95,8 @@ def _conditions_at(values, g: NetworkGraph, kappa, v: int, s: int) -> tuple[bool
         return False, False
     lead = np.array([values[w] for w in nbrs], dtype=float) - float(values[v])
     K = np.array([kappa[(min(v, w), max(v, w))] for w in nbrs], dtype=float)
-    slow, fast = level_conditions(lead, K, [0], [s])
-    return bool(slow[0, 0]), bool(fast[0, 0])
+    slow, fast = level_conditions(lead, condition_thresholds(K, s), [0])
+    return bool(slow[0, s - 1]), bool(fast[0, s - 1])
 
 
 def slow_condition(values, g: NetworkGraph, kappa, v: int, s: int) -> bool:

@@ -17,7 +17,6 @@ from importlib import resources
 
 import numpy as np
 
-from .clocks import HardwareClock
 from .engine import Scenario, seeded_stream, seeded_streams
 from .errors import ScenarioParseError, ScenarioValidationError
 from .gcs import GcsParams
@@ -330,14 +329,15 @@ def _segment_count(gen: str, args: tuple, horizon: float) -> float:
     return float(len(args[0])) if gen == "scripted" else 1.0
 
 
-def _hardware_clock(spec: tuple, theta: float, horizon: float, rng: np.random.Generator | None) -> HardwareClock:
-    """A node's hardware clock from its checked spec, its rate schedule
-    covering [0, horizon].  A random walk draws its steps from ``rng``."""
+def _hardware_clock(spec: tuple, theta: float, horizon: float, rng: np.random.Generator | None) -> tuple:
+    """A node's hardware clock from its checked spec: (initial value,
+    starts, rates), a rate schedule covering [0, horizon].  A random walk
+    draws its steps from ``rng``."""
     iv, gen, args = spec
     if gen == "constant":
-        return HardwareClock(iv, (0.0,), args)
+        return iv, (0.0,), args
     if gen == "scripted":
-        return HardwareClock(iv, *args)
+        return iv, *args
     starts, t = [], 0.0
     while t <= horizon:
         starts.append(t)
@@ -351,10 +351,10 @@ def _hardware_clock(spec: tuple, theta: float, horizon: float, rng: np.random.Ge
         for _ in range(len(starts) - 1):
             rate = min(max(rate + rng.uniform(-step, step), 1.0), theta)
             rates.append(rate)
-    return HardwareClock(iv, starts, rates)
+    return iv, starts, rates
 
 
-def _hardware_clocks(specs: list[tuple], theta: float, horizon: float, master_seed: int) -> list[HardwareClock]:
+def _hardware_clocks(specs: list[tuple], theta: float, horizon: float, master_seed: int) -> list[tuple]:
     """Every node's hardware clock.  Random walk i draws from stream
     ``clock:<i>`` of its spec's own seed, or else of the master seed; all
     these streams are seeded in one batch."""

@@ -3,9 +3,9 @@
 Plain-Python, one-instant versions of what the engine computes vectorized
 (clock samples, skews, potentials, the trailing-node test, the slow and
 fast conditions) or per pair of samples (the hardware drift envelope), the
-engine's ground-truth checks made one event at a time, clock reads and
-inverses that search for every piece (the clocks skip the search on their
-last one), the row-by-row
+engine's ground-truth checks made one event at a time, a hardware clock
+and clock reads and inverses that search for every piece (the clock table
+skips the search on a clock's last one), the row-by-row
 trace writer, the per-source Dijkstra behind the kappa distance matrix,
 the pair-by-pair boot-up gate, the one-stream-at-a-time RNG seeding and
 the dense trace oracles, over every pair, with their Corollary 1 rise
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gcsim import engine
-from gcsim.clocks import OWN_RATE, HardwareClock, LogicalClock
+from gcsim.clocks import OWN_RATE, LogicalClock
 from gcsim.errors import GcsSimError, InternalError, ParameterError
 from gcsim.trace import Trace, Violation
 
@@ -310,7 +310,7 @@ class ThreeEventExchange(engine._Simulation):
                 self.end = t
             return
         l1 = clock.value(t)
-        expected = clock.hardware.initial_value + k * sc.params.cycle_length
+        expected = self.table.initial[v] + k * sc.params.cycle_length
         if abs(l1 - expected) > engine._BOUNDARY_TOL:
             self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
         self.pending[v] = {}
@@ -332,10 +332,10 @@ class ThreeEventExchange(engine._Simulation):
         Legs up to the end all ran, so there is nothing to settle."""
         sc = self.sc
         for v, clock in enumerate(self.clocks):
-            self.push(clock.invert(clock.hardware.initial_value), engine.K_WAKEUP, (v, 0))
+            self.push(clock.invert(self.table.initial[v]), engine.K_WAKEUP, (v, 0))
         if sc.sample_dt > 0:
             self.push(sc.sample_dt, engine.K_TICK, None)
-        for b in sorted({b for c in self.clocks for b in c.hardware.starts[1:]}):
+        for b in sorted({b for _, starts, _ in sc.hardware for b in starts[1:]}):
             self.push(b, engine.K_RATE, None)
 
         need = False  # an event at `current` can change a slope
@@ -527,12 +527,46 @@ class PerEventChecks(ThreeEventExchange):
                     ))
 
 
-def check_lipschitz(c: HardwareClock, t1: float, t2: float, theta: float, tol: float = 1e-9) -> bool:
-    """True iff the clock advanced within [dt, theta*dt] over (t1, t2]."""
+class HardwareClock:
+    """Scalar twin of a hardware clock of ``clocks.ClockTable``: its rate
+    schedule, ``rates[i]`` from ``starts[i]`` on, with each segment's value
+    at its start integrated one segment after the other, and reads and
+    inverses that search for their segment every time."""
+
+    def __init__(self, initial_value: float, starts, rates):
+        self.initial_value = initial_value
+        self.starts = tuple(starts)
+        self.rates = tuple(rates)
+        cum = [initial_value]
+        for i in range(1, len(starts)):
+            cum.append(cum[-1] + rates[i - 1] * (starts[i] - starts[i - 1]))
+        self._cum = tuple(cum)
+
+    def value(self, t: float) -> float:
+        if t < 0:
+            raise ParameterError(f"time must be non-negative, got {t!r}")
+        i = bisect_right(self.starts, t) - 1
+        return self._cum[i] + self.rates[i] * (t - self.starts[i])
+
+    def inverse(self, x: float) -> float:
+        i = max(bisect_right(self._cum, x) - 1, 0)
+        return self.starts[i] + (x - self._cum[i]) / self.rates[i]
+
+
+def hardware(c: LogicalClock) -> HardwareClock:
+    """The twin of the hardware clock of ``c``, over the starts and rates of
+    its segments in its table."""
+    tb, lo, hi = c.table, c.table.hw_first[c.index], c.table.hw_first[c.index + 1]
+    return HardwareClock(tb.initial[c.index], tb.hw_start[lo:hi].tolist(), tb.segments[1, lo:hi].tolist())
+
+
+def check_lipschitz(value, t1: float, t2: float, theta: float, tol: float = 1e-9) -> bool:
+    """True iff the hardware reading ``value(t)`` advanced within
+    [dt, theta*dt] over (t1, t2]."""
     if t2 <= t1 or t1 < 0:
         raise ParameterError("need t2 > t1 >= 0")
     dt = t2 - t1
-    dh = c.value(t2) - c.value(t1)
+    dh = value(t2) - value(t1)
     return dt - tol <= dh <= theta * dt + tol
 
 
@@ -547,9 +581,7 @@ def anchors(c: LogicalClock) -> tuple[list, ...]:
 def value_pair(c: LogicalClock, t: float) -> tuple[float, float]:
     """(logical, hardware) of ``c`` at one instant, evaluating the hardware
     clock once, each piece found by a search, whether or not it is the last."""
-    hw = c.hardware
-    j = bisect_right(hw.starts, t) - 1
-    h = hw._cum[j] + hw.rates[j] * (t - hw.starts[j])
+    h = hardware(c).value(t)
     times, values, hw_at, _, modes = anchors(c)
     i = bisect_right(times, t) - 1
     dh = h - hw_at[i]
@@ -564,9 +596,7 @@ def invert(c: LogicalClock, target: float) -> float:
     _, values, hw_at, factors, _ = anchors(c)
     i = max(bisect_right(values, target) - 1, 0)
     x = hw_at[i] + (target - values[i]) / factors[i]
-    hw = c.hardware
-    j = max(bisect_right(hw._cum, x) - 1, 0)
-    return hw.starts[j] + (x - hw._cum[j]) / hw.rates[j]
+    return hardware(c).inverse(x)
 
 
 def _fmt(x: float) -> str:

@@ -78,6 +78,21 @@ MALFORMED = {
     "scripted segment not a number": (
         random16_mutant(own_clock({"generator": "scripted", "segments": [[0, "x"]]})),
         "clocks.nodes[0].segments[0]"),
+    "scripted segments not starting at 0": (
+        random16_mutant(own_clock({"generator": "scripted", "segments": [[1.0, 1.0], [2.0, 1.0]]})),
+        "clocks.nodes[0].segments: first segment must start at 0"),
+    "scripted segments with equal starts": (
+        random16_mutant(own_clock({"generator": "scripted", "segments": [[0.0, 1.0], [2.0, 1.001], [2.0, 1.0]]})),
+        "clocks.nodes[0].segments: start times must increase"),
+    "scripted segments with decreasing starts": (
+        random16_mutant(own_clock({"generator": "scripted", "segments": [[0.0, 1.0], [3.0, 1.001], [2.0, 1.0]]})),
+        "clocks.nodes[0].segments: start times must increase"),
+    "scripted segments empty": (
+        random16_mutant(own_clock({"generator": "scripted", "segments": []})),
+        "clocks.nodes[0].segments: must be a non-empty list"),
+    "initial value negative": (
+        random16_mutant(own_clock({"generator": "constant", "initial_value": -1.0})),
+        "clocks.nodes[0].initial_value: must be a non-negative number"),
     "random walk step not a number": (
         random16_mutant(own_clock({"generator": "random_walk", "dwell": 10.0, "step": "x"})),
         "clocks.nodes[0].step"),

@@ -1,4 +1,5 @@
 from bisect import bisect_right
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,62 +7,74 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcsim import scenario as scen
-from gcsim.clocks import FAST, OWN_RATE, ClockTable, HardwareClock, LogicalClock, read_clocks, sample_clocks
+from gcsim.clocks import FAST, OWN_RATE, ClockTable, LogicalClock, read_clocks, sample_clocks
 from gcsim.errors import InternalError, ParameterError, ScenarioValidationError
 
-from reference import anchors, check_lipschitz, invert, value_pair
+from reference import HardwareClock, anchors, check_lipschitz, invert, value_pair
 from scenario_gen import UNIT_EDGE, line_doc
 
 THETA = 1.02
 
 
+def schedule(initial=0.0, segments=((0.0, 1.0),)):
+    """(initial value, starts, rates): the rate schedule of ``segments``,
+    its (start, rate) pairs, as validation hands it to a clock table."""
+    return (initial, *zip(*segments))
+
+
+def shared(hardware, mus):
+    """Logical clocks over the rate schedules ``hardware``, clock c with the
+    correction rate ``mus[c]``, in one anchor table."""
+    table = ClockTable(hardware)
+    return [LogicalClock(table, c, mu) for c, mu in enumerate(mus)]
+
+
+def clock(initial=0.0, segments=((0.0, 1.0),), mu=0.1):
+    """The one logical clock of a table."""
+    return shared([schedule(initial, segments)], [mu])[0]
+
+
 def hw(initial=0.0, segments=((0.0, 1.0),)):
-    return HardwareClock(initial, *zip(*segments))
+    """The hardware reading of the one clock of a table, a function of t."""
+    return partial(ClockTable([schedule(initial, segments)]).hw_value, 0)
+
+
+def timeline(c):
+    """(time, mode) of each anchor of ``c``: (0.0, OWN_RATE), then every
+    mode change."""
+    return c.table.mode_timelines()[c.index]
 
 
 class TestHardwareValue:
     def test_identity_clock(self):
-        assert hw().value(5.0) == 5.0
+        assert hw()(5.0) == 5.0
 
     def test_constant_fast_rate(self):
-        assert hw(segments=((0.0, 1.01),)).value(100.0) == pytest.approx(101.0, abs=1e-12)
+        assert hw(segments=((0.0, 1.01),))(100.0) == pytest.approx(101.0, abs=1e-12)
 
     def test_piecewise_hand_integrated(self):
-        c = hw(segments=((0.0, 1.0), (10.0, 1.01)))
-        assert c.value(20.0) == pytest.approx(20.1, abs=1e-12)
+        value = hw(segments=((0.0, 1.0), (10.0, 1.01)))
+        assert value(20.0) == pytest.approx(20.1, abs=1e-12)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ParameterError):
-            hw().value(-1.0)
-
-    @pytest.mark.parametrize("initial, starts, rates, message", [
-        (0.0, (1.0, 2.0), (1.0, 1.0), "rate schedule must start at t=0"),
-        (0.0, (), (), "rate schedule must start at t=0"),
-        (0.0, (0.0, 2.0, 2.0), (1.0, 1.01, 1.0), "segment start times must be strictly increasing"),
-        (0.0, (0.0, 3.0, 2.0), (1.0, 1.01, 1.0), "segment start times must be strictly increasing"),
-        (0.0, (0.0, 2.0), (1.0,), "starts and rates must have equal length"),
-        (-1.0, (0.0,), (1.0,), "initial clock value must be non-negative"),
-    ])
-    def test_malformed_schedule_rejected(self, initial, starts, rates, message):
-        with pytest.raises(ParameterError) as exc:
-            HardwareClock(initial, starts, rates)
-        assert str(exc.value) == message
+            hw()(-1.0)
 
 
 class TestLogicalValue:
     def test_no_corrections_equals_hardware(self):
-        c = LogicalClock(hw(segments=((0.0, 1.005),)), mu=0.1)
+        c = clock(segments=((0.0, 1.005),))
         for t in (0.0, 3.7, 40.0):
-            assert c.value(t) == c.hardware.value(t)
+            assert c.value(t) == c.table.hw_value(0, t)
 
     def test_fast_mode_multiplicative(self):
-        c = LogicalClock(hw(), mu=0.1)
+        c = clock()
         c.set_mode(0.0, FAST)
         assert c.value(10.0) == pytest.approx(11.0, abs=1e-12)
 
     def test_mixed_fast_then_own(self):
         # 1.1 * 1.01 * 10 + 1.01 * 10 = 21.21 by direct integration
-        c = LogicalClock(hw(segments=((0.0, 1.01),)), mu=0.1)
+        c = clock(segments=((0.0, 1.01),))
         c.set_mode(0.0, FAST)
         c.set_mode(10.0, OWN_RATE)
         assert c.value(20.0) == pytest.approx(21.21, abs=1e-12)
@@ -69,12 +82,12 @@ class TestLogicalValue:
 
 class TestSetMode:
     def test_fast_from_zero(self):
-        c = LogicalClock(hw(), mu=0.05)
+        c = clock(mu=0.05)
         c.set_mode(0.0, FAST)
         assert c.value(1.0) == pytest.approx(1.05, abs=1e-15)
 
     def test_idempotent_log(self):
-        c = LogicalClock(hw(), mu=0.05)
+        c = clock(mu=0.05)
         c.set_mode(1.0, OWN_RATE)
         c.set_mode(2.0, OWN_RATE)
         # neither call logged a change, so an earlier switch is still in order
@@ -83,20 +96,20 @@ class TestSetMode:
             c.set_mode(0.2, OWN_RATE)
 
     def test_alternating_decades(self):
-        c = LogicalClock(hw(), mu=0.1)
+        c = clock()
         for k in range(4):
             c.set_mode(10.0 * k, FAST if k % 2 == 0 else OWN_RATE)
         assert c.value(40.0) == pytest.approx(42.0, abs=1e-12)
 
     def test_past_values_unchanged(self):
-        c = LogicalClock(hw(), mu=0.1)
+        c = clock()
         c.set_mode(5.0, FAST)
         before = c.value(3.0)
         c.set_mode(9.0, OWN_RATE)
         assert c.value(3.0) == before
 
     def test_change_before_the_last_one_rejected(self):
-        c = LogicalClock(hw(), mu=0.1)
+        c = clock()
         c.set_mode(5.0, FAST)
         c.set_mode(5.0 - 1e-13, OWN_RATE)  # before the last change, but within the tolerance: taken at it
         with pytest.raises(InternalError) as exc:
@@ -104,11 +117,11 @@ class TestSetMode:
         assert str(exc.value) == "mode change at t=4.0 precedes last change at 5.0"
 
     def test_change_within_the_tolerance_keeps_the_anchors_in_order(self):
-        c = LogicalClock(hw(), mu=0.1)
+        c = clock()
         c.set_mode(5.0, FAST)
         at_five = c.value(5.0)
         c.set_mode(5.0 - 1e-13, OWN_RATE)
-        assert c.mode_timeline == [(0.0, OWN_RATE), (5.0, FAST), (5.0, OWN_RATE)]
+        assert timeline(c) == [(0.0, OWN_RATE), (5.0, FAST), (5.0, OWN_RATE)]
         assert anchors(c)[0] == [0.0, 5.0, 5.0]
         assert c.value(5.0) == at_five
         assert c.value(7.0) == at_five + 2.0
@@ -117,24 +130,24 @@ class TestSetMode:
         assert L.tolist() == [4.0, at_five, at_five + 2.0] and H.tolist() == [4.0, 5.0, 7.0]
 
     def test_unknown_mode_rejected(self):
-        c = LogicalClock(hw(), mu=0.1)
+        c = clock()
         with pytest.raises(ParameterError) as exc:
             c.set_mode(1.0, 2)
         assert str(exc.value) == "unknown mode 2"
-        assert c.mode_timeline == [(0.0, OWN_RATE)]
+        assert timeline(c) == [(0.0, OWN_RATE)]
 
 
 class TestInvert:
     def test_identity(self):
-        c = LogicalClock(hw(), mu=0.1)
+        c = clock()
         assert c.invert(7.0) == pytest.approx(7.0, abs=1e-15)
 
     def test_constant_drift(self):
-        c = LogicalClock(hw(segments=((0.0, 1.01),)), mu=0.1)
+        c = clock(segments=((0.0, 1.01),))
         assert c.invert(20.2) == pytest.approx(20.0, abs=1e-12)
 
     def test_below_initial_rejected(self):
-        c = LogicalClock(hw(initial=5.0), mu=0.1)
+        c = clock(initial=5.0)
         with pytest.raises(ParameterError):
             c.invert(4.0)
 
@@ -147,8 +160,7 @@ class TestLipschitz:
         assert check_lipschitz(hw(segments=((0.0, THETA),)), 0.0, 10.0, THETA)
 
     def test_sub_unit_rate_is_invalid(self):
-        c = hw(segments=((0.0, 1.0), (5.0, 0.9)))
-        assert not check_lipschitz(c, 4.0, 8.0, THETA)
+        assert not check_lipschitz(hw(segments=((0.0, 1.0), (5.0, 0.9))), 4.0, 8.0, THETA)
 
 
 # (starts, rates) of a rate schedule
@@ -162,14 +174,14 @@ class TestProperties:
            st.floats(min_value=0.01, max_value=10.0))
     @settings(max_examples=80, deadline=None)
     def test_lipschitz_envelope(self, sched, t1, dt):
-        c = HardwareClock(0.0, *sched)
-        assert check_lipschitz(c, t1, t1 + dt, THETA, tol=1e-9)
+        value = partial(ClockTable([(0.0, *sched)]).hw_value, 0)
+        assert check_lipschitz(value, t1, t1 + dt, THETA, tol=1e-9)
 
     @given(schedule_strategy, st.lists(st.floats(min_value=0.0, max_value=50.0),
                                        min_size=2, max_size=6))
     @settings(max_examples=80, deadline=None)
     def test_logical_strictly_increasing_and_inverse(self, sched, times):
-        c = LogicalClock(HardwareClock(1.0, *sched), mu=0.07)
+        (c,) = shared([(1.0, *sched)], [0.07])
         for i, t in enumerate(sorted(set(times))):
             c.set_mode(t, FAST if i % 2 == 0 else OWN_RATE)
         samples = np.linspace(0.0, 60.0, 25)
@@ -181,17 +193,35 @@ class TestProperties:
     @given(schedule_strategy, st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=50, deadline=None)
     def test_corrections_only_speed_up(self, sched, t_switch):
-        c = LogicalClock(HardwareClock(0.0, *sched), mu=0.05)
+        (c,) = shared([(0.0, *sched)], [0.05])
         c.set_mode(t_switch, FAST)
         for t in (t_switch + 0.5, t_switch + 10.0):
-            assert c.value(t) >= c.hardware.value(t) - 1e-12
+            assert c.value(t) >= c.table.hw_value(0, t) - 1e-12
 
 
-def shared(hardware, mus):
-    """Logical clocks over ``hardware``, clock c with the correction rate
-    ``mus[c]``, in one anchor table."""
-    table = ClockTable(hardware)
-    return [LogicalClock(h, mu, table, c) for c, (h, mu) in enumerate(zip(hardware, mus))]
+one_segment = st.floats(min_value=1.0, max_value=THETA).map(lambda rate: ((0.0,), (rate,)))
+
+
+class TestTableHardware:
+    """The table's scalar hardware reads against the twin that searches its
+    own schedule for every segment, bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_value_and_inverse_match_the_twin(self, data):
+        # one-segment clocks beside many-segment ones: a bisection that
+        # left its clock's slice of the table would read a neighbour's
+        pairs = data.draw(st.lists(st.tuples(one_segment, schedule_strategy), min_size=1, max_size=3))
+        hardware = [(data.draw(st.floats(0.0, 5.0)), *sched) for pair in pairs for sched in pair]
+        table = ClockTable(hardware)
+        for c, (initial, starts, rates) in enumerate(hardware):
+            twin = HardwareClock(initial, starts, rates)
+            times = list(starts) + data.draw(st.lists(st.floats(0.0, 40.0), max_size=4))
+            for t in times:  # every breakpoint exactly, and between them
+                assert table.hw_value(c, t) == twin.value(t)
+            readings = list(twin._cum) + data.draw(st.lists(st.floats(initial, 60.0), max_size=4))
+            for x in readings:  # every segment's start value exactly, and between them
+                assert table.hw_inverse(c, x) == twin.inverse(x)
 
 
 def reference_reads(clocks, times, cols):
@@ -239,7 +269,7 @@ MIXED_HARDWARE = (
 def mixed_clocks(extra=()):
     """Clocks that, between t = 2 and t = 6, cover each evaluation path,
     then clocks over the hardware ``extra`` at its own rate, in one table."""
-    clocks = shared([hw(*spec) for spec in MIXED_HARDWARE] + list(extra), [0.1] * (4 + len(extra)))
+    clocks = shared([schedule(*spec) for spec in MIXED_HARDWARE] + list(extra), [0.1] * (4 + len(extra)))
     clocks[1].set_mode(1.0, FAST)
     clocks[3].set_mode(2.5, FAST)
     clocks[3].set_mode(5.0, OWN_RATE)
@@ -284,7 +314,7 @@ class TestReadClocks:
         hardware, mus, kinks = [], [], [0.0]
         for _ in range(data.draw(st.integers(1, 5))):
             sched = data.draw(schedule_strategy)
-            hardware.append(HardwareClock(data.draw(st.floats(0.0, 5.0)), *sched))
+            hardware.append((data.draw(st.floats(0.0, 5.0)), *sched))
             mus.append(data.draw(st.floats(0.01, 0.5)))
             kinks += list(sched[0])
         clocks = shared(hardware, mus)
@@ -313,11 +343,11 @@ class TestReadClocks:
                                          max_size=3)):
             starts = (0.0, *sorted(breaks))
             rates = [1.0 + 0.006 * (k % 3) for k in range(len(starts))]
-            extra.append(HardwareClock(0.2, starts, rates))
+            extra.append((0.2, starts, rates))
         clocks = mixed_clocks(extra)
         for c in clocks[:4]:
             for t in sorted(data.draw(st.sets(st.sampled_from(bends)))):
-                last, mode = c.mode_timeline[-1]
+                last, mode = timeline(c)[-1]
                 if t >= last:
                     c.set_mode(t, OWN_RATE if mode == FAST else FAST)
         inside = st.floats(t0, t1)
@@ -330,7 +360,7 @@ class TestReadClocks:
 
 class TestTableReader:
     """The table reader against the scalar clock, :meth:`LogicalClock.value`
-    and :meth:`HardwareClock.value`, bit for bit."""
+    and :meth:`ClockTable.hw_value`, bit for bit."""
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -345,7 +375,7 @@ class TestTableReader:
         times = sorted({t for t, _ in reads})
         for c in clocks:
             for t in sorted(data.draw(st.sets(st.sampled_from(times))) | {times[-1] + 1.0, times[-1] + 2.5}):
-                last, mode = c.mode_timeline[-1]
+                last, mode = timeline(c)[-1]
                 if t >= last:
                     c.set_mode(t, OWN_RATE if mode == FAST else FAST)
         table = clocks[0].table
@@ -353,9 +383,9 @@ class TestTableReader:
             L, H, a = read_clocks(table, t, cols)
             t, cols = np.broadcast_arrays(t, cols)
             for i, (ti, k) in enumerate(zip(t.ravel().tolist(), cols.ravel().tolist())):
-                assert sum(at > ti for at, _ in clocks[k].mode_timeline) >= 2
+                assert sum(at > ti for at, _ in timeline(clocks[k])) >= 2
                 assert L.ravel()[i] == clocks[k].value(ti)
-                assert H.ravel()[i] == clocks[k].hardware.value(ti)
+                assert H.ravel()[i] == table.hw_value(k, ti)
                 assert table.time[a.ravel()[i]] <= ti
 
 
@@ -373,7 +403,7 @@ class TestTableReader:
         L, H, _ = sample_clocks(table, times)
         for i, t in enumerate(times.tolist()):
             assert L[i].tolist() == [c.value(t) for c in clocks]
-            assert H[i].tolist() == [c.hardware.value(t) for c in clocks]
+            assert H[i].tolist() == [table.hw_value(c.index, t) for c in clocks]
 
 
 class TestSampleClocks:
@@ -402,7 +432,7 @@ class TestCurrentPiece:
     @settings(max_examples=100, deadline=None)
     def test_value_and_invert_match_the_search(self, data):
         for c in mixed_clocks():
-            anchor, rate_change = c.mode_timeline[-1][0], c.hardware.starts[-1]
+            anchor, rate_change = timeline(c)[-1][0], c.table.hw_tail[c.index][2]
             piece = max(anchor, rate_change)  # where the current piece starts
             t = data.draw(st.sampled_from([anchor, rate_change]) | st.floats(piece, 1e6) | st.floats(0.0, piece))
             assert c.value(t) == value_pair(c, t)[0]
@@ -413,16 +443,23 @@ class TestCurrentPiece:
 
 
 def hardware_of(*specs, horizon_time=30.0, seed=None):
-    """The hardware clocks that ``build_scenario`` makes of ``specs``, one
-    per node of a line (with a constant clock added to a single spec), at
-    theta = THETA and with ``seed`` as ``--seed``.  Each rate schedule has
-    breakpoints up to the horizon plus one cycle of 5.0."""
+    """The rate schedules, (initial value, starts, rates), that
+    ``build_scenario`` makes of ``specs``, one per node of a line (with a
+    constant clock added to a single spec), at theta = THETA and with
+    ``seed`` as ``--seed``, their starts and rates as tuples.  Each rate
+    schedule has breakpoints up to the horizon plus one cycle of 5.0."""
     nodes = list(specs) + [{"generator": "constant"}] * (len(specs) < 2)
     doc = line_doc(
         len(nodes), UNIT_EDGE, {"theta": THETA, "mu": 0.1, "nodes": nodes},
         {"T": 3.5, "T_stab": 1.5}, {"horizon_time": horizon_time, "sample_dt": 1.0, "master_seed": 0},
     )
-    return scen.build_scenario(doc, seed_override=seed).hardware[: len(specs)]
+    hardware = scen.build_scenario(doc, seed_override=seed).hardware[: len(specs)]
+    return [(iv, tuple(starts), tuple(rates)) for iv, starts, rates in hardware]
+
+
+def walk_rates(*specs, **kw):
+    """The rates of the schedules of :func:`hardware_of`."""
+    return [rates for _, _, rates in hardware_of(*specs, horizon_time=195.0, **kw)]
 
 
 WALK = {"generator": "random_walk", "dwell": 5.0, "step": 0.01}
@@ -430,27 +467,26 @@ WALK = {"generator": "random_walk", "dwell": 5.0, "step": 0.01}
 
 class TestGenerators:
     def test_constant(self):
-        (c,) = hardware_of({"generator": "constant", "rate": 1.01})
-        assert (c.starts, c.rates) == ((0.0,), (1.01,))
+        assert hardware_of({"generator": "constant", "rate": 1.01}) == [(0.0, (0.0,), (1.01,))]
 
     def test_alternating_flips(self):
-        (c,) = hardware_of({"generator": "alternating", "dwell": 10.0, "start_high": True})
-        assert c.rates == (THETA, 1.0, THETA, 1.0)
+        ((_, _, rates),) = hardware_of({"generator": "alternating", "dwell": 10.0, "start_high": True})
+        assert rates == (THETA, 1.0, THETA, 1.0)
 
     def test_random_walk_bounded_and_seeded(self):
-        a, b = hardware_of(WALK, WALK, horizon_time=195.0)
-        assert len(a.rates) == 41 and all(1.0 <= r <= THETA for r in a.rates)
-        assert a.rates != b.rates  # each node draws from a stream of its own
-        assert hardware_of(WALK, WALK, horizon_time=195.0)[0].rates == a.rates
-        assert hardware_of(WALK, WALK, horizon_time=195.0, seed=1)[0].rates != a.rates
+        a, b = walk_rates(WALK, WALK)
+        assert len(a) == 41 and all(1.0 <= r <= THETA for r in a)
+        assert a != b  # each node draws from a stream of its own
+        assert walk_rates(WALK, WALK)[0] == a
+        assert walk_rates(WALK, WALK, seed=1)[0] != a
         # a spec's own seed replaces the master seed, and --seed with it
         own = {**WALK, "seed": 3}
-        assert hardware_of(own, horizon_time=195.0, seed=1)[0].rates == hardware_of(
-            own, horizon_time=195.0, seed=2)[0].rates == hardware_of(WALK, horizon_time=195.0, seed=3)[0].rates
+        assert walk_rates(own, seed=1) == walk_rates(own, seed=2) == walk_rates(WALK, seed=3)[:1]
 
     def test_scripted(self):
-        (c,) = hardware_of({"generator": "scripted", "segments": [[0.0, 1.0], [4.0, 1.02]]})
-        assert (c.starts, c.rates) == ((0.0, 4.0), (1.0, 1.02))
+        segments = [[0.0, 1.0], [4.0, 1.02]]
+        assert hardware_of({"generator": "scripted", "segments": segments, "initial_value": 0.5}) == [
+            (0.5, (0.0, 4.0), (1.0, 1.02))]
 
     def test_unknown_generator(self):
         with pytest.raises(ScenarioValidationError, match="unknown generator 'brownian'"):

@@ -844,7 +844,7 @@ class TestSparseSampling:
         # can change a slope, and some message instants are left out
         sc, sim, res, decisions = run_recording_mode_decisions(SPARSE_DOCS[name]())
         times = res.trace.times
-        breakpoints = {b for c in sim.clocks for b in c.hardware.starts[1:]}
+        breakpoints = {b for _, starts, _ in sc.hardware for b in starts[1:]}
         allowed = set(decisions) | grid_ticks(sc, times[-1]) | breakpoints | {sc.horizon_time}
         assert set(times.tolist()) <= allowed
         arrivals = {m.record.completed_at_real for m in sim.measurements}
@@ -861,7 +861,7 @@ class TestSparseSampling:
             end = sc.horizon_time
         else:
             end = max(t for t, k in sim.wakeups if k == sc.horizon_cycles)
-        breakpoints = {b for c in sim.clocks for b in c.hardware.starts[1:]}
+        breakpoints = {b for _, starts, _ in sc.hardware for b in starts[1:]}
         instants = set(decisions) | grid_ticks(sc, end) | breakpoints | {end}
         expected = sorted(t for t in instants if 0.0 <= t <= end)
         assert res.trace.times.tolist() == expected

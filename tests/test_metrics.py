@@ -132,7 +132,7 @@ class TestConditions:
         has = np.diff(first) > 0
         K = np.array([kappa[(u, v)] for u, v, _ in g.edges])[edge]
         L = np.array(values)
-        slow, fast = metrics.level_conditions(L[dst] - L[src], K, first[:-1][has], range(1, 4))
+        slow, fast = metrics.level_conditions(L[dst] - L[src], metrics.condition_thresholds(K, 3), first[:-1][has])
         for r, v in enumerate(np.flatnonzero(has).tolist()):
             for s in (1, 2, 3):
                 assert slow[r, s - 1] == reference.slow_condition(values, g, kappa, v, s)
