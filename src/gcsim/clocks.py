@@ -62,7 +62,14 @@ class ClockTable:
     which numpy orders real part first; column c of ``last_segment`` is
     clock c's last segment.  The scalar reads, :meth:`hw_value` and
     :meth:`hw_inverse`, take their segments as Python floats: the last from
-    ``hw_tail[c]``, the others from the lists ``segments`` was built of.
+    ``hw_tail[c]``, the others from the lists ``segments`` was built of,
+    where ``_cursor[c]`` is the segment of clock c's last read before its
+    last segment.  A read tries that segment, then the next one, since reads
+    mostly move forward, and bisects the clock's slice only if neither holds
+    its argument.  These reads come below the last segment's start, so a
+    test ``a[i] <= x < a[i + 1]`` reads ``a[i + 1]`` only inside the clock's
+    slice, and ``end`` stops the step at the slice's end (a one-segment
+    clock's cursor is its last segment).
     """
 
     _ANCHOR_ARRAYS = ("law", "mode", "prev", "jump", "depth", "owner")
@@ -79,6 +86,7 @@ class ClockTable:
             start += s
             first.append(len(cum))
         self._cum, self._rate, self._start, self.hw_first = cum, rate, start, first
+        self._cursor = first[:-1]
         self.segments = np.array([cum, rate, start], dtype=float)
         self.hw_start = self.segments[2]
         self.hw_key = np.repeat(np.arange(n), np.diff(first)) + self.hw_start * 1j
@@ -126,23 +134,36 @@ class ClockTable:
 
     def hw_value(self, c: int, t: float) -> float:
         """Clock c's hardware reading at t, as :func:`read_clocks` computes
-        it: on its last segment, or else on the one bisecting its slice finds."""
+        it: on its last segment, or else on the one bisecting its slice finds,
+        which is the cursor's segment, or the next, whenever that holds t,
+        since the starts do not decrease."""
         cum, rate, start = self.hw_tail[c]
         if t < start:
             if t < 0:
                 raise ParameterError(f"time must be non-negative, got {t!r}")
-            i = bisect_right(self._start, t, self.hw_first[c], self.hw_first[c + 1]) - 1
-            cum, rate, start = self._cum[i], self._rate[i], self._start[i]
+            starts, i, end = self._start, self._cursor[c], self.hw_first[c + 1]
+            if not starts[i] <= t < starts[i + 1]:
+                i += 1
+                if i == end or not starts[i] <= t < starts[i + 1]:
+                    i = bisect_right(starts, t, self.hw_first[c], end) - 1
+                self._cursor[c] = i
+            cum, rate, start = self._cum[i], self._rate[i], starts[i]
         return cum + rate * (t - start)
 
     def hw_inverse(self, c: int, x: float) -> float:
         """Real time at which clock c's hardware reads x (exact, rates > 0),
-        on the segment found as :meth:`hw_value` finds it."""
+        on the segment found as :meth:`hw_value` finds it, by the segments'
+        start values, which do not decrease either."""
         cum, rate, start = self.hw_tail[c]
         if x < cum:
-            lo = self.hw_first[c]
-            i = max(bisect_right(self._cum, x, lo, self.hw_first[c + 1]) - 1, lo)
-            cum, rate, start = self._cum[i], self._rate[i], self._start[i]
+            cums, i, end = self._cum, self._cursor[c], self.hw_first[c + 1]
+            if not cums[i] <= x < cums[i + 1]:
+                i += 1
+                if i == end or not cums[i] <= x < cums[i + 1]:
+                    lo = self.hw_first[c]
+                    i = max(bisect_right(cums, x, lo, end) - 1, lo)
+                self._cursor[c] = i
+            cum, rate, start = cums[i], self._rate[i], self._start[i]
         return start + (x - cum) / rate
 
     def mode_timelines(self) -> list[list[tuple[float, int]]]:

@@ -227,15 +227,16 @@ def _seed_states(pairs: list[tuple[int, str]]) -> np.ndarray:
     """
     if not pairs:
         return np.zeros((0, 4), dtype=np.uint64)
-    seeds = [int(seed) & 0xFFFFFFFFFFFFFFFF for seed, _ in pairs]
-    entropy = b"".join(
-        (seed.to_bytes(4 if seed < 1 << 32 else 8, "little") + hashlib.sha256(label.encode("utf-8")).digest()[:16])
-        .ljust(24, b"\0")
-        for seed, (_, label) in zip(seeds, pairs)
-    )
-    entropy = np.frombuffer(entropy, dtype="<u4").reshape(-1, 6).T  # one column per pair
-    long = [seed >= 1 << 32 for seed in seeds]
-    words = _hashmix(_pools(entropy, long).take(_STATE_WORDS, 0), _STATE_XOR, _STATE_MUL)
+    seeds = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF for seed, _ in pairs], dtype=np.uint64)
+    digests = b"".join(hashlib.sha256(label.encode("utf-8")).digest()[:16] for _, label in pairs)
+    digests = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
+    long = seeds > _LOW32
+    entropy = np.zeros((len(pairs), 6), dtype=np.uint32)  # one row per pair, then one column
+    entropy[:, 0] = seeds & _LOW32
+    entropy[long, 1] = seeds[long] >> _U32
+    entropy[~long, 1:5] = digests[~long]
+    entropy[long, 2:6] = digests[long]
+    words = _hashmix(_pools(entropy.T, long.tolist()).take(_STATE_WORDS, 0), _STATE_XOR, _STATE_MUL)
     return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 

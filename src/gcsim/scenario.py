@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -21,7 +22,15 @@ from .engine import Scenario, seeded_stream, seeded_streams
 from .errors import ScenarioParseError, ScenarioValidationError
 from .gcs import GcsParams
 from .metrics import theorem2_levels, theorem3_bound
-from .topology import EdgeParams, NetworkGraph, kappa_distance_matrix, kappa_weights, validate_graph
+from .topology import (
+    EdgeParams,
+    NetworkGraph,
+    kappa_diameter,
+    kappa_distance_matrix,
+    kappa_distance_rows,
+    kappa_weights,
+    validate_graph,
+)
 from .twoway import timeout_window
 
 __all__ = [
@@ -62,7 +71,7 @@ _INT_KINDS = {
     (0, 1 << 64): "an integer in [0, 2^64)",
 }
 # the largest node count, checked before anything of that size is built;
-# validation's n x n float64 distance matrix is 2 GiB at this size
+# a full run's n x n float64 distance matrix is 2 GiB at this size
 _MAX_NODES = 1 << 14
 # pairs compared per block of the boot-up gate (the temporaries are a few
 # of these as float64)
@@ -376,28 +385,39 @@ def section_problems(doc: dict) -> list[str]:
     return problems
 
 
-def _boot_up_problems(init: list, dist: np.ndarray) -> list[str]:
+def _boot_up_problems(init: list, rows, min_kappa: float) -> list[str]:
     """Boot-up gate: every pair of clocks must start within its path error
     budget, |init_v - init_w| <= d(v, w).  One message per violating pair
     v < w, in row-major order, for the first _GATE_PAIRS of them, then one
     line with the count of the others; compared as float64 a block of rows
-    at a time."""
+    at a time, each block of d read by ``rows(sources)``.
+
+    A row v can hold a violation only if its widest gap, fl(init_v - min) or
+    fl(max - init_v), exceeds fl(min_kappa + 1e-12).  Every other row
+    passes, exactly, and is not read: rounded subtraction is monotone, so
+    each of its gaps is at most its widest, and each d(v, w), v != w, is a
+    rounded sum of positive kappa, at least the first edge's kappa and so at
+    least ``min_kappa``, so by monotone rounding fl(d(v, w) + 1e-12) is at
+    least the threshold."""
     n = len(init)
     values = np.array(init, dtype=float)
-    rows = max(1, _GATE_BLOCK // n)
+    lo, hi = values.min(), values.max()
+    wide = np.flatnonzero(np.maximum(values - lo, hi - values) > min_kappa + 1e-12)
+    rows_per = max(1, _GATE_BLOCK // n)
     problems, more = [], 0
-    for r0 in range(0, n, rows):
-        block = slice(r0, min(r0 + rows, n))
-        bad = np.abs(values[block, None] - values) > dist[block] + 1e-12
-        bad &= np.arange(n) > np.arange(r0, block.stop)[:, None]
+    for r0 in range(0, len(wide), rows_per):
+        block = wide[r0 : r0 + rows_per]
+        dist = rows(block)
+        bad = np.abs(values[block, None] - values) > dist + 1e-12
+        bad &= np.arange(n) > block[:, None]
         count = int(np.count_nonzero(bad))
         named = min(count, _GATE_PAIRS - len(problems))  # no pair is looked up past the cap
         more += count - named
-        for v, w in (np.argwhere(bad)[:named].tolist() if named else []):
-            v += r0
+        for i, w in (np.argwhere(bad)[:named].tolist() if named else []):
+            v = int(block[i])
             problems.append(
                 f"initial synchronisation violated for pair ({v},{w}): "
-                f"|{init[v]!r} - {init[w]!r}| > {float(dist[v, w])!r}"
+                f"|{init[v]!r} - {init[w]!r}| > {float(dist[i, w])!r}"
             )
     if more:
         problems.append(f"initial synchronisation violated for {more} more pairs")
@@ -546,12 +566,20 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
     if problems:
         return {}, problems
 
-    dist = kappa_distance_matrix(g, kappa)
-    problems.extend(_boot_up_problems([iv for iv, _, _ in hw_specs], dist))
-    diameter = float(dist.max())
+    # full mode keeps the matrix for its oracles, and its largest entry is
+    # one pass; skew_only reads the few rows the gate and the diameter need
+    # from the row kernel, and the diameter equals that entry bit for bit
+    if metrics_mode == "full":
+        dist = kappa_distance_matrix(g, kappa)
+        rows, diameter = dist.__getitem__, float(dist.max())
+    else:
+        dist, rows = None, partial(kappa_distance_rows, g, kappa)
+        diameter = kappa_diameter(g, rows)
+    least = min(kappa.values())
+    problems.extend(_boot_up_problems([iv for iv, _, _ in hw_specs], rows, least))
     if s_max is None:
         g_bound = theorem3_bound(diameter, params.sigma)
-        levels = theorem2_levels(min(kappa.values()), g_bound, params.sigma)
+        levels = theorem2_levels(least, g_bound, params.sigma)
         params = replace(params, s_max=max(1, levels) + 1)
     table = 4 * 2 * len(g.edges) * params.s_max
     if table > _MAX_LEVEL_TABLE:
@@ -571,7 +599,7 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
         sample_dt=sample_dt,
         master_seed=master_seed,
         kappa=kappa,
-        dist=dist if metrics_mode == "full" else None,  # only the full-mode oracles read it
+        dist=dist,
         diameter=diameter,
         timeout=timeout,
         horizon_cycles=horizon_cycles,

@@ -24,7 +24,9 @@ __all__ = [
     "validate_graph",
     "edge_kappa",
     "kappa_weights",
+    "kappa_distance_rows",
     "kappa_distance_matrix",
+    "kappa_diameter",
     "check_kappa_metric",
 ]
 
@@ -200,20 +202,22 @@ def _in_edges(g: NetworkGraph, kappa: dict[tuple[int, int], float]) -> tuple[np.
     return src, dst, np.array([kappa[(u, v)] for u, v, _ in g.edges])[edge]
 
 
-def kappa_distance_matrix(g: NetworkGraph, kappa: dict[tuple[int, int], float]) -> np.ndarray:
-    """All-pairs kappa-weighted shortest-path distances (dense n x n).
+def kappa_distance_rows(g: NetworkGraph, kappa: dict[tuple[int, int], float], sources) -> np.ndarray:
+    """Rows ``sources`` of the all-pairs kappa-weighted shortest-path
+    distances: ``out[i, v]`` is d(sources[i], v), the least kappa sum over
+    paths from sources[i] to v, accumulated from the source outward as
+    d(s, u) + kappa(u, v), or +inf where v is unreachable.  Sources may come
+    in any order and repeat.
 
-    ``out[s, v]`` is d(s, v): the least kappa sum over paths from s to v,
-    accumulated from the source outward as d(s, u) + kappa(u, v), or +inf
-    where v is unreachable.  It is computed by an all-sources Bellman-Ford
-    over arrays.  ``dt[v, s]`` holds the current d(s, v), starting at +inf
-    with a zero diagonal.  The 2m directed edges are sorted by head and
-    split into in-degree slots: slot j holds the j-th incoming edge of every
-    node that has one, so no head repeats within a slot.  A round relaxes
-    every slot in place, ``dt[v] = min(dt[v], dt[u] + kappa(u, v))``.
-    Rounds stop after the first one that changes nothing, at most n of them.
+    It is a Bellman-Ford over an (n, len(sources)) array.  ``dt[v, i]``
+    holds the current d(sources[i], v), starting at +inf with a zero at each
+    source.  The 2m directed edges are sorted by head and split into
+    in-degree slots: slot j holds the j-th incoming edge of every node that
+    has one, so no head repeats within a slot.  A round relaxes every slot in
+    place, ``dt[v] = min(dt[v], dt[u] + kappa(u, v))``.  Rounds stop after
+    the first one that changes nothing, at most n of them.
 
-    The result is bit for bit the one of a Dijkstra run from every source,
+    Each column is the run of a Dijkstra from its source, bit for bit,
     because every candidate is formed as Dijkstra forms it, d(s, u) +
     kappa(u, v), and rounded float addition is monotone: a <= b gives
     a + k <= b + k, so each relaxation is a monotone map.
@@ -224,11 +228,15 @@ def kappa_distance_matrix(g: NetworkGraph, kappa: dict[tuple[int, int], float]) 
     - Dijkstra's result D is a fixed point of every relaxation, since each
       settled d(s, u) was relaxed into all of u's neighbours, and D lies
       below the start.  Monotone maps keep every round at or above D.
-    So L equals D exactly.
+    So L equals D exactly.  A column never reads another, and it stays at
+    its fixed point once there, so the rounds the other columns add change
+    nothing in it: any set of sources gives, bit for bit, the same rows as
+    :func:`kappa_distance_matrix`.
     """
     n = g.n
-    dt = np.full((n, n), np.inf)
-    np.fill_diagonal(dt, 0.0)
+    sources = np.asarray(sources, dtype=np.intp)
+    dt = np.full((n, len(sources)), np.inf)
+    dt[sources, np.arange(len(sources))] = 0.0
     if g.edges:
         heads, tails, weights = _in_edges(g, kappa)
         # rank of each edge among the edges entering its head
@@ -249,6 +257,75 @@ def kappa_distance_matrix(g: NetworkGraph, kappa: dict[tuple[int, int], float]) 
             if not changed:
                 break
     return np.ascontiguousarray(dt.T)
+
+
+def kappa_distance_matrix(g: NetworkGraph, kappa: dict[tuple[int, int], float]) -> np.ndarray:
+    """All-pairs kappa-weighted shortest-path distances (dense n x n):
+    ``out[s, v]`` is d(s, v), the rows of every source, in order, of
+    :func:`kappa_distance_rows`."""
+    return kappa_distance_rows(g, kappa, np.arange(g.n))
+
+
+# rows per call of the row reader in :func:`kappa_diameter`
+_DIAMETER_BLOCK = 32
+
+
+def kappa_diameter(g: NetworkGraph, rows) -> float:
+    """The largest entry of the kappa-distance matrix, bit for bit, read
+    from a few of its rows: ``rows(sources)`` returns the rows of
+    :func:`kappa_distance_matrix` for an index array ``sources``.
+
+    This is iFUB (Crescenzi et al., "On computing the diameter of real-world
+    undirected graphs", TCS 2013).  It reads the row of a centre guess u, a
+    node of largest degree, then the other rows in decreasing d(u, x),
+    _DIAMETER_BLOCK at a time, and stops once no unread row can hold an
+    entry as large as ``best``, the largest entry read so far.
+
+    Exact arithmetic would stop once ``best`` reaches 2 d(u, x) for the next
+    x.  Here the triangle inequality holds only up to rounding, u's row gives
+    d(u, y) rather than d(y, u), and d(y, z) may differ from d(z, y), so the
+    test carries a margin.  Let d* be the exact shortest-path metric, which
+    is symmetric and obeys the triangle inequality, and eps = 2^-53.  An
+    entry d(a, b) is a rounded source-outward sum of at most n - 1 positive
+    kappa along Dijkstra's path, and is at most the rounded sum along a
+    shortest path (:func:`kappa_distance_rows`), so with e = (n - 1) eps /
+    (1 - (n - 1) eps) it lies in [(1 - e), (1 + e)] d*(a, b).  So, with
+    c = (1 + e) / (1 - e), for any nodes y, z:
+    - d(y, z) <= (1 + e) (d*(u, y) + d*(u, z)) <= c (d(u, y) + d(u, z));
+    - d(y, z) <= (1 + e) d*(z, y) <= c d(z, y).
+    Let r be the largest d(u, y) over the unread rows y and ``colmax[y]`` the
+    largest d(z, y) over the read rows z.  A row y stays unread only while
+    fl(fl(d(u, y) + r) * M) < best and fl(colmax[y] * M) < best, where
+    M = ``margin`` = 1 + 4n * 2^-52 = 1 + 8n eps is exact, and
+    (1 - eps)^2 M > 1 + 5n eps > c for every n below 2^40.
+    Then every entry of y is below ``best``: d(y, z) < best by the first
+    bound for z unread, by the second for z read.  The first test is iFUB's
+    stop rule 2 d(u, x) <= best, with its margin; the second reads the rows
+    whose transposed entry came within the margin of ``best``, typically the
+    far ends of a diametral pair.  So the largest entry of the rows read is
+    ``dist.max()``, bit for bit.
+    """
+    n = g.n
+    margin = 1.0 + 4 * n * 2.0**-52
+    u = int(np.argmax(np.diff(g.directions[3])))
+    far = rows(np.array([u]))[0]
+    best, colmax = far.max(), far.copy()
+    unread = np.ones(n, dtype=bool)
+    unread[u] = False
+    order = np.argsort(-far, kind="stable")  # decreasing d(u, x)
+    while True:
+        left = order[unread[order]]
+        if not len(left):
+            break
+        need = left[((far[left] + far[left[0]]) * margin >= best) | (colmax[left] * margin >= best)]
+        if not len(need):
+            break
+        block = need[:_DIAMETER_BLOCK]
+        d = rows(block)
+        best = max(best, d.max())
+        np.maximum(colmax, d.max(axis=0), out=colmax)
+        unread[block] = False
+    return float(best)
 
 
 # Values per block of rows in :func:`check_kappa_metric`: its sums take

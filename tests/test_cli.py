@@ -577,6 +577,19 @@ class TestBootUpGate:
         assert lines[-1] == f"validation: initial synchronisation violated for {more} more pairs"
 
 
+    def test_every_pair_violating_at_n_1024_in_skew_only_matches_full(self, tmp_path, capsys):
+        # skew_only reads the gate's rows from the row kernel, a block at a
+        # time, and never builds the matrix
+        n = 1024
+        errs = []
+        for mode in ("full", "skew_only"):
+            doc = random_template_doc(n, metrics=mode)
+            for v in range(n):
+                doc["clocks"]["overrides"].setdefault(str(v), {})["initial_value"] = 1000.0 * v
+            assert cli.main(["check", "--scenario", write_doc(tmp_path, doc)]) == cli.EXIT_VALIDATION
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and len(errs[0].splitlines()) == scen._GATE_PAIRS + 1
+
 class TestInputLimits:
     """An input that a limit bounds is rejected before anything of its size
     is built or run."""

@@ -223,6 +223,36 @@ class TestTableHardware:
             for x in readings:  # every segment's start value exactly, and between them
                 assert table.hw_inverse(c, x) == twin.inverse(x)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cursor_reads_match_the_twin_in_any_order(self, data):
+        # reads and inverses of several clocks, most with many segments,
+        # interleaved, each a step forward or back from its clock's last, a
+        # jump to a breakpoint, or an inverse below the initial value: the
+        # cursor's segment, or the next, is used only where it holds the
+        # argument, and never one of the next clock
+        multi = st.integers(1, 8).flatmap(lambda k: st.tuples(
+            st.lists(st.floats(0.1, 5.0), min_size=k - 1, max_size=k - 1).map(
+                lambda gaps: tuple(np.cumsum([0.0] + gaps).tolist())),
+            st.lists(st.floats(1.0, THETA), min_size=k, max_size=k).map(tuple)))
+        hardware = [(data.draw(st.floats(0.0, 5.0)), *sched)
+                    for sched in data.draw(st.lists(multi, min_size=1, max_size=3))]
+        table = ClockTable(hardware)
+        twins = [HardwareClock(*spec) for spec in hardware]
+        at = [0.0] * len(twins)
+        for c, step, inverse, snap in data.draw(st.lists(st.tuples(
+                st.integers(0, len(twins) - 1), st.floats(-8.0, 8.0), st.sampled_from([0, 1, 2]),
+                st.booleans()), min_size=1, max_size=40)):
+            twin = twins[c]
+            at[c] = max(0.0, at[c] + step)
+            if snap:  # a breakpoint, where the cursor's segment ends
+                at[c] = twin.starts[min(range(len(twin.starts)), key=lambda i: abs(twin.starts[i] - at[c]))]
+            if inverse:
+                x = twin.value(at[c]) if inverse == 1 else twin.initial_value - 1.0 - step
+                assert table.hw_inverse(c, x) == twin.inverse(x)
+            else:
+                assert table.hw_value(c, at[c]) == twin.value(at[c])
+
 
 def reference_reads(clocks, times, cols):
     """(L, H, mode) from the scalar reference, one (instant, clock) of the

@@ -960,6 +960,57 @@ class TestValidationGate:
             f"initial synchronisation violated for {len(every) - cap} more pairs"
         ]
 
+    @pytest.mark.parametrize("mode", ["full", "skew_only"])
+    def test_gate_shortcut_is_tight(self, mode):
+        # the path's kappa is 0.04 on both links: a spread up to
+        # fl(0.04 + 1e-12) passes without reading a row, one float more fails
+        # on both links, as the pairwise comparison says
+        doc = zero_drift_doc(True)
+        doc["sim"]["metrics"] = mode
+        dist = scen.build_scenario({**doc, "sim": {**doc["sim"], "metrics": "full"}}).dist
+        threshold = 0.04 + 1e-12
+        for spread in (0.04, threshold, float(np.nextafter(threshold, np.inf))):
+            init = [0.0, spread, 0.0]
+            read = []
+            problems = scen._boot_up_problems(init, lambda s: (read.append(s.tolist()), dist[s])[1], 0.04)
+            assert problems == boot_up_gate(init, dist)
+            doc["clocks"]["overrides"] = {"1": {"initial_value": spread}}
+            if spread <= threshold:
+                assert read == [] and problems == []
+                scen.build_scenario(doc)
+            else:
+                assert read == [[0, 1, 2]] and len(problems) == 2
+                with pytest.raises(ScenarioValidationError) as err:
+                    scen.build_scenario(doc)
+                assert err.value.problems == problems
+
+    @given(st.integers(2, 24), st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 1.5), min_size=24, max_size=24),
+           st.sampled_from([None, 1, 40]), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_skew_only_gate_matches_full(self, n, seed, init, block, cap):
+        # skew_only reads the kernel's rows where full reads the matrix's: the
+        # same messages, in any block size, under any cap, and those of the
+        # pairwise loop
+        def template(mode, values):
+            doc = random_template_doc(n, 2, mode)
+            doc["graph"]["template"].update(seed=seed, extra_edges=min(n // 2, (n - 1) * (n - 2) // 2))
+            for v in range(n):
+                doc["clocks"]["overrides"].setdefault(str(v), {})["initial_value"] = values[v]
+            return doc
+
+        problems = {}
+        with mock.patch.object(scen, "_GATE_PAIRS", cap), mock.patch.object(
+                scen, "_GATE_BLOCK", block or scen._GATE_BLOCK):
+            for mode in ("full", "skew_only"):
+                try:
+                    problems[mode] = (scen.build_scenario(template(mode, init)).diameter, [])
+                except ScenarioValidationError as err:
+                    problems[mode] = (None, err.problems)
+        assert problems["full"] == problems["skew_only"]
+        every = boot_up_gate(init[:n], scen.build_scenario(template("full", [0.0] * n)).dist)
+        expected = every[:cap] + [f"initial synchronisation violated for {len(every) - cap} more pairs"]
+        assert problems["full"][1] == (expected if len(every) > cap else every)
+
     def test_T_below_timeout_rejected(self):
         doc = zero_drift_doc(True)
         doc["gcs"]["T"] = 1.0

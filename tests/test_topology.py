@@ -1,20 +1,24 @@
 import itertools
 import math
 from collections import deque
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcsim import engine
+from gcsim import engine, topology
 from gcsim import scenario as scen
 from gcsim.errors import ParameterError
 from gcsim.topology import (
     EdgeParams,
     NetworkGraph,
     edge_kappa,
+    kappa_diameter,
     kappa_distance_matrix,
+    kappa_distance_rows,
     kappa_weights,
     validate_graph,
 )
@@ -323,6 +327,114 @@ class TestBitIdenticalToDijkstra:
         rng = np.random.default_rng(5)
         kappa = {e: k * float(rng.uniform(0.5, 1.5)) for e, k in sc.kappa.items()}
         assert np.array_equal(kappa_distance_matrix(sc.graph, kappa), dijkstra_matrix(sc.graph, kappa))
+
+
+@st.composite
+def metric_graphs(draw):
+    """A connected graph with kappa weights that break float symmetry: a
+    path, a cycle or a random tree with extra links, under shuffled node
+    ids, its kappa spanning decades or drawn from a few values whose sums
+    round differently in different orders (near-tied eccentricities)."""
+    n = draw(st.integers(2, 24))
+    shape = draw(st.sampled_from(["path", "cycle", "tree"]))
+    ids = draw(st.permutations(range(n)))
+    pairs = {(ids[i], ids[i + 1]) for i in range(n - 1)} if shape != "tree" else {
+        (draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    if shape == "cycle" and n > 2:
+        pairs.add((ids[-1], ids[0]))
+    if shape == "tree":
+        for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+            if a != b:
+                pairs.add((a, b))
+    g = graph_from_pairs(n, {(min(a, b), max(a, b)) for a, b in pairs})
+    weight = st.floats(-4.0, 4.0).map(lambda e: 10.0**e) if draw(st.booleans()) else st.sampled_from(
+        [0.1, 0.2, 0.3, 0.7, 1 / 3, 0.1 + 2.0**-55])
+    return g, {(u, v): draw(weight) for u, v, _ in g.edges}
+
+
+class TestDistanceRows:
+    """The row kernel: any sources give the rows of the matrix, bit for
+    bit, and the matrix is its all-sources call."""
+
+    @given(weighted_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_the_matrix_rows(self, graph, data):
+        g, kappa = graph
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+        rows = kappa_distance_rows(g, kappa, sources)
+        assert rows.shape == (len(sources), g.n) and rows.flags.c_contiguous
+        assert np.array_equal(rows, kappa_distance_matrix(g, kappa)[sources])
+
+    @given(metric_graphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_of_asymmetric_sums(self, graph, data):
+        g, kappa = graph
+        sources = data.draw(st.permutations(range(g.n)))[: data.draw(st.integers(1, g.n))]
+        assert np.array_equal(kappa_distance_rows(g, kappa, sources), dijkstra_matrix(g, kappa)[sources])
+
+
+def reads(dist, log):
+    """The rows of ``dist`` as the diameter's row reader, logging the
+    sources of each call."""
+    return lambda sources: (log.append(list(sources)), dist[sources])[1]
+
+
+class TestDiameter:
+    """iFUB reads a few rows and returns the largest entry of the matrix,
+    bit for bit, whether the rows come from the matrix or the kernel."""
+
+    @given(metric_graphs() | weighted_graphs(), st.sampled_from([1, 2, 32]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_matrix_maximum(self, graph, block):
+        # blocks of one and two rows stop the walk as early as the stop rule allows
+        g, kappa = graph
+        dist = kappa_distance_matrix(g, kappa)
+        log = []
+        with mock.patch.object(topology, "_DIAMETER_BLOCK", block):
+            assert kappa_diameter(g, reads(dist, log)) == float(dist.max())
+        assert kappa_diameter(g, partial(kappa_distance_rows, g, kappa)) == float(dist.max())
+        read = [s for call in log for s in call]
+        assert len(read) == len(set(read))  # no row is read twice
+
+    def test_the_far_end_of_an_asymmetric_sum_is_read(self, monkeypatch):
+        # read one row at a time from the centre guess 1: node 3 is farthest,
+        # and its eccentricity 0.6 = (0.3 + 0.2) + 0.1 already exceeds twice
+        # every other d(1, x), but row 0 holds (0.1 + 0.2) + 0.3, one float
+        # above it, and its transposed entry 0.6 reaches the margin
+        monkeypatch.setattr(topology, "_DIAMETER_BLOCK", 1)
+        g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+        kappa = {(0, 1): 0.1, (1, 2): 0.2, (2, 3): 0.3}
+        dist = kappa_distance_matrix(g, kappa)
+        assert dist[3, 0] == 0.6 < dist[0, 3] == dist.max()
+        log = []
+        assert kappa_diameter(g, reads(dist, log)) == dist[0, 3]
+        assert log == [[1], [3], [0]]
+
+    def test_the_margin_reads_a_row_whose_transposed_entry_rounds_below_the_best(self, monkeypatch):
+        # an 8-cycle: rows 0, 3, 1 and 4 give best = d(4, 7) = 1.8, and the
+        # largest entry d(6, 1) = 1.8 + 2^-52 lies in a row whose transposed
+        # entry d(1, 6) = 1.8 - 2^-52 is below best; only the margin reads it
+        monkeypatch.setattr(topology, "_DIAMETER_BLOCK", 1)
+        pairs = [(0, 5), (0, 6), (1, 3), (1, 4), (2, 4), (2, 5), (3, 7), (6, 7)]
+        g = graph_from_pairs(8, pairs)
+        kappa = dict(zip(pairs, [0.6, 0.4, 0.7, 0.4, 0.3, 0.1, 0.7, 0.6]))
+        dist = kappa_distance_matrix(g, kappa)
+        assert dist[1, 6] < dist[4, 7] == 1.8 < dist[6, 1] == dist.max()
+        log = []
+        assert kappa_diameter(g, reads(dist, log)) == dist[6, 1]
+        assert [6] in log
+
+    def test_reads_few_rows_of_the_benchmark_graph(self):
+        doc = random_template_doc(256, 2, "skew_only")
+        sc = scen.build_scenario(doc)
+        dist = kappa_distance_matrix(sc.graph, sc.kappa)
+        log = []
+        assert kappa_diameter(sc.graph, reads(dist, log)) == sc.diameter == float(dist.max())
+        assert sum(map(len, log)) <= 64
+
+    def test_single_node(self):
+        g = NetworkGraph.build(1, [], d_max=1.0)
+        assert kappa_diameter(g, partial(kappa_distance_rows, g, {})) == 0.0
 
 
 @st.composite
