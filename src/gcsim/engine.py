@@ -511,7 +511,8 @@ class _Simulation:
         self._ev = np.array([v for _, v in self.edges])
         self.buf_t: list[float] = []
         # full mode: (times, L, H, modes, local, global, psi_levels) per
-        # chunk, after a zero-row one, which is all a skew_only run keeps
+        # chunk, after a zero-row one, which is all a skew_only run keeps;
+        # they become the records of the run's Trace
         empty, no_rows = np.zeros(0), np.zeros((0, n))
         self.chunks: list[tuple] = [
             (empty, no_rows, no_rows, np.zeros((0, n), dtype=np.int8), empty, empty, np.zeros((0, sc.params.s_max)))
@@ -989,12 +990,8 @@ class _Simulation:
         edges = self.edges
         if self.buf_t or self._reply_checks:
             self._reduce_chunk()
-        times, L, H, modes, local, glob, psi_levels = (np.concatenate(parts) for parts in zip(*self.chunks))
+        trace = Trace(self.chunks, edges, sc.local_bound, sc.global_bound)  # not joined: no second copy
         self.chunks = []
-        trace = Trace(
-            times=times, logical=L, hardware=H, modes=modes, edges=edges, local_skew=local, global_skew=glob,
-            psi_levels=psi_levels, bound_local=sc.local_bound, bound_global=sc.global_bound,
-        )
 
         report = metrics.build_bound_report(
             sc.kappa, sc.sigma, sc.local_bound, sc.global_bound, float(self.edge_max.max()), self.max_global,

@@ -11,9 +11,9 @@ import copy
 import hashlib
 import json
 import math
+import struct
 import sys
 from dataclasses import replace
-from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -27,7 +27,7 @@ from .topology import (
     NetworkGraph,
     kappa_diameter,
     kappa_distance_matrix,
-    kappa_distance_rows,
+    kappa_row_reader,
     kappa_weights,
     validate_graph,
 )
@@ -49,6 +49,10 @@ _GRAPH_KEYS = {"nodes", "edges", "d_max", "template"}
 # numeric edge fields and their defaults; fwd_delay/bwd_delay are required
 _EDGE_NUMS = {"fwd_delay": 0.0, "bwd_delay": 0.0, "jitter": 0.0, "eps_d": 0.0, "eps_m": 0.0,
               "length": 1.0}
+_EDGE_DEFAULTS = tuple(_EDGE_NUMS.values())
+# the bits of a record's numeric fields as doubles; struct.error for a field
+# that is no number, OverflowError for an int beyond the doubles
+_edge_bits = struct.Struct(f"<{len(_EDGE_NUMS)}d").pack
 _EDGE_KEYS = {"u", "v", *_EDGE_NUMS}
 _EDGE_REQUIRED = {"u", "v", "fwd_delay", "bwd_delay"}
 _TEMPLATE_KEYS = {"kind", "n", "rows", "cols", "extra_edges", "seed", "edge"}
@@ -453,6 +457,7 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
         problems.append("graph.edges: must be a non-empty list")
         return {}, problems
     edges = []
+    passed: dict[tuple, EdgeParams] = {}  # checked params by their record's numeric types and bits
     for i, rec in enumerate(edges_raw):
         where = f"graph.edges[{i}]"
         if not isinstance(rec, dict):
@@ -472,8 +477,24 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
         if u == v:
             problems.append(f"{where}: self-loop at node {u}")
             continue
-        nums = {key: _num(rec, key, problems, where, default=d) for key, d in _EDGE_NUMS.items()}
-        edges.append((u, v, EdgeParams(**nums)))
+        # links mostly repeat one edge (a template writes its edge into
+        # every link), so a record whose numeric fields have the types and
+        # the bits of a record that passed takes its params: the types tell
+        # True from 1, the bits -0.0 from 0.0, and an absent field is its
+        # default, as _num reads it.  Any other record, and each one with a
+        # field that has no bits, is checked, and reported, on its own
+        values = tuple(map(rec.get, _EDGE_NUMS, _EDGE_DEFAULTS))
+        try:
+            key = (*map(type, values), _edge_bits(*values))
+        except (struct.error, OverflowError):
+            key = None
+        params = passed.get(key)
+        if params is None:
+            before = len(problems)
+            params = EdgeParams(**{name: _num(rec, name, problems, where, default=d) for name, d in _EDGE_NUMS.items()})
+            if len(problems) == before:
+                passed[key] = params
+        edges.append((u, v, params))
     if problems:
         return {}, problems
     g = NetworkGraph.build(n, edges, d_max)
@@ -573,7 +594,7 @@ def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict
         dist = kappa_distance_matrix(g, kappa)
         rows, diameter = dist.__getitem__, float(dist.max())
     else:
-        dist, rows = None, partial(kappa_distance_rows, g, kappa)
+        dist, rows = None, kappa_row_reader(g, kappa)
         diameter = kappa_diameter(g, rows)
     least = min(kappa.values())
     problems.extend(_boot_up_problems([iv for iv, _, _ in hw_specs], rows, least))

@@ -25,6 +25,7 @@ __all__ = [
     "edge_kappa",
     "kappa_weights",
     "kappa_distance_rows",
+    "kappa_row_reader",
     "kappa_distance_matrix",
     "kappa_diameter",
     "check_kappa_metric",
@@ -233,18 +234,27 @@ def kappa_distance_rows(g: NetworkGraph, kappa: dict[tuple[int, int], float], so
     nothing in it: any set of sources gives, bit for bit, the same rows as
     :func:`kappa_distance_matrix`.
     """
+    return kappa_row_reader(g, kappa)(sources)
+
+
+def kappa_row_reader(g: NetworkGraph, kappa: dict[tuple[int, int], float]):
+    """The reader ``rows(sources)`` of :func:`kappa_distance_rows` over
+    ``g`` and ``kappa``, which builds the in-degree slots once, for every
+    call the reader takes."""
     n = g.n
-    sources = np.asarray(sources, dtype=np.intp)
-    dt = np.full((n, len(sources)), np.inf)
-    dt[sources, np.arange(len(sources))] = 0.0
+    slots = []
     if g.edges:
         heads, tails, weights = _in_edges(g, kappa)
         # rank of each edge among the edges entering its head
         rank = np.arange(heads.size) - g.directions[3][heads]
-        slots = []
         for j in range(int(rank.max()) + 1):
             sel = rank == j
             slots.append((heads[sel], tails[sel], weights[sel, None]))
+
+    def rows(sources) -> np.ndarray:
+        sources = np.asarray(sources, dtype=np.intp)
+        dt = np.full((n, len(sources)), np.inf)
+        dt[sources, np.arange(len(sources))] = 0.0
         for _ in range(n):
             changed = False
             for dst, src, k in slots:
@@ -256,7 +266,9 @@ def kappa_distance_rows(g: NetworkGraph, kappa: dict[tuple[int, int], float], so
                     dt[dst] = np.minimum(cur, cand, out=cand)
             if not changed:
                 break
-    return np.ascontiguousarray(dt.T)
+        return np.ascontiguousarray(dt.T)
+
+    return rows
 
 
 def kappa_distance_matrix(g: NetworkGraph, kappa: dict[tuple[int, int], float]) -> np.ndarray:

@@ -35,37 +35,68 @@ class Violation:
         return dict(vars(self))
 
 
+def _column(i: int) -> property:
+    """Array i of every record, as one array of the whole trace."""
+
+    def get(self: Trace) -> np.ndarray:
+        return self._joined()[i]
+
+    def set_(self: Trace, value: np.ndarray) -> None:
+        record = list(self._joined())
+        record[i] = value
+        self.records = [tuple(record)]
+
+    return property(get, set_, doc=_column.__doc__)
+
+
 @dataclass(eq=False)
 class Trace:
     """Time-ordered run record.
 
-    Arrays are row-per-sample: ``logical``/``hardware`` are (S, n),
-    ``modes`` (S, n) of 0/1, ``psi_levels`` (S, s_max) level potentials;
-    a skew-only run has no rows.  The kappa-distance matrix the
-    potentials use is the scenario's, ``Scenario.dist``.
+    The rows are held once, as the engine made them: ``records`` is a list
+    of consecutive row blocks, each the tuple (times, logical, hardware,
+    modes, local_skew, global_skew, psi_levels) of one block's rows, whose
+    whole-trace arrays are the attributes of those names: ``times`` (S,),
+    ``logical``/``hardware`` (S, n), ``modes`` (S, n) of 0/1,
+    ``local_skew``/``global_skew`` (S,) and ``psi_levels`` (S, s_max)
+    level potentials.  The first record sets the shapes and may have no
+    rows; a skew-only run has no others, and a trace built from whole
+    arrays is one record.  :func:`write_trace_csv` walks the records.
+    Reading or setting such an attribute, as tests and
+    :func:`metrics.corollary1_check_all` do, first joins the records into
+    one, which replaces them: a caller that asks for a whole (S, n) array
+    makes one copy of the rows, not a second.  The kappa-distance matrix
+    the potentials use is the scenario's, ``Scenario.dist``.
     """
 
-    times: np.ndarray
-    logical: np.ndarray
-    hardware: np.ndarray
-    modes: np.ndarray
+    records: list[tuple[np.ndarray, ...]]
     edges: tuple[tuple[int, int], ...]
-    local_skew: np.ndarray
-    global_skew: np.ndarray
-    psi_levels: np.ndarray
     bound_local: float
     bound_global: float
 
+    times = _column(0)
+    logical = _column(1)
+    hardware = _column(2)
+    modes = _column(3)
+    local_skew = _column(4)
+    global_skew = _column(5)
+    psi_levels = _column(6)
+
+    def _joined(self) -> tuple[np.ndarray, ...]:
+        if len(self.records) > 1:
+            self.records = [tuple(np.concatenate(parts) for parts in zip(*self.records))]
+        return self.records[0]
+
     @property
     def n(self) -> int:
-        return self.logical.shape[1]
+        return self.records[0][1].shape[1]
 
     @property
     def s_max(self) -> int:
-        return self.psi_levels.shape[1] if self.psi_levels.size else 0
+        return self.records[0][6].shape[1] if len(self) else 0
 
     def __len__(self) -> int:
-        return len(self.times)
+        return sum(len(record[0]) for record in self.records)
 
 
 @dataclass
@@ -87,13 +118,24 @@ class RunSummary:
         return {k: v for k, v in vars(self).items() if k != "wall_time_s"}
 
 
-# Rows formatted at once by write_trace_csv; bounds the strings held in memory.
-_CSV_BLOCK_ROWS = 2048
+# Cells (rows times formatted columns) that write_trace_csv formats at once;
+# bounds the arrays and strings a block holds, about 150 bytes a cell, at
+# any n.  On a 2-core Xeon, 2^15 cells wrote grid4x4's trace.csv in 23 ms and
+# distinct-rate n = 256's (773 columns) in 1.35 s, against 27 ms and 1.74 s
+# for blocks of 2048 rows, whose strings alone held about 165 MB at n = 256.
+_CSV_BLOCK_CELLS = 2**15
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    """Write the trace block by block, each block of ``_CSV_BLOCK_ROWS``
-    rows formatting each distinct value once.
+    """Write the trace block by block, each block of at most
+    ``_CSV_BLOCK_CELLS`` cells (at least one row) formatting each distinct
+    value once.
+
+    The blocks walk ``trace.records``, splitting a record that holds more
+    rows than a block and joining records that hold fewer, so the writer
+    holds the stored rows once and one block's copies and strings beside
+    them, and a block's rows are the same whichever records they came
+    from.
 
     GCS drives neighbours into shared modes, so nodes with one rate and one
     mode history carry identical L and H columns, and a block holds few
@@ -127,17 +169,39 @@ def write_trace_csv(trace: Trace, path) -> None:
     cols += [f"psi_s{s}" for s in range(1, s_max + 1)]
     cols += ["bound_local", "bound_global"]
     tail = f",{float(trace.bound_local)!r},{float(trace.bound_global)!r}\n"
+    rows = max(1, _CSV_BLOCK_CELLS // (len(cols) - 2))  # the bounds are the constant tail
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for start in range(0, len(trace), _CSV_BLOCK_ROWS):
-            rows = slice(start, start + _CSV_BLOCK_ROWS)
-            block = [trace.times[rows]]
+        for parts in _row_blocks(trace.records, rows):
+            times, L, H, modes, local, glob, psi = (
+                part[0] if len(parts) == 1 else np.concatenate(part) for part in zip(*parts)
+            )
+            block = [times]
             for j in range(n):
-                block += [trace.logical[rows, j], trace.hardware[rows, j], trace.modes[rows, j]]
-            block += [trace.local_skew[rows], trace.global_skew[rows]]
-            block += [trace.psi_levels[rows, s] for s in range(s_max)]
+                block += [L[:, j], H[:, j], modes[:, j]]
+            block += [local, glob]
+            block += [psi[:, s] for s in range(s_max)]
             cells = _block_cells(block)
             fh.write("".join([",".join(row) + tail for row in cells.tolist()]))
+
+
+def _row_blocks(records: list[tuple[np.ndarray, ...]], rows: int):
+    """The rows of ``records`` in consecutive blocks of ``rows`` rows, the
+    last possibly shorter, each block the list of record slices that make
+    it up, in order."""
+    parts, held = [], 0
+    for record in records:
+        start, size = 0, len(record[0])
+        while start < size:
+            stop = min(size, start + rows - held)
+            parts.append(tuple(array[start:stop] for array in record))
+            held += stop - start
+            start = stop
+            if held == rows:
+                yield parts
+                parts, held = [], 0
+    if parts:
+        yield parts
 
 
 def _block_cells(block: list[np.ndarray]) -> np.ndarray:

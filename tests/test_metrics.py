@@ -325,12 +325,9 @@ class TestCorollary1:
 def stored_trace(times, logical):
     """A full-mode trace of the given clock values, for the stored-trace checks."""
     S, n = logical.shape
-    return Trace(
-        times=times, logical=logical, hardware=np.zeros((S, n)),
-        modes=np.zeros((S, n), dtype=np.int8), edges=((0, 1),), local_skew=np.zeros(S),
-        global_skew=np.zeros(S), psi_levels=np.zeros((S, 1)),
-        bound_local=2.0, bound_global=2.0,
-    )
+    record = (times, logical, np.zeros((S, n)), np.zeros((S, n), dtype=np.int8), np.zeros(S), np.zeros(S),
+              np.zeros((S, 1)))
+    return Trace([record], edges=((0, 1),), bound_local=2.0, bound_global=2.0)
 
 
 def chained_oracles(trace, dist, theta, rows, oracles=metrics.trace_oracles):

@@ -6,6 +6,8 @@ the scenario must then either succeed or raise one of the two documented
 scenario errors, never anything else.
 """
 import copy
+import math
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,3 +60,60 @@ def test_mutated_document_builds_or_is_refused(data):
     except (ScenarioParseError, ScenarioValidationError):
         return
     assert isinstance(sc, Scenario)
+
+
+# Values that edge records share as objects, the way a template writes one
+# edge object into every link: True and 1 and 1.0, 0.0 and -0.0 compare
+# equal but are not the same value to validation or to the params
+SHARED = [1, True, 1.0, 0.0, -0.0, 0.05, 2.5, "x", None, [], float("nan"), float("inf")]
+
+
+def _finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_shared_edge_values_are_checked_as_fresh_ones(data):
+    # validation reuses the params of a record whose numeric fields have
+    # the types and bits of one that passed; every record must still get
+    # its own problems, at its own index, and its own params
+    objects = [data.draw(st.sampled_from(SHARED)) for _ in range(4)]
+    doc = scen.expand_document(_short(scen.load_document("line8")))[0]
+    for rec in doc["graph"]["edges"]:
+        for name in data.draw(st.lists(st.sampled_from(sorted(scen._EDGE_NUMS)), max_size=3, unique=True)):
+            if name in scen._EDGE_REQUIRED or data.draw(st.booleans()):
+                rec[name] = data.draw(st.sampled_from(objects))
+            else:
+                del rec[name]
+    fields, problems = scen.validate_document(doc)
+    records = doc["graph"]["edges"]
+    expected = [f"graph.edges[{i}].{name}: must be a number"
+                for i, rec in enumerate(records) for name in scen._EDGE_NUMS
+                if name in rec and not _finite_number(rec[name])]
+    assert [p for p in problems if p.startswith("graph.edges[")] == expected
+    if not problems:
+        params = [repr(tuple(getattr(p, name) for name in scen._EDGE_NUMS)) for _, _, p in fields["graph"].edges]
+        assert params == [repr(tuple(float(rec.get(name, d)) for name, d in scen._EDGE_NUMS.items()))
+                          for rec in records]
+
+
+def test_values_equal_to_passed_ones_are_not_taken_for_them():
+    # 1 == True and 0.0 == -0.0, with equal hashes
+    doc = scen.expand_document(_short(scen.load_document("line8")))[0]
+    first, second = doc["graph"]["edges"][:2]
+    first["jitter"], second["jitter"] = 1, True
+    assert scen.validate_document(doc)[1] == ["graph.edges[1].jitter: must be a number"]
+    first["jitter"], second["jitter"] = 0.0, -0.0
+    fields, problems = scen.validate_document(doc)
+    assert not problems
+    assert [math.copysign(1.0, p.jitter) for _, _, p in fields["graph"].edges[:2]] == [1.0, -1.0]
+
+
+def test_a_template_edge_is_checked_once():
+    doc = scen.load_document("random16")
+    links = len(scen.expand_document(doc)[0]["graph"]["edges"])
+    with mock.patch.object(scen, "_num", wraps=scen._num) as num:
+        scen.build_scenario(doc)
+    edge_checks = [c for c in num.call_args_list if c.args[3].startswith("graph.edges[")]
+    assert links > 1 and len(edge_checks) == len(scen._EDGE_NUMS)

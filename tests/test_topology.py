@@ -19,6 +19,7 @@ from gcsim.topology import (
     kappa_diameter,
     kappa_distance_matrix,
     kappa_distance_rows,
+    kappa_row_reader,
     kappa_weights,
     validate_graph,
 )
@@ -363,7 +364,12 @@ class TestDistanceRows:
         sources = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
         rows = kappa_distance_rows(g, kappa, sources)
         assert rows.shape == (len(sources), g.n) and rows.flags.c_contiguous
-        assert np.array_equal(rows, kappa_distance_matrix(g, kappa)[sources])
+        dist = kappa_distance_matrix(g, kappa)
+        assert np.array_equal(rows, dist[sources])
+        # one reader, its slots built once, serves call after call
+        reader = kappa_row_reader(g, kappa)
+        for block in (sources, sources[::-1], range(g.n)):
+            assert np.array_equal(reader(list(block)), dist[list(block)])
 
     @given(metric_graphs(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -392,7 +398,7 @@ class TestDiameter:
         log = []
         with mock.patch.object(topology, "_DIAMETER_BLOCK", block):
             assert kappa_diameter(g, reads(dist, log)) == float(dist.max())
-        assert kappa_diameter(g, partial(kappa_distance_rows, g, kappa)) == float(dist.max())
+        assert kappa_diameter(g, kappa_row_reader(g, kappa)) == float(dist.max())
         read = [s for call in log for s in call]
         assert len(read) == len(set(read))  # no row is read twice
 
