@@ -3,11 +3,11 @@ two-way measured links, with ground-truth oracles for every claimed
 invariant and skew bound."""
 
 from .clocks import FAST, OWN_RATE, LogicalClock
-from .engine import RunResult, Scenario, run, seeded_stream
+from .engine import run, seeded_stream
 from .gcs import GcsParams
-from .scenario import build_scenario, load_scenario, static_report
+from .scenario import Scenario, build_scenario, load_scenario, static_report
 from .topology import EdgeParams, NetworkGraph, edge_kappa, kappa_weights
-from .trace import RunSummary, Trace, Violation
+from .trace import RunResult, RunSummary, Trace, Violation
 
 __version__ = "0.1.0"
 

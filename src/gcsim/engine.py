@@ -8,7 +8,7 @@ view of the run's one anchor table ``table``, and its cycle ``cycle[v]``;
 a link direction d, a->b, is a column of arrays: its parameters, its
 streams and its exchange in flight (``_ex[:, d]``, open from a's wakeup
 to a's evaluation, so a is measuring exactly when its directions are
-open).  Metrics get read-only snapshots.
+open).
 
 Event handlers do only what the nodes do: readings, estimates, triggers and
 mode changes.  Neither a message nor an exchange is an event of its own:
@@ -17,7 +17,7 @@ processing time, one scalar send per neighbour, and keeps the reply's
 emission instant with the heap sequence number an event for it would
 take; the reply's delay is drawn off the heap, in the order of the stream
 it shares with the responder's requests (see the comment above
-``_flush_sample``); and the requester's evaluation reads the three stamps
+``_Simulation.run``); and the requester's evaluation reads the three stamps
 taken at past instants (w's at the request's arrival and at the reply's
 emission, v's at the reply's arrival).  The evaluations at one instant are
 one array pass: it draws their reply delays, checks their views, reads
@@ -34,20 +34,13 @@ Every event instant is a sample, since every event may change a clock's
 slope or is a grid tick, and so is the run's one end instant: the horizon
 time, or the wakeup at which the last node reaches the horizon cycle.
 
-Handlers record the instants that need ground truth, and every check
-against true clock values runs per chunk, in numpy, when the chunk is
-reduced: the skew maxima at the sample instants, the hardware drift
-envelope between consecutive samples, the estimate sandwich at each reply
-arrival and evaluation, the slow and fast conditions at each evaluation,
-and in full mode the trace oracles (level potentials, Corollary 1).  The
-leading-node and trailing-node lemmas are identities of the kappa-metric,
-so a full-mode run checks instead, once before its first event, that
-``sc.dist`` is that metric (``InternalError`` if not).
-Reading a clock at a past instant then is exact, as the comment above
-``_flush_sample`` argues, so the stamps are those the parties read, and
-these checks report what checks made inside the handlers would.  A run that
+The loop checks nothing against true clock values.  It hands the run's
+:class:`metrics.Oracle` each sample instant, the (5, m) record of the
+exchanges it completes and the evaluations of each instant, and the
+oracle reads the clocks at those instants later, from the anchor table,
+which is exact (see the comment above ``_Simulation.run``).  A run that
 ends, or aborts with ``RunAborted``, first completes every exchange whose
-reply has arrived and then makes every check still buffered.
+reply has arrived, then hands over to the oracle.
 """
 from __future__ import annotations
 
@@ -55,52 +48,49 @@ import hashlib
 import heapq
 import logging
 import time as _time
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import gcs, metrics
-from .clocks import FAST, OWN_RATE, ClockTable, LogicalClock, read_clocks, sample_clocks
-from .errors import ConfigError, InternalError, RunAborted
-from .gcs import GcsParams
-from .topology import NetworkGraph, check_kappa_metric
-from .trace import RunSummary, Trace, Violation
+from .clocks import FAST, OWN_RATE, ClockTable, LogicalClock, read_clocks
+from .errors import ConfigError, InternalError
+from .trace import RunResult
 from .twoway import compute_estimates, estimate_value
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["seeded_streams", "seeded_stream", "Scenario", "RunResult", "run"]
+__all__ = ["seeded_streams", "seeded_stream", "RunResult", "run"]
 
 # Event kinds.  Each payload holds only what its handler reads.
 # Each kind either may change a clock's slope (a mode decision or a rate
 # breakpoint) or is a grid tick, so every event instant is a sample.
 # Messages are no events: every leg of an exchange is drawn off the heap
-# (see _on_wakeup and the comment above _flush_sample).
+# (see _on_wakeup and the comment above _Simulation.run).
 K_WAKEUP = 0  # (v, k): node v starts cycle k and sends its requests
 K_EVALUATE = 1  # (v, k): node v evaluates its triggers in cycle k
 K_TICK = 2
 K_RATE = 3  # a hardware rate breakpoint: no handler, it only forces a sample
 
 # the event loop's own tolerance, for time regression and the timeout
-# window; the ground-truth checks use the oracle's, metrics._CHECK_TOL
+# window; the oracle's checks have their own, in metrics
 _TOL = 1e-9
 # how far a wakeup's logical value may lie from its cycle boundary: the
 # wakeup is scheduled at the clock's inverse of the boundary, and that
 # inverse and the read back each round off by a few ulps of the clock's
-# value, more than _TOL once values pass about 1e7 (an ulp there is 1.9e-9);
-# this admits values up to about 1e9
+# value, more than _TOL once values pass about 1e7 (an ulp there is 1.9e-9).
+# This tolerance would admit values up to about 1e9, but nothing enforces
+# any limit, and the oracle's checks, with their 1e-9 tolerance, hold only
+# to about 1e6: bundled line8 with every initial value shifted by 1e7 exits
+# 4 ("hardware clock violated its drift envelope"), at 1e6 it exits 0 (see
+# ROADMAP item 2)
 _BOUNDARY_TOL = 1e-6
 _INF = float("inf")
-# Values per chunk: sample instants and ground-truth checks are buffered,
-# and the clocks evaluated, reduced and checked with numpy once a chunk
-# holds this many sampled clock values plus checked estimates (32 rows at
-# n = 256 when no check is pending).  Full mode also reduces a chunk once its
-# rows times n^2, the size of the trace oracles' temporaries when the skew
-# ball holds every pair (they are rows times n * K for the K columns inside
-# it), reach 256 * _CHUNK_VALUES, which binds only above n = 256.
-_CHUNK_VALUES = 8192
 # Link stream values the engine's table holds at most, across its rows.  A
 # row's width is the most a stream can draw in the run, 2 (cycles + 1),
 # within this budget: a delay stream a->b draws at most one request per
@@ -352,47 +342,6 @@ class PcgStreams:
         return out
 
 
-@dataclass
-class Scenario:
-    """Validated runtime scenario; build one via :mod:`gcsim.scenario`.  Only
-    ``full`` mode keeps ``dist``: ``skew_only`` needs just its ``diameter``."""
-
-    graph: NetworkGraph
-    params: GcsParams
-    hardware: list  # each node's validated rate schedule, (initial value, starts, rates)
-    p_max: float
-    sample_dt: float
-    master_seed: int
-    kappa: dict
-    dist: np.ndarray | None  # all-pairs kappa-weighted distances, None in skew_only
-    diameter: float  # kappa-weighted diameter: the largest distance, taken once at validation
-    timeout: float  # round-trip budget in local time, see twoway.timeout_window
-    horizon_cycles: int | None = None
-    horizon_time: float | None = None
-    gcs_enabled: bool = True
-    metrics_mode: str = "full"
-    scenario_hash: str = ""
-
-    @property
-    def sigma(self) -> float:
-        return self.params.sigma
-
-    @property
-    def global_bound(self) -> float:
-        return metrics.theorem3_bound(self.diameter, self.sigma)
-
-    @property
-    def local_bound(self) -> float:
-        return metrics.theorem2_bound(max(self.kappa.values()), self.global_bound, self.sigma)
-
-
-@dataclass
-class RunResult:
-    trace: Trace
-    summary: RunSummary
-    violations: list
-
-
 class _Simulation:
     def __init__(self, sc: Scenario):
         self.sc = sc
@@ -436,10 +385,11 @@ class _Simulation:
         self._src, self._dst = src, dst
         # b->a, whose delay stream also carries b's replies to a's requests
         self._rev = np.searchsorted(src * n + dst, dst * n + src)
-        self._deg = np.diff(first)
         self._first = first.tolist()
         self._out = [np.arange(a, b) for a, b in zip(self._first, self._first[1:])]
+        # triggers use the static per-edge error bound as their delta
         self._kappa = np.array([sc.kappa[(u, v)] for u, v, _ in g.edges])[edge]
+        self._thresholds = gcs.trigger_thresholds(self._kappa, self._kappa, sc.params.s_max)
         # Each direction's exchange in flight, from its requester's wakeup to
         # its evaluation (the requester is measuring exactly when its
         # directions are open), is one column of _ex, whose rows are: the
@@ -465,6 +415,8 @@ class _Simulation:
         # nodes' mode timelines, and the cycle of its last wakeup
         self.table = ClockTable(sc.hardware)
         self.clocks = [LogicalClock(self.table, v, sc.params.mu) for v in range(n)]
+        # every check against true clock values, from the loop's records
+        self.oracle = metrics.Oracle(sc, self.table, self._kappa, self._abort)
         self.cycle = [0] * n
         self.done: set[int] = set()
 
@@ -475,55 +427,6 @@ class _Simulation:
         # the run's last instant: the horizon time, or the wakeup at which
         # the last node reaches the horizon cycle
         self.end = _INF if sc.horizon_time is None else sc.horizon_time
-
-        self.violations: list[Violation] = []
-        self.counters = {
-            "eval_instants": 0,
-            "trigger_evaluations": 0,
-            "estimate_uses": 0,
-            "measurements": 0,
-            "sc_instances": 0,
-            "fc_instances": 0,
-            "st_instances": 0,
-            "ft_instances": 0,
-        }
-
-        self.full = sc.metrics_mode == "full"
-        if self.full:  # what the leading/trailing-node lemmas rest on, once per run
-            check_kappa_metric(g, sc.kappa, sc.dist)
-            # each row of dist in ascending order, for the trace oracles' skew balls
-            self._by_distance = metrics.distance_order(sc.dist)
-        # triggers use the static per-edge error bound as their delta
-        self._thresholds = gcs.trigger_thresholds(self._kappa, self._kappa, sc.params.s_max)
-        self._conditions = metrics.condition_thresholds(self._kappa, sc.params.s_max)
-        # Ground-truth checks waiting for the next chunk, one entry per
-        # evaluation instant: (directions, a (5, m) record of the reply
-        # arrivals, offsets, deductions, t4 stamps and the responders' true
-        # values at the arrivals) of its m completed exchanges, whose
-        # estimates at the arrivals the chunk makes; (sample row, nodes,
-        # their directions, the estimates across them, slow and fast levels
-        # fired) of its evaluations.  ``_checked`` counts their values.
-        self._reply_checks: list[tuple] = []
-        self._evals: list[tuple] = []
-        self._checked = 0
-        self.edges = tuple((u, v) for u, v, _ in g.edges)
-        self._eu = np.array([u for u, _ in self.edges])
-        self._ev = np.array([v for _, v in self.edges])
-        self.buf_t: list[float] = []
-        # full mode: (times, L, H, modes, local, global, psi_levels) per
-        # chunk, after a zero-row one, which is all a skew_only run keeps;
-        # they become the records of the run's Trace
-        empty, no_rows = np.zeros(0), np.zeros((0, n))
-        self.chunks: list[tuple] = [
-            (empty, no_rows, no_rows, np.zeros((0, n), dtype=np.int8), empty, empty, np.zeros((0, sc.params.s_max)))
-        ]
-        self.edge_max = np.zeros(len(self.edges))
-        self.max_global = 0.0
-        self.first_exceed: float | None = None
-        # carried from chunk to chunk: (t, L, H) of the last reduced sample
-        # and, in full mode, the Corollary 1 floors there
-        self.last: tuple | None = None
-        self.floors: np.ndarray | None = None
 
     # -- scheduling helpers
 
@@ -542,7 +445,7 @@ class _Simulation:
         v's requests to w, so drawing from it now gives the values a draw at
         the arrival would.  delay:v->w also serves v's reply to w's request,
         so that reply is drawn first if it was emitted before this wakeup
-        (see the comment above ``_flush_sample``)."""
+        (see the comment above ``run``)."""
         clock = self.clocks[v]
         clock.set_mode(t, OWN_RATE)
         self.cycle[v] = k
@@ -658,14 +561,13 @@ class _Simulation:
     def _complete(self, dirs: np.ndarray, ex: np.ndarray, check_timeout: bool, own_values: bool = False) -> tuple:
         """Complete the exchanges on the directions ``dirs``, whose replies
         have arrived and whose records are ``ex``: read the four stamps at
-        the past instants the parties took them, make the estimates, count
-        the measurements and buffer the sandwich check at each reply
-        arrival, then end the run if a round trip exceeded the timeout
-        window (with ``check_timeout``).  Reads the instants of _READ_ROWS,
-        the last, the evaluation, only with ``own_values``, in one
-        :func:`read_clocks` call, and returns the estimates' (offset,
-        deduction) and, with ``own_values``, each requester's value at its
-        evaluation.
+        the past instants the parties took them, make the estimates, hand
+        the exchanges to the oracle, then end the run if a round trip
+        exceeded the timeout window (with ``check_timeout``).  Reads the
+        instants of _READ_ROWS, the last, the evaluation, only with
+        ``own_values``, in one :func:`read_clocks` call, and returns the
+        estimates' (offset, deduction) and, with ``own_values``, each
+        requester's value at its evaluation.
 
         The caller closes ``dirs`` first, so that the abort's own
         ``_settle`` does not complete them again."""
@@ -677,10 +579,8 @@ class _Simulation:
         sc = self.sc
         _, offset, deduction = compute_estimates(t1, t2, t3, t4, ex[_EPS_D], ex[_EPS_M], sc.params.theta)
         reply = ex[_REPLY]
-        self.counters["measurements"] += m
         # L[2m:4m] is t4 and then the true values
-        self._reply_checks.append((dirs, np.concatenate((reply, offset, deduction, L[2 * m : 4 * m])).reshape(5, m)))
-        self._checked += 5 * m
+        self.oracle.replies(dirs, np.concatenate((reply, offset, deduction, L[2 * m : 4 * m])).reshape(5, m))
         if check_timeout:
             over = t4 - t1 >= sc.timeout + _TOL
             if np.count_nonzero(over):
@@ -713,20 +613,24 @@ class _Simulation:
         first = self._first
         starts = list(accumulate([first[v + 1] - first[v] for v, _ in batch[:-1]], initial=0))
         slow, fast = gcs.trigger_levels(est - l_rep, self._thresholds.take(dirs, axis=0), starts)
-        # t is a sample instant, flushed at row len(buf_t) of this chunk
-        self._evals.append((len(self.buf_t), vs, dirs, est, slow, fast))
-        self._checked += 4 * len(vs) + len(est)
+        self.oracle.evaluations(t, vs, dirs, est, slow, fast)
         to_fast = [sc.gcs_enabled and any(f) and not any(s) for s, f in zip(slow.tolist(), fast.tolist())]
         for (v, k), speed_up in zip(batch, to_fast):
             clock = self.clocks[v]
             clock.set_mode(t, FAST if speed_up else OWN_RATE)
             self.push(clock.invert(self.table.initial[v] + (k + 1) * sc.params.cycle_length), K_WAKEUP, (v, k + 1))
 
-    # -- sampling and the ground-truth checks
+    def _abort(self, message: str) -> None:
+        """Complete every exchange whose reply has arrived, then end the run
+        with the oracle's RunAborted, which reports every check up to now."""
+        self._settle(self.current, check_timeout=False)
+        self.oracle.abort(message)
 
-    # Sampling, the checks and the exchanges record only instants, and the
-    # clocks are read later, from the anchor table: samples when their chunk
-    # is reduced, and an exchange's three stamps and the responder's true
+    # -- main loop
+
+    # The samples and the exchanges record only instants, and the clocks
+    # are read later, from the anchor table: samples when the oracle reduces
+    # their chunk, and an exchange's three stamps and the responder's true
     # value at the reply's arrival when the exchange completes, at its
     # requester's evaluation or the run's end.  Such a deferred read of a
     # past instant x returns what a read at x would have, bit for bit.
@@ -784,163 +688,6 @@ class _Simulation:
     # states of the streams it refills, and a stream's draws only ever take
     # its own row, whatever the order of draws across streams.
 
-    def _flush_sample(self, t: float) -> None:
-        self.buf_t.append(t)
-        rows, n = len(self.buf_t), len(self.clocks)
-        if rows * n + self._checked >= _CHUNK_VALUES or (self.full and rows * n * n >= 256 * _CHUNK_VALUES):
-            self._reduce_chunk()
-
-    def _reduce_chunk(self) -> None:
-        """Fold the buffered samples into the skew maxima, full mode keeping
-        them and running the trace oracles on them, make the buffered checks,
-        then check the drift envelope, which may abort the run."""
-        times = np.asarray(self.buf_t)
-        self.buf_t = []
-        if not len(times):
-            self._check_chunk(times, None)
-            return
-        L, H, anchors = sample_clocks(self.table, times)
-        prev, self.last = self.last, (times[-1], L[-1], H[-1])
-        edge_gaps = np.abs(L[:, self._eu] - L[:, self._ev])
-        local = edge_gaps.max(axis=1)
-        glob = L.max(axis=1) - L.min(axis=1)
-        np.maximum(self.edge_max, edge_gaps.max(axis=0), out=self.edge_max)
-        self.max_global = max(self.max_global, float(glob.max()))
-        if self.first_exceed is None:
-            # exceeding means by more than the tolerance of `global_satisfied`
-            level = self.sc.global_bound + metrics._CHECK_TOL
-            exceed = np.nonzero(glob > level)[0]
-            if len(exceed):
-                k = exceed[0]
-                if k:
-                    left = times[k - 1], L[k - 1]
-                else:  # the piece starts at the previous chunk's last row
-                    left = prev[:2] if prev else (times[0], L[0])
-                self.first_exceed = metrics.global_bound_crossing(*left, times[k], L[k], level)
-        if self.full:
-            sc = self.sc
-            psi, viol, self.floors = metrics.trace_oracles(
-                times, L, sc.dist, sc.params.s_max, sc.params.theta, None if prev is None else prev[:2], self.floors,
-                self._by_distance,
-            )
-            self.violations.extend(viol)
-            self.chunks.append((times, L, H, self.table.mode[anchors], local, glob, psi))
-        self._check_chunk(times, L)
-        self._check_drift(prev, times, H)
-
-    def _check_chunk(self, times: np.ndarray, L: np.ndarray | None) -> None:
-        """The ground-truth checks buffered since the last chunk.
-
-        - The estimate sandwich: every estimate a node uses, at a reply
-          arrival and at an evaluation, lies in [L_w - kappa, L_w] (with
-          tolerance) for the true value L_w of the neighbour at that instant.
-        - The slow and fast conditions at each evaluation hold only at
-          levels where the matching trigger fired.
-
-        ``times`` and ``L`` are the chunk's sample instants and logical
-        values (L is None for an empty chunk, which has no evaluation).
-        """
-        replies, evals = self._reply_checks, self._evals
-        self._reply_checks, self._evals, self._checked = [], [], 0
-        dirs = np.concatenate([np.empty(0, dtype=np.intp)] + [d for d, _ in replies])
-        t, offset, deduction, t4, true = np.concatenate([np.empty((5, 0))] + [r for _, r in replies], axis=1)
-        est = estimate_value(offset, deduction, t4)  # each requester's estimate at the reply's arrival
-        self._check_sandwich(t, self._src[dirs], self._dst[dirs], true, est, self._kappa[dirs])
-        if evals:
-            rows = np.concatenate([np.full(len(vs), r) for r, vs, *_ in evals])
-            v, dirs, est, slow, fast = (np.concatenate(a) for a in list(zip(*evals))[1:])
-            self._check_evaluations(times, L, rows, v, dirs, est, slow, fast)
-
-    def _check_drift(self, prev: tuple | None, times: np.ndarray, H: np.ndarray) -> None:
-        """Every hardware clock advances by [dt, theta * dt] (with tolerance)
-        between consecutive samples, the first of the chunk following the
-        previous chunk's last one, ``prev``."""
-        if prev is not None:
-            times = np.concatenate(([prev[0]], times))
-            H = np.vstack((prev[2], H))
-        dt = np.diff(times)
-        keep = dt > 0
-        dH = np.diff(H, axis=0)[keep]
-        dt = dt[keep, None]
-        if (dH < dt - metrics._CHECK_TOL).any() or (dH > self.sc.params.theta * dt + metrics._CHECK_TOL).any():
-            self._abort("hardware clock violated its drift envelope")
-
-    def _check_evaluations(self, times, L, rows, v, dirs, est, slow_fired, fast_fired) -> None:
-        """The sandwich and the conditions at each evaluation: node ``v[i]``
-        at sample row ``rows[i]`` held the estimates of ``est`` across its
-        directions, the next ``deg[v[i]]`` of ``dirs``, and its triggers
-        fired at the levels of ``slow_fired[i]`` and ``fast_fired[i]``.  An
-        evaluation is a sample, so its true values are a row of L.  Also
-        counts the evaluations and the levels fired, and reports slow and
-        fast triggers firing together."""
-        deg, w, kappa = self._deg[v], self._dst[dirs], self._kappa[dirs]
-        at = np.repeat(rows, deg)
-        L_w = L[at, w]
-        t = times[rows]
-        self.counters["eval_instants"] += len(v)
-        self.counters["trigger_evaluations"] += 2 * self.sc.params.s_max * len(v)
-        self.counters["st_instances"] += int(np.count_nonzero(slow_fired))
-        self.counters["ft_instances"] += int(np.count_nonzero(fast_fired))
-        for r in np.flatnonzero(slow_fired.any(axis=1) & fast_fired.any(axis=1)).tolist():
-            st, ft = (tuple((np.flatnonzero(f[r]) + 1).tolist()) for f in (slow_fired, fast_fired))
-            self.violations.append(
-                Violation(
-                    time=float(t[r]),
-                    kind="trigger_coexistence",
-                    detail=f"node {int(v[r])} satisfies slow {st} and fast {ft} triggers together",
-                )
-            )
-        self._check_sandwich(times[at], np.repeat(v, deg), w, L_w, est, kappa)
-        conditions = self._conditions.take(dirs, axis=0)
-        slow, fast = metrics.level_conditions(L_w - L[at, self._src[dirs]], conditions, np.cumsum(deg) - deg)
-        self.counters["sc_instances"] += int(np.count_nonzero(slow))
-        self.counters["fc_instances"] += int(np.count_nonzero(fast))
-        for name, held, fired in (("slow", slow, slow_fired), ("fast", fast, fast_fired)):
-            for r, j in zip(*(a.tolist() for a in np.nonzero(held & ~fired))):
-                self.violations.append(
-                    Violation(
-                        time=float(t[r]),
-                        kind="condition_without_trigger",
-                        detail=(
-                            f"node {int(v[r])}: {name} condition at level {j + 1} "
-                            f"without {name} trigger"
-                        ),
-                    )
-                )
-
-    def _check_sandwich(self, t, v, w, true, est, delta) -> None:
-        """Estimates ``est`` of w held at v, against w's true values."""
-        err = true - est
-        self.counters["estimate_uses"] += len(err)
-        for i in np.flatnonzero((err < -metrics._CHECK_TOL) | (err > delta + metrics._CHECK_TOL)).tolist():
-            self.violations.append(
-                Violation(
-                    time=float(t[i]),
-                    kind="estimate_sandwich",
-                    detail=(
-                        f"estimate of {int(w[i])} at {int(v[i])} off by {float(err[i]):.3e} "
-                        f"(allowed [0, {float(delta[i]):.3e}])"
-                    ),
-                )
-            )
-
-    def _abort(self, message: str) -> None:
-        """Complete every exchange whose reply has arrived, make every
-        buffered check, the trace oracles included, then end the run with
-        RunAborted.
-
-        The violations are sorted as ``_finish`` sorts them, so the report of
-        an aborted run does not depend on where the chunks ended.
-        """
-        self._settle(self.current, check_timeout=False)
-        if self._evals and self._evals[-1][0] == len(self.buf_t):
-            self.buf_t.append(self.current)  # the evaluations' sample is not flushed yet
-        self._reduce_chunk()
-        self.violations.sort(key=_violation_key)
-        raise RunAborted(message, self.violations)
-
-    # -- main loop
-
     def run(self) -> RunResult:
         started = _time.perf_counter()
         sc = self.sc
@@ -953,7 +700,7 @@ class _Simulation:
         for b in sorted(set(self.table.hw_start[self.table.hw_start > 0].tolist())):
             self.push(b, K_RATE, None)
 
-        heap = self.heap
+        heap, sample = self.heap, self.oracle.sample
         while heap and heap[0][0] <= self.end:
             t, seq, kind, payload = heapq.heappop(heap)
             self.now = (t, seq)
@@ -961,7 +708,7 @@ class _Simulation:
                 if t < self.current - _TOL:
                     self._abort(f"event time regressed: {t!r} after {self.current!r}")
                 if t > self.current:
-                    self._flush_sample(self.current)
+                    sample(self.current)
             self.current = t
             if kind == K_WAKEUP:
                 self._on_wakeup(t, *payload)
@@ -977,50 +724,13 @@ class _Simulation:
         self.now = (end, _INF)  # every event up to the end has run
         self._settle(end, check_timeout=True)
         if self.current is not None:
-            self._flush_sample(self.current)
+            sample(self.current)
         if self.current is None or end > self.current:
-            self._flush_sample(end)
+            sample(end)
 
-        result = self._finish()
+        result = self.oracle.finish(min(self.cycle))
         result.summary.wall_time_s = _time.perf_counter() - started
         return result
-
-    def _finish(self) -> RunResult:
-        sc = self.sc
-        edges = self.edges
-        if self.buf_t or self._reply_checks:
-            self._reduce_chunk()
-        trace = Trace(self.chunks, edges, sc.local_bound, sc.global_bound)  # not joined: no second copy
-        self.chunks = []
-
-        report = metrics.build_bound_report(
-            sc.kappa, sc.sigma, sc.local_bound, sc.global_bound, float(self.edge_max.max()), self.max_global,
-            {e: float(m) for e, m in zip(edges, self.edge_max)},
-        )
-        for side in ("local", "global"):
-            if not report[f"{side}_satisfied"]:
-                observed, bound = report[f"max_observed_{side}"], report[f"{side}_bound"]
-                self.violations.append(
-                    Violation(time=0.0, kind=f"bound_{side}", detail=f"max {side} skew {observed!r} exceeds {bound!r}")
-                )
-
-        self.violations.sort(key=_violation_key)
-        summary = RunSummary(
-            scenario_hash=sc.scenario_hash,
-            seed=sc.master_seed,
-            cycles_completed=min(self.cycle),
-            bound_report=report,
-            violation_count=len(self.violations),
-            counters=dict(self.counters),
-            # each clock's anchors are its node's mode timeline
-            mode_timelines={str(v): [list(a) for a in tl] for v, tl in enumerate(self.table.mode_timelines())},
-            first_global_bound_exceed_time=self.first_exceed,
-        )
-        return RunResult(trace=trace, summary=summary, violations=self.violations)
-
-
-def _violation_key(v: Violation) -> tuple:
-    return (v.time, v.kind, v.detail)
 
 
 def run(sc: Scenario) -> RunResult:

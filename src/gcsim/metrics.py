@@ -1,37 +1,41 @@
 """Ground-truth oracle: skew metrics, conditions, potentials, bound checks.
 
 Everything here reads true logical clock values, which running nodes never
-see.  The checks are vectorized, and each has one implementation.  One
-threshold evaluator, :func:`gcs.trigger_levels`, gives the slow and fast
-conditions (:func:`level_conditions`) as it gives the triggers, over the
-nodes' link directions, for many evaluations at once.
-One checker, :func:`trace_oracles`, computes the level potentials and
-Corollary 1; it runs on one engine chunk of samples at a time, carrying
-the previous chunk's last row and the Corollary 1 floors, and reads only
-the pairs inside the chunk's skew ball, the first K columns of each row
-of the distance matrix in ascending order (:func:`distance_order`).  Its
-temporaries are O(rows per chunk * n * K), n^2 per row at worst, however
-long the run, and :func:`corollary1_check_all` applies it to a stored
-trace as one chunk, with the scenario's distance matrix (a trace does not
-carry it).
+see.  A run's checks have one owner, :class:`Oracle`: the engine hands it
+each sample instant, each completed exchange and each instant's
+evaluations, and the oracle reads the clocks, reduces and checks chunk by
+chunk, and builds the run's trace, violations and summary.  The checks
+are vectorized, and each has one implementation.  One threshold
+evaluator, :func:`gcs.trigger_levels`, gives the slow and fast conditions
+(:func:`level_conditions`) as it gives the triggers.  One checker,
+:func:`trace_oracles`, computes the level potentials and Corollary 1 on
+one chunk at a time, carrying the previous chunk's last row and floors,
+and reads only the pairs inside the chunk's skew ball
+(:func:`distance_order`), so its temporaries are O(rows per chunk * n *
+K), n^2 per row at worst, however long the run;
+:func:`corollary1_check_all` applies it to a stored trace as one chunk.
 :func:`build_bound_report` sets the run's skew maxima against the
 scenario's static bounds.
 
 ``perfbench/worker.py`` wraps :func:`trace_oracles`,
 :func:`corollary1_check_all`, :func:`build_bound_report`,
 :func:`slow_condition` and :func:`fast_condition` by name to time them, so
-these names stay while the benchmark reads them.
+these names stay, and the oracle calls them as globals of this module,
+where the wrappers replace them.
 """
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 import numpy as np
 
-from .errors import ParameterError
+from .clocks import ClockTable, sample_clocks
+from .errors import ParameterError, RunAborted
 from .gcs import trigger_levels, trigger_thresholds
-from .topology import NetworkGraph
-from .trace import Trace, Violation
+from .topology import NetworkGraph, check_kappa_metric
+from .trace import RunResult, RunSummary, Trace, Violation
+from .twoway import estimate_value
 
 __all__ = [
     "condition_thresholds",
@@ -46,6 +50,7 @@ __all__ = [
     "corollary1_check_all",
     "trace_oracles",
     "build_bound_report",
+    "Oracle",
 ]
 
 _TIE_TOL = 1e-12
@@ -100,14 +105,12 @@ def _conditions_at(values, g: NetworkGraph, kappa, v: int, s: int) -> tuple[bool
 
 
 def slow_condition(values, g: NetworkGraph, kappa, v: int, s: int) -> bool:
-    """The slow condition of :func:`level_conditions` for node v at level s.
-    ``perfbench/worker.py`` counts its calls by this name."""
+    """The slow condition of :func:`level_conditions` for node v at level s."""
     return _conditions_at(values, g, kappa, v, s)[0]
 
 
 def fast_condition(values, g: NetworkGraph, kappa, v: int, s: int) -> bool:
-    """The fast condition of :func:`level_conditions` for node v at level s.
-    ``perfbench/worker.py`` counts its calls by this name."""
+    """The fast condition of :func:`level_conditions` for node v at level s."""
     return _conditions_at(values, g, kappa, v, s)[1]
 
 
@@ -263,8 +266,7 @@ def distance_order(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def corollary1_check_all(trace: Trace, dist: np.ndarray, theta: float) -> list[Violation]:
     """Corollary 1 at every level of a stored full-mode trace, whose
     scenario's kappa-distance matrix is ``dist``: :func:`trace_oracles`
-    applied to the whole trace as one chunk, with (S, n, K) temporaries.
-    ``perfbench/worker.py`` wraps it by this name."""
+    applied to the whole trace as one chunk, with (S, n, K) temporaries."""
     return trace_oracles(trace.times, trace.logical, dist, trace.s_max, theta)[1]
 
 
@@ -288,9 +290,8 @@ def trace_oracles(
     for the first chunk, so one call over a whole trace checks it as one
     chunk.  ``by_distance`` is :func:`distance_order` of ``dist``, computed
     here when None; a run computes it once.  Returns (psi_levels (m,
-    s_max), violations, the floors at the chunk's last row).  The engine
-    calls it on each chunk of a full-mode run, and ``perfbench/worker.py``
-    times it by this name.
+    s_max), violations, the floors at the chunk's last row).  The
+    :class:`Oracle` calls it on each chunk of a full-mode run.
 
     Corollary 1: no node's potential psi_s(v) rises faster than theta - 1.
     The statement checked is psi_s(v)(t1) - psi_s(v)(t0) <= (theta - 1)
@@ -366,8 +367,7 @@ def build_bound_report(
     per_edge_max: dict,
 ) -> dict:
     """The ``bound_report`` of ``summary.json``: the scenario's static skew
-    bounds against the maxima a run produced, overall and per edge.
-    ``perfbench/worker.py`` times it by this name."""
+    bounds against the maxima a run produced, overall and per edge."""
     per_edge = []
     for (u, v), observed in sorted(per_edge_max.items()):
         k_e = kappa[(u, v)]
@@ -387,3 +387,240 @@ def build_bound_report(
         "local_bound_degenerate": theorem2_levels(max(kappa.values()), global_bound, sigma) < 1,
         "per_edge": per_edge,
     }
+
+
+# ---------------------------------------------------------------------------
+# The run's oracle
+
+
+# Values per chunk: the records are buffered, and the clocks read, reduced
+# and checked with numpy once a chunk holds this many sampled clock values
+# plus checked estimates (32 rows at n = 256 when no check is pending).
+# Full mode also reduces a chunk once its rows times n^2, the size of the
+# trace oracles' temporaries when the skew ball holds every pair (they are
+# rows times n * K for the K columns inside it), reach 256 * _CHUNK_VALUES,
+# which binds only above n = 256.
+_CHUNK_VALUES = 8192
+
+
+class Oracle:
+    """Every check of one run against true clock values.
+
+    The engine hands it three kinds of record, in the run's order: sample
+    instants (:meth:`sample`), completed exchanges (:meth:`replies`) and
+    the evaluations of one instant, a sample too (:meth:`evaluations`).
+    Per chunk, the oracle reads every clock at the sample instants from the
+    run's anchor ``table`` (a read of a past instant is exact), folds them
+    into the skew maxima and the first global-bound crossing, and checks
+    the estimate sandwich at each reply arrival and evaluation, the slow
+    and fast conditions at each evaluation, the hardware drift envelope
+    between samples and, in full mode, :func:`trace_oracles`, whose rows
+    become the :class:`Trace`.  In full mode it first checks that
+    ``sc.dist`` is the kappa-metric, which the leading/trailing-node lemmas
+    rest on (see :func:`trace_oracles`).  ``kappa`` is the weight of each
+    link direction.  ``stop(message)`` is the engine's abort, which
+    completes every exchange whose reply has arrived before it calls
+    :meth:`abort`; a drift breach calls it.
+    """
+
+    def __init__(self, sc, table: ClockTable, kappa: np.ndarray, stop):
+        g, n, s_max = sc.graph, sc.graph.n, sc.params.s_max
+        self.sc, self.table, self._kappa, self._stop, self._n = sc, table, kappa, stop, n
+        src, dst, _, first = g.directions  # the link directions the records name
+        self._src, self._dst, self._deg = src, dst, np.diff(first)
+        self._conditions = condition_thresholds(kappa, s_max)
+        self.full = sc.metrics_mode == "full"
+        if self.full:
+            check_kappa_metric(g, sc.kappa, sc.dist)
+            self._by_distance = distance_order(sc.dist)  # for the trace oracles' skew balls
+        self.edges = tuple((u, v) for u, v, _ in g.edges)
+        self._eu, self._ev = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+        self.violations: list[Violation] = []
+        self.counters = dict.fromkeys(("eval_instants", "trigger_evaluations", "estimate_uses", "measurements",
+                                       "sc_instances", "fc_instances", "st_instances", "ft_instances"), 0)
+        # The records of the next chunk: its sample instants, the replies'
+        # (directions, record) and one (sample row, instant, nodes,
+        # directions, estimates, slow and fast levels fired) per evaluations
+        # call; ``_checked`` counts the values of the latter two.
+        self._times, self._replies, self._evals, self._checked = [], [], [], 0
+        # full mode: (times, L, H, modes, local, global, psi_levels) per
+        # chunk, after a zero-row one, which is all a skew_only run keeps
+        empty, no_rows = np.zeros(0), np.zeros((0, n))
+        self.chunks = [(empty, no_rows, no_rows, np.zeros((0, n), np.int8), empty, empty, np.zeros((0, s_max)))]
+        # the skew maxima, per edge and global, and the first global-bound crossing
+        self.edge_max, self.max_global, self.first_exceed = np.zeros(len(self.edges)), 0.0, None
+        # carried from chunk to chunk: (t, L, H) of the last reduced sample
+        # and, in full mode, the Corollary 1 floors there
+        self.last, self.floors = None, None
+
+    def sample(self, t: float) -> None:
+        """The sample instant t, after every earlier one."""
+        self._times.append(t)
+        rows, n = len(self._times), self._n
+        if rows * n + self._checked >= _CHUNK_VALUES or (self.full and rows * n * n >= 256 * _CHUNK_VALUES):
+            self._reduce()
+
+    def replies(self, dirs: np.ndarray, record: np.ndarray) -> None:
+        """The exchanges on the directions ``dirs``, completed: the rows of
+        ``record`` are their reply arrivals, offsets, deductions, t4 stamps
+        and the responders' true values at the arrivals."""
+        self.counters["measurements"] += len(dirs)
+        self._replies.append((dirs, record))
+        self._checked += record.size
+
+    def evaluations(self, t: float, nodes, dirs, est, slow, fast) -> None:
+        """The evaluations at t, which the next :meth:`sample` records: node
+        ``nodes[i]`` held the estimates ``est`` across its directions, the
+        next ones of ``dirs``, and its triggers fired at the levels of
+        ``slow[i]`` and ``fast[i]``."""
+        self._evals.append((len(self._times), t, nodes, dirs, est, slow, fast))
+        self._checked += 4 * len(nodes) + len(est)
+
+    def abort(self, message: str) -> None:
+        """Make every buffered check, then raise RunAborted with the
+        violations sorted as :meth:`finish` sorts them, so the report does
+        not depend on where the chunks ended."""
+        if self._evals and self._evals[-1][0] == len(self._times):
+            self._times.append(self._evals[-1][1])  # the evaluations' instant is not sampled yet
+        self._reduce()
+        self._stop = None  # the run is over (see finish)
+        self.violations.sort(key=attrgetter("time", "kind", "detail"))
+        raise RunAborted(message, self.violations)
+
+    def finish(self, cycles_completed: int) -> RunResult:
+        """Make the checks still buffered, then return the run's trace,
+        summary and violations, the ``bound_*`` ones included, sorted."""
+        if self._times or self._replies:
+            self._reduce()
+        # the run is over: drop the engine's abort, which refers back to the
+        # engine, so that neither keeps the other alive
+        self._stop = None
+        sc, edges = self.sc, self.edges
+        trace = Trace(self.chunks, edges, sc.local_bound, sc.global_bound)  # not joined: no second copy
+        self.chunks = []
+        report = build_bound_report(
+            sc.kappa, sc.sigma, sc.local_bound, sc.global_bound, float(self.edge_max.max()), self.max_global,
+            {e: float(m) for e, m in zip(edges, self.edge_max)},
+        )
+        for side in ("local", "global"):
+            if not report[f"{side}_satisfied"]:
+                observed, bound = report[f"max_observed_{side}"], report[f"{side}_bound"]
+                detail = f"max {side} skew {observed!r} exceeds {bound!r}"
+                self.violations.append(Violation(0.0, f"bound_{side}", detail))
+        self.violations.sort(key=attrgetter("time", "kind", "detail"))
+        # each clock's anchors are its node's mode timeline
+        timelines = {str(v): [list(a) for a in tl] for v, tl in enumerate(self.table.mode_timelines())}
+        summary = RunSummary(
+            scenario_hash=sc.scenario_hash, seed=sc.master_seed, cycles_completed=cycles_completed,
+            bound_report=report, violation_count=len(self.violations), counters=dict(self.counters),
+            mode_timelines=timelines, first_global_bound_exceed_time=self.first_exceed,
+        )
+        return RunResult(trace, summary, self.violations)
+
+    def _reduce(self) -> None:
+        """Fold the buffered samples into the skew maxima, full mode keeping
+        them and running the trace oracles on them, make the buffered checks,
+        then check the drift envelope, which may stop the run."""
+        times = np.asarray(self._times)
+        self._times = []
+        if not len(times):
+            self._check_buffered(times, None)
+            return
+        L, H, anchors = sample_clocks(self.table, times)
+        prev, self.last = self.last, (times[-1], L[-1], H[-1])
+        edge_gaps = np.abs(L[:, self._eu] - L[:, self._ev])
+        local = edge_gaps.max(axis=1)
+        glob = L.max(axis=1) - L.min(axis=1)
+        np.maximum(self.edge_max, edge_gaps.max(axis=0), out=self.edge_max)
+        self.max_global = max(self.max_global, float(glob.max()))
+        if self.first_exceed is None:
+            # exceeding means by more than the tolerance of `global_satisfied`
+            level = self.sc.global_bound + _CHECK_TOL
+            exceed = np.nonzero(glob > level)[0]
+            if len(exceed):
+                k = exceed[0]
+                # at k = 0 the piece starts at the previous chunk's last row
+                left = (times[k - 1], L[k - 1]) if k else prev[:2] if prev else (times[0], L[0])
+                self.first_exceed = global_bound_crossing(*left, times[k], L[k], level)
+        if self.full:
+            sc = self.sc
+            psi, viol, self.floors = trace_oracles(
+                times, L, sc.dist, sc.params.s_max, sc.params.theta, None if prev is None else prev[:2], self.floors,
+                self._by_distance,
+            )
+            self.violations.extend(viol)
+            self.chunks.append((times, L, H, self.table.mode[anchors], local, glob, psi))
+        self._check_buffered(times, L)
+        self._check_drift(prev, times, H)
+
+    def _check_buffered(self, times: np.ndarray, L: np.ndarray | None) -> None:
+        """The sandwich at each buffered reply, and the checks of each
+        buffered evaluation; ``times`` and ``L`` are the chunk's sample
+        instants and logical values (None for an empty chunk, which has no
+        evaluation)."""
+        replies, evals = self._replies, self._evals
+        self._replies, self._evals, self._checked = [], [], 0
+        dirs = np.concatenate([np.empty(0, dtype=np.intp)] + [d for d, _ in replies])
+        t, offset, deduction, t4, true = np.concatenate([np.empty((5, 0))] + [r for _, r in replies], axis=1)
+        est = estimate_value(offset, deduction, t4)  # each requester's estimate at the reply's arrival
+        self._check_sandwich(t, self._src[dirs], self._dst[dirs], true, est, self._kappa[dirs])
+        if evals:
+            rows = np.concatenate([np.full(len(vs), r) for r, _, vs, *_ in evals])
+            v, dirs, est, slow, fast = (np.concatenate(a) for a in list(zip(*evals))[2:])
+            self._check_evaluations(times, L, rows, v, dirs, est, slow, fast)
+
+    def _check_drift(self, prev: tuple | None, times: np.ndarray, H: np.ndarray) -> None:
+        """Every hardware clock advances by [dt, theta * dt] (with tolerance)
+        between consecutive samples, the first of the chunk following the
+        previous chunk's last one, ``prev``."""
+        if prev is not None:
+            times = np.concatenate(([prev[0]], times))
+            H = np.vstack((prev[2], H))
+        dt = np.diff(times)
+        keep = dt > 0
+        dH = np.diff(H, axis=0)[keep]
+        dt = dt[keep, None]
+        if (dH < dt - _CHECK_TOL).any() or (dH > self.sc.params.theta * dt + _CHECK_TOL).any():
+            self._stop("hardware clock violated its drift envelope")
+
+    def _check_evaluations(self, times, L, rows, v, dirs, est, slow_fired, fast_fired) -> None:
+        """The sandwich at each evaluation, and its slow and fast conditions
+        held only at levels where the matching trigger fired: node ``v[i]``
+        at sample row ``rows[i]`` held the estimates of ``est`` across its
+        directions, the next ``deg[v[i]]`` of ``dirs``, and its triggers
+        fired at the levels of ``slow_fired[i]`` and ``fast_fired[i]``.  An
+        evaluation is a sample, so its true values are a row of L.  Also
+        counts the evaluations and levels fired, and reports slow and fast
+        triggers firing together."""
+        deg, w, kappa = self._deg[v], self._dst[dirs], self._kappa[dirs]
+        at = np.repeat(rows, deg)
+        L_w = L[at, w]
+        t = times[rows]
+        self.counters["eval_instants"] += len(v)
+        self.counters["trigger_evaluations"] += 2 * self.sc.params.s_max * len(v)
+        self.counters["st_instances"] += int(np.count_nonzero(slow_fired))
+        self.counters["ft_instances"] += int(np.count_nonzero(fast_fired))
+        for r in np.flatnonzero(slow_fired.any(axis=1) & fast_fired.any(axis=1)).tolist():
+            st, ft = (tuple((np.flatnonzero(f[r]) + 1).tolist()) for f in (slow_fired, fast_fired))
+            detail = f"node {int(v[r])} satisfies slow {st} and fast {ft} triggers together"
+            self.violations.append(Violation(float(t[r]), "trigger_coexistence", detail))
+        self._check_sandwich(times[at], np.repeat(v, deg), w, L_w, est, kappa)
+        conditions = self._conditions.take(dirs, axis=0)
+        slow, fast = level_conditions(L_w - L[at, self._src[dirs]], conditions, np.cumsum(deg) - deg)
+        self.counters["sc_instances"] += int(np.count_nonzero(slow))
+        self.counters["fc_instances"] += int(np.count_nonzero(fast))
+        for name, held, fired in (("slow", slow, slow_fired), ("fast", fast, fast_fired)):
+            for r, j in zip(*(a.tolist() for a in np.nonzero(held & ~fired))):
+                self.violations.append(Violation(
+                    float(t[r]), "condition_without_trigger",
+                    f"node {int(v[r])}: {name} condition at level {j + 1} without {name} trigger",
+                ))
+
+    def _check_sandwich(self, t, v, w, true, est, delta) -> None:
+        """Estimates ``est`` of w held at v lie in [L_w - delta, L_w] (with
+        tolerance) for w's true values L_w, ``true``."""
+        err = true - est
+        self.counters["estimate_uses"] += len(err)
+        for i in np.flatnonzero((err < -_CHECK_TOL) | (err > delta + _CHECK_TOL)).tolist():
+            detail = f"estimate of {int(w[i])} at {int(v[i])} off by {float(err[i]):.3e} (allowed [0, {delta[i]:.3e}])"
+            self.violations.append(Violation(float(t[i]), "estimate_sandwich", detail))

@@ -13,15 +13,15 @@ import json
 import math
 import struct
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
-from .engine import Scenario, seeded_stream, seeded_streams
+from .engine import seeded_stream, seeded_streams
 from .errors import ScenarioParseError, ScenarioValidationError
 from .gcs import GcsParams
-from .metrics import theorem2_levels, theorem3_bound
+from .metrics import theorem2_bound, theorem2_levels, theorem3_bound
 from .topology import (
     EdgeParams,
     NetworkGraph,
@@ -34,6 +34,7 @@ from .topology import (
 from .twoway import timeout_window
 
 __all__ = [
+    "Scenario",
     "load_document",
     "expand_document",
     "section_problems",
@@ -43,6 +44,41 @@ __all__ = [
     "static_report",
     "bundled_names",
 ]
+
+
+@dataclass
+class Scenario:
+    """Validated runtime scenario; build one with :func:`build_scenario`.  Only
+    ``full`` mode keeps ``dist``: ``skew_only`` needs just its ``diameter``."""
+
+    graph: NetworkGraph
+    params: GcsParams
+    hardware: list  # each node's validated rate schedule, (initial value, starts, rates)
+    p_max: float
+    sample_dt: float
+    master_seed: int
+    kappa: dict
+    dist: np.ndarray | None  # all-pairs kappa-weighted distances, None in skew_only
+    diameter: float  # kappa-weighted diameter: the largest distance, taken once at validation
+    timeout: float  # round-trip budget in local time, see twoway.timeout_window
+    horizon_cycles: int | None = None
+    horizon_time: float | None = None
+    gcs_enabled: bool = True
+    metrics_mode: str = "full"
+    scenario_hash: str = ""
+
+    @property
+    def sigma(self) -> float:
+        return self.params.sigma
+
+    @property
+    def global_bound(self) -> float:
+        return theorem3_bound(self.diameter, self.sigma)
+
+    @property
+    def local_bound(self) -> float:
+        return theorem2_bound(max(self.kappa.values()), self.global_bound, self.sigma)
+
 
 _TOP_KEYS = {"graph", "clocks", "gcs", "sim"}
 _GRAPH_KEYS = {"nodes", "edges", "d_max", "template"}
@@ -431,7 +467,7 @@ def _boot_up_problems(init: list, rows, min_kappa: float) -> list[str]:
 def validate_document(doc: dict, seed_override: int | None = None) -> tuple[dict, list[str]]:
     """Check and convert an expanded document in one pass.
 
-    Returns the keyword arguments of :class:`~gcsim.engine.Scenario` other
+    Returns the keyword arguments of :class:`Scenario` other
     than the hash, built from the checked values, and every problem found.
     The arguments are complete only when the problem list is empty.  The
     hardware clocks are built last, from ``seed_override`` in place of the

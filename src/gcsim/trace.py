@@ -19,6 +19,7 @@ __all__ = [
     "Violation",
     "Trace",
     "RunSummary",
+    "RunResult",
     "write_trace_csv",
     "write_summary_json",
     "write_violations_json",
@@ -53,9 +54,9 @@ def _column(i: int) -> property:
 class Trace:
     """Time-ordered run record.
 
-    The rows are held once, as the engine made them: ``records`` is a list
-    of consecutive row blocks, each the tuple (times, logical, hardware,
-    modes, local_skew, global_skew, psi_levels) of one block's rows, whose
+    The rows are held once, as the run's oracle made them: ``records`` is
+    a list of consecutive row blocks, each the tuple (times, logical,
+    hardware, modes, local_skew, global_skew, psi_levels) of one block's rows, whose
     whole-trace arrays are the attributes of those names: ``times`` (S,),
     ``logical``/``hardware`` (S, n), ``modes`` (S, n) of 0/1,
     ``local_skew``/``global_skew`` (S,) and ``psi_levels`` (S, s_max)
@@ -116,6 +117,13 @@ class RunSummary:
 
     def to_dict(self) -> dict:
         return {k: v for k, v in vars(self).items() if k != "wall_time_s"}
+
+
+@dataclass
+class RunResult:
+    trace: Trace
+    summary: RunSummary
+    violations: list
 
 
 # Cells (rows times formatted columns) that write_trace_csv formats at once;

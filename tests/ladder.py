@@ -44,7 +44,7 @@ import sys
 import time
 from pathlib import Path
 
-from gcsim import engine
+from gcsim import engine, metrics
 from gcsim import scenario as scen
 
 HERE = Path(__file__).resolve().parent
@@ -70,13 +70,13 @@ def timed_runs(sc, repeats: int) -> tuple[float, int, int, engine.RunResult]:
     ``summary.json`` stays as it is."""
     rows: list[int] = []
     instants = [0]
-    sample, evaluate = engine.sample_clocks, engine._Simulation._on_evaluate
+    sample, evaluate = metrics.sample_clocks, engine._Simulation._on_evaluate
 
     def counted_evaluate(sim, t, batch):
         instants[0] += 1
         return evaluate(sim, t, batch)
 
-    engine.sample_clocks = lambda clocks, times: (rows.append(len(times)), sample(clocks, times))[1]
+    metrics.sample_clocks = lambda clocks, times: (rows.append(len(times)), sample(clocks, times))[1]
     engine._Simulation._on_evaluate = counted_evaluate
     try:
         best = float("inf")
@@ -85,7 +85,7 @@ def timed_runs(sc, repeats: int) -> tuple[float, int, int, engine.RunResult]:
             res = engine.run(sc)
             best = min(best, time.perf_counter() - t0)
     finally:
-        engine.sample_clocks, engine._Simulation._on_evaluate = sample, evaluate
+        metrics.sample_clocks, engine._Simulation._on_evaluate = sample, evaluate
     if not rows or not instants[0]:
         raise RuntimeError("no sample rows or evaluation instants counted: the engine no longer calls the hooks")
     return best, sum(rows) // repeats, instants[0] // repeats, res

@@ -264,8 +264,8 @@ class ThreeEventExchange(engine._Simulation):
     (time, seq) order at the send, as the engine gives it one there: its
     delay draw shares the stream of the responder's requests, so at an
     emission on the responder's own wakeup instant that place decides which
-    draw goes first.  Chunks and checks are the engine's, so a run of the
-    twin must equal the engine's bit for bit.
+    draw goes first.  The twin hands its records to the engine's oracle,
+    so a run of the twin must equal the engine's bit for bit.
 
     Each link direction a->b is one record ``links[(a, b)]``: (base delay,
     jitter, the stream delay:a->b, proc:a->b or None when p_max is 0,
@@ -346,7 +346,7 @@ class ThreeEventExchange(engine._Simulation):
                 if t < self.current - engine._TOL:
                     self._abort(f"event time regressed: {t!r} after {self.current!r}")
                 if t > self.current and need:
-                    self._flush_sample(self.current)
+                    self.oracle.sample(self.current)
                     need = False
             self.current = t
             need = need or kind != K_MESSAGE
@@ -361,10 +361,10 @@ class ThreeEventExchange(engine._Simulation):
 
         end = self.end
         if self.current is not None and (need or self.current == end):
-            self._flush_sample(self.current)
+            self.oracle.sample(self.current)
         if self.current is None or end > self.current:
-            self._flush_sample(end)
-        return self._finish()
+            self.oracle.sample(end)
+        return self.oracle.finish(min(self.cycle))
 
     def _on_request_arrival(self, t: float, v: int, w: int, t1: float, seq: int) -> None:
         t2 = self.clocks[w].value(t)
@@ -390,10 +390,8 @@ class ThreeEventExchange(engine._Simulation):
         eps_d, eps_m = self.links[(v, w)][4:]
         est = compute_estimates(rec, eps_d, eps_m, sc.params.theta, self.cycle[v])
         self.views[v][w] = est
-        self.counters["measurements"] += 1
         record = np.array([[t], [est.offset], [est.estimate_deduction], [t4], [self.clocks[w].value(t)]])
-        self._reply_checks.append((np.array([self.direction[(v, w)]]), record))
-        self._checked += 5
+        self.oracle.replies(np.array([self.direction[(v, w)]]), record)
 
     def _on_evaluate(self, t: float, batch: list) -> None:
         for v, k in batch:
@@ -511,7 +509,7 @@ class PerEventChecks(ThreeEventExchange):
         for w, e in zip(nbrs, est.tolist()):
             self._ref_sandwich(t, v, w, e)
         super()._decide(t, batch, dirs, l_rep, est)
-        *_, slow_fired, fast_fired = self._evals[-1]
+        *_, slow_fired, fast_fired = self.oracle._evals[-1]
         for s in range(1, sc.params.s_max + 1):
             for name, held, fired in (
                 ("slow", slow_condition(vals, sc.graph, sc.kappa, v, s), slow_fired),

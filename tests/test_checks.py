@@ -1,4 +1,4 @@
-"""The engine's ground-truth checks, made per chunk, against the same checks
+"""The oracle's ground-truth checks, made per chunk, against the same checks
 made one event at a time (``reference.PerEventChecks``, on the engine's
 three-event twin).
 
@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gcsim import engine, gcs
+from gcsim import engine, gcs, metrics
 from gcsim import scenario as scen
 from gcsim.errors import RunAborted
 
@@ -62,7 +62,7 @@ def tamper(monkeypatch, kappa: float) -> None:
 
 
 def checked_sim(monkeypatch, doc_name: str, mode: str, chunk_values: int, tampered: bool = True):
-    monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
+    monkeypatch.setattr(metrics, "_CHUNK_VALUES", chunk_values)
     doc = DOCS[doc_name]()
     doc["sim"]["metrics"] = mode
     sc = scen.build_scenario(doc)
@@ -71,7 +71,7 @@ def checked_sim(monkeypatch, doc_name: str, mode: str, chunk_values: int, tamper
     return PerEventChecks(sc)
 
 
-@pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 1, 50])
+@pytest.mark.parametrize("chunk_values", [metrics._CHUNK_VALUES, 1, 50])
 @pytest.mark.parametrize("mode", ["full", "skew_only"])
 @pytest.mark.parametrize("doc_name", sorted(DOCS))
 def test_tampered_run_reports_what_per_event_checks_report(monkeypatch, doc_name, mode, chunk_values):
@@ -93,7 +93,7 @@ def test_tampered_run_reports_what_per_event_checks_report(monkeypatch, doc_name
 @pytest.mark.parametrize("mode", ["full", "skew_only"])
 @pytest.mark.parametrize("doc_name", sorted(DOCS))
 def test_untampered_run_is_clean_on_both_forms(monkeypatch, doc_name, mode):
-    sim = checked_sim(monkeypatch, doc_name, mode, engine._CHUNK_VALUES, tampered=False)
+    sim = checked_sim(monkeypatch, doc_name, mode, metrics._CHUNK_VALUES, tampered=False)
     res = sim.run()
     assert sim.ref_violations == []
     assert not [v for v in res.violations if v.kind in CHECKED]
@@ -117,7 +117,7 @@ def abort_after(sim, t_abort: float, kind: str) -> None:
         setattr(sim, name, wrapped)
 
 
-@pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 1, 50])
+@pytest.mark.parametrize("chunk_values", [metrics._CHUNK_VALUES, 1, 50])
 @pytest.mark.parametrize("kind", CHECKED)
 def test_abort_carries_every_violation_up_to_it(monkeypatch, chunk_values, kind):
     whole = checked_sim(monkeypatch, "fc_lag", "skew_only", chunk_values)
@@ -137,7 +137,7 @@ def test_abort_carries_every_violation_up_to_it(monkeypatch, chunk_values, kind)
     assert len(want) < len(whole.ref_violations)
 
 
-@pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 1])
+@pytest.mark.parametrize("chunk_values", [metrics._CHUNK_VALUES, 1])
 @pytest.mark.parametrize("mode", ["full", "skew_only"])
 def test_drift_abort_carries_every_violation_up_to_it(monkeypatch, mode, chunk_values):
     # a hardware reading jumps at an evaluation that breaks a condition: the
@@ -146,14 +146,14 @@ def test_drift_abort_carries_every_violation_up_to_it(monkeypatch, mode, chunk_v
     whole.run()
     times = [v.time for v in sorted(whole.ref_violations, key=key) if v.kind == "condition_without_trigger"]
     t_bad = times[len(times) // 4]
-    sample = engine.sample_clocks
+    sample = metrics.sample_clocks
 
     def tampered(table, t):
         L, H, anchors = sample(table, t)
         H[t == t_bad, 0] += 0.5
         return L, H, anchors
 
-    monkeypatch.setattr(engine, "sample_clocks", tampered)
+    monkeypatch.setattr(metrics, "sample_clocks", tampered)
     sim = PerEventChecks(whole.sc)
     with pytest.raises(RunAborted, match="hardware clock violated its drift envelope") as exc:
         sim.run()
@@ -169,7 +169,7 @@ def test_drift_abort_carries_every_violation_up_to_it(monkeypatch, mode, chunk_v
 
 def tampered_fc_lag(monkeypatch, chunk_values: int):
     """The tampered fc_lag scenario and the engine's whole run of it."""
-    monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
+    monkeypatch.setattr(metrics, "_CHUNK_VALUES", chunk_values)
     sc = scen.build_scenario(fc_lag_doc())
     tamper(monkeypatch, max(sc.kappa.values()))
     return sc, engine.run(sc)
@@ -180,7 +180,7 @@ def checked_before(res, t_abort: float, skip=lambda v: False) -> list:
     return [v for v in res.violations if v.kind in CHECKED and v.time < t_abort and not skip(v)]
 
 
-@pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 1])
+@pytest.mark.parametrize("chunk_values", [metrics._CHUNK_VALUES, 1])
 def test_timeout_abort_reports_every_reply_before_it(monkeypatch, chunk_values):
     # a timeout window that some round trip exceeds, but none whose reply
     # arrives in the first quarter of the run: the run ends at the first
@@ -198,7 +198,7 @@ def test_timeout_abort_reports_every_reply_before_it(monkeypatch, chunk_values):
     t_abort = sim.current
     assert t_abort > t_from
     # each reply that arrived is completed once
-    assert sim.counters["measurements"] == sum(t <= t_abort for t, _ in trips)
+    assert sim.oracle.counters["measurements"] == sum(t <= t_abort for t, _ in trips)
     reported = exc.value.violations
     assert reported == sorted(reported, key=key)
     want = checked_before(whole, t_abort)
@@ -207,7 +207,7 @@ def test_timeout_abort_reports_every_reply_before_it(monkeypatch, chunk_values):
     assert len(want) < len([v for v in whole.violations if v.kind in CHECKED])
 
 
-@pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 1])
+@pytest.mark.parametrize("chunk_values", [metrics._CHUNK_VALUES, 1])
 def test_timeout_abort_at_the_end_reports_every_reply_before_it(monkeypatch, chunk_values):
     # the run ends at a reply that breaks the sandwich, before its requester
     # evaluates, and the run's end finds a round trip over the timeout
@@ -233,14 +233,14 @@ def test_timeout_abort_at_the_end_reports_every_reply_before_it(monkeypatch, chu
     with pytest.raises(RunAborted, match="exceeded the timeout window") as exc:
         sim.run()
     assert sim.current < sc.horizon_time
-    assert sim.counters["measurements"] == sum(t <= sc.horizon_time for t in replies)
+    assert sim.oracle.counters["measurements"] == sum(t <= sc.horizon_time for t in replies)
     reported = exc.value.violations
     assert reported == sorted(reported, key=key)
     want = [v for v in whole.violations if v.kind in CHECKED and v.time <= sc.horizon_time]
     assert [v for v in reported if v.kind in CHECKED] == want
 
 
-@pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 1])
+@pytest.mark.parametrize("chunk_values", [metrics._CHUNK_VALUES, 1])
 def test_incomplete_views_abort_reports_every_reply_before_it(monkeypatch, chunk_values):
     # one reply, emitted after the first quarter of the run, arrives long
     # after its requester evaluates: that evaluation ends the run, with the

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from gcsim import cli, engine
+from gcsim import cli, metrics
 from gcsim import scenario as scen
 
 from scenario_gen import fc_lag_doc, random_template_doc, zero_drift_doc
@@ -292,7 +292,7 @@ class TestRun:
         # node 0 reads 1.0 ahead of its true value in (500, 1000], which its
         # neighbour's estimates at an evaluation there miss, and its hardware
         # reading jumps by 0.5 after t = 1000, which ends the run
-        sample = engine.sample_clocks
+        sample = metrics.sample_clocks
 
         def tampered(table, t):
             L, H, anchors = sample(table, t)
@@ -300,7 +300,7 @@ class TestRun:
             H[t > 1000.0, 0] += 0.5
             return L, H, anchors
 
-        monkeypatch.setattr(engine, "sample_clocks", tampered)
+        monkeypatch.setattr(metrics, "sample_clocks", tampered)
         out = tmp_path / "out"
         rc = cli.main(["run", "--scenario", write_doc(tmp_path, fc_lag_doc()), "--out", str(out)])
         assert rc == cli.EXIT_RUNTIME
@@ -315,7 +315,7 @@ class TestRun:
         )
 
     def test_engine_error_is_reported_as_an_abort(self, tmp_path, monkeypatch, capsys):
-        # a distance matrix that is not the kappa-metric fails the engine's
+        # a distance matrix that is not the kappa-metric fails the oracle's
         # static check, an InternalError rather than a RunAborted
         build = scen.kappa_distance_matrix
 

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import json
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -320,6 +322,29 @@ def test_full_mode_checks_the_distance_matrix_before_the_first_event(mode):
         engine._Simulation(tampered)
 
 
+@pytest.mark.parametrize("aborted", [False, True])
+def test_a_run_frees_its_simulation_without_the_collector(aborted):
+    # the oracle holds the engine's abort until the run ends: a cycle left
+    # after it would keep the stream table, the exchanges and the heap alive
+    # through the trace writer, and raise its peak memory
+    sc = scen.build_scenario(scen.load_document("star6"))
+    if aborted:
+        sc.timeout = 0.0  # every round trip exceeds it
+    sim = engine._Simulation(sc)
+    freed = weakref.ref(sim)
+    gc.disable()
+    try:
+        if aborted:
+            with pytest.raises(RunAborted, match="exceeded the timeout window"):
+                sim.run()
+        else:
+            assert len(sim.run().trace) > 0
+        del sim
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("cls", [engine._Simulation, ThreeEventExchange])
 def test_repeated_evaluation_aborts_as_out_of_order(cls):
     # the first node to evaluate gets a second evaluation of the same cycle
@@ -484,7 +509,7 @@ class TestMetricsModes:
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
         # a few rows per chunk, so that every run below spans many chunks
-        monkeypatch.setattr(engine, "_CHUNK_VALUES", 160)
+        monkeypatch.setattr(metrics, "_CHUNK_VALUES", 160)
 
     @pytest.mark.parametrize("name", scen.bundled_names())
     def test_bundled_scenario(self, name):
@@ -493,7 +518,7 @@ class TestMetricsModes:
         doc["sim"]["horizon_cycles"] = 60
         res = run_both_modes(doc)
         trace = res["full"].trace
-        assert len(trace) > engine._CHUNK_VALUES // trace.n  # more than one chunk
+        assert len(trace) > metrics._CHUNK_VALUES // trace.n  # more than one chunk
         assert_modes_agree(res)
 
     def test_bound_first_crossed_after_the_first_chunk(self):
@@ -502,7 +527,7 @@ class TestMetricsModes:
         trace = res["full"].trace
         t_cross = res["full"].summary.first_global_bound_exceed_time
         assert t_cross is not None
-        assert np.searchsorted(trace.times, t_cross) >= engine._CHUNK_VALUES // trace.n
+        assert np.searchsorted(trace.times, t_cross) >= metrics._CHUNK_VALUES // trace.n
         assert_modes_agree(res)
 
     def test_skew_only_drops_the_distance_matrix(self):
@@ -541,7 +566,7 @@ class TestChunking:
     def test_chunk_size_does_not_change_the_run(self, monkeypatch, chunk_values):
         doc = flipping_antiphase_doc()
         ref = engine.run(scen.build_scenario(doc))
-        monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
+        monkeypatch.setattr(metrics, "_CHUNK_VALUES", chunk_values)
         res = engine.run(scen.build_scenario(doc))
         assert any(len(tl) > 1 for tl in res.summary.mode_timelines.values())
         assert json.dumps(res.summary.to_dict()) == json.dumps(ref.summary.to_dict())
@@ -630,15 +655,14 @@ def stub_dyadic_draws(sim):
 def reply_rows(sim) -> list:
     """Collect (reply arrival, offset, deduction, t4, the responder's true
     value at the arrival, v, w) of every exchange ``sim`` completes, as its
-    chunks take them."""
-    rows, check = [], sim._check_chunk
+    oracle takes them."""
+    rows, replies = [], sim.oracle.replies
 
-    def collecting(*args):
-        for dirs, record in sim._reply_checks:
-            rows.extend(zip(*record.tolist(), sim._src[dirs].tolist(), sim._dst[dirs].tolist()))
-        check(*args)
+    def collecting(dirs, record):
+        rows.extend(zip(*record.tolist(), sim._src[dirs].tolist(), sim._dst[dirs].tolist()))
+        replies(dirs, record)
 
-    sim._check_chunk = collecting
+    sim.oracle.replies = collecting
     return rows
 
 
@@ -736,14 +760,14 @@ class TestRateBreakpoints:
 
 
 class TestGlobalBoundCrossing:
-    @pytest.mark.parametrize("chunk_values", [engine._CHUNK_VALUES, 3])
+    @pytest.mark.parametrize("chunk_values", [metrics._CHUNK_VALUES, 3])
     def test_crossing_is_exact_between_samples(self, monkeypatch, chunk_values):
         # GCS off: nodes 0 and 2 run at rate 1, node 1 at 1.001, so the
         # global skew is (1.001 - 1) t.  It exceeds the bound by the check
         # tolerance at (bound + tol) / 0.001, strictly inside the piece
         # between two samples (and two ticks).  With one row per chunk the
         # piece starts in the previous chunk.
-        monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
+        monkeypatch.setattr(metrics, "_CHUNK_VALUES", chunk_values)
         doc = antiphase_line_doc(n_nodes=3, horizon_time=3000.0, enabled=False)
         res = run_both_modes(doc)
         assert_modes_agree(res)
@@ -900,11 +924,11 @@ class TestChunkRows:
     def test_rows_per_chunk(self, monkeypatch, n, mode, rows):
         sim = engine._Simulation(scen.build_scenario(random_template_doc(n, metrics=mode)))
         sampled, oracle_rows = [], []
-        sample, oracles = engine.sample_clocks, metrics.trace_oracles
-        monkeypatch.setattr(engine, "sample_clocks", lambda c, t: (sampled.append(len(t)), sample(c, t))[1])
+        sample, oracles = metrics.sample_clocks, metrics.trace_oracles
+        monkeypatch.setattr(metrics, "sample_clocks", lambda c, t: (sampled.append(len(t)), sample(c, t))[1])
         monkeypatch.setattr(metrics, "trace_oracles", lambda t, *a: (oracle_rows.append(len(t)), oracles(t, *a))[1])
         for t in range(3 * rows):
-            sim._flush_sample(float(t))
+            sim.oracle.sample(float(t))
         assert sampled == [rows] * 3 and rows > 0
         assert oracle_rows == (sampled if mode == "full" else [])
 

@@ -267,27 +267,28 @@ class TestCorollary1:
         assert chained_oracles(trace, dist, theta, 2) == hits
         assert chained_oracles(trace, dist, theta, len(trace)) == hits
         assert chained_oracles(trace, dist, theta, 7, reference.dense_trace_oracles) == hits
-        # engine chunks of one row, or of a size that divides no row count:
+        # oracle chunks of one row, or of a size that divides no row count:
         # the floors are carried from chunk to chunk
         for chunk_values in (1, 50):
-            monkeypatch.setattr(engine, "_CHUNK_VALUES", chunk_values)
+            monkeypatch.setattr(metrics, "_CHUNK_VALUES", chunk_values)
             assert [v for v in engine.run(sc).violations if v.kind == "corollary1"] == hits
 
-    def test_aborted_run_reports_the_hit_of_its_last_chunk(self, monkeypatch):
+    def test_aborted_run_reports_the_hit_of_its_last_chunk(self):
         # abort right after the sample that ends the first hit's piece: the
         # oracles run on the buffered chunk before RunAborted is raised
         sc = scen.build_scenario(corollary1_doc())
         first = next(v for v in engine.run(sc).violations if v.kind == "corollary1")
-        flush = engine._Simulation._flush_sample
+        sim = engine._Simulation(sc)
+        sample = sim.oracle.sample
 
-        def flush_then_abort(sim, t):
-            flush(sim, t)
+        def sample_then_abort(t):
+            sample(t)
             if t == first.time:
                 sim._abort("stopped after the first corollary1 hit")
 
-        monkeypatch.setattr(engine._Simulation, "_flush_sample", flush_then_abort)
+        sim.oracle.sample = sample_then_abort
         with pytest.raises(RunAborted) as aborted:
-            engine.run(sc)
+            sim.run()
         assert [v for v in aborted.value.violations if v.kind == "corollary1"] == [first]
         assert first.time == pytest.approx(49.727, abs=1e-3)
         assert first.detail.startswith("node 23 level 1, leader 15:")

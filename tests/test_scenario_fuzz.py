@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcsim import scenario as scen
-from gcsim.engine import Scenario
+from gcsim.scenario import Scenario
 from gcsim.errors import ScenarioParseError, ScenarioValidationError
 
 
