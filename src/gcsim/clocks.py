@@ -40,16 +40,18 @@ class ClockTable:
     hardware reading H, in mode ``mode[a]``.  ``prev[a]`` is the same clock's
     anchor before it (-1 for its first, at t = 0) and ``last[c]`` clock c's
     latest, so each clock's anchors are a chain in time order, and
-    :meth:`LogicalClock.set_mode` is the only writer.  ``jump[a]`` is an
-    earlier anchor of the chain, ``prev[a]`` or one further back, chosen by
-    the skew-binary rule over ``depth`` (each anchor's place in its chain),
-    so a walk back to any earlier time that jumps where the jump lands
-    after that time, and else steps, takes a number of steps logarithmic in
-    the anchors it passes.  ``time``, ``value``, ``hw_at`` and ``factor``
+    :meth:`step` is the only writer.  ``jump[a]`` is an earlier anchor of
+    the chain, ``prev[a]`` or one further back, chosen by the skew-binary
+    rule over ``depth`` (each anchor's place in its chain), so a walk back
+    to any earlier time that jumps where the jump lands after that time,
+    and else steps, takes a number of steps logarithmic in the anchors it
+    passes.  ``time``, ``value``, ``hw_at`` and ``factor``
     are the rows of one array, ``law``, so a read gathers them in one step,
     and every anchor array has a memoryview twin (``time_mv`` and so on)
-    through which the scalar methods of :class:`LogicalClock` read and
-    write single entries as Python numbers.
+    through which :meth:`step`, the scalar clock law, reads and writes
+    single entries as Python numbers.  ``tail[c]`` is clock c's last anchor
+    as Python numbers, (time, value, hw_at, factor, mode), which
+    :meth:`append` writes with the arrays, so a step on it reads one tuple.
 
     The columns of ``segments`` are the rate segments of every clock, clock
     by clock in time order, each (value at its start, rate, start), built
@@ -103,6 +105,7 @@ class ClockTable:
         self.owner = np.zeros(capacity, dtype=np.intp)
         self.owner[:n] = np.arange(n)
         self.last = np.arange(n, dtype=np.intp)
+        self.tail = list(zip(*self.law[:, :n].tolist(), [OWN_RATE] * n))
         self.size = n
         self.last_mv = memoryview(self.last)
         self._views()
@@ -126,6 +129,7 @@ class ClockTable:
         self.factor_mv[a], self.mode_mv[a] = factor, mode
         p = self.last_mv[c]
         self.prev_mv[a], self.owner_mv[a], self.last_mv[c] = p, c, a
+        self.tail[c] = (t, value, hw_at, factor, mode)
         depth, jump = self.depth_mv, self.jump_mv
         j = jump[p]
         depth[a] = depth[p] + 1
@@ -166,6 +170,59 @@ class ClockTable:
             cum, rate, start = cums[i], self._rate[i], self._start[i]
         return start + (x - cum) / rate
 
+    def step(self, c: int, t: float, mode: int | None = None, factor: float = 1.0,
+             target: float | None = None) -> tuple[float, float | None]:
+        """Clock c at t: switch it to ``mode``, whose rate factor is
+        ``factor`` (None keeps its mode), then return its value at t and
+        the real time at which it reads ``target`` (None without one).  The
+        one scalar form of the clock law, which every scalar method of
+        :class:`LogicalClock` and the engine's per-node steps call.
+
+        A change appends an anchor at t, and a mode equal to the clock's
+        keeps its last anchor.  With a mode, a time up to ``_EQ_TOL`` before
+        the last anchor counts as its time, so each clock's anchors stay in
+        time order; without one, a read before the last anchor walks back
+        along the chain to the anchor in force.  The inverse starts at the
+        last anchor and walks back while ``target`` lies below its value.
+        On a clock's last anchor and last rate segment, the usual case,
+        the step reads the anchor once, from ``tail``, and the hardware
+        once, from ``hw_tail``, with the float expressions of
+        :meth:`hw_value` and :meth:`hw_inverse`.  A new anchor at t reads
+        ``x + factor * 0.0`` there, for its value x: x itself, since x is
+        never -0.0 (it adds a product of at least +0.0 to a value)."""
+        at, value, hw_at, f, m = tail = self.tail[c]
+        if t < at:
+            if mode is None:  # walk back to the last anchor at or before t
+                if t < 0:
+                    raise ParameterError(f"time must be non-negative, got {t!r}")
+                time, prev, a = self.time_mv, self.prev_mv, self.last_mv[c]
+                while t < time[a]:
+                    a = prev[a]
+                value, hw_at, f = self.value_mv[a], self.hw_at_mv[a], self.factor_mv[a]
+            elif t < at - _EQ_TOL:
+                raise InternalError(f"mode change at t={t!r} precedes last change at {at!r}")
+            else:
+                t = at
+        cum, rate, start = self.hw_tail[c]
+        h = cum + rate * (t - start) if t >= start else self.hw_value(c, t)
+        x = value + f * (h - hw_at)
+        if mode is not None and mode != m:
+            self.append(c, t, x, h, factor, mode)
+            value, hw_at, f = x, h, factor
+        elif t < at:  # the read walked back: the inverse starts at the last anchor
+            _, value, hw_at, f, _ = tail
+        if target is None:
+            return x, None
+        if target < value:  # walk back to the last anchor at or below target
+            values, prev, a = self.value_mv, self.prev_mv, self.last_mv[c]
+            while target < values[a] and prev[a] >= 0:
+                a = prev[a]
+            if target < values[a] - _EQ_TOL:
+                raise ParameterError(f"target {target!r} below initial logical value {values[a]!r}")
+            value, hw_at, f = values[a], self.hw_at_mv[a], self.factor_mv[a]
+        y = hw_at + (target - value) / f
+        return x, start + (y - cum) / rate if y >= cum else self.hw_inverse(c, y)
+
     def mode_timelines(self) -> list[list[tuple[float, int]]]:
         """(time, mode) of each clock's anchors, in time order, per clock."""
         k = self.size
@@ -184,7 +241,9 @@ class LogicalClock:
     ``OWN_RATE`` and at ``(1 + mu)`` times it in ``FAST``.  Mode changes
     append anchors; values before the last anchor are never rewritten, so
     past queries stay exact.  A read before the last anchor walks back
-    along the clock's chain of anchors.
+    along the clock's chain of anchors.  The scalar methods are views of
+    :meth:`ClockTable.step`, which the engine calls itself, one step per
+    node event; the clock holds no arithmetic of its own.
     """
 
     def __init__(self, table: ClockTable, index: int, mu: float):
@@ -195,16 +254,7 @@ class LogicalClock:
         self.mu = mu
 
     def value(self, t: float) -> float:
-        tb = self.table
-        time = tb.time_mv
-        a = tb.last_mv[self.index]
-        if t < time[a]:  # walk back to the last anchor at or before t
-            if t < 0:
-                raise ParameterError(f"time must be non-negative, got {t!r}")
-            prev = tb.prev_mv
-            while t < time[a]:
-                a = prev[a]
-        return tb.value_mv[a] + tb.factor_mv[a] * (tb.hw_value(self.index, t) - tb.hw_at_mv[a])
+        return self.table.step(self.index, t)[0]
 
     def value_pair(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(logical, hardware) at each of the instants ``times``, a vector in
@@ -220,34 +270,16 @@ class LogicalClock:
         that change, so each clock's anchors stay in time order."""
         if mode not in (OWN_RATE, FAST):
             raise ParameterError(f"unknown mode {mode!r}")
-        tb = self.table
-        a = tb.last_mv[self.index]
-        last = tb.time_mv[a]
-        if t < last:
-            if t < last - _EQ_TOL:
-                raise InternalError(f"mode change at t={t!r} precedes last change at {last!r}")
-            t = last
-        if mode == tb.mode_mv[a]:
-            return
-        factor = 1.0 + self.mu if mode == FAST else 1.0
-        h = tb.hw_value(self.index, t)  # t is at or after anchor a: the read of value(t)
-        tb.append(self.index, t, tb.value_mv[a] + tb.factor_mv[a] * (h - tb.hw_at_mv[a]), h, factor, mode)
+        self.table.step(self.index, t, mode, 1.0 + self.mu if mode == FAST else 1.0)
 
     def invert(self, target: float) -> float:
         """Real time at which the logical clock reads ``target``.
 
-        Unique because the logical rate is strictly positive.
+        Unique because the logical rate is strictly positive.  The step
+        that computes it reads the clock at its last anchor's time, where
+        the read takes no walk; the inverse does not depend on that time.
         """
-        tb = self.table
-        values = tb.value_mv
-        a = tb.last_mv[self.index]
-        if target < values[a]:  # walk back to the last anchor at or below target
-            prev = tb.prev_mv
-            while target < values[a] and prev[a] >= 0:
-                a = prev[a]
-            if target < values[a] - _EQ_TOL:
-                raise ParameterError(f"target {target!r} below initial logical value {values[a]!r}")
-        return tb.hw_inverse(self.index, tb.hw_at_mv[a] + (target - values[a]) / tb.factor_mv[a])
+        return self.table.step(self.index, self.table.tail[self.index][0], target=target)[1]
 
 
 def sample_clocks(table: ClockTable, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,33 +2,36 @@
 
 Events are totally ordered by (real time, schedule sequence number), and
 every random draw comes from a labelled substream of the master seed, so a
-run is a pure function of its scenario.  The loop owns all node state,
-and each fact has one owner: a node is its logical clock ``clocks[v]``, a
-view of the run's one anchor table ``table``, and its cycle ``cycle[v]``;
-a link direction d, a->b, is a column of arrays: its parameters, its
-streams and its exchange in flight (``_ex[:, d]``, open from a's wakeup
-to a's evaluation, so a is measuring exactly when its directions are
-open).
+run is a pure function of its scenario.  The loop owns all node state, and
+each fact has one owner: a node is its logical clock, clock v of the run's
+one anchor table ``table``, and its cycle ``cycle[v]``; a link direction
+d, a->b, is a column of arrays: its parameters, its streams and its
+exchange in flight (``_ex[:, d]``, open from a's wakeup to a's evaluation,
+so a is measuring exactly when its directions are open).
 
 Event handlers do only what the nodes do: readings, estimates, triggers and
-mode changes.  Neither a message nor an exchange is an event of its own:
-the requester's wakeup draws the request's delay and the responder's
-processing time, one scalar send per neighbour, and keeps the reply's
-emission instant with the heap sequence number an event for it would
-take; the reply's delay is drawn off the heap, in the order of the stream
-it shares with the responder's requests (see the comment above
-``_Simulation.run``); and the requester's evaluation reads the three stamps
-taken at past instants (w's at the request's arrival and at the reply's
-emission, v's at the reply's arrival).  The evaluations at one instant are
-one array pass: it draws their reply delays, checks their views, reads
-every stamp and each node's own value in one :func:`clocks.read_clocks`
-call, and evaluates the triggers in one :func:`gcs.trigger_levels` call,
-since each evaluation reads only its node's clock at that instant and its
-node's exchanges.  A draw is a table read: the link streams are PCG64
+mode changes.  A node event makes one clock step, :meth:`ClockTable.step`,
+which switches the node's mode and reads its clock: a wakeup's value and
+evaluation time, or a decision's next wakeup time.  Neither a message nor
+an exchange is an event of its own: the requester's wakeup draws the
+request's delay and the responder's processing time, one scalar send per
+neighbour, and keeps the reply's emission instant with the heap sequence
+number an event for it would take; the reply's delay is drawn off the
+heap, in the order of the stream it shares with the responder's requests
+(see the comment above ``_Simulation.run``); and the requester's
+evaluation reads the three stamps taken at past instants (w's at the
+request's arrival and at the reply's emission, v's at the reply's
+arrival).  The evaluations at one instant are one array pass: it draws
+their reply delays, checks their views, reads every stamp and each node's
+own value in one :func:`clocks.read_clocks` call, and evaluates the
+triggers in one :func:`gcs.trigger_levels` call, since each evaluation
+reads only its node's clock at that instant and its node's exchanges.  A
+draw is a table read, inline in the wakeup's sends and one array read
+(``_draws``) for an evaluation's replies: the link streams are PCG64
 states held as arrays (:class:`PcgStreams`), and one jump-ahead pass fills
 every stream's row of the table with as many values as it can draw in the
-run, 2 (cycles + 1), within a budget of ``_STREAM_VALUES`` across the rows;
-past the budget, the streams that run out are refilled together.
+run, 2 (cycles + 1), within a budget of ``_STREAM_VALUES`` across the
+rows; past the budget, the streams that run out are refilled together.
 
 Every event instant is a sample, since every event may change a clock's
 slope or is a grid tick, and so is the run's one end instant: the horizon
@@ -412,9 +415,11 @@ class _Simulation:
             memoryview, (self._flat, self._open, self._eseq, self._next, self._rev))
 
         # per node: its clock, in one anchor table whose anchors are the
-        # nodes' mode timelines, and the cycle of its last wakeup
+        # nodes' mode timelines, and the cycle of its last wakeup.  The
+        # events step the table; the clocks' views schedule the first wakeups
         self.table = ClockTable(sc.hardware)
         self.clocks = [LogicalClock(self.table, v, sc.params.mu) for v in range(n)]
+        self._factors = (1.0, 1.0 + sc.params.mu)  # each mode's rate factor, by OWN_RATE and FAST
         # every check against true clock values, from the loop's records
         self.oracle = metrics.Oracle(sc, self.table, self._kappa, self._abort)
         self.cycle = [0] * n
@@ -437,42 +442,62 @@ class _Simulation:
     # -- event handlers
 
     def _on_wakeup(self, t: float, v: int, k: int) -> None:
-        """Node v starts cycle k at t: it sends its requests, one per
-        neighbour w in neighbour order, its clock reading l1.  Each send
-        draws the request's delay and w's processing time, and keeps the
-        reply's emission instant with the heap sequence number an event for
-        it would take; no event is pushed.  The stream proc:v->w serves only
-        v's requests to w, so drawing from it now gives the values a draw at
-        the arrival would.  delay:v->w also serves v's reply to w's request,
-        so that reply is drawn first if it was emitted before this wakeup
-        (see the comment above ``run``)."""
-        clock = self.clocks[v]
-        clock.set_mode(t, OWN_RATE)
-        self.cycle[v] = k
+        """Node v starts cycle k at t: one clock step switches it to its own
+        rate and reads its value l1 and the time of its evaluation, then it
+        sends its requests, one per neighbour w in neighbour order, its
+        clock reading l1.  Each send draws the request's delay and w's
+        processing time, and keeps the reply's emission instant with the
+        heap sequence number an event for it would take; no event is
+        pushed.  The stream proc:v->w serves only v's requests to w, so
+        drawing from it now gives the values a draw at the arrival would.
+        delay:v->w also serves v's reply to w's request, so that reply is
+        drawn first if it was emitted before this wakeup (see the comment
+        above ``run``).  A draw reads its stream's next value from the
+        table, and refills it at the inf after a row's last."""
         sc = self.sc
+        expected = self.table.initial[v] + k * sc.params.cycle_length
+        l1, t_eval = self.table.step(v, t, OWN_RATE, 1.0, expected + sc.params.T)
+        self.cycle[v] = k
         if sc.horizon_cycles is not None and k >= sc.horizon_cycles:
             self.done.add(v)
             if len(self.done) == sc.graph.n:
                 self.end = t
             return
-        l1 = clock.value(t)
-        expected = self.table.initial[v] + k * sc.params.cycle_length
         if abs(l1 - expected) > _BOUNDARY_TOL:
             self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
-        t_eval = clock.invert(expected + sc.params.T)
         arrival, emit, reply, evaluate, t1 = self._ex_mv[:5]
-        eseq, is_open = self._eseq_mv, self._open_mv
-        draw, rev, now, seq, proc = self._draw, self._rev_mv, self.now, self.seq, self._proc
+        eseq, is_open, rev, nxt, flat = self._eseq_mv, self._open_mv, self._rev_mv, self._next_mv, self._flat_mv
+        now, seq, proc, inf = self.now, self.seq, self._proc, _INF
         for d in range(self._first[v], self._first[v + 1]):
-            r = rev[d]
-            if reply[r] == _INF and is_open[r] and (emit[r], eseq[r]) < now:
-                reply[r] = emit[r] + draw(d)
-            arrival[d] = a = t + draw(d)
-            emit[d] = a + draw(proc + d) if proc else a
-            reply[d], evaluate[d], t1[d], eseq[d], is_open[d] = _INF, t_eval, l1, seq, True
+            r, i = rev[d], nxt[d]
+            if reply[r] == inf and is_open[r] and (emit[r], eseq[r]) < now:
+                x = flat[i]
+                if x == inf:
+                    self._refill()
+                    i = nxt[d]
+                    x = flat[i]
+                reply[r] = emit[r] + x
+                nxt[d] = i = i + 1
+            x = flat[i]
+            if x == inf:
+                self._refill()
+                i = nxt[d]
+                x = flat[i]
+            nxt[d] = i + 1
+            arrival[d] = a = t + x
+            if proc:
+                i = nxt[proc + d]
+                x = flat[i]
+                if x == inf:
+                    self._refill()
+                    i = nxt[proc + d]
+                    x = flat[i]
+                nxt[proc + d] = i + 1
+                a += x
+            emit[d], reply[d], evaluate[d], t1[d], eseq[d], is_open[d] = a, inf, t_eval, l1, seq, True
             seq += 1
-        self.seq = seq
-        self.push(t_eval, K_EVALUATE, (v, k))
+        heapq.heappush(self.heap, (t_eval, seq, K_EVALUATE, (v, k)))
+        self.seq = seq + 1
 
     def _refill(self) -> None:
         """Fill the row of every stream that is read out, and of every
@@ -495,15 +520,6 @@ class _Simulation:
             raise InternalError(f"sampled delay {float(delays[i, j])!r} reached d_max on {a}->{b}")
         self._blocks[due, :width] = rows
         self._next[due] = self._row0[due]
-
-    def _draw(self, s: int) -> float:
-        """The next value of stream s."""
-        i = self._next_mv[s]
-        if self._flat_mv[i] == _INF:
-            self._refill()
-            i = self._next_mv[s]
-        self._next_mv[s] = i + 1
-        return self._flat_mv[i]
 
     def _draws(self, s: np.ndarray) -> np.ndarray:
         """The next value of each of the distinct streams s."""
@@ -614,11 +630,15 @@ class _Simulation:
         starts = list(accumulate([first[v + 1] - first[v] for v, _ in batch[:-1]], initial=0))
         slow, fast = gcs.trigger_levels(est - l_rep, self._thresholds.take(dirs, axis=0), starts)
         self.oracle.evaluations(t, vs, dirs, est, slow, fast)
-        to_fast = [sc.gcs_enabled and any(f) and not any(s) for s, f in zip(slow.tolist(), fast.tolist())]
-        for (v, k), speed_up in zip(batch, to_fast):
-            clock = self.clocks[v]
-            clock.set_mode(t, FAST if speed_up else OWN_RATE)
-            self.push(clock.invert(self.table.initial[v] + (k + 1) * sc.params.cycle_length), K_WAKEUP, (v, k + 1))
+        modes = [FAST if sc.gcs_enabled and any(f) and not any(s) else OWN_RATE
+                 for s, f in zip(slow.tolist(), fast.tolist())]
+        step, initial, cycle_length, factors = self.table.step, self.table.initial, sc.params.cycle_length, self._factors
+        heap, seq = self.heap, self.seq
+        for (v, k), mode in zip(batch, modes):
+            _, wake = step(v, t, mode, factors[mode], initial[v] + (k + 1) * cycle_length)
+            heapq.heappush(heap, (wake, seq, K_WAKEUP, (v, k + 1)))
+            seq += 1
+        self.seq = seq
 
     def _abort(self, message: str) -> None:
         """Complete every exchange whose reply has arrived, then end the run
@@ -671,22 +691,26 @@ class _Simulation:
     # draws on the stream of its reverse direction, so no stream is drawn
     # twice in the pass and the order among them does not matter.
     #
-    # Each stream's values come from ``PcgStreams`` in rows of _width, and a
-    # draw takes the next unread value of its row (a draw that finds the
-    # inf after the last, or an unfilled row, refills first), so the k-th
-    # draw on a stream gets its k-th value, as the k-th scalar random() call
-    # of its own generator would.  Each stream s keeps two facts: its
+    # Each stream's values come from ``PcgStreams`` in rows of _width, and
+    # a draw takes the next unread value of its row, ``_flat[_next[s]]``,
+    # and advances ``_next[s]``: a wakeup's sends read their values
+    # inline, and ``_draws`` reads one value of each of several streams.  A
+    # draw that finds the inf after the last value, or an unfilled row,
+    # refills first, with every ``_next`` up to date, so the k-th draw on
+    # a stream gets its k-th value, as the k-th scalar random() call of
+    # its own generator would.  Each stream s keeps two facts: its
     # ``PcgStreams`` state is the state p values on from its seed, and its
-    # row holds values p to p + _width - 1, of which it has drawn the first
-    # ``_next[s] - _row0[s]``, r; so it has drawn p + r values in all.  At
-    # first p = r = 0 and the row is all inf, so the first draw refills.  A
-    # refill advances the state by r, to A[r] x + G[r] inc, and fills the row
-    # with the doubles of the states 1 to _width steps further on: PCG64
-    # advances its state before each output, so those are values p + r to p
-    # + r + _width - 1, and r starts again at 0.  The value a draw reads is
-    # thus value p + r, the next one.  A refill touches only the rows and
-    # states of the streams it refills, and a stream's draws only ever take
-    # its own row, whatever the order of draws across streams.
+    # row holds values p to p + _width - 1, of which it has drawn the
+    # first ``_next[s] - _row0[s]``, r; so it has drawn p + r values in
+    # all.  At first p = r = 0 and the row is all inf, so the first draw
+    # refills.  A refill advances the state by r, to A[r] x + G[r] inc, and
+    # fills the row with the doubles of the states 1 to _width steps
+    # further on: PCG64 advances its state before each output, so those
+    # are values p + r to p + r + _width - 1, and r starts again at 0.  The
+    # value a draw reads is thus value p + r, the next one.  A refill
+    # touches only the rows and states of the streams it refills, and a
+    # stream's draws only ever take its own row, whatever the order of
+    # draws across streams.
 
     def run(self) -> RunResult:
         started = _time.perf_counter()

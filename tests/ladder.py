@@ -22,13 +22,15 @@ shapes, 24 cycles each:
 
 With ``--against SRC`` it compares this tree with the gcsim package under
 another checkout's ``SRC`` directory (its ``src``), on the same documents.
-It runs ``ROUNDS`` rounds, each tree's whole ladder in one subprocess per
-round, the two trees back to back and taking turns to go first, and prints
-per row each tree's median node-cycles/s and the median over the rounds of
-the per-round ratio, this tree over the other.  Alternating keeps the slow
-drift of a shared host's speed out of the ratio:
+It runs ``--rounds`` rounds (default 8, the fewest a "no slower" claim
+should rest on), each tree's whole ladder in one subprocess per round, the
+two trees back to back and taking turns to go first, and prints per row
+each tree's median node-cycles/s with its quartiles, the rounds this tree
+was faster in, and the median over the rounds of the per-round ratio, this
+tree over the other.  Alternating keeps the slow drift of a shared host's
+speed out of the ratio:
 
-    PYTHONPATH=src python tests/ladder.py --against ../parent/src --max-n 128
+    PYTHONPATH=src python tests/ladder.py --against ../parent/src --max-n 128 --rounds 8
 
 There is no timing gate: it fails only if a run raises.  pytest does not
 collect it, since its name does not start with ``test_``.
@@ -53,7 +55,6 @@ from scenario_gen import antiphase_line_doc, distinct_rate_doc, random_template_
 
 SIZES = (16, 32, 64, 128, 256)
 CYCLES = 24
-ROUNDS = 6  # rounds per tree with --against
 # each shape: its document for (n, cycles, metrics mode), and its sizes
 SHAPES = {
     "template": (random_template_doc, SIZES),
@@ -105,16 +106,23 @@ def ladder(shape: str, max_n: int, repeats: int):
             }
 
 
-def compare(shape: str, max_n: int, repeats: int, against: str) -> None:
-    """Alternate subprocess rounds of this tree and of the gcsim package
-    under ``against``, and print each row's medians and median per-round
-    ratio."""
+def quartiles(values: list) -> str:
+    """The median of ``values`` with its lower and upper quartiles, as
+    "median [q1-q3]" node-cycles/s."""
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return f"{median:9.0f} [{q1:.0f}-{q3:.0f}]"
+
+
+def compare(shape: str, max_n: int, repeats: int, against: str, rounds: int) -> None:
+    """Alternate ``rounds`` subprocess rounds of this tree and of the gcsim
+    package under ``against``, and print each row's medians with their
+    quartiles, the rounds this tree won and the median per-round ratio."""
     # each round imports this module afresh, with the tree's gcsim, and
     # prints one JSON record per row
     code = "import json, sys, ladder\nfor r in ladder.ladder(sys.argv[1], *map(int, sys.argv[2:])): print(json.dumps(r))"
     argv = [sys.executable, "-c", code, shape, str(max_n), str(repeats)]
     rates: dict[str, dict[str, list]] = {}
-    for i in range(ROUNDS):
+    for i in range(rounds):
         trees = (("this", HERE.parent / "src"), ("other", Path(against)))
         for tree, src in trees[:: 1 if i % 2 == 0 else -1]:
             env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src.resolve()), str(HERE))))
@@ -122,10 +130,11 @@ def compare(shape: str, max_n: int, repeats: int, against: str) -> None:
             for record in map(json.loads, out.splitlines()):
                 rates.setdefault(record["row"], {"this": [], "other": []})[tree].append(record["rate"])
     for row, r in rates.items():
-        ratio = statistics.median(a / b for a, b in zip(r["this"], r["other"]))
+        ratios = [a / b for a, b in zip(r["this"], r["other"])]
+        wins = sum(ratio > 1 for ratio in ratios)
         print(
-            f"{row} {statistics.median(r['this']):9.0f} vs {statistics.median(r['other']):9.0f} node-cycles/s, "
-            f"median ratio {ratio:.3f} over {len(r['this'])} rounds",
+            f"{row} {quartiles(r['this'])} vs {quartiles(r['other'])} node-cycles/s, "
+            f"faster in {wins}/{len(ratios)} rounds, median ratio {statistics.median(ratios):.3f}",
             flush=True,
         )
 
@@ -136,13 +145,16 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--max-n", type=int, default=SIZES[-1], help="largest n to run (default %(default)s)")
     ap.add_argument("--repeats", type=int, default=3, help="runs per row; the best is kept")
     ap.add_argument("--against", metavar="SRC", help="compare with the gcsim package under this directory")
+    ap.add_argument("--rounds", type=int, default=8, help="rounds per tree with --against (default %(default)s)")
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
     if args.against is not None:
         if not (Path(args.against) / "gcsim").is_dir():
             ap.error(f"--against {args.against}: no gcsim package there")
-        compare(args.shape, args.max_n, args.repeats, args.against)
+        compare(args.shape, args.max_n, args.repeats, args.against, args.rounds)
         return 0
     for r in ladder(args.shape, args.max_n, args.repeats):
         print(

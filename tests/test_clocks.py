@@ -1,5 +1,5 @@
 from bisect import bisect_right
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -521,3 +521,62 @@ class TestGenerators:
     def test_unknown_generator(self):
         with pytest.raises(ScenarioValidationError, match="unknown generator 'brownian'"):
             hardware_of({"generator": "brownian"})
+
+
+ALTERNATING = {"generator": "alternating", "dwell": 4.0, "start_high": True}
+
+
+@cache
+def step_hardware():
+    """Three multi-segment rate schedules, alternating and random-walk ones,
+    with breakpoints up to t = 65."""
+    return hardware_of(ALTERNATING, {**WALK, "dwell": 3.0}, {**ALTERNATING, "start_high": False}, horizon_time=60.0)
+
+
+class TestStep:
+    """``ClockTable.step``, the scalar clock law, against the search-based
+    twins of ``reference``, bit for bit: the anchors it leaves, its value
+    at t and its inverse of a target, over sequences of steps in both
+    modes on multi-segment schedules, at and past the last anchor's time,
+    with targets below the last anchor's value, and reads back in time."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_search_based_twin(self, data):
+        clocks = shared(step_hardware(), [0.1, 0.05, 0.2])
+        table = clocks[0].table
+        for _ in range(data.draw(st.integers(1, 24))):
+            c = clocks[data.draw(st.integers(0, len(clocks) - 1))]
+            want = [list(column) for column in anchors(c)]
+            times, values, _, _, modes = want
+            # at the last anchor's time, up to _EQ_TOL before it (taken at
+            # it), after it, past the last rate breakpoint too, or at and
+            # just before a rate breakpoint ahead
+            ahead = [b for b in step_hardware()[c.index][1] if b > times[-1]]
+            t = data.draw(
+                st.sampled_from([times[-1], times[-1] - 1e-13])
+                | st.floats(times[-1], times[-1] + 12.0)
+                | st.sampled_from(ahead or times[-1:]).flatmap(lambda b: st.floats(max(times[-1], b - 1.0), b))
+            )
+            at = max(t, times[-1])
+            mode = data.draw(st.sampled_from([OWN_RATE, FAST]))
+            factor = 1.0 + c.mu if mode == FAST else 1.0
+            x, h = value_pair(c, at)
+            if mode != modes[-1]:
+                for column, entry in zip(want, (at, x, h, factor, mode)):
+                    column.append(entry)
+            # from the initial value up, past earlier anchors' values and the
+            # last one's, which the inverse walks back to, and past the last
+            # rate breakpoint's hardware reading
+            target = data.draw(st.sampled_from(values + [x]) | st.floats(values[0], x + 30.0)
+                               | st.floats(values[0], 100.0))
+            assert table.step(c.index, t, mode, factor, target) == (x, invert(c, target))
+            assert [list(column) for column in anchors(c)] == want
+            assert value_pair(c, at)[0] == x
+        for c in clocks:
+            times, values = anchors(c)[:2]
+            for t in data.draw(st.lists(st.sampled_from(times) | st.floats(0.0, times[-1] + 5.0), max_size=4)):
+                target = data.draw(st.sampled_from(values) | st.floats(values[0], values[-1] + 10.0))
+                assert table.step(c.index, t) == (value_pair(c, t)[0], None)
+                assert table.step(c.index, t, target=target) == (value_pair(c, t)[0], invert(c, target))
+            assert anchors(c)[0] == times

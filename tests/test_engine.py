@@ -154,19 +154,24 @@ def direction(sim: engine._Simulation, a: int, b: int) -> int:
 
 
 class TestLinkDelays:
-    """Each link direction's parameters and the delays its streams draw."""
+    """Each link direction's parameters and the delays its streams draw:
+    a wakeup at 0.0, in cycle 0, records its request's delay as the
+    arrival instant and, with p_max > 0, adds the responder's processing
+    time to it as the reply's emission instant."""
 
     def test_zero_jitter_is_base(self):
         sim = two_node_sim()
-        assert sim._draw(direction(sim, 0, 1)) == 1.0
-        assert sim._draw(direction(sim, 1, 0)) == 1.2
+        for v, d, delay in ((0, direction(sim, 0, 1), 1.0), (1, direction(sim, 1, 0), 1.2)):
+            sim._on_wakeup(0.0, v, 0)
+            assert sim._ex[engine._ARRIVAL, d] == delay
         assert sim._draws(np.array([direction(sim, 1, 0)])).tolist() == [1.2]
 
     def test_samples_within_jitter_band(self):
         sim = two_node_sim(bwd_delay=1.0, jitter=0.5)
         d = direction(sim, 0, 1)
-        for _ in range(500):
-            assert 1.0 <= sim._draw(d) <= 1.5
+        for _ in range(500):  # rows of 8 values: the wakeups refill them
+            sim._on_wakeup(0.0, 0, 0)
+            assert 1.0 <= sim._ex[engine._ARRIVAL, d] <= 1.5
             assert 1.0 <= sim._draws(np.array([d]))[0] <= 1.5
 
     @pytest.mark.parametrize("p_max", [0.0, 0.1])
@@ -175,10 +180,14 @@ class TestLinkDelays:
         fwd, bwd = direction(sim, 0, 1), direction(sim, 1, 0)
         assert sorted(zip(sim._src.tolist(), sim._dst.tolist())) == [(0, 1), (1, 0)]
         assert sim._rev.tolist()[fwd] == bwd and sim._rev.tolist()[bwd] == fwd
-        assert sim._draw(bwd) == 1.2 + 0.5 * seeded_stream(5, "delay:1->0").random()
+        sim._on_wakeup(0.0, 1, 0)
+        assert sim._ex[engine._ARRIVAL, bwd] == 1.2 + 0.5 * seeded_stream(5, "delay:1->0").random()
         if p_max:  # the proc streams follow the delay streams
             assert len(sim._blocks) == 4
-            assert sim._draw(2 + fwd) == 0.1 * seeded_stream(5, "proc:0->1").random()
+            sim._on_wakeup(0.0, 0, 0)
+            delay = 1.0 + 0.5 * seeded_stream(5, "delay:0->1").random()
+            assert sim._ex[engine._ARRIVAL, fwd] == delay
+            assert sim._ex[engine._EMIT, fwd] == delay + 0.1 * seeded_stream(5, "proc:0->1").random()
         else:
             assert len(sim._blocks) == 2
         kappa = sim.sc.kappa[(0, 1)]
@@ -195,12 +204,19 @@ class TestLinkDelays:
 class DrawLog(engine._Simulation):
     """The engine, logging every value each stream draws, in draw order,
     counting the streams a wakeup draws from twice, and counting each
-    stream's row fills."""
+    stream's row fills.
+
+    A wakeup draws inline, so the log reads what it took from the table:
+    each stream's values from its ``_next`` before the wakeup up to its
+    ``_next`` after it, taken before a refill in the wakeup replaces the
+    rows.  The wakeup's exchange records must hold exactly those values:
+    the request's delay, the processing time and the reply's delay."""
 
     def __init__(self, sc):
         super().__init__(sc)
         self.drawn: dict[int, list[float]] = {}
-        self.in_wakeup: list | None = None
+        self.mark: np.ndarray | None = None  # each stream's _next when the wakeup's log was last taken
+        self.in_wakeup: dict[int, list[float]] = {}
         self.twice = 0
         self.fills = np.zeros(len(self._blocks), dtype=int)
         uniforms = self._streams.uniforms
@@ -211,18 +227,36 @@ class DrawLog(engine._Simulation):
 
         self._streams.uniforms = counted
 
-    def _on_wakeup(self, t, v, k):
-        self.in_wakeup = []
-        super()._on_wakeup(t, v, k)
-        self.twice += len(self.in_wakeup) - len(set(self.in_wakeup))
-        self.in_wakeup = None
+    def take(self):
+        """Log the values each stream drew since ``mark``."""
+        for s in np.flatnonzero(self._next != self.mark).tolist():
+            values = self._flat[self.mark[s] : self._next[s]].tolist()
+            self.drawn.setdefault(s, []).extend(values)
+            self.in_wakeup.setdefault(s, []).extend(values)
 
-    def _draw(self, s):
-        x = super()._draw(s)
-        self.drawn.setdefault(s, []).append(x)
-        if self.in_wakeup is not None:
-            self.in_wakeup.append(s)
-        return x
+    def _refill(self):
+        if self.mark is not None:
+            self.take()
+        super()._refill()
+        if self.mark is not None:
+            self.mark = self._next.copy()
+
+    def _on_wakeup(self, t, v, k):
+        self.mark, self.in_wakeup = self._next.copy(), {}
+        super()._on_wakeup(t, v, k)
+        self.take()
+        self.mark = None
+        self.twice += sum(len(values) - 1 for values in self.in_wakeup.values())
+        ex, D = self._ex, len(self._src)
+        for d in self._out[v].tolist() if self.in_wakeup else []:
+            *reply, request = self.in_wakeup.pop(d)
+            assert ex[engine._ARRIVAL, d] == t + request
+            if reply:
+                r = self._rev[d]
+                assert ex[engine._REPLY, r] == ex[engine._EMIT, r] + reply[0]
+            proc = self.in_wakeup.pop(D + d) if self._proc else [0.0]
+            assert ex[engine._EMIT, d] == ex[engine._ARRIVAL, d] + proc[0] and len(proc) == 1
+        assert not self.in_wakeup  # no other stream drew
 
     def _draws(self, s):
         x = super()._draws(s)
