@@ -3,7 +3,7 @@ two-way measured links, with ground-truth oracles for every claimed
 invariant and skew bound."""
 
 from .clocks import FAST, OWN_RATE, LogicalClock
-from .engine import run, seeded_stream
+from .engine import run
 from .gcs import GcsParams
 from .scenario import Scenario, build_scenario, load_scenario, static_report
 from .topology import EdgeParams, NetworkGraph, edge_kappa, kappa_weights
@@ -23,7 +23,6 @@ __all__ = [
     "Scenario",
     "RunResult",
     "run",
-    "seeded_stream",
     "Trace",
     "RunSummary",
     "Violation",

@@ -55,7 +55,6 @@ from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import gcs, metrics
 from .clocks import FAST, OWN_RATE, ClockTable, LogicalClock, read_clocks
@@ -68,7 +67,7 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["seeded_streams", "seeded_stream", "RunResult", "run"]
+__all__ = ["PcgStream", "RunResult", "run"]
 
 # Event kinds.  Each payload holds only what its handler reads.
 # Each kind either may change a clock's slope (a mode decision or a rate
@@ -193,19 +192,6 @@ def _pools(entropy: np.ndarray, long: list[bool]) -> np.ndarray:
     return pool
 
 
-class _GeneratedState(ISeedSequence):
-    """A seed sequence whose state is already generated: ``PCG64`` asks for
-    its four uint64 words once, when it is built."""
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"pre-generated state is 4 x uint64, not {n_words} x {np.dtype(dtype)}")
-        return self.state
-
-
 def _seed_states(pairs: list[tuple[int, str]]) -> np.ndarray:
     """The PCG64 seed words of one labelled substream per (seed, label)
     pair, an (S, 4) uint64 array, made in one batch.
@@ -231,21 +217,6 @@ def _seed_states(pairs: list[tuple[int, str]]) -> np.ndarray:
     entropy[long, 2:6] = digests[long]
     words = _hashmix(_pools(entropy.T, long.tolist()).take(_STATE_WORDS, 0), _STATE_XOR, _STATE_MUL)
     return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
-
-
-def seeded_streams(pairs: list[tuple[int, str]]) -> list[np.random.Generator]:
-    """One labelled substream per (seed, label) pair, seeded in one batch:
-    each generator draws what ``PCG64(SeedSequence([seed, *w]))`` does, its
-    state the pair's words of :func:`_seed_states`.  The generators cannot
-    ``spawn`` children."""
-    return [np.random.Generator(np.random.PCG64(_GeneratedState(state))) for state in _seed_states(pairs)]
-
-
-def seeded_stream(master_seed: int, purpose_label: str) -> np.random.Generator:
-    """One-off labelled substream (no reuse tracking).  Its bit generator's
-    ``seed_seq`` holds only the generated state, so the generator cannot
-    ``spawn`` children."""
-    return seeded_streams([(master_seed, purpose_label)])[0]
 
 
 # PCG64 as numpy runs it: a 128-bit LCG, state = M * state + inc (mod 2^128),
@@ -312,7 +283,7 @@ def _doubles(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 class PcgStreams:
     """The PCG64 streams of ``_seed_states(pairs)``, held as arrays and
     advanced together: stream s draws bit for bit what
-    ``seeded_streams(pairs)[s].random()`` does.  Each stream's state is that
+    ``PcgStream.seeded(pairs)[s].random()`` does.  Each stream's state is that
     before the first value of its last batch (at first, its seeded state)."""
 
     def __init__(self, pairs: list[tuple[int, str]], width: int):
@@ -343,6 +314,77 @@ class PcgStreams:
             state = _affine((A[0][cols, None], A[1][cols, None]), (G[0][cols, None], G[1][cols, None]), x, inc)
             out[:, k : k + step] = _doubles(*state).T
         return out
+
+
+_MASK32, _MASK64, _MASK128 = ((1 << k) - 1 for k in (32, 64, 128))
+
+
+class PcgStream:
+    """One PCG64 stream of ``_seed_states``' words, held as Python ints and
+    drawn one value at a time.  Each method draws bit for bit what numpy's
+    ``Generator`` method of the same name draws from the pair's
+    ``PCG64(SeedSequence([seed, *w]))``.  Set-up draws from these (the
+    random graph template and the random walks); the link streams draw
+    from :class:`PcgStreams`.
+
+    As numpy's ``PCG64`` does, a stream keeps the high 32-bit half of an
+    output whose low half a 32-bit draw took (``half``, else None), and
+    the next 32-bit draw takes it instead of a new output; ``random``
+    leaves it where it is.
+    """
+
+    __slots__ = ("state", "inc", "half")
+
+    def __init__(self, words) -> None:
+        w0, w1, w2, w3 = (int(w) for w in words)
+        # PCG64's seeding, as in PcgStreams
+        self.inc = ((w2 << 65) | (w3 << 1) | 1) & _MASK128
+        self.state = (((w0 << 64 | w1) + self.inc) * _PCG_MULT + self.inc) & _MASK128
+        self.half = None
+
+    @classmethod
+    def seeded(cls, pairs: list[tuple[int, str]]) -> list[PcgStream]:
+        """One stream per (seed, label) pair, seeded in one batch."""
+        return [cls(words) for words in _seed_states(pairs).tolist()]
+
+    def _next64(self) -> int:
+        self.state = x = (self.state * _PCG_MULT + self.inc) & _MASK128
+        rot = x >> 122
+        x = ((x >> 64) ^ x) & _MASK64
+        return ((x >> rot) | (x << (64 - rot))) & _MASK64
+
+    def _next32(self) -> int:
+        half = self.half
+        if half is not None:
+            self.half = None
+            return half
+        x = self._next64()
+        self.half = x >> 32
+        return x & _MASK32
+
+    def random(self) -> float:
+        """A double in [0, 1): the output's top 53 bits times 2^-53."""
+        return (self._next64() >> 11) * 2.0**-53
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+    def integers(self, low: int, high: int) -> int:
+        """An int in [low, high), by numpy's 32-bit path, which takes every
+        range up to 2^32: Lemire's multiply-shift of 32-bit draws, k = high
+        - low, which rejects a draw whose low product word is below (2^32 -
+        k) mod k.  A range of one value draws nothing."""
+        k = high - low
+        if not 1 <= k <= 1 << 32:
+            raise ValueError(f"integers takes a range of 1 to 2^32 values, not {k}")
+        if k == 1:
+            return low
+        m = self._next32() * k
+        if m & _MASK32 < k:
+            threshold = ((1 << 32) - k) % k
+            while m & _MASK32 < threshold:
+                m = self._next32() * k
+        return low + (m >> 32)
 
 
 class _Simulation:

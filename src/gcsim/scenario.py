@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .engine import seeded_stream, seeded_streams
+from .engine import PcgStream
 from .errors import ScenarioParseError, ScenarioValidationError
 from .gcs import GcsParams
 from .metrics import theorem2_bound, theorem2_levels, theorem3_bound
@@ -102,7 +102,7 @@ _GEN_KEYS = {
     "scripted": {"segments"},
 }
 _NODE_COMMON_KEYS = {"generator", "initial_value"}
-# every seed lies in [0, 2^64), the range seeded_stream uses whole, so two
+# every seed lies in [0, 2^64), the range _seed_states uses whole, so two
 # different seeds never draw the same streams
 _SEED = {"low": 0, "high": 1 << 64}
 _INT_KINDS = {
@@ -241,13 +241,13 @@ def _expand_graph_template(tpl: dict, problems: list[str]) -> tuple[int, list[di
     elif kind == "star":
         edges = [(0, i) for i in range(1, n)]
     elif kind == "random":
-        rng = seeded_stream(seed, "topology")
+        (rng,) = PcgStream.seeded([(seed, "topology")])
         for i in range(1, n):
-            edges.append((int(rng.integers(0, i)), i))
+            edges.append((rng.integers(0, i), i))
         have = set(edges)
         attempts = 0
         while extra > 0 and attempts < 100 * n:
-            a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
+            a, b = rng.integers(0, n), rng.integers(0, n)
             if a != b and (min(a, b), max(a, b)) not in have:
                 have.add((min(a, b), max(a, b)))
                 edges.append((min(a, b), max(a, b)))
@@ -378,7 +378,7 @@ def _segment_count(gen: str, args: tuple, horizon: float) -> float:
     return float(len(args[0])) if gen == "scripted" else 1.0
 
 
-def _hardware_clock(spec: tuple, theta: float, horizon: float, rng: np.random.Generator | None) -> tuple:
+def _hardware_clock(spec: tuple, theta: float, horizon: float, rng: PcgStream | None) -> tuple:
     """A node's hardware clock from its checked spec: (initial value,
     starts, rates), a rate schedule covering [0, horizon].  A random walk
     draws its steps from ``rng``."""
@@ -409,7 +409,7 @@ def _hardware_clocks(specs: list[tuple], theta: float, horizon: float, master_se
     these streams are seeded in one batch."""
     walks = {i: args[3] for i, (_, gen, args) in enumerate(specs) if gen == "random_walk"}  # node: own seed
     pairs = [(master_seed if seed is None else seed, f"clock:{i}") for i, seed in walks.items()]
-    rngs = dict(zip(walks, seeded_streams(pairs)))
+    rngs = dict(zip(walks, PcgStream.seeded(pairs)))
     return [_hardware_clock(spec, theta, horizon, rngs.get(i)) for i, spec in enumerate(specs)]
 
 

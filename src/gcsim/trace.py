@@ -234,13 +234,16 @@ def _block_cells(block: list[np.ndarray]) -> np.ndarray:
     return np.array(strings, dtype=object).take(np.stack([index[key] for key in keys], axis=1))
 
 
-def write_summary_json(summary: RunSummary, path) -> None:
+def _write_json(obj, path) -> None:
+    """``obj`` as indented JSON with sorted keys, in one write: ``json.dump``
+    would write each of its thousands of tokens on its own."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def write_summary_json(summary: RunSummary, path) -> None:
+    _write_json(summary.to_dict(), path)
 
 
 def write_violations_json(violations: list[Violation], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump([v.to_dict() for v in violations], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json([v.to_dict() for v in violations], path)

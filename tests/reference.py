@@ -40,8 +40,8 @@ _TIE_TOL = 1e-12
 def seeded_stream(master_seed: int, purpose_label: str) -> np.random.Generator:
     """The labelled substream seeded on its own: a ``SeedSequence`` over the
     seed masked to 64 bits and the four little-endian 32-bit words of
-    ``sha256(label)[:16]``, as Python ints.  ``engine.seeded_streams`` must
-    draw what this draws."""
+    ``sha256(label)[:16]``, as Python ints.  ``engine.PcgStream`` and
+    ``engine.PcgStreams`` must draw what this draws."""
     digest = hashlib.sha256(purpose_label.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     seq = np.random.SeedSequence([master_seed & 0xFFFFFFFFFFFFFFFF] + words)

@@ -1,7 +1,11 @@
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from gcsim import cli, metrics
 from gcsim import scenario as scen
 
 from scenario_gen import fc_lag_doc, random_template_doc, zero_drift_doc
+from test_golden import random_walk_doc
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -655,3 +660,37 @@ class TestBundled:
         names = scen.bundled_names()
         for expected in ("line8", "ring12", "grid4x4", "star6", "random16"):
             assert expected in names
+
+
+# runs gcsim in a fresh interpreter and prints its exit codes, whether
+# numpy alone loads numpy.random there, and whether it is loaded at the end
+_IMPORT_GUARD = """
+import json, sys
+import numpy
+by_numpy = "numpy.random" in sys.modules
+from gcsim import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "by_numpy": by_numpy, "loaded": "numpy.random" in sys.modules}))
+"""
+
+
+def test_gcsim_runs_without_numpy_random(tmp_path):
+    # every draw of a run is gcsim's own PCG64: the random template
+    # (random16 and the sweep's rows), the random walks and the link streams
+    sweep = scen.load_document("random16")
+    sweep["sim"]["horizon_cycles"] = 5
+    argvs = [
+        ["run", "--scenario", "random16", "--out", str(tmp_path / "random16")],
+        ["run", "--scenario", write_doc(tmp_path, random_walk_doc("node seed")), "--out", str(tmp_path / "walk")],
+        ["sweep", "--scenario", write_doc(tmp_path, sweep, name="sweep.json"),
+         "--grid", write_doc(tmp_path, {"n": [8, 16]}, name="grid.json"), "--seeds", "1", "--out", str(tmp_path / "sweep")],
+    ]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, json.dumps(argvs)], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    if report["by_numpy"]:
+        pytest.skip("this numpy loads numpy.random on import")
+    assert report == {"codes": [cli.EXIT_OK] * 3, "by_numpy": False, "loaded": False}
+    with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok"]

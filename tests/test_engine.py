@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gcsim import engine, metrics
 from gcsim import scenario as scen
 from gcsim.clocks import FAST, sample_clocks
-from gcsim.engine import seeded_stream, seeded_streams
+from gcsim.engine import PcgStream
 from gcsim.errors import ConfigError, InternalError, RunAborted, ScenarioValidationError
 from gcsim.topology import EdgeParams, NetworkGraph
 
@@ -31,14 +31,12 @@ from scenario_gen import (
 
 class TestSeededStreams:
     def test_same_label_same_sequence(self):
-        a = seeded_stream(7, "delay:0->1")
-        b = seeded_stream(7, "delay:0->1")
-        assert list(a.random(16)) == list(b.random(16))
+        a, b = PcgStream.seeded([(7, "delay:0->1")] * 2)
+        assert [a.random() for _ in range(16)] == [b.random() for _ in range(16)]
 
     def test_different_labels_differ(self):
-        a = seeded_stream(7, "delay:0->1")
-        b = seeded_stream(7, "delay:1->0")
-        assert list(a.random(16)) != list(b.random(16))
+        a, b = PcgStream.seeded([(7, "delay:0->1"), (7, "delay:1->0")])
+        assert [a.random() for _ in range(16)] != [b.random() for _ in range(16)]
 
     def test_registry_rejects_reuse(self):
         # validation rejects a duplicate edge; past it, the run's one batch
@@ -50,29 +48,29 @@ class TestSeededStreams:
 
     # one-word and two-word seeds at their ends
     EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    PAIRS = st.lists(st.tuples(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1), st.text()), max_size=6)
+    EDGE_PAIRS = [(seed, label) for seed in EDGE_SEEDS for label in ("", "delay:0->1", "clock:ü→∞")]
 
     @staticmethod
-    def first_draws(rng: np.random.Generator, k: int, s: float) -> tuple:
+    def first_draws(rng, k: int, s: float) -> tuple:
         return rng.random(), int(rng.integers(0, k)), rng.uniform(-s, s)
 
-    @given(
-        pairs=st.lists(st.tuples(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1), st.text()), max_size=6),
-        k=st.integers(1, 2**62),
-        s=st.floats(1e-9, 1e9),
-    )
-    @example(pairs=[(seed, label) for seed in EDGE_SEEDS for label in ("", "delay:0->1", "clock:ü→∞")], k=3, s=0.5)
+    # k: PcgStream.integers takes numpy's 32-bit path only, ranges up to 2^32
+    @given(pairs=PAIRS, k=st.integers(1, 2**32), s=st.floats(1e-9, 1e9))
+    @example(pairs=EDGE_PAIRS, k=3, s=0.5)
     @settings(max_examples=80, deadline=None)
     def test_batch_draws_what_one_at_a_time_draws(self, pairs, k, s):
-        streams = seeded_streams(pairs)
-        assert len(streams) == len(pairs)
-        for (seed, label), rng in zip(pairs, streams):
-            want = self.first_draws(reference.seeded_stream(seed, label), k, s)
-            assert self.first_draws(rng, k, s) == want
+        words = engine._seed_states(pairs)
+        assert words.shape == (len(pairs), 4) and words.dtype == np.uint64
+        for (seed, label), row, stream in zip(pairs, words, PcgStream.seeded(pairs), strict=True):
+            rng = reference.seeded_stream(seed, label)
+            assert row.tolist() == rng.bit_generator.seed_seq.generate_state(4, np.uint64).tolist()
+            assert self.first_draws(stream, k, s) == self.first_draws(rng, k, s)
 
     @staticmethod
     def assert_states_match(pairs):
-        for (seed, label), rng in zip(pairs, seeded_streams(pairs), strict=True):
-            assert rng.bit_generator.state == reference.seeded_stream(seed, label).bit_generator.state
+        for (seed, label), stream in zip(pairs, PcgStream.seeded(pairs), strict=True):
+            assert same_state(stream, reference.seeded_stream(seed, label))
 
     def test_one_pair(self):
         self.assert_states_match([(12345, "topology")])
@@ -86,13 +84,69 @@ class TestSeededStreams:
         self.assert_states_match([(seed, f"clock:{i}") for i, seed in enumerate(seeds)])
 
     def test_empty_batch(self):
-        assert seeded_streams([]) == []
+        assert engine._seed_states([]).shape == (0, 4)
+        assert PcgStream.seeded([]) == []
 
-    def test_pre_generated_state_refuses_other_requests(self):
-        seq = seeded_stream(7, "delay:0->1").bit_generator.seed_seq
-        assert seq.generate_state(4, np.uint64).dtype == np.uint64
-        with pytest.raises(ValueError, match="4 x uint64"):
-            seq.generate_state(8, np.uint32)
+
+def same_state(stream: PcgStream, rng: np.random.Generator) -> bool:
+    """Whether ``stream`` holds the state of ``rng``'s ``PCG64``: its LCG
+    state, its increment and the 32-bit half it carries, if any (numpy
+    leaves a used half in ``uinteger``)."""
+    state = rng.bit_generator.state
+    half = state["uinteger"] if state["has_uint32"] else None
+    return (stream.state, stream.inc, stream.half) == (state["state"]["state"], state["state"]["inc"], half)
+
+
+class TestPcgStream:
+    """``engine.PcgStream`` draws what the pair's own ``Generator`` draws,
+    bit for bit, in any order of its three methods."""
+
+    CALLS = st.lists(
+        st.tuples(st.just("integers"), st.integers(1, 2**14) | st.integers(2**31, 2**32), st.integers(-(2**20), 2**20))
+        | st.tuples(st.just("uniform"), st.floats(1e-9, 1e9), st.none())
+        | st.tuples(st.just("random"), st.none(), st.none()),
+        max_size=40,
+    )
+
+    @staticmethod
+    def draw(rng, call: tuple):
+        name, arg, low = call
+        if name == "integers":
+            return int(rng.integers(low, low + arg))
+        if name == "uniform":
+            return rng.uniform(-arg, arg)
+        return rng.random()
+
+    @given(pairs=TestSeededStreams.PAIRS, calls=CALLS)
+    @example(
+        pairs=TestSeededStreams.EDGE_PAIRS,
+        # one range that draws nothing, then odd runs of 32-bit draws around
+        # doubles, so that a double falls between a half's draw and its use
+        calls=[("integers", 1, 0), ("integers", 3, 0), ("random", None, None), ("integers", 2**14, 5),
+               ("integers", 2**32 - 1, 0), ("integers", 2**32, -3), ("uniform", 0.5, None), ("integers", 1, 7),
+               ("integers", 2**31 + 1, 0), ("random", None, None), ("integers", 2, 0)],
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_draws_match_numpy(self, pairs, calls):
+        for (seed, label), stream in zip(pairs, PcgStream.seeded(pairs), strict=True):
+            rng = reference.seeded_stream(seed, label)
+            for call in calls:
+                assert self.draw(stream, call) == self.draw(rng, call), call
+            assert same_state(stream, rng)
+
+    @given(pairs=TestSeededStreams.PAIRS.filter(bool), width=st.integers(1, 40))
+    @example(pairs=TestSeededStreams.EDGE_PAIRS, width=33)
+    @settings(max_examples=40, deadline=None)
+    def test_random_is_the_kernels_row(self, pairs, width):
+        S = len(pairs)
+        rows = engine.PcgStreams(pairs, width).uniforms(np.arange(S), np.zeros(S, dtype=np.intp))
+        for stream, row in zip(PcgStream.seeded(pairs), rows, strict=True):
+            assert [stream.random() for _ in range(width)] == row.tolist()
+
+    @pytest.mark.parametrize("low,high", [(0, 0), (3, 2), (0, 2**32 + 1)])
+    def test_integers_refuses_a_range_off_the_32_bit_path(self, low, high):
+        with pytest.raises(ValueError, match="range of 1 to 2\\^32 values"):
+            PcgStream.seeded([(1, "topology")])[0].integers(low, high)
 
 
 class TestPcgStreams:
@@ -108,10 +162,7 @@ class TestPcgStreams:
         refills=st.lists(st.lists(st.none() | st.integers(0, 40), min_size=6, max_size=6), min_size=3, max_size=3),
     )
     @example(
-        pairs=[
-            (seed, label) for seed in TestSeededStreams.EDGE_SEEDS for label in ("", "delay:0->1", "clock:ü→∞")
-        ],
-        width=33, chunk=40, refills=[[33] * 6, [None, 1, 16, 17, 32, 0], [0, 33, None, 2, 16, 17]],
+        pairs=TestSeededStreams.EDGE_PAIRS, width=33, chunk=40, refills=[[33] * 6, [None, 1, 16, 17, 32, 0], [0, 33, None, 2, 16, 17]],
     )
     @settings(max_examples=80, deadline=None)
     def test_rows_are_each_streams_next_doubles(self, pairs, width, chunk, refills):
@@ -181,13 +232,13 @@ class TestLinkDelays:
         assert sorted(zip(sim._src.tolist(), sim._dst.tolist())) == [(0, 1), (1, 0)]
         assert sim._rev.tolist()[fwd] == bwd and sim._rev.tolist()[bwd] == fwd
         sim._on_wakeup(0.0, 1, 0)
-        assert sim._ex[engine._ARRIVAL, bwd] == 1.2 + 0.5 * seeded_stream(5, "delay:1->0").random()
+        assert sim._ex[engine._ARRIVAL, bwd] == 1.2 + 0.5 * reference.seeded_stream(5, "delay:1->0").random()
         if p_max:  # the proc streams follow the delay streams
             assert len(sim._blocks) == 4
             sim._on_wakeup(0.0, 0, 0)
-            delay = 1.0 + 0.5 * seeded_stream(5, "delay:0->1").random()
+            delay = 1.0 + 0.5 * reference.seeded_stream(5, "delay:0->1").random()
             assert sim._ex[engine._ARRIVAL, fwd] == delay
-            assert sim._ex[engine._EMIT, fwd] == delay + 0.1 * seeded_stream(5, "proc:0->1").random()
+            assert sim._ex[engine._EMIT, fwd] == delay + 0.1 * reference.seeded_stream(5, "proc:0->1").random()
         else:
             assert len(sim._blocks) == 2
         kappa = sim.sc.kappa[(0, 1)]
