@@ -33,6 +33,16 @@ every stream's row of the table with as many values as it can draw in the
 run, 2 (cycles + 1), within a budget of ``_STREAM_VALUES`` across the
 rows; past the budget, the streams that run out are refilled together.
 
+Node events travel in heap entries.  A handler pushes one entry per run of
+consecutive node events it schedules at the same float instant, wakeups
+or evaluations; each member (v, k, seq) keeps the sequence number its own
+event would take, and the loop handles an entry in one call, each member
+with its own (time, seq) key (see the comment above ``_Simulation.run``).
+Nodes that share a hardware rate and a mode history reach their cycle
+instants at equal floats, so entries are few: a full grid4x4 run pops
+1,207 wakeup entries holding 9,616 wakeups and 1,217 evaluation entries
+holding 9,600 evaluations.
+
 Every event instant is a sample, since every event may change a clock's
 slope or is a grid tick, and so is the run's one end instant: the horizon
 time, or the wakeup at which the last node reaches the horizon cycle.
@@ -73,9 +83,12 @@ __all__ = ["PcgStream", "RunResult", "run"]
 # Each kind either may change a clock's slope (a mode decision or a rate
 # breakpoint) or is a grid tick, so every event instant is a sample.
 # Messages are no events: every leg of an exchange is drawn off the heap
-# (see _on_wakeup and the comment above _Simulation.run).
-K_WAKEUP = 0  # (v, k): node v starts cycle k and sends its requests
-K_EVALUATE = 1  # (v, k): node v evaluates its triggers in cycle k
+# (see _on_wakeups and the comment above _Simulation.run).  A node event
+# travels in an entry with the other events of its run: the entry's
+# payload is a list of members (v, k, seq), each with the seq its own
+# event would take.
+K_WAKEUP = 0  # node v starts cycle k and sends its requests
+K_EVALUATE = 1  # node v evaluates its triggers in cycle k
 K_TICK = 2
 K_RATE = 3  # a hardware rate breakpoint: no handler, it only forces a sample
 
@@ -483,63 +496,78 @@ class _Simulation:
 
     # -- event handlers
 
-    def _on_wakeup(self, t: float, v: int, k: int) -> None:
-        """Node v starts cycle k at t: one clock step switches it to its own
-        rate and reads its value l1 and the time of its evaluation, then it
-        sends its requests, one per neighbour w in neighbour order, its
-        clock reading l1.  Each send draws the request's delay and w's
-        processing time, and keeps the reply's emission instant with the
-        heap sequence number an event for it would take; no event is
-        pushed.  The stream proc:v->w serves only v's requests to w, so
-        drawing from it now gives the values a draw at the arrival would.
-        delay:v->w also serves v's reply to w's request, so that reply is
-        drawn first if it was emitted before this wakeup (see the comment
-        above ``run``).  A draw reads its stream's next value from the
-        table, and refills it at the inf after a row's last."""
+    def _on_wakeups(self, t: float, group: list) -> None:
+        """The wakeups ``group``, each (v, k, seq), due at t, in event order.
+        Node v starts cycle k with ``now`` at its own heap key (t, seq): one
+        clock step switches it to its own rate and reads its value l1 and
+        the time of its evaluation, then it sends its requests, one per
+        neighbour w in neighbour order, its clock reading l1.  Each send
+        draws the request's delay and w's processing time, and keeps the
+        reply's emission instant with the heap sequence number an event for
+        it would take; no event is pushed.  The stream proc:v->w serves only
+        v's requests to w, so drawing from it now gives the values a draw
+        at the arrival would.  delay:v->w also serves v's reply to w's
+        request, so that reply is drawn first if it was emitted before this
+        wakeup (see the comment above ``run``).  A draw reads its stream's
+        next value from the table, and refills it at the inf after a row's
+        last.  The evaluations go on the heap as one entry per run of
+        members with equal evaluation instants: a member whose instant
+        differs from the one before pushes a new entry, and the next ones
+        join its list."""
         sc = self.sc
-        expected = self.table.initial[v] + k * sc.params.cycle_length
-        l1, t_eval = self.table.step(v, t, OWN_RATE, 1.0, expected + sc.params.T)
-        self.cycle[v] = k
-        if sc.horizon_cycles is not None and k >= sc.horizon_cycles:
-            self.done.add(v)
-            if len(self.done) == sc.graph.n:
-                self.end = t
-            return
-        if abs(l1 - expected) > _BOUNDARY_TOL:
-            self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
+        step, initial, cycle_length, T = self.table.step, self.table.initial, sc.params.cycle_length, sc.params.T
+        horizon, cycle, first = sc.horizon_cycles, self.cycle, self._first
         arrival, emit, reply, evaluate, t1 = self._ex_mv[:5]
         eseq, is_open, rev, nxt, flat = self._eseq_mv, self._open_mv, self._rev_mv, self._next_mv, self._flat_mv
-        now, seq, proc, inf = self.now, self.seq, self._proc, _INF
-        for d in range(self._first[v], self._first[v + 1]):
-            r, i = rev[d], nxt[d]
-            if reply[r] == inf and is_open[r] and (emit[r], eseq[r]) < now:
+        heap, seq, proc, inf = self.heap, self.seq, self._proc, _INF
+        last = run = None  # the instant and the members of the last evaluation entry
+        for v, k, key in group:
+            self.now = now = (t, key)
+            expected = initial[v] + k * cycle_length
+            l1, t_eval = step(v, t, OWN_RATE, 1.0, expected + T)
+            cycle[v] = k
+            if horizon is not None and k >= horizon:
+                self.done.add(v)
+                if len(self.done) == sc.graph.n:
+                    self.end = t
+                continue
+            if abs(l1 - expected) > _BOUNDARY_TOL:
+                self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
+            for d in range(first[v], first[v + 1]):
+                r, i = rev[d], nxt[d]
+                if reply[r] == inf and is_open[r] and (emit[r], eseq[r]) < now:
+                    x = flat[i]
+                    if x == inf:
+                        self._refill()
+                        i = nxt[d]
+                        x = flat[i]
+                    reply[r] = emit[r] + x
+                    nxt[d] = i = i + 1
                 x = flat[i]
                 if x == inf:
                     self._refill()
                     i = nxt[d]
                     x = flat[i]
-                reply[r] = emit[r] + x
-                nxt[d] = i = i + 1
-            x = flat[i]
-            if x == inf:
-                self._refill()
-                i = nxt[d]
-                x = flat[i]
-            nxt[d] = i + 1
-            arrival[d] = a = t + x
-            if proc:
-                i = nxt[proc + d]
-                x = flat[i]
-                if x == inf:
-                    self._refill()
+                nxt[d] = i + 1
+                arrival[d] = a = t + x
+                if proc:
                     i = nxt[proc + d]
                     x = flat[i]
-                nxt[proc + d] = i + 1
-                a += x
-            emit[d], reply[d], evaluate[d], t1[d], eseq[d], is_open[d] = a, inf, t_eval, l1, seq, True
+                    if x == inf:
+                        self._refill()
+                        i = nxt[proc + d]
+                        x = flat[i]
+                    nxt[proc + d] = i + 1
+                    a += x
+                emit[d], reply[d], evaluate[d], t1[d], eseq[d], is_open[d] = a, inf, t_eval, l1, seq, True
+                seq += 1
+            if t_eval == last:
+                run.append((v, k, seq))
+            else:
+                last, run = t_eval, [(v, k, seq)]
+                heapq.heappush(heap, (t_eval, seq, K_EVALUATE, run))
             seq += 1
-        heapq.heappush(self.heap, (t_eval, seq, K_EVALUATE, (v, k)))
-        self.seq = seq + 1
+        self.seq = seq
 
     def _refill(self) -> None:
         """Fill the row of every stream that is read out, and of every
@@ -592,17 +620,17 @@ class _Simulation:
             reply[at] = emit[at] + self._draws(self._rev[dirs[at]])
 
     def _on_evaluate(self, t: float, batch: list) -> None:
-        """The evaluations ``batch``, each (v, k), due at t, in event order.
+        """The evaluations ``batch``, each (v, k, seq), due at t, in event order.
 
         Each draws the reply delays of its node's exchanges not drawn yet,
         then completes the exchanges, whose replies must have arrived
         before t (a reply at t itself would have been scheduled after the
         evaluation), and reads only its node's clock at t."""
         first, is_open = self._first, self._open_mv
-        for v, k in batch:
+        for v, k, _ in batch:
             if self.cycle[v] != k or first[v] == first[v + 1] or not is_open[first[v]]:
                 self._abort(f"evaluation fired out of order at node {v}")
-        dirs = np.concatenate([self._out[v] for v, _ in batch])
+        dirs = np.concatenate([self._out[v] for v, _, _ in batch])
         ex = self._ex.take(dirs, axis=1)
         self._draw_replies(dirs, ex)
         missing = ex[_REPLY] >= t
@@ -663,22 +691,29 @@ class _Simulation:
 
     def _decide(self, t: float, batch: list, dirs: np.ndarray, l_rep: np.ndarray, est: np.ndarray) -> None:
         """Triggers and mode decisions of the evaluations ``batch`` at t,
-        over their nodes' directions ``dirs``, in batch order.  ``l_rep`` is
-        each node's own value at t, repeated once per direction, and ``est``
-        its estimates across them."""
+        each (v, k, seq), over their nodes' directions ``dirs``, in batch
+        order.  ``l_rep`` is each node's own value at t, repeated once per
+        direction, and ``est`` its estimates across them.  Each decision
+        makes one clock step, which reads the node's next wakeup time, and
+        takes the next heap seq; the wakeups go on the heap as one entry per
+        run of members with equal wakeup instants, as in ``_on_wakeups``."""
         sc = self.sc
-        vs = np.array([v for v, _ in batch], dtype=np.intp)
+        vs = np.array([v for v, _, _ in batch], dtype=np.intp)
         first = self._first
-        starts = list(accumulate([first[v + 1] - first[v] for v, _ in batch[:-1]], initial=0))
+        starts = list(accumulate([first[v + 1] - first[v] for v, _, _ in batch[:-1]], initial=0))
         slow, fast = gcs.trigger_levels(est - l_rep, self._thresholds.take(dirs, axis=0), starts)
         self.oracle.evaluations(t, vs, dirs, est, slow, fast)
         modes = [FAST if sc.gcs_enabled and any(f) and not any(s) else OWN_RATE
                  for s, f in zip(slow.tolist(), fast.tolist())]
         step, initial, cycle_length, factors = self.table.step, self.table.initial, sc.params.cycle_length, self._factors
-        heap, seq = self.heap, self.seq
-        for (v, k), mode in zip(batch, modes):
+        heap, seq, last, run = self.heap, self.seq, None, None
+        for (v, k, _), mode in zip(batch, modes):
             _, wake = step(v, t, mode, factors[mode], initial[v] + (k + 1) * cycle_length)
-            heapq.heappush(heap, (wake, seq, K_WAKEUP, (v, k + 1)))
+            if wake == last:
+                run.append((v, k + 1, seq))
+            else:
+                last, run = wake, [(v, k + 1, seq)]
+                heapq.heappush(heap, (wake, seq, K_WAKEUP, run))
             seq += 1
         self.seq = seq
 
@@ -690,6 +725,23 @@ class _Simulation:
 
     # -- main loop
 
+    # Node events travel in entries: a handler that schedules node events,
+    # the initial wakeups, a decision batch or a wakeup entry, pushes one
+    # entry per run of consecutive ones at ==-equal instants (nothing is
+    # rounded), and each member keeps the seq its own event would take.
+    # The entry goes on the heap with its first member's (time, seq) when
+    # that member is scheduled, and the run's next members join its list;
+    # no key is compared past (time, seq), which is unique.  Between two
+    # members of one entry the handler pushes nothing else: the sends
+    # between them take eseqs, but an eseq is no heap event.  So no other
+    # event's (time, seq) key falls between two members of one entry, and
+    # popping the entry runs exactly the node events that one heap event
+    # per node event ran, in the same order.  Each member runs with
+    # ``now`` at its own key, which is what the reply-draw test
+    # (emit, eseq) < now and every abort read.  The evaluation branch
+    # extends its batch with the whole entries due at the same instant,
+    # as it did with single events.
+    #
     # The samples and the exchanges record only instants, and the clocks
     # are read later, from the anchor table: samples when the oracle reduces
     # their chunk, and an exchange's three stamps and the responder's true
@@ -757,8 +809,15 @@ class _Simulation:
     def run(self) -> RunResult:
         started = _time.perf_counter()
         sc = self.sc
-        for v, clock in enumerate(self.clocks):
-            self.push(clock.invert(self.table.initial[v]), K_WAKEUP, (v, 0))
+        last = run = None
+        for v, clock in enumerate(self.clocks):  # as _decide pushes its wakeups
+            wake = clock.invert(self.table.initial[v])
+            if wake == last:
+                run.append((v, 0, v))
+            else:
+                last, run = wake, [(v, 0, v)]
+                heapq.heappush(self.heap, (wake, v, K_WAKEUP, run))
+        self.seq = len(self.clocks)
         if sc.sample_dt > 0:
             self.push(sc.sample_dt, K_TICK, None)
         # every clock is linear between its rate breakpoints and mode changes;
@@ -777,12 +836,11 @@ class _Simulation:
                     sample(self.current)
             self.current = t
             if kind == K_WAKEUP:
-                self._on_wakeup(t, *payload)
+                self._on_wakeups(t, payload)
             elif kind == K_EVALUATE:
-                batch = [payload]
                 while heap and heap[0][0] == t and heap[0][2] == K_EVALUATE:
-                    batch.append(heapq.heappop(heap)[3])
-                self._on_evaluate(t, batch)
+                    payload += heapq.heappop(heap)[3]  # whole entries: a popped entry is the loop's own
+                self._on_evaluate(t, payload)
             elif kind == K_TICK:
                 self.push(t + sc.sample_dt, K_TICK, None)
 

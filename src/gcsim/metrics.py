@@ -177,12 +177,12 @@ def global_bound_crossing(t0: float, L0: np.ndarray, t1: float, L1: np.ndarray, 
     return float(t0 + (t1 - t0) * frac.min())
 
 
-# Values per in-place block of the Corollary 1 rise.  numpy copies the
-# overlapping operand of ``F[lo:hi] -= F[lo - 1:hi - 1]``, an extra pass that
-# costs more than the per-row call it saves once a row holds a few thousand
-# values.  A row holds n * K values, K the columns inside the chunk's skew
-# ball: 16 rows a block at n = K = 16, and one row at a time once n * K
-# reaches 4096, which at K = n is from n = 64 on.
+# Values per in-place block of the Corollary 1 rise.  The rise runs along
+# F's last axis, the rows, and numpy copies the overlapping operand of
+# ``F[lo:hi, :, 1:] -= F[lo:hi, :, :-1]``, so a block takes as many of the K
+# column slabs, each n * rows values, as keep that copy within this many
+# values (one slab at least): one at a time once a chunk holds 4096 values
+# per column, which a chunk of 8192 values has at every n.
 _RISE_BLOCK = 1 << 12
 
 
@@ -192,8 +192,11 @@ def _growth_violations(
 ) -> tuple[list[Violation], np.ndarray]:
     """Corollary 1 at level s over the rows of one block.
 
-    ``F[r, a, k] = L_b - L_a - (2s-1) d(a, b)`` at ``times[r]`` for the
-    node b = ``cols[a, k]``, and ``psi[r, a] = F[r, a].max()`` is psi_s(a).
+    ``F[k, a, r] = L_b - L_a - (2s-1) d(a, b)`` at ``times[r]`` for the
+    node b = ``cols[a, k]``, and ``psi[a, r] = F[:, a, r].max()`` is
+    psi_s(a).  Every reduction runs along a leading axis, which numpy does
+    with whole-row passes, where a short trailing axis costs a call per
+    element of the others.
     With g_a(t) = psi_s(a)(t) - (theta - 1) t, the statement is g_a(t1) -
     g_a(t0) <= _CHECK_TOL for every pair of real instants t0 < t1.
 
@@ -215,20 +218,18 @@ def _growth_violations(
     pieces that end at rows 1.. and the floor at the last row.  ``F`` is
     overwritten: its rows 1.. hold the rise over each piece.
     """
-    g = psi - (theta - 1.0) * times[:, None]
+    g = (psi - (theta - 1.0) * times).T  # (rows, n), as the floors run down the rows
     start = g[0] if floor is None else floor
     if len(times) < 2:
         return [], start
-    below = F[1:] < psi[1:, :, None] - _TIE_TOL  # b does not attain
-    # the rise, in place, a block of rows at a time from the last: rows
-    # lo - 1.. still hold F when the block [lo, hi) takes its rise
+    below = F[:, :, 1:] < psi[:, 1:] - _TIE_TOL  # b does not attain
+    # the rise, in place, a block of column slabs at a time
     k = max(1, _RISE_BLOCK // F[0].size)
-    for hi in range(len(times), 1, -k):
-        lo = max(1, hi - k)
-        F[lo:hi] -= F[lo - 1 : hi - 1]
-    rise = F[1:]
+    for lo in range(0, len(F), k):
+        F[lo : lo + k, :, 1:] -= F[lo : lo + k, :, :-1]
+    rise = F[:, :, 1:]
     rise[below] = -np.inf
-    excess = rise.max(axis=2) - (theta - 1.0) * np.diff(times)[:, None]
+    excess = (rise.max(axis=0) - (theta - 1.0) * np.diff(times)).T
     low = g[1:] - np.maximum(excess, 0.0)
     floors = np.minimum.accumulate(np.vstack([start[None, :], low]), axis=0)[1:]
     above = g[1:] - floors
@@ -237,7 +238,7 @@ def _growth_violations(
             time=float(times[r + 1]),
             kind="corollary1",
             detail=(
-                f"node {a} level {s}, leader {_leader(rise[r, a], cols[a])}: potential rose faster than "
+                f"node {a} level {s}, leader {_leader(rise[:, a, r], cols[a])}: potential rose faster than "
                 f"the drift envelope, by {float(above[r, a]):.3e} at the end of the piece "
                 f"[{float(times[r])!r}, {float(times[r + 1])!r}]"
             ),
@@ -317,6 +318,17 @@ def trace_oracles(
     is named as the smallest node of the largest rise in either order.
     At K = n the columns stay in natural order.
 
+    F is laid out (K, n, rows), so that its maxima run along its leading
+    axis (see ``_growth_violations``).  Each of its values is made by the
+    same float operations as in a (rows, n, K) layout, and a maximum of the
+    same values is the same value whatever the order it reads them in,
+    unless it meets +0.0 and -0.0 together, which no F, rise or psi holds:
+    every clock reads ``value + factor * (H - hw_at)`` with a non-negative
+    product, so no L is -0.0, and x - y is -0.0 only for x = -0.0 and y =
+    +0.0.  So L_b - L_a is never -0.0, nor is F, which subtracts (2s-1)
+    d(a, b) from it (+0.0 on the diagonal); a rise is a difference of two
+    F, and psi a maximum of F.
+
     The leading-node and trailing-node lemmas need no check per sample:
     they are identities of the kappa-metric at any single instant, whatever
     the clock values.  The ahead node b of a pair (a, b) attaining a
@@ -335,26 +347,27 @@ def trace_oracles(
         times, L = np.append(last_row[0], times), np.vstack([last_row[1], L])
     order, col_min = distance_order(dist) if by_distance is None else by_distance
     first = 0 if last_row is None else 1
-    m, n = len(times) - first, L.shape[1]
-    reach = float((L.max(axis=1) - L.min(axis=1)).max()) + _CHECK_TOL
+    rows, n = L.shape
+    LT = np.ascontiguousarray(L.T)  # (n, rows)
+    reach = float((LT.max(axis=0) - LT.min(axis=0)).max()) + _CHECK_TOL
     width = [int(np.count_nonzero((2 * s - 1) * col_min <= reach)) for s in range(1, s_max + 1)]
-    buf = np.empty(len(times) * n * width[0])  # F of one level at a time
-    psi_levels = np.empty((m, s_max))
+    buf = np.empty(rows * n * width[0])  # F of one level at a time
+    psi_levels = np.empty((rows - first, s_max))
     new_floors = np.empty((s_max, n))
     violations: list[Violation] = []
     for s, K in zip(range(1, s_max + 1), width):
-        F = buf[: len(times) * n * K].reshape(len(times), n, K)
+        F = buf[: K * n * rows].reshape(K, n, rows)
         if K == n:  # every pair: natural column order
             cols = np.broadcast_to(np.arange(n), (n, n))
-            np.subtract(L[:, None, :], L[:, :, None], out=F)  # F[r, a, b] = L_b - L_a
-            F -= (2 * s - 1) * dist
+            np.subtract(LT[:, None, :], LT, out=F)  # F[b, a, r] = L_b - L_a
+            F -= ((2 * s - 1) * dist).T[:, :, None]
         else:
             cols = order[:, :K]
-            np.take(L, cols, axis=1, out=F, mode="clip")  # in range: "clip" skips a buffered copy
-            F -= L[:, :, None]
-            F -= (2 * s - 1) * np.take_along_axis(dist, cols, axis=1)
-        psi = F.max(axis=2)
-        psi_levels[:, s - 1] = psi[first:].max(axis=1)
+            np.take(LT, cols.T, axis=0, out=F, mode="clip")  # in range: "clip" skips a buffered copy
+            F -= LT
+            F -= (2 * s - 1) * np.take_along_axis(dist, cols, axis=1).T[:, :, None]
+        psi = F.max(axis=0)
+        psi_levels[:, s - 1] = psi[:, first:].max(axis=0)
         viol, new_floors[s - 1] = _growth_violations(
             times, F, psi, s, theta, None if floors is None else floors[s - 1], cols
         )
@@ -528,10 +541,13 @@ class Oracle:
             return
         L, H, anchors = sample_clocks(self.table, times)
         prev, self.last = self.last, (times[-1], L[-1], H[-1])
-        edge_gaps = np.abs(L[:, self._eu] - L[:, self._ev])
-        local = edge_gaps.max(axis=1)
-        glob = L.max(axis=1) - L.min(axis=1)
-        np.maximum(self.edge_max, edge_gaps.max(axis=0), out=self.edge_max)
+        # the skews reduce along the leading axis of L's transpose, which
+        # gives the same maxima (see trace_oracles: no L is -0.0)
+        LT = np.ascontiguousarray(L.T)
+        edge_gaps = np.abs(LT[self._eu] - LT[self._ev])
+        local = edge_gaps.max(axis=0)
+        glob = LT.max(axis=0) - LT.min(axis=0)
+        np.maximum(self.edge_max, edge_gaps.max(axis=1), out=self.edge_max)
         self.max_global = max(self.max_global, float(glob.max()))
         if self.first_exceed is None:
             # exceeding means by more than the tolerance of `global_satisfied`

@@ -4,8 +4,9 @@ Runs ``engine.run`` on one document shape for n = 16, 32, 64, 128, 256 in
 both metrics modes, and prints one line per run: node-cycles per second (n
 times the cycles completed, over the best wall time of ``engine.run``;
 building the scenario is not timed), the sample rows and the evaluation
-instants per cycle, the best wall time and the violation count.  The
-shapes, 24 cycles each:
+instants per cycle, the node events per heap entry (how much the shape's
+wakeups and evaluations group into entries), the best wall time and the
+violation count.  The shapes, 24 cycles each:
 
 - ``template``: ``scenario_gen.random_template_doc``, two rate groups, so
   a cycle's evaluations fall on about 3 instants and it samples about 10
@@ -38,12 +39,14 @@ collect it, since its name does not start with ``test_``.
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import os
 import statistics
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 from gcsim import engine, metrics
@@ -63,15 +66,26 @@ SHAPES = {
 }
 
 
-def timed_runs(sc, repeats: int) -> tuple[float, int, int, engine.RunResult]:
+def timed_runs(sc, repeats: int, entries: bool) -> tuple[float, int, int, float, engine.RunResult]:
     """Best wall time of ``repeats`` runs, the sample rows of one run
     (counted where the engine reads the clocks, once per chunk), its
     evaluation instants (counted where the engine evaluates an instant's
-    batch) and the last result.  Neither count is an engine counter, so
-    ``summary.json`` stays as it is."""
+    batch), its node events per heap entry (counted where the loop pops
+    the entries, when ``entries``; else 0) and the last result.  No count
+    is an engine counter, so ``summary.json`` stays as it is.  The pop
+    count costs a call per entry, more for a tree with more entries, so
+    ``compare`` leaves it out."""
     rows: list[int] = []
     instants = [0]
+    held = [0, 0]  # node-event entries popped, and the node events they hold
     sample, evaluate = metrics.sample_clocks, engine._Simulation._on_evaluate
+
+    def counted_pop(heap):
+        entry = heapq.heappop(heap)
+        if entry[2] in (engine.K_WAKEUP, engine.K_EVALUATE):
+            held[0] += 1
+            held[1] += len(entry[3])
+        return entry
 
     def counted_evaluate(sim, t, batch):
         instants[0] += 1
@@ -79,6 +93,8 @@ def timed_runs(sc, repeats: int) -> tuple[float, int, int, engine.RunResult]:
 
     metrics.sample_clocks = lambda clocks, times: (rows.append(len(times)), sample(clocks, times))[1]
     engine._Simulation._on_evaluate = counted_evaluate
+    if entries:
+        engine.heapq = types.SimpleNamespace(heappush=heapq.heappush, heappop=counted_pop)
     try:
         best = float("inf")
         for _ in range(repeats):
@@ -86,23 +102,25 @@ def timed_runs(sc, repeats: int) -> tuple[float, int, int, engine.RunResult]:
             res = engine.run(sc)
             best = min(best, time.perf_counter() - t0)
     finally:
-        metrics.sample_clocks, engine._Simulation._on_evaluate = sample, evaluate
-    if not rows or not instants[0]:
-        raise RuntimeError("no sample rows or evaluation instants counted: the engine no longer calls the hooks")
-    return best, sum(rows) // repeats, instants[0] // repeats, res
+        metrics.sample_clocks, engine._Simulation._on_evaluate, engine.heapq = sample, evaluate, heapq
+    if not rows or not instants[0] or entries and not held[0]:
+        raise RuntimeError("no sample rows, evaluation instants or entries counted: the engine no longer calls the hooks")
+    return best, sum(rows) // repeats, instants[0] // repeats, held[1] / held[0] if entries else 0.0, res
 
 
-def ladder(shape: str, max_n: int, repeats: int):
-    """Yield one record per row of the ladder, as it is run."""
+def ladder(shape: str, max_n: int, repeats: int, entries: bool = True):
+    """Yield one record per row of the ladder, as it is run; with
+    ``entries`` it counts the node events per heap entry."""
     make, sizes = SHAPES[shape]
     for mode in ("full", "skew_only"):
         for n in (n for n in sizes if n <= max_n):
             sc = scen.build_scenario(make(n, CYCLES, mode))
-            best, rows, instants, res = timed_runs(sc, repeats)
+            best, rows, instants, per_entry, res = timed_runs(sc, repeats, entries)
             cycles = res.summary.cycles_completed
             yield {
                 "row": f"{shape:9s} {mode:9s} n={n:4d}", "rate": n * cycles / best, "rows": rows / cycles,
-                "instants": instants / cycles, "best": best, "violations": len(res.violations),
+                "instants": instants / cycles, "per_entry": per_entry, "best": best,
+                "violations": len(res.violations),
             }
 
 
@@ -119,7 +137,7 @@ def compare(shape: str, max_n: int, repeats: int, against: str, rounds: int) -> 
     quartiles, the rounds this tree won and the median per-round ratio."""
     # each round imports this module afresh, with the tree's gcsim, and
     # prints one JSON record per row
-    code = "import json, sys, ladder\nfor r in ladder.ladder(sys.argv[1], *map(int, sys.argv[2:])): print(json.dumps(r))"
+    code = "import json, sys, ladder\nfor r in ladder.ladder(sys.argv[1], *map(int, sys.argv[2:]), False): print(json.dumps(r))"
     argv = [sys.executable, "-c", code, shape, str(max_n), str(repeats)]
     rates: dict[str, dict[str, list]] = {}
     for i in range(rounds):
@@ -159,7 +177,8 @@ def main(argv: list[str] | None = None) -> int:
     for r in ladder(args.shape, args.max_n, args.repeats):
         print(
             f"{r['row']} {r['rate']:9.0f} node-cycles/s {r['rows']:6.1f} rows/cycle "
-            f"{r['instants']:6.1f} instants/cycle ({r['best']:.3f} s, {r['violations']} violations)",
+            f"{r['instants']:6.1f} instants/cycle {r['per_entry']:5.1f} events/entry "
+            f"({r['best']:.3f} s, {r['violations']} violations)",
             flush=True,
         )
     return 0

@@ -18,7 +18,8 @@ evaluations: each message leg is an event that reads its own stamp, run by
 the twin's own event loop, and each evaluation runs on its own.  ``Recording`` and ``PerEventChecks`` are
 built on it: the first keeps the per-measurement ground truth that the
 engine does not keep, the second makes the ground-truth checks one event
-at a time.
+at a time.  ``PerEventLoop`` is the reference twin of the engine's grouped
+heap entries: one entry per node event.
 """
 from __future__ import annotations
 
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gcsim import engine
-from gcsim.clocks import OWN_RATE, LogicalClock
+from gcsim import engine, gcs
+from gcsim.clocks import FAST, OWN_RATE, LogicalClock
 from gcsim.errors import GcsSimError, InternalError, ParameterError
 from gcsim.trace import Trace, Violation
 
@@ -244,6 +245,98 @@ def estimate_value(est: NeighborEstimate, l_v_now: float, cycle: int | None = No
     return engine.estimate_value(est.offset, est.estimate_deduction, l_v_now)
 
 
+class PerEventLoop(engine._Simulation):
+    """The engine with one heap entry per node event, the reference twin
+    of its grouped entries: the event loop, the wakeup handler and the
+    decisions' scheduling as they were before node events travelled in
+    groups.  A wakeup entry's payload is (v, k), an evaluation's (v, k)
+    too; the loop pops one event at a time, sets ``now`` to its key, and
+    gathers the evaluations due at one instant into one batch of (v, k,
+    seq) for the engine's ``_on_evaluate``.  ``keys`` lists the (time,
+    seq) of every node event the loop pops, in order."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.keys: list[tuple[float, int]] = []
+
+    def _on_wakeup(self, t: float, v: int, k: int) -> None:
+        sc = self.sc
+        expected = self.table.initial[v] + k * sc.params.cycle_length
+        l1, t_eval = self.table.step(v, t, OWN_RATE, 1.0, expected + sc.params.T)
+        self.cycle[v] = k
+        if sc.horizon_cycles is not None and k >= sc.horizon_cycles:
+            self.done.add(v)
+            if len(self.done) == sc.graph.n:
+                self.end = t
+            return
+        if abs(l1 - expected) > engine._BOUNDARY_TOL:
+            self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
+        ex, inf = self._ex, np.inf
+        for d in range(self._first[v], self._first[v + 1]):
+            r = self._rev[d]
+            if ex[engine._REPLY, r] == inf and self._open[r] and (ex[engine._EMIT, r], self._eseq[r]) < self.now:
+                ex[engine._REPLY, r] = ex[engine._EMIT, r] + self._draws(np.array([d]))[0]
+            ex[engine._ARRIVAL, d] = a = t + self._draws(np.array([d]))[0]
+            if self._proc:
+                a += self._draws(np.array([self._proc + d]))[0]
+            ex[[engine._EMIT, engine._REPLY, engine._EVAL, engine._T1], d] = a, inf, t_eval, l1
+            self._eseq[d], self._open[d] = self.seq, True
+            self.seq += 1
+        self.push(t_eval, engine.K_EVALUATE, (v, k))
+
+    def _decide(self, t: float, batch: list, dirs: np.ndarray, l_rep: np.ndarray, est: np.ndarray) -> None:
+        sc = self.sc
+        counts = [self._first[v + 1] - self._first[v] for v, _, _ in batch]
+        starts = np.cumsum([0] + counts[:-1]).tolist()
+        slow, fast = gcs.trigger_levels(est - l_rep, self._thresholds.take(dirs, axis=0), starts)
+        self.oracle.evaluations(t, np.array([v for v, _, _ in batch], dtype=np.intp), dirs, est, slow, fast)
+        for (v, k, _), s, f in zip(batch, slow.tolist(), fast.tolist()):
+            mode = FAST if sc.gcs_enabled and any(f) and not any(s) else OWN_RATE
+            _, wake = self.table.step(v, t, mode, self._factors[mode], self.table.initial[v] + (k + 1) * sc.params.cycle_length)
+            self.push(wake, engine.K_WAKEUP, (v, k + 1))
+
+    def run(self) -> engine.RunResult:
+        sc = self.sc
+        for v, clock in enumerate(self.clocks):
+            self.push(clock.invert(self.table.initial[v]), engine.K_WAKEUP, (v, 0))
+        if sc.sample_dt > 0:
+            self.push(sc.sample_dt, engine.K_TICK, None)
+        for b in sorted({b for _, starts, _ in sc.hardware for b in starts[1:]}):
+            self.push(b, engine.K_RATE, None)
+
+        heap = self.heap
+        while heap and heap[0][0] <= self.end:
+            t, seq, kind, payload = heapq.heappop(heap)
+            self.now = (t, seq)
+            if self.current is not None:
+                if t < self.current - engine._TOL:
+                    self._abort(f"event time regressed: {t!r} after {self.current!r}")
+                if t > self.current:
+                    self.oracle.sample(self.current)
+            self.current = t
+            if kind == engine.K_WAKEUP:
+                self.keys.append(self.now)
+                self._on_wakeup(t, *payload)
+            elif kind == engine.K_EVALUATE:
+                batch = [(*payload, seq)]
+                while heap and heap[0][0] == t and heap[0][2] == engine.K_EVALUATE:
+                    _, s, _, member = heapq.heappop(heap)
+                    batch.append((*member, s))
+                self.keys.extend((t, s) for *_, s in batch)
+                self._on_evaluate(t, batch)
+            elif kind == engine.K_TICK:
+                self.push(t + sc.sample_dt, engine.K_TICK, None)
+
+        end = self.end
+        self.now = (end, np.inf)
+        self._settle(end, check_timeout=True)
+        if self.current is not None:
+            self.oracle.sample(self.current)
+        if self.current is None or end > self.current:
+            self.oracle.sample(end)
+        return self.oracle.finish(min(self.cycle))
+
+
 K_MESSAGE = 4  # (handler name, *args): a message leg as an event of its own
 
 
@@ -319,7 +412,12 @@ class ThreeEventExchange(engine._Simulation):
             arrival = t + self._delay(v, w)
             self.seq += 1  # the emission's place
             self.push(arrival, K_MESSAGE, ("_on_request_arrival", v, w, l1, self.seq - 1))
-        self.push(clock.invert(expected + sc.params.T), engine.K_EVALUATE, (v, k))
+        self.push(clock.invert(expected + sc.params.T), engine.K_EVALUATE, [(v, k, self.seq)])
+
+    def _on_wakeups(self, t: float, group: list) -> None:
+        """The members of a wakeup entry, each (v, k, seq), one at a time."""
+        for v, k, _ in group:
+            self._on_wakeup(t, v, k)
 
     def _settle(self, limit: float, check_timeout: bool) -> None:
         """Every reply up to ``limit`` was an event: nothing to complete
@@ -332,7 +430,7 @@ class ThreeEventExchange(engine._Simulation):
         Legs up to the end all ran, so there is nothing to settle."""
         sc = self.sc
         for v, clock in enumerate(self.clocks):
-            self.push(clock.invert(self.table.initial[v]), engine.K_WAKEUP, (v, 0))
+            self.push(clock.invert(self.table.initial[v]), engine.K_WAKEUP, [(v, 0, self.seq)])
         if sc.sample_dt > 0:
             self.push(sc.sample_dt, engine.K_TICK, None)
         for b in sorted({b for _, starts, _ in sc.hardware for b in starts[1:]}):
@@ -353,9 +451,9 @@ class ThreeEventExchange(engine._Simulation):
             if kind == K_MESSAGE:
                 getattr(self, payload[0])(t, *payload[1:])
             elif kind == engine.K_WAKEUP:
-                self._on_wakeup(t, *payload)
+                self._on_wakeups(t, payload)
             elif kind == engine.K_EVALUATE:
-                self._on_evaluate(t, [payload])
+                self._on_evaluate(t, payload)
             elif kind == engine.K_TICK:
                 self.push(t + sc.sample_dt, engine.K_TICK, None)
 
@@ -394,7 +492,7 @@ class ThreeEventExchange(engine._Simulation):
         self.oracle.replies(np.array([self.direction[(v, w)]]), record)
 
     def _on_evaluate(self, t: float, batch: list) -> None:
-        for v, k in batch:
+        for v, k, seq in batch:
             nbrs = self.sc.graph.neighbors(v)
             views = self.views[v]
             if self.cycle[v] != k or self.evaluated[v] == k:
@@ -405,7 +503,7 @@ class ThreeEventExchange(engine._Simulation):
                 self._abort(f"node {v} evaluating cycle {k} with incomplete views (missing {missing})")
             l_v = self.clocks[v].value(t)
             est = [estimate_value(views[w], l_v, cycle=k) for w in nbrs]
-            self._decide(t, [(v, k)], self._out[v], np.full(len(nbrs), l_v), np.array(est))
+            self._decide(t, [(v, k, seq)], self._out[v], np.full(len(nbrs), l_v), np.array(est))
 
 
 @dataclass(frozen=True)
@@ -502,7 +600,7 @@ class PerEventChecks(ThreeEventExchange):
 
     def _decide(self, t: float, batch: list, dirs: np.ndarray, l_rep: np.ndarray, est: np.ndarray) -> None:
         sc = self.sc
-        (v, _), = batch
+        (v, _, _), = batch
         nbrs = sc.graph.neighbors(v)
         vals = {w: self.clocks[w].value(t) for w in nbrs}
         vals[v] = self.clocks[v].value(t)

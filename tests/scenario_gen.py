@@ -223,3 +223,19 @@ def wide_offset_doc(n: int, horizon_cycles: int = 12) -> dict:
     for v, d in enumerate(d0.tolist()):
         doc["clocks"]["overrides"].setdefault(str(v), {})["initial_value"] = 0.9 * d
     return doc
+
+
+def offset_template_doc(n: int, seed: int = 0, horizon_cycles: int = 12) -> dict:
+    """:func:`random_template_doc` with node v starting at a value drawn
+    uniformly in [0, 0.9 kappa) from ``seed`` and rounded to 6 decimals,
+    as the generated benchmark scenarios start.  Nodes of one rate group
+    then reach their cycle boundaries a few ulps apart: instants that are
+    near-equal but not equal."""
+    from gcsim import scenario
+
+    doc = random_template_doc(n, horizon_cycles)
+    kappa = min(scenario.build_scenario(doc).kappa.values())
+    rng = np.random.default_rng(seed)
+    for v in range(n):
+        doc["clocks"]["overrides"].setdefault(str(v), {})["initial_value"] = round(float(rng.uniform(0, 0.9 * kappa)), 6)
+    return doc

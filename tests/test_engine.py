@@ -213,7 +213,7 @@ class TestLinkDelays:
     def test_zero_jitter_is_base(self):
         sim = two_node_sim()
         for v, d, delay in ((0, direction(sim, 0, 1), 1.0), (1, direction(sim, 1, 0), 1.2)):
-            sim._on_wakeup(0.0, v, 0)
+            sim._on_wakeups(0.0, [(v, 0, 0)])
             assert sim._ex[engine._ARRIVAL, d] == delay
         assert sim._draws(np.array([direction(sim, 1, 0)])).tolist() == [1.2]
 
@@ -221,7 +221,7 @@ class TestLinkDelays:
         sim = two_node_sim(bwd_delay=1.0, jitter=0.5)
         d = direction(sim, 0, 1)
         for _ in range(500):  # rows of 8 values: the wakeups refill them
-            sim._on_wakeup(0.0, 0, 0)
+            sim._on_wakeups(0.0, [(0, 0, 0)])
             assert 1.0 <= sim._ex[engine._ARRIVAL, d] <= 1.5
             assert 1.0 <= sim._draws(np.array([d]))[0] <= 1.5
 
@@ -231,11 +231,11 @@ class TestLinkDelays:
         fwd, bwd = direction(sim, 0, 1), direction(sim, 1, 0)
         assert sorted(zip(sim._src.tolist(), sim._dst.tolist())) == [(0, 1), (1, 0)]
         assert sim._rev.tolist()[fwd] == bwd and sim._rev.tolist()[bwd] == fwd
-        sim._on_wakeup(0.0, 1, 0)
+        sim._on_wakeups(0.0, [(1, 0, 0)])
         assert sim._ex[engine._ARRIVAL, bwd] == 1.2 + 0.5 * reference.seeded_stream(5, "delay:1->0").random()
         if p_max:  # the proc streams follow the delay streams
             assert len(sim._blocks) == 4
-            sim._on_wakeup(0.0, 0, 0)
+            sim._on_wakeups(0.0, [(0, 0, 1)])
             delay = 1.0 + 0.5 * reference.seeded_stream(5, "delay:0->1").random()
             assert sim._ex[engine._ARRIVAL, fwd] == delay
             assert sim._ex[engine._EMIT, fwd] == delay + 0.1 * reference.seeded_stream(5, "proc:0->1").random()
@@ -257,11 +257,16 @@ class DrawLog(engine._Simulation):
     counting the streams a wakeup draws from twice, and counting each
     stream's row fills.
 
-    A wakeup draws inline, so the log reads what it took from the table:
-    each stream's values from its ``_next`` before the wakeup up to its
-    ``_next`` after it, taken before a refill in the wakeup replaces the
-    rows.  The wakeup's exchange records must hold exactly those values:
-    the request's delay, the processing time and the reply's delay."""
+    A wakeup entry draws inline, so the log reads what it took from the
+    table: each stream's values from its ``_next`` before the entry up to
+    its ``_next`` after it, taken before a refill in the entry replaces the
+    rows.  Each stream a member v draws from is one of v's own, delay:v->w
+    or proc:v->w, and the exchange records of each member must hold
+    exactly the values its streams gave: the request's delay, the
+    processing time and the reply's delay.  No later member of the entry
+    writes them: w's wakeup rewrites the reply v drew on w->v, but that
+    exchange is open only until w's evaluation, which comes before w's
+    next wakeup."""
 
     def __init__(self, sc):
         super().__init__(sc)
@@ -292,21 +297,22 @@ class DrawLog(engine._Simulation):
         if self.mark is not None:
             self.mark = self._next.copy()
 
-    def _on_wakeup(self, t, v, k):
+    def _on_wakeups(self, t, group):
         self.mark, self.in_wakeup = self._next.copy(), {}
-        super()._on_wakeup(t, v, k)
+        super()._on_wakeups(t, group)
         self.take()
         self.mark = None
         self.twice += sum(len(values) - 1 for values in self.in_wakeup.values())
         ex, D = self._ex, len(self._src)
-        for d in self._out[v].tolist() if self.in_wakeup else []:
-            *reply, request = self.in_wakeup.pop(d)
-            assert ex[engine._ARRIVAL, d] == t + request
-            if reply:
-                r = self._rev[d]
-                assert ex[engine._REPLY, r] == ex[engine._EMIT, r] + reply[0]
-            proc = self.in_wakeup.pop(D + d) if self._proc else [0.0]
-            assert ex[engine._EMIT, d] == ex[engine._ARRIVAL, d] + proc[0] and len(proc) == 1
+        for v, k, _ in group:
+            for d in self._out[v].tolist() if self.sc.horizon_cycles is None or k < self.sc.horizon_cycles else []:
+                *reply, request = self.in_wakeup.pop(d)
+                assert ex[engine._ARRIVAL, d] == t + request
+                if reply:
+                    r = self._rev[d]
+                    assert ex[engine._REPLY, r] == ex[engine._EMIT, r] + reply[0]
+                proc = self.in_wakeup.pop(D + d) if self._proc else [0.0]
+                assert ex[engine._EMIT, d] == ex[engine._ARRIVAL, d] + proc[0] and len(proc) == 1
         assert not self.in_wakeup  # no other stream drew
 
     def _draws(self, s):
@@ -441,7 +447,7 @@ def test_repeated_evaluation_aborts_as_out_of_order(cls):
         decide(t, batch, *args)
         if not repeated:
             repeated.append((t + 0.1, batch[0][0]))
-            sim.push(t + 0.1, engine.K_EVALUATE, batch[0])
+            sim.push(t + 0.1, engine.K_EVALUATE, [batch[0]])
 
     sim._decide = decide_then_repeat
     with pytest.raises(RunAborted) as exc:
@@ -753,19 +759,24 @@ def reply_rows(sim) -> list:
 
 class TieCounting(engine._Simulation):
     """The engine, counting the sends that meet, on the stream they draw
-    from, a reply emitted at the same instant, by which goes first."""
+    from, a reply emitted at the same instant, by which goes first.  Each
+    member of a wakeup entry is counted with its own heap key, before the
+    entry runs: the exchange w->v whose reply member v's send meets stays
+    open and unsent by w until w's evaluation, so no earlier member of the
+    entry changes it (w wakes only after it evaluates)."""
 
     def __init__(self, sc):
         super().__init__(sc)
         self.ties = {"reply first": 0, "request first": 0}
 
-    def _on_wakeup(self, t, v, k):
-        if k < self.sc.horizon_cycles:  # the wakeup sends: v->w meets w's request to v
-            for d in self._out[v].tolist():
-                r = int(self._rev[d])
-                if self._open[r] and self._ex[engine._EMIT, r] == t:
-                    self.ties["reply first" if (t, int(self._eseq[r])) < self.now else "request first"] += 1
-        super()._on_wakeup(t, v, k)
+    def _on_wakeups(self, t, group):
+        for v, k, seq in group:
+            if k < self.sc.horizon_cycles:  # the wakeup sends: v->w meets w's request to v
+                for d in self._out[v].tolist():
+                    r = int(self._rev[d])
+                    if self._open[r] and self._ex[engine._EMIT, r] == t:
+                        self.ties["reply first" if int(self._eseq[r]) < seq else "request first"] += 1
+        super()._on_wakeups(t, group)
 
 
 class TestThreeEventTwin:
@@ -890,9 +901,9 @@ class DecisionLog:
         self.wakeups: list[tuple[float, int]] = []
         self.evaluations: list[float] = []
 
-    def _on_wakeup(self, t, v, k):
-        self.wakeups.append((t, k))
-        super()._on_wakeup(t, v, k)
+    def _on_wakeups(self, t, group):
+        self.wakeups.extend((t, k) for _, k, _ in group)
+        super()._on_wakeups(t, group)
 
     def _on_evaluate(self, t, batch):
         self.evaluations.append(t)
