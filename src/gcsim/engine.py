@@ -41,11 +41,17 @@ with its own (time, seq) key (see the comment above ``_Simulation.run``).
 Nodes that share a hardware rate and a mode history reach their cycle
 instants at equal floats, so entries are few: a full grid4x4 run pops
 1,207 wakeup entries holding 9,616 wakeups and 1,217 evaluation entries
-holding 9,600 evaluations.
+holding 9,600 evaluations, and its heap holds nothing else.  The
+evaluations of one instant come in few distinct node sets, so the arrays
+an instant's pass gathers for its nodes (their directions, the readers of
+their stamps, their thresholds) are built once per node set, as one plan.
 
-Every event instant is a sample, since every event may change a clock's
-slope or is a grid tick, and so is the run's one end instant: the horizon
-time, or the wakeup at which the last node reaches the horizon cycle.
+Every event instant is a sample, since every node event may change a
+clock's slope, and so are the grid ticks and the hardware rate
+breakpoints, which no event marks: the loop reads them between pops, as
+one schedule merged with the heap's.  So is the run's one end instant:
+the horizon time, or the wakeup at which the last node reaches the
+horizon cycle.
 
 The loop checks nothing against true clock values.  It hands the run's
 :class:`metrics.Oracle` each sample instant, the (5, m) record of the
@@ -61,8 +67,7 @@ import hashlib
 import heapq
 import logging
 import time as _time
-from itertools import accumulate
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -80,17 +85,15 @@ logger = logging.getLogger(__name__)
 __all__ = ["PcgStream", "RunResult", "run"]
 
 # Event kinds.  Each payload holds only what its handler reads.
-# Each kind either may change a clock's slope (a mode decision or a rate
-# breakpoint) or is a grid tick, so every event instant is a sample.
-# Messages are no events: every leg of an exchange is drawn off the heap
-# (see _on_wakeups and the comment above _Simulation.run).  A node event
-# travels in an entry with the other events of its run: the entry's
-# payload is a list of members (v, k, seq), each with the seq its own
-# event would take.
+# Each kind may change a clock's slope, so every event instant is a
+# sample; the grid ticks and rate breakpoints are samples too, read off
+# the heap (see run).  Messages are no events: every leg of an exchange is
+# drawn off the heap (see _on_wakeups and the comment above
+# _Simulation.run).  A node event travels in an entry with the other
+# events of its run: the entry's payload is a list of members (v, k, seq),
+# each with the seq its own event would take.
 K_WAKEUP = 0  # node v starts cycle k and sends its requests
 K_EVALUATE = 1  # node v evaluates its triggers in cycle k
-K_TICK = 2
-K_RATE = 3  # a hardware rate breakpoint: no handler, it only forces a sample
 
 # the event loop's own tolerance, for time regression and the timeout
 # window; the oracle's checks have their own, in metrics
@@ -118,13 +121,29 @@ _INF = float("inf")
 _STREAM_VALUES = 1 << 18
 # The rows of the engine's exchange records, one column per link direction
 # (see _Simulation.__init__)
-_ARRIVAL, _EMIT, _REPLY, _EVAL, _T1, _EPS_D, _EPS_M = range(7)
+_ARRIVAL, _EMIT, _REPLY, _T1, _EPS_D, _EPS_M = range(6)
 # the instants an exchange's completion reads, and whose clock reads each:
 # the responder's at the request's arrival and the reply's emission (t2,
-# t3), the requester's at the reply's arrival (t4), the responder's there
-# (the true value its estimate is checked against), and at an evaluation
-# the requester's at it
-_READ_ROWS = np.array([_ARRIVAL, _EMIT, _REPLY, _REPLY, _EVAL])
+# t3), the requester's at the reply's arrival (t4) and the responder's
+# there (the true value its estimate is checked against); at an
+# evaluation, the requester's at its instant follows
+_READ_ROWS = np.array([_ARRIVAL, _EMIT, _REPLY, _REPLY])
+
+
+class _Plan(NamedTuple):
+    """The arrays the evaluation pass of one node set gathers, built once
+    per set (see ``_Simulation._plan``): the nodes' link directions in
+    node order, the nodes, the start of each node's directions, the
+    readers of each direction's stamps (``_readers`` over the directions,
+    raveled as ``_complete`` reads them), the directions' trigger
+    thresholds and their reverse directions."""
+
+    dirs: np.ndarray
+    nodes: np.ndarray
+    starts: np.ndarray
+    readers: np.ndarray
+    thresholds: np.ndarray
+    rev: np.ndarray
 
 
 def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -452,13 +471,13 @@ class _Simulation:
         # its evaluation (the requester is measuring exactly when its
         # directions are open), is one column of _ex, whose rows are: the
         # real times of the request's arrival, the reply's emission, the
-        # reply's arrival (inf until its delay is drawn) and the requester's
-        # evaluation; the requester's reading at the send; and the link's
-        # eps_d and eps_m.  _eseq holds the heap sequence number the
-        # emission would take as an event.  The rows of _readers name whose
-        # clock reads each instant of _READ_ROWS.
+        # reply's arrival (inf until its delay is drawn); the requester's
+        # reading at the send; and the link's eps_d and eps_m.  _eseq holds
+        # the heap sequence number the emission would take as an event.  The
+        # rows of _readers name whose clock reads each instant of _READ_ROWS,
+        # then the requester's, which reads its evaluation's instant.
         self._open = np.zeros(D, dtype=bool)
-        self._ex = np.zeros((7, D))
+        self._ex = np.zeros((6, D))
         self._ex[_EPS_D] = [p.eps_d for p in links]
         self._ex[_EPS_M] = [p.eps_m for p in links]
         self._eseq = np.zeros(D, dtype=np.intp)
@@ -479,6 +498,9 @@ class _Simulation:
         self.oracle = metrics.Oracle(sc, self.table, self._kappa, self._abort)
         self.cycle = [0] * n
         self.done: set[int] = set()
+        # the plans of the evaluation node sets seen since the last clear
+        # (see _plan)
+        self._plans: dict[tuple, _Plan] = {}
 
         self.heap: list = []
         self.seq = 0
@@ -487,12 +509,6 @@ class _Simulation:
         # the run's last instant: the horizon time, or the wakeup at which
         # the last node reaches the horizon cycle
         self.end = _INF if sc.horizon_time is None else sc.horizon_time
-
-    # -- scheduling helpers
-
-    def push(self, t: float, kind: int, payload) -> None:
-        heapq.heappush(self.heap, (t, self.seq, kind, payload))
-        self.seq += 1
 
     # -- event handlers
 
@@ -517,7 +533,7 @@ class _Simulation:
         sc = self.sc
         step, initial, cycle_length, T = self.table.step, self.table.initial, sc.params.cycle_length, sc.params.T
         horizon, cycle, first = sc.horizon_cycles, self.cycle, self._first
-        arrival, emit, reply, evaluate, t1 = self._ex_mv[:5]
+        arrival, emit, reply, t1 = self._ex_mv[:4]
         eseq, is_open, rev, nxt, flat = self._eseq_mv, self._open_mv, self._rev_mv, self._next_mv, self._flat_mv
         heap, seq, proc, inf = self.heap, self.seq, self._proc, _INF
         last = run = None  # the instant and the members of the last evaluation entry
@@ -559,7 +575,7 @@ class _Simulation:
                         x = flat[i]
                     nxt[proc + d] = i + 1
                     a += x
-                emit[d], reply[d], evaluate[d], t1[d], eseq[d], is_open[d] = a, inf, t_eval, l1, seq, True
+                emit[d], reply[d], t1[d], eseq[d], is_open[d] = a, inf, l1, seq, True
                 seq += 1
             if t_eval == last:
                 run.append((v, k, seq))
@@ -603,21 +619,43 @@ class _Simulation:
         self._next[s] = i + 1
         return values
 
-    def _draw_replies(self, dirs: np.ndarray, ex: np.ndarray, before: tuple | None = None) -> None:
+    def _draw_replies(self, dirs: np.ndarray, ex: np.ndarray, rev: np.ndarray, before: tuple | None = None) -> None:
         """Draw the delays of the replies to the requests on the directions
-        ``dirs`` not drawn yet, each on the stream of the reverse direction,
-        and record their arrivals in ``ex``, the directions' records as
-        gathered from ``_ex``; with ``before``, a heap key (time, seq), only
-        those of replies whose emission's key precedes it.  The caller writes
-        them back to ``_ex`` before anything that may draw again: an abort's
-        ``_settle`` would."""
+        ``dirs`` not drawn yet, each on the stream of its reverse direction
+        in ``rev``, and record their arrivals in ``ex``, the directions'
+        records as gathered from ``_ex``; with ``before``, a heap key (time,
+        seq), only those of replies whose emission's key precedes it.  The
+        caller writes them back to ``_ex`` before anything that may draw
+        again: an abort's ``_settle`` would."""
         emit, reply = ex[_EMIT], ex[_REPLY]
         undrawn = reply == _INF
         if before is not None:
             undrawn &= (emit < before[0]) | ((emit == before[0]) & (self._eseq[dirs] < before[1]))
         at = undrawn.nonzero()[0]
         if at.size:
-            reply[at] = emit[at] + self._draws(self._rev[dirs[at]])
+            reply[at] = emit[at] + self._draws(rev[at])
+
+    def _plan(self, batch: list) -> _Plan:
+        """The plan of the node set of ``batch``, its members (v, k, seq)
+        in order, built on its first use.  The plans live in one dict of at
+        most n, cleared when a new one would exceed n: each cycle's
+        evaluation batches partition the nodes, so a schedule that repeats
+        from cycle to cycle needs at most n, and a cleared dict only builds
+        again what every instant built before plans were kept.  A plan is
+        never written after it is built, so the arrays the oracle keeps of
+        it stay as they were."""
+        nodes = tuple([v for v, _, _ in batch])
+        plan = self._plans.get(nodes)
+        if plan is None:
+            if len(self._plans) >= self.sc.graph.n:
+                self._plans.clear()
+            out = [self._out[v] for v in nodes]
+            dirs = np.concatenate(out)
+            plan = self._plans[nodes] = _Plan(
+                dirs, np.array(nodes, dtype=np.intp), np.cumsum([0] + [len(d) for d in out[:-1]]),
+                self._readers.take(dirs, axis=1).ravel(), self._thresholds.take(dirs, axis=0), self._rev[dirs],
+            )
+        return plan
 
     def _on_evaluate(self, t: float, batch: list) -> None:
         """The evaluations ``batch``, each (v, k, seq), due at t, in event order.
@@ -626,13 +664,14 @@ class _Simulation:
         then completes the exchanges, whose replies must have arrived
         before t (a reply at t itself would have been scheduled after the
         evaluation), and reads only its node's clock at t."""
-        first, is_open = self._first, self._open_mv
+        first, is_open, cycle = self._first, self._open_mv, self.cycle
         for v, k, _ in batch:
-            if self.cycle[v] != k or first[v] == first[v + 1] or not is_open[first[v]]:
+            if cycle[v] != k or first[v] == first[v + 1] or not is_open[first[v]]:
                 self._abort(f"evaluation fired out of order at node {v}")
-        dirs = np.concatenate([self._out[v] for v, _, _ in batch])
+        plan = self._plan(batch)
+        dirs = plan.dirs
         ex = self._ex.take(dirs, axis=1)
-        self._draw_replies(dirs, ex)
+        self._draw_replies(dirs, ex, plan.rev)
         missing = ex[_REPLY] >= t
         if np.count_nonzero(missing):
             self._ex[_REPLY][dirs] = ex[_REPLY]
@@ -641,25 +680,30 @@ class _Simulation:
             ws = self._dst[late[self._src[late] == v]].tolist()
             self._abort(f"node {v} evaluating cycle {self.cycle[v]} with incomplete views (missing {ws})")
         self._open[dirs] = False
-        offset, deduction, l_rep = self._complete(dirs, ex, check_timeout=True, own_values=True)
-        self._decide(t, batch, dirs, l_rep, estimate_value(offset, deduction, l_rep))
+        offset, deduction, l_rep = self._complete(dirs, ex, plan.readers, check_timeout=True, t=t)
+        self._decide(t, batch, plan, l_rep, estimate_value(offset, deduction, l_rep))
 
-    def _complete(self, dirs: np.ndarray, ex: np.ndarray, check_timeout: bool, own_values: bool = False) -> tuple:
+    def _complete(self, dirs: np.ndarray, ex: np.ndarray, readers: np.ndarray, check_timeout: bool,
+                  t: float | None = None) -> tuple:
         """Complete the exchanges on the directions ``dirs``, whose replies
         have arrived and whose records are ``ex``: read the four stamps at
         the past instants the parties took them, make the estimates, hand
         the exchanges to the oracle, then end the run if a round trip
         exceeded the timeout window (with ``check_timeout``).  Reads the
-        instants of _READ_ROWS, the last, the evaluation, only with
-        ``own_values``, in one :func:`read_clocks` call, and returns the
-        estimates' (offset, deduction) and, with ``own_values``, each
-        requester's value at its evaluation.
+        instants of _READ_ROWS, and with ``t``, an evaluation instant, each
+        requester's value at t, in one :func:`read_clocks` call of the
+        clocks ``readers``, the rows of ``_readers`` over ``dirs``, raveled.
+        Returns the estimates' (offset, deduction) and, with ``t``, each
+        requester's value at t.
 
         The caller closes ``dirs`` first, so that the abort's own
         ``_settle`` does not complete them again."""
-        m, reads = len(dirs), len(_READ_ROWS) - (not own_values)
-        times = ex.take(_READ_ROWS[:reads], axis=0).ravel()
-        L = read_clocks(self.table, times, self._readers[:reads].take(dirs, axis=1).ravel())[0]
+        m, rows = len(dirs), len(_READ_ROWS)
+        times = np.empty((rows + (t is not None), m))
+        ex.take(_READ_ROWS, axis=0, out=times[:rows])
+        if t is not None:
+            times[rows] = t
+        L = read_clocks(self.table, times.ravel(), readers)[0]
         t1, t2, t4 = ex[_T1], L[:m], L[2 * m : 3 * m]
         t3 = t2 + (L[m : 2 * m] - t2)  # w's arrival stamp plus its local processing time
         sc = self.sc
@@ -682,27 +726,26 @@ class _Simulation:
         ``limit``, as reply events up to it would have, and close them."""
         dirs = np.flatnonzero(self._open)
         ex = self._ex.take(dirs, axis=1)
-        self._draw_replies(dirs, ex, self.now)
+        self._draw_replies(dirs, ex, self._rev[dirs], self.now)
         self._ex[_REPLY][dirs] = ex[_REPLY]  # a timeout abort settles again
         done = ex[_REPLY] <= limit
-        self._open[dirs[done]] = False
-        if np.count_nonzero(done):
-            self._complete(dirs[done], ex[:, done], check_timeout)
+        dirs = dirs[done]
+        self._open[dirs] = False
+        if dirs.size:
+            readers = self._readers[: len(_READ_ROWS)].take(dirs, axis=1).ravel()
+            self._complete(dirs, ex[:, done], readers, check_timeout)
 
-    def _decide(self, t: float, batch: list, dirs: np.ndarray, l_rep: np.ndarray, est: np.ndarray) -> None:
+    def _decide(self, t: float, batch: list, plan: _Plan, l_rep: np.ndarray, est: np.ndarray) -> None:
         """Triggers and mode decisions of the evaluations ``batch`` at t,
-        each (v, k, seq), over their nodes' directions ``dirs``, in batch
+        each (v, k, seq), over the directions of their ``plan``, in batch
         order.  ``l_rep`` is each node's own value at t, repeated once per
         direction, and ``est`` its estimates across them.  Each decision
         makes one clock step, which reads the node's next wakeup time, and
         takes the next heap seq; the wakeups go on the heap as one entry per
         run of members with equal wakeup instants, as in ``_on_wakeups``."""
         sc = self.sc
-        vs = np.array([v for v, _, _ in batch], dtype=np.intp)
-        first = self._first
-        starts = list(accumulate([first[v + 1] - first[v] for v, _, _ in batch[:-1]], initial=0))
-        slow, fast = gcs.trigger_levels(est - l_rep, self._thresholds.take(dirs, axis=0), starts)
-        self.oracle.evaluations(t, vs, dirs, est, slow, fast)
+        slow, fast = gcs.trigger_levels(est - l_rep, plan.thresholds, plan.starts)
+        self.oracle.evaluations(t, plan.nodes, plan.dirs, est, slow, fast)
         modes = [FAST if sc.gcs_enabled and any(f) and not any(s) else OWN_RATE
                  for s, f in zip(slow.tolist(), fast.tolist())]
         step, initial, cycle_length, factors = self.table.step, self.table.initial, sc.params.cycle_length, self._factors
@@ -741,6 +784,32 @@ class _Simulation:
     # (emit, eseq) < now and every abort read.  The evaluation branch
     # extends its batch with the whole entries due at the same instant,
     # as it did with single events.
+    #
+    # The heap holds only node events.  The grid ticks and the hardware
+    # rate breakpoints, which only force samples, are read between pops
+    # from one merged schedule: the next tick, sample_dt after the last one
+    # (the addition chain a tick event that pushed the next computed), and
+    # the next of the sorted breakpoints.  A node event at the same instant
+    # goes first.  As events, the ticks and breakpoints took seqs; without
+    # them each node event's seq and each send's eseq is less by the count
+    # of forced events that took a seq before it.  That map is increasing,
+    # so it shifts every node-event key and every eseq together, and each
+    # comparison of two of them keeps its result: the heap's order, and
+    # every (emit, eseq) < now test, whose ``now`` is a node event's key.
+    # Samples still dedupe by instant: the loop samples ``current`` only
+    # when it moves to a later instant, however many node events and
+    # forced instants share a float.  At a forced instant f, ``now`` is
+    # (f, seq), seq the next one to be taken: after every event run so far,
+    # and before every node event still on the heap, all later than f.  The
+    # move to an instant f samples ``current``, and the sample's drift check
+    # may end the run; ``_abort`` then settles at ``current`` with ``now`` at
+    # f: at the node event's key, or at (f, seq) when the forced instant
+    # comes alone, where the first event at f, a tick among them, had its
+    # own key.  Both keys lie at f, after every event before it, so they
+    # draw the same replies but for those emitted at f itself, after the
+    # last event.  Such a reply arrives after ``current``, the settle's
+    # limit, so its exchange is not completed, the run ends, and the draw
+    # reaches no output.
     #
     # The samples and the exchanges record only instants, and the clocks
     # are read later, from the anchor table: samples when the oracle reduces
@@ -818,17 +887,35 @@ class _Simulation:
                 last, run = wake, [(v, 0, v)]
                 heapq.heappush(self.heap, (wake, v, K_WAKEUP, run))
         self.seq = len(self.clocks)
-        if sc.sample_dt > 0:
-            self.push(sc.sample_dt, K_TICK, None)
-        # every clock is linear between its rate breakpoints and mode changes;
-        # sampling both makes the recorded extrema of any clock difference exact
-        for b in sorted(set(self.table.hw_start[self.table.hw_start > 0].tolist())):
-            self.push(b, K_RATE, None)
+        # the forced samples, merged into one schedule: the grid ticks, each
+        # sample_dt after the one before, and the hardware rate breakpoints.
+        # Every clock is linear between its rate breakpoints and mode
+        # changes; sampling both makes the recorded extrema of any clock
+        # difference exact
+        dt = sc.sample_dt
+        tick = dt if dt > 0 else _INF
+        breaks = sorted(set(self.table.hw_start[self.table.hw_start > 0].tolist())) + [_INF]
+        b = 0
+        forced = min(tick, breaks[0])
 
         heap, sample = self.heap, self.oracle.sample
-        while heap and heap[0][0] <= self.end:
-            t, seq, kind, payload = heapq.heappop(heap)
-            self.now = (t, seq)
+        while True:
+            t = heap[0][0] if heap else _INF
+            if forced < t:  # node events first at equal instants
+                t = forced
+                if t > self.end:
+                    break
+                if t == tick:
+                    tick = t + dt
+                if t == breaks[b]:
+                    b += 1
+                forced = tick if tick < breaks[b] else breaks[b]
+                self.now, kind = (t, self.seq), None
+            elif not heap or t > self.end:
+                break
+            else:
+                t, seq, kind, payload = heapq.heappop(heap)
+                self.now = (t, seq)
             if self.current is not None:
                 if t < self.current - _TOL:
                     self._abort(f"event time regressed: {t!r} after {self.current!r}")
@@ -841,8 +928,6 @@ class _Simulation:
                 while heap and heap[0][0] == t and heap[0][2] == K_EVALUATE:
                     payload += heapq.heappop(heap)[3]  # whole entries: a popped entry is the loop's own
                 self._on_evaluate(t, payload)
-            elif kind == K_TICK:
-                self.push(t + sc.sample_dt, K_TICK, None)
 
         end = self.end
         self.now = (end, _INF)  # every event up to the end has run

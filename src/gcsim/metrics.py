@@ -581,7 +581,7 @@ class Oracle:
         est = estimate_value(offset, deduction, t4)  # each requester's estimate at the reply's arrival
         self._check_sandwich(t, self._src[dirs], self._dst[dirs], true, est, self._kappa[dirs])
         if evals:
-            rows = np.concatenate([np.full(len(vs), r) for r, _, vs, *_ in evals])
+            rows = np.repeat([r for r, *_ in evals], [len(vs) for _, _, vs, *_ in evals])
             v, dirs, est, slow, fast = (np.concatenate(a) for a in list(zip(*evals))[2:])
             self._check_evaluations(times, L, rows, v, dirs, est, slow, fast)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,19 +245,59 @@ def estimate_value(est: NeighborEstimate, l_v_now: float, cycle: int | None = No
     return engine.estimate_value(est.offset, est.estimate_deduction, l_v_now)
 
 
-class PerEventLoop(engine._Simulation):
+# The twins keep every event on their own heaps, the grid ticks and the
+# hardware rate breakpoints too, which the engine reads off its heap
+K_TICK = 2  # a grid tick: it forces a sample and pushes the next tick
+K_RATE = 3  # a hardware rate breakpoint: it only forces a sample
+
+
+class HeapTwin(engine._Simulation):
+    """The engine with every event on its heap, as its loop was before it
+    read the grid ticks and rate breakpoints off the heap: ``push`` gives
+    each event the next seq, and ``push_forced`` pushes the first tick and
+    every breakpoint, each tick pushing the next when the twin's loop pops
+    it (``t + sample_dt``, the engine's addition chain).  ``forced`` lists
+    the seqs the ticks and breakpoints take, which the engine's seqs lack."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.forced: list[int] = []
+
+    def push(self, t: float, kind: int, payload) -> None:
+        if kind in (K_TICK, K_RATE):
+            self.forced.append(self.seq)
+        heapq.heappush(self.heap, (t, self.seq, kind, payload))
+        self.seq += 1
+
+    def push_forced(self) -> None:
+        sc = self.sc
+        if sc.sample_dt > 0:
+            self.push(sc.sample_dt, K_TICK, None)
+        for b in sorted({b for _, starts, _ in sc.hardware for b in starts[1:]}):
+            self.push(b, K_RATE, None)
+
+
+class PerEventLoop(HeapTwin):
     """The engine with one heap entry per node event, the reference twin
-    of its grouped entries: the event loop, the wakeup handler and the
-    decisions' scheduling as they were before node events travelled in
-    groups.  A wakeup entry's payload is (v, k), an evaluation's (v, k)
+    of its grouped entries and of its ticks and rate breakpoints read off
+    the heap: the event loop, the wakeup handler and the decisions'
+    scheduling as they were before node events travelled in groups.  A wakeup entry's payload is (v, k), an evaluation's (v, k)
     too; the loop pops one event at a time, sets ``now`` to its key, and
     gathers the evaluations due at one instant into one batch of (v, k,
-    seq) for the engine's ``_on_evaluate``.  ``keys`` lists the (time,
-    seq) of every node event the loop pops, in order."""
+    seq) for the engine's ``_on_evaluate``.  The decisions compute their
+    nodes, trigger segments and thresholds from the batch and the plan's
+    directions, as they did before the engine kept plans.
+    ``keys`` lists the (time, seq) of every node event the loop pops, in
+    order; :meth:`node_keys` gives them with the forced seqs dropped, as
+    the engine numbers them."""
 
     def __init__(self, sc):
         super().__init__(sc)
         self.keys: list[tuple[float, int]] = []
+
+    def node_keys(self) -> list[tuple[float, int]]:
+        """``keys``, each seq less the forced seqs before it."""
+        return [(t, s - bisect_left(self.forced, s)) for t, s in self.keys]
 
     def _on_wakeup(self, t: float, v: int, k: int) -> None:
         sc = self.sc
@@ -279,13 +319,14 @@ class PerEventLoop(engine._Simulation):
             ex[engine._ARRIVAL, d] = a = t + self._draws(np.array([d]))[0]
             if self._proc:
                 a += self._draws(np.array([self._proc + d]))[0]
-            ex[[engine._EMIT, engine._REPLY, engine._EVAL, engine._T1], d] = a, inf, t_eval, l1
+            ex[[engine._EMIT, engine._REPLY, engine._T1], d] = a, inf, l1
             self._eseq[d], self._open[d] = self.seq, True
             self.seq += 1
         self.push(t_eval, engine.K_EVALUATE, (v, k))
 
-    def _decide(self, t: float, batch: list, dirs: np.ndarray, l_rep: np.ndarray, est: np.ndarray) -> None:
+    def _decide(self, t: float, batch: list, plan, l_rep: np.ndarray, est: np.ndarray) -> None:
         sc = self.sc
+        dirs = plan.dirs
         counts = [self._first[v + 1] - self._first[v] for v, _, _ in batch]
         starts = np.cumsum([0] + counts[:-1]).tolist()
         slow, fast = gcs.trigger_levels(est - l_rep, self._thresholds.take(dirs, axis=0), starts)
@@ -299,10 +340,7 @@ class PerEventLoop(engine._Simulation):
         sc = self.sc
         for v, clock in enumerate(self.clocks):
             self.push(clock.invert(self.table.initial[v]), engine.K_WAKEUP, (v, 0))
-        if sc.sample_dt > 0:
-            self.push(sc.sample_dt, engine.K_TICK, None)
-        for b in sorted({b for _, starts, _ in sc.hardware for b in starts[1:]}):
-            self.push(b, engine.K_RATE, None)
+        self.push_forced()
 
         heap = self.heap
         while heap and heap[0][0] <= self.end:
@@ -324,8 +362,8 @@ class PerEventLoop(engine._Simulation):
                     batch.append((*member, s))
                 self.keys.extend((t, s) for *_, s in batch)
                 self._on_evaluate(t, batch)
-            elif kind == engine.K_TICK:
-                self.push(t + sc.sample_dt, engine.K_TICK, None)
+            elif kind == K_TICK:
+                self.push(t + sc.sample_dt, K_TICK, None)
 
         end = self.end
         self.now = (end, np.inf)
@@ -340,7 +378,7 @@ class PerEventLoop(engine._Simulation):
 K_MESSAGE = 4  # (handler name, *args): a message leg as an event of its own
 
 
-class ThreeEventExchange(engine._Simulation):
+class ThreeEventExchange(HeapTwin):
     """The engine with every leg of an exchange an event of its own, the
     reference twin of its array exchanges and batched evaluations.
 
@@ -431,10 +469,7 @@ class ThreeEventExchange(engine._Simulation):
         sc = self.sc
         for v, clock in enumerate(self.clocks):
             self.push(clock.invert(self.table.initial[v]), engine.K_WAKEUP, [(v, 0, self.seq)])
-        if sc.sample_dt > 0:
-            self.push(sc.sample_dt, engine.K_TICK, None)
-        for b in sorted({b for _, starts, _ in sc.hardware for b in starts[1:]}):
-            self.push(b, engine.K_RATE, None)
+        self.push_forced()
 
         need = False  # an event at `current` can change a slope
         heap = self.heap
@@ -454,8 +489,8 @@ class ThreeEventExchange(engine._Simulation):
                 self._on_wakeups(t, payload)
             elif kind == engine.K_EVALUATE:
                 self._on_evaluate(t, payload)
-            elif kind == engine.K_TICK:
-                self.push(t + sc.sample_dt, engine.K_TICK, None)
+            elif kind == K_TICK:
+                self.push(t + sc.sample_dt, K_TICK, None)
 
         end = self.end
         if self.current is not None and (need or self.current == end):
@@ -503,7 +538,7 @@ class ThreeEventExchange(engine._Simulation):
                 self._abort(f"node {v} evaluating cycle {k} with incomplete views (missing {missing})")
             l_v = self.clocks[v].value(t)
             est = [estimate_value(views[w], l_v, cycle=k) for w in nbrs]
-            self._decide(t, [(v, k, seq)], self._out[v], np.full(len(nbrs), l_v), np.array(est))
+            self._decide(t, [(v, k, seq)], self._plan([(v, k, seq)]), np.full(len(nbrs), l_v), np.array(est))
 
 
 @dataclass(frozen=True)
@@ -598,7 +633,7 @@ class PerEventChecks(ThreeEventExchange):
         t4 = self.clocks[v].value(t)
         self._ref_sandwich(t, v, w, estimate_value(self.views[v][w], t4, cycle=self.cycle[v]))
 
-    def _decide(self, t: float, batch: list, dirs: np.ndarray, l_rep: np.ndarray, est: np.ndarray) -> None:
+    def _decide(self, t: float, batch: list, plan, l_rep: np.ndarray, est: np.ndarray) -> None:
         sc = self.sc
         (v, _, _), = batch
         nbrs = sc.graph.neighbors(v)
@@ -606,7 +641,7 @@ class PerEventChecks(ThreeEventExchange):
         vals[v] = self.clocks[v].value(t)
         for w, e in zip(nbrs, est.tolist()):
             self._ref_sandwich(t, v, w, e)
-        super()._decide(t, batch, dirs, l_rep, est)
+        super()._decide(t, batch, plan, l_rep, est)
         *_, slow_fired, fast_fired = self.oracle._evals[-1]
         for s in range(1, sc.params.s_max + 1):
             for name, held, fired in (

@@ -19,7 +19,7 @@ from gcsim import engine, gcs, metrics
 from gcsim import scenario as scen
 from gcsim.errors import RunAborted
 
-from reference import PerEventChecks, Recording
+from reference import K_TICK, PerEventChecks, Recording
 from scenario_gen import fc_lag_doc, random_suite_doc
 
 CHECKED = ("estimate_sandwich", "condition_without_trigger")
@@ -112,7 +112,7 @@ def abort_after(sim, t_abort: float, kind: str) -> None:
             seen = len(sim.ref_violations)
             _h(t, *args)
             if t == t_abort and any(v.kind == kind for v in sim.ref_violations[seen:]):
-                sim.push(t - 1.0, engine.K_TICK, None)
+                sim.push(t - 1.0, K_TICK, None)
 
         setattr(sim, name, wrapped)
 
@@ -250,10 +250,10 @@ def test_incomplete_views_abort_reports_every_reply_before_it(monkeypatch, chunk
     sim = engine._Simulation(sc)
     draw, delayed = sim._draw_replies, []
 
-    def late(dirs, ex, before=None):
+    def late(dirs, ex, *args):
         emit, reply = ex[engine._EMIT], ex[engine._REPLY]
         undrawn = reply == math.inf
-        draw(dirs, ex, before)
+        draw(dirs, ex, *args)
         for i in np.flatnonzero(undrawn & (emit > t_from) & (reply < math.inf))[:1].tolist():  # drawn now, emitted after t_from
             if not delayed:
                 delayed.append((int(sim._src[dirs[i]]), int(sim._dst[dirs[i]]), float(reply[i])))

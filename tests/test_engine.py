@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import heapq
 import itertools
 import json
 import weakref
@@ -447,7 +448,8 @@ def test_repeated_evaluation_aborts_as_out_of_order(cls):
         decide(t, batch, *args)
         if not repeated:
             repeated.append((t + 0.1, batch[0][0]))
-            sim.push(t + 0.1, engine.K_EVALUATE, [batch[0]])
+            heapq.heappush(sim.heap, (t + 0.1, sim.seq, engine.K_EVALUATE, [batch[0]]))
+            sim.seq += 1
 
     sim._decide = decide_then_repeat
     with pytest.raises(RunAborted) as exc:

@@ -1,13 +1,18 @@
 """Node events travel in groups: one heap entry per run of same-instant
-wakeups or evaluations that one handler schedules.
+wakeups or evaluations that one handler schedules, on a heap that holds
+nothing else.
 
 The engine's outputs must equal, byte for byte, those of
 ``reference.PerEventLoop``, its twin with one heap entry per node event,
+the grid ticks and rate breakpoints on its heap and no evaluation plans,
 and the (time, seq) keys of the members of the engine's entries, in the
-order it runs them, must be exactly the keys the twin pops.  That checks
-the ordering argument above ``engine._Simulation.run`` directly: no other
-event's key falls between two members of one entry.  Instants one ulp
-apart must not share an entry: grouping compares floats with ==.
+order it runs them, must be exactly the keys the twin pops, less the seqs
+its ticks and breakpoints take.  That checks the ordering argument above
+``engine._Simulation.run`` directly: no other event's key falls between
+two members of one entry, and dropping the forced events' seqs keeps the
+order of the others.  Instants one ulp apart must not share an entry:
+grouping compares floats with ==.  The forced samples must fall on the
+twin's instants, and a plan must hold what a fresh build would.
 
 A full grid4x4 run pins how much the grouping saves, as counts of entries
 and of the node events they hold.
@@ -27,8 +32,10 @@ from gcsim import scenario as scen
 
 from reference import PerEventLoop
 from scenario_gen import (
+    UNIT_EDGE,
     antiphase_line_doc,
     distinct_rate_doc,
+    line_doc,
     offset_template_doc,
     random_suite_doc,
     random_template_doc,
@@ -53,9 +60,9 @@ class KeyedEngine(engine._Simulation):
         super()._on_evaluate(t, batch)
 
 
-def cli_run(tmp_path, doc: dict, cls) -> tuple[dict, list]:
+def cli_run(tmp_path, doc: dict, cls) -> tuple[dict, engine._Simulation]:
     """The bytes of FILES that ``gcsim run`` writes for ``doc`` with ``cls``
-    as the engine's simulation, and the keys the simulation lists."""
+    as the engine's simulation, and the simulation."""
     sims = []
 
     class Kept(cls):
@@ -70,15 +77,15 @@ def cli_run(tmp_path, doc: dict, cls) -> tuple[dict, list]:
         mp.setattr(engine, "_Simulation", Kept)
         assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
     (sim,) = sims
-    return {f: (out / f).read_bytes() for f in FILES}, sim.keys
+    return {f: (out / f).read_bytes() for f in FILES}, sim
 
 
 def assert_matches_the_per_event_loop(tmp_path, doc: dict) -> None:
-    files, keys = cli_run(tmp_path, doc, KeyedEngine)
-    twin_files, twin_keys = cli_run(tmp_path, doc, PerEventLoop)
+    files, sim = cli_run(tmp_path, doc, KeyedEngine)
+    twin_files, twin = cli_run(tmp_path, doc, PerEventLoop)
     for f in FILES:
         assert files[f] == twin_files[f], f
-    assert keys == twin_keys
+    assert sim.keys == twin.node_keys()
 
 
 DOCS = {
@@ -167,5 +174,72 @@ def test_full_grid4x4_run_pops_grouped_entries(monkeypatch):
     engine.run(scen.build_scenario(doc))
     assert (popped[engine.K_WAKEUP], held[engine.K_WAKEUP]) == (1207, 9616)
     assert (popped[engine.K_EVALUATE], held[engine.K_EVALUATE]) == (1217, 9600)
-    assert popped[engine.K_TICK] == 2998
-    assert sum(popped.values()) == 5422
+    assert sum(popped.values()) == 2424  # no entry of another kind
+
+
+def sampled(sim) -> list[float]:
+    """The instants ``sim`` hands its oracle as samples, in a list that
+    fills as it runs."""
+    times, sample = [], sim.oracle.sample
+    sim.oracle.sample = lambda t: (times.append(t), sample(t))[1]
+    return times
+
+
+def test_forced_samples_fall_on_the_twins_instants():
+    # ticks every 0.1, whose addition chain drifts off k * 0.1; node 1's
+    # rate breakpoint on the tenth tick, node 0's on its first evaluation,
+    # and the horizon on the 600th tick
+    dt, chain = 0.1, [0.1]
+    while len(chain) < 600:
+        chain.append(chain[-1] + dt)
+    assert chain[9] != 10 * dt
+    doc = line_doc(3, UNIT_EDGE, {
+        "theta": 1.001, "mu": 0.01,
+        "nodes": [
+            {"generator": "scripted", "segments": [[0.0, 1.0], [3.5, 1.001]]},
+            {"generator": "scripted", "segments": [[0.0, 1.001], [chain[9], 1.0]]},
+            {"generator": "constant", "rate": 1.0005},
+        ],
+    }, {"T": 3.5, "T_stab": 1.5, "p_max": 0.2}, {"horizon_time": chain[-1], "sample_dt": dt, "master_seed": 3})
+    sc = scen.build_scenario(doc)
+    sim, twin = KeyedEngine(sc), PerEventLoop(sc)
+    samples, twin_samples = sampled(sim), sampled(twin)
+    sim.run()
+    twin.run()
+    assert 3.5 in {t for t, _ in sim.keys}  # node 0's first evaluation
+    assert {3.5, chain[9], chain[-1]} <= set(samples)
+    assert samples[-1] == chain[-1] and samples.count(chain[-1]) == 1
+    assert samples == twin_samples
+
+
+class PlanCounting(engine._Simulation):
+    """The engine, keeping in ``most`` the most plans it has held."""
+
+    most = 0
+
+    def _on_evaluate(self, t, batch):
+        super()._on_evaluate(t, batch)
+        self.most = max(self.most, len(self._plans))
+
+
+@pytest.mark.parametrize("name", ["distinct_rate-16", "random_walk-master seed", "random_walk-node seed"])
+def test_plans_stay_within_one_per_node(name):
+    sim = PlanCounting(scen.build_scenario(DOCS[name]()))
+    sim.run()
+    assert 0 < sim.most <= sim.sc.graph.n
+
+
+class Unplanned(engine._Simulation):
+    """The engine, dropping its plans after every instant's evaluations."""
+
+    def _on_evaluate(self, t, batch):
+        super()._on_evaluate(t, batch)
+        self._plans.clear()
+
+
+@pytest.mark.parametrize("name", ["grid4x4-full", "distinct_rate-16", "random_walk-node seed"])
+def test_plans_kept_write_what_plans_rebuilt_write(tmp_path, name):
+    files, _ = cli_run(tmp_path, DOCS[name](), engine._Simulation)
+    rebuilt, _ = cli_run(tmp_path, DOCS[name](), Unplanned)
+    for f in FILES:
+        assert files[f] == rebuilt[f], f
