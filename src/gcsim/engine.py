@@ -63,7 +63,6 @@ reply has arrived, then hands over to the oracle.
 """
 from __future__ import annotations
 
-import hashlib
 import heapq
 import logging
 import time as _time
@@ -76,6 +75,17 @@ from .clocks import FAST, OWN_RATE, ClockTable, LogicalClock, read_clocks
 from .errors import ConfigError, InternalError
 from .trace import RunResult
 from .twoway import compute_estimates, estimate_value
+
+# SHA-256 from CPython's built-in module, as the stdlib's random takes its
+# sha512: hashlib loads OpenSSL's libcrypto, about 3.4 MB of a run's RSS.
+# The digests are hashlib's; scenario hashes documents with this one too
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -239,7 +249,7 @@ def _seed_states(pairs: list[tuple[int, str]]) -> np.ndarray:
     if not pairs:
         return np.zeros((0, 4), dtype=np.uint64)
     seeds = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF for seed, _ in pairs], dtype=np.uint64)
-    digests = b"".join(hashlib.sha256(label.encode("utf-8")).digest()[:16] for _, label in pairs)
+    digests = b"".join(sha256(label.encode("utf-8")).digest()[:16] for _, label in pairs)
     digests = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
     long = seeds > _LOW32
     entropy = np.zeros((len(pairs), 6), dtype=np.uint32)  # one row per pair, then one column

@@ -8,7 +8,6 @@ SCHEMA.md at the repository root for the full field reference.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import math
 import struct
@@ -18,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .engine import PcgStream
+from .engine import PcgStream, sha256
 from .errors import ScenarioParseError, ScenarioValidationError
 from .gcs import GcsParams
 from .metrics import theorem2_bound, theorem2_levels, theorem3_bound
@@ -265,11 +264,19 @@ def _expand_graph_template(tpl: dict, problems: list[str]) -> tuple[int, list[di
 
 
 def expand_document(doc: dict) -> tuple[dict, list[str]]:
-    """Expand graph templates and clock defaults into explicit form."""
+    """Expand graph templates and clock defaults into explicit form.
+
+    ``doc`` is left as it is.  The result is a new top-level dict, with new
+    ``graph`` and ``clocks`` sections where it expands them and new edge
+    records and node specs in them; every value it does not rewrite (the
+    other sections, a template's edge fields, the fields of a clock default
+    or override) is shared with ``doc``.  Validation only reads them.
+    """
     problems: list[str] = []
-    doc = copy.deepcopy(doc)
+    doc = dict(doc)
     graph = doc.get("graph")
     if isinstance(graph, dict) and "template" in graph:
+        graph = doc["graph"] = dict(graph)
         tpl = graph["template"]
         if not isinstance(tpl, dict):
             problems.append("graph.template must be an object")
@@ -283,6 +290,7 @@ def expand_document(doc: dict) -> tuple[dict, list[str]]:
             graph["edges"] = edges
     clocks = doc.get("clocks")
     if isinstance(clocks, dict) and "nodes" not in clocks:
+        clocks = doc["clocks"] = dict(clocks)
         n = graph.get("nodes") if isinstance(graph, dict) else None
         default = clocks.pop("default", {"generator": "constant", "rate": 1.0})
         overrides = clocks.pop("overrides", {})
@@ -675,9 +683,9 @@ def build_scenario(doc: dict, seed_override: int | None = None) -> Scenario:
     if problems:
         raise ScenarioValidationError(problems)
     if seed_override is not None:
-        doc["sim"]["master_seed"] = fields["master_seed"]
+        doc["sim"] = {**doc["sim"], "master_seed": fields["master_seed"]}
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = sha256(canonical.encode("utf-8")).hexdigest()
     return Scenario(**fields, scenario_hash=digest)
 
 

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import logging
 import os
@@ -663,20 +664,26 @@ class TestBundled:
 
 
 # runs gcsim in a fresh interpreter and prints its exit codes, whether
-# numpy alone loads numpy.random there, and whether it is loaded at the end
+# numpy alone loads numpy.random and _hashlib there, and whether each is
+# loaded at the end
 _IMPORT_GUARD = """
 import json, sys
 import numpy
-by_numpy = "numpy.random" in sys.modules
+watched = ("numpy.random", "_hashlib")
+by_numpy = {name: name in sys.modules for name in watched}
 from gcsim import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "by_numpy": by_numpy, "loaded": "numpy.random" in sys.modules}))
+print(json.dumps({"codes": codes, "by_numpy": by_numpy, "loaded": {name: name in sys.modules for name in watched}}))
 """
+# CPython's built-in SHA-256, which gcsim takes in place of hashlib's
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 
 
 def test_gcsim_runs_without_numpy_random(tmp_path):
     # every draw of a run is gcsim's own PCG64: the random template
-    # (random16 and the sweep's rows), the random walks and the link streams
+    # (random16 and the sweep's rows), the random walks and the link streams.
+    # Nor does a run load _hashlib, and OpenSSL's libcrypto with it: the link
+    # labels and the scenario hash take CPython's built-in SHA-256
     sweep = scen.load_document("random16")
     sweep["sim"]["horizon_cycles"] = 5
     argvs = [
@@ -689,8 +696,18 @@ def test_gcsim_runs_without_numpy_random(tmp_path):
     done = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, json.dumps(argvs)], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(done.stdout.splitlines()[-1])
-    if report["by_numpy"]:
-        pytest.skip("this numpy loads numpy.random on import")
-    assert report == {"codes": [cli.EXIT_OK] * 3, "by_numpy": False, "loaded": False}
+    assert report["codes"] == [cli.EXIT_OK] * 3
     with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
         assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok"]
+    # what numpy loads itself is not gcsim's doing, nor is hashlib where
+    # CPython has no built-in SHA-256
+    skip = {}
+    if report["by_numpy"]["numpy.random"]:
+        skip["numpy.random"] = "this numpy loads numpy.random on import"
+    if report["by_numpy"]["_hashlib"]:
+        skip["_hashlib"] = "this numpy loads _hashlib on import"
+    elif not BUILTIN_SHA256:
+        skip["_hashlib"] = "this Python has no built-in SHA-256"
+    assert [name for name, loaded in report["loaded"].items() if loaded and name not in skip] == []
+    if skip:
+        pytest.skip("; ".join(skip.values()))

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import heapq
 import itertools
 import json
@@ -87,6 +88,26 @@ class TestSeededStreams:
     def test_empty_batch(self):
         assert engine._seed_states([]).shape == (0, 4)
         assert PcgStream.seeded([]) == []
+
+
+class TestSha256:
+    """``engine.sha256``, CPython's built-in SHA-256 where it is built, hashes
+    the link labels and the scenario documents: its digests must be
+    hashlib's, in one call and fed piece by piece."""
+
+    @given(data=st.binary(max_size=64 * 6 + 1), cuts=st.lists(st.integers(0, 64 * 6 + 1), max_size=8))
+    @example(data=b"", cuts=[])
+    @example(data=b"", cuts=[0, 0])
+    @example(data=bytes(range(256)) * 2 + b"gcsim", cuts=[63, 64, 65, 200, 517])
+    @example(data=b"\x80" * 128, cuts=[64])
+    @settings(max_examples=150, deadline=None)
+    def test_digests_are_hashlib_digests(self, data, cuts):
+        want = hashlib.sha256(data)
+        fed = engine.sha256()
+        for a, b in itertools.pairwise([0, *sorted(cuts), len(data)]):
+            fed.update(data[a:b])
+        for got in (engine.sha256(data), fed):
+            assert (got.digest(), got.hexdigest()) == (want.digest(), want.hexdigest())
 
 
 def same_state(stream: PcgStream, rng: np.random.Generator) -> bool:

@@ -3,18 +3,23 @@
 One leaf of a bundled document, in its template form or expanded, is
 replaced by a value of the wrong type or an out-of-range number.  Building
 the scenario must then either succeed or raise one of the two documented
-scenario errors, never anything else.
+scenario errors, never anything else.  Building must never write into the
+caller's document.
 """
 import copy
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcsim import cli
 from gcsim import scenario as scen
 from gcsim.scenario import Scenario
 from gcsim.errors import ScenarioParseError, ScenarioValidationError
+
+from scenario_gen import random_template_doc
 
 
 def _short(doc):
@@ -117,3 +122,36 @@ def test_a_template_edge_is_checked_once():
         scen.build_scenario(doc)
     edge_checks = [c for c in num.call_args_list if c.args[3].startswith("graph.edges[")]
     assert links > 1 and len(edge_checks) == len(scen._EDGE_NUMS)
+
+
+def _scripted_default_doc() -> dict:
+    # every expanded node spec holds the default's one segments list
+    doc = random_template_doc(8)
+    doc["clocks"]["default"] = {"generator": "scripted", "segments": [[0.0, 1.0], [40.0, 1.005]]}
+    del doc["clocks"]["overrides"]
+    return doc
+
+
+UNTOUCHED_DOCS = {
+    **{name: (lambda name=name: scen.load_document(name)) for name in scen.bundled_names()},
+    "random_template_64": lambda: random_template_doc(64),
+    "scripted_default": _scripted_default_doc,
+    # a sweep row, as the CLI builds it with a seed override
+    "sweep_row": lambda: cli._apply_overrides(random_template_doc(16), {"n": 8, "eps_d": 0.2}),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize("name", sorted(UNTOUCHED_DOCS))
+def test_building_leaves_the_document_as_it_was(name, seed):
+    # expansion shares what it does not rewrite with the caller's document,
+    # so neither it nor the build may write into it
+    doc = UNTOUCHED_DOCS[name]()
+    before = copy.deepcopy(doc)
+    expanded, problems = scen.expand_document(doc)
+    assert problems == [] and doc == before
+    sc = scen.build_scenario(doc, seed_override=seed)
+    assert doc == before
+    assert sc.master_seed == (before["sim"]["master_seed"] if seed is None else seed)
+    if name == "scripted_default":
+        assert expanded["clocks"]["nodes"][0]["segments"] is doc["clocks"]["default"]["segments"]
