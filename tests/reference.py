@@ -7,9 +7,9 @@ engine's ground-truth checks made one event at a time, a hardware clock
 and clock reads and inverses that search for every piece (the clock table
 skips the search on a clock's last one), the row-by-row
 trace writer, the per-source Dijkstra behind the kappa distance matrix,
-the pair-by-pair boot-up gate, the one-stream-at-a-time RNG seeding and
-the dense trace oracles, over every pair, with their Corollary 1 rise
-taken one row at a time.
+the pair-by-pair boot-up gate, the one-stream-at-a-time RNG seeding, the
+link draw of one stream in one cycle, and the dense trace oracles, over
+every pair, with their Corollary 1 rise taken one row at a time.
 Tests check the engine against them; the package itself does not use
 them.
 
@@ -23,6 +23,7 @@ heap entries: one entry per node event.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 from bisect import bisect_left, bisect_right
@@ -41,12 +42,39 @@ _TIE_TOL = 1e-12
 def seeded_stream(master_seed: int, purpose_label: str) -> np.random.Generator:
     """The labelled substream seeded on its own: a ``SeedSequence`` over the
     seed masked to 64 bits and the four little-endian 32-bit words of
-    ``sha256(label)[:16]``, as Python ints.  ``engine.PcgStream`` and
-    ``engine.PcgStreams`` must draw what this draws."""
+    ``sha256(label)[:16]``, as Python ints.  ``engine.PcgStream`` must draw
+    what this draws."""
     digest = hashlib.sha256(purpose_label.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     seq = np.random.SeedSequence([master_seed & 0xFFFFFFFFFFFFFFFF] + words)
     return np.random.Generator(np.random.PCG64(seq))
+
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+@functools.cache
+def link_key(master_seed: int, label: str) -> int:
+    """The key of the link stream ``label``: the first 8 bytes,
+    little-endian, of the SHA-256 of the seed's 8 little-endian bytes
+    (masked to 64 bits) and the label's UTF-8 bytes."""
+    digest = hashlib.sha256((master_seed & _MASK64).to_bytes(8, "little") + label.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
+def mix64(z: int) -> int:
+    """SplitMix64's finalizer of a 64-bit int."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def link_uniform(key: int, k: int) -> float:
+    """The draw of the link stream ``key`` in cycle k, in Python ints: the
+    top 53 bits of mix64(key + (k + 1) gamma mod 2^64), times 2^-53.
+    ``engine._link_uniforms`` must draw what this draws."""
+    return (mix64((key + (k + 1) * _GAMMA) & _MASK64) >> 11) * 2.0**-53
 
 
 def local_skew(values, edges) -> float:
@@ -257,11 +285,35 @@ class HeapTwin(engine._Simulation):
     each event the next seq, and ``push_forced`` pushes the first tick and
     every breakpoint, each tick pushing the next when the twin's loop pops
     it (``t + sample_dt``, the engine's addition chain).  ``forced`` lists
-    the seqs the ticks and breakpoints take, which the engine's seqs lack."""
+    the seqs the ticks and breakpoints take, which the engine's seqs lack.
+
+    The twins draw the legs of each exchange one scalar at a time, with
+    :func:`link_uniform` (:meth:`leg`).  Each link direction a->b is one
+    record ``links[(a, b)]``: (base delay, jitter, eps_d, eps_m)."""
 
     def __init__(self, sc):
         super().__init__(sc)
         self.forced: list[int] = []
+        self.links = {}
+        for u, w, p in sc.graph.edges:
+            for a, b, base in ((u, w, p.fwd_delay), (w, u, p.bwd_delay)):
+                self.links[(a, b)] = (base, p.jitter, p.eps_d, p.eps_m)
+
+    def leg(self, kind: str, a: int, b: int, k: int) -> float:
+        """Leg ``kind`` of a's exchange with b in a's cycle k: the request's
+        delay ("delay"), the reply's delay on b->a ("reply"), each its base
+        plus jitter times the draw, or b's processing time ("proc"), p_max
+        times the draw.  A delay that reaches d_max is an internal error."""
+        u = link_uniform(link_key(self.sc.master_seed, f"{kind}:{a}->{b}"), k)
+        if kind == "proc":
+            return self.sc.p_max * u
+        if kind == "reply":
+            a, b = b, a
+        base, jitter = self.links[(a, b)][:2]
+        d = base + jitter * u
+        if d >= self.sc.graph.d_max:
+            raise InternalError(f"sampled delay {d!r} reached d_max on {a}->{b}")
+        return d
 
     def push(self, t: float, kind: int, payload) -> None:
         if kind in (K_TICK, K_RATE):
@@ -281,15 +333,16 @@ class PerEventLoop(HeapTwin):
     """The engine with one heap entry per node event, the reference twin
     of its grouped entries and of its ticks and rate breakpoints read off
     the heap: the event loop, the wakeup handler and the decisions'
-    scheduling as they were before node events travelled in groups.  A wakeup entry's payload is (v, k), an evaluation's (v, k)
-    too; the loop pops one event at a time, sets ``now`` to its key, and
-    gathers the evaluations due at one instant into one batch of (v, k,
-    seq) for the engine's ``_on_evaluate``.  The decisions compute their
-    nodes, trigger segments and thresholds from the batch and the plan's
-    directions, as they did before the engine kept plans.
-    ``keys`` lists the (time, seq) of every node event the loop pops, in
-    order; :meth:`node_keys` gives them with the forced seqs dropped, as
-    the engine numbers them."""
+    scheduling as they were before node events travelled in groups.  A
+    wakeup entry's payload is (v, k), an evaluation's (v, k) too; the loop
+    pops one event at a time and gathers the evaluations due at one
+    instant into one batch of (v, k, seq) for the engine's
+    ``_on_evaluate``.  The decisions compute their nodes, trigger segments
+    and thresholds from the batch and the plan's directions, as they did
+    before the engine kept plans.  Each wakeup draws its sends' legs one
+    scalar at a time (:meth:`HeapTwin.leg`).  ``keys`` lists the (time,
+    seq) of every node event the loop pops, in order; :meth:`node_keys`
+    gives them with the forced seqs dropped, as the engine numbers them."""
 
     def __init__(self, sc):
         super().__init__(sc)
@@ -311,17 +364,14 @@ class PerEventLoop(HeapTwin):
             return
         if abs(l1 - expected) > engine._BOUNDARY_TOL:
             self._abort(f"cycle boundary misaligned at node {v}: local {l1!r} vs {expected!r}")
-        ex, inf = self._ex, np.inf
+        ex = self._ex
         for d in range(self._first[v], self._first[v + 1]):
-            r = self._rev[d]
-            if ex[engine._REPLY, r] == inf and self._open[r] and (ex[engine._EMIT, r], self._eseq[r]) < self.now:
-                ex[engine._REPLY, r] = ex[engine._EMIT, r] + self._draws(np.array([d]))[0]
-            ex[engine._ARRIVAL, d] = a = t + self._draws(np.array([d]))[0]
-            if self._proc:
-                a += self._draws(np.array([self._proc + d]))[0]
-            ex[[engine._EMIT, engine._REPLY, engine._T1], d] = a, inf, l1
-            self._eseq[d], self._open[d] = self.seq, True
-            self.seq += 1
+            w = int(self._dst[d])
+            ex[engine._ARRIVAL, d] = a = t + self.leg("delay", v, w, k)
+            if sc.p_max > 0:
+                a += self.leg("proc", v, w, k)
+            ex[[engine._EMIT, engine._REPLY, engine._T1], d] = a, a + self.leg("reply", v, w, k), l1
+            self._open[d] = True
         self.push(t_eval, engine.K_EVALUATE, (v, k))
 
     def _decide(self, t: float, batch: list, plan, l_rep: np.ndarray, est: np.ndarray) -> None:
@@ -345,7 +395,6 @@ class PerEventLoop(HeapTwin):
         heap = self.heap
         while heap and heap[0][0] <= self.end:
             t, seq, kind, payload = heapq.heappop(heap)
-            self.now = (t, seq)
             if self.current is not None:
                 if t < self.current - engine._TOL:
                     self._abort(f"event time regressed: {t!r} after {self.current!r}")
@@ -353,7 +402,7 @@ class PerEventLoop(HeapTwin):
                     self.oracle.sample(self.current)
             self.current = t
             if kind == engine.K_WAKEUP:
-                self.keys.append(self.now)
+                self.keys.append((t, seq))
                 self._on_wakeup(t, *payload)
             elif kind == engine.K_EVALUATE:
                 batch = [(*payload, seq)]
@@ -366,7 +415,6 @@ class PerEventLoop(HeapTwin):
                 self.push(t + sc.sample_dt, K_TICK, None)
 
         end = self.end
-        self.now = (end, np.inf)
         self._settle(end, check_timeout=True)
         if self.current is not None:
             self.oracle.sample(self.current)
@@ -382,28 +430,21 @@ class ThreeEventExchange(HeapTwin):
     """The engine with every leg of an exchange an event of its own, the
     reference twin of its array exchanges and batched evaluations.
 
-    A wakeup sends one request per neighbour, each drawing its delay with
-    one scalar ``Generator.random`` call, from a stream the twin seeds on
-    its own.  The request's arrival reads the responder's stamp t2 and
-    draws its processing time; the reply's emission reads t3 and draws the
-    reply's delay; the reply's arrival reads t4, checks the round trip
-    against the timeout window and keeps the estimate as the requester's
-    view.  Each evaluation runs on its own, from the views.  All three legs
-    are ``K_MESSAGE`` events that name their handler, and the twin runs its
-    own loop, which dispatches them and does not sample an instant that
-    only message legs fall on.  The emission takes its place in the heap's
-    (time, seq) order at the send, as the engine gives it one there: its
-    delay draw shares the stream of the responder's requests, so at an
-    emission on the responder's own wakeup instant that place decides which
-    draw goes first.  The twin hands its records to the engine's oracle,
-    so a run of the twin must equal the engine's bit for bit.
+    A wakeup of v in cycle k sends one request per neighbour w, drawing
+    its delay (:meth:`leg`).  The request's arrival reads the responder's
+    stamp t2 and draws its processing time; the reply's emission reads t3
+    and draws the reply's delay, each leg of cycle k too; the reply's
+    arrival reads t4, checks the round trip against the timeout window
+    and keeps the estimate as the requester's view.  Each evaluation runs
+    on its own, from the views.  All three legs are ``K_MESSAGE`` events
+    that name their handler, and the twin runs its own loop, which
+    dispatches them and does not sample an instant that only message legs
+    fall on.  The twin hands its records to the engine's oracle, so a run
+    of the twin must equal the engine's bit for bit.
 
-    Each link direction a->b is one record ``links[(a, b)]``: (base delay,
-    jitter, the stream delay:a->b, proc:a->b or None when p_max is 0,
-    eps_d, eps_m).  ``pending[v]`` holds only the l_v_t1 of the
-    replies still to arrive, so it is empty at an evaluation, and
-    ``evaluated[v]``, the last cycle node v evaluated, guards against an
-    evaluation out of order.
+    ``pending[v]`` holds only the l_v_t1 of the replies still to arrive,
+    so it is empty at an evaluation, and ``evaluated[v]``, the last cycle
+    node v evaluated, guards against an evaluation out of order.
     """
 
     def __init__(self, sc):
@@ -412,22 +453,8 @@ class ThreeEventExchange(HeapTwin):
         self.views: list[dict[int, NeighborEstimate]] = [{} for _ in range(n)]
         self.evaluated = [-1] * n
         self.pending: list[dict[int, float]] = [{} for _ in range(n)]
-        self.links = {}
-        for u, w, p in sc.graph.edges:
-            for a, b, base in ((u, w, p.fwd_delay), (w, u, p.bwd_delay)):
-                delay = seeded_stream(sc.master_seed, f"delay:{a}->{b}")
-                proc = seeded_stream(sc.master_seed, f"proc:{a}->{b}") if sc.p_max > 0 else None
-                self.links[(a, b)] = (base, p.jitter, delay, proc, p.eps_d, p.eps_m)
         # the engine's index of each direction, which its reply checks name
         self.direction = {ab: d for d, ab in enumerate(zip(self._src.tolist(), self._dst.tolist()))}
-
-    def _delay(self, a: int, b: int) -> float:
-        """A message delay on a->b: its base plus a uniform draw in [0, jitter]."""
-        base, jitter, draw = self.links[(a, b)][:3]
-        d = base + jitter * draw.random() if jitter > 0 else base
-        if d >= self.sc.graph.d_max:
-            raise InternalError(f"sampled delay {d!r} reached d_max on {a}->{b}")
-        return d
 
     def _on_wakeup(self, t: float, v: int, k: int) -> None:
         self.views[v] = {}
@@ -447,9 +474,7 @@ class ThreeEventExchange(HeapTwin):
         self.pending[v] = {}
         for w in sc.graph.neighbors(v):
             self.pending[v][w] = l1
-            arrival = t + self._delay(v, w)
-            self.seq += 1  # the emission's place
-            self.push(arrival, K_MESSAGE, ("_on_request_arrival", v, w, l1, self.seq - 1))
+            self.push(t + self.leg("delay", v, w, k), K_MESSAGE, ("_on_request_arrival", v, w, l1, k))
         self.push(clock.invert(expected + sc.params.T), engine.K_EVALUATE, [(v, k, self.seq)])
 
     def _on_wakeups(self, t: float, group: list) -> None:
@@ -499,16 +524,15 @@ class ThreeEventExchange(HeapTwin):
             self.oracle.sample(end)
         return self.oracle.finish(min(self.cycle))
 
-    def _on_request_arrival(self, t: float, v: int, w: int, t1: float, seq: int) -> None:
+    def _on_request_arrival(self, t: float, v: int, w: int, t1: float, k: int) -> None:
         t2 = self.clocks[w].value(t)
-        proc = self.links[(v, w)][3]
-        p_real = 0.0 if proc is None else self.sc.p_max * proc.random()
-        heapq.heappush(self.heap, (t + p_real, seq, K_MESSAGE, ("_on_reply_emit", v, w, t1, t2)))
+        emit = t + self.leg("proc", v, w, k) if self.sc.p_max > 0 else t
+        self.push(emit, K_MESSAGE, ("_on_reply_emit", v, w, t1, t2, k))
 
-    def _on_reply_emit(self, t: float, v: int, w: int, t1: float, t2: float) -> None:
+    def _on_reply_emit(self, t: float, v: int, w: int, t1: float, t2: float, k: int) -> None:
         t3 = self.clocks[w].value(t)
         reply = handle_request(RequestMsg(v, t1), w, t2, t3 - t2)
-        self.push(t + self._delay(w, v), K_MESSAGE, ("_on_reply_arrival", v, reply))
+        self.push(t + self.leg("reply", v, w, k), K_MESSAGE, ("_on_reply_arrival", v, reply))
 
     def _on_reply_arrival(self, t: float, v: int, reply: ReplyMsg) -> None:
         sc = self.sc
@@ -520,7 +544,7 @@ class ThreeEventExchange(HeapTwin):
         if t4 - t1 >= sc.timeout + engine._TOL:
             self._abort(f"measurement {v}->{w} exceeded the timeout window ({t4 - t1!r} >= {sc.timeout!r})")
         rec = MeasurementRecord(w, t1, reply.l_w_t2, reply.l_w_t3, t4, t)
-        eps_d, eps_m = self.links[(v, w)][4:]
+        eps_d, eps_m = self.links[(v, w)][2:]
         est = compute_estimates(rec, eps_d, eps_m, sc.params.theta, self.cycle[v])
         self.views[v][w] = est
         record = np.array([[t], [est.offset], [est.estimate_deduction], [t4], [self.clocks[w].value(t)]])
@@ -576,13 +600,13 @@ class Recording(ThreeEventExchange):
         for w in self.pending[v]:  # the requests sent now; none after the last cycle
             self._legs[(v, w)] = [t]
 
-    def _on_request_arrival(self, t: float, v: int, w: int, t1: float, seq: int) -> None:
+    def _on_request_arrival(self, t: float, v: int, w: int, t1: float, k: int) -> None:
         self._legs[(v, w)].append(t)
-        super()._on_request_arrival(t, v, w, t1, seq)
+        super()._on_request_arrival(t, v, w, t1, k)
 
-    def _on_reply_emit(self, t: float, v: int, w: int, t1: float, t2: float) -> None:
+    def _on_reply_emit(self, t: float, v: int, w: int, t1: float, t2: float, k: int) -> None:
         self._legs[(v, w)].append(t)
-        super()._on_reply_emit(t, v, w, t1, t2)
+        super()._on_reply_emit(t, v, w, t1, t2, k)
 
     def _on_reply_arrival(self, t: float, v: int, reply: ReplyMsg) -> None:
         w = reply.responder

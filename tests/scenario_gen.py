@@ -161,7 +161,8 @@ def corollary1_doc() -> dict:
     which a node's potential psi_1 rises faster than theta - 1: node 23's
     neighbour 15 runs fast on [48.36, 49.73] while node 23 runs at rate 1.
     The document is the n = 64 row of the benchmark's sweep generator at
-    seed 43 with eps_d 0.1 and master seed 0."""
+    seed 43 with eps_d 0.1, and master seed 39, the least whose link draws
+    give the hit."""
     edge = {"fwd_delay": 1.0, "bwd_delay": 1.0, "jitter": 0.05, "eps_d": 0.1,
             "eps_m": 0.001, "length": 1.0}
     return {
@@ -175,7 +176,7 @@ def corollary1_doc() -> dict:
                           for i in range(64)},
         },
         "gcs": {"T": 3.5, "T_stab": 1.5, "p_max": 0.2, "s_max": 3},
-        "sim": {"horizon_cycles": 12, "sample_dt": 1.0, "master_seed": 0, "metrics": "full"},
+        "sim": {"horizon_cycles": 12, "sample_dt": 1.0, "master_seed": 39, "metrics": "full"},
     }
 
 

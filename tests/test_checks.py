@@ -9,7 +9,6 @@ holds.  The engine must then report the violations and counters the
 per-event form reports, whatever the chunk size and metrics mode, and an
 aborted run the violations found up to the abort.
 """
-import math
 from collections import Counter
 
 import numpy as np
@@ -248,19 +247,17 @@ def test_incomplete_views_abort_reports_every_reply_before_it(monkeypatch, chunk
     sc, whole = tampered_fc_lag(monkeypatch, chunk_values)
     t_from = 0.25 * sc.horizon_cycles * sc.params.cycle_length
     sim = engine._Simulation(sc)
-    draw, delayed = sim._draw_replies, []
+    wake, delayed = sim._on_wakeups, []
 
-    def late(dirs, ex, *args):
-        emit, reply = ex[engine._EMIT], ex[engine._REPLY]
-        undrawn = reply == math.inf
-        draw(dirs, ex, *args)
-        for i in np.flatnonzero(undrawn & (emit > t_from) & (reply < math.inf))[:1].tolist():  # drawn now, emitted after t_from
-            if not delayed:
-                delayed.append((int(sim._src[dirs[i]]), int(sim._dst[dirs[i]]), float(reply[i])))
-                reply[i] += sc.params.cycle_length
-                sim._ex[engine._REPLY, dirs[i]] = reply[i]
+    def late(t, group):
+        wake(t, group)
+        for v, _, _ in group:
+            for d in sim._out[v].tolist():  # the requests sent now
+                if not delayed and sim._open[d] and sim._ex[engine._EMIT, d] > t_from:
+                    delayed.append((v, int(sim._dst[d]), float(sim._ex[engine._REPLY, d])))
+                    sim._ex[engine._REPLY, d] += sc.params.cycle_length
 
-    sim._draw_replies = late
+    sim._on_wakeups = late
     with pytest.raises(RunAborted) as exc:
         sim.run()
     (v, w, arrival), = delayed

@@ -29,6 +29,7 @@ from scenario_gen import (
     random_template_doc,
     zero_drift_doc,
 )
+from test_entries import cli_run
 
 
 class TestSeededStreams:
@@ -156,96 +157,134 @@ class TestPcgStream:
                 assert self.draw(stream, call) == self.draw(rng, call), call
             assert same_state(stream, rng)
 
-    @given(pairs=TestSeededStreams.PAIRS.filter(bool), width=st.integers(1, 40))
-    @example(pairs=TestSeededStreams.EDGE_PAIRS, width=33)
-    @settings(max_examples=40, deadline=None)
-    def test_random_is_the_kernels_row(self, pairs, width):
-        S = len(pairs)
-        rows = engine.PcgStreams(pairs, width).uniforms(np.arange(S), np.zeros(S, dtype=np.intp))
-        for stream, row in zip(PcgStream.seeded(pairs), rows, strict=True):
-            assert [stream.random() for _ in range(width)] == row.tolist()
-
     @pytest.mark.parametrize("low,high", [(0, 0), (3, 2), (0, 2**32 + 1)])
     def test_integers_refuses_a_range_off_the_32_bit_path(self, low, high):
         with pytest.raises(ValueError, match="range of 1 to 2\\^32 values"):
             PcgStream.seeded([(1, "topology")])[0].integers(low, high)
 
 
-class TestPcgStreams:
-    """``engine.PcgStreams`` draws what each pair's own generator draws."""
+class TestLinkDraws:
+    """``engine._link_uniforms``, the link draw of every stream key in
+    every cycle, draws what the scalar reference ``reference.link_uniform``
+    draws in Python ints, and ``engine._link_keys`` gives the reference's
+    keys.  Its draws fill the unit interval evenly and show no correlation
+    across streams or cycles."""
+
+    # (key, cycle) -> draw of the reference, which the engine must match;
+    # SplitMix64's first output from state 0 is 0xE220A8397B1DCDAF
+    PINNED = [
+        (0, 0, (0xE220A8397B1DCDAF >> 11) * 2.0**-53),
+        (1, 0, 0.5665615751722809),
+        (2**64 - 1, 0, 0.8939429202831845),
+        (624188771810084514, 0, 0.9046286316073257),  # delay:0->1 of seed 5
+        (624188771810084514, 599, 0.3631496840645281),
+        (363416618628452768, 2**40, 0.09271901946078087),  # reply:ü->∞ of seed 2^64 - 1
+    ]
+    EDGE_KEYS = [0, 1, 2**63, 2**64 - 1]
+    LABELS = ["", "delay:0->1", "reply:ü->∞", "proc:3->2"]
+
+    def test_reference_draws_are_pinned(self):
+        assert [reference.link_uniform(key, k) for key, k, _ in self.PINNED] == [u for *_, u in self.PINNED]
+        assert reference.link_key(5, "delay:0->1") == 624188771810084514
+        assert reference.link_key(2**64 - 1, "reply:ü->∞") == 363416618628452768
 
     @given(
-        pairs=st.lists(
-            st.tuples(st.sampled_from(TestSeededStreams.EDGE_SEEDS) | st.integers(0, 2**64 - 1), st.text()),
-            min_size=1, max_size=6,
-        ),
-        width=st.integers(1, 40),
-        chunk=st.integers(1, 64),
-        refills=st.lists(st.lists(st.none() | st.integers(0, 40), min_size=6, max_size=6), min_size=3, max_size=3),
+        keys=st.lists(st.sampled_from(EDGE_KEYS) | st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+        c0=st.sampled_from([0, 2**32, 2**63]) | st.integers(0, 2**40),
+        width=st.integers(1, 8),
     )
-    @example(
-        pairs=TestSeededStreams.EDGE_PAIRS, width=33, chunk=40, refills=[[33] * 6, [None, 1, 16, 17, 32, 0], [0, 33, None, 2, 16, 17]],
-    )
+    @example(keys=EDGE_KEYS, c0=2**64 - 9, width=8)  # the counter wraps
     @settings(max_examples=80, deadline=None)
-    def test_rows_are_each_streams_next_doubles(self, pairs, width, chunk, refills):
-        # chunk: uint64 values per array of the kernel's column chunks, so
-        # that a row of up to 40 columns crosses several of them.  After the
-        # first rows, three refills: in each, stream s skips the values
-        # refills[r][s % 6] says (at most a row) or, at None, is not refilled
-        want = [reference.seeded_stream(seed, label).random(4 * width) for seed, label in pairs]
-        at = [0] * len(pairs)
-        steps = [[0] * len(pairs)] + [[r[s % 6] for s in range(len(pairs))] for r in refills]
-        with mock.patch.object(engine, "_KERNEL_VALUES", chunk):
-            streams = engine.PcgStreams(pairs, width)
-            for step in steps:
-                picked = [s for s, k in enumerate(step) if k is not None]
-                skip = [min(step[s], width) for s in picked]
-                rows = streams.uniforms(np.array(picked, dtype=np.intp), np.array(skip, dtype=np.intp))
-                assert rows.shape == (len(picked), width)
-                for s, k, row in zip(picked, skip, rows):
-                    at[s] += k
-                    assert row.tolist() == want[s][at[s] : at[s] + width].tolist()
+    def test_engine_draws_what_the_reference_draws(self, keys, c0, width):
+        cycles = np.array(range(c0, c0 + width), dtype=np.uint64)
+        u = engine._link_uniforms(np.array(keys, dtype=np.uint64), cycles)
+        assert u.shape == (width, len(keys)) and u.dtype == np.float64
+        assert u.tolist() == [[reference.link_uniform(key, k) for key in keys] for k in range(c0, c0 + width)]
+
+    @pytest.mark.parametrize("seed", TestSeededStreams.EDGE_SEEDS + [-1])
+    def test_keys_are_the_references(self, seed):
+        keys = engine._link_keys(seed, self.LABELS)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [reference.link_key(seed, label) for label in self.LABELS]
+        assert engine._link_keys(seed, []).shape == (0,)
+
+    @staticmethod
+    def draws(streams: int, cycles: int) -> np.ndarray:
+        """The draws of the delay streams of a ring's first ``streams``
+        directions in cycles 0 to ``cycles`` - 1, one row per cycle."""
+        keys = engine._link_keys(7, [f"delay:{a}->{a + 1}" for a in range(streams)])
+        return engine._link_uniforms(keys, np.arange(cycles))
+
+    def test_draws_fill_the_bins_evenly(self):
+        # 10^6 draws in 1,000 bins: Pearson's statistic, with 999 degrees of
+        # freedom, stays below its 0.999 quantile, about 1143
+        counts = np.bincount((self.draws(1000, 1000) * 1000).astype(np.intp).ravel(), minlength=1000)
+        assert counts.size == 1000
+        chi2 = float(((counts - 1000.0) ** 2).sum() / 1000.0)
+        assert chi2 < 1143.0
+
+    def test_streams_and_cycles_are_uncorrelated(self):
+        # 10^6 cycles of two streams: across the streams in one cycle, and
+        # along one stream from a cycle to the next, each correlation within
+        # 4 standard errors of 0, and so is the mean's distance from 1/2
+        u = self.draws(2, 10**6) - 0.5
+        bound = 4.0 / np.sqrt(len(u))
+        assert abs(np.corrcoef(u[:, 0], u[:, 1])[0, 1]) < bound
+        for s in range(2):
+            assert abs(np.corrcoef(u[:-1, s], u[1:, s])[0, 1]) < bound
+        assert abs(float(u.mean())) < 4.0 * np.sqrt(1.0 / 12.0 / u.size)
 
 
-def two_node_sim(p_max: float = 0.0, **edge) -> engine._Simulation:
-    """The engine, not yet run, on two nodes joined by one edge: delays 1.0
-    forward and 1.2 backward unless ``edge`` says otherwise, d_max 2."""
+def two_node_sim(p_max: float = 0.0, cycles: int = 3, **edge) -> engine._Simulation:
+    """The engine, not yet run, on two nodes joined by one edge for
+    ``cycles`` cycles: delays 1.0 forward and 1.2 backward unless ``edge``
+    says otherwise, d_max 2."""
     e = {"fwd_delay": 1.0, "bwd_delay": 1.2, "jitter": 0.0, "eps_d": 0.5, "eps_m": 0.05, **edge}
     doc = {
         "graph": {"nodes": 2, "d_max": 2.0, "edges": [{"u": 0, "v": 1, **e}]},
         "clocks": {"theta": 1.01, "mu": 0.1, "default": {"generator": "constant", "rate": 1.0}},
         "gcs": {"T": 5.0, "T_stab": 1.5, "p_max": p_max, "s_max": 1},
-        "sim": {"horizon_cycles": 3, "sample_dt": 1.0, "master_seed": 5, "metrics": "full"},
+        "sim": {"horizon_cycles": cycles, "sample_dt": 1.0, "master_seed": 5, "metrics": "full"},
     }
     return engine._Simulation(scen.build_scenario(doc))
 
 
 def direction(sim: engine._Simulation, a: int, b: int) -> int:
-    """The engine's index of the link direction a->b, which is also that
-    of its delay stream."""
+    """The engine's index of the link direction a->b, which is also the
+    table column of its delay stream."""
     return int(np.flatnonzero((sim._src == a) & (sim._dst == b))[0])
 
 
+ROWS = [engine._ARRIVAL, engine._EMIT, engine._REPLY]
+
+
+def draw(label: str, k: int = 0) -> float:
+    """The reference's draw of the link stream ``label`` of seed 5, the
+    seed of ``two_node_sim``, in cycle k."""
+    return reference.link_uniform(reference.link_key(5, label), k)
+
+
 class TestLinkDelays:
-    """Each link direction's parameters and the delays its streams draw:
+    """Each link direction's parameters and the legs its streams draw:
     a wakeup at 0.0, in cycle 0, records its request's delay as the
-    arrival instant and, with p_max > 0, adds the responder's processing
-    time to it as the reply's emission instant."""
+    arrival instant, adds the responder's processing time to it, with
+    p_max > 0, as the reply's emission instant, and the reply's delay to
+    that as the reply's arrival."""
 
     def test_zero_jitter_is_base(self):
         sim = two_node_sim()
-        for v, d, delay in ((0, direction(sim, 0, 1), 1.0), (1, direction(sim, 1, 0), 1.2)):
+        for v, d, delay, back in ((0, direction(sim, 0, 1), 1.0, 1.2), (1, direction(sim, 1, 0), 1.2, 1.0)):
             sim._on_wakeups(0.0, [(v, 0, 0)])
-            assert sim._ex[engine._ARRIVAL, d] == delay
-        assert sim._draws(np.array([direction(sim, 1, 0)])).tolist() == [1.2]
+            assert sim._ex[ROWS, d].tolist() == [delay, delay, delay + back]
 
     def test_samples_within_jitter_band(self):
-        sim = two_node_sim(bwd_delay=1.0, jitter=0.5)
-        d = direction(sim, 0, 1)
-        for _ in range(500):  # rows of 8 values: the wakeups refill them
-            sim._on_wakeups(0.0, [(0, 0, 0)])
-            assert 1.0 <= sim._ex[engine._ARRIVAL, d] <= 1.5
-            assert 1.0 <= sim._draws(np.array([d]))[0] <= 1.5
+        # every delay of 500 cycles, requests and replies both ways
+        sim = two_node_sim(bwd_delay=1.0, jitter=0.5, cycles=500)
+        sim._on_wakeups(0.0, [(0, 0, 0)])
+        delays = sim._table[:, :4]
+        assert delays.shape == (500, 4)
+        assert 1.0 <= delays.min() and delays.max() <= 1.5
+        assert len(np.unique(delays)) == delays.size
 
     @pytest.mark.parametrize("p_max", [0.0, 0.1])
     def test_records_draw_from_their_labelled_streams(self, p_max):
@@ -253,16 +292,11 @@ class TestLinkDelays:
         fwd, bwd = direction(sim, 0, 1), direction(sim, 1, 0)
         assert sorted(zip(sim._src.tolist(), sim._dst.tolist())) == [(0, 1), (1, 0)]
         assert sim._rev.tolist()[fwd] == bwd and sim._rev.tolist()[bwd] == fwd
+        assert len(sim._keys) == (6 if p_max else 4)  # the proc streams follow the delay and reply streams
         sim._on_wakeups(0.0, [(1, 0, 0)])
-        assert sim._ex[engine._ARRIVAL, bwd] == 1.2 + 0.5 * reference.seeded_stream(5, "delay:1->0").random()
-        if p_max:  # the proc streams follow the delay streams
-            assert len(sim._blocks) == 4
-            sim._on_wakeups(0.0, [(0, 0, 1)])
-            delay = 1.0 + 0.5 * reference.seeded_stream(5, "delay:0->1").random()
-            assert sim._ex[engine._ARRIVAL, fwd] == delay
-            assert sim._ex[engine._EMIT, fwd] == delay + 0.1 * reference.seeded_stream(5, "proc:0->1").random()
-        else:
-            assert len(sim._blocks) == 2
+        arrival = 1.2 + 0.5 * draw("delay:1->0")
+        emit = arrival + 0.1 * draw("proc:1->0") if p_max else arrival
+        assert sim._ex[ROWS, bwd].tolist() == [arrival, emit, emit + (1.0 + 0.5 * draw("reply:1->0"))]
         kappa = sim.sc.kappa[(0, 1)]
         for d in (fwd, bwd):
             assert (sim._ex[engine._EPS_D, d], sim._ex[engine._EPS_M, d], sim._kappa[d]) == (0.5, 0.05, kappa)
@@ -273,150 +307,113 @@ class TestLinkDelays:
         with pytest.raises(InternalError, match=r"reached d_max on 0->1"):
             sim.run()
 
+    def test_reply_delay_reaching_d_max_names_its_direction(self):
+        # reply:0->1 carries 1's reply to 0's request, on 1->0
+        sim = two_node_sim()
+        sim._base[len(sim._src) + direction(sim, 0, 1)] = sim.sc.graph.d_max
+        with pytest.raises(InternalError, match=r"sampled delay 2\.0 reached d_max on 1->0"):
+            sim.run()
 
-class DrawLog(engine._Simulation):
-    """The engine, logging every value each stream draws, in draw order,
-    counting the streams a wakeup draws from twice, and counting each
-    stream's row fills.
 
-    A wakeup entry draws inline, so the log reads what it took from the
-    table: each stream's values from its ``_next`` before the entry up to
-    its ``_next`` after it, taken before a refill in the entry replaces the
-    rows.  Each stream a member v draws from is one of v's own, delay:v->w
-    or proc:v->w, and the exchange records of each member must hold
-    exactly the values its streams gave: the request's delay, the
-    processing time and the reply's delay.  No later member of the entry
-    writes them: w's wakeup rewrites the reply v drew on w->v, but that
-    exchange is open only until w's evaluation, which comes before w's
-    next wakeup."""
+class LegLog(reference.HeapTwin):
+    """The engine, checking every exchange it completes against the scalar
+    reference draw: the request's arrival, the reply's emission and the
+    reply's arrival are the send's instant plus the legs ``HeapTwin.leg``
+    draws for the exchange's direction in its requester's cycle.
+    ``checked`` counts the exchanges, ``fills`` the table's fills."""
 
     def __init__(self, sc):
         super().__init__(sc)
-        self.drawn: dict[int, list[float]] = {}
-        self.mark: np.ndarray | None = None  # each stream's _next when the wakeup's log was last taken
-        self.in_wakeup: dict[int, list[float]] = {}
-        self.twice = 0
-        self.fills = np.zeros(len(self._blocks), dtype=int)
-        uniforms = self._streams.uniforms
-
-        def counted(streams, skip):
-            self.fills[streams] += 1
-            return uniforms(streams, skip)
-
-        self._streams.uniforms = counted
-
-    def take(self):
-        """Log the values each stream drew since ``mark``."""
-        for s in np.flatnonzero(self._next != self.mark).tolist():
-            values = self._flat[self.mark[s] : self._next[s]].tolist()
-            self.drawn.setdefault(s, []).extend(values)
-            self.in_wakeup.setdefault(s, []).extend(values)
-
-    def _refill(self):
-        if self.mark is not None:
-            self.take()
-        super()._refill()
-        if self.mark is not None:
-            self.mark = self._next.copy()
+        self.sent: dict[int, tuple[float, int]] = {}  # each node's last wakeup: (instant, cycle)
+        self.checked = self.fills = 0
 
     def _on_wakeups(self, t, group):
-        self.mark, self.in_wakeup = self._next.copy(), {}
         super()._on_wakeups(t, group)
-        self.take()
-        self.mark = None
-        self.twice += sum(len(values) - 1 for values in self.in_wakeup.values())
-        ex, D = self._ex, len(self._src)
         for v, k, _ in group:
-            for d in self._out[v].tolist() if self.sc.horizon_cycles is None or k < self.sc.horizon_cycles else []:
-                *reply, request = self.in_wakeup.pop(d)
-                assert ex[engine._ARRIVAL, d] == t + request
-                if reply:
-                    r = self._rev[d]
-                    assert ex[engine._REPLY, r] == ex[engine._EMIT, r] + reply[0]
-                proc = self.in_wakeup.pop(D + d) if self._proc else [0.0]
-                assert ex[engine._EMIT, d] == ex[engine._ARRIVAL, d] + proc[0] and len(proc) == 1
-        assert not self.in_wakeup  # no other stream drew
+            self.sent[v] = (t, k)
 
-    def _draws(self, s):
-        x = super()._draws(s)
-        for k, value in zip(s.tolist(), x.tolist()):
-            self.drawn.setdefault(k, []).append(value)
-        return x
+    def _fill(self, k):
+        self.fills += 1
+        return super()._fill(k)
+
+    def _complete(self, dirs, ex, *args, **kwargs):
+        for d, (arrival, emit, reply) in zip(dirs.tolist(), ex[ROWS].T.tolist()):
+            a, b = int(self._src[d]), int(self._dst[d])
+            t, k = self.sent[a]
+            want = t + self.leg("delay", a, b, k)
+            assert arrival == want
+            if self.sc.p_max > 0:
+                want += self.leg("proc", a, b, k)
+            assert (emit, reply) == (want, want + self.leg("reply", a, b, k))
+            self.checked += 1
+        return super()._complete(dirs, ex, *args, **kwargs)
 
 
 def stream_label(sim: engine._Simulation, s: int) -> str:
-    """The label of the engine's stream s: delay:a->b for a direction's
-    index, proc:a->b for it plus the number of directions."""
+    """The label of the engine's stream s, its table column: delay:a->b
+    for a direction's index d, reply:a->b for D + d and proc:a->b for 2D +
+    d, D the number of directions."""
     D = len(sim._src)
-    return f"{'delay' if s < D else 'proc'}:{sim._src[s % D]}->{sim._dst[s % D]}"
+    return f"{('delay', 'reply', 'proc')[s // D]}:{sim._src[s % D]}->{sim._dst[s % D]}"
 
 
 class TestStreamTable:
-    """Every link stream draws its values from rows of one table, filled by
-    ``engine.PcgStreams``, and each is what the stream's own generator,
-    seeded on its own, draws with ``Generator.random()``, bit for bit,
-    across refills."""
+    """Every send reads its legs from one table, which holds each link
+    stream's value in each cycle of a window, and each is the reference's
+    draw of the stream in that cycle, bit for bit, across fills."""
 
     @staticmethod
-    def uniform_sim() -> engine._Simulation:
-        sim = engine._Simulation(scen.build_scenario(random_suite_doc(3)))
+    def uniform_sim(cycles: int = 12) -> engine._Simulation:
+        doc = random_suite_doc(3)
+        doc["sim"]["horizon_cycles"] = cycles
+        sim = engine._Simulation(scen.build_scenario(doc))
         sim._scale[:], sim._base[:] = 1.0, 0.0  # the table keeps the uniforms themselves
         return sim
 
+    @staticmethod
+    def assert_table_holds_the_draws(sim: engine._Simulation, c0: int) -> None:
+        keys = [reference.link_key(sim.sc.master_seed, stream_label(sim, s)) for s in range(len(sim._keys))]
+        assert sim._table.tolist() == [[reference.link_uniform(x, k) for x in keys] for k in range(c0, c0 + sim._window)]
+
     def test_blocks_hold_the_streams_uniforms(self):
         sim = self.uniform_sim()
-        width, seed = sim._width, sim.sc.master_seed
-        refs = [reference.seeded_stream(seed, stream_label(sim, s)) for s in range(len(sim._blocks))]
-        for _ in range(3):
-            sim._refill()
-            for s, ref in enumerate(refs):
-                assert sim._blocks[s, :width].tolist() == ref.random(width).tolist()
-                assert sim._blocks[s, width] == np.inf
-            assert sim._next.tolist() == sim._row0.tolist()
-            sim._next[:] = sim._row0 + width  # every row read out
+        assert sim._table.shape == (12, len(sim._keys)) and sim.sc.p_max > 0
+        assert sim._fill(0) == 0 == sim._c0
+        self.assert_table_holds_the_draws(sim, 0)
 
-    def test_a_refill_takes_the_streams_past_the_middle_of_their_rows(self):
+    def test_a_fill_starts_at_the_least_current_cycle(self, monkeypatch):
+        # a window of 5 cycles: from the least current cycle while it holds
+        # the waking node's cycle, else from that cycle
+        S = len(self.uniform_sim()._keys)
+        monkeypatch.setattr(engine, "_STREAM_VALUES", 5 * S + 4)
         sim = self.uniform_sim()
-        width, seed, S = sim._width, sim.sc.master_seed, len(sim._blocks)
-        sim._refill()
-        before = sim._blocks.copy()
-        read = np.arange(S) * width // (S - 1)  # from none of its row's values to all of them
-        assert 0 < np.count_nonzero(read > width // 2) < S
-        sim._next[:] = sim._row0 + read
-        sim._refill()
-        for s in range(S):
-            values = reference.seeded_stream(seed, stream_label(sim, s)).random(2 * width)
-            if read[s] > width // 2:
-                assert sim._blocks[s, :width].tolist() == values[read[s] : read[s] + width].tolist()
-                assert sim._next[s] == sim._row0[s]
-            else:
-                assert sim._blocks[s].tolist() == before[s].tolist()
-                assert sim._next[s] == sim._row0[s] + read[s]
+        assert sim._window == 5
+        n = sim.sc.graph.n
+        for cycles, k, c0 in (([3] * n, 3, 3), ([9] + [7] * (n - 1), 9, 7), ([11] + [6] * (n - 1), 11, 11)):
+            sim.cycle[:] = cycles
+            assert sim._fill(k) == c0 == sim._c0
+            self.assert_table_holds_the_draws(sim, c0)
 
-    @staticmethod
-    def assert_every_draw_is_its_streams_next_value(min_fills: int) -> None:
-        # wakeup_tie_doc: nodes 1 and 2 wake 2 and 1 time units after node
-        # 0, so some of their wakeups owe a reply on the stream of the
-        # request they send next, and a delay stream draws 80 values
-        sim = DrawLog(scen.build_scenario(wakeup_tie_doc()))
-        sim.run()
-        assert sim.twice > 0
-        assert max(map(len, sim.drawn.values())) == 80
-        assert sim.fills.min() >= min_fills
-        for s, values in sim.drawn.items():
-            ref = reference.seeded_stream(sim.sc.master_seed, stream_label(sim, s))
-            base, scale = float(sim._base[s]), float(sim._scale[s])
-            assert values == [base + scale * ref.random() for _ in values], stream_label(sim, s)
+    @pytest.mark.parametrize("p_max", [0.0, 0.5])
+    def test_every_leg_of_a_run_is_its_streams_draw_in_its_cycle(self, p_max):
+        doc = wakeup_tie_doc()
+        doc["gcs"]["p_max"] = p_max
+        sim = LegLog(scen.build_scenario(doc))
+        res = sim.run()
+        assert sim.checked == res.summary.counters["measurements"] == 160
+        assert sim.fills == 1  # the window spans the run
 
-    def test_every_draw_of_a_run_is_its_streams_next_value(self):
-        self.assert_every_draw_is_its_streams_next_value(1)
-
-    # 64 and 8 values across the run's 8 streams: rows of 8 and of 1, so
-    # every stream refills its row at least 3 times
+    # 64 and 8 values across the 30 streams of star6 (jitter and p_max > 0):
+    # windows of 2 cycles and of 1, so the run's 60 cycles fill the table at
+    # least 30 times
     @pytest.mark.parametrize("budget", [64, 8])
-    def test_every_draw_of_a_run_that_refills_is_its_streams_next_value(self, budget, monkeypatch):
+    def test_a_run_that_refills_writes_what_an_unbounded_table_writes(self, budget, monkeypatch, tmp_path):
+        doc = bundled_doc("star6", 60)
+        unbounded, _ = cli_run(tmp_path, doc, engine._Simulation)
         monkeypatch.setattr(engine, "_STREAM_VALUES", budget)
-        self.assert_every_draw_is_its_streams_next_value(4)
+        files, sim = cli_run(tmp_path, doc, LegLog)
+        assert files == unbounded
+        assert sim.checked == 600 and sim.fills >= 30
 
 
 @pytest.mark.parametrize("mode", ["full", "skew_only"])
@@ -711,9 +708,7 @@ def wakeup_tie_doc() -> dict:
     on, after nodes 1 and 2 ran at 1.5 long enough to wake 2 and 1 time
     units after node 0 in each 12-unit cycle.  With the link draws stubbed
     to dyadic values (``stub_dyadic_draws``), a reply emitted 2 after node
-    0's send or 1 after node 2's leaves at node 1's wakeup.  Node 1
-    scheduled that wakeup at its evaluation 1.5 earlier: after node 0's
-    send, so that reply goes first, and before node 2's."""
+    0's send or 1 after node 2's leaves at node 1's wakeup."""
     edge = {"fwd_delay": 1.0, "bwd_delay": 1.0, "jitter": 1.0, "eps_d": 0.5, "eps_m": 0.0}
     return {
         "graph": {"nodes": 3, "d_max": 2.5, "edges": [{"u": 0, "v": 1, **edge}, {"u": 1, "v": 2, **edge}]},
@@ -727,43 +722,26 @@ def wakeup_tie_doc() -> dict:
     }
 
 
-class DyadicStream:
-    """A stand-in for the twin's ``Generator`` whose ``random`` cycles
-    through ``values``."""
-
-    def __init__(self, values):
-        self.values = itertools.cycle(values)
-
-    def random(self):
-        return next(self.values)
+DYADIC = [0.0, 1.0, 0.5, 1.0, 0.25]
 
 
-class DyadicStreams:
-    """A stand-in for the engine's ``PcgStreams``: stream s cycles through
-    ``values[s]``, from its first value on."""
-
-    def __init__(self, values, width):
-        self.values, self.width, self.at = values, width, [0] * len(values)
-
-    def uniforms(self, streams, skip):
-        rows = []
-        for s, k in zip(streams.tolist(), skip.tolist()):
-            self.at[s] += k
-            cycle = self.values[s]
-            rows.append([cycle[(self.at[s] + j) % len(cycle)] for j in range(self.width)])
-        return np.array(rows)
+def dyadic_uniform(key: int, k: int) -> float:
+    """A stand-in for the link draw: stream ``key`` runs through DYADIC,
+    one value a cycle, from an offset of its own."""
+    return DYADIC[(key + k) % len(DYADIC)]
 
 
-def stub_dyadic_draws(sim):
-    """Each link stream of ``sim`` draws its own cycle of dyadic values, so
-    the values a draw gets depend on its place in its stream's order: the
-    engine's streams, and the twin's own (its ``links`` records)."""
-    delays, procs = [0.0, 1.0, 0.5, 1.0, 0.25], [0.0, 1.0]
-    D = len(sim._src)
-    sim._streams = DyadicStreams([delays if s < D else procs for s in range(len(sim._blocks))], sim._width)
-    for key, (base, jitter, _, proc, *rest) in list(getattr(sim, "links", {}).items()):
-        sim.links[key] = (base, jitter, DyadicStream(delays), DyadicStream(procs) if proc else None, *rest)
-    return sim
+def dyadic_uniforms(keys, cycles):
+    """``dyadic_uniform`` as ``engine._link_uniforms`` draws, a (cycles,
+    keys) array."""
+    return np.array([[dyadic_uniform(int(x), int(k)) for x in keys] for k in cycles])
+
+
+def stub_dyadic_draws(monkeypatch) -> None:
+    """Stub every link draw to ``dyadic_uniform``: the engine's table and
+    the twins' scalar draws (``reference.link_uniform``)."""
+    monkeypatch.setattr(engine, "_link_uniforms", dyadic_uniforms)
+    monkeypatch.setattr(reference, "link_uniform", dyadic_uniform)
 
 
 def reply_rows(sim) -> list:
@@ -781,24 +759,20 @@ def reply_rows(sim) -> list:
 
 
 class TieCounting(engine._Simulation):
-    """The engine, counting the sends that meet, on the stream they draw
-    from, a reply emitted at the same instant, by which goes first.  Each
-    member of a wakeup entry is counted with its own heap key, before the
-    entry runs: the exchange w->v whose reply member v's send meets stays
-    open and unsent by w until w's evaluation, so no earlier member of the
-    entry changes it (w wakes only after it evaluates)."""
+    """The engine, counting the replies emitted at their responder's own
+    wakeup instant: at v's wakeup, w's open exchanges with v whose replies
+    leave then.  No earlier member of the wakeup's entry changes them, since
+    w sends again only after it evaluates."""
 
     def __init__(self, sc):
         super().__init__(sc)
-        self.ties = {"reply first": 0, "request first": 0}
+        self.ties = 0
 
     def _on_wakeups(self, t, group):
-        for v, k, seq in group:
-            if k < self.sc.horizon_cycles:  # the wakeup sends: v->w meets w's request to v
-                for d in self._out[v].tolist():
-                    r = int(self._rev[d])
-                    if self._open[r] and self._ex[engine._EMIT, r] == t:
-                        self.ties["reply first" if int(self._eseq[r]) < seq else "request first"] += 1
+        for v, _, _ in group:
+            for d in self._out[v].tolist():
+                r = int(self._rev[d])
+                self.ties += bool(self._open[r] and self._ex[engine._EMIT, r] == t)
         super()._on_wakeups(t, group)
 
 
@@ -822,17 +796,17 @@ class TestThreeEventTwin:
         for array in TRACE_ARRAYS:
             assert np.array_equal(getattr(res.trace, array), getattr(ref.trace, array)), array
 
-    def test_reply_emissions_on_the_responders_wakeups_match_the_twin(self):
-        # The engine draws a reply's delay off the heap, from the stream
-        # that also serves its responder's requests, so where the reply
-        # leaves at the responder's own wakeup instant the two draws must
-        # keep the heap's (time, seq) order.  Dyadic link draws and phases
-        # put emissions exactly on such wakeups, in both orders.
+    def test_reply_emissions_on_the_responders_wakeups_match_the_twin(self, monkeypatch):
+        # Dyadic link draws and phases put reply emissions exactly on their
+        # responders' wakeups, where the twin runs the emission as an event
+        # of its own, reading the responder's clock at the instant its mode
+        # changes: the engine's deferred reads must give the same stamps.
+        stub_dyadic_draws(monkeypatch)
         sc = scen.build_scenario(wakeup_tie_doc())
-        sim, twin = (stub_dyadic_draws(cls(sc)) for cls in (TieCounting, ThreeEventExchange))
+        sim, twin = TieCounting(sc), ThreeEventExchange(sc)
         rows, twin_rows = reply_rows(sim), reply_rows(twin)
         res, ref = sim.run(), twin.run()
-        assert sim.ties["reply first"] >= 3 and sim.ties["request first"] >= 3
+        assert sim.ties >= 6
         assert len(rows) == res.summary.counters["measurements"] == 160
         assert sorted(rows) == sorted(twin_rows)
         assert json.dumps(res.summary.to_dict()) == json.dumps(ref.summary.to_dict())

@@ -172,9 +172,9 @@ def test_full_grid4x4_run_pops_grouped_entries(monkeypatch):
     doc = scen.load_document("grid4x4")
     doc["sim"]["metrics"] = "skew_only"
     engine.run(scen.build_scenario(doc))
-    assert (popped[engine.K_WAKEUP], held[engine.K_WAKEUP]) == (1207, 9616)
-    assert (popped[engine.K_EVALUATE], held[engine.K_EVALUATE]) == (1217, 9600)
-    assert sum(popped.values()) == 2424  # no entry of another kind
+    assert (popped[engine.K_WAKEUP], held[engine.K_WAKEUP]) == (1210, 9616)
+    assert (popped[engine.K_EVALUATE], held[engine.K_EVALUATE]) == (1220, 9600)
+    assert sum(popped.values()) == 2430  # no entry of another kind
 
 
 def sampled(sim) -> list[float]:

@@ -8,15 +8,23 @@ that is meant to keep behaviour keeps these files byte for byte; a change
 that is meant to alter them updates the digests and says why.
 
 The two bundled scenarios with link jitter, random16 and star6 (p_max 0.2),
-are also pinned at their full length.  Each direction a->b has one delay
-stream for a's requests and a's replies to b, so a change in the order of
-its draws changes the delays; 60 cycles can miss that, full length does not.
+are also pinned at their full length, with digests taken when each link
+draw became a function of the seed, its direction, its leg and the
+requester's cycle.  The link draws reach the outputs only through the
+mode changes they bring about, which 60 cycles can miss; full length does
+not.
 
 No bundled scenario has a random-walk clock, so the full-length outputs of
 ``scenario_gen.random_suite_doc(2)``, whose clocks are random walks, are
 pinned too, with digests taken while the engine still drew the walks: once
 as generated, drawing every walk from the master seed, and once with a
 ``seed`` of its own on node 0.
+
+With no jitter and no processing time, no link draw reaches an output: a
+delay is its base plus 0.0 times the draw.  grid4x4 and random16 are
+pinned that way too, with digests taken while the link streams were still
+drawn in the heap's order, so they hold the event loop to its outputs
+whatever the link draws are.
 """
 import hashlib
 import json
@@ -87,22 +95,22 @@ DIGESTS = {
 # (scenario, metrics mode) -> SHA-256 of FILES of the full-length run
 FULL_LENGTH_DIGESTS = {
     ("random16", "full"): (
-        "6c7e9eeebe6c6aabb3ee6507efcb3e47d977db42eac74db0e4d783a2bf88a040",
+        "601192486516d9e2c76390159689238e67cc9bcf89c61344e6fa63d6c1d2bd1b",
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
-        "f1b2b85f2a443a20cdeb76550b7b669fdb61cef8f697e67bc8a1e57e3cff5b10",
+        "68672b7537328201c5562147b744efd06d8d7b305b381f5a378e5d9e3aead273",
     ),
     ("random16", "skew_only"): (
-        "75e737fb6bcab849191dce6e0a0b8c4b9a43eb2d180daf30b430d078dd03030c",
+        "e4b642aafd684f86e06297e43b679a047d6ec57847b1fa97a5011204c4d9de44",
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "b18875d2c90884f1684d16228d17eca0cbbc31fd93888ae08d964f2cb37f52cb",
     ),
     ("star6", "full"): (
-        "3d6e56f86264de483ff8c52e118956e9446e3db595457fbeecacbba9ad1a68c7",
+        "73f4214abc1a0b6b2d7700e402bbfd6aecd123282942148b75d9c9fd6d81d4f7",
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
-        "2f681a7162e06793466619ac94debb994b4e938d3ccea47dfac055c86a4d15ac",
+        "3ee8bb9c4146f4ffb12393175b7d432d4e9e6333e1ab2f8f6f18aa94c894f930",
     ),
     ("star6", "skew_only"): (
-        "500088799c9de6b2b63964e26c38fe02c2245ddc91968a75453a90112e00786b",
+        "870879590f90cdc3e770221d30ac72ac36a2418721dd2484fc983ee0eed598a1",
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         "5253a35a1810116c890644f94b4502afe856ba86cd8f68c093c93ce304b83ae3",
     ),
@@ -124,6 +132,32 @@ RANDOM_WALK_DIGESTS = {
 }
 
 
+# (scenario, metrics mode) -> SHA-256 of FILES of its 60-cycle run with no
+# jitter and no processing time (zero_draw_doc)
+ZERO_DRAW_DIGESTS = {
+    ("grid4x4", "full"): (
+        "98d9b4fcfc83c4cf1fd18e9717388d0101d1f4d8f4543caec4d57b9287d5d9cb",
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "e20e3faea77125f1ae907e0b8d3f9509e84a2f154e3c39187688936d46ab2c75",
+    ),
+    ("grid4x4", "skew_only"): (
+        "0e8a97e7cc9d7b29cb0cf10580c0746607aaf373ebdec845dc85baefef33e9f6",
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "b18875d2c90884f1684d16228d17eca0cbbc31fd93888ae08d964f2cb37f52cb",
+    ),
+    ("random16", "full"): (
+        "8f11da7b4eb751d529a936bb52955000fdd3dfd0943bd89308a4322739766a79",
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "20874d8a074f5b458b2df76d8e51b10bada14f18cf45af0083f3b50508861169",
+    ),
+    ("random16", "skew_only"): (
+        "fbe7b1783e8436a7c56a718f981f3d967d0269d4105d54647ea5e498262ce0e4",
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        "b18875d2c90884f1684d16228d17eca0cbbc31fd93888ae08d964f2cb37f52cb",
+    ),
+}
+
+
 def random_walk_doc(variant: str) -> dict:
     doc = random_suite_doc(2)
     if variant == "node seed":
@@ -139,6 +173,19 @@ def bundled_doc(name: str, mode: str, horizon_cycles: int | None) -> dict:
         doc["sim"].pop("horizon_time", None)
         doc["sim"]["horizon_cycles"] = horizon_cycles
     doc["sim"]["metrics"] = mode
+    return doc
+
+
+def zero_draw_doc(name: str, mode: str) -> dict:
+    """Bundled ``name`` in ``mode`` for 60 cycles, with every link's jitter
+    and the processing time p_max set to 0."""
+    doc = bundled_doc(name, mode, 60)
+    doc["gcs"]["p_max"] = 0.0
+    graph = doc["graph"]
+    for edge in graph.get("edges", []):
+        edge["jitter"] = 0.0
+    if "template" in graph:
+        graph["template"]["edge"]["jitter"] = 0.0
     return doc
 
 
@@ -166,3 +213,8 @@ def test_full_length_jittered_outputs_are_byte_identical(name, mode, tmp_path):
 @pytest.mark.parametrize("variant", sorted(RANDOM_WALK_DIGESTS))
 def test_random_walk_outputs_are_byte_identical(variant, tmp_path):
     assert digests(tmp_path, random_walk_doc(variant)) == dict(zip(FILES, RANDOM_WALK_DIGESTS[variant]))
+
+
+@pytest.mark.parametrize("name,mode", sorted(ZERO_DRAW_DIGESTS))
+def test_zero_draw_outputs_are_byte_identical(name, mode, tmp_path):
+    assert digests(tmp_path, zero_draw_doc(name, mode)) == dict(zip(FILES, ZERO_DRAW_DIGESTS[(name, mode)]))
